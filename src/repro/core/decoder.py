@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..config import env_int
 from ..bits import expgolomb
@@ -35,6 +35,7 @@ from .archive import (
     CompressionParams,
 )
 from .factors import (
+    EdgeFactor,
     apply_distance_patches,
     apply_edge_factors,
     read_distance_patches,
@@ -75,6 +76,18 @@ def decode_times_prefix(
     )
 
 
+def _read_reference_edges(
+    reader: BitReader, symbol_width: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``E`` and the full ``T'`` from the head of a reference payload."""
+    entry_count = expgolomb.decode_unsigned(reader)
+    edge_numbers = tuple(
+        reader.read_uint(symbol_width) for _ in range(entry_count)
+    )
+    trimmed = reader.read_bits(max(entry_count - 2, 0))
+    return edge_numbers, restore_time_flags(trimmed)
+
+
 def decode_reference_tuple(
     instance: CompressedInstance, params: CompressionParams
 ) -> InstanceTuple:
@@ -82,12 +95,7 @@ def decode_reference_tuple(
     if not instance.is_reference:
         raise ValueError("decode_reference_tuple expects a reference")
     reader = BitReader(instance.payload, instance.payload_bits)
-    entry_count = expgolomb.decode_unsigned(reader)
-    edge_numbers = tuple(
-        reader.read_uint(params.symbol_width) for _ in range(entry_count)
-    )
-    trimmed = reader.read_bits(max(entry_count - 2, 0))
-    flags = restore_time_flags(trimmed)
+    edge_numbers, flags = _read_reference_edges(reader, params.symbol_width)
     distances = tuple(PddpDecoder(reader, params.eta_distance).values)
     probability = _read_probability(reader, params.eta_probability)
     return InstanceTuple(
@@ -156,6 +164,57 @@ def decode_trajectory_tuples(
                 )
             )
     return tuples
+
+
+class InstanceEdges(NamedTuple):
+    """The edge side of one instance, as :func:`decode_trajectory_edges`
+    returns it: ``time_flags`` (full ``T'``) for references only,
+    ``factors`` (the E factor stream) for non-references only."""
+
+    start_vertex: int
+    edge_numbers: tuple[int, ...]
+    time_flags: tuple[int, ...] | None
+    factors: list[EdgeFactor] | None
+
+
+def decode_trajectory_edges(
+    trajectory: CompressedTrajectory, params: CompressionParams
+) -> list[InstanceEdges]:
+    """Decode only what the StIU build reads (§5.2): ``E`` of every
+    instance, ``T'`` of references and the E factor stream of
+    non-references.  Distances, patches and probabilities are left
+    undecoded; the index takes their positions and values from the
+    fields already recorded on each :class:`CompressedInstance`."""
+    references: dict[int, InstanceEdges] = {}
+    for instance in trajectory.instances:
+        if instance.is_reference:
+            reader = BitReader(instance.payload, instance.payload_bits)
+            edge_numbers, flags = _read_reference_edges(
+                reader, params.symbol_width
+            )
+            references[instance.reference_ordinal] = InstanceEdges(
+                instance.start_vertex, edge_numbers, flags, None
+            )
+    edges: list[InstanceEdges] = []
+    for instance in trajectory.instances:
+        reference = references[instance.reference_ordinal]
+        if instance.is_reference:
+            edges.append(reference)
+            continue
+        reader = BitReader(instance.payload, instance.payload_bits)
+        reader.seek(instance.edge_offset)  # skip the reference index
+        factors = read_edge_factors(
+            reader, len(reference.edge_numbers), params.symbol_width
+        )
+        edges.append(
+            InstanceEdges(
+                reference.start_vertex,
+                tuple(apply_edge_factors(factors, reference.edge_numbers)),
+                None,
+                factors,
+            )
+        )
+    return edges
 
 
 def decode_trajectory(

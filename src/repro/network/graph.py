@@ -81,6 +81,14 @@ class RoadNetwork:
         self._numbers: dict[tuple[int, int], int] = {}
         self._finalized = False
         self._max_out_degree = 0
+        # GridPartition.for_network memo, keyed (cells_per_side, margin);
+        # derived from the vertex set, so every mutation drops it
+        self._partitions: dict = {}
+
+    def __getstate__(self) -> dict:
+        # the partitions carry per-process edge tables; a worker that
+        # unpickles the network rasterises its own
+        return {**self.__dict__, "_partitions": {}}
 
     # ------------------------------------------------------------------
     # construction
@@ -97,6 +105,7 @@ class RoadNetwork:
             return existing
         vertex = Vertex(vertex_id, x, y)
         self._vertices[vertex_id] = vertex
+        self._partitions.clear()
         self._out.setdefault(vertex_id, [])
         self._in.setdefault(vertex_id, [])
         return vertex
@@ -125,6 +134,7 @@ class RoadNetwork:
         self._out[start].append(edge)
         self._in[end].append(edge)
         self._finalized = False
+        self._partitions.clear()
         return edge
 
     def finalize(self) -> None:

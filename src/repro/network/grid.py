@@ -5,6 +5,12 @@ each of which represents a region re".  ``GridPartition`` maps points,
 edges, and query rectangles to cell ids.  Edge-to-cell mapping walks the
 segment through the grid (a conservative supercover), so an edge is
 associated with every cell it touches.
+
+A road network has one partition per grid resolution
+(:meth:`GridPartition.for_network` is memoised on the network), and that
+partition keeps the cells of every edge it has been asked about, so the
+StIU indexes and edge spatial indexes of one network rasterise each edge
+once between them.
 """
 
 from __future__ import annotations
@@ -65,16 +71,32 @@ class GridPartition:
         self.cells_per_side = cells_per_side
         self._cell_width = box.width / cells_per_side
         self._cell_height = box.height / cells_per_side
+        # (start, end) -> cells of that edge of ``_network``, filled on
+        # first request.  Unlocked on purpose: entries are immutable and
+        # a racing thread can only store an equal tuple.
+        self._network: RoadNetwork | None = None
+        self._edge_cells: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @classmethod
     def for_network(
         cls, network: RoadNetwork, cells_per_side: int, margin: float = 1e-9
     ) -> "GridPartition":
-        """Partition covering ``network`` with a tiny margin so border
-        vertices fall inside the grid."""
-        box = network.bounding_box()
-        span = max(box.width, box.height, 1.0)
-        return cls(box.expanded(span * 1e-9 + margin), cells_per_side)
+        """The partition covering ``network`` with a tiny margin so border
+        vertices fall inside the grid.
+
+        One partition per ``(cells_per_side, margin)`` lives on the
+        network until its next ``add_vertex``/``add_edge``, so repeated
+        calls neither rescan the vertices nor re-rasterise an edge.
+        """
+        key = (cells_per_side, margin)
+        partition = network._partitions.get(key)
+        if partition is None:
+            box = network.bounding_box()
+            span = max(box.width, box.height, 1.0)
+            partition = cls(box.expanded(span * 1e-9 + margin), cells_per_side)
+            partition._network = network
+            partition = network._partitions.setdefault(key, partition)
+        return partition
 
     @property
     def cell_count(self) -> int:
@@ -129,11 +151,20 @@ class GridPartition:
                 cells.append(cell)
         return cells
 
-    def cells_of_edge(self, network: RoadNetwork, start: int, end: int) -> list[int]:
-        """Cells touched by the straight-line embedding of an edge."""
-        a = network.vertex(start)
-        b = network.vertex(end)
-        return self.cells_of_segment(a.x, a.y, b.x, b.y)
+    def cells_of_edge(
+        self, network: RoadNetwork, start: int, end: int
+    ) -> tuple[int, ...]:
+        """Cells touched by the straight-line embedding of an edge, as
+        :meth:`cells_of_segment` orders them."""
+        # the table describes one network's edges; any other gets a throwaway
+        table = self._edge_cells if network is self._network else {}
+        cells = table.get((start, end))
+        if cells is None:
+            a = network.vertex(start)
+            b = network.vertex(end)
+            cells = tuple(self.cells_of_segment(a.x, a.y, b.x, b.y))
+            table[(start, end)] = cells
+        return cells
 
     def cells_of_rect(self, rect: Rect) -> list[int]:
         """All cells intersecting ``rect``."""

@@ -21,6 +21,7 @@ without full decompression:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from ..bits.bitio import BitReader
@@ -420,8 +421,6 @@ class UTCQQueryProcessor:
         if position is None:
             return False
         # Lemma 2 over the bracketing sub-path
-        import bisect
-
         bracket = bisect.bisect_right(full_times, t) - 1
         lo = chain.location_chainages[max(bracket, 0)]
         hi = chain.location_chainages[

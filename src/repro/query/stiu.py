@@ -26,10 +26,14 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ..core.archive import CompressedArchive, CompressedTrajectory
-from ..core.decoder import decode_trajectory_tuples
-from ..core.improved_ted import InstanceTuple
+from ..core.decoder import (
+    InstanceEdges,
+    decode_times,
+    decode_trajectory_edges,
+)
 from ..network.graph import RoadNetwork
 from ..network.grid import GridPartition
 
@@ -265,26 +269,10 @@ class StIUIndex:
         return self._spatial
 
     def _rebuild_spatial(self) -> None:
-        """Recompute the spatial layer from the archive (loader fallback).
-
-        Only called with ``_spatial_loader`` already cleared, so the
-        ``self.spatial`` accesses inside ``_build_spatial`` see the dict
-        being filled rather than re-entering the loader path.
-        """
-        from ..bits.bitio import BitReader
-        from ..core import siar
-
+        """Recompute the spatial layer from the archive (loader fallback)."""
         self._spatial = {}
         for trajectory in self.archive.trajectories:
-            reader = BitReader(
-                trajectory.time_payload, trajectory.time_payload_bits
-            )
-            times = siar.decode(
-                reader,
-                self.archive.params.default_interval,
-                t0_bits=self.archive.params.t0_bits,
-            )
-            self._build_spatial(trajectory, times)
+            self._build_spatial(trajectory)
 
     # ------------------------------------------------------------------
     # construction
@@ -293,20 +281,10 @@ class StIUIndex:
         return t // self.time_partition_seconds
 
     def _build(self) -> None:
-        from ..core import siar
-        from ..bits.bitio import BitReader
-
+        params = self.archive.params
         for trajectory in self.archive.trajectories:
-            reader = BitReader(
-                trajectory.time_payload, trajectory.time_payload_bits
-            )
-            times = siar.decode(
-                reader,
-                self.archive.params.default_interval,
-                t0_bits=self.archive.params.t0_bits,
-            )
-            self._build_temporal(trajectory, times)
-            self._build_spatial(trajectory, times)
+            self._build_temporal(trajectory, decode_times(trajectory, params))
+            self._build_spatial(trajectory)
 
     def _build_temporal(
         self, trajectory: CompressedTrajectory, times: list[int]
@@ -335,202 +313,151 @@ class StIUIndex:
         last = self.interval_of(trajectory.end_time)
         return range(first, last + 1)
 
-    def _build_spatial(
-        self, trajectory: CompressedTrajectory, times: list[int]
-    ) -> None:
-        params = self.archive.params
-        tuples = decode_trajectory_tuples(trajectory, params)
-        # regions visited per instance, with entry metadata
-        visits: list[list[tuple[int, int, int]]] = []  # (region, entry, fv)
-        for encoded in tuples:
-            visits.append(self._region_visits(encoded))
-
-        # group instances by their reference ordinal
+    def _build_spatial(self, trajectory: CompressedTrajectory) -> None:
+        """Index one trajectory: its region tuples do not depend on the
+        time interval, so they are derived once and entered under every
+        interval the trajectory is active in."""
+        edges = decode_trajectory_edges(trajectory, self.archive.params)
+        walks = [self._walk(instance) for instance in edges]
         groups: dict[int, list[int]] = {}
         for index, instance in enumerate(trajectory.instances):
             groups.setdefault(instance.reference_ordinal, []).append(index)
-
+        regions: dict[int, RegionEntry] = {}
+        for members in groups.values():
+            self._index_group(trajectory, edges, walks, members, regions)
         for interval in self._active_intervals(trajectory):
-            interval_map = self.spatial.setdefault(interval, {})
-            for ordinal, members in groups.items():
-                self._index_group(
-                    trajectory,
-                    tuples,
-                    visits,
-                    interval_map,
-                    ordinal,
-                    members,
+            interval_map = self._spatial.setdefault(interval, {})
+            for region, entry in regions.items():
+                interval_map.setdefault(region, {})[
+                    trajectory.trajectory_id
+                ] = RegionEntry(
+                    list(entry.references), list(entry.non_references)
                 )
 
-    def _region_visits(
-        self, encoded: InstanceTuple
-    ) -> list[tuple[int, int, int]]:
-        """(region, E-entry index, final vertex) for each region entered.
+    def _walk(
+        self, instance: InstanceEdges
+    ) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """One pass along an instance's path: ``(region, E-entry index,
+        final vertex)`` for each region at its first entry, and the
+        vertex the path stands at before each ``E`` entry.
 
         The final vertex of the first region is the start vertex (the
         paper's ``(SV, 0, 0)`` convention).
         """
+        network = self.network
+        cells_of_edge = self.grid.cells_of_edge
         visits: list[tuple[int, int, int]] = []
         seen: set[int] = set()
-        current_vertex = encoded.start_vertex
-        for entry_index, number in enumerate(encoded.edge_numbers):
+        standing: list[int] = []
+        current = instance.start_vertex
+        for entry_index, number in enumerate(instance.edge_numbers):
+            standing.append(current)
             if number == 0:
                 continue
-            edge = self.network.edge_by_number(current_vertex, number)
-            for region in self.grid.cells_of_edge(
-                self.network, edge.start, edge.end
-            ):
+            end = network.edge_by_number(current, number).end
+            for region in cells_of_edge(network, current, end):
                 if region not in seen:
                     seen.add(region)
-                    visits.append((region, entry_index, current_vertex))
-            current_vertex = edge.end
-        return visits
+                    visits.append((region, entry_index, current))
+            current = end
+        return visits, standing
 
     def _index_group(
         self,
         trajectory: CompressedTrajectory,
-        tuples: list[InstanceTuple],
-        visits: list[list[tuple[int, int, int]]],
-        interval_map: dict[int, dict[int, RegionEntry]],
-        ordinal: int,
+        edges: list[InstanceEdges],
+        walks: list[tuple[list[tuple[int, int, int]], list[int]]],
         members: list[int],
+        regions: dict[int, RegionEntry],
     ) -> None:
-        reference_index = next(
-            i
-            for i in members
-            if trajectory.instances[i].is_reference
-            and trajectory.instances[i].reference_ordinal == ordinal
-        )
-        reference_instance = trajectory.instances[reference_index]
-        non_reference_indices = [i for i in members if i != reference_index]
+        """Append the tuples of one reference and its representation set
+        (``members``, in instance order) to ``regions``."""
+        instances = trajectory.instances
+        reference_index = next(i for i in members if instances[i].is_reference)
+        distance_positions = instances[reference_index].distance_positions
+        # gamma: mapped locations up to and including each E entry
+        located = list(accumulate(edges[reference_index].time_flags))
 
         # regions touched by anyone in the group
         group_regions: dict[int, list[int]] = {}
         for member in members:
-            for region, _, _ in visits[member]:
+            for region, _, _ in walks[member][0]:
                 group_regions.setdefault(region, []).append(member)
-
-        reference_visit_by_region = {
-            region: (entry, fv) for region, entry, fv in visits[reference_index]
+        reference_visits = {
+            region: (entry, fv)
+            for region, entry, fv in walks[reference_index][0]
         }
 
         for region, overlapping in group_regions.items():
-            p_total = sum(
-                trajectory.instances[m].probability for m in set(overlapping)
+            # p_total is summed in this set's iteration order, which the
+            # persisted float depends on
+            present = set(overlapping)
+            p_total = sum(instances[m].probability for m in present)
+            p_max = max(
+                (
+                    instances[m].probability
+                    for m in present
+                    if m != reference_index
+                ),
+                default=0.0,
             )
-            nonref_probabilities = [
-                trajectory.instances[m].probability
-                for m in set(overlapping)
-                if m != reference_index
-            ]
-            p_max = max(nonref_probabilities, default=0.0)
-
-            if region in reference_visit_by_region:
-                entry_number, final_vertex = reference_visit_by_region[region]
-                distance_position = self._distance_position(
-                    reference_instance, tuples[reference_index], entry_number
+            visit = reference_visits.get(region)
+            if visit is None:
+                tuple_ = ReferenceTuple(
+                    reference_index, INFINITE_VERTEX, 0, 0, p_total, p_max
+                )
+            else:
+                entry_number, final_vertex = visit
+                # d.pos: bit offset of the gamma[fv.no]-th rd in D̂(Ref)
+                d_no = max(
+                    min(located[entry_number], len(distance_positions)) - 1, 0
                 )
                 tuple_ = ReferenceTuple(
                     reference_index,
                     final_vertex,
                     entry_number,
-                    distance_position,
+                    distance_positions[d_no] if distance_positions else 0,
                     p_total,
                     p_max,
                 )
-            else:
-                tuple_ = ReferenceTuple(
-                    reference_index, INFINITE_VERTEX, 0, 0, p_total, p_max
-                )
-            entry_map = interval_map.setdefault(region, {})
-            entry = entry_map.setdefault(
-                trajectory.trajectory_id, RegionEntry()
-            )
+            entry = regions.get(region)
+            if entry is None:
+                entry = regions[region] = RegionEntry()
             entry.references.append(tuple_)
 
         # non-reference tuples: anchor factor per region (first region only
         # when one factor spans several regions)
-        for member in non_reference_indices:
-            compressed = trajectory.instances[member]
-            factor_spans = self._factor_spans(
-                compressed, tuples[reference_index]
+        for member in members:
+            if member == reference_index:
+                continue
+            factor_positions = instances[member].factor_positions
+            # E-entry index one past the span each factor reproduces
+            span_ends = list(
+                accumulate(factor.consumed for factor in edges[member].factors)
             )
-            used_factors: set[int] = set()
-            for region, entry_index, _ in visits[member]:
-                factor_index = self._covering_factor(factor_spans, entry_index)
-                if factor_index is None or factor_index in used_factors:
+            visits, standing = walks[member]
+            previous_factor = -1
+            for region, entry_index, _ in visits:
+                # entries only grow along a walk, so a repeated factor is
+                # the previous one
+                factor_index = bisect.bisect_right(span_ends, entry_index)
+                if (
+                    factor_index == len(span_ends)
+                    or factor_index == previous_factor
+                ):
                     continue
-                used_factors.add(factor_index)
-                span_start, _ = factor_spans[factor_index]
-                anchor_vertex = self._vertex_at_entry(
-                    tuples[member], span_start
-                )
-                entry_map = interval_map.setdefault(region, {})
-                entry = entry_map.setdefault(
-                    trajectory.trajectory_id, RegionEntry()
-                )
-                entry.non_references.append(
+                previous_factor = factor_index
+                span_start = span_ends[factor_index - 1] if factor_index else 0
+                regions[region].non_references.append(
                     NonReferenceTuple(
                         member,
-                        anchor_vertex,
+                        standing[span_start],
                         span_start,
-                        compressed.factor_positions[factor_index]
-                        if factor_index < len(compressed.factor_positions)
+                        factor_positions[factor_index]
+                        if factor_index < len(factor_positions)
                         else 0,
                     )
                 )
-
-    def _distance_position(
-        self,
-        compressed_reference,
-        encoded: InstanceTuple,
-        entry_number: int,
-    ) -> int:
-        """``d.pos``: bit offset of the ``gamma[fv.no]``-th rd in D̂(Ref)."""
-        ones = sum(encoded.time_flags[: entry_number + 1])
-        d_no = max(min(ones - 1, len(compressed_reference.distance_positions) - 1), 0)
-        if not compressed_reference.distance_positions:
-            return 0
-        return compressed_reference.distance_positions[d_no]
-
-    def _factor_spans(
-        self, compressed, reference_encoded: InstanceTuple
-    ) -> list[tuple[int, int]]:
-        """(start, end) E-entry span of the non-reference's sequence each
-        of its factors reproduces, read from the factor stream."""
-        from ..bits.bitio import BitReader
-        from ..core.factors import read_edge_factors
-
-        if compressed.is_reference:
-            return []
-        reader = BitReader(compressed.payload, compressed.payload_bits)
-        reader.seek(compressed.edge_offset)
-        factors = read_edge_factors(
-            reader,
-            len(reference_encoded.edge_numbers),
-            self.archive.params.symbol_width,
-        )
-        spans: list[tuple[int, int]] = []
-        cursor = 0
-        for factor in factors:
-            spans.append((cursor, cursor + factor.consumed))
-            cursor += factor.consumed
-        return spans
-
-    def _covering_factor(
-        self, spans: list[tuple[int, int]], entry_index: int
-    ) -> int | None:
-        for index, (start, end) in enumerate(spans):
-            if start <= entry_index < end:
-                return index
-        return None
-
-    def _vertex_at_entry(self, encoded: InstanceTuple, entry_index: int) -> int:
-        current = encoded.start_vertex
-        for number in encoded.edge_numbers[:entry_index]:
-            if number > 0:
-                current = self.network.edge_by_number(current, number).end
-        return current
 
     # ------------------------------------------------------------------
     # lookups

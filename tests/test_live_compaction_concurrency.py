@@ -16,7 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.io.format import read_archive
 from repro.network.generators import grid_network
+from repro.query import StIUIndex, save_index
 from repro.stream import (
     AppendableArchiveWriter,
     CompactionDaemon,
@@ -24,6 +26,7 @@ from repro.stream import (
     SizeTieredPolicy,
     drain_compactions,
 )
+from repro.trajectories.generators import GenerationConfig, generate_dataset
 from repro.trajectories.model import (
     MappedLocation,
     TrajectoryInstance,
@@ -178,3 +181,60 @@ def test_processor_on_retired_snapshot_keeps_answering(
         assert before.where(trip.trajectory_id, t, alpha=0.1) == expected
         assert after.where(trip.trajectory_id, t, alpha=0.1) == expected
     live.close()
+
+
+def test_sidecars_written_concurrently_equal_solitary_builds(tmp_path):
+    """A writer thread seals while the daemon thread merges, both
+    building StIU indexes over the one edge table their network shares;
+    every sidecar left on disk must be byte-equal to an index built
+    alone, on a network (and table) of its own."""
+    shared = grid_network(4, 4, spacing=100.0)
+    config = GenerationConfig(
+        default_interval=10,
+        deviation_fractions=(0.6, 0.2, 0.2, 0.0, 0.0),
+        mean_instances=4.0,
+        max_instances=8,
+        mean_edges=6.0,
+        max_edges=12,
+    )
+    routed = generate_dataset(shared, config, TRIPS, seed=9)
+    directory = tmp_path / "fleet"
+    writer = _writer(directory, shared)
+    daemon = CompactionDaemon(
+        writer,
+        policy=SizeTieredPolicy(min_merge=2, max_merge=4),
+        interval=0.001,
+    )
+    errors = []
+
+    def ingest():
+        try:
+            for trip in routed:
+                writer.append(trip)
+                daemon.notify()
+            writer.close()
+        except Exception as error:  # surfaced by the assert below
+            errors.append(error)
+
+    with daemon:
+        thread = threading.Thread(target=ingest)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert errors == []
+    assert daemon.stats.merges > 0, "compaction never ran beside the writer"
+
+    alone = grid_network(4, 4, spacing=100.0)
+    store = writer.store
+    segments = store.segments()
+    assert sum(info.trajectory_count for info in segments) == TRIPS
+    for info in segments:
+        path = store.segment_path(info.name)
+        solitary = save_index(
+            StIUIndex(alone, read_archive(path)),
+            path,
+            sidecar_path=tmp_path / "solitary.stiu",
+        )
+        assert (
+            store.sidecar_path(info.name).read_bytes() == solitary.read_bytes()
+        ), info.name

@@ -1,10 +1,14 @@
 """Tests for grid partitioning (StIU regions) and rectangles."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.network.generators import grid_network
+from repro.network.generators import grid_network, perturbed_grid_network
 from repro.network.graph import BoundingBox
 from repro.network.grid import GridPartition, Rect
 
@@ -109,6 +113,103 @@ class TestGridPartition:
     def test_degenerate_box_is_expanded(self):
         grid = GridPartition(BoundingBox(1.0, 1.0, 1.0, 1.0), 2)
         assert grid.box.width > 0 and grid.box.height > 0
+
+
+class TestNetworkPartition:
+    """One partition, and one edge table, per network and resolution."""
+
+    def test_for_network_is_shared_per_resolution(self):
+        network = grid_network(3, 3, spacing=100.0)
+        grid = GridPartition.for_network(network, 8)
+        assert GridPartition.for_network(network, 8) is grid
+        assert GridPartition.for_network(network, 4) is not grid
+        assert GridPartition.for_network(network, 8, margin=1.0) is not grid
+        other = grid_network(3, 3, spacing=100.0)
+        assert GridPartition.for_network(other, 8) is not grid
+
+    def test_network_mutation_drops_the_partition(self):
+        network = grid_network(3, 3, spacing=100.0)
+        grid = GridPartition.for_network(network, 8)
+        network.add_vertex(0, 0.0, 0.0)  # already there: nothing changed
+        assert GridPartition.for_network(network, 8) is grid
+        network.add_vertex(99, 1000.0, 1000.0)
+        grown = GridPartition.for_network(network, 8)
+        assert grown is not grid
+        assert grown.box.max_x > grid.box.max_x
+        network.add_edge(8, 99)
+        assert GridPartition.for_network(network, 8) is not grown
+
+    def test_cells_of_edge_equals_cells_of_segment(self):
+        network = perturbed_grid_network(6, 6, spacing=90.0, seed=3)
+        for cells_per_side in (1, 7, 32):
+            grid = GridPartition.for_network(network, cells_per_side)
+            for edge in network.edges():
+                a, b = network.vertex(edge.start), network.vertex(edge.end)
+                expected = tuple(grid.cells_of_segment(a.x, a.y, b.x, b.y))
+                first = grid.cells_of_edge(network, edge.start, edge.end)
+                assert first == expected
+                # the second answer is the remembered tuple itself
+                assert grid.cells_of_edge(network, edge.start, edge.end) is first
+
+    def test_table_describes_its_own_network_only(self):
+        network = grid_network(3, 3, spacing=100.0)
+        stretched = grid_network(3, 3, spacing=40.0)  # same ids, other places
+        grid = GridPartition.for_network(network, 8)
+        own = grid.cells_of_edge(network, 0, 1)
+        a, b = stretched.vertex(0), stretched.vertex(1)
+        foreign = grid.cells_of_edge(stretched, 0, 1)
+        assert foreign == tuple(grid.cells_of_segment(a.x, a.y, b.x, b.y))
+        assert foreign != own
+        assert grid.cells_of_edge(network, 0, 1) is own
+
+    def test_pickled_network_starts_without_partitions(self):
+        network = grid_network(3, 3, spacing=100.0)
+        grid = GridPartition.for_network(network, 8)
+        grid.cells_of_edge(network, 0, 1)
+        clone = pickle.loads(pickle.dumps(network))
+        assert clone._partitions == {}
+        assert GridPartition.for_network(network, 8) is grid
+        fresh = GridPartition.for_network(clone, 8)
+        assert fresh.box == grid.box
+        assert fresh.cells_of_edge(clone, 0, 1) == grid.cells_of_edge(network, 0, 1)
+
+    def test_threads_filling_one_table_agree(self):
+        """More threads than cores rasterise every edge of a cold table
+        under a short switch interval: all callers see one partition and
+        every entry equals the single-threaded answer."""
+        network = perturbed_grid_network(8, 8, spacing=90.0, seed=5)
+        twin = perturbed_grid_network(8, 8, spacing=90.0, seed=5)
+        edges = [(e.start, e.end) for e in network.edges()]
+        reference = GridPartition.for_network(twin, 16)
+        expected = {key: reference.cells_of_edge(twin, *key) for key in edges}
+        partitions, failures = [], []
+        barrier = threading.Barrier(8)
+
+        def fill(offset):
+            barrier.wait(timeout=30)
+            grid = GridPartition.for_network(network, 16)
+            partitions.append(grid)
+            for key in edges[offset:] + edges[:offset]:
+                if grid.cells_of_edge(network, *key) != expected[key]:
+                    failures.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=fill, args=(i * len(edges) // 8,))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(partitions) == 8 and len({id(p) for p in partitions}) == 1
+        assert partitions[0]._edge_cells == expected
 
 
 @given(

@@ -1,0 +1,308 @@
+"""The StIU index is pinned: same structures, same ``.stiu`` bytes.
+
+The index builder is free to get faster, not to change what it builds.
+Two guards:
+
+* the golden dataset of ``test_golden_archive.py`` must produce the
+  ``.stiu`` sidecar bytes (and the in-memory ``temporal`` / ordered
+  ``spatial`` tuples) recorded from the first builder, at the default
+  30-minute time partition and at a 60-second one that makes most
+  trajectories span several intervals;
+* on random small networks and datasets the builder must equal
+  :func:`reference_index`, §5.2 spelled out the slow way (full decode,
+  every edge rasterised on the spot, linear scans).
+
+``p_total`` is a float sum, so its last bit depends on the order of the
+addends; the order is the iteration order of the set of overlapping
+group members, and the reference sums in that order too.
+"""
+
+import hashlib
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.bits.bitio import BitReader
+from repro.core.compressor import UTCQCompressor
+from repro.core.decoder import decode_times, decode_trajectory_tuples
+from repro.core.factors import read_edge_factors
+from repro.io.format import write_archive
+from repro.network.generators import perturbed_grid_network
+from repro.network.grid import GridPartition
+from repro.query import StIUIndex, save_index
+from repro.query.stiu import (
+    INFINITE_VERTEX,
+    NonReferenceTuple,
+    ReferenceTuple,
+    RegionEntry,
+    TemporalTuple,
+)
+from repro.trajectories.generators import GenerationConfig, generate_dataset
+
+from test_golden_archive import GOLDEN_SHA256, PROVENANCE, golden_setup  # noqa: F401
+
+# time partition -> (.stiu SHA-256, structure digest), recorded from the
+# builder of PR 13 (commit 62f1a4c) over the golden archive
+GOLDEN_INDEX = {
+    1800: (
+        "cba8de1f487829ad19ee5565238402ef11d801bb3df06fc2144b9eb549e5a82b",
+        "7ece0d94bf4667af62f74762b959d7e7b52565a79065f5ca24e2ec9e611c1c03",
+    ),
+    60: (
+        "cb8c3f2d209d35e612f4d7cfe754f8f58a38eebd74f49824b5da88ea54ff9b04",
+        "fd01bc733fd4b48fc23ac0475c7a99fce73afc92a663b1a8ad4aab14aa933d10",
+    ),
+}
+
+
+def structure_digest(index: StIUIndex) -> str:
+    """SHA-256 over ``temporal`` and ``spatial`` in key order, tuples in
+    list order, floats by ``repr`` (exact)."""
+    digest = hashlib.sha256()
+    for interval in sorted(index.temporal):
+        for tid in sorted(index.temporal[interval]):
+            e = index.temporal[interval][tid]
+            digest.update(
+                repr((interval, tid, e.start, e.number, e.bit_position)).encode()
+            )
+    for interval in sorted(index.spatial):
+        for region in sorted(index.spatial[interval]):
+            for tid in sorted(index.spatial[interval][region]):
+                e = index.spatial[interval][region][tid]
+                row = (
+                    interval,
+                    region,
+                    tid,
+                    [
+                        (
+                            r.instance_index,
+                            r.final_vertex,
+                            r.entry_number,
+                            r.distance_position,
+                            r.p_total,
+                            r.p_max,
+                        )
+                        for r in e.references
+                    ],
+                    [
+                        (
+                            n.instance_index,
+                            n.anchor_vertex,
+                            n.anchor_number,
+                            n.factor_position,
+                        )
+                        for n in e.non_references
+                    ],
+                )
+                digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
+    network, _, archive = golden_setup
+    path = tmp_path / "golden.utcq"
+    write_archive(archive, path, provenance=PROVENANCE)
+    # the sidecar embeds the archive's SHA-256, so it is pinned with it
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
+    for partition, (sidecar_sha, structure_sha) in GOLDEN_INDEX.items():
+        index = StIUIndex(network, archive, time_partition_seconds=partition)
+        assert structure_digest(index) == structure_sha, partition
+        sidecar = save_index(index, path)
+        digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        assert digest == sidecar_sha, (
+            f"time partition {partition}: .stiu bytes changed "
+            f"({digest} != pinned {sidecar_sha})"
+        )
+
+
+# ----------------------------------------------------------------------
+# reference builder: §5.2 without any of the builder's shortcuts
+# ----------------------------------------------------------------------
+def reference_index(network, archive, cells_per_side, partition):
+    """``(temporal, spatial, shapes)``: the two layers as the paper
+    describes them, and which of the awkward cases the input held."""
+    shapes = set()
+    box = GridPartition.for_network(network, cells_per_side).box
+    grid = GridPartition(box, cells_per_side)  # no edge table of its own
+    params = archive.params
+    temporal: dict = {}
+    spatial: dict = {}
+    for trajectory in archive.trajectories:
+        tid = trajectory.trajectory_id
+        positions = trajectory.deviation_positions
+        for number, t in enumerate(decode_times(trajectory, params)):
+            if tid not in temporal.setdefault(t // partition, {}):
+                temporal[t // partition][tid] = TemporalTuple(
+                    t,
+                    number,
+                    positions[number]
+                    if number < len(positions)
+                    else trajectory.time_payload_bits,
+                )
+
+        instances = trajectory.instances
+        tuples = decode_trajectory_tuples(trajectory, params)
+        visits, stood = [], []  # per instance: region entries / vertex per entry
+        for encoded in tuples:
+            seen, current, entered, vertices = set(), encoded.start_vertex, [], []
+            for k, number in enumerate(encoded.edge_numbers):
+                vertices.append(current)
+                if number:
+                    edge = network.edge_by_number(current, number)
+                    a, b = network.vertex(edge.start), network.vertex(edge.end)
+                    for region in grid.cells_of_segment(a.x, a.y, b.x, b.y):
+                        if region not in seen:
+                            seen.add(region)
+                            entered.append((region, k, current))
+                    current = edge.end
+            visits.append(entered)
+            stood.append(vertices)
+
+        def entry(interval, region):
+            return (
+                spatial.setdefault(interval, {})
+                .setdefault(region, {})
+                .setdefault(tid, RegionEntry())
+            )
+
+        first = trajectory.start_time // partition
+        last = trajectory.end_time // partition
+        if last > first:
+            shapes.add("trajectory over several intervals")
+        ordinals = dict.fromkeys(i.reference_ordinal for i in instances)
+        for interval in range(first, last + 1):
+            for ordinal in ordinals:
+                members = [
+                    i
+                    for i, inst in enumerate(instances)
+                    if inst.reference_ordinal == ordinal
+                ]
+                ref = next(i for i in members if instances[i].is_reference)
+                for region in dict.fromkeys(
+                    r for m in members for r, _, _ in visits[m]
+                ):
+                    present = set(
+                        m for m in members if any(r == region for r, _, _ in visits[m])
+                    )
+                    p_total = sum(instances[m].probability for m in present)
+                    p_max = max(
+                        (instances[m].probability for m in present if m != ref),
+                        default=0.0,
+                    )
+                    hit = [(k, fv) for r, k, fv in visits[ref] if r == region]
+                    if hit:
+                        k, fv = hit[0]
+                        ones = sum(tuples[ref].time_flags[: k + 1])
+                        dps = instances[ref].distance_positions
+                        d_pos = dps[max(min(ones, len(dps)) - 1, 0)] if dps else 0
+                        made = ReferenceTuple(ref, fv, k, d_pos, p_total, p_max)
+                    else:
+                        shapes.add("fv = inf")
+                        made = ReferenceTuple(
+                            ref, INFINITE_VERTEX, 0, 0, p_total, p_max
+                        )
+                    entry(interval, region).references.append(made)
+                for m in members:
+                    if m == ref:
+                        continue
+                    reader = BitReader(instances[m].payload, instances[m].payload_bits)
+                    reader.seek(instances[m].edge_offset)
+                    factors = read_edge_factors(
+                        reader, len(tuples[ref].edge_numbers), params.symbol_width
+                    )
+                    used = set()
+                    for region, k, _ in visits[m]:
+                        cursor = 0
+                        for f_index, factor in enumerate(factors):
+                            if cursor <= k < cursor + factor.consumed:
+                                break
+                            cursor += factor.consumed
+                        else:
+                            continue
+                        if f_index in used:
+                            # a factor is indexed at its first region only
+                            shapes.add("factor over several regions")
+                            continue
+                        used.add(f_index)
+                        fps = instances[m].factor_positions
+                        entry(interval, region).non_references.append(
+                            NonReferenceTuple(
+                                m,
+                                stood[m][cursor],
+                                cursor,
+                                fps[f_index] if f_index < len(fps) else 0,
+                            )
+                        )
+    return temporal, spatial, shapes
+
+
+CONFIG = GenerationConfig(
+    default_interval=10,
+    deviation_fractions=(0.5, 0.2, 0.2, 0.05, 0.05),
+    mean_instances=6.0,
+    max_instances=14,
+    mean_edges=9.0,
+    max_edges=20,
+    min_edges=3,
+)
+
+
+def _case(network_seed, dataset_seed, count, pivots):
+    network = perturbed_grid_network(5, 5, spacing=120.0, seed=network_seed)
+    trajectories = generate_dataset(network, CONFIG, count, seed=dataset_seed)
+    compressor = UTCQCompressor(
+        network=network,
+        default_interval=CONFIG.default_interval,
+        pivot_count=pivots,
+        seed=dataset_seed,
+    )
+    return network, compressor.compress(trajectories)
+
+
+def test_reference_case_covers_the_hard_shapes():
+    """The generator settings the property test draws from do produce
+    multi-interval trajectories, ``fv = inf`` tuples and multi-region
+    factors — otherwise the property below would prove little."""
+    network, archive = _case(3, 5, 12, 2)
+    index = StIUIndex(
+        network, archive, grid_cells_per_side=6, time_partition_seconds=45
+    )
+    temporal, spatial, shapes = reference_index(network, archive, 6, 45)
+    assert shapes == {
+        "trajectory over several intervals",
+        "fv = inf",
+        "factor over several regions",
+    }
+    assert max(len(t.instances) for t in archive.trajectories) > 8
+    assert index.temporal == temporal
+    assert index.spatial == spatial
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    network_seed=st.integers(0, 50),
+    dataset_seed=st.integers(0, 10_000),
+    count=st.integers(1, 8),
+    pivots=st.integers(1, 3),
+    cells_per_side=st.integers(1, 12),
+    partition=st.sampled_from([20, 45, 90, 600]),
+)
+def test_builder_matches_reference(
+    network_seed, dataset_seed, count, pivots, cells_per_side, partition
+):
+    network, archive = _case(network_seed, dataset_seed, count, pivots)
+    index = StIUIndex(
+        network,
+        archive,
+        grid_cells_per_side=cells_per_side,
+        time_partition_seconds=partition,
+    )
+    temporal, spatial, shapes = reference_index(
+        network, archive, cells_per_side, partition
+    )
+    assume("trajectory over several intervals" in shapes)
+    assert index.temporal == temporal
+    assert index.spatial == spatial
+    # the loader fallback rebuilds the spatial layer alone
+    index._rebuild_spatial()
+    assert index.spatial == spatial
