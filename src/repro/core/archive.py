@@ -217,6 +217,11 @@ class CompressedArchive:
                 f"no trajectory {trajectory_id} in the archive"
             ) from None
 
+    def time_span(self, trajectory_id: int) -> tuple[int, int]:
+        """``(start_time, end_time)`` of one trajectory."""
+        trajectory = self.trajectory(trajectory_id)
+        return trajectory.start_time, trajectory.end_time
+
     def save(self, path, *, provenance: dict[str, str] | None = None) -> int:
         """Serialize to the ``.utcq`` on-disk format; returns file size.
 

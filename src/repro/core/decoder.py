@@ -253,7 +253,7 @@ def decode_archive(
 #: means an explicitly unbounded section
 _UNSET = object()
 
-_DEFAULT_TRAJECTORY_CAPACITY = 1024
+DEFAULT_TRAJECTORY_CAPACITY = 1024
 _DEFAULT_INSTANCE_CAPACITY = 8192
 
 
@@ -267,7 +267,7 @@ def resolve_trajectory_capacity(explicit=_UNSET) -> int | None:
     if explicit is not _UNSET:
         return explicit
     return _env_capacity(
-        "REPRO_DECODE_CACHE_TRAJECTORIES", _DEFAULT_TRAJECTORY_CAPACITY
+        "REPRO_DECODE_CACHE_TRAJECTORIES", DEFAULT_TRAJECTORY_CAPACITY
     )
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 from ..core.archive import (
     CompressedArchive,
@@ -129,32 +129,60 @@ def read_uvarint(data: bytes, position: int) -> tuple[int, int]:
     """Read an unsigned LEB128 varint; returns ``(value, new_position)``."""
     value = 0
     shift = 0
-    while True:
-        if position >= len(data):
-            raise ArchiveFormatError("truncated varint")
-        byte = data[position]
-        position += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, position
-        shift += 7
-        if shift > 70:
-            raise ArchiveFormatError("varint too long")
+    try:
+        while True:
+            byte = data[position]
+            position += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return value, position
+            shift += 7
+            if shift >= 70:  # ten bytes hold any u64
+                raise ArchiveFormatError("varint too long")
+    except IndexError:
+        raise ArchiveFormatError("truncated varint") from None
+
+
+def read_uvarints(
+    data: bytes, position: int, count: int
+) -> tuple[list[int], int]:
+    """Read ``count`` consecutive varints; returns ``(values, new_position)``.
+
+    :func:`read_uvarint` unrolled over a run, with a one-byte fast path:
+    a record costs a handful of calls instead of one per field.  Both
+    let the byte fetch's ``IndexError`` signal the end of ``data`` and
+    translate it once, instead of checking the bound per byte.
+    """
+    values = []
+    append = values.append
+    try:
+        for _ in range(count):
+            byte = data[position]
+            position += 1
+            if byte < 0x80:  # the common case: one byte
+                append(byte)
+                continue
+            value = byte & 0x7F
+            shift = 7
+            while True:
+                byte = data[position]
+                position += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+                if shift >= 70:  # ten bytes hold any u64
+                    raise ArchiveFormatError("varint too long")
+            append(value)
+    except IndexError:
+        raise ArchiveFormatError("truncated varint") from None
+    return values, position
 
 
 def _write_uvarint_seq(out: bytearray, values: tuple[int, ...]) -> None:
     write_uvarint(out, len(values))
     for value in values:
         write_uvarint(out, value)
-
-
-def _read_uvarint_seq(data: bytes, position: int) -> tuple[tuple[int, ...], int]:
-    count, position = read_uvarint(data, position)
-    values = []
-    for _ in range(count):
-        value, position = read_uvarint(data, position)
-        values.append(value)
-    return tuple(values), position
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +194,7 @@ def _stats_values(stats: CompressionStats) -> list[int]:
     ]
 
 
-def _stats_from_values(values: tuple[int, ...]) -> CompressionStats:
+def _stats_from_values(values: Sequence[int]) -> CompressionStats:
     original = ComponentBits(*values[:6])
     compressed = ComponentBits(*values[6:12])
     return CompressionStats(original=original, compressed=compressed)
@@ -227,26 +255,32 @@ def _encode_instance(out: bytearray, instance: CompressedInstance) -> None:
     out += _F64.pack(instance.probability)
 
 
+def decode_record_time_span(data: bytes) -> tuple[int, int, int]:
+    """``(trajectory_id, start_time, end_time)`` from a record's four
+    leading varints, without parsing the rest."""
+    (trajectory_id, _, start_time, end_time), _ = read_uvarints(data, 0, 4)
+    return trajectory_id, start_time, end_time
+
+
 def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
     """Parse one on-disk record back into a compressed trajectory."""
-    position = 0
-    trajectory_id, position = read_uvarint(data, position)
-    point_count, position = read_uvarint(data, position)
-    start_time, position = read_uvarint(data, position)
-    end_time, position = read_uvarint(data, position)
-    time_payload_bits, position = read_uvarint(data, position)
+    (
+        trajectory_id,
+        point_count,
+        start_time,
+        end_time,
+        time_payload_bits,
+    ), position = read_uvarints(data, 0, 5)
     payload_bytes = (time_payload_bits + 7) // 8
     time_payload = bytes(data[position : position + payload_bytes])
     if len(time_payload) != payload_bytes:
         raise ArchiveFormatError("truncated time payload")
     position += payload_bytes
-    deviation_positions, position = _read_uvarint_seq(data, position)
-    stats_values = []
-    for _ in range(12):
-        value, position = read_uvarint(data, position)
-        stats_values.append(value)
-    stats = _stats_from_values(tuple(stats_values))
-    instance_count, position = read_uvarint(data, position)
+    count, position = read_uvarint(data, position)
+    deviation_positions, position = read_uvarints(data, position, count)
+    # the 12 stats fields, then the instance count
+    values, position = read_uvarints(data, position, 13)
+    instance_count = values.pop()
     instances = []
     for _ in range(instance_count):
         instance, position = _decode_instance(data, position)
@@ -262,9 +296,9 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
         point_count=point_count,
         start_time=start_time,
         end_time=end_time,
-        deviation_positions=deviation_positions,
+        deviation_positions=tuple(deviation_positions),
         instances=instances,
-        stats=stats,
+        stats=_stats_from_values(values),
     )
 
 
@@ -274,27 +308,33 @@ def _decode_instance(
     if position >= len(data):
         raise ArchiveFormatError("truncated instance record")
     flags = data[position]
-    position += 1
     start_vertex: int | None = None
     if flags & _FLAG_START_VERTEX:
-        start_vertex, position = read_uvarint(data, position)
-    reference_ordinal, position = read_uvarint(data, position)
-    payload_bits, position = read_uvarint(data, position)
+        (start_vertex, reference_ordinal, payload_bits), position = (
+            read_uvarints(data, position + 1, 3)
+        )
+    else:
+        (reference_ordinal, payload_bits), position = read_uvarints(
+            data, position + 1, 2
+        )
     payload_bytes = (payload_bits + 7) // 8
     payload = bytes(data[position : position + payload_bytes])
     if len(payload) != payload_bytes:
         raise ArchiveFormatError("truncated instance payload")
-    position += payload_bytes
-    edge_offset, position = read_uvarint(data, position)
-    flags_offset, position = read_uvarint(data, position)
-    distance_offset, position = read_uvarint(data, position)
-    probability_offset, position = read_uvarint(data, position)
-    distance_positions, position = _read_uvarint_seq(data, position)
-    factor_positions, position = _read_uvarint_seq(data, position)
+    # the four section offsets, then the distance-position count
+    (
+        edge_offset,
+        flags_offset,
+        distance_offset,
+        probability_offset,
+        count,
+    ), position = read_uvarints(data, position + payload_bytes, 5)
+    distance_positions, position = read_uvarints(data, position, count)
+    count, position = read_uvarint(data, position)
+    factor_positions, position = read_uvarints(data, position, count)
     if position + _F64.size > len(data):
         raise ArchiveFormatError("truncated instance probability")
     (probability,) = _F64.unpack_from(data, position)
-    position += _F64.size
     instance = CompressedInstance(
         is_reference=bool(flags & _FLAG_REFERENCE),
         payload=payload,
@@ -305,11 +345,11 @@ def _decode_instance(
         flags_offset=flags_offset,
         distance_offset=distance_offset,
         probability_offset=probability_offset,
-        distance_positions=distance_positions,
-        factor_positions=factor_positions,
+        distance_positions=tuple(distance_positions),
+        factor_positions=tuple(factor_positions),
         probability=probability,
     )
-    return instance, position
+    return instance, position + _F64.size
 
 
 # ----------------------------------------------------------------------

@@ -16,18 +16,23 @@ import threading
 from collections import OrderedDict
 
 from ..core.archive import CompressedTrajectory, CompressionParams, CompressionStats
+from ..core.decoder import DEFAULT_TRAJECTORY_CAPACITY
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from .format import (
     ArchiveFormatError,
     ArchiveHeader,
     CorruptArchiveError,
+    decode_record_time_span,
     decode_trajectory_record,
     read_header,
     record_crc,
 )
 
-DEFAULT_CACHE_SIZE = 128
+# The record LRU feeds the DecodeSpanCache: a span-cache hit still needs
+# the trajectory's record, so a smaller record tier turns span hits into
+# record parses.  One constant sizes both.
+DEFAULT_CACHE_SIZE = DEFAULT_TRAJECTORY_CAPACITY
 
 _log = get_logger("repro.io.reader")
 
@@ -88,6 +93,10 @@ class FileBackedArchive:
         self.cache_size = cache_size
         self.verify_crc = verify_crc
         self._cache: OrderedDict[int, CompressedTrajectory] = OrderedDict()
+        # (start_time, end_time) of every trajectory touched so far; two
+        # ints each, never evicted.  Single dict gets/sets of immutable
+        # values, so it needs no lock.
+        self._time_spans: dict[int, tuple[int, int]] = {}
         self._id_to_entry = {
             entry.trajectory_id: entry for entry in header.directory
         }
@@ -138,6 +147,7 @@ class FileBackedArchive:
                 )
             self._closed = True
             self._cache.clear()
+            self._time_spans.clear()
         if not self._stream.closed:
             self._stream.close()
 
@@ -205,6 +215,44 @@ class FileBackedArchive:
             if cached is not None:
                 self._cache.move_to_end(trajectory_id)
                 return cached
+        trajectory = decode_trajectory_record(
+            self._verified_record(trajectory_id)
+        )
+        self._check_record_id(trajectory_id, trajectory.trajectory_id)
+        self._time_spans[trajectory_id] = (
+            trajectory.start_time,
+            trajectory.end_time,
+        )
+        with self._lock:
+            self._cache[trajectory_id] = trajectory
+            while len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)
+        return trajectory
+
+    def time_span(self, trajectory_id: int) -> tuple[int, int]:
+        """``(start_time, end_time)`` of one trajectory, memoised.
+
+        A miss reads the record and applies the same length / CRC / id
+        checks as :meth:`trajectory` — a damaged record raises
+        :class:`CorruptArchiveError` here too — but parses only its four
+        leading varints.  Thread-safe like :meth:`trajectory`.
+        """
+        if self._closed:
+            raise ArchiveClosedError(
+                f"cannot read the time span of trajectory {trajectory_id}: "
+                f"the archive is closed"
+            )
+        span = self._time_spans.get(trajectory_id)
+        if span is None:
+            found_id, start_time, end_time = decode_record_time_span(
+                self._verified_record(trajectory_id)
+            )
+            self._check_record_id(trajectory_id, found_id)
+            span = self._time_spans[trajectory_id] = (start_time, end_time)
+        return span
+
+    def _verified_record(self, trajectory_id: int) -> bytes:
+        """The record's bytes, checked against its directory entry."""
         entry = self._id_to_entry.get(trajectory_id)
         if entry is None:
             raise KeyError(f"no trajectory {trajectory_id} in the archive")
@@ -217,18 +265,14 @@ class FileBackedArchive:
             raise self._corrupt(
                 "crc_mismatch", f"CRC mismatch for trajectory {trajectory_id}"
             )
-        trajectory = decode_trajectory_record(record)
-        if trajectory.trajectory_id != trajectory_id:
+        return record
+
+    def _check_record_id(self, trajectory_id: int, found_id: int) -> None:
+        if found_id != trajectory_id:
             raise self._corrupt(
                 "id_mismatch",
-                f"directory/record id mismatch: {trajectory_id} != "
-                f"{trajectory.trajectory_id}",
+                f"directory/record id mismatch: {trajectory_id} != {found_id}",
             )
-        with self._lock:
-            self._cache[trajectory_id] = trajectory
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-        return trajectory
 
     def _corrupt(self, reason: str, message: str) -> CorruptArchiveError:
         """Count + log a damaged record, return the error to raise."""

@@ -68,6 +68,7 @@ class QueryCounters:
     instances_decoded: int = 0
     instances_pruned: int = 0
     trajectories_pruned: int = 0
+    trajectories_time_pruned: int = 0
     lemma2_inside: int = 0
     lemma2_disjoint: int = 0
     lemma2_boundary: int = 0
@@ -76,6 +77,7 @@ class QueryCounters:
         self.instances_decoded = 0
         self.instances_pruned = 0
         self.trajectories_pruned = 0
+        self.trajectories_time_pruned = 0
         self.lemma2_inside = 0
         self.lemma2_disjoint = 0
         self.lemma2_boundary = 0
@@ -353,10 +355,15 @@ class UTCQQueryProcessor:
             )
         else:
             survivors = self.index.trajectories_in_interval(t)
+        # most survivors of the interval-wide bound are not alive at t
+        # itself: test the (memoised) time span first, so only those that
+        # reach _range_confirm have their record parsed
         for trajectory_id in survivors:
-            trajectory = self.archive.trajectory(trajectory_id)
-            if not trajectory.start_time <= t <= trajectory.end_time:
+            start_time, end_time = self.archive.time_span(trajectory_id)
+            if not start_time <= t <= end_time:
+                self.counters.trajectories_time_pruned += 1
                 continue
+            trajectory = self.archive.trajectory(trajectory_id)
             if self._range_confirm(trajectory, region, t, alpha):
                 results.append(trajectory_id)
         return results

@@ -238,7 +238,7 @@ class StIUIndex:
         self._trajectory_tuples: dict[int, list[TemporalTuple]] = {}
         # memoized sorted candidate lists per interval and per-trajectory
         # start arrays (index is immutable once built/loaded)
-        self._interval_candidates: dict[int, list[int]] = {}
+        self._interval_candidates: dict[int, tuple[int, ...]] = {}
         self._tuple_starts: dict[int, list[int]] = {}
         # spatial[interval][region][trajectory_id] -> RegionEntry;
         # sidecar loads materialize it lazily through the property
@@ -479,13 +479,15 @@ class StIUIndex:
             return None
         return tuples[position]
 
-    def trajectories_in_interval(self, t: int) -> list[int]:
+    def trajectories_in_interval(self, t: int) -> tuple[int, ...]:
+        """Sorted ids with a temporal tuple in ``t``'s interval (the
+        memoised tuple itself: immutable, so callers share it)."""
         interval = self.interval_of(t)
         cached = self._interval_candidates.get(interval)
         if cached is None:
-            cached = sorted(self.temporal.get(interval, {}).keys())
+            cached = tuple(sorted(self.temporal.get(interval, {})))
             self._interval_candidates[interval] = cached
-        return list(cached)
+        return cached
 
     def region_entries(
         self, interval: int, region: int

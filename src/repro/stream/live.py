@@ -257,12 +257,20 @@ class LiveArchive:
         self._check_open()
         return sorted(self._id_to_segment)
 
-    def trajectory(self, trajectory_id: int) -> CompressedTrajectory:
+    def _segment_of(self, trajectory_id: int) -> FileBackedArchive:
         self._check_open()
         segment = self._id_to_segment.get(trajectory_id)
         if segment is None:
             raise KeyError(f"no trajectory {trajectory_id} in the archive")
-        return segment.trajectory(trajectory_id)
+        return segment
+
+    def trajectory(self, trajectory_id: int) -> CompressedTrajectory:
+        return self._segment_of(trajectory_id).trajectory(trajectory_id)
+
+    def time_span(self, trajectory_id: int) -> tuple[int, int]:
+        """``(start_time, end_time)`` without parsing the whole record;
+        see :meth:`FileBackedArchive.time_span`."""
+        return self._segment_of(trajectory_id).time_span(trajectory_id)
 
     # ------------------------------------------------------------------
     # indexing / querying

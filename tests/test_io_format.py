@@ -1,9 +1,17 @@
 """On-disk format tests: bit-exact round trips and lazy loading."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import UTCQCompressor, decode_trajectory
-from repro.core.archive import CompressedArchive
+from repro.core.archive import (
+    CompressedArchive,
+    CompressedInstance,
+    CompressedTrajectory,
+    ComponentBits,
+    CompressionStats,
+)
 from repro.io import (
     ArchiveFormatError,
     FileBackedArchive,
@@ -12,9 +20,11 @@ from repro.io import (
     write_archive,
 )
 from repro.io.format import (
+    decode_record_time_span,
     decode_trajectory_record,
     encode_trajectory_record,
     read_uvarint,
+    read_uvarints,
     write_uvarint,
 )
 from repro.trajectories.datasets import CD, load_dataset
@@ -63,11 +73,109 @@ class TestVarints:
             read_uvarint(bytes(out[:-1]), 0)
 
 
+    def test_eleven_byte_varint_rejected(self):
+        """Ten bytes hold any u64; an eleventh is a damaged stream, not
+        a bigger number."""
+        overlong = b"\x80" * 10 + b"\x01"
+        with pytest.raises(ArchiveFormatError, match="varint too long"):
+            read_uvarint(overlong, 0)
+        with pytest.raises(ArchiveFormatError, match="varint too long"):
+            read_uvarints(b"\x05" + overlong, 0, 2)
+        with pytest.raises(ArchiveFormatError, match="varint too long"):
+            decode_trajectory_record(overlong)
+
+    def test_run_reader_matches_single_reader(self):
+        values = [0, 1, 127, 128, 300, 2**21, 2**63, 2**64 - 1, 5]
+        out = bytearray(b"\xff")  # a run need not start at 0
+        for value in values:
+            write_uvarint(out, value)
+        assert read_uvarints(bytes(out), 1, len(values)) == (values, len(out))
+        assert read_uvarints(bytes(out), 1, 0) == ([], 1)
+        with pytest.raises(ArchiveFormatError, match="truncated"):
+            read_uvarints(bytes(out), 1, len(values) + 1)
+
+
+_u64 = st.one_of(st.integers(0, 127), st.integers(0, 2**64 - 1))
+_positions = st.lists(_u64, max_size=5).map(tuple)
+
+
+@st.composite
+def _payloads(draw):
+    bits = draw(st.integers(0, 80))
+    return draw(st.binary(min_size=(bits + 7) // 8, max_size=(bits + 7) // 8)), bits
+
+
+@st.composite
+def _instances(draw):
+    payload, payload_bits = draw(_payloads())
+    return CompressedInstance(
+        is_reference=draw(st.booleans()),
+        payload=payload,
+        payload_bits=payload_bits,
+        start_vertex=draw(st.none() | _u64),
+        reference_ordinal=draw(_u64),
+        edge_offset=draw(_u64),
+        flags_offset=draw(_u64),
+        distance_offset=draw(_u64),
+        probability_offset=draw(_u64),
+        distance_positions=draw(_positions),
+        factor_positions=draw(_positions),
+        probability=draw(st.floats(0, 1)),
+    )
+
+
+@st.composite
+def _trajectories(draw):
+    payload, payload_bits = draw(_payloads())
+    stats = draw(st.lists(_u64, min_size=12, max_size=12))
+    return CompressedTrajectory(
+        trajectory_id=draw(_u64),
+        time_payload=payload,
+        time_payload_bits=payload_bits,
+        point_count=draw(_u64),
+        start_time=draw(_u64),
+        end_time=draw(_u64),
+        deviation_positions=draw(_positions),
+        instances=draw(st.lists(_instances(), max_size=4)),
+        stats=CompressionStats(
+            original=ComponentBits(*stats[:6]),
+            compressed=ComponentBits(*stats[6:]),
+        ),
+    )
+
+
 class TestRecordRoundTrip:
     def test_every_trajectory_record(self, cd_archive):
         for trajectory in cd_archive.trajectories:
             record = encode_trajectory_record(trajectory)
             assert decode_trajectory_record(record) == trajectory
+
+    @settings(max_examples=200, deadline=None)
+    @given(trajectory=_trajectories())
+    def test_generated_records_round_trip_both_ways(self, trajectory):
+        """Any field values, not just what the compressor emits: empty
+        payloads, multi-byte varints everywhere, no instances."""
+        record = encode_trajectory_record(trajectory)
+        decoded = decode_trajectory_record(record)
+        assert decoded == trajectory
+        assert encode_trajectory_record(decoded) == record
+        assert decode_record_time_span(record) == (
+            trajectory.trajectory_id,
+            trajectory.start_time,
+            trajectory.end_time,
+        )
+
+    def test_every_truncation_point_is_a_format_error(self, cd_archive):
+        """A cut record never leaks the parser's IndexError (or a
+        struct.error), and never parses."""
+        for trajectory in cd_archive.trajectories[:5]:
+            record = encode_trajectory_record(trajectory)
+            for cut in range(len(record)):
+                with pytest.raises(ArchiveFormatError):
+                    decode_trajectory_record(record[:cut])
+            for cut in range(4):
+                with pytest.raises(ArchiveFormatError):
+                    decode_record_time_span(record[:cut])
 
 
 class TestArchiveRoundTrip:

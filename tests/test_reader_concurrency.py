@@ -9,6 +9,7 @@ record to be identical to a serially-loaded reference.
 """
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -72,6 +73,45 @@ def test_thread_pool_hammer(archive_path, reference, cache_size):
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             corrupt = sum(pool.map(worker, range(THREADS)))
     assert corrupt == 0
+
+
+@pytest.mark.parametrize("cache_size", [1000, 2])
+def test_time_span_and_trajectory_mixed_across_threads(
+    archive_path, reference, cache_size
+):
+    """The span table is filled by both calls; whatever the interleaving,
+    every span equals the single-threaded one and no record is damaged."""
+    ids = sorted(reference)
+    spans = {i: (reference[i].start_time, reference[i].end_time) for i in ids}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FileBackedArchive.open(
+            archive_path, cache_size=cache_size
+        ) as archive:
+
+            def worker(seed):
+                rng = random.Random(seed)
+                bad = 0
+                for _ in range(ROUNDS):
+                    trajectory_id = rng.choice(ids)
+                    if rng.random() < 0.5:
+                        bad += archive.time_span(trajectory_id) != spans[
+                            trajectory_id
+                        ]
+                    else:
+                        bad += not _records_equal(
+                            archive.trajectory(trajectory_id),
+                            reference[trajectory_id],
+                        )
+                return bad
+
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                wrong = sum(pool.map(worker, range(THREADS)))
+            assert {i: archive.time_span(i) for i in ids} == spans
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == 0
 
 
 def test_concurrent_iteration_and_random_access(archive_path, reference):
