@@ -9,10 +9,8 @@ Subcommands::
     query       where / when / range queries over a file-backed archive
     stream      streaming ingestion: replay a live GPS feed into an
                 appendable segment archive, compact it, inspect it
-    bench       run the hot-path microbenchmarks (bit I/O, map matching,
-                TED base search, compression, StIU queries) and write
-                BENCH_core_hotpaths.json — the perf trajectory file
-                tracked at the repo root
+    serve       serve queries over TCP until SIGTERM drains
+    serve-bench availability of the serving tier under injected faults
     obs         telemetry: dump the process-wide metrics registry
                 (Prometheus text or JSON), or trace one request through
                 the sharded serving path and print its span tree with
@@ -249,19 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_bench = commands.add_parser(
         "serve-bench",
-        help="run the query-serving benchmark (batch throughput, "
-        "sharded throughput, warm archive opens) and record the "
-        "results in BENCH_query_throughput.json",
+        help="serve a skewed request stream through the supervised "
+        "QueryService while injecting worker kills, response delays, "
+        "and one on-disk shard corruption; record availability, "
+        "p50/p99 latency and oracle mismatches in "
+        "BENCH_query_throughput.json (throughput is ledger/run.py's "
+        "job)",
     )
     serve_bench.add_argument(
         "--quick", action="store_true",
         help="scaled-down workload (CI smoke; numbers are noisier)",
-    )
-    serve_bench.add_argument(
-        "--mode", choices=("legacy", "fast", "both"), default="fast",
-        help="legacy = pre-sidecar/pre-batch code paths (the 'before' "
-        "row), fast = sidecar + batch engine (default), both = run and "
-        "record the two back to back",
     )
     serve_bench.add_argument(
         "--label", default="current",
@@ -275,18 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument(
         "--append", action="store_true",
         help="keep existing rows in the output file and add these "
-        "after them (how before/after pairs accumulate)",
+        "after them (rows with the same label are replaced)",
     )
     serve_bench.add_argument(
         "--workers", type=int, default=4,
-        help="process-pool size for the sharded scenario (default: 4)",
-    )
-    serve_bench.add_argument(
-        "--transport", choices=("pickle", "shm"), default=None,
-        help="worker result transport for the sharded scenario: shm = "
-        "shared-memory slabs with descriptor return (default), pickle "
-        "= the classic pickled-result pipe; default comes from "
-        "REPRO_TRANSPORT, else shm",
+        help="shard worker processes (default: 4)",
     )
     serve_bench.add_argument(
         "--hotcache-size", type=int, default=None, metavar="N",
@@ -294,58 +282,28 @@ def build_parser() -> argparse.ArgumentParser:
         "the decode layer (0 disables; default: REPRO_HOTCACHE, else 0)",
     )
     serve_bench.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="shard sub-batches kept in flight per request (default: "
-        "REPRO_DISPATCH_WINDOW, else 8)",
-    )
-    serve_bench.add_argument(
-        "--decode-cache-trajectories", type=int, default=None, metavar="N",
-        help="DecodeSpanCache per-trajectory section capacity "
-        "(default: REPRO_DECODE_CACHE_TRAJECTORIES, else 1024)",
-    )
-    serve_bench.add_argument(
-        "--decode-cache-instances", type=int, default=None, metavar="N",
-        help="DecodeSpanCache per-instance section capacity "
-        "(default: REPRO_DECODE_CACHE_INSTANCES, else 8192)",
-    )
-    serve_bench.add_argument(
-        "--frontier-cache", type=int, default=None, metavar="N",
-        help="matcher FrontierCache capacity "
-        "(default: REPRO_FRONTIER_CACHE, else 512)",
-    )
-    serve_bench.add_argument(
-        "--chaos", action="store_true",
-        help="instead of the throughput scenarios, serve the request "
-        "stream through the supervised QueryService while injecting "
-        "worker kills, response delays, and one on-disk shard "
-        "corruption; records availability and p50/p99 latency",
-    )
-    serve_bench.add_argument(
         "--duration", type=float, default=30.0,
-        help="chaos mode: seconds to keep the service under load "
-        "(default: 30)",
+        help="seconds to keep the service under load (default: 30)",
     )
     serve_bench.add_argument(
         "--clients", type=int, default=3,
-        help="chaos mode: concurrent client threads (default: 3)",
+        help="concurrent client threads (default: 3)",
     )
     serve_bench.add_argument(
         "--deadline", type=float, default=5.0,
-        help="chaos mode: per-request deadline in seconds (default: 5)",
+        help="per-request deadline in seconds (default: 5)",
     )
     serve_bench.add_argument(
         "--wire", action="store_true",
-        help="drive the workload through the TCP wire front-end "
-        "(loopback WireServer + WireClient) instead of in-process "
-        "calls; alone it records a loopback-vs-in-process throughput "
-        "comparison, with --chaos the request stream crosses a "
+        help="put the faults on the network instead of in the pool: "
+        "the request stream crosses a loopback WireServer through a "
         "ChaosTCPProxy injecting disconnects, truncation, corruption, "
         "stalls, and slow-loris connections",
     )
     serve_bench.add_argument(
         "--availability-floor", type=float, default=None, metavar="PCT",
-        help="chaos mode: fail (exit 2) when availability lands below "
-        "PCT percent (the CI gate)",
+        help="fail (exit 2) when availability lands below PCT percent "
+        "(the CI gate)",
     )
     _add_telemetry_arguments(serve_bench)
 
@@ -401,45 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
         "connection is closed — the slow-loris bound (default: 10)",
     )
     serve.add_argument(
-        "--transport", choices=("pickle", "shm"), default=None,
-        help="worker result transport (default: REPRO_TRANSPORT, "
-        "else shm)",
-    )
-    serve.add_argument(
         "--hotcache-size", type=int, default=None, metavar="N",
         help="hot-answer cache entries (0 disables; default: "
         "REPRO_HOTCACHE, else 0)",
     )
-    serve.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="shard sub-batches in flight per request (default: "
-        "REPRO_DISPATCH_WINDOW, else 8)",
-    )
     _add_dataset_arguments(serve)
     _add_telemetry_arguments(serve)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the hot-path microbenchmarks and record the results",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="scaled-down workloads (CI smoke; numbers are noisier)",
-    )
-    bench.add_argument(
-        "-o", "--output", default="BENCH_core_hotpaths.json",
-        help="results file to write (default: BENCH_core_hotpaths.json "
-        "in the current directory — the repo root by convention)",
-    )
-    bench.add_argument(
-        "--label", default="current",
-        help="label recorded with each row (default: current)",
-    )
-    bench.add_argument(
-        "--append", action="store_true",
-        help="keep existing rows in the output file and add these "
-        "after them (how before/after pairs accumulate)",
-    )
 
     stream = commands.add_parser(
         "stream",
@@ -610,16 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats", type=int, default=3,
         help="traced attempts; the fastest request is reported "
         "(default: 3)",
-    )
-    trace_.add_argument(
-        "--transport", choices=("pickle", "shm"), default=None,
-        help="worker result transport to trace (default: "
-        "REPRO_TRANSPORT, else shm)",
-    )
-    trace_.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="shard sub-batches in flight per request (default: "
-        "REPRO_DISPATCH_WINDOW, else 8)",
     )
     trace_.add_argument(
         "--json", action="store_true",
@@ -1119,80 +1034,10 @@ def _telemetry_end(args, baseline) -> None:
     )
 
 
-def _apply_cache_size_flags(args) -> None:
-    """Export the cache-size flags as their REPRO_* variables, so the
-    capacities reach every construction site — including spawned pool
-    workers, which inherit the environment."""
-    for flag, variable in (
-        ("decode_cache_trajectories", "REPRO_DECODE_CACHE_TRAJECTORIES"),
-        ("decode_cache_instances", "REPRO_DECODE_CACHE_INSTANCES"),
-        ("frontier_cache", "REPRO_FRONTIER_CACHE"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            os.environ[variable] = str(value)
-
-
 def cmd_serve_bench(args) -> int:
-    from .workloads.query_bench import run_query_bench, write_bench_json
-    from .workloads.reporting import render_table
-
-    _apply_cache_size_flags(args)
-    if args.wire and args.chaos:
-        return _serve_bench_wire_chaos(args)
     if args.wire:
-        return _serve_bench_wire(args)
-    if args.chaos:
-        return _serve_bench_chaos(args)
-    baseline = _telemetry_begin(args)
-    if args.mode == "both":
-        runs = [
-            (f"{args.label}-legacy", "legacy", args.append),
-            (f"{args.label}-fast", "fast", True),
-        ]
-    else:
-        runs = [(args.label, args.mode, args.append)]
-    rows: list[list] = []
-    mismatch_total = 0
-    for label, mode, append in runs:
-        try:
-            results = run_query_bench(
-                mode=mode,
-                quick=args.quick,
-                workers=args.workers,
-                transport=args.transport,
-                hotcache_entries=args.hotcache_size,
-                dispatch_window=args.window,
-            )
-        except ValueError as error:
-            raise CliError(str(error))
-        mismatch_total += sum(
-            int(result.rate)
-            for result in results
-            if result.name == "sharded_oracle_mismatches"
-        )
-        try:
-            rows = write_bench_json(
-                results, args.output, label=label, append=append
-            )
-        except OSError as error:
-            raise CliError(f"cannot write {args.output}: {error}")
-    print(
-        render_table(
-            f"query-serving benchmarks ({'quick' if args.quick else 'full'} "
-            f"workload, mode={args.mode})",
-            ["label", "benchmark", "unit", "work", "seconds", "rate"],
-            rows,
-        )
-    )
-    print(f"wrote {args.output} ({len(rows)} rows)")
-    _telemetry_end(args, baseline)
-    if mismatch_total:
-        raise CliError(
-            f"{mismatch_total} sharded answers did not match the "
-            f"single-archive reference"
-        )
-    return 0
+        return _serve_bench_wire_chaos(args)
+    return _serve_bench_chaos(args)
 
 
 def _serve_bench_chaos(args) -> int:
@@ -1207,7 +1052,6 @@ def _serve_bench_chaos(args) -> int:
             quick=args.quick,
             deadline=args.deadline,
             workers=args.workers,
-            transport=args.transport,
             hotcache_entries=args.hotcache_size,
         )
     except ValueError as error:
@@ -1257,52 +1101,6 @@ def _check_availability_floor(args, summary: dict) -> None:
         )
 
 
-def _serve_bench_wire(args) -> int:
-    """Loopback wire throughput vs the same workload in-process."""
-    from .workloads.query_bench import run_wire_bench, write_bench_json
-    from .workloads.reporting import render_table
-
-    baseline = _telemetry_begin(args)
-    try:
-        results, summary = run_wire_bench(
-            quick=args.quick,
-            workers=args.workers,
-            transport=args.transport,
-            hotcache_entries=args.hotcache_size,
-            dispatch_window=args.window,
-        )
-    except ValueError as error:
-        raise CliError(str(error))
-    try:
-        rows = write_bench_json(
-            results, args.output, label=args.label, append=args.append
-        )
-    except OSError as error:
-        raise CliError(f"cannot write {args.output}: {error}")
-    print(
-        render_table(
-            f"wire serving benchmark ({'quick' if args.quick else 'full'} "
-            f"workload, loopback TCP vs in-process)",
-            ["label", "benchmark", "unit", "work", "seconds", "rate"],
-            rows,
-        )
-    )
-    print(
-        f"loopback {summary['wire_qps']} q/s vs in-process "
-        f"{summary['inprocess_qps']} q/s "
-        f"({summary['overhead_percent']}% wire overhead); "
-        f"mismatches: {summary['result_mismatches']}"
-    )
-    print(f"wrote {args.output} ({len(rows)} rows)")
-    _telemetry_end(args, baseline)
-    if summary["result_mismatches"]:
-        raise CliError(
-            f"{summary['result_mismatches']} wire answers did not match "
-            f"the in-process reference"
-        )
-    return 0
-
-
 def _serve_bench_wire_chaos(args) -> int:
     """Chaos through the network: client -> ChaosTCPProxy -> WireServer
     -> QueryService, with the full worker/shard chaos underneath."""
@@ -1317,7 +1115,6 @@ def _serve_bench_wire_chaos(args) -> int:
             quick=args.quick,
             deadline=args.deadline,
             workers=args.workers,
-            transport=args.transport,
             hotcache_entries=args.hotcache_size,
         )
     except ValueError as error:
@@ -1393,9 +1190,7 @@ def cmd_serve(args) -> int:
             config=ServiceConfig(
                 deadline=args.deadline,
                 max_in_flight=args.max_in_flight,
-                transport=args.transport,
                 hotcache_entries=args.hotcache_size,
-                dispatch_window=args.window,
             ),
         )
     except (QueryEngineError, ValueError) as error:
@@ -1479,8 +1274,6 @@ def _obs_trace(args) -> int:
             workers=args.workers,
             queries=args.queries,
             repeats=args.repeats,
-            transport=args.transport,
-            dispatch_window=args.window,
         )
     except ValueError as error:
         raise CliError(str(error))
@@ -1513,26 +1306,6 @@ def _obs_trace(args) -> int:
         f"  ipc_share = {breakdown['ipc_share']:.3f} "
         f"(the sharded-path tax ROADMAP item 1 tracks)"
     )
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .workloads.hotpath_bench import run_hotpath_bench, write_bench_json
-    from .workloads.reporting import render_table
-
-    results = run_hotpath_bench(quick=args.quick)
-    rows = write_bench_json(
-        results, args.output, label=args.label, append=args.append
-    )
-    print(
-        render_table(
-            f"hot-path benchmarks ({'quick' if args.quick else 'full'} "
-            f"workloads, label={args.label})",
-            ["label", "benchmark", "unit", "work", "seconds", "rate"],
-            rows,
-        )
-    )
-    print(f"wrote {args.output} ({len(rows)} rows)")
     return 0
 
 
@@ -1785,7 +1558,6 @@ def main(argv: list[str] | None = None) -> int:
         "decompress": cmd_decompress,
         "query": cmd_query,
         "stream": cmd_stream,
-        "bench": cmd_bench,
         "serve-bench": cmd_serve_bench,
         "serve": cmd_serve,
         "obs": cmd_obs,

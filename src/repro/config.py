@@ -1,13 +1,12 @@
 """Typed parsing of the ``REPRO_*`` environment knobs.
 
 Before this module every tunable read its variable ad hoc —
-``engine.py`` parsed ``REPRO_DISPATCH_WINDOW``, ``transport.py`` parsed
-``REPRO_TRANSPORT`` and ``REPRO_SLAB_BYTES``, ``hotcache.py`` /
-``shortest_path.py`` / ``decoder.py`` / ``obs/log.py`` each had their
-own copy of the try/except — and, worse, each copy *silently fell back
-to the default* on a malformed value, so ``REPRO_HOTCACHE=many``
-quietly ran with the cache off instead of telling the operator their
-deployment knob was ignored.
+``hotcache.py`` / ``shortest_path.py`` / ``decoder.py`` / ``obs/log.py``
+each had their own copy of the try/except — and, worse, each copy
+*silently fell back to the default* on a malformed value, so
+``REPRO_HOTCACHE=many`` quietly ran with the cache off instead of
+telling the operator their deployment knob was ignored.  The variables
+are listed in ``docs/architecture.md`` ("Configuration").
 
 These helpers centralize the contract:
 
@@ -30,7 +29,6 @@ import os
 __all__ = [
     "ConfigError",
     "env_choice",
-    "env_float",
     "env_int",
     "env_raw",
 ]
@@ -64,9 +62,9 @@ def env_int(
     """An integer knob; malformed values raise :class:`ConfigError`.
 
     Well-formed values outside ``[minimum, maximum]`` are clamped, not
-    rejected — the documented floors (e.g. the slab-size minimum) are
-    safety rails, and a clamped value still does what the operator
-    asked for as nearly as the system allows.
+    rejected — the documented floors (e.g. a frontier cache of at least
+    one entry) are safety rails, and a clamped value still does what
+    the operator asked for as nearly as the system allows.
     """
     raw = env_raw(name)
     if raw is None:
@@ -76,30 +74,6 @@ def env_int(
     except ValueError:
         raise ConfigError(
             f"{name} must be an integer, got {raw!r}"
-        ) from None
-    if minimum is not None:
-        value = max(minimum, value)
-    if maximum is not None:
-        value = min(maximum, value)
-    return value
-
-
-def env_float(
-    name: str,
-    default: float,
-    *,
-    minimum: float | None = None,
-    maximum: float | None = None,
-) -> float:
-    """A float knob; malformed values raise :class:`ConfigError`."""
-    raw = env_raw(name)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be a number, got {raw!r}"
         ) from None
     if minimum is not None:
         value = max(minimum, value)

@@ -285,8 +285,8 @@ class _LruSection:
     """One bounded LRU map inside a :class:`DecodeSpanCache`.
 
     ``capacity`` of ``None`` means unbounded; ``0`` disables the section
-    entirely (every lookup misses — the pre-cache behavior, used by the
-    benchmark's legacy mode).
+    entirely (every lookup misses — reachable through
+    ``REPRO_DECODE_CACHE_TRAJECTORIES=0`` / ``..._INSTANCES=0``).
     """
 
     __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
@@ -371,17 +371,6 @@ class DecodeSpanCache:
             # counters at scrape time only, so the ~100k-lookups/s hot
             # path never touches a registry lock
             obs_metrics.get_registry().register_collector(self)
-
-    @classmethod
-    def legacy(cls) -> "DecodeSpanCache":
-        """The pre-PR-5 caching behavior, for before/after benchmarks:
-        references and instances memoized without bound (what the query
-        processor always did), times and chainages re-decoded on every
-        probe."""
-        cache = cls(trajectory_capacity=None, instance_capacity=None)
-        cache.times = _LruSection(0)
-        cache.chainages = _LruSection(0)
-        return cache
 
     def _lookup(self, section: _LruSection, key, factory: Callable):
         with self._lock:

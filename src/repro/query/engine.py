@@ -38,7 +38,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from ..config import env_int
 from ..core.decoder import DecodeSpanCache
 from ..network.grid import Rect
 from ..obs import metrics as obs_metrics
@@ -51,17 +50,8 @@ from .queries import UTCQQueryProcessor, WhenResult, WhereResult
 from .stiu import StIUIndex
 from .transport import TransportError
 
-_DEFAULT_DISPATCH_WINDOW = 8
-
-
-def resolve_dispatch_window(explicit: int | None = None) -> int:
-    """Dispatch window: explicit argument > ``REPRO_DISPATCH_WINDOW`` >
-    8.  Bounds how many shard sub-batches are in flight at once."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    return env_int(
-        "REPRO_DISPATCH_WINDOW", _DEFAULT_DISPATCH_WINDOW, minimum=1
-    )
+#: shard sub-batches one request keeps in flight at once
+DISPATCH_WINDOW = 8
 
 _log = get_logger("repro.query.engine")
 
@@ -313,7 +303,7 @@ def _open_shard_engine(
 
 # worker-global state, installed by the pool initializer: shard engines
 # (archive + sidecar index + decode cache) persist across batches, and
-# under shm transport so does the worker's answer slab
+# so does the worker's answer slab
 _worker_config: dict | None = None
 _worker_engines: dict[str, BatchQueryEngine] = {}
 _worker_slab = None  # SlabWriter | None | False (False: disabled for good)
@@ -327,23 +317,17 @@ def _init_query_worker(config: dict) -> None:
 
 
 def _worker_slab_writer():
-    """This worker's slab writer, created lazily; None when the shm
-    transport is off or the slab could not be created (inline fallback)."""
+    """This worker's slab writer, created lazily; None when the slab
+    could not be created (inline fallback)."""
     global _worker_slab
     if _worker_slab is False:
         return None
     if _worker_slab is not None:
         return _worker_slab
-    config = (_worker_config or {}).get("transport") or {}
-    if config.get("kind") != query_transport.TRANSPORT_SHM:
-        _worker_slab = False
-        return None
     try:
         _worker_slab = query_transport.SlabWriter(
-            config["arena"],
-            generation=(_worker_config or {}).get("pool_generation", 0),
-            size=config.get("slab_bytes"),
-            keep=config.get("keep", 64),
+            _worker_config["arena"],
+            generation=_worker_config["pool_generation"],
         )
     except Exception as error:
         # no /dev/shm, size limit, permissions: answers ride the pipe
@@ -356,15 +340,12 @@ def _worker_slab_writer():
 def _transport_payload(answers: list):
     """Worker-side: ship answers by descriptor when possible.
 
-    Plain (untagged) answers on the pickle transport; under shm a
-    tagged descriptor, or a tagged inline payload when the answers are
-    not codec-expressible or the slab has no safe room.
+    A tagged descriptor, or a tagged inline payload when there is no
+    slab, the answers are not codec-expressible, or the slab has no
+    safe room.
     """
     writer = _worker_slab_writer()
     if writer is None:
-        config = (_worker_config or {}).get("transport") or {}
-        if config.get("kind") != query_transport.TRANSPORT_SHM:
-            return answers
         return query_transport.tag_inline(answers)
     try:
         blob = query_transport.encode_answers(answers)
@@ -490,30 +471,23 @@ class ShardWorkerPool:
         self._lock = threading.Lock()
         self._closed = False
         self.generation = 0
-        transport_config = config.get("transport") or {}
-        self._reader = (
-            query_transport.SlabReaderPool(
-                transport_config["arena"], generation=0
-            )
-            if transport_config.get("kind")
-            == query_transport.TRANSPORT_SHM
-            else None
+        self._reader = query_transport.SlabReaderPool(
+            config["arena"], generation=0
         )
         self._executor = self._spawn()
 
     def _spawn(self) -> ProcessPoolExecutor:
-        if self._reader is not None:
-            # start the parent's resource tracker before any worker
-            # forks: children inherit it, so slab registrations land in
-            # one shared tracker the parent's unlink can clear.  A
-            # worker that starts its own tracker would warn about
-            # "leaked" segments the parent already reclaimed.
-            from multiprocessing import resource_tracker
+        # start the parent's resource tracker before any worker forks:
+        # children inherit it, so slab registrations land in one shared
+        # tracker the parent's unlink can clear.  A worker that starts
+        # its own tracker would warn about "leaked" segments the parent
+        # already reclaimed.
+        from multiprocessing import resource_tracker
 
-            try:
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - tracker unavailable
-                pass
+        try:
+            resource_tracker.ensure_running()
+        except Exception:  # pragma: no cover - tracker unavailable
+            pass
         # workers see the generation they were spawned into: their slab
         # names (and entry headers) carry it, so descriptors from a
         # dead generation can never validate after a respawn
@@ -525,13 +499,15 @@ class ShardWorkerPool:
         )
 
     @property
-    def transport_arena(self) -> str | None:
-        """The shm arena id (None on the pickle transport)."""
-        return self._reader.arena if self._reader is not None else None
+    def transport_arena(self) -> str:
+        """The shm arena id this pool's slabs are named after."""
+        return self._reader.arena
 
     def decode(self, payload):
         """Resolve one task payload to answers (see
-        :func:`repro.query.transport.decode_payload`)."""
+        :func:`repro.query.transport.decode_payload`).  Part of the
+        pool duck-type: workers always tag their payloads, so a
+        stand-in (chaos proxy, test wrapper) must forward this."""
         return query_transport.decode_payload(payload, self._reader)
 
     @property
@@ -627,10 +603,9 @@ class ShardWorkerPool:
             self._executor = self._spawn()
         self._reap(old)
         old.shutdown(wait=False, cancel_futures=True)
-        if self._reader is not None:
-            # stale descriptors now fail fast; dead generations' slabs
-            # are unlinked (including those of crashed workers)
-            self._reader.invalidate(generation)
+        # stale descriptors now fail fast; dead generations' slabs
+        # are unlinked (including those of crashed workers)
+        self._reader.invalidate(generation)
         obs_metrics.counter(
             "repro_pool_restarts_total",
             help="Worker-pool respawns (new generation of processes)",
@@ -648,8 +623,7 @@ class ShardWorkerPool:
             executor = self._executor
         self._reap(executor)
         executor.shutdown(wait=False, cancel_futures=True)
-        if self._reader is not None:
-            self._reader.close()
+        self._reader.close()
 
 
 @dataclass
@@ -706,9 +680,7 @@ class ShardedQueryEngine:
         verify_crc: bool = True,
         mp_context: str | None = None,
         pool: ShardWorkerPool | None = None,
-        transport: str | None = None,
         hotcache_entries: int | None = None,
-        dispatch_window: int | None = None,
     ) -> None:
         if not shard_paths:
             raise QueryEngineError("at least one shard path is required")
@@ -716,24 +688,13 @@ class ShardedQueryEngine:
         if len(set(self.shard_paths)) != len(self.shard_paths):
             raise QueryEngineError("duplicate shard paths")
         self.network = network
-        self.transport = query_transport.resolve_transport(transport)
-        self.dispatch_window = resolve_dispatch_window(dispatch_window)
         self._config = {
             "network": network,
             "grid_cells_per_side": grid_cells_per_side,
             "time_partition_seconds": time_partition_seconds,
             "verify_crc": verify_crc,
+            "arena": query_transport.new_arena_id(),
         }
-        if self.transport == query_transport.TRANSPORT_SHM:
-            self._config["transport"] = {
-                "kind": query_transport.TRANSPORT_SHM,
-                "arena": query_transport.new_arena_id(),
-                "slab_bytes": query_transport.resolve_slab_bytes(),
-                # an entry may only be overwritten once it is at least
-                # keep writes old — far beyond the dispatch window, so
-                # a live descriptor always points at intact bytes
-                "keep": max(64, 4 * self.dispatch_window),
-            }
         self._route = self._build_routing(self.shard_paths)
         if workers is None:
             workers = min(len(self.shard_paths), os.cpu_count() or 1)
@@ -744,7 +705,7 @@ class ShardedQueryEngine:
         self.hotcache = (
             HotTrajectoryCache(entries) if entries > 0 else None
         )
-        self._transport_fallbacks = obs_metrics.counter(
+        self.transport_fallbacks = obs_metrics.counter(
             "repro_transport_fallbacks_total",
             help="Shard tasks re-executed locally after a transport error",
         )
@@ -940,19 +901,19 @@ class ShardedQueryEngine:
             return
         parent = obs_trace.current_span()
         traced = parent is not None
-        decode = getattr(self.pool, "decode", None)
-        # Pipelined dispatch: keep up to ``dispatch_window`` shard
+        # Pipelined dispatch: keep up to DISPATCH_WINDOW shard
         # sub-batches in flight before collecting the oldest, so shard
         # roundtrips overlap instead of serialising (the pr5-era
         # near-sequential profile in docs/observability.md).  Collection
         # stays in submission order — merge() is order-insensitive, but
         # deterministic traces are easier to read.
-        window = max(1, self.dispatch_window)
         pending: deque = deque()
         cursor = 0
         try:
             while pending or cursor < len(items):
-                while cursor < len(items) and len(pending) < window:
+                while (
+                    cursor < len(items) and len(pending) < DISPATCH_WINDOW
+                ):
                     path, specs = items[cursor]
                     cursor += 1
                     pending.append((
@@ -966,24 +927,23 @@ class ShardedQueryEngine:
                     payload = _graft_shard_span(
                         parent, path, specs, payload, roundtrip
                     )
-                if decode is not None:
-                    try:
-                        payload = decode(payload)
-                    except TransportError as error:
-                        # Slab unreadable (stale generation, torn entry,
-                        # vanished segment): the worker's answer is lost
-                        # but the batch is not — recompute in-process.
-                        self._transport_fallbacks.inc()
-                        _log.warning(
-                            "shm transport failed for %s (%s); "
-                            "recomputing shard in-process",
-                            os.path.basename(path), error,
-                        )
-                        with obs_trace.trace_span(
-                            "shard.transport_fallback",
-                            path=os.path.basename(path),
-                        ):
-                            payload = self.run_local(path, specs)
+                try:
+                    payload = self.pool.decode(payload)
+                except TransportError as error:
+                    # Slab unreadable (stale generation, torn entry,
+                    # vanished segment): the worker's answer is lost
+                    # but the batch is not — recompute in-process.
+                    self.transport_fallbacks.inc()
+                    _log.warning(
+                        "shm transport failed for %s (%s); "
+                        "recomputing shard in-process",
+                        os.path.basename(path), error,
+                    )
+                    with obs_trace.trace_span(
+                        "shard.transport_fallback",
+                        path=os.path.basename(path),
+                    ):
+                        payload = self.run_local(path, specs)
                 yield specs, payload
         except BrokenProcessPool as error:
             raise WorkerPoolBroken(

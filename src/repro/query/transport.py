@@ -1,11 +1,11 @@
 """Shared-memory result transport between shard workers and the parent.
 
-The default parent↔worker data plane of
-:class:`~repro.query.engine.ShardedQueryEngine` pays for every answer
-twice: the worker pickles the result list into the executor's result
-pipe and the parent unpickles it — per shard, per batch.  PR 8's
-tracing showed that tax (``ipc_share``) dominating the sharded path at
-steady state.  This module removes it:
+A process pool's own result pipe pays for every answer twice: the
+worker pickles the result list and the parent unpickles it — per shard,
+per batch.  PR 8's tracing showed that tax (``ipc_share``) dominating
+the sharded path at steady state.  This module is the parent↔worker
+data plane of :class:`~repro.query.engine.ShardedQueryEngine`, and it
+removes the tax:
 
 * each worker owns one **slab** — a pooled
   :class:`multiprocessing.shared_memory.SharedMemory` segment named
@@ -28,10 +28,10 @@ Answers travel in a fixed binary codec (:func:`encode_answers` /
 :func:`decode_answers_blob`): ``WhereResult`` / ``WhenResult`` records
 and range id lists as packed little-endian structs.  ``struct`` round
 trips ``float('d')`` values exactly, so decoded results are
-bit-identical to what the worker computed — the oracle-identity pin
-holds on both transports.
+bit-identical to what the worker computed.
 
-Every rung degrades, never breaks:
+Every rung degrades, never breaks — and the worker picks the rung from
+what it observes, never the operator:
 
 * an answer the codec cannot express (:class:`UnencodableAnswers`),
   a slab that cannot be created, or a write that would tear a
@@ -42,15 +42,13 @@ Every rung degrades, never breaks:
   generation, torn header, CRC mismatch) raises
   :class:`TransportError`, and the caller re-executes that shard task
   locally — a transport fault costs one fallback, never a wrong
-  answer;
-* ``--transport pickle`` (env ``REPRO_TRANSPORT``) switches the whole
-  plane back to plain pickled results.
+  answer.
 
 Overwrite safety is by construction, with the CRC as defense in depth:
-the writer never reuses the bytes of its most recent ``keep`` entries
-(``keep`` is sized to at least 4x the parent's dispatch window), and
-the parent consumes each descriptor before more than a window of
-further tasks can be submitted to that worker.
+the writer never reuses the bytes of its most recent :data:`SLAB_KEEP`
+entries, and the parent consumes each descriptor before more than a
+dispatch window (:data:`repro.query.engine.DISPATCH_WINDOW`, hedged:
+twice that) of further tasks can be submitted to that worker.
 
 Lifecycle: workers never unlink — the parent is the single point of
 truth.  :meth:`SlabReaderPool.invalidate` (on pool respawn) and
@@ -71,23 +69,21 @@ import zlib
 from collections import deque
 from multiprocessing import shared_memory
 
-from ..config import env_choice, env_int
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 
 _log = get_logger("repro.query.transport")
 
-TRANSPORT_PICKLE = "pickle"
-TRANSPORT_SHM = "shm"
-TRANSPORTS = (TRANSPORT_PICKLE, TRANSPORT_SHM)
-
-#: tags on payloads that cross the process boundary under shm transport
+#: tags on payloads that cross the process boundary
 TAG_SHM = "repro-shm"
 TAG_INLINE = "repro-inline"
 
 _SLAB_PREFIX = "repro-shm-"
-_DEFAULT_SLAB_BYTES = 4 << 20
-_MIN_SLAB_BYTES = 64 << 10
+#: bytes in one worker's slab
+SLAB_BYTES = 4 << 20
+#: most recent entries a writer never overwrites — must exceed the
+#: descriptors the parent can hold unread against one worker
+SLAB_KEEP = 64
 
 # entry header: magic, format version, pool generation, writer seq,
 # payload length, payload crc32 — little-endian, no padding
@@ -122,26 +118,6 @@ class TransportError(Exception):
 class UnencodableAnswers(Exception):
     """An answer list the binary codec cannot express (worker-side
     signal to fall back to an inline pickled payload)."""
-
-
-def resolve_transport(explicit: str | None = None) -> str:
-    """Pick the transport: explicit argument > ``REPRO_TRANSPORT`` >
-    shared memory (the default data plane)."""
-    if explicit is not None:
-        choice = explicit.strip().lower()
-        if choice not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {choice!r} "
-                f"(expected one of {TRANSPORTS})"
-            )
-        return choice
-    return env_choice("REPRO_TRANSPORT", TRANSPORT_SHM, TRANSPORTS)
-
-
-def resolve_slab_bytes() -> int:
-    return env_int(
-        "REPRO_SLAB_BYTES", _DEFAULT_SLAB_BYTES, minimum=_MIN_SLAB_BYTES
-    )
 
 
 def new_arena_id() -> str:
@@ -284,11 +260,11 @@ class SlabWriter:
         *,
         generation: int,
         size: int | None = None,
-        keep: int = 64,
+        keep: int = SLAB_KEEP,
     ) -> None:
         self.arena = arena
         self.generation = generation
-        self.size = size or resolve_slab_bytes()
+        self.size = size or SLAB_BYTES
         self.keep = max(1, keep)
         self.name = slab_name(arena, generation, os.getpid())
         try:
@@ -314,15 +290,7 @@ class SlabWriter:
         start = self._allocate(_HEADER.size + len(payload))
         if start is None:
             return None
-        return self._commit(start, payload, torn=False)
-
-    def write_torn(self, payload: bytes) -> dict | None:
-        """Chaos hook: write a valid header but only half the payload —
-        the on-slab state of a worker killed mid-write."""
-        start = self._allocate(_HEADER.size + len(payload))
-        if start is None:
-            return None
-        return self._commit(start, payload, torn=True)
+        return self._commit(start, payload)
 
     def _allocate(self, total: int) -> int | None:
         if total > self.size:
@@ -350,7 +318,7 @@ class SlabWriter:
                     furthest = held_end
         return furthest
 
-    def _commit(self, start: int, payload: bytes, *, torn: bool) -> dict:
+    def _commit(self, start: int, payload: bytes) -> dict:
         seq = self._seq
         self._seq += 1
         crc = zlib.crc32(payload)
@@ -360,9 +328,8 @@ class SlabWriter:
             len(payload), crc,
         )
         body = start + _HEADER.size
-        written = payload if not torn else payload[: len(payload) // 2]
-        buf[body:body + len(written)] = written
-        end = start + _HEADER.size + len(payload)
+        end = body + len(payload)
+        buf[body:end] = payload
         self._offset = end
         self._recent.append((start, end))
         return {
@@ -629,8 +596,8 @@ def tag_descriptor(descriptor: dict) -> tuple:
 def decode_payload(payload, reader: SlabReaderPool | None):
     """Parent-side: resolve one task payload to its answer list.
 
-    Untagged payloads (the pickle transport, duck-typed test pools)
-    pass through unchanged; inline tags unwrap; shm tags resolve
+    Untagged payloads (duck-typed test pools — real workers always
+    tag) pass through unchanged; inline tags unwrap; shm tags resolve
     through ``reader`` and raise :class:`TransportError` when no
     reader is available or validation fails.
     """

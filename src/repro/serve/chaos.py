@@ -62,16 +62,26 @@ def midwrite_kill_fault() -> tuple:
     return (MIDWRITE_KILL,)
 
 
+def tear_slab_entry(writer, descriptor: dict) -> None:
+    """Blank the second half of a written entry's payload in place:
+    complete header, truncated payload — the on-slab state of a worker
+    killed mid-write."""
+    body = descriptor["offset"] + query_transport._HEADER.size
+    length = descriptor["length"]
+    kept = length // 2
+    writer._shm.buf[body + kept:body + length] = bytes(length - kept)
+
+
 def _die_mid_slab_write(task: tuple) -> None:
-    """Worker-side: compute the real answers, write a *torn* slab entry
-    (complete header, truncated payload), then die.
+    """Worker-side: compute the real answers, write a slab entry, tear
+    it (:func:`tear_slab_entry`), then die.
 
     This is the nastiest shm failure shape: the bytes look like an
     entry but the payload does not match the header's CRC.  The parent
     must never see it — the worker dies before returning a descriptor,
     so the supervisor observes ``BrokenProcessPool``, respawns, and the
     dead generation's slab is swept.  Degrades to a plain kill when the
-    shm transport is off.
+    worker has no slab.
     """
     writer = _worker_slab_writer()
     if writer is not None:
@@ -79,7 +89,7 @@ def _die_mid_slab_write(task: tuple) -> None:
             path, queries = task
             answers = _shard_engine_for(path).run(queries)
             blob = query_transport.encode_answers(answers)
-            writer.write_torn(blob)
+            tear_slab_entry(writer, writer.write(blob))
         except Exception:
             pass  # dying is the one job left
     os._exit(1)
@@ -180,14 +190,11 @@ class ChaosProxy:
         return self._pool.ping(timeout=timeout, payload=payload)
 
     def decode(self, payload):
-        decode = getattr(self._pool, "decode", None)
-        if decode is None:  # bare test doubles: answers arrive plain
-            return query_transport.decode_payload(payload, None)
-        return decode(payload)
+        return self._pool.decode(payload)
 
     @property
-    def transport_arena(self) -> str | None:
-        return getattr(self._pool, "transport_arena", None)
+    def transport_arena(self) -> str:
+        return self._pool.transport_arena
 
     def worker_pids(self) -> list[int]:
         return self._pool.worker_pids()

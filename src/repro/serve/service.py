@@ -44,6 +44,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import bind_request_id, get_logger, unbind_request_id
 from ..query.engine import (
+    DISPATCH_WINDOW,
     EngineClosedError,
     Query,
     ShardedQueryEngine,
@@ -84,11 +85,8 @@ class ServiceConfig:
     quarantine_reprobe: float = 0.5
     health_interval: float | None = 1.0  # None: no background probing
     ladder: tuple[str, ...] = (MODE_SHARDED, MODE_BATCH, MODE_SINGLE)
-    # None: engine resolves REPRO_TRANSPORT / REPRO_HOTCACHE /
-    # REPRO_DISPATCH_WINDOW (shm / off / 8)
-    transport: str | None = None
+    # None: engine resolves REPRO_HOTCACHE (default off)
     hotcache_entries: int | None = None
-    dispatch_window: int | None = None
 
     def __post_init__(self) -> None:
         if self.deadline <= 0:
@@ -216,9 +214,7 @@ class QueryService:
             workers=workers,
             mp_context=mp_context,
             pool=pool,
-            transport=self.config.transport,
             hotcache_entries=self.config.hotcache_entries,
-            dispatch_window=self.config.dispatch_window,
         )
         if pool_wrapper is not None and self.engine.pool is not None:
             # chaos seam: e.g. pool_wrapper=lambda p: ChaosProxy(p, ...)
@@ -228,7 +224,7 @@ class QueryService:
         # (threads block in supervisor.call; the work itself happens in
         # pool workers or, degraded, under _local_lock).
         self._dispatch = ThreadPoolExecutor(
-            max_workers=self.engine.dispatch_window,
+            max_workers=DISPATCH_WINDOW,
             thread_name_prefix="repro-dispatch",
         )
         self.admission = AdmissionController(
@@ -560,29 +556,21 @@ class QueryService:
                     last_error = error
                     continue
                 self.breaker.record_success()
-                decode = getattr(self.engine.pool, "decode", None)
-                if decode is not None:
-                    try:
-                        answers = decode(answers)
-                    except TransportError as error:
-                        # the worker answered (pool is healthy — the
-                        # breaker already recorded the success) but its
-                        # slab could not be read back; recompute on the
-                        # next rung instead of failing the request
-                        obs_metrics.counter(
-                            "repro_transport_fallbacks_total",
-                            help=(
-                                "Shard tasks re-executed locally after "
-                                "a transport error"
-                            ),
-                        ).inc()
-                        _log.warning(
-                            "shard.transport_fallback",
-                            path=path,
-                            error=str(error),
-                        )
-                        last_error = error
-                        continue
+                try:
+                    answers = self.engine.pool.decode(answers)
+                except TransportError as error:
+                    # the worker answered (pool is healthy — the
+                    # breaker already recorded the success) but its
+                    # slab could not be read back; recompute on the
+                    # next rung instead of failing the request
+                    self.engine.transport_fallbacks.inc()
+                    _log.warning(
+                        "shard.transport_fallback",
+                        path=path,
+                        error=str(error),
+                    )
+                    last_error = error
+                    continue
                 return answers, MODE_SHARDED
             if rung == MODE_BATCH:
                 try:

@@ -1,37 +1,25 @@
-"""Query-serving benchmark (`repro serve-bench`).
+"""Serving availability benchmarks (`repro serve-bench`) and the trace probe.
 
-PR 4 tracked the *write* path in ``BENCH_core_hotpaths.json``; this
-module tracks the *read* path in ``BENCH_query_throughput.json`` — the
-perf-trajectory file for query serving at the repo root.
+Throughput and per-layer cost are measured by ``ledger/run.py``
+(``BENCHMARK.json``); this module keeps what the ledger does not
+measure — how the serving tier behaves *under faults* — and writes it
+to ``BENCH_query_throughput.json`` at the repo root (which also holds
+the pre-ledger throughput rows as history):
 
-The workload models a serving frontend:
-
-* a fixed seeded dataset is compressed once and saved as a single
-  archive plus a 4-way sharded copy (both with ``.stiu`` sidecars);
+* a fixed seeded dataset is compressed once and saved as a 4-way
+  sharded copy with ``.stiu`` sidecars;
 * a pool of distinct where/when/range queries is sampled from the
   dataset (:func:`~repro.workloads.harness.build_query_workload`), then
   a request stream is drawn from it with Zipf-like skew — popular
-  queries repeat, exactly the locality a decode-span cache and batch
-  dedupe exist for;
-* three scenarios are timed, each in two modes:
-
-  - ``warm_open``  — archive open to first query result.  ``legacy``
-    rebuilds the StIU index from the records (the only option before
-    the sidecar existed); ``fast`` loads the ``.stiu`` sidecar.
-  - ``batch_queries`` — the request stream against one archive.
-    ``legacy`` answers one query at a time with the pre-PR-5 caching
-    behavior (:meth:`DecodeSpanCache.legacy`); ``fast`` hands the whole
-    stream to a :class:`~repro.query.engine.BatchQueryEngine`.
-  - ``sharded_queries`` — the same stream against the 4-way sharded
-    copy.  ``legacy`` routes queries by hand to per-shard processors
-    (ranges fan out and union); ``fast`` uses a warm
-    :class:`~repro.query.engine.ShardedQueryEngine` process pool.
-
-Both modes are measured steady-state (a warm-up pass, then best of
-``repeats``), so the rows compare code paths, not cold caches against
-warm ones.  All numbers are on the same machine-generated dataset, so
-two labelled runs (``pr5-before`` via ``--mode legacy``, ``pr5-after``
-via ``--mode fast``) are directly comparable.
+  queries repeat, the way popular locations dominate real traffic;
+* :func:`run_chaos_bench` serves that stream through a supervised
+  :class:`~repro.serve.QueryService` while workers are killed, responses
+  delayed and one shard corrupted on disk; :func:`run_wire_chaos_bench`
+  puts the faults on the network instead — clients reach the service
+  through a fault-injecting TCP proxy.  Both report availability,
+  p50/p99 latency and oracle mismatches;
+* :func:`run_trace_probe` submits one traced request through the real
+  sharded path — the instrument behind ``repro obs trace``.
 """
 
 from __future__ import annotations
@@ -44,9 +32,7 @@ from dataclasses import dataclass
 
 from ..core.archive import CompressedArchive
 from ..core.compressor import UTCQCompressor
-from ..core.decoder import DecodeSpanCache
 from ..trajectories.datasets import load_dataset, profile
-from .hotpath_bench import BenchResult
 from .reporting import ExperimentLog, merge_rows
 
 BENCH_TABLE_TITLE = "query_throughput"
@@ -54,7 +40,30 @@ BENCH_HEADERS = ("label", "benchmark", "unit", "work", "seconds", "rate")
 DEFAULT_OUTPUT = "BENCH_query_throughput.json"
 
 SHARD_COUNT = 4
-MODES = ("legacy", "fast")
+
+
+@dataclass(frozen=True)
+class BenchResult:
+    """One measured row: ``rate = work / seconds`` in ``unit``."""
+
+    name: str
+    unit: str
+    work: int
+    seconds: float
+
+    @property
+    def rate(self) -> float:
+        return self.work / self.seconds if self.seconds > 0 else float("inf")
+
+    def row(self, label: str) -> list:
+        return [
+            label,
+            self.name,
+            self.unit,
+            self.work,
+            round(self.seconds, 4),
+            round(self.rate, 1),
+        ]
 
 
 @dataclass(frozen=True)
@@ -131,17 +140,15 @@ class _ServingFixture:
             default_interval=prof.default_interval,
             eta_probability=prof.default_eta_probability,
         )
-        self.archive = compressor.compress(self.trajectories)
-        self.archive_path = os.path.join(root, "serving.utcq")
-        self._save_with_sidecar(self.archive, self.archive_path)
+        archive = compressor.compress(self.trajectories)
         self.shard_paths = []
-        total = len(self.archive.trajectories)
+        total = len(archive.trajectories)
         for shard in range(SHARD_COUNT):
             lo = shard * total // SHARD_COUNT
             hi = (shard + 1) * total // SHARD_COUNT
             part = CompressedArchive(
-                params=self.archive.params,
-                trajectories=self.archive.trajectories[lo:hi],
+                params=archive.params,
+                trajectories=archive.trajectories[lo:hi],
             )
             path = os.path.join(root, f"shard-{shard}.utcq")
             self._save_with_sidecar(part, path)
@@ -159,319 +166,6 @@ class _ServingFixture:
 
         archive.save(path)
         save_index(StIUIndex(self.network, archive), path)
-
-
-def _run_stream_one_at_a_time(processors, route, stream):
-    """The pre-batch serving loop: one query, one processor call."""
-    from ..query.engine import RangeQuery, WhereQuery
-
-    for query in stream:
-        if isinstance(query, RangeQuery):
-            if len(processors) == 1:
-                next(iter(processors.values())).range(
-                    query.rect, query.t, query.alpha
-                )
-            else:
-                merged: set[int] = set()
-                for processor in processors.values():
-                    merged.update(
-                        processor.range(query.rect, query.t, query.alpha)
-                    )
-                sorted(merged)
-        elif isinstance(query, WhereQuery):
-            processors[route[query.trajectory_id]].where(
-                query.trajectory_id, query.t, query.alpha
-            )
-        else:
-            processors[route[query.trajectory_id]].when(
-                query.trajectory_id,
-                query.edge,
-                query.relative_distance,
-                query.alpha,
-            )
-
-
-def _best_of(repeats: int, run) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def bench_warm_open(
-    fixture: _ServingFixture, *, mode: str, repeats: int
-) -> BenchResult:
-    """Archive-open-to-first-result latency, in opens/sec."""
-    from ..query.queries import UTCQQueryProcessor
-    from ..query.stiu import StIUIndex
-
-    first = next(
-        query
-        for query in fixture.stream
-        if hasattr(query, "trajectory_id") and hasattr(query, "t")
-    )
-    sidecar_policy = None if mode == "legacy" else "auto"
-
-    def open_and_query() -> None:
-        index = StIUIndex.over_file(
-            fixture.network, fixture.archive_path, sidecar=sidecar_policy
-        )
-        try:
-            processor = UTCQQueryProcessor(
-                fixture.network, index.archive, index
-            )
-            processor.where(first.trajectory_id, first.t, first.alpha)
-        finally:
-            index.archive.close()
-
-    best = _best_of(repeats, open_and_query)
-    return BenchResult("warm_open", "opens/s", 1, best)
-
-
-def bench_batch_queries(
-    fixture: _ServingFixture, *, mode: str, repeats: int
-) -> BenchResult:
-    """The request stream against one archive, in queries/sec."""
-    from ..query.engine import BatchQueryEngine
-    from ..query.queries import UTCQQueryProcessor
-    from ..query.stiu import StIUIndex
-
-    index = StIUIndex.over_file(fixture.network, fixture.archive_path)
-    try:
-        if mode == "legacy":
-            processor = UTCQQueryProcessor(
-                fixture.network,
-                index.archive,
-                index,
-                cache=DecodeSpanCache.legacy(),
-            )
-            processors = {fixture.archive_path: processor}
-            route = {
-                trajectory_id: fixture.archive_path
-                for trajectory_id in index.archive.trajectory_ids()
-            }
-            run = lambda: _run_stream_one_at_a_time(  # noqa: E731
-                processors, route, fixture.stream
-            )
-        else:
-            engine = BatchQueryEngine(fixture.network, index.archive, index)
-            run = lambda: engine.run(fixture.stream)  # noqa: E731
-        run()  # steady state: caches warm in both modes
-        best = _best_of(repeats, run)
-    finally:
-        index.archive.close()
-    return BenchResult("batch_queries", "queries/s", len(fixture.stream), best)
-
-
-def bench_sharded_queries(
-    fixture: _ServingFixture,
-    *,
-    mode: str,
-    repeats: int,
-    workers: int,
-    transport: str | None = None,
-    hotcache_entries: int | None = None,
-    dispatch_window: int | None = None,
-    reference: list | None = None,
-) -> tuple[BenchResult, int | None]:
-    """The request stream against the sharded copy, in queries/sec.
-
-    Returns ``(result, mismatches)``; ``mismatches`` counts sharded
-    answers that differ from ``reference`` (the single-archive batch
-    engine's answers for the same stream) and is ``None`` when no
-    reference was supplied.
-    """
-    from ..query.engine import ShardedQueryEngine
-    from ..query.queries import UTCQQueryProcessor
-    from ..query.stiu import StIUIndex
-
-    mismatches: int | None = None
-    if mode == "legacy":
-        processors = {}
-        route = {}
-        indexes = []
-        for path in fixture.shard_paths:
-            index = StIUIndex.over_file(fixture.network, path, sidecar=None)
-            indexes.append(index)
-            processors[path] = UTCQQueryProcessor(
-                fixture.network,
-                index.archive,
-                index,
-                cache=DecodeSpanCache.legacy(),
-            )
-            for trajectory_id in index.archive.trajectory_ids():
-                route[trajectory_id] = path
-        try:
-            run = lambda: _run_stream_one_at_a_time(  # noqa: E731
-                processors, route, fixture.stream
-            )
-            run()
-            best = _best_of(repeats, run)
-        finally:
-            for index in indexes:
-                index.archive.close()
-    else:
-        with ShardedQueryEngine(
-            fixture.shard_paths,
-            network=fixture.network,
-            workers=workers,
-            transport=transport,
-            hotcache_entries=hotcache_entries,
-            dispatch_window=dispatch_window,
-        ) as engine:
-            # warm the pool + worker caches; the warm pass doubles as
-            # the oracle pin for this transport/cache configuration
-            answers = engine.run(fixture.stream)
-            if reference is not None:
-                mismatches = sum(
-                    1
-                    for answer, expected in zip(answers, reference)
-                    if answer != expected
-                )
-            best = _best_of(repeats, lambda: engine.run(fixture.stream))
-    return (
-        BenchResult(
-            "sharded_queries", "queries/s", len(fixture.stream), best
-        ),
-        mismatches,
-    )
-
-
-def _reference_answers(fixture: _ServingFixture) -> list:
-    """The request stream answered by the single-archive batch engine —
-    the oracle the sharded transports are pinned against."""
-    from ..query.engine import BatchQueryEngine
-    from ..query.stiu import StIUIndex
-
-    index = StIUIndex.over_file(fixture.network, fixture.archive_path)
-    try:
-        engine = BatchQueryEngine(fixture.network, index.archive, index)
-        return engine.run(fixture.stream)
-    finally:
-        index.archive.close()
-
-
-def _config_rows(
-    transport: str | None,
-    hotcache_entries: int | None,
-    dispatch_window: int | None,
-) -> list[BenchResult]:
-    """The effective serving configuration, in-band as gauge rows.
-
-    A cache-size or transport sweep that does not record what it
-    actually ran with cannot be reproduced; ``-1`` encodes an unbounded
-    cache section.
-    """
-    from ..core.decoder import (
-        resolve_instance_capacity,
-        resolve_trajectory_capacity,
-    )
-    from ..network.shortest_path import resolve_frontier_cache_size
-    from ..query.engine import resolve_dispatch_window
-    from ..query.hotcache import resolve_hotcache_entries
-    from ..query.transport import TRANSPORT_SHM, resolve_transport
-
-    def bounded(value) -> float:
-        return -1.0 if value is None else float(value)
-
-    gauges = (
-        (
-            "config_transport_shm",
-            "flag",
-            1.0 if resolve_transport(transport) == TRANSPORT_SHM else 0.0,
-        ),
-        (
-            "config_hotcache_entries",
-            "entries",
-            float(resolve_hotcache_entries(hotcache_entries)),
-        ),
-        (
-            "config_dispatch_window",
-            "tasks",
-            float(resolve_dispatch_window(dispatch_window)),
-        ),
-        (
-            "config_decode_cache_trajectories",
-            "entries",
-            bounded(resolve_trajectory_capacity()),
-        ),
-        (
-            "config_decode_cache_instances",
-            "entries",
-            bounded(resolve_instance_capacity()),
-        ),
-        (
-            "config_frontier_cache",
-            "entries",
-            float(resolve_frontier_cache_size()),
-        ),
-    )
-    return [
-        GaugeResult(name, unit, 1, 0.0, value=value)
-        for name, unit, value in gauges
-    ]
-
-
-def run_query_bench(
-    *,
-    mode: str = "fast",
-    quick: bool = False,
-    repeats: int | None = None,
-    workers: int = SHARD_COUNT,
-    transport: str | None = None,
-    hotcache_entries: int | None = None,
-    dispatch_window: int | None = None,
-) -> list[BenchResult]:
-    """Run the three serving scenarios in one mode.
-
-    The first three results are always ``warm_open`` /
-    ``batch_queries`` / ``sharded_queries``; fast mode appends a
-    ``sharded_oracle_mismatches`` gauge (sharded answers checked
-    against the single-archive batch engine) and the effective serving
-    configuration as ``config_*`` gauge rows.
-    """
-    import tempfile
-
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if repeats is None:
-        repeats = 2 if quick else 3
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as root:
-        fixture = _ServingFixture(root, quick=quick)
-        reference = _reference_answers(fixture) if mode == "fast" else None
-        results = [
-            bench_warm_open(fixture, mode=mode, repeats=max(repeats, 3)),
-            bench_batch_queries(fixture, mode=mode, repeats=repeats),
-        ]
-        sharded, mismatches = bench_sharded_queries(
-            fixture,
-            mode=mode,
-            repeats=repeats,
-            workers=workers,
-            transport=transport,
-            hotcache_entries=hotcache_entries,
-            dispatch_window=dispatch_window,
-            reference=reference,
-        )
-        results.append(sharded)
-        if mismatches is not None:
-            results.append(
-                GaugeResult(
-                    "sharded_oracle_mismatches",
-                    "results",
-                    len(fixture.stream),
-                    0.0,
-                    value=float(mismatches),
-                )
-            )
-            results.extend(
-                _config_rows(transport, hotcache_entries, dispatch_window)
-            )
-        return results
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -493,10 +187,9 @@ def run_chaos_bench(
     delay_seconds: float = 0.4,
     workers: int = 2,
     seed: int = 23,
-    transport: str | None = None,
     hotcache_entries: int | None = None,
 ) -> tuple[list[BenchResult], dict]:
-    """Chaos mode of ``repro serve-bench``: availability under faults.
+    """``repro serve-bench``: availability under faults.
 
     Serves the skewed request stream through a supervised
     :class:`~repro.serve.QueryService` while a seeded
@@ -518,7 +211,6 @@ def run_chaos_bench(
     """
     import tempfile
 
-    from ..query import transport as query_transport
     from ..query.engine import ShardedQueryEngine
     from ..serve import ChaosProxy, QueryService, ServiceConfig
     from ..serve.chaos import corrupt_shard, kill_fault, restore_shard
@@ -559,14 +251,10 @@ def run_chaos_bench(
                 quarantine_reprobe=0.05,
                 breaker_reset=0.5,
                 health_interval=0.25,
-                transport=transport,
                 hotcache_entries=hotcache_entries,
             ),
         )
         proxy = proxy_holder[0] if proxy_holder else None
-        transport_shm = (
-            service.engine.transport == query_transport.TRANSPORT_SHM
-        )
         hotcache_effective = (
             service.engine.hotcache.capacity
             if service.engine.hotcache is not None
@@ -692,17 +380,12 @@ def run_chaos_bench(
             value=delay_seconds,
         ),
         GaugeResult(
-            "chaos_transport_shm", "flag", 1, elapsed,
-            value=1.0 if transport_shm else 0.0,
-        ),
-        GaugeResult(
             "chaos_hotcache_entries", "entries", 1, elapsed,
             value=float(hotcache_effective),
         ),
     ]
     summary = {
         "seed": seed,
-        "transport": "shm" if transport_shm else "pickle",
         "hotcache_entries": hotcache_effective,
         "fault_script": {
             "kill_probability": kill_probability,
@@ -728,160 +411,6 @@ def run_chaos_bench(
     return rows, summary
 
 
-def _batches(stream: list, size: int) -> list[list]:
-    return [stream[i:i + size] for i in range(0, len(stream), size)]
-
-
-def run_wire_bench(
-    *,
-    quick: bool = False,
-    workers: int = 2,
-    transport: str | None = None,
-    hotcache_entries: int | None = None,
-    dispatch_window: int | None = None,
-    batch_size: int = 16,
-    repeats: int | None = None,
-) -> tuple[list[BenchResult], dict]:
-    """Wire mode of ``repro serve-bench``: what the socket costs.
-
-    The same skewed request stream is served twice by the *same*
-    :class:`~repro.serve.QueryService` — once with in-process
-    ``submit_many`` calls, once through a loopback
-    :class:`~repro.serve.WireServerThread` via a
-    :class:`~repro.serve.WireClient` (frame encode, TCP, CRC check,
-    answer-blob decode) — so the row pair isolates the wire overhead
-    from everything below it.  Every wire answer is checked against the
-    single-archive reference; a mismatch fails the run's contract.
-    """
-    import tempfile
-
-    from ..serve import (
-        QueryService,
-        ServiceConfig,
-        WireClient,
-        WireServerConfig,
-        WireServerThread,
-    )
-
-    if repeats is None:
-        repeats = 2 if quick else 3
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    with tempfile.TemporaryDirectory(prefix="repro-wire-bench-") as root:
-        fixture = _ServingFixture(root, quick=quick)
-        reference = _reference_answers(fixture)
-        batches = _batches(fixture.stream, batch_size)
-        service = QueryService(
-            fixture.shard_paths,
-            network=fixture.network,
-            workers=workers,
-            config=ServiceConfig(
-                deadline=60.0,
-                transport=transport,
-                hotcache_entries=hotcache_entries,
-                dispatch_window=dispatch_window,
-            ),
-        )
-        mismatches = 0
-        try:
-            # correctness pass (and warm-up): in-process answers
-            # against the oracle
-            position = 0
-            for batch in batches:
-                response = service.submit_many(batch, client="wire-bench")
-                if not response.ok:
-                    raise ValueError(
-                        f"wire bench warm-up failed: {response.error}"
-                    )
-                expected = reference[position:position + len(batch)]
-                mismatches += sum(
-                    1
-                    for answer, oracle in zip(response.results, expected)
-                    if answer != oracle
-                )
-                position += len(batch)
-
-            def inprocess_pass() -> None:
-                for batch in batches:
-                    if not service.submit_many(
-                        batch, client="wire-bench"
-                    ).ok:
-                        raise ValueError("in-process request failed")
-
-            inprocess_seconds = _best_of(repeats, inprocess_pass)
-
-            with WireServerThread(service) as server:
-                with WireClient(
-                    "127.0.0.1",
-                    server.port,
-                    client_id="wire-bench",
-                    seed=17,
-                ) as client:
-                    ping_ms = client.ping() * 1000.0
-                    # correctness pass over the wire: codec + CRC +
-                    # socket must hand back oracle-identical answers
-                    position = 0
-                    for batch in batches:
-                        result = client.request(batch)
-                        expected = reference[
-                            position:position + len(batch)
-                        ]
-                        mismatches += sum(
-                            1
-                            for answer, oracle in zip(
-                                result.results, expected
-                            )
-                            if answer != oracle
-                        )
-                        position += len(batch)
-
-                    def wire_pass() -> None:
-                        for batch in batches:
-                            client.request(batch)
-
-                    wire_seconds = _best_of(repeats, wire_pass)
-        finally:
-            service.close()
-
-    total = len(fixture.stream)
-    inprocess_qps = total / inprocess_seconds
-    wire_qps = total / wire_seconds
-    overhead = 100.0 * (wire_seconds - inprocess_seconds) / inprocess_seconds
-    rows = [
-        BenchResult("wire_inprocess_queries", "queries/s", total,
-                    inprocess_seconds),
-        BenchResult("wire_loopback_queries", "queries/s", total,
-                    wire_seconds),
-        GaugeResult(
-            "wire_overhead", "percent", total, wire_seconds,
-            value=overhead,
-        ),
-        GaugeResult(
-            "wire_ping", "ms", 1, 0.0, value=ping_ms,
-        ),
-        GaugeResult(
-            "wire_batch_size", "queries", 1, 0.0, value=float(batch_size),
-        ),
-        GaugeResult(
-            "wire_mismatches", "results", 2 * total, wire_seconds,
-            value=float(mismatches),
-        ),
-    ]
-    summary = {
-        "queries": total,
-        "batch_size": batch_size,
-        "inprocess_qps": round(inprocess_qps, 1),
-        "wire_qps": round(wire_qps, 1),
-        "overhead_percent": round(overhead, 2),
-        "ping_ms": round(ping_ms, 3),
-        "results_checked": 2 * total,
-        "result_mismatches": mismatches,
-    }
-    return rows, summary
-
-
 def run_wire_chaos_bench(
     *,
     duration: float = 30.0,
@@ -897,10 +426,9 @@ def run_wire_chaos_bench(
     stall_seconds: float = 0.05,
     workers: int = 2,
     seed: int = 29,
-    transport: str | None = None,
     hotcache_entries: int | None = None,
 ) -> tuple[list[BenchResult], dict]:
-    """Network chaos mode: availability through a hostile wire.
+    """``repro serve-bench --wire``: availability through a hostile wire.
 
     The request stream crosses a real TCP hop —
     :class:`~repro.serve.WireClient` → seeded
@@ -956,7 +484,6 @@ def run_wire_chaos_bench(
                 quarantine_reprobe=0.05,
                 breaker_reset=0.5,
                 health_interval=0.25,
-                transport=transport,
                 hotcache_entries=hotcache_entries,
             ),
         )
@@ -1191,8 +718,6 @@ def run_trace_probe(
     workers: int = SHARD_COUNT,
     queries: int = 64,
     repeats: int = 3,
-    transport: str | None = None,
-    dispatch_window: int | None = None,
     hotcache_entries: int | None = None,
 ) -> tuple[dict, dict]:
     """One traced request through the real sharded serving path.
@@ -1224,11 +749,7 @@ def run_trace_probe(
             fixture.shard_paths,
             network=fixture.network,
             workers=workers,
-            config=ServiceConfig(
-                transport=transport,
-                dispatch_window=dispatch_window,
-                hotcache_entries=hotcache_entries,
-            ),
+            config=ServiceConfig(hotcache_entries=hotcache_entries),
         )
         try:
             warm = service.submit_many(batch, client="trace-probe")

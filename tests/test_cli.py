@@ -301,46 +301,6 @@ def test_stream_compact_then_query(stream_directory, tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-def test_bench_quick_writes_results_json(tmp_path, capsys):
-    output = tmp_path / "BENCH_core_hotpaths.json"
-    code = main(
-        ["bench", "--quick", "-o", str(output), "--label", "cli-test"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "hot-path benchmarks" in out
-    assert "bit_io" in out
-    document = json.loads(output.read_text())
-    assert document["format"] == "repro-bench"
-    (table,) = [
-        t for t in document["tables"] if t["title"] == "core_hotpaths"
-    ]
-    names = {row[1] for row in table["rows"]}
-    assert {
-        "bit_io", "map_matching", "ted_base_search", "compression",
-        "utcq_compression", "ted_compression", "stiu_queries",
-    } <= names
-    assert all(row[0] == "cli-test" for row in table["rows"])
-
-    # --append keeps the prior rows and adds freshly labelled ones
-    code = main(
-        ["bench", "--quick", "-o", str(output), "--label", "second",
-         "--append"]
-    )
-    assert code == 0
-    capsys.readouterr()
-    document = json.loads(output.read_text())
-    (table,) = [
-        t for t in document["tables"] if t["title"] == "core_hotpaths"
-    ]
-    labels = [row[0] for row in table["rows"]]
-    assert "cli-test" in labels and "second" in labels
-    assert labels.index("cli-test") < labels.index("second")
-
-
-# ----------------------------------------------------------------------
 # operator errors: one line on stderr, exit status 2
 # ----------------------------------------------------------------------
 class TestCliErrorContract:
@@ -393,7 +353,7 @@ class TestCliErrorContract:
     def test_serve_bench_rejects_bad_duration(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
-                "serve-bench", "--chaos", "--quick",
+                "serve-bench", "--quick",
                 "--duration", "0",
                 "-o", str(tmp_path / "out.json"),
             ])
@@ -402,11 +362,9 @@ class TestCliErrorContract:
 
     def test_serve_bench_unwritable_output(self, tmp_path, capsys, monkeypatch):
         # the bench itself is expensive; patch it out and fail the write
-        from repro.workloads import query_bench
-
         monkeypatch.setattr(
-            "repro.workloads.query_bench.run_query_bench",
-            lambda **kwargs: [],
+            "repro.workloads.query_bench.run_chaos_bench",
+            lambda **kwargs: ([], {}),
         )
         with pytest.raises(SystemExit) as excinfo:
             main([

@@ -9,12 +9,16 @@ silent fallback to the default.
 """
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.config import ConfigError, env_choice, env_float, env_int, env_raw
+from repro.config import ConfigError, env_choice, env_int, env_raw
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -71,24 +75,6 @@ class TestEnvInt:
             env_int("REPRO_TEST_KNOB", 8)
 
 
-class TestEnvFloat:
-    def test_unset_yields_default(self):
-        assert env_float("REPRO_TEST_KNOB", 1.5) == 1.5
-
-    def test_well_formed_is_parsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "0.25")
-        assert env_float("REPRO_TEST_KNOB", 1.5) == 0.25
-
-    def test_clamped(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "-3.0")
-        assert env_float("REPRO_TEST_KNOB", 1.5, minimum=0.0) == 0.0
-
-    def test_malformed_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "fast")
-        with pytest.raises(ConfigError, match="REPRO_TEST_KNOB"):
-            env_float("REPRO_TEST_KNOB", 1.5)
-
-
 class TestEnvChoice:
     CHOICES = ("shm", "pickle")
 
@@ -112,29 +98,6 @@ class TestEnvChoice:
 
 class TestConsumersUseTheContract:
     """Spot-check the real knob resolvers behind the shared parser."""
-
-    def test_transport_knob(self, monkeypatch):
-        from repro.query.transport import resolve_transport
-
-        monkeypatch.setenv("REPRO_TRANSPORT", "SHM")
-        assert resolve_transport() == "shm"
-        monkeypatch.setenv("REPRO_TRANSPORT", "udp")
-        with pytest.raises(ConfigError, match="REPRO_TRANSPORT"):
-            resolve_transport()
-
-    def test_slab_bytes_floor(self, monkeypatch):
-        from repro.query.transport import _MIN_SLAB_BYTES, resolve_slab_bytes
-
-        monkeypatch.setenv("REPRO_SLAB_BYTES", "1")
-        assert resolve_slab_bytes() == _MIN_SLAB_BYTES
-
-    def test_dispatch_window_knob(self, monkeypatch):
-        from repro.query.engine import resolve_dispatch_window
-
-        monkeypatch.setenv("REPRO_DISPATCH_WINDOW", "three")
-        with pytest.raises(ConfigError, match="REPRO_DISPATCH_WINDOW"):
-            resolve_dispatch_window()
-        assert resolve_dispatch_window(3) == 3  # explicit wins, no env
 
     def test_frontier_cache_knob(self, monkeypatch):
         from repro.network.shortest_path import resolve_frontier_cache_size
@@ -163,7 +126,7 @@ class TestConsumersUseTheContract:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, ["src", env.get("PYTHONPATH")])
         )
-        env["REPRO_TRANSPORT"] = "carrier-pigeon"
+        env["REPRO_HOTCACHE"] = "many"
         done = subprocess.run(
             [
                 sys.executable, "-m", "repro", "query", "batch",
@@ -179,5 +142,21 @@ class TestConsumersUseTheContract:
         )
         assert done.returncode == 2, done.stdout + done.stderr
         assert "error:" in done.stderr
-        assert "REPRO_TRANSPORT" in done.stderr
+        assert "REPRO_HOTCACHE" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_configuration_table_lists_exactly_the_variables_src_reads():
+    """The "Configuration" table in docs/architecture.md is the census
+    of ``REPRO_*`` variables: a variable added to or dropped from
+    ``src/repro`` without its row fails here."""
+    read_by_src = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        read_by_src.update(
+            re.findall(r"""["'](REPRO_[A-Z_]+)["']""", path.read_text())
+        )
+    document = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    section = document.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(REPRO_[A-Z_]+)`", section, re.MULTILINE)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == read_by_src

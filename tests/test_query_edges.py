@@ -130,14 +130,19 @@ class TestInstanceCaching:
         from repro.query import UTCQQueryProcessor
 
         network, _, archive, index, _ = world
+        # capacity 0 (REPRO_DECODE_CACHE_TRAJECTORIES=0) turns a section
+        # off; the per-instance sections keep their own capacity
         processor = UTCQQueryProcessor(
-            network, archive, index, cache=DecodeSpanCache.legacy()
+            network,
+            archive,
+            index,
+            cache=DecodeSpanCache(trajectory_capacity=0),
         )
         trajectory = archive.trajectories[0]
         first = processor._full_times(trajectory)
         second = processor._full_times(trajectory)
         assert first == second
-        assert first is not second  # times never memoized in legacy mode
+        assert first is not second  # a disabled section never memoizes
         assert processor._materialize(trajectory, 0) is processor._materialize(
             trajectory, 0
         )

@@ -10,8 +10,9 @@ The pins, in order of blast radius:
 * the parent owns slab lifecycle: ``close()`` and generation
   invalidation leave ``/dev/shm`` empty, including slabs of workers
   that died without answering;
-* the sharded engine produces oracle-identical answers on both
-  transports.
+* the sharded engine produces oracle-identical answers whether a
+  task's answers come back as a slab descriptor or — no slab, or an
+  answer larger than the slab — inline.
 """
 
 import os
@@ -22,9 +23,12 @@ from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
 from repro.query import StIUIndex, ShardedQueryEngine, save_index
 from repro.query.queries import WhenResult, WhereResult
+from repro.query import transport as query_transport
+from repro.query.engine import DISPATCH_WINDOW
 from repro.query.transport import (
-    TRANSPORT_PICKLE,
-    TRANSPORT_SHM,
+    SLAB_KEEP,
+    TAG_INLINE,
+    TAG_SHM,
     SlabReaderPool,
     SlabWriter,
     TransportError,
@@ -34,11 +38,11 @@ from repro.query.transport import (
     encode_answers,
     list_arena_slabs,
     new_arena_id,
-    resolve_transport,
     slab_name,
     tag_descriptor,
     tag_inline,
 )
+from repro.serve.chaos import tear_slab_entry
 from repro.trajectories.datasets import load_dataset
 
 from test_query_engine import make_queries
@@ -47,27 +51,6 @@ pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
     reason="POSIX shared memory is not file-backed here",
 )
-
-
-# ----------------------------------------------------------------------
-# transport selection
-# ----------------------------------------------------------------------
-class TestResolveTransport:
-    def test_default_is_shm(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        assert resolve_transport() == TRANSPORT_SHM
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        assert resolve_transport() == TRANSPORT_PICKLE
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        assert resolve_transport("shm") == TRANSPORT_SHM
-
-    def test_unknown_transport_is_typed(self):
-        with pytest.raises(ValueError):
-            resolve_transport("carrier-pigeon")
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +144,8 @@ class TestSlabProtocol:
     def test_torn_write_fails_crc(self, arena):
         writer, reader = make_pair(arena)
         try:
-            descriptor = writer.write_torn(encode_answers([RANGE]))
+            descriptor = writer.write(encode_answers([RANGE]))
+            tear_slab_entry(writer, descriptor)
             with pytest.raises(TransportError, match="CRC|torn"):
                 reader.decode(descriptor)
         finally:
@@ -317,9 +301,25 @@ class TestSlabLifecycle:
 
 
 # ----------------------------------------------------------------------
-# the engine on both transports (real worker processes)
+# the engine over real worker processes: descriptors and inline payloads
 # ----------------------------------------------------------------------
 SHARDS = 2
+
+
+class RecordingPool:
+    """Forwarding pool stand-in that notes, parent side, the tag of
+    every task payload handed to ``decode``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.tags = []
+
+    def decode(self, payload):
+        self.tags.append(payload[0])
+        return self.inner.decode(payload)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 @pytest.fixture(scope="module")
@@ -345,30 +345,77 @@ def sharded_world(tmp_path_factory):
 
 class TestEngineTransports:
     def test_both_transports_match_single_process_oracle(
-        self, sharded_world
+        self, sharded_world, monkeypatch
     ):
         network, shard_paths, queries = sharded_world
         with ShardedQueryEngine(
             shard_paths, network=network, workers=1
         ) as oracle:
             expected = oracle.run(queries)
-        for transport in (TRANSPORT_PICKLE, TRANSPORT_SHM):
-            with ShardedQueryEngine(
-                shard_paths,
-                network=network,
-                workers=2,
-                transport=transport,
-            ) as engine:
-                assert engine.run(queries) == expected, transport
-                assert engine.run(queries) == expected, transport
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=2
+        ) as engine:
+            engine.pool = recording = RecordingPool(engine.pool)
+            assert engine.run(queries) == expected
+            assert engine.run(queries) == expected
+            assert set(recording.tags) == {TAG_SHM}
+
+        # a host where no slab can be created: the patch is in place
+        # before the pool forks, so every worker falls back to inline
+        def no_shared_memory(self, *args, **kwargs):
+            raise OSError("no shared memory on this host")
+
+        monkeypatch.setattr(SlabWriter, "__init__", no_shared_memory)
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=2
+        ) as engine:
+            engine.pool = recording = RecordingPool(engine.pool)
+            arena = engine.pool.transport_arena
+            assert engine.run(queries) == expected
+            assert list_arena_slabs(arena) == []
+            assert engine.run(queries) == expected
+            assert set(recording.tags) == {TAG_INLINE}
+        assert list_arena_slabs(arena) == []
+
+    def test_answer_larger_than_the_slab_rides_inline(
+        self, sharded_world, monkeypatch
+    ):
+        network, shard_paths, queries = sharded_world
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=1
+        ) as oracle:
+            expected = oracle.run(queries)
+            blob_sizes = sorted(
+                len(encode_answers(oracle.run_local(path, specs)))
+                for path, specs in oracle.plan(queries).tasks.items()
+            )
+        assert blob_sizes[0] < blob_sizes[-1]  # the fixture's shards differ
+        # room for every shard's answers but the largest, by one byte
+        monkeypatch.setattr(
+            query_transport,
+            "SLAB_BYTES",
+            query_transport._HEADER.size + blob_sizes[-1] - 1,
+        )
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=2
+        ) as engine:
+            engine.pool = recording = RecordingPool(engine.pool)
+            arena = engine.pool.transport_arena
+            assert engine.run(queries) == expected
+            assert engine.run(queries) == expected
+            assert {TAG_SHM, TAG_INLINE} <= set(recording.tags)
+        assert list_arena_slabs(arena) == []
+
+    def test_hedged_window_fits_inside_the_protected_tail(self):
+        # a worker may be handed, before the parent reads any of them,
+        # one task per dispatch slot plus one hedge each; none of those
+        # descriptors may point at bytes the writer is free to reuse
+        assert 2 * DISPATCH_WINDOW < SLAB_KEEP
 
     def test_engine_close_leaves_no_shm_residue(self, sharded_world):
         network, shard_paths, queries = sharded_world
-        engine = ShardedQueryEngine(
-            shard_paths, network=network, workers=2, transport=TRANSPORT_SHM
-        )
+        engine = ShardedQueryEngine(shard_paths, network=network, workers=2)
         arena = engine.pool.transport_arena
-        assert arena is not None
         engine.run(queries)
         assert list_arena_slabs(arena)  # workers materialised slabs
         engine.close()
@@ -384,7 +431,7 @@ class TestEngineTransports:
 
         network, shard_paths, queries = sharded_world
         with ShardedQueryEngine(
-            shard_paths, network=network, workers=2, transport=TRANSPORT_SHM
+            shard_paths, network=network, workers=2
         ) as engine:
             expected = engine.run(queries)
             arena = engine.pool.transport_arena
@@ -452,9 +499,7 @@ class TestPoolTeardown:
         from concurrent.futures import wait as futures_wait
 
         network, shard_paths, queries = sharded_world
-        engine = ShardedQueryEngine(
-            shard_paths, network=network, workers=2, transport=TRANSPORT_SHM
-        )
+        engine = ShardedQueryEngine(shard_paths, network=network, workers=2)
         engine.run(queries)  # workers spawned and warm
         pids = engine.pool.worker_pids()
         assert pids
@@ -473,7 +518,7 @@ class TestPoolTeardown:
 
         network, shard_paths, queries = sharded_world
         with ShardedQueryEngine(
-            shard_paths, network=network, workers=2, transport=TRANSPORT_SHM
+            shard_paths, network=network, workers=2
         ) as engine:
             expected = engine.run(queries)
             old_pids = engine.pool.worker_pids()
