@@ -13,6 +13,12 @@ Definition 5 expects.  The model is the standard map-matching HMM:
 Instead of the single best state sequence, a list-Viterbi pass keeps the
 ``k`` best partial sequences per state, yielding the top-``k`` complete
 matchings; their likelihoods are normalized into instance probabilities.
+A step costs work proportional to candidate *pairs*: a transition depends
+only on (previous candidate, candidate), so each pair is routed and
+scored once (at most ``max_candidates``² routes, over one shared Dijkstra
+frontier per source vertex) and every partial extends by table look-up
+into a new lattice node that points back at it — nothing as long as the
+trip is copied.
 
 The pass is decomposed into per-step operations (:meth:`ProbabilisticMapMatcher.
 candidate_step`, :meth:`~ProbabilisticMapMatcher.initial_beam`,
@@ -27,7 +33,7 @@ matching by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..network.graph import RoadNetwork
 from ..network.shortest_path import FrontierCache
@@ -60,24 +66,39 @@ class MatcherConfig:
             raise ValueError("max_instances must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True, eq=False)  # nodes compare, and hash, by identity
 class BeamPartial:
-    """One partial state sequence kept by the list-Viterbi pass.
+    """One partial state sequence kept by the list-Viterbi pass, as a
+    lattice node: the candidate chosen at its own step, the connecting
+    edges from the previous step's candidate, and the partial it extends.
 
-    ``candidate_indices[i]`` indexes the candidate chosen at step ``i``;
-    ``paths[i-1]`` holds the connecting edges between steps ``i-1`` and
-    ``i``.  Partials are immutable-by-convention: extending a beam builds
-    new partials, never rewrites history, which is what lets a streaming
-    consumer treat an agreed-upon prefix as committed.
+    Partials are immutable-by-convention: extending a beam builds new
+    nodes, never rewrites history, which is what lets a streaming
+    consumer treat an agreed-upon prefix as committed — and distinct
+    nodes are distinct histories, so that prefix ends at the beam's
+    lowest common ancestor.
     """
 
     log_probability: float
-    candidate_indices: tuple[int, ...]
-    paths: tuple[tuple[EdgeKey, ...], ...] = field(default_factory=tuple)
+    candidate_index: int
+    path: tuple[EdgeKey, ...] = ()
+    parent: BeamPartial | None = None
 
+    def history(self) -> list[BeamPartial]:
+        """The chain of nodes from the first step to this one."""
+        nodes = []
+        node: BeamPartial | None = self
+        while node is not None:
+            nodes.append(node)
+            node = node.parent
+        nodes.reverse()
+        return nodes
 
-#: backwards-compatible private alias (pre-streaming name)
-_Partial = BeamPartial
+    @property
+    def candidate_indices(self) -> tuple[int, ...]:
+        """``candidate_indices[i]`` indexes the candidate chosen at step
+        ``i`` (materialised on each access: O(steps))."""
+        return tuple(node.candidate_index for node in self.history())
 
 
 class ProbabilisticMapMatcher:
@@ -90,48 +111,53 @@ class ProbabilisticMapMatcher:
         self.config = config or MatcherConfig()
         self.index = EdgeSpatialIndex(network)
         # transition routing runs one shared-frontier Dijkstra per
-        # (source vertex, cutoff) instead of one bounded search per
-        # candidate pair; the cache stays warm across steps and trips,
-        # and is shared with any StreamingMapMatcher wrapping this
-        # matcher.  Matchings are identical either way (see
-        # SharedFrontier); only the cycle count changes.
+        # source vertex instead of one bounded search per candidate
+        # pair; the cache stays warm across steps and trips, and is
+        # shared with any StreamingMapMatcher wrapping this matcher.
+        # Matchings are identical either way (see SharedFrontier); only
+        # the cycle count changes.
         self.frontier_cache = FrontierCache(network)
 
     # ------------------------------------------------------------------
-    def _transition(
-        self, a: Candidate, b: Candidate, straight: float
-    ) -> tuple[float, list[EdgeKey]] | None:
-        """Log transition probability and connecting path, or ``None``
-        when no plausible route exists."""
-        route = self._route_between(a, b, straight)
-        if route is None:
-            return None
-        path, network_distance = route
-        discrepancy = abs(network_distance - straight)
-        return -discrepancy / self.config.beta, path
+    def _transition_table(
+        self,
+        beam: list[BeamPartial],
+        previous_step: list[Candidate],
+        step: list[Candidate],
+        straight: float,
+    ) -> dict[int, list[tuple[float, tuple[EdgeKey, ...]] | None]]:
+        """Route and score every (previous candidate, candidate) pair.
 
-    def _route_between(
-        self, a: Candidate, b: Candidate, straight: float
-    ) -> tuple[list[EdgeKey], float] | None:
-        """Network route from position ``a`` to position ``b``.
-
-        Returns the intermediate edges (between, not including, the two
-        candidate edges — unless they differ) and the travel distance.
+        ``table[i][j]`` is the log transition probability and the
+        connecting path (the edges between, not including, the two
+        candidate edges — unless they differ) from ``previous_step[i]``
+        to ``step[j]``, or ``None`` when no plausible route exists; one
+        row per previous candidate some partial of ``beam`` ends on.
         """
         cutoff = max(straight * self.config.max_route_factor, 300.0)
-        if a.edge == b.edge and b.ndist >= a.ndist:
-            return [], b.ndist - a.ndist
-        # drive to the end of a's edge, route to the start of b's edge
-        remaining = self.network.edge_length(*a.edge) - a.ndist
-        found = self.frontier_cache.get(a.edge[1], cutoff).path_to(b.edge[0])
-        if found is None:
-            return None
-        path, length = found
-        if path and path[0] == a.edge:
-            # avoid immediately re-traversing a's edge backwards-forwards
-            pass
-        total = remaining + length + b.ndist
-        return path, total
+        beta = self.config.beta
+        table = {}
+        for index in sorted({partial.candidate_index for partial in beam}):
+            a = previous_step[index]
+            remaining = self.network.edge_length(*a.edge) - a.ndist
+            frontier = None  # fetched only if a pair needs routing
+            row = table[index] = []
+            for b in step:
+                if a.edge == b.edge and b.ndist >= a.ndist:
+                    path, distance = (), b.ndist - a.ndist
+                else:
+                    # drive to the end of a's edge, route to the start
+                    # of b's edge
+                    if frontier is None:
+                        frontier = self.frontier_cache.get(a.edge[1])
+                    found = frontier.path_to(b.edge[0], cutoff)
+                    if found is None:
+                        row.append(None)
+                        continue
+                    path = tuple(found[0])
+                    distance = remaining + found[1] + b.ndist
+                row.append((-abs(distance - straight) / beta, path))
+        return table
 
     # ------------------------------------------------------------------
     # per-step operations (shared by batch match() and the streaming path)
@@ -158,7 +184,7 @@ class ProbabilisticMapMatcher:
     def initial_beam(self, step: list[Candidate]) -> list[BeamPartial]:
         """The beam after observing the first fix: one partial per candidate."""
         return [
-            BeamPartial(candidate.emission_log_probability, (i,), ())
+            BeamPartial(candidate.emission_log_probability, i)
             for i, candidate in enumerate(step)
         ]
 
@@ -176,25 +202,21 @@ class ProbabilisticMapMatcher:
         empty when no transition connects the steps — the trajectory is
         unmatchable from here on.
         """
+        table = self._transition_table(beam, previous_step, step, straight)
         extended: list[BeamPartial] = []
         for candidate_index, candidate in enumerate(step):
+            emission = candidate.emission_log_probability
             for partial in beam:
-                previous_candidate = previous_step[
-                    partial.candidate_indices[-1]
-                ]
-                transition = self._transition(
-                    previous_candidate, candidate, straight
-                )
+                transition = table[partial.candidate_index][candidate_index]
                 if transition is None:
                     continue
                 log_transition, path = transition
                 extended.append(
                     BeamPartial(
-                        partial.log_probability
-                        + log_transition
-                        + candidate.emission_log_probability,
-                        partial.candidate_indices + (candidate_index,),
-                        partial.paths + (tuple(path),),
+                        partial.log_probability + log_transition + emission,
+                        candidate_index,
+                        path,
+                        partial,
                     )
                 )
         extended.sort(key=lambda p: -p.log_probability)
@@ -269,19 +291,19 @@ class ProbabilisticMapMatcher:
 
     # ------------------------------------------------------------------
     def _assemble(
-        self, steps: list[list[Candidate]], partial: _Partial
+        self, steps: list[list[Candidate]], partial: BeamPartial
     ) -> TrajectoryInstance | None:
         """Stitch candidate positions and connecting routes into one
         instance, tolerating same-edge consecutive fixes."""
-        first = steps[0][partial.candidate_indices[0]]
+        nodes = partial.history()
+        first = steps[0][nodes[0].candidate_index]
         path: list[EdgeKey] = [first.edge]
         locations = [self.candidate_location(first)]
         edge_indices = [0]
-        for step_index in range(1, len(partial.candidate_indices)):
-            candidate = steps[step_index][
-                partial.candidate_indices[step_index]
-            ]
-            connecting = list(partial.paths[step_index - 1])
+        for step_index in range(1, len(nodes)):
+            node = nodes[step_index]
+            candidate = steps[step_index][node.candidate_index]
+            connecting = node.path
             if candidate.edge == path[-1] and not connecting:
                 # same edge, moving forward
                 edge_indices.append(len(path) - 1)

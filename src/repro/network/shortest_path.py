@@ -4,7 +4,9 @@ Used by the probabilistic map matcher (transition probabilities need
 network distances between candidate locations) and by the workload
 generators (alternative sub-paths for detour instances).  A bounded
 Dijkstra keeps map matching tractable: GPS sampling gaps limit how far a
-vehicle can travel between points, so searches are cut off at a radius.
+vehicle can travel between points, so searches are cut off at a radius —
+the matcher's through one :class:`SharedFrontier` per source vertex,
+which takes the radius per query.
 """
 
 from __future__ import annotations
@@ -77,85 +79,79 @@ def dijkstra(
 
 
 class SharedFrontier:
-    """A lazily-settled bounded Dijkstra from one source, shared across
-    targets.
+    """A lazily-settled Dijkstra from one source, shared across targets
+    and cutoffs.
 
-    The map matcher scores transitions from every previous-step candidate
-    to every current-step candidate; all pairs with the same source
-    vertex and cutoff share one search.  :meth:`path_to` settles vertices
-    only as far as each requested target, keeping heap state between
-    calls, so the first target pays the search and later ones reuse it.
+    The map matcher routes from the end of a previous-step candidate's
+    edge to every current-step candidate, with a cutoff that changes
+    from fix to fix; every such query from one source vertex shares one
+    search.  Relaxation is not pruned: the cutoff is an argument of the
+    query, which settles vertices only while the heap's smallest
+    distance is within it (and below the target's) and keeps the heap
+    between calls, so the search grows to the largest cutoff asked of it
+    and no further.
 
-    Results are independent of the query order: the settle sequence is a
-    fixed function of (source, cutoff), so distances and predecessors for
-    any settled target equal those of a fresh early-stopping
-    :func:`dijkstra` with the same cutoff — byte-identical matchings.
+    Answers equal a fresh :func:`shortest_path` with the same cutoff,
+    whatever was asked before.  Edge lengths are strictly positive
+    (:meth:`RoadNetwork.add_edge` rejects the rest), so (1) vertices
+    settle in ``(distance, vertex)`` order, and that order up to
+    distance ``c`` does not depend on heap entries beyond ``c``; (2) a
+    vertex's predecessor is the first-settled vertex that gives it its
+    final distance, which lies within ``c`` whenever the vertex does;
+    hence (3) distance and path to any target within ``c`` are those of
+    the search pruned at ``c`` — byte-identical matchings.
     """
 
-    __slots__ = ("network", "source", "cutoff", "_distances",
-                 "_predecessors", "_settled", "_heap")
+    __slots__ = ("network", "source", "_distances", "_predecessors", "_heap")
 
-    def __init__(
-        self, network: RoadNetwork, source: int, cutoff: float = INFINITY
-    ) -> None:
+    def __init__(self, network: RoadNetwork, source: int) -> None:
         if not network.has_vertex(source):
             raise KeyError(f"unknown source vertex {source}")
         self.network = network
         self.source = source
-        self.cutoff = cutoff
         self._distances: dict[int, float] = {source: 0.0}
         self._predecessors: dict[int, int] = {}
-        self._settled: set[int] = set()
         self._heap: list[tuple[float, int]] = [(0.0, source)]
 
-    def _settle_until(self, target: int) -> bool:
-        """Pop until ``target`` settles; ``False`` when it is unreachable
-        within the cutoff.  Unlike the early-stopping :func:`dijkstra`,
-        every settled vertex is fully relaxed (which cannot change its own
-        distance or predecessor) so later targets keep exact semantics."""
-        settled = self._settled
-        if target in settled:
-            return True
-        heap = self._heap
+    def distance_to(self, target: int, cutoff: float = INFINITY) -> float:
+        """Shortest distance to ``target``; ``inf`` beyond ``cutoff``."""
         distances = self._distances
         predecessors = self._predecessors
-        cutoff = self.cutoff
+        heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
         out_edges = self.network.out_edges
-        while heap:
+        # a known distance (and its predecessor) is final once nothing
+        # closer waits in the heap: whatever is relaxed later is longer
+        while heap and heap[0][0] <= cutoff and (
+            heap[0][0] < distances.get(target, INFINITY)
+        ):
             dist, vertex = pop(heap)
-            if vertex in settled:
-                continue
-            settled.add(vertex)
+            if dist > distances[vertex]:
+                continue  # stale entry; vertex already settled closer
             for edge in out_edges(vertex):
                 candidate = dist + edge.length
-                if candidate > cutoff:
-                    continue
                 end = edge.end
                 if candidate < distances.get(end, INFINITY):
                     distances[end] = candidate
                     predecessors[end] = vertex
                     push(heap, (candidate, end))
-            if vertex == target:
-                return True
-        return False
+        known = distances.get(target, INFINITY)
+        return known if known <= cutoff else INFINITY
 
-    def distance_to(self, target: int) -> float:
-        """Shortest distance to ``target``; ``inf`` beyond the cutoff."""
-        if not self._settle_until(target):
-            return INFINITY
-        return self._distances[target]
-
-    def path_to(self, target: int) -> tuple[list[tuple[int, int]], float] | None:
-        """Shortest path to ``target`` as edge keys, or ``None``.
+    def path_to(
+        self, target: int, cutoff: float = INFINITY
+    ) -> tuple[list[tuple[int, int]], float] | None:
+        """Shortest path to ``target`` as edge keys, or ``None`` when it
+        is farther than ``cutoff``.
 
         Matches :func:`shortest_path`: a ``source == target`` query is an
         empty path of length zero.
         """
         if target == self.source:
             return [], 0.0
-        if not self._settle_until(target):
+        length = self.distance_to(target, cutoff)
+        if length == INFINITY:
             return None
         predecessors = self._predecessors
         path: list[tuple[int, int]] = []
@@ -166,7 +162,7 @@ class SharedFrontier:
             path.append((previous, vertex))
             vertex = previous
         path.reverse()
-        return path, self._distances[target]
+        return path, length
 
 
 _DEFAULT_FRONTIER_CACHE = 512
@@ -184,13 +180,14 @@ def resolve_frontier_cache_size(explicit: int | None = None) -> int:
 
 
 class FrontierCache:
-    """LRU cache of :class:`SharedFrontier` searches keyed by
-    ``(source, cutoff)``.
+    """LRU cache of :class:`SharedFrontier` searches keyed by source
+    vertex.
 
     One matcher-owned cache serves every transition of a Viterbi step
-    (same cutoff, few distinct sources) and stays warm across steps and
-    trips whenever sources and cutoffs recur — the streaming ingestion
-    matcher shares the batch matcher's cache by construction, since
+    and stays warm across steps, trips and vehicles: an entry is one
+    vertex's search, grown to the largest cutoff asked of it — the
+    streaming ingestion matcher shares the batch matcher's cache by
+    construction, since
     :class:`~repro.stream.ingest.StreamingMapMatcher` wraps the same
     :class:`~repro.mapmatching.hmm.ProbabilisticMapMatcher` instance.
     """
@@ -207,27 +204,26 @@ class FrontierCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: dict[tuple[int, float], SharedFrontier] = {}
+        self._entries: dict[int, SharedFrontier] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, source: int, cutoff: float) -> SharedFrontier:
-        """The (possibly cached) shared frontier for ``(source, cutoff)``."""
-        key = (source, cutoff)
+    def get(self, source: int) -> SharedFrontier:
+        """The (possibly cached) shared frontier of ``source``."""
         entries = self._entries
-        frontier = entries.get(key)
+        frontier = entries.get(source)
         if frontier is not None:
             self.hits += 1
             # refresh recency (dicts preserve insertion order)
-            del entries[key]
-            entries[key] = frontier
+            del entries[source]
+            entries[source] = frontier
             return frontier
         self.misses += 1
-        frontier = SharedFrontier(self.network, source, cutoff)
+        frontier = SharedFrontier(self.network, source)
         if len(entries) >= self.maxsize:
             entries.pop(next(iter(entries)))
-        entries[key] = frontier
+        entries[source] = frontier
         return frontier
 
     def clear(self) -> None:

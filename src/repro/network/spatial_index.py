@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .graph import RoadNetwork
-from .grid import GridPartition
+from .grid import GridPartition, Rect
 
 
 def project_point_to_segment(
@@ -53,8 +53,6 @@ class EdgeSpatialIndex:
                 self._buckets.setdefault(cell, []).append(edge.key)
 
     def _cells_near(self, x: float, y: float, radius: float) -> list[int]:
-        from .grid import Rect
-
         return self.grid.cells_of_rect(
             Rect(x - radius, y - radius, x + radius, y + radius)
         )

@@ -23,12 +23,13 @@ Two things make the matcher suitable for an unbounded feed:
   the beam has usually collapsed onto one history
   (:meth:`agreed_prefix_length` reports how far the collapse has
   progressed), so the estimate is stable under future evidence while
-  costing O(1) per call — the standard fixed-lag approximation of
-  full Viterbi smoothing.
+  costing ``fixed_lag`` back-pointer hops per call — the standard
+  fixed-lag approximation of full Viterbi smoothing.
 
 Transition scoring routes through the underlying matcher's shared
 :class:`~repro.network.shortest_path.FrontierCache` — one lazily-settled
-Dijkstra per (source vertex, cutoff) reused across all candidate pairs.
+Dijkstra per source vertex, reused across candidate pairs, fixes and
+cutoffs.
 Because the sessionizer hands every vehicle's streaming matcher the same
 :class:`~repro.mapmatching.hmm.ProbabilisticMapMatcher`, the whole fleet
 shares one cache: a vehicle crossing an intersection another vehicle
@@ -194,20 +195,13 @@ class StreamingMapMatcher:
         This prefix is committed: no future evidence can change it,
         because extending a beam never rewrites partial histories.
         """
-        if not self._beam:
-            return 0
-        first = self._beam[0].candidate_indices
-        agreed = len(first)
-        for partial in self._beam[1:]:
-            indices = partial.candidate_indices
-            limit = min(agreed, len(indices))
-            agreed = 0
-            for i in range(limit):
-                if indices[i] != first[i]:
-                    break
-                agreed = i + 1
-            if agreed == 0:
-                return 0
+        nodes = set(self._beam)
+        agreed = len(self._points)
+        # distinct lattice nodes are distinct histories, so the agreed
+        # prefix ends at the beam's lowest common ancestor
+        while len(nodes) > 1:
+            nodes = {node.parent for node in nodes}
+            agreed -= 1
         return agreed
 
     def fixed_lag_estimate(self) -> tuple[int, MappedLocation] | None:
@@ -216,11 +210,14 @@ class StreamingMapMatcher:
         Returns ``(step_index, location)`` read from the most probable
         partial, or ``None`` before the first accepted fix.  With the
         default lag the estimate is almost always inside the agreed
-        prefix, i.e. final.
+        prefix, i.e. final.  Costs ``fixed_lag`` back-pointer hops.
         """
         if not self._beam:
             return None
-        index = max(0, len(self._points) - 1 - self.fixed_lag)
-        best = max(self._beam, key=lambda p: p.log_probability)
-        candidate = self._steps[index][best.candidate_indices[index]]
+        head = len(self._points) - 1
+        index = max(0, head - self.fixed_lag)
+        node = max(self._beam, key=lambda p: p.log_probability)
+        for _ in range(head - index):
+            node = node.parent
+        candidate = self._steps[index][node.candidate_index]
         return index, self.matcher.candidate_location(candidate)

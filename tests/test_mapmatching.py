@@ -1,5 +1,6 @@
 """Tests for the probabilistic map-matching substrate."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from repro.mapmatching import (
     synthesize_raw_trajectory,
 )
 from repro.mapmatching.candidates import emission_log_probability
+from repro.mapmatching.hmm import BeamPartial
 from repro.network.generators import grid_network
 from repro.network.spatial_index import EdgeSpatialIndex
 from repro.trajectories.datasets import CD
@@ -188,3 +190,94 @@ class TestMatching:
                 original.instances, restored.instances
             ):
                 assert rest_inst.path == orig_inst.path
+
+
+class _RecordedFrontier:
+    def __init__(self, frontier, recorder):
+        self.frontier = frontier
+        self.recorder = recorder
+
+    def path_to(self, *query):
+        self.recorder.path_to_calls += 1
+        return self.frontier.path_to(*query)
+
+
+class _RecordingFrontiers:
+    """Stands in for ``matcher.frontier_cache``: counts ``get`` calls and
+    the ``path_to`` calls made on the frontiers it hands out."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.gets = 0
+        self.path_to_calls = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return _RecordedFrontier(self.cache.get(*args), self)
+
+
+def _beam_steps(matcher, raw):
+    """``(beam, previous_step, step, straight)`` before each Viterbi
+    step of ``raw``, the way ``match()`` takes them."""
+    points = list(raw)
+    steps = [matcher.candidate_step(point) for point in points]
+    beam = matcher.initial_beam(steps[0])
+    for i in range(1, len(steps)):
+        straight = math.hypot(
+            points[i].x - points[i - 1].x, points[i].y - points[i - 1].y
+        )
+        yield beam, steps[i - 1], steps[i], straight
+        beam = matcher.extend_beam(beam, steps[i - 1], steps[i], straight)
+        assert beam
+
+
+class TestBeamLattice:
+    """The mechanism of the list-Viterbi step, not its clock: a fix
+    costs work per candidate pair, and extension never copies history."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, network):
+        return synthesize_raw_trajectory(
+            network, CD.generation_config(), random.Random(52),
+            noise_sigma=15.0,
+        )
+
+    def test_one_route_per_candidate_pair(self, network, raw):
+        matcher = ProbabilisticMapMatcher(
+            network, MatcherConfig(sigma=20.0, search_radius=50.0)
+        )
+        full_steps = 0
+        for beam, previous_step, step, straight in _beam_steps(matcher, raw):
+            if (len(beam), len(previous_step), len(step)) != (24, 4, 4):
+                continue
+            full_steps += 1
+            recording = _RecordingFrontiers(matcher.frontier_cache)
+            matcher.frontier_cache = recording
+            try:
+                matcher.extend_beam(beam, previous_step, step, straight)
+            finally:
+                matcher.frontier_cache = recording.cache
+            # one frontier per previous candidate, one route per pair —
+            # not one of each per (partial, candidate): 24 x 4 = 96
+            assert recording.gets <= 4
+            assert recording.path_to_calls <= 16
+        assert full_steps >= 3
+
+    def test_partials_link_to_their_predecessor_by_identity(
+        self, matcher, raw
+    ):
+        step_count = 0
+        for beam, previous_step, step, straight in _beam_steps(matcher, raw):
+            step_count += 1
+            extended = matcher.extend_beam(beam, previous_step, step, straight)
+            for partial in extended:
+                assert any(partial.parent is before for before in beam)
+                assert 0 <= partial.candidate_index < len(step)
+        assert step_count >= 10
+        # nothing a partial owns is as long as the trip
+        for partial in extended:
+            for name in BeamPartial.__slots__:
+                value = getattr(partial, name)
+                if isinstance(value, (tuple, list)):
+                    assert len(value) < step_count
+            assert len(partial.candidate_indices) == step_count + 1

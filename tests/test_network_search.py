@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.network.generators import (
     dataset_network,
@@ -10,6 +12,8 @@ from repro.network.generators import (
     perturbed_grid_network,
 )
 from repro.network.shortest_path import (
+    FrontierCache,
+    SharedFrontier,
     dijkstra,
     k_alternative_paths,
     network_distance,
@@ -68,6 +72,98 @@ class TestShortestPath:
 
     def test_network_distance_unreachable_is_inf(self, grid):
         assert network_distance(grid, 0, 24, cutoff=50.0) == float("inf")
+
+
+# every grid distance is tied many ways (the tie-break case); the
+# perturbed networks have one-way streets, diagonals and no two equal
+# lengths
+FRONTIER_NETWORKS = [
+    grid_network(6, 6, spacing=100.0),
+    perturbed_grid_network(6, 6, seed=3),
+    perturbed_grid_network(7, 5, removal_fraction=0.3, seed=11),
+]
+CUTOFFS = st.one_of(
+    # on the grid these fall exactly on distances: "<= cutoff" is inclusive
+    st.sampled_from([0.0, 100.0, 200.0, 300.0, 500.0, 1000.0, float("inf")]),
+    st.floats(min_value=0.0, max_value=1500.0),
+)
+
+
+@st.composite
+def frontier_queries(draw):
+    network = draw(st.sampled_from(FRONTIER_NETWORKS))
+    vertices = st.sampled_from(sorted(network.vertex_ids()))
+    # few distinct targets, so they repeat under different cutoffs
+    targets = st.sampled_from(draw(st.lists(vertices, min_size=1, max_size=6)))
+    queries = draw(st.lists(st.tuples(targets, CUTOFFS), min_size=1, max_size=40))
+    return network, draw(vertices), queries
+
+
+class TestSharedFrontier:
+    @given(frontier_queries())
+    def test_every_answer_equals_a_fresh_bounded_search(self, case):
+        """One frontier per source, cutoffs rising and falling, targets
+        repeating: each answer is exactly that of a fresh bounded
+        ``shortest_path`` — same edge keys, same length, same ``None``."""
+        network, source, queries = case
+        frontier = SharedFrontier(network, source)
+        for target, cutoff in queries:
+            expected = shortest_path(network, source, target, cutoff=cutoff)
+            assert frontier.path_to(target, cutoff) == expected
+            assert frontier.distance_to(target, cutoff) == (
+                expected[1] if expected is not None else float("inf")
+            )
+
+    def test_trivial_query_ignores_the_cutoff(self, grid):
+        assert SharedFrontier(grid, 3).path_to(3, 0.0) == ([], 0.0)
+
+    def test_a_smaller_cutoff_hides_a_settled_vertex(self, grid):
+        frontier = SharedFrontier(grid, 0)
+        assert frontier.path_to(24, 800.0) is not None
+        assert frontier.path_to(24, 799.0) is None
+        assert frontier.path_to(24, 800.0) == shortest_path(grid, 0, 24)
+
+    def test_unknown_source_rejected(self, grid):
+        with pytest.raises(KeyError):
+            SharedFrontier(grid, 999)
+
+
+class TestFrontierCache:
+    def test_one_entry_per_source_whatever_the_cutoff(self, grid):
+        cache = FrontierCache(grid, maxsize=4)
+        frontier = cache.get(0)
+        frontier.path_to(24, 300.0)
+        assert cache.get(0) is frontier
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+    def test_least_recently_used_source_is_evicted(self, grid):
+        cache = FrontierCache(grid, maxsize=2)
+        first, second = cache.get(0), cache.get(1)
+        assert cache.get(0) is first  # 1 is now the oldest
+        cache.get(2)  # evicts 1
+        assert len(cache) == 2
+        assert cache.get(0) is first
+        assert cache.get(1) is not second
+        assert (cache.hits, cache.misses) == (2, 4)
+
+    def test_maxsize_one_still_answers_correctly(self, grid):
+        cache = FrontierCache(grid, maxsize=1)
+        for source, target in [(0, 24), (24, 0), (0, 24), (12, 3), (0, 24)]:
+            assert cache.get(source).path_to(target, 900.0) == shortest_path(
+                grid, source, target, cutoff=900.0
+            )
+            assert len(cache) == 1
+        assert (cache.hits, cache.misses) == (0, 5)
+
+    def test_unknown_source_rejected_and_not_cached(self, grid):
+        cache = FrontierCache(grid, maxsize=2)
+        with pytest.raises(KeyError):
+            cache.get(999)
+        assert len(cache) == 0
+
+    def test_maxsize_validation(self, grid):
+        with pytest.raises(ValueError):
+            FrontierCache(grid, maxsize=0)
 
 
 class TestAlternativePaths:

@@ -19,6 +19,7 @@ from repro.mapmatching import (
     synthesize_raw_trajectory,
 )
 from repro.network.generators import grid_network
+from repro.network.graph import RoadNetwork
 from repro.stream import SessionConfig, StreamingMapMatcher, TripSessionizer
 from repro.stream.ingest import ObserveStatus
 from repro.trajectories.datasets import CD
@@ -62,6 +63,27 @@ class TestBatchEquivalence:
             for point in raw:
                 assert streaming.observe(point) is ObserveStatus.ACCEPTED
             assert_equal_trajectories(streaming.finish(), matcher.match(raw))
+
+    def test_long_trip_matches_batch(self):
+        """600 fixes down one street: per-fix state must not depend on
+        trip age (the synthetic feeds above are ~13 fixes long)."""
+        street = grid_network(3, 64, spacing=100.0)
+        rng = random.Random(39)
+        raw = RawTrajectory(
+            tuple(
+                RawPoint(20.0 + 10.0 * i + rng.gauss(0.0, 4.0),
+                         100.0 + rng.gauss(0.0, 4.0), 5 * i)
+                for i in range(600)
+            )
+        )
+        long_matcher = ProbabilisticMapMatcher(street)
+        streaming = StreamingMapMatcher(matcher=long_matcher)
+        for point in raw:
+            assert streaming.observe(point) is ObserveStatus.ACCEPTED
+        assert streaming.agreed_prefix_length() > 0
+        sealed = streaming.finish()
+        assert len(sealed.times) == 600
+        assert_equal_trajectories(sealed, long_matcher.match(raw))
 
     def test_single_point_feed(self, network, matcher):
         streaming = StreamingMapMatcher(matcher=matcher)
@@ -166,3 +188,71 @@ class TestFixedLag:
             length = network.edge_length(*location.edge)
             assert 0.0 <= location.ndist <= length
         assert 0 <= streaming.agreed_prefix_length() <= streaming.point_count
+
+    @staticmethod
+    def brute_force(streaming):
+        """Both fixed-lag answers from the materialised candidate-index
+        sequence of every beam partial: the longest common prefix, and
+        the best partial's candidate ``fixed_lag`` steps behind the head."""
+        if not streaming._beam:
+            return 0, None
+        sequences = [p.candidate_indices for p in streaming._beam]
+        agreed = 0
+        for column in zip(*sequences):
+            if len(set(column)) > 1:
+                break
+            agreed += 1
+        best = max(streaming._beam, key=lambda p: p.log_probability)
+        index = max(0, streaming.point_count - 1 - streaming.fixed_lag)
+        candidate = streaming._steps[index][best.candidate_indices[index]]
+        return agreed, (index, streaming.matcher.candidate_location(candidate))
+
+    @pytest.mark.parametrize("seed", [36, 37, 38])
+    @pytest.mark.parametrize("fixed_lag", [0, 2, 1000])
+    def test_agrees_with_brute_force_after_every_fix(
+        self, network, seed, fixed_lag
+    ):
+        # 40 fixes and a beam of 6: the beam collapses as the trip goes
+        # on (the ~11-fix, 24-partial default never agrees on anything)
+        raw = synthesize_raw_trajectory(
+            network, CD.generation_config(), random.Random(seed),
+            noise_sigma=15.0, edge_count=40,
+        )
+        assert len(raw) < 1000  # the longest lag outlasts the trip
+        streaming = StreamingMapMatcher(
+            network,
+            MatcherConfig(sigma=20.0, search_radius=50.0, max_instances=2),
+            fixed_lag=fixed_lag,
+        )
+        assert self.brute_force(streaming) == (0, None)
+        agreed_lengths = []
+        for point in raw:
+            streaming.observe(point)
+            agreed, estimate = self.brute_force(streaming)
+            assert streaming.agreed_prefix_length() == agreed
+            assert streaming.fixed_lag_estimate() == estimate
+            agreed_lengths.append(agreed)
+        assert len(set(agreed_lengths)) > 1
+        assert len(streaming._beam) > 1
+
+    def test_unmatchable_fix_leaves_the_estimates_alone(self):
+        """A one-way street driven backwards: no route joins the fix to
+        the trip, the beam stays as it was, and so do both answers."""
+        one_way = RoadNetwork()
+        for vertex, (x, y) in enumerate(((0.0, 0.0), (100.0, 0.0), (100.0, 100.0))):
+            one_way.add_vertex(vertex, x, y)
+        one_way.add_edge(0, 1)
+        one_way.add_edge(1, 2)
+        streaming = StreamingMapMatcher(one_way, fixed_lag=1)
+        for t, (x, y) in enumerate(((20.0, 5.0), (60.0, 5.0), (105.0, 50.0))):
+            assert streaming.observe(RawPoint(x, y, t)) is ObserveStatus.ACCEPTED
+        beam = list(streaming._beam)
+        before = (streaming.agreed_prefix_length(), streaming.fixed_lag_estimate())
+        assert before == self.brute_force(streaming)
+        status = streaming.observe(RawPoint(30.0, 5.0, 3))
+        assert status is ObserveStatus.UNMATCHABLE
+        assert streaming.point_count == 3
+        assert len(streaming._beam) == len(beam)
+        assert all(a is b for a, b in zip(streaming._beam, beam))
+        after = (streaming.agreed_prefix_length(), streaming.fixed_lag_estimate())
+        assert after == before == self.brute_force(streaming)
