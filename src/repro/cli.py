@@ -528,8 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for the sharded engine (default: 4)",
     )
     trace_.add_argument(
-        "--queries", type=int, default=64,
-        help="batch size of the traced request (default: 64)",
+        "--queries", type=int, default=128,
+        help="distinct queries in the traced request (default: 128, "
+        "big enough to be routed to the worker pool; ~100 or fewer "
+        "are answered in process and show no worker spans)",
     )
     trace_.add_argument(
         "--repeats", type=int, default=3,
@@ -1076,6 +1078,7 @@ def _serve_bench_chaos(args) -> int:
         f"(p50 {summary['p50_ms']}ms, p99 {summary['p99_ms']}ms); "
         f"outcomes: {summary['outcomes']}; "
         f"faults: {summary['faults_injected']}; "
+        f"routes: {summary['routes']}; "
         f"mismatches: {summary['result_mismatches']}"
     )
     print(f"wrote {args.output} ({len(rows)} rows)")
@@ -1085,8 +1088,22 @@ def _serve_bench_chaos(args) -> int:
             f"{summary['result_mismatches']} completed results did not "
             f"match the healthy-engine reference"
         )
+    _check_chaos_was_exercised(summary, summary["faults_injected"])
     _check_availability_floor(args, summary)
     return 0
+
+
+def _check_chaos_was_exercised(summary: dict, injected: dict) -> None:
+    """A chaos run that injected nothing, or whose requests all stayed
+    off the worker pool, proves nothing about availability under
+    faults: fail it instead of reporting a vacuous 100%."""
+    if not sum(injected.values()):
+        raise CliError("no fault was injected; the run proves nothing")
+    if not summary["routes"]["served_by_pool"]:
+        raise CliError(
+            "no request was served by the worker pool; its supervision "
+            "and transport were never exercised"
+        )
 
 
 def _check_availability_floor(args, summary: dict) -> None:
@@ -1140,6 +1157,7 @@ def _serve_bench_wire_chaos(args) -> int:
         f"(p50 {summary['p50_ms']}ms, p99 {summary['p99_ms']}ms); "
         f"outcomes: {summary['outcomes']}; "
         f"network faults: {summary['network_faults']}; "
+        f"routes: {summary['routes']}; "
         f"loris connections reaped: {summary['loris_reaped']}; "
         f"mismatches: {summary['result_mismatches']}"
     )
@@ -1150,6 +1168,7 @@ def _serve_bench_wire_chaos(args) -> int:
             f"{summary['result_mismatches']} completed results did not "
             f"match the healthy-engine reference"
         )
+    _check_chaos_was_exercised(summary, summary["network_faults"])
     _check_availability_floor(args, summary)
     return 0
 
@@ -1288,7 +1307,8 @@ def _obs_trace(args) -> int:
     total = breakdown["total_seconds"]
     print()
     print(
-        f"request wall {total * 1000:.2f}ms over "
+        f"request wall {total * 1000:.2f}ms, routed "
+        f"{trace['attrs'].get('route', '?')}, over "
         f"{breakdown['worker_calls']} worker call(s):"
     )
     for key, label in (

@@ -19,6 +19,9 @@ time.  This module adds two layers over
   broadcast to every shard and the id lists are unioned.  Workers keep
   their shard's archive, sidecar-loaded StIU index, and decode cache
   alive between batches, so steady-state throughput scales with cores.
+  A batch too small to repay the pool's fixed cost (fewer than
+  :data:`POOL_MIN_EXECUTIONS` shard executions) is answered on the
+  calling thread by the same per-shard engines, in process.
 
 Every result is exactly what a lone
 :class:`~repro.query.queries.UTCQQueryProcessor` (and therefore the
@@ -52,6 +55,18 @@ from .transport import TransportError
 
 #: shard sub-batches one request keeps in flight at once
 DISPATCH_WINDOW = 8
+
+#: A plan with fewer shard executions than this is answered on the
+#: calling thread; only a bigger one is worth splitting across the
+#: worker pool.  Fixed from the crossover sweep in
+#: ``benchmarks/pool_crossover.py`` (4 shards, 2 workers, one caller:
+#: the pool's fixed cost per request is repaid somewhere between ~130
+#: and ~270 executions, cold sooner than warm); re-derive it there on
+#: another host.
+POOL_MIN_EXECUTIONS = 192
+
+#: seconds the workers forked at pool construction get to answer a ping
+POOL_START_TIMEOUT = 30.0
 
 _log = get_logger("repro.query.engine")
 
@@ -443,6 +458,9 @@ class ShardWorkerPool:
 
     * :meth:`submit` hands one shard sub-batch to the pool and returns
       the future;
+    * the workers are forked at construction, before the owning process
+      has opened any shard: forked later, every idle worker would carry
+      a copy of the parent's in-process shard engines;
     * :meth:`restart` tears the executor down and builds a fresh one —
       new workers re-run the initializer and lazily reload their
       shards' archives and ``.stiu`` sidecars on first touch (a warm
@@ -475,6 +493,12 @@ class ShardWorkerPool:
             config["arena"], generation=0
         )
         self._executor = self._spawn()
+        try:
+            # the executor forks on first submit: one ping forks them now
+            self.ping(timeout=POOL_START_TIMEOUT)
+        except BaseException:
+            self.close()
+            raise
 
     def _spawn(self) -> ProcessPoolExecutor:
         # start the parent's resource tracker before any worker forks:
@@ -647,14 +671,22 @@ class BatchPlan:
     def total(self) -> int:
         return sum(len(positions) for positions in self.slots.values())
 
+    @property
+    def executions(self) -> int:
+        """Shard executions the plan costs: one per (shard, distinct
+        spec).  Hot-cache hits and unknown ids are in no task and cost
+        nothing; a range spec counts once per shard."""
+        return sum(len(specs) for specs in self.tasks.values())
+
 
 class ShardedQueryEngine:
     """Batch queries over many archive files with a process pool.
 
     The pool (and each worker's open shards, indexes, and decode
     caches) persists across :meth:`run` calls, so a long-lived server
-    pays the spawn and index-load cost once.  Use as a context manager
-    or call :meth:`close`.
+    pays the spawn and index-load cost once.  :meth:`routes_to_pool`
+    decides per batch whether the pool or the calling thread answers.
+    Use as a context manager or call :meth:`close`.
 
     ``network`` may be shared by every shard (the usual case: shards of
     one dataset); when ``None`` each worker rebuilds it from the
@@ -883,22 +915,45 @@ class ShardedQueryEngine:
             raise EngineClosedError("engine is closed")
         with obs_trace.trace_span("plan", queries=len(queries)):
             plan = self.plan(queries)
-        task_results = list(self._execute_tasks(plan.tasks))
+        execute = (
+            self._execute_pooled
+            if self.routes_to_pool(plan)
+            else self._execute_local
+        )
+        task_results = list(execute(sorted(plan.tasks.items())))
         obs_metrics.counter(
             "repro_engine_queries_total", labels={"engine": "sharded"}
         ).inc(len(queries))
         with obs_trace.trace_span("merge", tasks=len(task_results)):
             return self.merge(plan, task_results)
 
-    def _execute_tasks(self, tasks: dict[str, list]):
-        items = sorted(tasks.items())
-        if self.pool is None:
-            for path, specs in items:
-                with obs_trace.trace_span(
-                    "shard.local", path=os.path.basename(path)
-                ):
-                    yield specs, self.run_local(path, specs)
-            return
+    def routes_to_pool(
+        self, plan: BatchPlan, *, breaker_open: bool = False
+    ) -> bool:
+        """The one routing rule: is ``plan`` big enough to split?
+
+        The pool's fixed cost per request (thread hops, pickles, the
+        shm plane) is repaid only by a plan with at least
+        :data:`POOL_MIN_EXECUTIONS` shard executions over at least two
+        shards; every other plan is answered faster by
+        :meth:`run_local` on the calling thread.  ``breaker_open`` is
+        the serving tier's circuit breaker refusing the pool.
+        """
+        return (
+            self.pool is not None
+            and not breaker_open
+            and len(plan.tasks) >= 2
+            and plan.executions >= POOL_MIN_EXECUTIONS
+        )
+
+    def _execute_local(self, items):
+        for path, specs in items:
+            with obs_trace.trace_span(
+                "shard.local", path=os.path.basename(path)
+            ):
+                yield specs, self.run_local(path, specs)
+
+    def _execute_pooled(self, items):
         parent = obs_trace.current_span()
         traced = parent is not None
         # Pipelined dispatch: keep up to DISPATCH_WINDOW shard
@@ -954,8 +1009,9 @@ class ShardedQueryEngine:
     def run_local(self, path: str, specs: Sequence[Query]) -> list:
         """Execute one shard task in-process on a persistent engine.
 
-        This is the sharded path's own workers==1 mode, and the serving
-        ladder's first fallback when the pool is unhealthy.
+        Where every plan :meth:`routes_to_pool` keeps off the pool runs
+        (all of them when ``workers == 1``), and the serving ladder's
+        first fallback when the pool is unhealthy.
         """
         if self._closed:
             raise EngineClosedError("engine is closed")

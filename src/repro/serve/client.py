@@ -65,7 +65,10 @@ class WireResult:
     """One successful request: the answers plus wire-side metadata."""
 
     results: list
-    mode: str  # ladder rung the server degraded to
+    # rung that answered: "batch" for a request routed in process (the
+    # normal answer for a small one), "sharded" for one the pool served;
+    # anything below the routed rung is a degradation
+    mode: str
     request_id: int
     attempts: int  # wire attempts spent (1 = clean first try)
     latency: float  # seconds, first send to decoded response

@@ -12,10 +12,16 @@ long-lived front-end can actually lean on:
   go through the :class:`~repro.serve.supervisor.WorkerSupervisor`
   (respawn on worker death, retry with backoff, one cross-worker
   hedge);
-* a **circuit breaker** watches pool outcomes, and an unhealthy pool
-  drops the request onto the **degradation ladder**: sharded pool →
+* every request is **routed** first
+  (:meth:`~repro.query.engine.ShardedQueryEngine.routes_to_pool`): one
+  too small to repay the pool's fixed cost runs all its shard tasks on
+  the calling thread, in process; only a big one is split across the
+  pool;
+* a **circuit breaker** watches pool outcomes, and a failing rung
+  drops the shard task down the **degradation ladder**: sharded pool →
   in-process :class:`~repro.query.engine.BatchQueryEngine` → per-query
-  cold :class:`~repro.query.queries.UTCQQueryProcessor`.  Every rung
+  cold :class:`~repro.query.queries.UTCQQueryProcessor` (a request
+  routed in process starts at the second rung).  Every rung
   produces results pinned identical to the one-at-a-time processor
   (and therefore the brute-force oracle, up to PDDP error) — the rungs
   differ only in throughput;
@@ -52,7 +58,7 @@ from ..query.engine import (
 )
 from ..query.transport import TransportError
 from .admission import AdmissionController
-from .breaker import CLOSED, CircuitBreaker
+from .breaker import CLOSED, OPEN, CircuitBreaker
 from .errors import (
     DeadlineExceeded,
     Overloaded,
@@ -69,6 +75,12 @@ MODE_SHARDED = "sharded"
 MODE_BATCH = "batch"
 MODE_SINGLE = "single"
 _MODE_ORDER = {MODE_SHARDED: 0, MODE_BATCH: 1, MODE_SINGLE: 2}
+
+# where a request was routed, and the rung that route answers on when
+# nothing fails; a completion on any rung below it was served degraded
+ROUTE_POOL = "pool"
+ROUTE_INPROCESS = "inprocess"
+_ROUTED_RUNG = {ROUTE_POOL: MODE_SHARDED, ROUTE_INPROCESS: MODE_BATCH}
 
 
 @dataclass(frozen=True)
@@ -105,7 +117,7 @@ class ServiceResponse:
     ok: bool
     results: list | None  # aligned with the submitted queries
     error: Exception | None
-    mode: str  # most-degraded rung used: sharded/batch/single; "" on error
+    mode: str  # rung that answered (the most degraded one used); "" on error
     latency: float  # seconds, admission to response
     client: str
     trace: dict | None = None  # span tree when submitted with trace=True
@@ -164,6 +176,12 @@ class ServiceStats:
         "served_degraded_single": (
             "repro_service_served_total", {"mode": "single"}
         ),
+        "routed_pool": (
+            "repro_service_routed_total", {"route": ROUTE_POOL}
+        ),
+        "routed_inprocess": (
+            "repro_service_routed_total", {"route": ROUTE_INPROCESS}
+        ),
         "quarantines": ("repro_service_quarantines_total", None),
         "requarantine_probes": (
             "repro_service_requarantine_probes_total", None
@@ -219,10 +237,11 @@ class QueryService:
         if pool_wrapper is not None and self.engine.pool is not None:
             # chaos seam: e.g. pool_wrapper=lambda p: ChaosProxy(p, ...)
             self.engine.pool = pool_wrapper(self.engine.pool)
-        # Pipelined shard dispatch: one long-lived thread per window
-        # slot, so a request's shard sub-batches run concurrently
-        # (threads block in supervisor.call; the work itself happens in
-        # pool workers or, degraded, under _local_lock).
+        # Pipelined shard dispatch for pool-routed requests: one
+        # long-lived thread per window slot, so a request's shard
+        # sub-batches run concurrently (threads block in
+        # supervisor.call; the work itself happens in pool workers or,
+        # degraded, under _local_lock).
         self._dispatch = ThreadPoolExecutor(
             max_workers=DISPATCH_WINDOW,
             thread_name_prefix="repro-dispatch",
@@ -256,7 +275,16 @@ class QueryService:
             help="End-to-end request latency, admission to response",
         )
         self._closed = False
-        self._local_lock = threading.Lock()  # serializes warm fallbacks
+        # serializes the warm in-process engines: held once around a
+        # whole in-process request, re-entered by its batch rung
+        self._local_lock = threading.RLock()
+        # the ladder a shard task walks, by where its request was routed
+        self._rungs = {
+            ROUTE_POOL: self.config.ladder,
+            ROUTE_INPROCESS: tuple(
+                rung for rung in self.config.ladder if rung != MODE_SHARDED
+            ),
+        }
         self._quarantine_lock = threading.Lock()
         self._quarantined: dict[str, float] = {}  # path -> quarantined at
 
@@ -387,11 +415,16 @@ class QueryService:
                     with obs_trace.start_trace(
                         "request", client=client, queries=len(queries)
                     ) as root:
-                        results, mode = self._execute(queries, deadline_at)
+                        results, mode, route = self._execute(
+                            queries, deadline_at
+                        )
                         root.set("mode", mode)
+                        root.set("route", route)
                     trace_doc = root.to_dict()
                 else:
-                    results, mode = self._execute(queries, deadline_at)
+                    results, mode, route = self._execute(
+                        queries, deadline_at
+                    )
         except Overloaded as error:  # pragma: no cover - defensive
             self.stats.bump("overloaded")
             return self._respond(started, client, error=error)
@@ -409,12 +442,13 @@ class QueryService:
             )
             return self._respond(started, client, error=error)
         self.stats.bump("completed")
-        if mode == MODE_SINGLE:
-            self.stats.bump("served_degraded_single")
-        elif mode == MODE_BATCH:
-            self.stats.bump("served_degraded_batch")
-        else:
+        self.stats.bump("routed_" + route)
+        if mode == MODE_SHARDED:
             self.stats.bump("served_sharded")
+        elif mode != _ROUTED_RUNG[route]:
+            # in-process is a normal answer for a request routed there;
+            # degraded means below the rung the request was routed to
+            self.stats.bump("served_degraded_" + mode)
         return self._respond(
             started, client, results=results, mode=mode, trace=trace_doc
         )
@@ -442,31 +476,53 @@ class QueryService:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _execute(self, queries, deadline_at: float) -> tuple[list, str]:
+    def _execute(
+        self, queries, deadline_at: float
+    ) -> tuple[list, str, str]:
+        """Plan, route, execute, merge: ``(results, mode, route)``."""
         with obs_trace.trace_span("plan", queries=len(queries)):
             # the gate runs inside plan(), before the hot-cache short
             # circuit — a quarantined shard refuses its queries even
             # when their answers are cached
             plan = self.engine.plan(queries, gate=self._gate_shard)
         items = sorted(plan.tasks.items())
-        if len(items) > 1 and self.breaker.state == CLOSED:
-            task_results, worst = self._execute_pipelined(items, deadline_at)
+        breaker = self.breaker.state
+        if not self.engine.routes_to_pool(plan, breaker_open=breaker == OPEN):
+            route = ROUTE_INPROCESS
+            # the whole request on this thread: no dispatch hop, no
+            # supervisor; the deadline is checked between shard tasks
+            # (a task's overshoot is bounded by POOL_MIN_EXECUTIONS)
+            with self._local_lock:
+                task_results, worst = self._execute_serial(
+                    items, deadline_at, route
+                )
         else:
-            # a suspect pool gets probed one shard at a time: the first
-            # success closes the breaker for the rest of the request
-            # instead of every shard racing to the degraded rungs
-            task_results, worst = self._execute_serial(items, deadline_at)
+            route = ROUTE_POOL
+            if breaker == CLOSED:
+                task_results, worst = self._execute_pipelined(
+                    items, deadline_at
+                )
+            else:
+                # a suspect pool gets probed one shard at a time: the
+                # first success closes the breaker for the rest of the
+                # request instead of every shard racing to the degraded
+                # rungs
+                task_results, worst = self._execute_serial(
+                    items, deadline_at, route
+                )
         with obs_trace.trace_span("merge", tasks=len(task_results)):
-            return self.engine.merge(plan, task_results), worst
+            return self.engine.merge(plan, task_results), worst, route
 
-    def _execute_serial(self, items, deadline_at: float):
+    def _execute_serial(self, items, deadline_at: float, route: str):
         task_results = []
-        worst = MODE_SHARDED
+        worst = _ROUTED_RUNG[route]
         for path, specs in items:
             with obs_trace.trace_span(
                 "shard:" + path.rsplit("/", 1)[-1], path=path
             ) as span:
-                answers, mode = self._execute_task(path, specs, deadline_at)
+                answers, mode = self._execute_task(
+                    path, specs, deadline_at, route
+                )
                 span.set("mode", mode)
             if _MODE_ORDER[mode] > _MODE_ORDER[worst]:
                 worst = mode
@@ -527,18 +583,21 @@ class QueryService:
         return task_results, worst
 
     def _execute_task(
-        self, path: str, specs, deadline_at: float
+        self, path: str, specs, deadline_at: float, route: str = ROUTE_POOL
     ) -> tuple[list, str]:
-        """Walk the ladder until a rung answers; quarantine on corruption."""
+        """Walk the ladder until a rung answers; quarantine on corruption.
+
+        A pool-routed request (there is a pool and its supervisor, then)
+        walks the configured ladder, one routed in process the same
+        ladder without its sharded rung.
+        """
         last_error: Exception | None = None
-        for rung in self.config.ladder:
+        for rung in self._rungs[route]:
             if self._clock() >= deadline_at:
                 raise DeadlineExceeded(
                     f"deadline expired before shard {path} was executed"
                 )
             if rung == MODE_SHARDED:
-                if self.engine.pool is None or self.supervisor is None:
-                    continue
                 if not self.breaker.allow():
                     continue
                 try:

@@ -17,7 +17,10 @@ the pre-ledger throughput rows as history):
   delayed and one shard corrupted on disk; :func:`run_wire_chaos_bench`
   puts the faults on the network instead — clients reach the service
   through a fault-injecting TCP proxy.  Both report availability,
-  p50/p99 latency and oracle mismatches;
+  p50/p99 latency and oracle mismatches, and both draw request sizes
+  on either side of :data:`~repro.query.engine.POOL_MIN_EXECUTIONS`
+  (:func:`draw_request`) so the in-process route and the worker pool
+  are each under load;
 * :func:`run_trace_probe` submits one traced request through the real
   sharded path — the instrument behind ``repro obs trace``.
 """
@@ -40,6 +43,10 @@ BENCH_HEADERS = ("label", "benchmark", "unit", "work", "seconds", "rate")
 DEFAULT_OUTPUT = "BENCH_query_throughput.json"
 
 SHARD_COUNT = 4
+
+#: queries in a chaos bench's small request (far below the routing
+#: constant: answered in process)
+SMALL_REQUEST = 4
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,8 @@ class _ServingFixture:
             distinct_per_kind=60 if quick else 200,
             total=600 if quick else 3000,
         )
+        #: the distinct queries, each once (sampling can repeat one)
+        self.pool = list(dict.fromkeys(self.distinct))
 
     def _save_with_sidecar(self, archive, path) -> None:
         from ..query.sidecar import save_index
@@ -166,6 +175,45 @@ class _ServingFixture:
 
         archive.save(path)
         save_index(StIUIndex(self.network, archive), path)
+
+
+def draw_request(fixture: _ServingFixture, rng: random.Random) -> list:
+    """One chaos-bench request, on either side of the routing constant.
+
+    Half are :data:`SMALL_REQUEST` queries from the skewed stream —
+    the service answers those in process.  The other half are distinct
+    queries drawn until their plan costs an eighth more than
+    :data:`~repro.query.engine.POOL_MIN_EXECUTIONS` shard executions,
+    which the service splits across its worker pool: without them no
+    pool fault would ever be injected and the availability floor would
+    pass vacuously.
+    """
+    from ..query.engine import POOL_MIN_EXECUTIONS, RangeQuery
+
+    if rng.random() < 0.5:
+        return rng.sample(fixture.stream, SMALL_REQUEST)
+    target = POOL_MIN_EXECUTIONS + POOL_MIN_EXECUTIONS // 8
+    batch: list = []
+    executions = 0
+    for query in rng.sample(fixture.pool, len(fixture.pool)):
+        batch.append(query)
+        # a range spec runs on every shard, the others on one
+        executions += SHARD_COUNT if isinstance(query, RangeQuery) else 1
+        if executions >= target:
+            return batch
+    raise ValueError(
+        f"serving fixture holds {executions} shard executions, fewer "
+        f"than a pool-sized request needs ({target})"
+    )
+
+
+def _route_counts(service_stats: dict) -> dict:
+    """Completed requests per route, and those the pool answered whole."""
+    return {
+        "inprocess": service_stats["routed_inprocess"],
+        "pool": service_stats["routed_pool"],
+        "served_by_pool": service_stats["served_sharded"],
+    }
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -180,7 +228,6 @@ def run_chaos_bench(
     duration: float = 30.0,
     clients: int = 3,
     quick: bool = False,
-    batch_size: int = 4,
     deadline: float = 5.0,
     kill_probability: float = 0.005,
     delay_probability: float = 0.02,
@@ -273,9 +320,7 @@ def run_chaos_bench(
             nonlocal mismatches, checked
             rng = random.Random(seed * 1000 + which)
             while time.monotonic() < stop_at:
-                batch = rng.sample(
-                    fixture.stream, min(batch_size, len(fixture.stream))
-                )
+                batch = draw_request(fixture, rng)
                 response = service.submit_many(
                     batch, client=f"client-{which}", deadline=deadline
                 )
@@ -404,6 +449,7 @@ def run_chaos_bench(
         "results_checked": checked,
         "result_mismatches": mismatches,
         "faults_injected": injected,
+        "routes": _route_counts(service_stats),
         "still_quarantined": still_quarantined,
         "service": service_stats,
         "supervisor": supervisor_stats,
@@ -416,7 +462,6 @@ def run_wire_chaos_bench(
     duration: float = 30.0,
     clients: int = 3,
     quick: bool = False,
-    batch_size: int = 4,
     deadline: float = 5.0,
     refuse_probability: float = 0.02,
     disconnect_probability: float = 0.01,
@@ -530,10 +575,7 @@ def run_wire_chaos_bench(
                         )
                         try:
                             while time.monotonic() < stop_at:
-                                batch = rng.sample(
-                                    fixture.stream,
-                                    min(batch_size, len(fixture.stream)),
-                                )
+                                batch = draw_request(fixture, rng)
                                 try:
                                     result = client.request(
                                         batch, deadline=deadline
@@ -705,6 +747,7 @@ def run_wire_chaos_bench(
         "results_checked": checked,
         "result_mismatches": mismatches,
         "network_faults": injected,
+        "routes": _route_counts(service_stats),
         "loris_reaped": loris_reaped,
         "wire": wire_stats,
         "service": service_stats,
@@ -716,19 +759,24 @@ def run_trace_probe(
     *,
     quick: bool = True,
     workers: int = SHARD_COUNT,
-    queries: int = 64,
+    queries: int = 128,
     repeats: int = 3,
     hotcache_entries: int | None = None,
 ) -> tuple[dict, dict]:
     """One traced request through the real sharded serving path.
 
     Builds the serving fixture, warms the :class:`QueryService` process
-    pool, then submits a ``queries``-sized batch with ``trace=True``
-    ``repeats`` times and keeps the fastest request — steady-state, so
-    the span tree attributes the request's wall time to plan / IPC /
-    worker decode / merge without pool-spawn noise.  This is the
-    instrument behind ``repro obs trace`` and the ROADMAP item 1
-    evidence in ``docs/observability.md``.
+    pool, then submits a batch of ``queries`` distinct queries (the
+    three kinds in turn) with ``trace=True`` ``repeats`` times and
+    keeps the fastest request — steady-state, so the span tree
+    attributes the request's wall time to plan / IPC / worker decode /
+    merge without pool-spawn noise.  Whether the tree shows worker
+    spans depends on the request's size: below
+    :data:`~repro.query.engine.POOL_MIN_EXECUTIONS` shard executions
+    (~110 queries of this mix) the service answers in process and the
+    root span says ``route=inprocess``.  This is the instrument behind
+    ``repro obs trace`` and the ROADMAP item 1 evidence in
+    ``docs/observability.md``.
 
     Returns ``(trace, breakdown)`` — the root span as a dict and the
     :func:`~repro.obs.trace.ipc_breakdown` aggregate over it.
@@ -744,7 +792,12 @@ def run_trace_probe(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     with tempfile.TemporaryDirectory(prefix="repro-trace-probe-") as root:
         fixture = _ServingFixture(root, quick=quick)
-        batch = fixture.stream[: min(queries, len(fixture.stream))]
+        per_kind = len(fixture.distinct) // 3
+        batch = [
+            fixture.distinct[kind * per_kind + position]
+            for position in range(per_kind)
+            for kind in range(3)
+        ][:queries]
         service = QueryService(
             fixture.shard_paths,
             network=fixture.network,

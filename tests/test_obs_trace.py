@@ -158,11 +158,19 @@ def _queries(network, trajectories, count=12):
     return [WhereQuery(*args) for args in workload.where_queries]
 
 
+def _pool_queries(sharded_world):
+    """A request the engine splits across its workers (a small one is
+    answered in process and has no worker spans to graft)."""
+    from test_query_engine import pool_sized_queries
+
+    return pool_sized_queries(*sharded_world, seed=3)
+
+
 def test_traced_sharded_run_grafts_worker_spans(sharded_world):
     from repro.query import ShardedQueryEngine
 
     network, trajectories, shard_paths = sharded_world
-    queries = _queries(network, trajectories)
+    queries = _pool_queries(sharded_world)
     with ShardedQueryEngine(
         shard_paths, network=network, workers=2
     ) as engine:
@@ -214,7 +222,7 @@ def test_service_returns_trace_on_request(sharded_world):
     from repro.serve import QueryService
 
     network, trajectories, shard_paths = sharded_world
-    queries = _queries(network, trajectories, count=8)
+    queries = _pool_queries(sharded_world)
     service = QueryService(shard_paths, network=network, workers=2)
     try:
         plain = service.submit_many(queries, client="t")

@@ -29,6 +29,7 @@ from repro.query import (
     when_accuracy,
     where_accuracy,
 )
+from repro.query.engine import POOL_MIN_EXECUTIONS
 from repro.trajectories.datasets import load_dataset
 from repro.workloads.harness import build_query_workload
 
@@ -73,6 +74,26 @@ def make_queries(network, trajectories, *, count, seed, alpha_zero=False):
         + [WhenQuery(*args) for args in workload.when_queries]
         + [RangeQuery(*args) for args in workload.range_queries]
     )
+
+
+def pool_sized_queries(network, trajectories, shard_paths, *, seed, margin=16):
+    """A request big enough that the engine routes it to its worker
+    pool: ``make_queries`` grown until its plan holds at least
+    ``POOL_MIN_EXECUTIONS + margin`` shard executions over >= 2 shards.
+    Tests that pin pool behaviour size their requests with this."""
+    target = POOL_MIN_EXECUTIONS + margin
+    count = target // (2 + len(shard_paths))
+    with ShardedQueryEngine(
+        shard_paths, network=network, workers=1
+    ) as planner:
+        while True:
+            queries = make_queries(
+                network, trajectories, count=count, seed=seed
+            )
+            plan = planner.plan(queries)
+            if len(plan.tasks) >= 2 and plan.executions >= target:
+                return queries
+            count += 4
 
 
 def run_one_at_a_time(processor, queries):
@@ -247,7 +268,10 @@ class TestShardedEngineLifecycle:
         from repro.query import WorkerPoolBroken
 
         network, trajectories, archive, shard_paths = world
-        queries = make_queries(network, trajectories, count=15, seed=21)
+        # pool-sized: a small request would never reach the dead worker
+        queries = pool_sized_queries(
+            network, trajectories, shard_paths, seed=21
+        )
         expected = BatchQueryEngine(
             network, archive, StIUIndex(network, archive)
         ).run(queries)

@@ -25,7 +25,7 @@ from repro.query.hotcache import (
 )
 from repro.trajectories.datasets import load_dataset
 
-from test_query_engine import make_queries
+from test_query_engine import make_queries, pool_sized_queries
 
 
 class TestResolveEntries:
@@ -162,8 +162,13 @@ SHARDS = 2
 
 
 @pytest.fixture(scope="module")
-def sharded_world(tmp_path_factory):
-    network, trajectories = load_dataset("CD", 16, seed=31, network_scale=9)
+def dataset():
+    return load_dataset("CD", 16, seed=31, network_scale=9)
+
+
+@pytest.fixture(scope="module")
+def sharded_world(dataset, tmp_path_factory):
+    network, trajectories = dataset
     archive = compress_dataset(network, trajectories, default_interval=10)
     root = tmp_path_factory.mktemp("hotcache")
     shard_paths = []
@@ -207,8 +212,10 @@ class TestEngineHotcache:
             assert stats["admissions"] > 0
             assert stats["hits"] > 0
 
-    def test_hits_skip_the_worker_pool_entirely(self, sharded_world):
-        network, shard_paths, queries = sharded_world
+    def test_hits_skip_the_worker_pool_entirely(self, dataset, sharded_world):
+        network, shard_paths, _ = sharded_world
+        # big enough to be routed to the pool, in a cache that holds it
+        queries = pool_sized_queries(*dataset, shard_paths, seed=17)
 
         class CountingPool:
             """Duck-typed stand-in counting shard submissions."""
@@ -225,13 +232,14 @@ class TestEngineHotcache:
                 return getattr(self.inner, name)
 
         with ShardedQueryEngine(
-            shard_paths, network=network, workers=2, hotcache_entries=64
+            shard_paths, network=network, workers=2, hotcache_entries=1024
         ) as engine:
             counting = CountingPool(engine.pool)
             engine.pool = counting
             first = engine.run(queries)
             engine.run(queries)
             before = counting.submits
+            assert before == 2 * SHARDS  # both runs went to the pool
             assert engine.run(queries) == first
             assert counting.submits == before  # all answers from cache
 

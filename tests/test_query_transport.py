@@ -45,7 +45,7 @@ from repro.query.transport import (
 from repro.serve.chaos import tear_slab_entry
 from repro.trajectories.datasets import load_dataset
 
-from test_query_engine import make_queries
+from test_query_engine import pool_sized_queries
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
@@ -339,7 +339,9 @@ def sharded_world(tmp_path_factory):
         part.save(path)
         save_index(StIUIndex(network, part), path)
         shard_paths.append(path)
-    queries = make_queries(network, trajectories, count=8, seed=13)
+    # past POOL_MIN_EXECUTIONS: a smaller request never leaves the
+    # calling process, and everything below is about the pool's plane
+    queries = pool_sized_queries(network, trajectories, shard_paths, seed=13)
     return network, shard_paths, queries
 
 

@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.trajectories.datasets import load_dataset
 
-from test_query_engine import make_queries
+from test_query_engine import pool_sized_queries
 
 PROFILE, COUNT, SEED, SCALE = "CD", 16, 61, 10
 SHARDS = 2
@@ -64,7 +64,9 @@ def drain_world(tmp_path_factory):
         part.save(path)
         save_index(StIUIndex(network, part), path)
         shard_paths.append(path)
-    queries = make_queries(network, trajectories, count=10, seed=5)
+    # past POOL_MIN_EXECUTIONS: the in-flight request the drain waits
+    # for is held up by a delayed pool worker
+    queries = pool_sized_queries(network, trajectories, shard_paths, seed=5)
     with ShardedQueryEngine(shard_paths, network=network, workers=1) as ref:
         expected = ref.run(queries)
     return network, shard_paths, queries, expected

@@ -20,6 +20,7 @@ pools, which is where the state machines are pinned cheaply.
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -27,7 +28,6 @@ import pytest
 from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
 from repro.query import StIUIndex, ShardedQueryEngine, save_index
-from repro.query.engine import WhereQuery
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -53,14 +53,19 @@ from repro.serve import (
 from repro.serve.service import MODE_BATCH, MODE_SHARDED, MODE_SINGLE
 from repro.trajectories.datasets import load_dataset
 
-from test_query_engine import make_queries
+from test_query_engine import make_queries, pool_sized_queries
 
 SHARDS = 3
 
 
 @pytest.fixture(scope="module")
-def world(tmp_path_factory):
-    network, trajectories = load_dataset("CD", 24, seed=47, network_scale=10)
+def dataset():
+    return load_dataset("CD", 24, seed=47, network_scale=10)
+
+
+@pytest.fixture(scope="module")
+def world(dataset, tmp_path_factory):
+    network, trajectories = dataset
     archive = compress_dataset(network, trajectories, default_interval=10)
     root = tmp_path_factory.mktemp("serve")
     shard_paths = []
@@ -76,6 +81,19 @@ def world(tmp_path_factory):
         save_index(StIUIndex(network, part), path)
         shard_paths.append(path)
     queries = make_queries(network, trajectories, count=15, seed=3)
+    with ShardedQueryEngine(shard_paths, network=network, workers=1) as ref:
+        expected = ref.run(queries)
+    return network, shard_paths, queries, expected
+
+
+@pytest.fixture(scope="module")
+def pool_world(dataset, world):
+    """``world`` with a request past ``POOL_MIN_EXECUTIONS``: the
+    service answers ``world``'s 45 queries in process and splits only
+    this one across its worker pool, where the pool faults land."""
+    network, trajectories = dataset
+    _, shard_paths, _, _ = world
+    queries = pool_sized_queries(network, trajectories, shard_paths, seed=3)
     with ShardedQueryEngine(shard_paths, network=network, workers=1) as ref:
         expected = ref.run(queries)
     return network, shard_paths, queries, expected
@@ -107,9 +125,9 @@ def make_service(world, *, config=None, **kwargs):
 # chaos scenarios (real processes, injected faults)
 # ----------------------------------------------------------------------
 class TestChaosScenarios:
-    def test_healthy_service_matches_reference(self, world):
-        _, _, queries, expected = world
-        service, _ = make_service(world)
+    def test_healthy_service_matches_reference(self, pool_world):
+        _, _, queries, expected = pool_world
+        service, _ = make_service(pool_world)
         with service:
             response = service.submit_many(queries)
             assert response.ok
@@ -117,9 +135,9 @@ class TestChaosScenarios:
             assert response.mode == MODE_SHARDED
             assert service.stats.snapshot()["served_sharded"] == 1
 
-    def test_worker_killed_mid_query_recovers_identically(self, world):
-        _, _, queries, expected = world
-        service, proxy = make_service(world)
+    def test_worker_killed_mid_query_recovers_identically(self, pool_world):
+        _, _, queries, expected = pool_world
+        service, proxy = make_service(pool_world)
         with service:
             proxy.arm(kill_fault())
             response = service.submit_many(queries)
@@ -132,9 +150,9 @@ class TestChaosScenarios:
             again = service.submit_many(queries)
             assert again.ok and again.results == expected
 
-    def test_slow_worker_is_hedged_or_retried_within_deadline(self, world):
-        _, _, queries, expected = world
-        service, proxy = make_service(world)
+    def test_slow_worker_is_hedged_or_retried_within_deadline(self, pool_world):
+        _, _, queries, expected = pool_world
+        service, proxy = make_service(pool_world)
         with service:
             proxy.arm(delay_fault(1.5))
             started = time.monotonic()
@@ -146,15 +164,15 @@ class TestChaosScenarios:
             stats = service.supervisor.stats.snapshot()
             assert stats["hedges_launched"] + stats["attempt_timeouts"] >= 1
 
-    def test_deadline_exhaustion_fails_typed_and_bounded(self, world):
-        _, _, queries, _ = world
+    def test_deadline_exhaustion_fails_typed_and_bounded(self, pool_world):
+        _, _, queries, _ = pool_world
         config = ServiceConfig(
             deadline=0.6,
             health_interval=None,
             ladder=(MODE_SHARDED,),  # no fallback: the pool must answer
             retry=RetryPolicy(attempt_timeout=0.2, hedge_delay=0.05),
         )
-        service, proxy = make_service(world, config=config)
+        service, proxy = make_service(pool_world, config=config)
         with service:
             # every submission (retries and hedges included) sleeps past
             # the whole deadline
@@ -170,8 +188,8 @@ class TestChaosScenarios:
             assert elapsed < 0.6 + 0.5  # bounded: deadline + slack
             proxy.clear()
 
-    def test_breaker_opens_and_ladder_serves_degraded(self, world):
-        _, _, queries, expected = world
+    def test_breaker_opens_and_ladder_serves_degraded(self, pool_world):
+        _, _, queries, expected = pool_world
         config = ServiceConfig(
             deadline=30.0,
             health_interval=None,
@@ -181,7 +199,7 @@ class TestChaosScenarios:
                 attempt_timeout=0.2, max_attempts=2, hedge_delay=0.05
             ),
         )
-        service, proxy = make_service(world, config=config)
+        service, proxy = make_service(pool_world, config=config)
         with service:
             # kill every pool submission: the sharded rung burns its
             # attempts, the breaker opens, the ladder still answers
@@ -210,7 +228,16 @@ class TestChaosScenarios:
             assert healed.mode == MODE_SHARDED
             assert service.breaker.state == CLOSED
 
-    def test_corrupt_shard_quarantined_then_readmitted(self, world):
+    def test_corrupt_shard_quarantined_then_readmitted(self, pool_world):
+        self.quarantine_then_readmit(pool_world)
+
+    def test_corrupt_shard_quarantined_in_process(self, world):
+        # a small request never reaches the pool: its in-process shard
+        # engines verify the same CRCs and quarantine the same way
+        self.quarantine_then_readmit(world)
+
+    @staticmethod
+    def quarantine_then_readmit(world):
         network, shard_paths, queries, expected = world
         config = ServiceConfig(
             deadline=30.0, health_interval=None, quarantine_reprobe=0.2
@@ -221,6 +248,7 @@ class TestChaosScenarios:
             pristine = corrupt_shard(target)
             try:
                 # flush warm workers so fresh ones re-read the bad bytes
+                # (consumed by the first pool submit, if there is one)
                 proxy.arm(kill_fault())
                 response = service.submit_many(queries)
                 assert not response.ok
@@ -270,8 +298,8 @@ class TestChaosScenarios:
         with pytest.raises(ServiceClosedError):
             service.submit_many(world[2])
 
-    def test_pipelined_dispatch_overlaps_shard_roundtrips(self, world):
-        _, _, queries, expected = world
+    def test_pipelined_dispatch_overlaps_shard_roundtrips(self, pool_world):
+        _, _, queries, expected = pool_world
         # long attempt budget and hedge delay: the measured overlap is
         # the dispatch pipeline's, not the hedging machinery's
         config = ServiceConfig(
@@ -279,7 +307,7 @@ class TestChaosScenarios:
             health_interval=None,
             retry=RetryPolicy(attempt_timeout=10.0, hedge_delay=10.0),
         )
-        service, proxy = make_service(world, config=config)
+        service, proxy = make_service(pool_world, config=config)
         with service:
             # every shard sub-batch sleeps 0.6s; three shards on two
             # workers take ~1.2s pipelined vs 1.8s serialized
@@ -292,12 +320,12 @@ class TestChaosScenarios:
             assert response.mode == MODE_SHARDED
             assert elapsed < 0.6 * SHARDS  # strictly beats serial
 
-    def test_worker_killed_mid_slab_write_never_torn_read(self, world):
+    def test_worker_killed_mid_slab_write_never_torn_read(self, pool_world):
         from repro.query.transport import list_arena_slabs
         from repro.serve import midwrite_kill_fault
 
-        _, _, queries, expected = world
-        service, proxy = make_service(world)
+        _, _, queries, expected = pool_world
+        service, proxy = make_service(pool_world)
         with service:
             arena = service.engine.pool.transport_arena
             proxy.arm(midwrite_kill_fault())
@@ -320,15 +348,15 @@ class TestChaosScenarios:
             assert again.ok and again.results == expected
         assert list_arena_slabs(arena) == []
 
-    def test_hotcache_serves_hits_and_quarantine_clears_it(self, world):
-        network, shard_paths, queries, expected = world
+    def test_hotcache_serves_hits_and_quarantine_clears_it(self, pool_world):
+        network, shard_paths, queries, expected = pool_world
         config = ServiceConfig(
             deadline=30.0,
             health_interval=None,
             quarantine_reprobe=0.2,
             hotcache_entries=64,
         )
-        service, proxy = make_service(world, config=config)
+        service, proxy = make_service(pool_world, config=config)
         with service:
             cache = service.engine.hotcache
             assert cache is not None
@@ -343,19 +371,14 @@ class TestChaosScenarios:
             target = str(shard_paths[1])
             pristine = corrupt_shard(target)
             try:
-                # a query the cache has never seen, routed at the bad
-                # shard: the pool must be consulted, so the corruption
-                # is observed (cached answers alone never touch it)
-                probe = next(
-                    WhereQuery(q.trajectory_id, q.t + 1, q.alpha)
-                    for q in queries
-                    if hasattr(q, "trajectory_id")
-                    and service.engine.shard_for(q.trajectory_id)
-                    == target
-                )
+                # the same request shape with specs the cache has never
+                # seen: the pool must be consulted, so the corruption is
+                # observed (cached answers alone never touch it)
+                probe = [replace(q, alpha=q.alpha / 2) for q in queries]
                 proxy.arm(kill_fault())  # flush warm workers
-                refused = service.submit(probe)
+                refused = service.submit_many(probe)
                 assert refused.kind == "quarantined"
+                assert proxy.injected["kill"] == 1
                 # quarantine invalidated every cached answer: nothing
                 # is served from behind the quarantine, cached or not
                 assert len(cache) == 0

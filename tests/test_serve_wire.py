@@ -50,7 +50,7 @@ from repro.serve.service import ServiceResponse
 from repro.serve import wire
 from repro.trajectories.datasets import load_dataset
 
-from test_query_engine import make_queries
+from test_query_engine import make_queries, pool_sized_queries
 
 QUERIES = [
     WhereQuery(3, 100, 0.5),
@@ -605,8 +605,13 @@ SHARDS = 2
 
 
 @pytest.fixture(scope="module")
-def wire_world(tmp_path_factory):
-    network, trajectories = load_dataset("CD", 20, seed=53, network_scale=10)
+def dataset():
+    return load_dataset("CD", 20, seed=53, network_scale=10)
+
+
+@pytest.fixture(scope="module")
+def wire_world(dataset, tmp_path_factory):
+    network, trajectories = dataset
     archive = compress_dataset(network, trajectories, default_interval=10)
     root = tmp_path_factory.mktemp("wire")
     shard_paths = []
@@ -628,8 +633,17 @@ def wire_world(tmp_path_factory):
 
 
 class TestWireOverRealService:
-    def test_answers_are_oracle_identical_through_tcp(self, wire_world):
-        network, shard_paths, queries, expected = wire_world
+    def test_answers_are_oracle_identical_through_tcp(
+        self, dataset, wire_world
+    ):
+        network, shard_paths, _, _ = wire_world
+        # pool-sized, so the answers cross the worker pool and the shm
+        # plane as well as the socket
+        queries = pool_sized_queries(*dataset, shard_paths, seed=9)
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=1
+        ) as ref:
+            expected = ref.run(queries)
         service = QueryService(
             shard_paths,
             network=network,
