@@ -704,7 +704,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_info(args) -> int:
-    import os
+    from .query.sidecar import sidecar_path_for
 
     try:
         stream = open(args.archive, "rb")
@@ -724,6 +724,13 @@ def cmd_info(args) -> int:
             raise CliError(f"{args.archive}: {error}")
 
     stats = header.stats
+    # what `ls -l` shows against the paper's Table-8 uncompressed size
+    file_bytes = os.path.getsize(args.archive)
+    sidecar = sidecar_path_for(args.archive)
+    sidecar_bytes = os.path.getsize(sidecar) if sidecar.exists() else 0
+    stored_bytes = file_bytes + sidecar_bytes
+    raw_bytes = stats.original.total / 8
+    stored_ratio = stored_bytes / raw_bytes if raw_bytes else None
     if args.json:
         import math
 
@@ -735,7 +742,9 @@ def cmd_info(args) -> int:
         }
         document = {
             "path": args.archive,
-            "file_bytes": os.path.getsize(args.archive),
+            "file_bytes": file_bytes,
+            "stored_bytes": stored_bytes,
+            "stored_bytes_per_raw_byte": stored_ratio,
             "format_version": header.version,
             "trajectory_count": header.trajectory_count,
             "instance_count": header.instance_count,
@@ -760,7 +769,7 @@ def cmd_info(args) -> int:
     print(
         f"  trajectories {header.trajectory_count}, "
         f"instances {header.instance_count}, "
-        f"{os.path.getsize(args.archive)} bytes on disk"
+        f"{file_bytes} bytes on disk"
     )
     print(
         f"  params: eta_d={header.params.eta_distance:g} "
@@ -779,6 +788,12 @@ def cmd_info(args) -> int:
         f"  payload: {stats.original.total} bits -> "
         f"{stats.compressed.total} bits"
     )
+    if stored_ratio is not None:
+        print(
+            f"  stored: {stored_bytes} bytes (archive {file_bytes} + "
+            f"sidecar {sidecar_bytes}) = {stored_ratio:.3f} of "
+            f"{raw_bytes:.0f} raw bytes"
+        )
     if header.provenance:
         pairs = ", ".join(
             f"{key}={value}" for key, value in sorted(header.provenance.items())

@@ -150,7 +150,13 @@ class CompressedInstance:
 
 @dataclass
 class CompressedTrajectory:
-    """One compressed uncertain trajectory."""
+    """One compressed uncertain trajectory.
+
+    ``stats`` is size accounting, not content: the compressor fills it
+    in, the ``.utcq`` format keeps only the archive-wide sum (in the
+    header), so a trajectory parsed from disk carries ``None`` and
+    equality ignores the field.
+    """
 
     trajectory_id: int
     time_payload: bytes
@@ -160,7 +166,7 @@ class CompressedTrajectory:
     end_time: int
     deviation_positions: tuple[int, ...]
     instances: list[CompressedInstance]
-    stats: CompressionStats
+    stats: CompressionStats | None = field(default=None, compare=False)
 
     @property
     def reference_count(self) -> int:
@@ -178,7 +184,12 @@ class CompressedTrajectory:
 
 @dataclass
 class CompressedArchive:
-    """A compressed collection of uncertain trajectories."""
+    """A compressed collection of uncertain trajectories.
+
+    ``stats`` defaults to the sum over ``trajectories``; trajectories
+    parsed from disk carry none, so an archive assembled from them needs
+    ``stats=`` (the sum of the header stats of the files they came from).
+    """
 
     params: CompressionParams
     trajectories: list[CompressedTrajectory]
@@ -187,6 +198,11 @@ class CompressedArchive:
     def __post_init__(self) -> None:
         if not self.stats.original.total:
             for trajectory in self.trajectories:
+                if trajectory.stats is None:
+                    raise ValueError(
+                        f"trajectory {trajectory.trajectory_id} was parsed "
+                        f"from disk and carries no stats; pass stats="
+                    )
                 self.stats.add(trajectory.stats)
 
     @property

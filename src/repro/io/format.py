@@ -1,10 +1,12 @@
-"""The ``.utcq`` on-disk archive format (version 1).
+"""The ``.utcq`` on-disk archive format (version 2).
 
 A :class:`~repro.core.archive.CompressedArchive` is written as a small
-fixed header followed by a per-trajectory directory and one variable-
-length record per trajectory.  The directory stores absolute byte
-offsets, so a single trajectory can be loaded without touching the rest
-of the file (:class:`~repro.io.reader.FileBackedArchive` builds on this).
+fixed header followed by a packed per-trajectory directory and one
+variable-length record per trajectory.  The directory gives every
+record's id, length and CRC-32; byte offsets are the running sum of the
+lengths, recomputed at open, so a single trajectory can be loaded
+without touching the rest of the file
+(:class:`~repro.io.reader.FileBackedArchive` builds on this).
 
 All compressed payloads (SIAR time streams, reference and factor
 streams) are stored verbatim — the same bytes :class:`~repro.bits.bitio.
@@ -13,7 +15,17 @@ counts — so serialization round-trips bit-for-bit and every StIU offset
 (``t.pos``, ``d.pos``, ``ma.pos``, the per-instance section offsets)
 remains valid against the on-disk stream.
 
-Layout (all integers little-endian)::
+Version 2 stores each fact once.  Ascending lists are stored as their
+successive differences; a probability — a PDDP-decoded value, so a
+multiple ``m * 2^-L`` of a small power of two — as its numerator ``m``,
+with one ``L`` per record (the smallest that serves all its instances);
+and the per-trajectory :class:`CompressionStats` not at all — the header
+holds their sum, and a parsed record carries ``stats=None``.  The
+encoder refuses what it cannot store exactly (a probability that is
+negative, not finite or finer than ``2^-64``, a descending list, ids out
+of order) with :class:`ArchiveFormatError`; it never rounds or reorders.
+
+Layout (all integers little-endian; ``uv`` = unsigned LEB128 varint)::
 
     +--------------------------------------------------------------+
     | magic  "UTCQARC\\0" (8)  | version u16 | flags u16            |
@@ -22,39 +34,49 @@ Layout (all integers little-endian)::
     | stats: 12 x u64 (original T/E/D/T'/p/overhead bits,          |
     |                  then compressed, same order)                 |
     | provenance: count u32, then (klen u16, key, vlen u16, value) |
-    | trajectory_count u32, instance_count u64                     |
+    | trajectory_count u32, instance_count u64, directory_bytes u64|
     +--------------------------------------------------------------+
-    | directory: trajectory_count x 32-byte entries                |
-    |   trajectory_id u64 | offset u64 | length u64 | crc32 u32 |  |
-    |   reserved u32                                               |
+    | directory (directory_bytes), in ascending id order:          |
+    |   trajectory_count x (uv id delta, uv record length)         |
+    |   trajectory_count x u32 crc32                               |
     +--------------------------------------------------------------+
-    | records (one per trajectory, LEB128 varints + raw payloads)  |
+    | records, back to back in directory order                     |
     +--------------------------------------------------------------+
 
-Record layout (``uv`` = unsigned LEB128 varint)::
+The first id delta is the id itself; every later one is at least 1.
 
-    uv trajectory_id, uv point_count, uv start_time, uv end_time
-    uv time_payload_bits, raw time payload ((bits + 7) // 8 bytes)
-    uv n_deviation_positions, n x uv
-    12 x uv (the trajectory's CompressionStats, header order)
-    uv instance_count, then per instance:
-        u8 flags (bit0 = is_reference, bit1 = has start_vertex)
+Record layout (``deltas(xs)`` = ``xs[0], xs[1]-xs[0], ...``): every
+varint field first, in one run a reader decodes in a single pass, then
+the raw payloads the fields describe::
+
+    uv fields_bytes (byte length of the varint fields that follow)
+    uv trajectory_id, uv point_count, uv start_time,
+    uv end_time - start_time
+    uv time_payload_bits
+    uv n_deviation_positions, n x uv deltas(deviation_positions)
+    uv instance_count, uv L (probability bits), then per instance:
+        uv flags (bit0 = is_reference, bit1 = has start_vertex,
+                  bits 2.. = reference_ordinal)
         [uv start_vertex]  (iff bit1)
-        uv reference_ordinal
-        uv payload_bits, raw payload
-        uv edge_offset, uv flags_offset, uv distance_offset,
-        uv probability_offset
-        uv n_distance_positions, n x uv
-        uv n_factor_positions, n x uv
-        f64 probability
+        uv payload_bits
+        4 x uv deltas(edge_offset, flags_offset, distance_offset,
+                      probability_offset)
+        uv n_distance_positions, n x uv deltas(distance_positions)
+        uv n_factor_positions, n x uv deltas(factor_positions)
+        uv probability numerator m  (probability = m / 2**L)
+    raw time payload ((time_payload_bits + 7) // 8 bytes), then each
+    instance's raw payload ((payload_bits + 7) // 8 bytes), in order
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from itertools import accumulate
+from operator import sub
+from typing import BinaryIO, Iterable, Sequence
 
 from ..core.archive import (
     CompressedArchive,
@@ -66,21 +88,23 @@ from ..core.archive import (
 )
 
 MAGIC = b"UTCQARC\x00"
-VERSION = 1
+VERSION = 2
 
 _HEAD = struct.Struct("<8sHH")
 _PARAMS = struct.Struct("<ddIHHI")
 _STATS = struct.Struct("<12Q")
-_COUNTS = struct.Struct("<IQ")
-_DIRENT = struct.Struct("<QQQII")
+_COUNTS = struct.Struct("<IQQ")
 _KVLEN = struct.Struct("<H")
-_F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
-
-DIRECTORY_ENTRY_SIZE = _DIRENT.size
 
 _FLAG_REFERENCE = 1
 _FLAG_START_VERTEX = 2
+_ORDINAL_SHIFT = 2
+
+# every varint is a u64: ten bytes, which is where the readers stop
+_U64_END = 1 << 64
+# a probability is m * 2^-L, m a varint
+_MAX_PROBABILITY_BITS = 64
 
 _STATS_FIELDS = (
     "time",
@@ -93,7 +117,8 @@ _STATS_FIELDS = (
 
 
 class ArchiveFormatError(Exception):
-    """Raised when a file is not a valid version-1 ``.utcq`` archive."""
+    """Raised when a file is not a valid version-2 ``.utcq`` archive, or
+    when an archive holds something version 2 cannot store exactly."""
 
 
 class CorruptArchiveError(ArchiveFormatError):
@@ -113,16 +138,23 @@ class CorruptArchiveError(ArchiveFormatError):
 # ----------------------------------------------------------------------
 def write_uvarint(out: bytearray, value: int) -> None:
     """Append ``value`` as an unsigned LEB128 varint."""
-    if value < 0:
-        raise ArchiveFormatError(f"cannot store negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    write_uvarints(out, (value,))
+
+
+def write_uvarints(out: bytearray, values: Iterable[int]) -> None:
+    """Append a run of varints, with a one-byte fast path: a record
+    costs one call, not one a field."""
+    append = out.append
+    for value in values:
+        if 0 <= value < 0x80:  # the common case: one byte
+            append(value)
+            continue
+        if not 0 <= value < _U64_END:
+            raise ArchiveFormatError(f"cannot store {value}: not a u64")
+        while value >= 0x80:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
 
 
 def read_uvarint(data: bytes, position: int) -> tuple[int, int]:
@@ -151,7 +183,8 @@ def read_uvarints(
     :func:`read_uvarint` unrolled over a run, with a one-byte fast path:
     a record costs a handful of calls instead of one per field.  Both
     let the byte fetch's ``IndexError`` signal the end of ``data`` and
-    translate it once, instead of checking the bound per byte.
+    translate it once, instead of checking the bound per byte — so a
+    damaged ``count`` costs at most one pass over ``data``.
     """
     values = []
     append = values.append
@@ -179,10 +212,75 @@ def read_uvarints(
     return values, position
 
 
-def _write_uvarint_seq(out: bytearray, values: tuple[int, ...]) -> None:
-    write_uvarint(out, len(values))
-    for value in values:
-        write_uvarint(out, value)
+def read_uvarint_stream(data: bytes) -> list[int]:
+    """Every varint of ``data``, which holds varints and nothing else (a
+    record's fields, a ``.stiu`` section): one pass, no call per field."""
+    values = []
+    append = values.append
+    value = 0
+    shift = 0
+    for byte in data:
+        if byte < 0x80:
+            append(value | (byte << shift) if shift else byte)
+            value = 0
+            shift = 0
+        else:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+            if shift >= 70:  # ten bytes hold any u64
+                raise ArchiveFormatError("varint too long")
+    if shift:
+        raise ArchiveFormatError("truncated varint")
+    return values
+
+
+def deltas(values: Sequence[int]) -> Iterable[int]:
+    """``values[0]``, then each successive difference
+    (``itertools.accumulate`` is the inverse).  A descending list gives
+    a negative difference, which the varint writers refuse."""
+    return map(sub, values, (0, *values))
+
+
+# ----------------------------------------------------------------------
+# probabilities
+# ----------------------------------------------------------------------
+def dyadic_numerators(values: Sequence[float]) -> tuple[int, list[int]]:
+    """``(L, [m, ...])`` with ``m / 2**L == value`` bit for bit for every
+    value, ``L`` the smallest that does it — or an
+    :class:`ArchiveFormatError`; a value is never rounded.
+
+    A PDDP-decoded probability has at most ``max_code_length(eta_p)``
+    fractional bits (9 at the default bound), and sums and maxima of
+    such values no more, so ``m`` is a one- or two-byte varint.
+    """
+    try:
+        ratios = [value.as_integer_ratio() for value in values]
+    except (OverflowError, ValueError):  # inf, nan
+        ratios = None
+    if ratios is not None:
+        # the denominators are powers of two: the largest serves them all
+        shared = max([den for _, den in ratios], default=1)
+        numerators = [num * (shared // den) for num, den in ratios]
+        if shared <= 1 << _MAX_PROBABILITY_BITS and (
+            not numerators
+            or (min(numerators) >= 0 and max(numerators) < _U64_END)
+        ):
+            return shared.bit_length() - 1, numerators
+    raise ArchiveFormatError(
+        f"cannot store {tuple(values)} exactly: a stored value is a "
+        f"non-negative multiple m * 2^-L with L <= {_MAX_PROBABILITY_BITS} "
+        f"and m < 2^64"
+    )
+
+
+def probability_unit(bits: int) -> float:
+    """``2^-bits`` for a stored ``L`` (hostile input: checked)."""
+    if bits > _MAX_PROBABILITY_BITS:
+        raise ArchiveFormatError(
+            f"{bits}-bit probabilities; the format stores at most "
+            f"{_MAX_PROBABILITY_BITS}"
+        )
+    return 2.0**-bits
 
 
 # ----------------------------------------------------------------------
@@ -205,89 +303,160 @@ def _stats_from_values(values: Sequence[int]) -> CompressionStats:
 # ----------------------------------------------------------------------
 def encode_trajectory_record(trajectory: CompressedTrajectory) -> bytes:
     """Serialize one compressed trajectory to its on-disk record."""
-    out = bytearray()
-    write_uvarint(out, trajectory.trajectory_id)
-    write_uvarint(out, trajectory.point_count)
-    write_uvarint(out, trajectory.start_time)
-    write_uvarint(out, trajectory.end_time)
-    payload_bytes = (trajectory.time_payload_bits + 7) // 8
-    if len(trajectory.time_payload) != payload_bytes:
+    instances = trajectory.instances
+    if len(trajectory.time_payload) != (trajectory.time_payload_bits + 7) >> 3:
         raise ArchiveFormatError(
             f"time payload of trajectory {trajectory.trajectory_id} has "
             f"{len(trajectory.time_payload)} bytes for "
             f"{trajectory.time_payload_bits} bits"
         )
-    write_uvarint(out, trajectory.time_payload_bits)
-    out += trajectory.time_payload
-    _write_uvarint_seq(out, trajectory.deviation_positions)
-    for value in _stats_values(trajectory.stats):
-        write_uvarint(out, value)
-    write_uvarint(out, len(trajectory.instances))
-    for instance in trajectory.instances:
-        _encode_instance(out, instance)
-    return bytes(out)
-
-
-def _encode_instance(out: bytearray, instance: CompressedInstance) -> None:
-    flags = 0
-    if instance.is_reference:
-        flags |= _FLAG_REFERENCE
-    if instance.start_vertex is not None:
-        flags |= _FLAG_START_VERTEX
-    out.append(flags)
-    if instance.start_vertex is not None:
-        write_uvarint(out, instance.start_vertex)
-    write_uvarint(out, instance.reference_ordinal)
-    payload_bytes = (instance.payload_bits + 7) // 8
-    if len(instance.payload) != payload_bytes:
-        raise ArchiveFormatError(
-            f"instance payload has {len(instance.payload)} bytes for "
-            f"{instance.payload_bits} bits"
+    bits, numerators = dyadic_numerators(
+        [instance.probability for instance in instances]
+    )
+    positions = trajectory.deviation_positions
+    fields = [
+        trajectory.trajectory_id,
+        trajectory.point_count,
+        trajectory.start_time,
+        trajectory.end_time - trajectory.start_time,
+        trajectory.time_payload_bits,
+        len(positions),
+        *deltas(positions),
+        len(instances),
+        bits,
+    ]
+    payloads = [trajectory.time_payload]
+    for instance, numerator in zip(instances, numerators):
+        if len(instance.payload) != (instance.payload_bits + 7) >> 3:
+            raise ArchiveFormatError(
+                f"instance payload has {len(instance.payload)} bytes for "
+                f"{instance.payload_bits} bits"
+            )
+        payloads.append(instance.payload)
+        flags = instance.reference_ordinal << _ORDINAL_SHIFT
+        if instance.is_reference:
+            flags |= _FLAG_REFERENCE
+        if instance.start_vertex is None:
+            fields += (flags, instance.payload_bits)
+        else:
+            fields += (
+                flags | _FLAG_START_VERTEX,
+                instance.start_vertex,
+                instance.payload_bits,
+            )
+        fields += (
+            instance.edge_offset,
+            instance.flags_offset - instance.edge_offset,
+            instance.distance_offset - instance.flags_offset,
+            instance.probability_offset - instance.distance_offset,
+            len(instance.distance_positions),
         )
-    write_uvarint(out, instance.payload_bits)
-    out += instance.payload
-    write_uvarint(out, instance.edge_offset)
-    write_uvarint(out, instance.flags_offset)
-    write_uvarint(out, instance.distance_offset)
-    write_uvarint(out, instance.probability_offset)
-    _write_uvarint_seq(out, instance.distance_positions)
-    _write_uvarint_seq(out, instance.factor_positions)
-    out += _F64.pack(instance.probability)
+        fields += deltas(instance.distance_positions)
+        fields.append(len(instance.factor_positions))
+        fields += deltas(instance.factor_positions)
+        fields.append(numerator)
+    body = bytearray()
+    try:
+        write_uvarints(body, fields)
+    except ArchiveFormatError as error:
+        raise ArchiveFormatError(
+            f"trajectory {trajectory.trajectory_id}: {error} (times, section "
+            f"offsets and position lists must ascend)"
+        ) from None
+    head = bytearray()
+    write_uvarint(head, len(body))
+    return b"".join((head, body, *payloads))
 
 
 def decode_record_time_span(data: bytes) -> tuple[int, int, int]:
-    """``(trajectory_id, start_time, end_time)`` from a record's four
+    """``(trajectory_id, start_time, end_time)`` from a record's five
     leading varints, without parsing the rest."""
-    (trajectory_id, _, start_time, end_time), _ = read_uvarints(data, 0, 4)
-    return trajectory_id, start_time, end_time
+    (_, trajectory_id, _, start_time, duration), _ = read_uvarints(data, 0, 5)
+    return trajectory_id, start_time, start_time + duration
 
 
 def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
-    """Parse one on-disk record back into a compressed trajectory."""
-    (
-        trajectory_id,
-        point_count,
-        start_time,
-        end_time,
-        time_payload_bits,
-    ), position = read_uvarints(data, 0, 5)
-    payload_bytes = (time_payload_bits + 7) // 8
-    time_payload = bytes(data[position : position + payload_bytes])
-    if len(time_payload) != payload_bytes:
-        raise ArchiveFormatError("truncated time payload")
-    position += payload_bytes
-    count, position = read_uvarint(data, position)
-    deviation_positions, position = read_uvarints(data, position, count)
-    # the 12 stats fields, then the instance count
-    values, position = read_uvarints(data, position, 13)
-    instance_count = values.pop()
-    instances = []
-    for _ in range(instance_count):
-        instance, position = _decode_instance(data, position)
-        instances.append(instance)
-    if position != len(data):
+    """Parse one on-disk record back into a compressed trajectory.
+
+    The result carries ``stats=None``: version 2 keeps the stats in the
+    header only.
+    """
+    fields_bytes, position = read_uvarint(data, 0)
+    cursor = position + fields_bytes  # walks the raw payloads
+    if cursor > len(data):
+        raise ArchiveFormatError("truncated record fields")
+    fields = read_uvarint_stream(data[position:cursor])
+    try:
+        (
+            trajectory_id,
+            point_count,
+            start_time,
+            duration,
+            time_payload_bits,
+            count,
+        ) = fields[:6]
+        position = 6 + count
+        deviation_positions = tuple(accumulate(fields[6:position]))
+        instance_count, bits = fields[position : position + 2]
+        position += 2
+        unit = probability_unit(bits)
+        size = (time_payload_bits + 7) >> 3
+        time_payload = bytes(data[cursor : cursor + size])
+        cursor += size
+        instances = []
+        for _ in range(instance_count):
+            flags = fields[position]
+            start_vertex: int | None = None
+            if flags & _FLAG_START_VERTEX:
+                position += 1
+                start_vertex = fields[position]
+            (
+                payload_bits,
+                edge_offset,
+                flags_delta,
+                distance_delta,
+                probability_delta,
+                count,
+            ) = fields[position + 1 : position + 7]
+            position += 7
+            end = position + count
+            distance_positions = tuple(accumulate(fields[position:end]))
+            position = end + 1 + fields[end]
+            factor_positions = tuple(accumulate(fields[end + 1 : position]))
+            numerator = fields[position]
+            position += 1
+            size = (payload_bits + 7) >> 3
+            payload = bytes(data[cursor : cursor + size])
+            cursor += size
+            flags_offset = edge_offset + flags_delta
+            distance_offset = flags_offset + distance_delta
+            instances.append(
+                CompressedInstance(
+                    is_reference=bool(flags & _FLAG_REFERENCE),
+                    payload=payload,
+                    payload_bits=payload_bits,
+                    start_vertex=start_vertex,
+                    reference_ordinal=flags >> _ORDINAL_SHIFT,
+                    edge_offset=edge_offset,
+                    flags_offset=flags_offset,
+                    distance_offset=distance_offset,
+                    probability_offset=distance_offset + probability_delta,
+                    distance_positions=distance_positions,
+                    factor_positions=factor_positions,
+                    probability=numerator * unit,
+                )
+            )
+    except (IndexError, ValueError):  # ran off the end of ``fields``
+        raise ArchiveFormatError("truncated record fields") from None
+    if position != len(fields):
         raise ArchiveFormatError(
-            f"trailing bytes in record of trajectory {trajectory_id}"
+            f"trailing fields in record of trajectory {trajectory_id}"
+        )
+    # a short payload slice leaves the cursor past the end
+    if cursor != len(data):
+        raise ArchiveFormatError(
+            f"record of trajectory {trajectory_id} has {len(data)} bytes, "
+            f"its fields say {cursor}"
         )
     return CompressedTrajectory(
         trajectory_id=trajectory_id,
@@ -295,61 +464,10 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
         time_payload_bits=time_payload_bits,
         point_count=point_count,
         start_time=start_time,
-        end_time=end_time,
-        deviation_positions=tuple(deviation_positions),
+        end_time=start_time + duration,
+        deviation_positions=deviation_positions,
         instances=instances,
-        stats=_stats_from_values(values),
     )
-
-
-def _decode_instance(
-    data: bytes, position: int
-) -> tuple[CompressedInstance, int]:
-    if position >= len(data):
-        raise ArchiveFormatError("truncated instance record")
-    flags = data[position]
-    start_vertex: int | None = None
-    if flags & _FLAG_START_VERTEX:
-        (start_vertex, reference_ordinal, payload_bits), position = (
-            read_uvarints(data, position + 1, 3)
-        )
-    else:
-        (reference_ordinal, payload_bits), position = read_uvarints(
-            data, position + 1, 2
-        )
-    payload_bytes = (payload_bits + 7) // 8
-    payload = bytes(data[position : position + payload_bytes])
-    if len(payload) != payload_bytes:
-        raise ArchiveFormatError("truncated instance payload")
-    # the four section offsets, then the distance-position count
-    (
-        edge_offset,
-        flags_offset,
-        distance_offset,
-        probability_offset,
-        count,
-    ), position = read_uvarints(data, position + payload_bytes, 5)
-    distance_positions, position = read_uvarints(data, position, count)
-    count, position = read_uvarint(data, position)
-    factor_positions, position = read_uvarints(data, position, count)
-    if position + _F64.size > len(data):
-        raise ArchiveFormatError("truncated instance probability")
-    (probability,) = _F64.unpack_from(data, position)
-    instance = CompressedInstance(
-        is_reference=bool(flags & _FLAG_REFERENCE),
-        payload=payload,
-        payload_bits=payload_bits,
-        start_vertex=start_vertex,
-        reference_ordinal=reference_ordinal,
-        edge_offset=edge_offset,
-        flags_offset=flags_offset,
-        distance_offset=distance_offset,
-        probability_offset=probability_offset,
-        distance_positions=tuple(distance_positions),
-        factor_positions=tuple(factor_positions),
-        probability=probability,
-    )
-    return instance, position + _F64.size
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +475,8 @@ def _decode_instance(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DirectoryEntry:
-    """One fixed-size directory slot: where a trajectory record lives."""
+    """Where one trajectory record lives (``offset`` is derived: the
+    running sum of the stored lengths)."""
 
     trajectory_id: int
     offset: int
@@ -385,6 +504,7 @@ def write_header(
     provenance: dict[str, str],
     trajectory_count: int,
     instance_count: int,
+    directory_bytes: int,
 ) -> int:
     """Write everything up to (excluding) the directory; returns byte size."""
     blob = bytearray()
@@ -404,18 +524,58 @@ def write_header(
         value_bytes = value.encode("utf-8")
         blob += _KVLEN.pack(len(key_bytes)) + key_bytes
         blob += _KVLEN.pack(len(value_bytes)) + value_bytes
-    blob += _COUNTS.pack(trajectory_count, instance_count)
+    blob += _COUNTS.pack(trajectory_count, instance_count, directory_bytes)
     out.write(bytes(blob))
     return len(blob)
 
 
-def write_directory(out: BinaryIO, entries: list[DirectoryEntry]) -> None:
-    for entry in entries:
-        out.write(
-            _DIRENT.pack(
-                entry.trajectory_id, entry.offset, entry.length, entry.crc32, 0
-            )
+def encode_directory(
+    trajectory_ids: Sequence[int], records: Sequence[bytes]
+) -> bytes:
+    """The packed directory of ``records`` (see the module docstring)."""
+    id_deltas = list(deltas(trajectory_ids))
+    if id_deltas and (id_deltas[0] < 0 or min(id_deltas[1:], default=1) < 1):
+        raise ArchiveFormatError(
+            f"trajectory ids must be unique and ascending, got "
+            f"{tuple(trajectory_ids)}"
         )
+    out = bytearray()
+    write_uvarints(
+        out,
+        (
+            value
+            for pair in zip(id_deltas, map(len, records))
+            for value in pair
+        ),
+    )
+    out += struct.pack(f"<{len(records)}I", *map(record_crc, records))
+    return bytes(out)
+
+
+def decode_directory(
+    blob: bytes, count: int, first_offset: int
+) -> list[DirectoryEntry]:
+    """Parse the packed directory of ``count`` records, the first of
+    which starts at byte ``first_offset`` of the file."""
+    fields, position = read_uvarints(blob, 0, 2 * count)
+    if len(blob) - position != _U32.size * count:
+        raise ArchiveFormatError(
+            f"directory of {count} records has {len(blob) - position} "
+            f"CRC bytes"
+        )
+    id_deltas = fields[0::2]
+    if 0 in id_deltas[1:]:
+        raise ArchiveFormatError("directory ids do not ascend")
+    lengths = fields[1::2]
+    return list(
+        map(
+            DirectoryEntry,
+            accumulate(id_deltas),
+            accumulate(lengths[:-1], initial=first_offset),
+            lengths,
+            struct.unpack_from(f"<{count}I", blob, position),
+        )
+    )
 
 
 def read_header(stream: BinaryIO) -> ArchiveHeader:
@@ -455,20 +615,37 @@ def read_header(stream: BinaryIO) -> ArchiveHeader:
     stats = _stats_from_values(_STATS.unpack(take(_STATS.size, "stats")))
     (provenance_count,) = _U32.unpack(take(_U32.size, "provenance count"))
     provenance: dict[str, str] = {}
-    for _ in range(provenance_count):
-        (key_length,) = _KVLEN.unpack(take(_KVLEN.size, "provenance key"))
-        key = take(key_length, "provenance key").decode("utf-8")
-        (value_length,) = _KVLEN.unpack(take(_KVLEN.size, "provenance value"))
-        provenance[key] = take(value_length, "provenance value").decode("utf-8")
-    trajectory_count, instance_count = _COUNTS.unpack(
+    try:
+        for _ in range(provenance_count):
+            (key_length,) = _KVLEN.unpack(take(_KVLEN.size, "provenance key"))
+            key = take(key_length, "provenance key").decode("utf-8")
+            (value_length,) = _KVLEN.unpack(
+                take(_KVLEN.size, "provenance value")
+            )
+            provenance[key] = take(value_length, "provenance value").decode(
+                "utf-8"
+            )
+    except UnicodeDecodeError as error:
+        raise ArchiveFormatError(f"provenance is not UTF-8: {error}") from None
+    trajectory_count, instance_count, directory_bytes = _COUNTS.unpack(
         take(_COUNTS.size, "counts")
     )
-    directory = []
-    for _ in range(trajectory_count):
-        trajectory_id, offset, length, crc, _reserved = _DIRENT.unpack(
-            take(_DIRENT.size, "directory")
+    # directory_bytes and the record lengths size reads: hold both to
+    # the file's real size before trusting them
+    directory_start = stream.tell()
+    file_size = stream.seek(0, os.SEEK_END)
+    stream.seek(directory_start)
+    if directory_bytes > file_size - directory_start:
+        raise ArchiveFormatError("truncated archive (directory)")
+    directory = decode_directory(
+        take(directory_bytes, "directory"),
+        trajectory_count,
+        directory_start + directory_bytes,
+    )
+    if directory and directory[-1].offset + directory[-1].length > file_size:
+        raise CorruptArchiveError(
+            "truncated archive: its records extend past the end of the file"
         )
-        directory.append(DirectoryEntry(trajectory_id, offset, length, crc))
     return ArchiveHeader(
         version=version,
         params=params,
@@ -501,31 +678,23 @@ def write_archive(
         encode_trajectory_record(trajectory)
         for trajectory in archive.trajectories
     ]
+    directory = encode_directory(
+        [trajectory.trajectory_id for trajectory in archive.trajectories],
+        records,
+    )
     with open(path, "wb") as out:
-        header_size = write_header(
+        size = write_header(
             out,
             archive.params,
             archive.stats,
             provenance,
             len(records),
             archive.instance_count,
+            len(directory),
         )
-        offset = header_size + DIRECTORY_ENTRY_SIZE * len(records)
-        entries = []
-        for trajectory, record in zip(archive.trajectories, records):
-            entries.append(
-                DirectoryEntry(
-                    trajectory.trajectory_id,
-                    offset,
-                    len(record),
-                    record_crc(record),
-                )
-            )
-            offset += len(record)
-        write_directory(out, entries)
-        for record in records:
-            out.write(record)
-    return offset
+        out.write(directory)
+        out.write(b"".join(records))
+    return size + len(directory) + sum(map(len, records))
 
 
 def read_archive(path) -> CompressedArchive:

@@ -17,25 +17,40 @@ shared with :mod:`repro.io.format`)::
     | temporal_bytes u64 | spatial_bytes u64                       |
     Both sections are zlib-deflated on disk (``temporal_bytes`` /
     ``spatial_bytes`` count the compressed form); the structures below
-    describe the inflated streams.
+    describe the inflated streams, which are varints and nothing else.
 
     +--------------------------------------------------------------+
     | temporal section:                                            |
-    |   uv interval_count, then per interval:                      |
-    |     uv interval, uv entry_count, then per entry:             |
-    |       uv trajectory_id, uv t.start, uv t.no, uv t.pos        |
+    |   uv interval_count, then per interval (ascending):          |
+    |     uv interval, uv entry_count, then per entry (ascending   |
+    |     trajectory id):                                          |
+    |       uv id delta, uv t.start, uv t.no, uv t.pos             |
     +--------------------------------------------------------------+
     | spatial section:                                             |
-    |   uv interval_count, then per interval:                      |
-    |     uv interval, uv region_count, then per region:           |
-    |       uv region, uv trajectory_count, then per trajectory:   |
-    |         uv trajectory_id                                     |
-    |         uv n_references, then per reference:                 |
-    |           uv instance_index, uv final_vertex + 1 (0 = inf),  |
-    |           uv fv.no, uv d.pos, f64 p_total, f64 p_max         |
-    |         uv n_non_references, then per non-reference:         |
-    |           uv instance_index, uv rv.id, uv rv.no, uv ma.pos   |
+    |   uv trajectory_count, uv L (probability bits),              |
+    |   then per trajectory (ascending id):                        |
+    |     uv id delta, uv first active interval,                   |
+    |     uv extra-interval count, uv region_count,                |
+    |     then per region (ascending cell):                        |
+    |       uv cell delta                                          |
+    |       uv n_references, then per reference:                   |
+    |         uv instance_index, uv final_vertex + 1 (0 = inf),    |
+    |         uv fv.no, uv d.pos, uv p_total numerator,            |
+    |         uv p_max numerator                                   |
+    |       uv n_non_references, then per non-reference:           |
+    |         uv instance_index, uv rv.id, uv rv.no, uv ma.pos     |
     +--------------------------------------------------------------+
+
+An id or cell delta is the difference from the previous one in its list
+(the first is the value itself).  A trajectory's region tuples do not
+depend on the time interval, so version 2 writes them once and the
+loader enters the one shared :class:`RegionEntry` under every interval
+from the first active one to ``first + extra``; the span must agree with
+the trajectory's temporal tuples, which bounds the fan-out of a damaged
+count.  ``p_total`` / ``p_max`` are sums and maxima of PDDP-decoded
+probabilities, so they are exact multiples of a small ``2^-L`` and are
+stored as that numerator, under the one smallest ``L`` that serves the
+section (:func:`repro.io.format.dyadic_numerators`).
 
 Staleness: the header pins the archive's byte size and SHA-256.  A
 mismatch (the archive was rewritten, recompressed, or replaced) makes
@@ -54,7 +69,13 @@ import struct
 import zlib
 from pathlib import Path
 
-from ..io.format import read_uvarint, write_uvarint
+from ..io.format import (
+    ArchiveFormatError,
+    dyadic_numerators,
+    probability_unit,
+    read_uvarint_stream,
+    write_uvarints,
+)
 from .stiu import (
     NonReferenceTuple,
     ReferenceTuple,
@@ -64,20 +85,20 @@ from .stiu import (
 )
 
 MAGIC = b"UTCQSTIU"
-VERSION = 1
+VERSION = 2
 
 _HEAD = struct.Struct("<8sHH")
 _FINGERPRINT = struct.Struct("<Q32s")
 _PARAMS = struct.Struct("<II")
 _COUNTS = struct.Struct("<Q")
 _SECTIONS = struct.Struct("<QQ")
-_F64 = struct.Struct("<d")
 
 SIDECAR_SUFFIX = ".stiu"
 
 
 class SidecarFormatError(Exception):
-    """Raised when a file is not a valid version-1 ``.stiu`` sidecar."""
+    """Raised when a file is not a valid version-2 ``.stiu`` sidecar, or
+    when an index holds something version 2 cannot store."""
 
 
 def sidecar_path_for(archive_path) -> Path:
@@ -103,74 +124,144 @@ def archive_fingerprint(archive_path) -> tuple[int, bytes]:
 # serialization
 # ----------------------------------------------------------------------
 def _encode_temporal(index: StIUIndex) -> bytes:
-    out = bytearray()
-    write_uvarint(out, len(index.temporal))
+    values = [len(index.temporal)]
     for interval in sorted(index.temporal):
         entries = index.temporal[interval]
-        write_uvarint(out, interval)
-        write_uvarint(out, len(entries))
+        values += (interval, len(entries))
+        previous = 0
         for trajectory_id in sorted(entries):
             entry = entries[trajectory_id]
-            write_uvarint(out, trajectory_id)
-            write_uvarint(out, entry.start)
-            write_uvarint(out, entry.number)
-            write_uvarint(out, entry.bit_position)
+            values += (
+                trajectory_id - previous,
+                entry.start,
+                entry.number,
+                entry.bit_position,
+            )
+            previous = trajectory_id
+    out = bytearray()
+    write_uvarints(out, values)
     return bytes(out)
+
+
+def _regions_by_trajectory(
+    index: StIUIndex,
+) -> list[tuple[int, int, int, list[tuple[int, RegionEntry]]]]:
+    """``(trajectory_id, first interval, last interval, [(region,
+    entry), ...])`` in id and region order, checked: the format stores a
+    trajectory's regions once, so they must be the same under every
+    interval of one unbroken span."""
+    spatial = index.spatial
+    found: dict[int, list] = {}
+    for interval in sorted(spatial):
+        for region, entry_map in spatial[interval].items():
+            for trajectory_id, entry in entry_map.items():
+                state = found.get(trajectory_id)
+                if state is None:
+                    # first interval, last interval, (interval, region)
+                    # pairs seen, regions
+                    state = found[trajectory_id] = [interval, interval, 0, {}]
+                if state[0] == interval:
+                    state[3][region] = entry
+                elif state[3].get(region) != entry:
+                    raise SidecarFormatError(
+                        f"trajectory {trajectory_id} has different tuples "
+                        f"for region {region} in intervals {state[0]} and "
+                        f"{interval}"
+                    )
+                state[1] = interval
+                state[2] += 1
+    for trajectory_id, (first, last, pairs, regions) in found.items():
+        # every pair matched a region of the first interval, so the
+        # count is complete only if no interval or region is missing
+        if pairs != len(regions) * (last - first + 1):
+            raise SidecarFormatError(
+                f"trajectory {trajectory_id} does not have the same regions "
+                f"in every interval from {first} to {last}"
+            )
+    return [
+        (trajectory_id, first, last, sorted(regions.items()))
+        for trajectory_id, (first, last, _, regions) in sorted(found.items())
+    ]
 
 
 def _encode_spatial(index: StIUIndex) -> bytes:
+    by_trajectory = _regions_by_trajectory(index)
+    # one L for the section; the few distinct aggregates recur
+    distinct = list(
+        {
+            probability
+            for _, _, _, regions in by_trajectory
+            for _, entry in regions
+            for reference in entry.references
+            for probability in (reference.p_total, reference.p_max)
+        }
+    )
+    bits, numerators = dyadic_numerators(distinct)
+    numerator = dict(zip(distinct, numerators))
+    values = [len(by_trajectory), bits]
+    previous_id = 0
+    for trajectory_id, first, last, regions in by_trajectory:
+        values += (trajectory_id - previous_id, first, last - first, len(regions))
+        previous_id = trajectory_id
+        previous_region = 0
+        for region, entry in regions:
+            values += (region - previous_region, len(entry.references))
+            previous_region = region
+            for reference in entry.references:
+                values += (
+                    reference.instance_index,
+                    reference.final_vertex + 1,
+                    reference.entry_number,
+                    reference.distance_position,
+                    numerator[reference.p_total],
+                    numerator[reference.p_max],
+                )
+            values.append(len(entry.non_references))
+            for non_reference in entry.non_references:
+                values += (
+                    non_reference.instance_index,
+                    non_reference.anchor_vertex,
+                    non_reference.anchor_number,
+                    non_reference.factor_position,
+                )
     out = bytearray()
-    spatial = index.spatial
-    write_uvarint(out, len(spatial))
-    for interval in sorted(spatial):
-        region_map = spatial[interval]
-        write_uvarint(out, interval)
-        write_uvarint(out, len(region_map))
-        for region in sorted(region_map):
-            entry_map = region_map[region]
-            write_uvarint(out, region)
-            write_uvarint(out, len(entry_map))
-            for trajectory_id in sorted(entry_map):
-                entry = entry_map[trajectory_id]
-                write_uvarint(out, trajectory_id)
-                write_uvarint(out, len(entry.references))
-                for reference in entry.references:
-                    write_uvarint(out, reference.instance_index)
-                    write_uvarint(out, reference.final_vertex + 1)
-                    write_uvarint(out, reference.entry_number)
-                    write_uvarint(out, reference.distance_position)
-                    out += _F64.pack(reference.p_total)
-                    out += _F64.pack(reference.p_max)
-                write_uvarint(out, len(entry.non_references))
-                for non_reference in entry.non_references:
-                    write_uvarint(out, non_reference.instance_index)
-                    write_uvarint(out, non_reference.anchor_vertex)
-                    write_uvarint(out, non_reference.anchor_number)
-                    write_uvarint(out, non_reference.factor_position)
+    write_uvarints(out, values)
     return bytes(out)
+
+
+def _section_values(data: bytes, what: str) -> list[int]:
+    try:
+        return read_uvarint_stream(data)
+    except ArchiveFormatError as error:
+        raise SidecarFormatError(f"{what} section: {error}") from None
 
 
 def _decode_temporal(
     data: bytes,
 ) -> tuple[dict[int, dict[int, TemporalTuple]], dict[int, list[TemporalTuple]]]:
-    position = 0
-    interval_count, position = read_uvarint(data, position)
+    values = _section_values(data, "temporal")
     temporal: dict[int, dict[int, TemporalTuple]] = {}
     per_trajectory: dict[int, list[TemporalTuple]] = {}
-    for _ in range(interval_count):
-        interval, position = read_uvarint(data, position)
-        entry_count, position = read_uvarint(data, position)
-        entries: dict[int, TemporalTuple] = {}
-        for _ in range(entry_count):
-            trajectory_id, position = read_uvarint(data, position)
-            start, position = read_uvarint(data, position)
-            number, position = read_uvarint(data, position)
-            bit_position, position = read_uvarint(data, position)
-            entry = TemporalTuple(start, number, bit_position)
-            entries[trajectory_id] = entry
-            per_trajectory.setdefault(trajectory_id, []).append(entry)
-        temporal[interval] = entries
-    if position != len(data):
+    try:
+        position = 1
+        for _ in range(values[0]):
+            interval, entry_count = values[position : position + 2]
+            position += 2
+            entries: dict[int, TemporalTuple] = {}
+            trajectory_id = 0
+            for _ in range(entry_count):
+                delta, start, number, bit_position = values[
+                    position : position + 4
+                ]
+                position += 4
+                trajectory_id += delta
+                entry = TemporalTuple(start, number, bit_position)
+                entries[trajectory_id] = entry
+                per_trajectory.setdefault(trajectory_id, []).append(entry)
+            temporal[interval] = entries
+    except (IndexError, ValueError):  # ran off the end of ``values``
+        raise SidecarFormatError("truncated temporal section") from None
+    if position != len(values):
         raise SidecarFormatError("trailing bytes in temporal section")
     # _build_temporal appends tuples in timestamp order; restore it
     for tuples in per_trajectory.values():
@@ -178,38 +269,53 @@ def _decode_temporal(
     return temporal, per_trajectory
 
 
-def _read_f64(data: bytes, position: int) -> tuple[float, int]:
-    if position + _F64.size > len(data):
-        raise SidecarFormatError("truncated float in spatial section")
-    (value,) = _F64.unpack_from(data, position)
-    return value, position + _F64.size
-
-
 def _decode_spatial(
-    data: bytes,
+    data: bytes, spans: dict[int, tuple[int, int]]
 ) -> dict[int, dict[int, dict[int, RegionEntry]]]:
-    position = 0
-    interval_count, position = read_uvarint(data, position)
+    """Fan the per-trajectory section back out to
+    ``spatial[interval][region][trajectory]``.
+
+    ``spans`` is each trajectory's ``(first, last)`` interval according
+    to the temporal layer; a stored span that disagrees is damage, and
+    the check is what bounds the fan-out.
+    """
+    values = _section_values(data, "spatial")
     spatial: dict[int, dict[int, dict[int, RegionEntry]]] = {}
-    for _ in range(interval_count):
-        interval, position = read_uvarint(data, position)
-        region_count, position = read_uvarint(data, position)
-        region_map: dict[int, dict[int, RegionEntry]] = {}
-        for _ in range(region_count):
-            region, position = read_uvarint(data, position)
-            trajectory_count, position = read_uvarint(data, position)
-            entry_map: dict[int, RegionEntry] = {}
-            for _ in range(trajectory_count):
-                trajectory_id, position = read_uvarint(data, position)
+    try:
+        trajectory_count, bits = values[:2]
+        unit = probability_unit(bits)
+        position = 2
+        trajectory_id = 0
+        for _ in range(trajectory_count):
+            delta, first, extra, region_count = values[position : position + 4]
+            position += 4
+            trajectory_id += delta
+            if spans.get(trajectory_id) != (first, first + extra):
+                raise SidecarFormatError(
+                    f"trajectory {trajectory_id} spans intervals {first} to "
+                    f"{first + extra} in the spatial section but "
+                    f"{spans.get(trajectory_id)} in the temporal one"
+                )
+            interval_maps = [
+                spatial.setdefault(interval, {})
+                for interval in range(first, first + extra + 1)
+            ]
+            region = 0
+            for _ in range(region_count):
+                delta, count = values[position : position + 2]
+                position += 2
+                region += delta
                 entry = RegionEntry()
-                reference_count, position = read_uvarint(data, position)
-                for _ in range(reference_count):
-                    instance_index, position = read_uvarint(data, position)
-                    shifted_vertex, position = read_uvarint(data, position)
-                    entry_number, position = read_uvarint(data, position)
-                    distance_position, position = read_uvarint(data, position)
-                    p_total, position = _read_f64(data, position)
-                    p_max, position = _read_f64(data, position)
+                for _ in range(count):
+                    (
+                        instance_index,
+                        shifted_vertex,
+                        entry_number,
+                        distance_position,
+                        p_total,
+                        p_max,
+                    ) = values[position : position + 6]
+                    position += 6
                     entry.references.append(
                         ReferenceTuple(
                             instance_index,
@@ -217,16 +323,20 @@ def _decode_spatial(
                             shifted_vertex - 1,
                             entry_number,
                             distance_position,
-                            p_total,
-                            p_max,
+                            p_total * unit,
+                            p_max * unit,
                         )
                     )
-                non_reference_count, position = read_uvarint(data, position)
-                for _ in range(non_reference_count):
-                    instance_index, position = read_uvarint(data, position)
-                    anchor_vertex, position = read_uvarint(data, position)
-                    anchor_number, position = read_uvarint(data, position)
-                    factor_position, position = read_uvarint(data, position)
+                count = values[position]
+                position += 1
+                for _ in range(count):
+                    (
+                        instance_index,
+                        anchor_vertex,
+                        anchor_number,
+                        factor_position,
+                    ) = values[position : position + 4]
+                    position += 4
                     entry.non_references.append(
                         NonReferenceTuple(
                             instance_index,
@@ -235,10 +345,13 @@ def _decode_spatial(
                             factor_position,
                         )
                     )
-                entry_map[trajectory_id] = entry
-            region_map[region] = entry_map
-        spatial[interval] = region_map
-    if position != len(data):
+                for interval_map in interval_maps:
+                    interval_map.setdefault(region, {})[trajectory_id] = entry
+    except ArchiveFormatError as error:
+        raise SidecarFormatError(f"spatial section: {error}") from None
+    except (IndexError, ValueError):  # ran off the end of ``values``
+        raise SidecarFormatError("truncated spatial section") from None
+    if position != len(values):
         raise SidecarFormatError("trailing bytes in spatial section")
     return spatial
 
@@ -386,7 +499,19 @@ def load_index(
     index.temporal = temporal
     index._trajectory_tuples = per_trajectory
     spatial_blob = document["spatial_blob"]
-    index._spatial_loader = lambda: _decode_spatial(spatial_blob)
+
+    def load_spatial():
+        # (no reference to ``index``: the loader must not keep it alive)
+        spans = {
+            trajectory_id: (
+                tuples[0].start // time_partition_seconds,
+                tuples[-1].start // time_partition_seconds,
+            )
+            for trajectory_id, tuples in per_trajectory.items()
+        }
+        return _decode_spatial(spatial_blob, spans)
+
+    index._spatial_loader = load_spatial
     index.loaded_from_sidecar = True
     return index
 

@@ -315,8 +315,9 @@ class StIUIndex:
 
     def _build_spatial(self, trajectory: CompressedTrajectory) -> None:
         """Index one trajectory: its region tuples do not depend on the
-        time interval, so they are derived once and entered under every
-        interval the trajectory is active in."""
+        time interval, so they are derived once and the same
+        :class:`RegionEntry` is entered under every interval the
+        trajectory is active in."""
         edges = decode_trajectory_edges(trajectory, self.archive.params)
         walks = [self._walk(instance) for instance in edges]
         groups: dict[int, list[int]] = {}
@@ -330,9 +331,7 @@ class StIUIndex:
             for region, entry in regions.items():
                 interval_map.setdefault(region, {})[
                     trajectory.trajectory_id
-                ] = RegionEntry(
-                    list(entry.references), list(entry.non_references)
-                )
+                ] = entry
 
     def _walk(
         self, instance: InstanceEdges

@@ -38,7 +38,11 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.archive import CompressedArchive, CompressedTrajectory
+from ..core.archive import (
+    CompressedArchive,
+    CompressedTrajectory,
+    CompressionStats,
+)
 from ..io.format import read_archive, read_header
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
@@ -223,6 +227,7 @@ def merge_segments(
             f"compaction task is stale: {missing} no longer in the manifest"
         )
     trajectories: list[CompressedTrajectory] = []
+    stats = CompressionStats()
     for info in task.segments:
         segment = read_archive(store.segment_path(info.name))
         if segment.params != store.state.params:
@@ -230,6 +235,7 @@ def merge_segments(
                 f"segment {info.name} params differ from the manifest"
             )
         trajectories.extend(segment.trajectories)
+        stats.add(segment.stats)
     trajectories.sort(key=lambda t: t.trajectory_id)
     for first, second in zip(trajectories, trajectories[1:]):
         if first.trajectory_id >= second.trajectory_id:
@@ -238,7 +244,7 @@ def merge_segments(
                 f"merged segments"
             )
     archive = CompressedArchive(
-        params=store.state.params, trajectories=trajectories
+        params=store.state.params, trajectories=trajectories, stats=stats
     )
     with store.lock:
         name = store.allocate_segment_name()

@@ -387,6 +387,7 @@ def compact(
     params = _params_from_dict(manifest["params"])
     segments = manifest_segments(manifest)
     trajectories: list[CompressedTrajectory] = []
+    stats = CompressionStats()
     for info in segments:
         segment = read_archive(directory / SEGMENT_DIR / info.name)
         if segment.params != params:
@@ -394,6 +395,7 @@ def compact(
                 f"segment {info.name} params differ from the manifest"
             )
         trajectories.extend(segment.trajectories)
+        stats.add(segment.stats)
     seen: set[int] = set()
     for trajectory in trajectories:
         if trajectory.trajectory_id in seen:
@@ -403,7 +405,9 @@ def compact(
             )
         seen.add(trajectory.trajectory_id)
     trajectories.sort(key=lambda t: t.trajectory_id)
-    archive = CompressedArchive(params=params, trajectories=trajectories)
+    archive = CompressedArchive(
+        params=params, trajectories=trajectories, stats=stats
+    )
     provenance = dict(manifest.get("provenance", {}))
     # Deliberately schedule-invariant: the segment count depends on how
     # many background merges ran, and would break byte-identity of the

@@ -54,18 +54,38 @@ def test_compress_records_provenance(archive_path):
 def test_info(archive_path, capsys):
     assert main(["info", str(archive_path), "--check"]) == 0
     out = capsys.readouterr().out
-    assert "format v1" in out
+    assert "format v2" in out
     assert "trajectories 15" in out
     assert "CRCs OK" in out
+    # Table 8 as `ls -l` shows it: archive + sidecar over the raw bytes
+    sidecar_bytes = archive_path.with_name("cd.utcq.stiu").stat().st_size
+    stored = archive_path.stat().st_size + sidecar_bytes
+    assert f"stored: {stored} bytes" in out
+    assert f"sidecar {sidecar_bytes})" in out
 
 
 def test_info_json(archive_path, capsys):
     assert main(["info", str(archive_path), "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["trajectory_count"] == 15
-    assert document["format_version"] == 1
+    assert document["format_version"] == 2
     assert document["ratios"]["Total"] > 1.0
     assert document["provenance"]["profile"] == "CD"
+    sidecar_bytes = archive_path.with_name("cd.utcq.stiu").stat().st_size
+    assert document["stored_bytes"] == document["file_bytes"] + sidecar_bytes
+    assert document["stored_bytes_per_raw_byte"] == pytest.approx(
+        document["stored_bytes"] / (document["original_bits"] / 8)
+    )
+
+
+def test_info_counts_only_the_archive_without_a_sidecar(tmp_path, capsys):
+    path = tmp_path / "bare.utcq"
+    assert main(
+        ["compress", str(path), *PROFILE_ARGS, "--no-sidecar", "--quiet"]
+    ) == 0
+    assert main(["info", str(path), "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["stored_bytes"] == document["file_bytes"]
 
 
 def test_info_rejects_non_archive(tmp_path):

@@ -20,8 +20,8 @@ from repro.core.decoder import decode_archive
 from repro.io.format import read_archive, write_archive
 from repro.trajectories.datasets import load_dataset, profile
 
-# SHA-256 of the archive produced by the settings below (format v1).
-GOLDEN_SHA256 = "084cea5330841e945500f3bb27710037ab3bd4d9217a0046684bc4b64f7e014d"
+# SHA-256 of the archive produced by the settings below (format v2).
+GOLDEN_SHA256 = "f8ccf094d3b451994d5d054cca2f9597bd5ef9f193f606f2675a1769d7128884"
 
 PROFILE = "CD"
 TRAJECTORIES = 25

@@ -12,9 +12,10 @@ Two guards:
   :func:`reference_index`, §5.2 spelled out the slow way (full decode,
   every edge rasterised on the spot, linear scans).
 
-``p_total`` is a float sum, so its last bit depends on the order of the
-addends; the order is the iteration order of the set of overlapping
-group members, and the reference sums in that order too.
+``p_total`` is a float sum of PDDP-decoded probabilities — multiples of
+one small power of two, so the sum is exact whatever the order, which is
+what lets the sidecar store it as a numerator; the reference still sums
+in the builder's order.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from repro.io.format import write_archive
 from repro.network.generators import perturbed_grid_network
 from repro.network.grid import GridPartition
 from repro.query import StIUIndex, save_index
+from repro.query.sidecar import read_sidecar
 from repro.query.stiu import (
     INFINITE_VERTEX,
     NonReferenceTuple,
@@ -41,15 +43,17 @@ from repro.trajectories.generators import GenerationConfig, generate_dataset
 
 from test_golden_archive import GOLDEN_SHA256, PROVENANCE, golden_setup  # noqa: F401
 
-# time partition -> (.stiu SHA-256, structure digest), recorded from the
-# builder of PR 13 (commit 62f1a4c) over the golden archive
+# time partition -> (.stiu SHA-256, structure digest).  The structure
+# digests are those recorded from the builder of PR 13 (commit 62f1a4c)
+# over the golden archive; the .stiu digests are of sidecar format v2,
+# which stores the same structures in fewer bytes.
 GOLDEN_INDEX = {
     1800: (
-        "cba8de1f487829ad19ee5565238402ef11d801bb3df06fc2144b9eb549e5a82b",
+        "654a72175cdd784e03dbcc317a86a3d2a330b89a11252201eb26037c5bfe8c87",
         "7ece0d94bf4667af62f74762b959d7e7b52565a79065f5ca24e2ec9e611c1c03",
     ),
     60: (
-        "cb8c3f2d209d35e612f4d7cfe754f8f58a38eebd74f49824b5da88ea54ff9b04",
+        "e7718ebc27fe246066cbbd15fcb3a4379b226f742e3e63345445b31cb08bb33e",
         "fd01bc733fd4b48fc23ac0475c7a99fce73afc92a663b1a8ad4aab14aa933d10",
     ),
 }
@@ -113,6 +117,59 @@ def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
             f"time partition {partition}: .stiu bytes changed "
             f"({digest} != pinned {sidecar_sha})"
         )
+
+
+# ----------------------------------------------------------------------
+# the mechanism of format v2: each fact is stored once
+# ----------------------------------------------------------------------
+def test_golden_files_are_smaller_than_their_input(golden_setup, tmp_path):  # noqa: F811
+    """Table 8 read off the disk: archive plus sidecar against the
+    paper's uncompressed size.  25 trajectories is where the fixed
+    headers weigh most; format v1 took 1.50x the raw bytes here."""
+    network, _, archive = golden_setup
+    path = tmp_path / "golden.utcq"
+    archive_bytes = write_archive(archive, path, provenance=PROVENANCE)
+    sidecar_bytes = save_index(StIUIndex(network, archive), path).stat().st_size
+    raw_bytes = archive.stats.original.total / 8
+    assert archive_bytes + sidecar_bytes <= 1.1 * raw_bytes
+
+
+def _uvarint_bytes(value: int) -> int:
+    return max((value.bit_length() + 6) // 7, 1)
+
+
+def test_spatial_section_does_not_grow_with_the_interval_count(
+    golden_setup, tmp_path  # noqa: F811
+):
+    """A trajectory's region tuples are written once however many time
+    intervals it is active in: a 60-second partition changes the
+    inflated spatial section only by the size of each trajectory's
+    ``first interval`` / ``extra intervals`` varints."""
+    network, _, archive = golden_setup
+    path = tmp_path / "golden.utcq"
+    write_archive(archive, path, provenance=PROVENANCE)
+    inflated = {}
+    span_bytes = {}
+    entries = {}
+    for partition in (1800, 60):
+        index = StIUIndex(network, archive, time_partition_seconds=partition)
+        document = read_sidecar(save_index(index, path))
+        inflated[partition] = len(document["spatial_blob"])
+        span_bytes[partition] = sum(
+            _uvarint_bytes(t.start_time // partition)
+            + _uvarint_bytes(
+                t.end_time // partition - t.start_time // partition
+            )
+            for t in archive.trajectories
+        )
+        entries[partition] = sum(
+            len(entry_map)
+            for region_map in index.spatial.values()
+            for entry_map in region_map.values()
+        )
+    # the index fans out over the intervals; the bytes do not
+    assert entries[60] > 3 * entries[1800]
+    assert inflated[60] - inflated[1800] == span_bytes[60] - span_bytes[1800]
 
 
 # ----------------------------------------------------------------------
