@@ -1,11 +1,9 @@
 """A dependency-free metrics registry: counters, gauges, histograms.
 
-Every subsystem used to keep its own counters — ``ServiceStats.bump``
-in :mod:`repro.serve`, ``sidecar_hits/misses/stale`` attributes on
-:class:`~repro.stream.live.LiveArchive`, hit/miss ints locked inside
-:class:`~repro.core.decoder.DecodeSpanCache` — each with its own
-snapshot idiom and none of them exportable.  This module is the one
-place they all land:
+The one place every subsystem's counts land — the serving tier's
+request, supervisor and admission events, the stream tier's sidecar
+loads, the decode-span cache's hits and misses — and the one export
+surface for all of them:
 
 * :class:`Counter` — monotonically increasing; ``inc()`` is a single
   lock-protected add, safe under free threading.
@@ -15,9 +13,15 @@ place they all land:
   and answering quantile queries to within one bucket's relative error.
 * :class:`MetricsRegistry` — a thread-safe instrument table keyed by
   ``(name, labels)``.  ``instrument(...)`` calls are idempotent: two
-  subsystems asking for the same counter share it, which is what makes
-  per-instance shims (:class:`~repro.serve.service.ServiceStats` et al.)
-  cheap — they hold a baseline and report the delta.
+  subsystems asking for the same counter share it.
+* :class:`CounterTally` — a per-instance *view* over shared counters
+  (:class:`~repro.serve.service.ServiceStats`, ``SupervisorStats``,
+  ``AdmissionStats``): an event is written once, to the registry
+  counter, and ``snapshot()`` is that counter minus its value when the
+  tally was built.  A service built after earlier traffic starts at 0
+  while a scrape keeps the process totals; two tallies alive at once
+  over the same counters share their events (nothing in ``src/``,
+  ``ledger/`` or ``benchmarks/`` runs two services side by side).
 
 Export comes in two shapes: :meth:`MetricsRegistry.snapshot` (plain
 dicts, JSON-ready; :func:`snapshot_delta` subtracts two of them) and
@@ -95,6 +99,29 @@ class Counter(Instrument):
 
     def export(self) -> dict:
         return {"value": self.value}
+
+
+class CounterTally:
+    """Named registry counters, read as the events since construction.
+
+    ``bump`` is the single write an event costs (the counter's own
+    lock); ``get`` / ``snapshot`` subtract the baseline taken here.
+    """
+
+    def __init__(self, counters: dict[str, Counter]) -> None:
+        self._counters = counters
+        self._baseline = {
+            name: counter.value for name, counter in counters.items()
+        }
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        self._counters[name].inc(amount)
+
+    def get(self, name: str) -> int:
+        return int(self._counters[name].value - self._baseline[name])
+
+    def snapshot(self) -> dict:
+        return {name: self.get(name) for name in self._counters}
 
 
 class Gauge(Instrument):

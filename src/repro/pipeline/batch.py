@@ -107,7 +107,6 @@ def compress_parallel(
     workers: int | None = None,
     shard_size: int | None = None,
     progress: ProgressCallback | None = None,
-    mp_context: str | None = None,
     **compressor_options,
 ) -> tuple[CompressedArchive, BatchReport]:
     """Compress ``trajectories`` across processes; returns (archive, report).
@@ -150,7 +149,7 @@ def compress_parallel(
         if shard_size is None:
             shard_size = max(1, -(-total // (workers * 4)))
         shards = make_shards(trajectories, shard_size)
-        context = multiprocessing.get_context(mp_context)
+        context = multiprocessing.get_context()
         compressed = []
         with context.Pool(
             processes=workers,
@@ -184,8 +183,6 @@ def save_archive_with_index(
     network: RoadNetwork,
     *,
     provenance: dict[str, str] | None = None,
-    grid_cells_per_side: int = 32,
-    time_partition_seconds: int = 1800,
 ):
     """Write the ``.utcq`` file plus its ``.stiu`` sidecar in one step.
 
@@ -198,11 +195,5 @@ def save_archive_with_index(
     from ..query.stiu import StIUIndex
 
     size = archive.save(path, provenance=provenance)
-    index = StIUIndex(
-        network,
-        archive,
-        grid_cells_per_side=grid_cells_per_side,
-        time_partition_seconds=time_partition_seconds,
-    )
-    sidecar_path = save_index(index, path)
+    sidecar_path = save_index(StIUIndex(network, archive), path)
     return size, sidecar_path

@@ -296,23 +296,10 @@ def build_network_from_provenance(provenance: dict[str, str]):
     return dataset_network(profile_name, scale=int(scale), seed=int(seed))
 
 
-def _open_shard_engine(
-    path,
-    network,
-    *,
-    grid_cells_per_side: int,
-    time_partition_seconds: int,
-    verify_crc: bool,
-) -> BatchQueryEngine:
+def _open_shard_engine(path, network) -> BatchQueryEngine:
     if network is None:
         raise QueryEngineError("network must be resolved before opening")
-    index = StIUIndex.over_file(
-        network,
-        path,
-        verify_crc=verify_crc,
-        grid_cells_per_side=grid_cells_per_side,
-        time_partition_seconds=time_partition_seconds,
-    )
+    index = StIUIndex.over_file(network, path)
     return BatchQueryEngine(network, index.archive, index)
 
 
@@ -382,13 +369,7 @@ def _shard_engine_for(path: str) -> BatchQueryEngine:
 
             with FileBackedArchive.open(path) as probe:
                 network = build_network_from_provenance(probe.provenance)
-        engine = _open_shard_engine(
-            path,
-            network,
-            grid_cells_per_side=_worker_config["grid_cells_per_side"],
-            time_partition_seconds=_worker_config["time_partition_seconds"],
-            verify_crc=_worker_config["verify_crc"],
-        )
+        engine = _open_shard_engine(path, network)
         _worker_engines[path] = engine
     return engine
 
@@ -474,18 +455,12 @@ class ShardWorkerPool:
     generation.
     """
 
-    def __init__(
-        self,
-        config: dict,
-        *,
-        workers: int,
-        mp_context: str | None = None,
-    ) -> None:
+    def __init__(self, config: dict, *, workers: int) -> None:
         if workers < 1:
             raise QueryEngineError(f"workers must be >= 1, got {workers}")
         self._config = config
         self._workers = workers
-        self._context = multiprocessing.get_context(mp_context)
+        self._context = multiprocessing.get_context()
         self._lock = threading.Lock()
         self._closed = False
         self.generation = 0
@@ -697,8 +672,8 @@ class ShardedQueryEngine:
     — :meth:`restart_pool` respawns the workers (warm ``.stiu`` sidecar
     reloads) and the batch can be retried.  :mod:`repro.serve` wraps
     exactly these seams (:meth:`plan` / :meth:`merge` /
-    :meth:`run_local` / :meth:`run_cold` and the :attr:`pool`) into a
-    supervised always-on service.
+    :meth:`run_local` / :meth:`drop_local_engine` and the :attr:`pool`)
+    into a supervised always-on service.
     """
 
     def __init__(
@@ -707,10 +682,6 @@ class ShardedQueryEngine:
         *,
         network=None,
         workers: int | None = None,
-        grid_cells_per_side: int = 32,
-        time_partition_seconds: int = 1800,
-        verify_crc: bool = True,
-        mp_context: str | None = None,
         pool: ShardWorkerPool | None = None,
         hotcache_entries: int | None = None,
     ) -> None:
@@ -722,9 +693,6 @@ class ShardedQueryEngine:
         self.network = network
         self._config = {
             "network": network,
-            "grid_cells_per_side": grid_cells_per_side,
-            "time_partition_seconds": time_partition_seconds,
-            "verify_crc": verify_crc,
             "arena": query_transport.new_arena_id(),
         }
         self._route = self._build_routing(self.shard_paths)
@@ -746,9 +714,7 @@ class ShardedQueryEngine:
         elif self.workers == 1:
             self.pool = None
         else:
-            self.pool = ShardWorkerPool(
-                self._config, workers=self.workers, mp_context=mp_context
-            )
+            self.pool = ShardWorkerPool(self._config, workers=self.workers)
 
     @staticmethod
     def _build_routing(shard_paths: list[str]) -> dict[int, str]:
@@ -1010,65 +976,16 @@ class ShardedQueryEngine:
         """Execute one shard task in-process on a persistent engine.
 
         Where every plan :meth:`routes_to_pool` keeps off the pool runs
-        (all of them when ``workers == 1``), and the serving ladder's
-        first fallback when the pool is unhealthy.
+        (all of them when ``workers == 1``), and the serving tier's
+        fallback when the pool cannot answer.
         """
         if self._closed:
             raise EngineClosedError("engine is closed")
         return self._local_engine(path).run(specs)
 
-    def run_cold(self, path: str, specs: Sequence[Query]) -> list:
-        """Execute one shard task with nothing long-lived at all.
-
-        Opens the archive fresh, answers each query through a
-        throwaway :class:`~repro.query.queries.UTCQQueryProcessor`, and
-        closes it — the serving ladder's last rung, immune to any state
-        a persistent engine may have accumulated.
-        """
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-        network = self._resolve_network(path)
-        index = StIUIndex.over_file(
-            network,
-            path,
-            verify_crc=self._config["verify_crc"],
-            grid_cells_per_side=self._config["grid_cells_per_side"],
-            time_partition_seconds=self._config["time_partition_seconds"],
-        )
-        try:
-            answers = []
-            for spec in specs:
-                processor = UTCQQueryProcessor(
-                    network, index.archive, index
-                )
-                try:
-                    if isinstance(spec, WhereQuery):
-                        answers.append(
-                            processor.where(
-                                spec.trajectory_id, spec.t, spec.alpha
-                            )
-                        )
-                    elif isinstance(spec, WhenQuery):
-                        answers.append(
-                            processor.when(
-                                spec.trajectory_id,
-                                spec.edge,
-                                spec.relative_distance,
-                                spec.alpha,
-                            )
-                        )
-                    else:
-                        answers.append(
-                            processor.range(spec.rect, spec.t, spec.alpha)
-                        )
-                except KeyError:
-                    answers.append([])
-            return answers
-        finally:
-            index.archive.close()
-
     def drop_local_engine(self, path: str) -> None:
-        """Forget a locally opened shard (e.g. after quarantine)."""
+        """Forget a locally opened shard (quarantine, or an engine that
+        raised); the next :meth:`run_local` reopens it from the file."""
         engine = self._local_engines.pop(str(path), None)
         if engine is not None:
             archive = engine.processor.archive
@@ -1087,14 +1004,6 @@ class ShardedQueryEngine:
     def _local_engine(self, path: str) -> BatchQueryEngine:
         engine = self._local_engines.get(path)
         if engine is None:
-            engine = _open_shard_engine(
-                path,
-                self._resolve_network(path),
-                grid_cells_per_side=self._config["grid_cells_per_side"],
-                time_partition_seconds=self._config["time_partition_seconds"],
-                verify_crc=self._config["verify_crc"],
-            )
+            engine = _open_shard_engine(path, self._resolve_network(path))
             self._local_engines[path] = engine
         return engine
-
-

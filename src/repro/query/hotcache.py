@@ -17,7 +17,8 @@ admit-on-every-miss:
   counter, no per-key state, and periodic halving so popularity ages
   out instead of accumulating forever;
 * an answer is only **admitted** once its estimated frequency reaches
-  ``admission_threshold`` (a one-hit wonder never displaces anything);
+  :data:`ADMISSION_THRESHOLD` (a one-hit wonder never displaces
+  anything);
 * at capacity a challenger must beat the LRU victim's estimated
   frequency to evict it — scans of cold queries wash over the cache
   without flushing the hot set.
@@ -46,6 +47,9 @@ from ..obs import metrics as obs_metrics
 #: distinct sentinel: a cached empty answer is a hit, not a miss
 MISS = object()
 
+#: lookups a key needs before its answer may be cached
+ADMISSION_THRESHOLD = 2
+
 _HASH_MASK = (1 << 64) - 1
 _MIX = 0x9E3779B97F4A7C15
 
@@ -54,7 +58,7 @@ def resolve_hotcache_entries(explicit: int | None = None) -> int:
     """Capacity resolution: explicit argument > ``REPRO_HOTCACHE`` > 0.
 
     0 disables the tier — the default, because a result cache sits
-    above the corruption-detection ladder (see ``docs/architecture.md``)
+    above the corruption detection (see ``docs/architecture.md``)
     and turning it on is a per-deployment decision.
     """
     if explicit is not None:
@@ -129,29 +133,14 @@ class CountMinSketch:
 class HotTrajectoryCache:
     """Frequency-admitted LRU of fully decoded query answers."""
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        admission_threshold: int = 2,
-        sketch_depth: int = 4,
-        sketch_width: int | None = None,
-        sample_factor: int = 8,
-        register: bool = True,
-    ) -> None:
+    def __init__(self, capacity: int = 4096, *, register: bool = True) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if admission_threshold < 1:
-            raise ValueError(
-                f"admission_threshold must be >= 1, "
-                f"got {admission_threshold}"
-            )
         self.capacity = capacity
-        self.admission_threshold = admission_threshold
+        # four counters and eight aging samples per cached entry
         self.sketch = CountMinSketch(
-            width=sketch_width or max(256, 4 * capacity),
-            depth=sketch_depth,
-            sample_size=max(256, capacity * sample_factor),
+            width=max(256, 4 * capacity),
+            sample_size=max(256, 8 * capacity),
         )
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
@@ -193,7 +182,7 @@ class HotTrajectoryCache:
                 self._entries.move_to_end(key)
                 return True
             frequency = self.sketch.estimate(key)
-            if frequency < self.admission_threshold:
+            if frequency < ADMISSION_THRESHOLD:
                 self.rejections += 1
                 return False
             if len(self._entries) >= self.capacity:

@@ -101,7 +101,6 @@ class StIUIndex:
         path,
         *,
         cache_size: int | None = None,
-        verify_crc: bool = True,
         grid_cells_per_side: int = 32,
         time_partition_seconds: int = 1800,
         sidecar: object = "auto",
@@ -125,9 +124,7 @@ class StIUIndex:
         from . import sidecar as sidecar_io
 
         archive = FileBackedArchive.open(
-            path,
-            cache_size=cache_size or DEFAULT_CACHE_SIZE,
-            verify_crc=verify_crc,
+            path, cache_size=cache_size or DEFAULT_CACHE_SIZE
         )
         try:
             if sidecar is not None:

@@ -38,7 +38,6 @@ from .errors import (
 from .service import (
     MODE_BATCH,
     MODE_SHARDED,
-    MODE_SINGLE,
     QueryService,
     ServiceConfig,
     ServiceResponse,
@@ -91,7 +90,6 @@ __all__ = [
     "ServiceStats",
     "MODE_SHARDED",
     "MODE_BATCH",
-    "MODE_SINGLE",
     "BackoffSchedule",
     "RetryPolicy",
     "SupervisorStats",

@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 from ..obs import metrics as obs_metrics
 from .errors import Overloaded
+
+#: Client ids one controller remembers (token buckets and the
+#: ``clients_seen`` set alike): ids arrive over the wire, so a flood of
+#: distinct ones must not grow either table forever.
+MAX_TRACKED_CLIENTS = 4096
 
 
 class TokenBucket:
@@ -64,19 +68,27 @@ class TokenBucket:
         return max(0.0, deficit / self.rate)
 
 
-@dataclass
-class AdmissionStats:
-    """Per-controller admission tallies.
+class AdmissionStats(obs_metrics.CounterTally):
+    """This controller's admission outcomes: a view over the registry.
 
-    The controller mirrors every count into the process registry
-    (``repro_admission_*`` counters, ``repro_admission_in_flight``
-    gauge); this object keeps the per-instance view.
+    Each outcome is written once, to its ``repro_admission_*`` counter;
+    ``get`` / ``snapshot`` are those counters minus their values when
+    the controller was built.  ``clients_seen`` holds at most
+    :data:`MAX_TRACKED_CLIENTS` ids — its size saturates there.
     """
 
-    admitted: int = 0
-    shed_in_flight: int = 0
-    shed_rate_limited: int = 0
-    clients_seen: set = field(default_factory=set)
+    def __init__(self) -> None:
+        shed = "repro_admission_shed_total"
+        super().__init__({
+            "admitted": obs_metrics.counter("repro_admission_admitted_total"),
+            "shed_in_flight": obs_metrics.counter(
+                shed, labels={"reason": "in_flight"}
+            ),
+            "shed_rate_limited": obs_metrics.counter(
+                shed, labels={"reason": "rate_limited"}
+            ),
+        })
+        self.clients_seen: set[str] = set()
 
 
 class AdmissionController:
@@ -98,7 +110,6 @@ class AdmissionController:
         max_in_flight: int,
         rate_per_second: float | None = None,
         burst: float | None = None,
-        max_tracked_clients: int = 4096,
         clock=time.monotonic,
     ) -> None:
         if max_in_flight < 1:
@@ -110,24 +121,11 @@ class AdmissionController:
         self.burst = burst if burst is not None else (
             rate_per_second if rate_per_second is not None else None
         )
-        self.max_tracked_clients = max_tracked_clients
         self._clock = clock
         self._lock = threading.Lock()
         self._in_flight = 0
         self._buckets: dict[str, TokenBucket] = {}
         self.stats = AdmissionStats()
-        self._metric_admitted = obs_metrics.counter(
-            "repro_admission_admitted_total"
-        )
-        self._metric_shed = {
-            "in_flight": obs_metrics.counter(
-                "repro_admission_shed_total", labels={"reason": "in_flight"}
-            ),
-            "rate_limited": obs_metrics.counter(
-                "repro_admission_shed_total",
-                labels={"reason": "rate_limited"},
-            ),
-        }
         self._metric_in_flight = obs_metrics.gauge(
             "repro_admission_in_flight"
         )
@@ -144,7 +142,7 @@ class AdmissionController:
         if bucket is None:
             # cap the table so a client-id flood cannot grow it forever;
             # evicting an active client merely refills its bucket once
-            if len(self._buckets) >= self.max_tracked_clients:
+            if len(self._buckets) >= MAX_TRACKED_CLIENTS:
                 self._buckets.pop(next(iter(self._buckets)))
             bucket = TokenBucket(
                 rate_per_second=self.rate_per_second,
@@ -156,26 +154,25 @@ class AdmissionController:
 
     def admit(self, client: str = "default") -> "_AdmissionSlot":
         with self._lock:
-            self.stats.clients_seen.add(client)
+            seen = self.stats.clients_seen
+            if len(seen) < MAX_TRACKED_CLIENTS:
+                seen.add(client)
             bucket = self._bucket(client)
             if bucket is not None and not bucket.try_take():
-                self.stats.shed_rate_limited += 1
-                self._metric_shed["rate_limited"].inc()
+                self.stats.bump("shed_rate_limited")
                 raise Overloaded(
                     f"client {client!r} is over its rate limit "
                     f"({self.rate_per_second:g}/s, burst {self.burst:g})",
                     retry_after=bucket.seconds_until(),
                 )
             if self._in_flight >= self.max_in_flight:
-                self.stats.shed_in_flight += 1
-                self._metric_shed["in_flight"].inc()
+                self.stats.bump("shed_in_flight")
                 raise Overloaded(
                     f"service is at its in-flight limit "
                     f"({self.max_in_flight} requests)"
                 )
             self._in_flight += 1
-            self.stats.admitted += 1
-            self._metric_admitted.inc()
+            self.stats.bump("admitted")
             self._metric_in_flight.set(self._in_flight)
         return _AdmissionSlot(self)
 

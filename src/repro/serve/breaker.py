@@ -4,9 +4,9 @@ Standard three-state machine, clock-injectable for tests:
 
 * **closed** — requests use the pool; consecutive failures are
   counted and ``failure_threshold`` of them open the breaker.
-* **open** — the pool is presumed sick; requests skip straight to the
-  degradation ladder (no pool attempt, no added latency) until
-  ``reset_timeout`` has passed.
+* **open** — the pool is presumed sick; requests are answered in
+  process (no pool attempt, no added latency) until ``reset_timeout``
+  has passed.
 * **half-open** — one trial request is let through; success closes
   the breaker, failure re-opens it and restarts the timer.
 

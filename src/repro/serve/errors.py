@@ -35,15 +35,15 @@ class Overloaded(ServeError):
 
 class DeadlineExceeded(ServeError):
     """The request's deadline expired before any attempt produced a
-    result — retries, the hedge, and the degradation ladder included."""
+    result — retries, the hedge, and the in-process fallback included."""
 
 
 class WorkerPoolUnavailable(ServeError):
     """The supervised pool burned its whole retry/hedge budget for one
     call without producing an answer.
 
-    Not a terminal request failure: the service catches this and walks
-    down the degradation ladder while the request's deadline allows.
+    Not a terminal request failure: the service catches this and
+    answers the shard task in process while the deadline allows.
     """
 
 

@@ -17,14 +17,16 @@ long-lived front-end can actually lean on:
   too small to repay the pool's fixed cost runs all its shard tasks on
   the calling thread, in process; only a big one is split across the
   pool;
-* a **circuit breaker** watches pool outcomes, and a failing rung
-  drops the shard task down the **degradation ladder**: sharded pool →
-  in-process :class:`~repro.query.engine.BatchQueryEngine` → per-query
-  cold :class:`~repro.query.queries.UTCQQueryProcessor` (a request
-  routed in process starts at the second rung).  Every rung
-  produces results pinned identical to the one-at-a-time processor
-  (and therefore the brute-force oracle, up to PDDP error) — the rungs
-  differ only in throughput;
+* there are **two rungs**, and the route fixes where a request
+  starts: the sharded pool, and the in-process
+  :class:`~repro.query.engine.BatchQueryEngine` per shard.  A
+  **circuit breaker** watches pool outcomes; a pool-routed shard task
+  the pool cannot answer (breaker refusing, attempts exhausted, slab
+  unreadable) is answered in process instead.  An in-process engine
+  that raises is dropped, reopened and asked **once more**; a second
+  failure surfaces.  Both rungs produce results pinned identical to
+  the one-at-a-time processor (and therefore the brute-force oracle,
+  up to PDDP error) — they differ only in throughput;
 * a shard whose records fail CRC verification is **quarantined**:
   requests that need it are refused with
   :class:`~repro.serve.errors.ShardQuarantined` (a range query is
@@ -32,10 +34,11 @@ long-lived front-end can actually lean on:
   after ``quarantine_reprobe`` seconds so a repaired shard re-enters
   service on its own.
 
-``submit``/``submit_many`` never raise for per-request failures; they
-return a :class:`ServiceResponse` whose ``error`` carries the typed
-exception, which is what a wire front-end would serialize and what the
-chaos bench's availability accounting consumes.
+``submit``/``submit_many`` never raise for per-request failures
+(overload, deadline, quarantine, an unavailable pool, a malformed
+spec); they return a :class:`ServiceResponse` whose ``error`` carries
+the typed exception, which is what a wire front-end would serialize
+and what the chaos bench's availability accounting consumes.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from ..query.engine import (
     DISPATCH_WINDOW,
     EngineClosedError,
     Query,
+    QueryEngineError,
     ShardedQueryEngine,
     ShardWorkerPool,
 )
@@ -70,17 +74,22 @@ from .supervisor import RetryPolicy, WorkerSupervisor
 
 _log = get_logger("repro.serve.service")
 
-# ladder rungs, least to most degraded
+# the two rungs: the worker pool, and the in-process engines
 MODE_SHARDED = "sharded"
 MODE_BATCH = "batch"
-MODE_SINGLE = "single"
-_MODE_ORDER = {MODE_SHARDED: 0, MODE_BATCH: 1, MODE_SINGLE: 2}
 
-# where a request was routed, and the rung that route answers on when
-# nothing fails; a completion on any rung below it was served degraded
+# where a request was routed; the pool route answers "sharded" when
+# nothing fails, the in-process route "batch"
 ROUTE_POOL = "pool"
 ROUTE_INPROCESS = "inprocess"
-_ROUTED_RUNG = {ROUTE_POOL: MODE_SHARDED, ROUTE_INPROCESS: MODE_BATCH}
+
+
+def _mode(route: str, degraded: bool) -> str:
+    """The rung that answered: the pool only for a pool-routed request
+    (or shard task) none of which fell back in process."""
+    if route == ROUTE_POOL and not degraded:
+        return MODE_SHARDED
+    return MODE_BATCH
 
 
 @dataclass(frozen=True)
@@ -96,18 +105,12 @@ class ServiceConfig:
     breaker_reset: float = 1.0
     quarantine_reprobe: float = 0.5
     health_interval: float | None = 1.0  # None: no background probing
-    ladder: tuple[str, ...] = (MODE_SHARDED, MODE_BATCH, MODE_SINGLE)
     # None: engine resolves REPRO_HOTCACHE (default off)
     hotcache_entries: int | None = None
 
     def __post_init__(self) -> None:
         if self.deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
-        for rung in self.ladder:
-            if rung not in _MODE_ORDER:
-                raise ValueError(f"unknown ladder rung {rung!r}")
-        if not self.ladder:
-            raise ValueError("ladder must have at least one rung")
 
 
 @dataclass
@@ -117,7 +120,8 @@ class ServiceResponse:
     ok: bool
     results: list | None  # aligned with the submitted queries
     error: Exception | None
-    mode: str  # rung that answered (the most degraded one used); "" on error
+    # "sharded", or "batch" when any shard ran in process; "" on error
+    mode: str
     latency: float  # seconds, admission to response
     client: str
     trace: dict | None = None  # span tree when submitted with trace=True
@@ -143,14 +147,14 @@ class ServiceResponse:
         return self.results[0]
 
 
-class ServiceStats:
-    """Per-service request counters, mirrored into the process registry.
+class ServiceStats(obs_metrics.CounterTally):
+    """This service's request counters: a view over the process registry.
 
-    A thin shim over :mod:`repro.obs.metrics`: every ``bump`` lands in
-    the shared registry counter named below (that is what a Prometheus
-    scrape / ``--metrics-out`` exports), while a per-instance tally
-    keeps :meth:`snapshot` scoped to *this* service — the exact keys
-    and semantics the pre-registry dataclass had.
+    ``bump`` writes the shared registry counter named below (what a
+    Prometheus scrape / ``--metrics-out`` exports) and nothing else;
+    :meth:`snapshot` is those counters minus their values when this
+    service was built, so services built one after another each start
+    at 0.  Two alive in one process would share the tally.
     """
 
     # bump() name -> (registry counter, labels)
@@ -173,9 +177,6 @@ class ServiceStats:
         "served_degraded_batch": (
             "repro_service_served_total", {"mode": "batch"}
         ),
-        "served_degraded_single": (
-            "repro_service_served_total", {"mode": "single"}
-        ),
         "routed_pool": (
             "repro_service_routed_total", {"route": ROUTE_POOL}
         ),
@@ -192,21 +193,10 @@ class ServiceStats:
     }
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self.METRICS, 0)
-        self._metrics = {
+        super().__init__({
             name: obs_metrics.counter(metric, labels=labels)
             for name, (metric, labels) in self.METRICS.items()
-        }
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += amount
-        self._metrics[name].inc(amount)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return dict(self._counts)
+        })
 
 
 class QueryService:
@@ -219,7 +209,6 @@ class QueryService:
         network=None,
         workers: int | None = None,
         config: ServiceConfig | None = None,
-        mp_context: str | None = None,
         pool: ShardWorkerPool | None = None,
         pool_wrapper=None,
         clock=time.monotonic,
@@ -230,7 +219,6 @@ class QueryService:
             shard_paths,
             network=network,
             workers=workers,
-            mp_context=mp_context,
             pool=pool,
             hotcache_entries=self.config.hotcache_entries,
         )
@@ -241,7 +229,7 @@ class QueryService:
         # long-lived thread per window slot, so a request's shard
         # sub-batches run concurrently (threads block in
         # supervisor.call; the work itself happens in pool workers or,
-        # degraded, under _local_lock).
+        # fallen back, under _local_lock).
         self._dispatch = ThreadPoolExecutor(
             max_workers=DISPATCH_WINDOW,
             thread_name_prefix="repro-dispatch",
@@ -276,15 +264,8 @@ class QueryService:
         )
         self._closed = False
         # serializes the warm in-process engines: held once around a
-        # whole in-process request, re-entered by its batch rung
+        # whole in-process request, re-entered by each of its shard tasks
         self._local_lock = threading.RLock()
-        # the ladder a shard task walks, by where its request was routed
-        self._rungs = {
-            ROUTE_POOL: self.config.ladder,
-            ROUTE_INPROCESS: tuple(
-                rung for rung in self.config.ladder if rung != MODE_SHARDED
-            ),
-        }
         self._quarantine_lock = threading.Lock()
         self._quarantined: dict[str, float] = {}  # path -> quarantined at
 
@@ -415,14 +396,14 @@ class QueryService:
                     with obs_trace.start_trace(
                         "request", client=client, queries=len(queries)
                     ) as root:
-                        results, mode, route = self._execute(
+                        results, route, degraded = self._execute(
                             queries, deadline_at
                         )
-                        root.set("mode", mode)
+                        root.set("mode", _mode(route, degraded))
                         root.set("route", route)
                     trace_doc = root.to_dict()
                 else:
-                    results, mode, route = self._execute(
+                    results, route, degraded = self._execute(
                         queries, deadline_at
                     )
         except Overloaded as error:  # pragma: no cover - defensive
@@ -435,20 +416,23 @@ class QueryService:
         except ShardQuarantined as error:
             self.stats.bump("quarantined")
             return self._respond(started, client, error=error)
-        except (WorkerPoolUnavailable, EngineClosedError) as error:
+        except (WorkerPoolUnavailable, QueryEngineError) as error:
+            # QueryEngineError: a malformed spec, or a closed engine
             self.stats.bump("failed")
             _log.warning(
                 "request.failed", client=client, error=str(error)
             )
             return self._respond(started, client, error=error)
+        mode = _mode(route, degraded)
         self.stats.bump("completed")
         self.stats.bump("routed_" + route)
-        if mode == MODE_SHARDED:
-            self.stats.bump("served_sharded")
-        elif mode != _ROUTED_RUNG[route]:
+        if degraded:
             # in-process is a normal answer for a request routed there;
-            # degraded means below the rung the request was routed to
-            self.stats.bump("served_degraded_" + mode)
+            # degraded means a pool-routed shard fell back in process,
+            # or an in-process engine had to be reopened
+            self.stats.bump("served_degraded_batch")
+        elif route == ROUTE_POOL:
+            self.stats.bump("served_sharded")
         return self._respond(
             started, client, results=results, mode=mode, trace=trace_doc
         )
@@ -478,8 +462,8 @@ class QueryService:
     # ------------------------------------------------------------------
     def _execute(
         self, queries, deadline_at: float
-    ) -> tuple[list, str, str]:
-        """Plan, route, execute, merge: ``(results, mode, route)``."""
+    ) -> tuple[list, str, bool]:
+        """Plan, route, execute, merge: ``(results, route, degraded)``."""
         with obs_trace.trace_span("plan", queries=len(queries)):
             # the gate runs inside plan(), before the hot-cache short
             # circuit — a quarantined shard refuses its queries even
@@ -493,41 +477,39 @@ class QueryService:
             # supervisor; the deadline is checked between shard tasks
             # (a task's overshoot is bounded by POOL_MIN_EXECUTIONS)
             with self._local_lock:
-                task_results, worst = self._execute_serial(
+                task_results, degraded = self._execute_serial(
                     items, deadline_at, route
                 )
         else:
             route = ROUTE_POOL
             if breaker == CLOSED:
-                task_results, worst = self._execute_pipelined(
+                task_results, degraded = self._execute_pipelined(
                     items, deadline_at
                 )
             else:
                 # a suspect pool gets probed one shard at a time: the
                 # first success closes the breaker for the rest of the
-                # request instead of every shard racing to the degraded
-                # rungs
-                task_results, worst = self._execute_serial(
+                # request instead of every shard racing to fall back
+                task_results, degraded = self._execute_serial(
                     items, deadline_at, route
                 )
         with obs_trace.trace_span("merge", tasks=len(task_results)):
-            return self.engine.merge(plan, task_results), worst, route
+            return self.engine.merge(plan, task_results), route, degraded
 
     def _execute_serial(self, items, deadline_at: float, route: str):
         task_results = []
-        worst = _ROUTED_RUNG[route]
+        degraded = False
         for path, specs in items:
             with obs_trace.trace_span(
                 "shard:" + path.rsplit("/", 1)[-1], path=path
             ) as span:
-                answers, mode = self._execute_task(
+                answers, fell_back = self._execute_task(
                     path, specs, deadline_at, route
                 )
-                span.set("mode", mode)
-            if _MODE_ORDER[mode] > _MODE_ORDER[worst]:
-                worst = mode
+                span.set("mode", _mode(route, fell_back))
+            degraded |= fell_back
             task_results.append((specs, answers))
-        return task_results, worst
+        return task_results, degraded
 
     def _execute_pipelined(self, items, deadline_at: float):
         """Run every shard sub-batch concurrently on the dispatch pool.
@@ -544,8 +526,7 @@ class QueryService:
 
         def run_one(path, specs):
             if root is None:
-                answers, mode = self._execute_task(path, specs, deadline_at)
-                return answers, mode, None
+                return *self._execute_task(path, specs, deadline_at), None
             with obs_trace.start_trace(
                 "shard:" + path.rsplit("/", 1)[-1], path=path
             ) as span:
@@ -553,20 +534,22 @@ class QueryService:
                     "t0_offset_seconds",
                     round(time.perf_counter() - t0, 6),
                 )
-                answers, mode = self._execute_task(path, specs, deadline_at)
-                span.set("mode", mode)
-            return answers, mode, span
+                answers, fell_back = self._execute_task(
+                    path, specs, deadline_at
+                )
+                span.set("mode", _mode(ROUTE_POOL, fell_back))
+            return answers, fell_back, span
 
         futures = [
             self._dispatch.submit(run_one, path, specs)
             for path, specs in items
         ]
         task_results = []
-        worst = MODE_SHARDED
+        degraded = False
         error: Exception | None = None
         for (path, specs), future in zip(items, futures):
             try:
-                answers, mode, span = future.result()
+                answers, fell_back, span = future.result()
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 # keep collecting so sibling spans still land on the
                 # tree and no future is abandoned mid-flight
@@ -575,88 +558,88 @@ class QueryService:
                 continue
             if root is not None and span is not None:
                 root.children.append(span)
-            if _MODE_ORDER[mode] > _MODE_ORDER[worst]:
-                worst = mode
+            degraded |= fell_back
             task_results.append((specs, answers))
         if error is not None:
             raise error
-        return task_results, worst
+        return task_results, degraded
 
     def _execute_task(
         self, path: str, specs, deadline_at: float, route: str = ROUTE_POOL
-    ) -> tuple[list, str]:
-        """Walk the ladder until a rung answers; quarantine on corruption.
+    ) -> tuple[list, bool]:
+        """Answer one shard task: ``(answers, degraded)``.
 
-        A pool-routed request (there is a pool and its supervisor, then)
-        walks the configured ladder, one routed in process the same
-        ladder without its sharded rung.
+        A pool-routed task (there is a pool and its supervisor, then)
+        is answered by the pool, or in process when the breaker
+        refuses, the attempts are exhausted or the slab cannot be read
+        back; one routed in process, in process.  Corruption on either
+        rung quarantines the shard.
         """
-        last_error: Exception | None = None
-        for rung in self._rungs[route]:
-            if self._clock() >= deadline_at:
-                raise DeadlineExceeded(
-                    f"deadline expired before shard {path} was executed"
-                )
-            if rung == MODE_SHARDED:
-                if not self.breaker.allow():
-                    continue
-                try:
-                    answers = self.supervisor.call(
-                        path, specs, deadline_at=deadline_at
-                    )
-                except CorruptArchiveError as error:
-                    self._quarantine(path, error)
-                    raise ShardQuarantined(path) from error
-                except DeadlineExceeded:
-                    self.breaker.record_failure()
-                    raise
-                except WorkerPoolUnavailable as error:
-                    self.breaker.record_failure()
-                    last_error = error
-                    continue
-                self.breaker.record_success()
-                try:
-                    answers = self.engine.pool.decode(answers)
-                except TransportError as error:
-                    # the worker answered (pool is healthy — the
-                    # breaker already recorded the success) but its
-                    # slab could not be read back; recompute on the
-                    # next rung instead of failing the request
-                    self.engine.transport_fallbacks.inc()
-                    _log.warning(
-                        "shard.transport_fallback",
-                        path=path,
-                        error=str(error),
-                    )
-                    last_error = error
-                    continue
-                return answers, MODE_SHARDED
-            if rung == MODE_BATCH:
-                try:
-                    with self._local_lock:
-                        answers = self.engine.run_local(path, specs)
-                except CorruptArchiveError as error:
-                    self._quarantine(path, error)
-                    raise ShardQuarantined(path) from error
-                except EngineClosedError:
-                    raise
-                except Exception as error:
-                    # a wedged warm engine must not take the rung below
-                    # with it; drop it and let "single" start clean
-                    last_error = error
-                    self.engine.drop_local_engine(path)
-                    continue
-                return answers, MODE_BATCH
-            if rung == MODE_SINGLE:
-                try:
-                    answers = self.engine.run_cold(path, specs)
-                except CorruptArchiveError as error:
-                    self._quarantine(path, error)
-                    raise ShardQuarantined(path) from error
-                return answers, MODE_SINGLE
-        raise last_error if last_error is not None else WorkerPoolUnavailable(
-            f"no ladder rung could execute shard {path}"
-        )
+        try:
+            self._check_deadline(path, deadline_at)
+            if route == ROUTE_POOL and self.breaker.allow():
+                answers = self._run_pooled(path, specs, deadline_at)
+                if answers is not None:
+                    return answers, False
+                self._check_deadline(path, deadline_at)
+            with self._local_lock:
+                answers, reopened = self._run_in_process(path, specs)
+            return answers, reopened or route == ROUTE_POOL
+        except CorruptArchiveError as error:
+            self._quarantine(path, error)
+            raise ShardQuarantined(path) from error
+
+    def _check_deadline(self, path: str, deadline_at: float) -> None:
+        if self._clock() >= deadline_at:
+            raise DeadlineExceeded(
+                f"deadline expired before shard {path} was executed"
+            )
+
+    def _run_pooled(
+        self, path: str, specs, deadline_at: float
+    ) -> list | None:
+        """One supervised pool call, its outcome fed to the breaker;
+        None when the pool could not answer and the caller must."""
+        try:
+            payload = self.supervisor.call(
+                path, specs, deadline_at=deadline_at
+            )
+        except DeadlineExceeded:
+            self.breaker.record_failure()
+            raise
+        except WorkerPoolUnavailable:
+            self.breaker.record_failure()
+            return None
+        self.breaker.record_success()
+        try:
+            return self.engine.pool.decode(payload)
+        except TransportError as error:
+            # the worker answered (pool is healthy — the breaker
+            # already recorded the success) but its slab could not be
+            # read back; recompute in process instead of failing the
+            # request
+            self.engine.transport_fallbacks.inc()
+            _log.warning(
+                "shard.transport_fallback", path=path, error=str(error)
+            )
+            return None
+
+    def _run_in_process(self, path: str, specs) -> tuple[list, bool]:
+        """``(answers, reopened)`` from the shard's warm engine.
+
+        A wedged warm engine must not fail the request: it is dropped
+        and the task runs once more on a freshly reopened one (new
+        archive handle, index and decode cache).  A second failure
+        propagates.
+        """
+        try:
+            return self.engine.run_local(path, specs), False
+        except (CorruptArchiveError, EngineClosedError):
+            raise
+        except Exception as error:
+            self.engine.drop_local_engine(path)
+            _log.warning("shard.local_reopen", path=path, error=str(error))
+            return self.engine.run_local(path, specs), True
 
     # ------------------------------------------------------------------
     # quarantine
@@ -742,9 +725,7 @@ class QueryService:
         data = {
             "service": self.stats.snapshot(),
             "admission": {
-                "admitted": self.admission.stats.admitted,
-                "shed_in_flight": self.admission.stats.shed_in_flight,
-                "shed_rate_limited": self.admission.stats.shed_rate_limited,
+                **self.admission.stats.snapshot(),
                 "clients_seen": len(self.admission.stats.clients_seen),
                 "in_flight": self.admission.in_flight,
             },

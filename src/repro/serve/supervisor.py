@@ -39,13 +39,17 @@ from .errors import DeadlineExceeded, WorkerPoolUnavailable
 
 _log = get_logger("repro.serve.supervisor")
 
+#: seconds a health-check ping may take
+PING_TIMEOUT = 5.0
+#: consecutive silent pings before a (possibly just busy) pool is respawned
+PING_FAILURES_BEFORE_RESPAWN = 2
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Timeouts and budgets for one supervised call."""
 
     attempt_timeout: float = 0.25  # seconds the first attempt may take
-    timeout_multiplier: float = 2.0  # later attempts get more rope
     max_attempts: int = 3
     backoff_base: float = 0.05
     backoff_multiplier: float = 2.0
@@ -54,7 +58,8 @@ class RetryPolicy:
     jitter: bool = True  # decorrelate retry pauses across callers
 
     def attempt_budget(self, attempt: int) -> float:
-        return self.attempt_timeout * self.timeout_multiplier**attempt
+        """Each later attempt gets twice the rope of the one before."""
+        return self.attempt_timeout * 2.0**attempt
 
     def backoff(self, attempt: int) -> float:
         """The deterministic exponential pause (no jitter)."""
@@ -82,8 +87,8 @@ class BackoffSchedule:
 
     Each caller's sequence wanders independently, the *expected* pause
     still grows geometrically, and the cap bounds the tail.  The RNG is
-    injected (seeded by the supervisor / tests) so a chaos run's pause
-    sequence is reproducible; with no RNG — or ``jitter=False`` on the
+    injected (the wire client and the tests seed theirs) so a pause
+    sequence can be reproduced; with no RNG — or ``jitter=False`` on the
     policy — the schedule degrades to the deterministic exponential,
     which is what hand-built test policies with zeroed backoff rely on.
     """
@@ -106,14 +111,14 @@ class BackoffSchedule:
         return pause
 
 
-class SupervisorStats:
-    """Per-supervisor counters, mirrored into the process registry.
+class SupervisorStats(obs_metrics.CounterTally):
+    """This supervisor's events: a view over the process registry.
 
-    A thin shim over :mod:`repro.obs.metrics`: every ``bump`` lands in
-    the shared ``repro_supervisor_<event>_total`` counter (what a scrape
-    or ``--metrics-out`` exports), while a per-instance tally keeps
-    :meth:`snapshot` scoped to *this* supervisor — several supervisors
-    in one process (tests, benches) never see each other's counts.
+    ``bump`` writes the shared ``repro_supervisor_<event>_total``
+    counter (what a scrape or ``--metrics-out`` exports) and nothing
+    else; :meth:`snapshot` is those counters minus their values when
+    this supervisor was built, so supervisors built one after another
+    each start at 0.  Two alive at once would share the tally.
     """
 
     FIELDS = (
@@ -129,21 +134,10 @@ class SupervisorStats:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self.FIELDS, 0)
-        self._metrics = {
+        super().__init__({
             name: obs_metrics.counter(f"repro_supervisor_{name}_total")
             for name in self.FIELDS
-        }
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += amount
-        self._metrics[name].inc(amount)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return dict(self._counts)
+        })
 
 
 class WorkerSupervisor:
@@ -154,21 +148,13 @@ class WorkerSupervisor:
         pool,
         *,
         policy: RetryPolicy | None = None,
-        ping_timeout: float = 5.0,
-        ping_failures_before_respawn: int = 2,
         clock=time.monotonic,
-        sleep=time.sleep,
-        seed: int | None = None,
     ) -> None:
         self.pool = pool
         self.policy = policy or RetryPolicy()
-        self.ping_timeout = ping_timeout
-        self.ping_failures_before_respawn = ping_failures_before_respawn
         self._clock = clock
-        self._sleep = sleep
-        # jitter RNG: seeded for reproducible chaos runs/tests, OS
-        # entropy otherwise (decorrelation is the whole point)
-        self._rng = random.Random(seed)
+        # jitter RNG from OS entropy: decorrelation is the whole point
+        self._rng = random.Random()
         self._respawn_lock = threading.Lock()
         self._consecutive_ping_failures = 0
         self._health_thread: threading.Thread | None = None
@@ -202,12 +188,12 @@ class WorkerSupervisor:
         """One health probe; respawns a provably broken pool.
 
         A ping *timeout* alone is ambiguous (the pool may just be busy),
-        so only ``ping_failures_before_respawn`` consecutive failures —
-        or a ``BrokenProcessPool`` — trigger a respawn.
+        so only :data:`PING_FAILURES_BEFORE_RESPAWN` consecutive
+        failures — or a ``BrokenProcessPool`` — trigger a respawn.
         """
         generation = self.pool.generation
         try:
-            self.pool.ping(timeout=self.ping_timeout)
+            self.pool.ping(timeout=PING_TIMEOUT)
         except BrokenProcessPool:
             self.stats.bump("pings_failed")
             self.stats.bump("worker_deaths")
@@ -219,7 +205,7 @@ class WorkerSupervisor:
             self._consecutive_ping_failures += 1
             if (
                 self._consecutive_ping_failures
-                >= self.ping_failures_before_respawn
+                >= PING_FAILURES_BEFORE_RESPAWN
             ):
                 self._consecutive_ping_failures = 0
                 self.respawn(seen_generation=generation)
@@ -313,7 +299,7 @@ class WorkerSupervisor:
                 max(0.0, deadline_at - self._clock()),
             )
             if pause > 0:
-                self._sleep(pause)
+                time.sleep(pause)
 
     def _one_attempt(self, path, specs, *, budget: float):
         """Submit once (maybe hedged); returns an _Answer or None on

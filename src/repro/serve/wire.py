@@ -1,7 +1,7 @@
 """The socket front-end: a framed binary wire protocol over asyncio TCP.
 
 Until this module, :class:`~repro.serve.service.QueryService` was only
-reachable in-process; the supervision ladder, admission control, and
+reachable in-process; supervision, admission control, and
 the shm data plane had never been exercised against the failure modes
 a real network brings.  ``repro.serve.wire`` puts a hardened TCP
 server in front of the service:
@@ -18,8 +18,9 @@ server in front of the service:
     16      4     CRC-32 of the body, u32
 
 A request body carries the client id, an optional per-request deadline
-and a packed query list; a response body is the request's ladder mode
-plus the PR 9 answer codec blob
+and a packed query list; a response body is the rung that answered
+(the mode byte: 0 sharded, 1 batch, 255 none; 2 is retired) plus the
+PR 9 answer codec blob
 (:func:`repro.query.transport.encode_answers` — the same bytes the shm
 slabs carry, so the wire and the data plane cannot drift); an error
 body is a typed code + ``retry_after`` + message, one code per
@@ -68,7 +69,7 @@ from ..query.transport import (
     encode_answers,
 )
 from .errors import DeadlineExceeded, Overloaded, ShardQuarantined
-from .service import MODE_BATCH, MODE_SHARDED, MODE_SINGLE
+from .service import MODE_BATCH, MODE_SHARDED
 
 _log = get_logger("repro.serve.wire")
 
@@ -105,14 +106,16 @@ _Q_TAG = struct.Struct("<B")
 _Q_WHERE = struct.Struct("<qqd")  # trajectory, t, alpha
 _Q_WHEN = struct.Struct("<qqqdd")  # trajectory, e0, e1, rd, alpha
 _Q_RANGE = struct.Struct("<ddddqd")  # rect, t, alpha
-_RESP_HEAD = struct.Struct("<B")  # ladder mode code
+_RESP_HEAD = struct.Struct("<B")  # mode code
 _ERR_HEAD = struct.Struct("<BdH")  # code, retry_after, message len
 
 _TAG_WHERE = 0
 _TAG_WHEN = 1
 _TAG_RANGE = 2
 
-_MODE_CODES = {MODE_SHARDED: 0, MODE_BATCH: 1, MODE_SINGLE: 2, "": 255}
+# code 2 (the retired per-query cold rung) is not reused: an old
+# server's byte decodes to "" like any unknown code
+_MODE_CODES = {MODE_SHARDED: 0, MODE_BATCH: 1, "": 255}
 _MODE_NAMES = {code: mode for mode, code in _MODE_CODES.items()}
 
 #: hard caps a frame must respect before any allocation happens
@@ -138,8 +141,9 @@ class WireClosedError(WireError):
 
 class WireServerError(WireError):
     """The server reported an internal failure for this request (the
-    ``failed`` ServiceResponse bucket — e.g. the whole ladder was
-    exhausted).  The request may be retried; nothing was answered."""
+    ``failed`` ServiceResponse bucket — e.g. the pool was unavailable
+    and the service closing).  The request may be retried; nothing was
+    answered."""
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +310,7 @@ def decode_request_body(body) -> tuple[str, float | None, list]:
 
 
 def encode_response_body(mode: str, results) -> bytes:
-    """Ladder mode byte + the PR 9 answer blob."""
+    """Mode byte + the PR 9 answer blob."""
     return _RESP_HEAD.pack(_MODE_CODES.get(mode, 255)) + encode_answers(
         results
     )
@@ -392,7 +396,6 @@ class WireServerConfig:
     read_timeout: float = 10.0  # seconds to deliver one frame's body
     max_dispatch: int | None = None  # global in-flight cap; None =
     # the service's max_in_flight
-    drain_grace: float = 1.0  # extra seconds past the service deadline
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -533,7 +536,7 @@ class WireServer:
             deadline = getattr(
                 getattr(self.service, "config", None), "deadline", 2.0
             )
-            timeout = deadline + self.config.drain_grace
+            timeout = deadline + 1.0  # a second of grace past the deadline
         pending = [task for task in self._tasks if not task.done()]
         _log.info(
             "wire.drain_begin", in_flight=len(pending), timeout=timeout

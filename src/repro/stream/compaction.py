@@ -207,8 +207,6 @@ def merge_segments(
     task: CompactionTask,
     *,
     network=None,
-    grid_cells_per_side: int = 32,
-    time_partition_seconds: int = 1800,
 ) -> SegmentInfo:
     """Merge one task's segments into a single new segment, crash-safely.
 
@@ -258,14 +256,8 @@ def merge_segments(
             from ..query.sidecar import save_index
             from ..query.stiu import StIUIndex
 
-            index = StIUIndex(
-                network,
-                archive,
-                grid_cells_per_side=grid_cells_per_side,
-                time_partition_seconds=time_partition_seconds,
-            )
             save_index(
-                index,
+                StIUIndex(network, archive),
                 store.segment_path(name),
                 sidecar_path=store.sidecar_path(name),
             )
@@ -412,8 +404,6 @@ class CompactionDaemon:
         policy: CompactionPolicy | None = None,
         network=None,
         interval: float = 0.5,
-        grid_cells_per_side: int = 32,
-        time_partition_seconds: int = 1800,
     ) -> None:
         from .writer import AppendableArchiveWriter
 
@@ -428,8 +418,6 @@ class CompactionDaemon:
         self.policy = policy or SizeTieredPolicy()
         self.network = network
         self.interval = interval
-        self.grid_cells_per_side = grid_cells_per_side
-        self.time_partition_seconds = time_partition_seconds
         self.stats = CompactionStats()
         self._wake = threading.Event()
         self._halt = threading.Event()
@@ -444,13 +432,7 @@ class CompactionDaemon:
             task = self.policy.plan(self.store.segments())
             if task is None:
                 break
-            merged = merge_segments(
-                self.store,
-                task,
-                network=self.network,
-                grid_cells_per_side=self.grid_cells_per_side,
-                time_partition_seconds=self.time_partition_seconds,
-            )
+            merged = merge_segments(self.store, task, network=self.network)
             self.stats.note(task, merged)
             merges += 1
         self.stats.cycles += 1

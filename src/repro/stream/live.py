@@ -24,7 +24,7 @@ Indexing: segments carry ``.stiu`` sidecars written at rotation and
 merge time, so :meth:`build_index` *loads* per-segment indexes and
 merges them instead of decoding every record — an open of a sidecar-ed
 archive never triggers a StIU rebuild (``sidecar_misses`` counts the
-exceptions, e.g. segments sealed with ``write_sidecars=False``).
+exceptions, e.g. a segment whose sidecar was deleted or is stale).
 Per-segment indexes are cached by segment name, so a refresh only
 pays for segments it has not seen.
 """
@@ -40,7 +40,7 @@ from ..core.archive import (
     CompressionStats,
 )
 from ..core.decoder import DecodeSpanCache
-from ..io.reader import DEFAULT_CACHE_SIZE, ArchiveClosedError, FileBackedArchive
+from ..io.reader import ArchiveClosedError, FileBackedArchive
 from ..obs import metrics as obs_metrics
 from .manifest import (
     SEGMENT_DIR,
@@ -69,16 +69,8 @@ class _LiveTrajectorySequence:
 class LiveArchive:
     """Union of the sealed segments of a stream-archive directory."""
 
-    def __init__(
-        self,
-        directory,
-        *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        verify_crc: bool = True,
-    ) -> None:
+    def __init__(self, directory) -> None:
         self.directory = Path(directory)
-        self.cache_size = cache_size
-        self.verify_crc = verify_crc
         self._archives: dict[str, FileBackedArchive] = {}
         self._levels: dict[str, int] = {}
         self._retired: list[FileBackedArchive] = []
@@ -90,10 +82,8 @@ class LiveArchive:
         self._refresh_lock = threading.Lock()
         # per-segment StIU indexes, cached by segment name (immutable
         # files -> immutable indexes); cleared entry-wise as compaction
-        # retires segments.  _index_key pins the grid parameters the
-        # cache was built with.
+        # retires segments
         self._segment_indexes: dict[str, object] = {}
-        self._index_key: tuple[int, int] | None = None
         #: how many segment indexes came from .stiu sidecars vs. were
         #: rebuilt by decoding records (cumulative over this instance);
         #: ``sidecar_stale`` counts segments whose files were compacted
@@ -121,9 +111,9 @@ class LiveArchive:
         self.refresh()
 
     @classmethod
-    def open(cls, directory, **kwargs) -> "LiveArchive":
+    def open(cls, directory) -> "LiveArchive":
         """Alias of the constructor, mirroring ``FileBackedArchive.open``."""
-        return cls(directory, **kwargs)
+        return cls(directory)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -178,9 +168,7 @@ class LiveArchive:
                     self._levels[info.name] = info.level
                     continue
                 segment = FileBackedArchive.open(
-                    self.directory / SEGMENT_DIR / info.name,
-                    cache_size=self.cache_size,
-                    verify_crc=self.verify_crc,
+                    self.directory / SEGMENT_DIR / info.name
                 )
                 if self._params is None:
                     self._params = segment.params
@@ -275,13 +263,7 @@ class LiveArchive:
     # ------------------------------------------------------------------
     # indexing / querying
     # ------------------------------------------------------------------
-    def build_index(
-        self,
-        network,
-        *,
-        grid_cells_per_side: int = 32,
-        time_partition_seconds: int = 1800,
-    ):
+    def build_index(self, network):
         """A StIU index over the current snapshot, sidecar-first.
 
         Each segment contributes its persisted ``.stiu`` index when one
@@ -296,10 +278,6 @@ class LiveArchive:
 
         self._check_open()
         with self._refresh_lock:
-            key = (grid_cells_per_side, time_partition_seconds)
-            if self._index_key != key:
-                self._segment_indexes.clear()
-                self._index_key = key
             parts = []
             for name, segment in sorted(self._archives.items()):
                 part = self._segment_indexes.get(name)
@@ -311,8 +289,6 @@ class LiveArchive:
                             segment,
                             path,
                             sidecar_path=Path(str(path) + SIDECAR_SUFFIX),
-                            grid_cells_per_side=grid_cells_per_side,
-                            time_partition_seconds=time_partition_seconds,
                         )
                         if from_sidecar:
                             self.sidecar_hits += 1
@@ -324,31 +300,14 @@ class LiveArchive:
                         # a concurrent merge unlinked this segment after
                         # the snapshot was taken; its reader is still
                         # open, so index the records through it
-                        part = StIUIndex(
-                            network,
-                            segment,
-                            grid_cells_per_side=grid_cells_per_side,
-                            time_partition_seconds=time_partition_seconds,
-                        )
+                        part = StIUIndex(network, segment)
                         self.sidecar_stale += 1
                         self._sidecar_metrics["stale"].inc()
                     self._segment_indexes[name] = part
                 parts.append(part)
-            return StIUIndex.merged(
-                network,
-                self,
-                parts,
-                grid_cells_per_side=grid_cells_per_side,
-                time_partition_seconds=time_partition_seconds,
-            )
+            return StIUIndex.merged(network, self, parts)
 
-    def query_processor(
-        self,
-        network,
-        *,
-        grid_cells_per_side: int = 32,
-        time_partition_seconds: int = 1800,
-    ):
+    def query_processor(self, network):
         """Build (or assemble from sidecars) a StIU index over the
         current snapshot and return a query processor sharing this
         archive's decode-span cache.
@@ -359,11 +318,6 @@ class LiveArchive:
         """
         from ..query.queries import UTCQQueryProcessor
 
-        index = self.build_index(
-            network,
-            grid_cells_per_side=grid_cells_per_side,
-            time_partition_seconds=time_partition_seconds,
-        )
         return UTCQQueryProcessor(
-            network, self, index, cache=self.decode_cache
+            network, self, self.build_index(network), cache=self.decode_cache
         )

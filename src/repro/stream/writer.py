@@ -129,10 +129,9 @@ class AppendableArchiveWriter:
             for trip in trips:
                 w.append(trip)
 
-    ``write_sidecars`` (default on) builds the per-segment StIU index
-    at rotation time and persists it as ``<segment>.stiu``, so a
-    :class:`~repro.stream.live.LiveArchive` never pays an index rebuild;
-    pass ``False`` to trade first-query latency for ingest throughput.
+    Every rotation also builds the segment's StIU index and persists it
+    as ``<segment>.stiu``, so a :class:`~repro.stream.live.LiveArchive`
+    never pays an index rebuild.
     """
 
     def __init__(
@@ -148,9 +147,6 @@ class AppendableArchiveWriter:
         segment_max_trajectories: int = 64,
         t0_bits: int = 32,
         provenance: dict[str, str] | None = None,
-        write_sidecars: bool = True,
-        grid_cells_per_side: int = 32,
-        time_partition_seconds: int = 1800,
         fs: Filesystem | None = None,
     ) -> None:
         if segment_max_trajectories < 1:
@@ -176,9 +172,6 @@ class AppendableArchiveWriter:
         )
         self.segment_max_trajectories = segment_max_trajectories
         self.provenance = dict(provenance or {})
-        self.write_sidecars = write_sidecars
-        self.grid_cells_per_side = grid_cells_per_side
-        self.time_partition_seconds = time_partition_seconds
         self._pending: list[CompressedTrajectory] = []
         self._last_id = -1
         self._closed = False
@@ -295,8 +288,7 @@ class AppendableArchiveWriter:
                 provenance=self.provenance,
                 fs=store.fs,
             )
-            if self.write_sidecars:
-                self._write_segment_sidecar(archive, name)
+            self._write_segment_sidecar(archive, name)
             info = SegmentInfo(
                 name=name,
                 trajectory_count=archive.trajectory_count,
@@ -326,14 +318,8 @@ class AppendableArchiveWriter:
         from ..query.sidecar import save_index
         from ..query.stiu import StIUIndex
 
-        index = StIUIndex(
-            self.network,
-            archive,
-            grid_cells_per_side=self.grid_cells_per_side,
-            time_partition_seconds=self.time_partition_seconds,
-        )
         save_index(
-            index,
+            StIUIndex(self.network, archive),
             self.store.segment_path(name),
             sidecar_path=self.store.sidecar_path(name),
         )
@@ -361,8 +347,6 @@ def compact(
     *,
     extra_provenance: dict[str, str] | None = None,
     network: RoadNetwork | None = None,
-    grid_cells_per_side: int = 32,
-    time_partition_seconds: int = 1800,
 ) -> tuple[int, int]:
     """Merge all sealed segments into one canonical ``.utcq`` archive.
 
@@ -419,11 +403,5 @@ def compact(
         from ..query.sidecar import save_index
         from ..query.stiu import StIUIndex
 
-        index = StIUIndex(
-            network,
-            archive,
-            grid_cells_per_side=grid_cells_per_side,
-            time_partition_seconds=time_partition_seconds,
-        )
-        save_index(index, output)
+        save_index(StIUIndex(network, archive), output)
     return size, archive.trajectory_count

@@ -251,7 +251,7 @@ def run_chaos_bench(
       before their deadline; typed sheds and quarantine refusals count
       *against* it, mismatches would too (and fail the run's contract);
     * **p50/p99 latency** of the answered requests, which is where the
-      cost of respawns, hedges, and ladder fallbacks shows up.
+      cost of respawns, hedges, and in-process fallbacks shows up.
 
     Returns ``(rows, summary)`` — bench rows for the perf-trajectory
     file plus a diagnostic summary dict.

@@ -1,12 +1,12 @@
-"""Route-then-ladder: small requests are answered in process, the pool
+"""Route, then rung: small requests are answered in process, the pool
 takes only what is big enough to split.
 
 The rule (``ShardedQueryEngine.routes_to_pool``) is pinned at its
 boundary and at each of its four conditions; the mechanism is pinned
 where it would silently regress — a small request makes no pool submit
 and no supervisor call, the workers are forked before the first
-request, an in-process request still honours its deadline and still
-counts as degraded only when it falls below the rung it was routed to.
+request, an in-process request still honours its deadline and counts
+as degraded only when its warm engine had to be dropped and reopened.
 Answers are equal on both sides of the boundary through every serving
 surface.
 """
@@ -31,7 +31,7 @@ from repro.serve import (
     WireClient,
     WireServerThread,
 )
-from repro.serve.service import MODE_BATCH, MODE_SHARDED, MODE_SINGLE
+from repro.serve.service import MODE_BATCH, MODE_SHARDED
 from repro.trajectories.datasets import load_dataset
 
 from test_query_engine import make_queries, pool_sized_queries
@@ -276,7 +276,6 @@ class TestMechanism:
             assert stats["served_sharded"] == 0
             # in-process is the routed rung here, not a degradation
             assert stats["served_degraded_batch"] == 0
-            assert stats["served_degraded_single"] == 0
             assert routed.value == routed_before + 1
 
     def test_pool_request_is_tallied_by_route(self, world):
@@ -334,15 +333,69 @@ class TestMechanism:
         _, _, _, oracle, small, _ = world
         service, pool = make_service(world)
         with service:
+            assert service.submit_many(small).ok  # warm every engine
+            engines = service.engine._local_engines
+            path = sorted(service.engine.plan(small).tasks)[0]
+            wedged = engines[path]
 
-            def broken_run_local(path, specs):
+            def wedged_run(specs):
                 raise RuntimeError("warm engine wedged")
 
-            service.engine.run_local = broken_run_local
+            wedged.run = wedged_run
             response = service.submit_many(small)
             assert response.ok and response.results == oracle.run(small)
-            assert response.mode == MODE_SINGLE
+            assert response.mode == MODE_BATCH
+            # dropped and reopened: a new engine over a new file handle
+            assert engines[path] is not wedged
+            assert wedged.processor.archive.closed
             assert pool.submits == 0
             stats = service.stats.snapshot()
-            assert stats["routed_inprocess"] == 1
-            assert stats["served_degraded_single"] == 1
+            assert stats["routed_inprocess"] == 2
+            assert stats["served_degraded_batch"] == 1
+            # the reopened engine is healthy: nothing degraded after it
+            assert service.submit_many(small).results == oracle.run(small)
+            assert service.stats.snapshot()["served_degraded_batch"] == 1
+
+    def test_reopened_engine_failing_too_surfaces_once(
+        self, world, monkeypatch
+    ):
+        from repro.query import engine as engine_module
+
+        _, _, shard_paths, oracle, small, _ = world
+        service, pool = make_service(world)
+        with service:
+            bad_path = shard_paths[0]
+            assert bad_path in service.engine.plan(small).tasks
+            opens = []
+            open_shard = engine_module._open_shard_engine
+
+            def open_wedged(path, network):
+                opened = open_shard(path, network)
+                if path == bad_path:
+                    opens.append(path)
+
+                    def wedged_run(specs):
+                        raise RuntimeError("wedged again")
+
+                    opened.run = wedged_run
+                return opened
+
+            monkeypatch.setattr(
+                engine_module, "_open_shard_engine", open_wedged
+            )
+            with pytest.raises(RuntimeError, match="wedged again"):
+                service.submit_many(small)
+            # first open, one reopen, and no third try
+            assert opens == [bad_path, bad_path]
+            assert service.admission.in_flight == 0
+            assert pool.submits == 0
+            healthy = [
+                spec
+                for spec in where_specs(world, 12)
+                if service.engine.shard_for(spec.trajectory_id) != bad_path
+            ]
+            assert healthy
+            response = service.submit_many(healthy)
+            assert response.ok and response.results == oracle.run(healthy)
+            assert response.mode == MODE_BATCH
+            assert service.stats.snapshot()["served_degraded_batch"] == 0

@@ -27,7 +27,14 @@ import pytest
 
 from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
-from repro.query import StIUIndex, ShardedQueryEngine, save_index
+from repro.obs import metrics as obs_metrics
+from repro.query import (
+    QueryEngineError,
+    ShardedQueryEngine,
+    StIUIndex,
+    WhereQuery,
+    save_index,
+)
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -50,7 +57,8 @@ from repro.serve import (
     kill_fault,
     restore_shard,
 )
-from repro.serve.service import MODE_BATCH, MODE_SHARDED, MODE_SINGLE
+from repro.serve.admission import MAX_TRACKED_CLIENTS
+from repro.serve.service import MODE_BATCH, MODE_SHARDED
 from repro.trajectories.datasets import load_dataset
 
 from test_query_engine import make_queries, pool_sized_queries
@@ -169,7 +177,8 @@ class TestChaosScenarios:
         config = ServiceConfig(
             deadline=0.6,
             health_interval=None,
-            ladder=(MODE_SHARDED,),  # no fallback: the pool must answer
+            # 0.2 s * (1 + 2 + 4) of attempt budget outlasts the deadline:
+            # the supervisor gives up before any in-process fallback
             retry=RetryPolicy(attempt_timeout=0.2, hedge_delay=0.05),
         )
         service, proxy = make_service(pool_world, config=config)
@@ -201,26 +210,21 @@ class TestChaosScenarios:
         )
         service, proxy = make_service(pool_world, config=config)
         with service:
-            # kill every pool submission: the sharded rung burns its
-            # attempts, the breaker opens, the ladder still answers
+            # kill every pool submission: the pool rung burns its
+            # attempts, the breaker opens, the shards answer in process
             proxy.arm(*[kill_fault()] * 30)
             response = service.submit_many(queries)
             assert response.ok
             assert response.results == expected
-            assert response.mode in (MODE_BATCH, MODE_SINGLE)
+            assert response.mode == MODE_BATCH
             assert service.breaker.opens >= 1
             proxy.clear()
-            snapshot = service.stats.snapshot()
-            assert (
-                snapshot["served_degraded_batch"]
-                + snapshot["served_degraded_single"]
-                >= 1
-            )
+            assert service.stats.snapshot()["served_degraded_batch"] == 1
             # while open, requests skip the pool entirely (still correct)
             if service.breaker.state == OPEN:
                 degraded = service.submit_many(queries)
                 assert degraded.ok and degraded.results == expected
-                assert degraded.mode in (MODE_BATCH, MODE_SINGLE)
+                assert degraded.mode == MODE_BATCH
             # after the reset window the half-open probe heals it
             time.sleep(0.25)
             healed = service.submit_many(queries)
@@ -375,10 +379,14 @@ class TestChaosScenarios:
                 # seen: the pool must be consulted, so the corruption is
                 # observed (cached answers alone never touch it)
                 probe = [replace(q, alpha=q.alpha / 2) for q in queries]
-                proxy.arm(kill_fault())  # flush warm workers
+                # flush every warm worker, one kill per shard task: a
+                # survivor could answer from its warm record cache, lose
+                # its slab to the respawn and be recomputed by the (just
+                # as warm) in-process engine, corruption unseen
+                proxy.arm(*[kill_fault()] * SHARDS)
                 refused = service.submit_many(probe)
                 assert refused.kind == "quarantined"
-                assert proxy.injected["kill"] == 1
+                assert proxy.injected["kill"] == SHARDS
                 # quarantine invalidated every cached answer: nothing
                 # is served from behind the quarantine, cached or not
                 assert len(cache) == 0
@@ -460,6 +468,138 @@ class TestAdmission:
             other = service.submit(queries[0], client="patient")
             assert other.ok
             assert service.stats.snapshot()["overloaded"] == 1
+
+    def test_client_id_flood_grows_neither_table_past_the_cap(self, world):
+        network, shard_paths, _, _ = world
+        service = QueryService(
+            shard_paths,
+            network=network,
+            workers=1,
+            config=ServiceConfig(
+                deadline=30.0, health_interval=None, rate_per_second=1000.0
+            ),
+        )
+        # an id no shard holds: answered [] at plan time, so the flood
+        # costs admission and nothing else
+        request = [WhereQuery(10**9, 5, 0.1)]
+        flood = MAX_TRACKED_CLIENTS + 500
+        with service:
+            for n in range(flood):
+                assert service.submit_many(request, client=f"c{n}").ok
+            admission = service.admission
+            assert len(admission.stats.clients_seen) == MAX_TRACKED_CLIENTS
+            assert len(admission._buckets) <= MAX_TRACKED_CLIENTS
+            told = service.telemetry()["admission"]
+            assert told["clients_seen"] == MAX_TRACKED_CLIENTS
+            assert told["admitted"] == flood
+
+
+# ----------------------------------------------------------------------
+# accounting: every request lands in exactly one outcome bucket, and the
+# per-instance figures are views over the process registry
+# ----------------------------------------------------------------------
+OUTCOMES = (
+    "completed", "overloaded", "deadline_exceeded", "quarantined", "failed"
+)
+SERVICE_KEYS = {
+    "requests", *OUTCOMES, "served_sharded", "served_degraded_batch",
+    "routed_pool", "routed_inprocess", "quarantines",
+    "requarantine_probes", "shards_readmitted",
+}
+SUPERVISOR_KEYS = {
+    "calls", "respawns", "worker_deaths", "attempt_timeouts", "retries",
+    "hedges_launched", "hedges_won", "pings_ok", "pings_failed",
+}
+ADMISSION_KEYS = {
+    "admitted", "shed_in_flight", "shed_rate_limited", "clients_seen",
+    "in_flight",
+}
+
+
+class TestAccounting:
+    def test_every_request_lands_in_exactly_one_outcome(self, world):
+        _, shard_paths, queries, expected = world
+        config = ServiceConfig(
+            deadline=30.0,
+            health_interval=None,
+            quarantine_reprobe=0.05,
+            rate_per_second=0.001,
+            burst=1.0,
+        )
+        service, _ = make_service(world, config=config)
+        with service:
+            target = str(shard_paths[1])
+            pristine = corrupt_shard(target)
+            try:  # cold engines read the bad bytes: quarantined
+                refused = service.submit_many(queries, client="q")
+                assert refused.kind == "quarantined"
+            finally:
+                restore_shard(target, pristine)
+            time.sleep(0.1)  # past the re-probe window
+            answered = service.submit_many(queries, client="ok")
+            assert answered.ok and answered.results == expected
+            shed = service.submit_many(queries, client="ok")
+            assert shed.kind == "overloaded"
+            late = service.submit_many(queries, client="late", deadline=0.0)
+            assert late.kind == "deadline"
+            bad = service.submit_many(["not a spec"], client="bad")
+            assert bad.kind == "failed" and bad.results is None
+            assert isinstance(bad.error, QueryEngineError)
+            stats = service.stats.snapshot()
+            assert [stats[outcome] for outcome in OUTCOMES] == [1] * 5
+            assert stats["requests"] == sum(
+                stats[outcome] for outcome in OUTCOMES
+            )
+            assert service.admission.in_flight == 0
+
+    def test_stats_are_views_that_start_at_zero(self, pool_world):
+        _, _, queries, expected = pool_world
+        registry = obs_metrics.get_registry()
+        before = registry.snapshot()
+        first, _ = make_service(pool_world)
+        with first:
+            assert first.submit_many(queries).results == expected
+            assert first.stats.snapshot()["requests"] == 1
+            assert first.supervisor.stats.snapshot()["calls"] == SHARDS
+            assert first.admission.stats.get("admitted") == 1
+        totals = registry.snapshot()["metrics"]
+        second, _ = make_service(pool_world)
+        with second:
+            # a new service counts from 0; the registry keeps its totals
+            told = second.telemetry()
+            assert set(told) == {
+                "service", "admission", "breaker", "quarantined_shards",
+                "request_latency_p50", "request_latency_p99", "metrics",
+                "supervisor",
+            }
+            assert set(told["service"]) == SERVICE_KEYS
+            assert set(told["supervisor"]) == SUPERVISOR_KEYS
+            assert set(told["admission"]) == ADMISSION_KEYS
+            assert not any(told["service"].values())
+            assert not any(told["supervisor"].values())
+            assert not any(told["admission"].values())
+            assert told["metrics"]["metrics"] == totals
+        # what --metrics-out writes for the window: same names and labels
+        exported = obs_metrics.render_prometheus(
+            obs_metrics.snapshot_delta(registry.snapshot(), before)
+        ).splitlines()
+        for line in (
+            "repro_service_requests_total 1",
+            "repro_service_completed_total 1",
+            'repro_service_served_total{mode="sharded"} 1',
+            'repro_service_routed_total{route="pool"} 1',
+            f"repro_supervisor_calls_total {SHARDS}",
+            "repro_admission_admitted_total 1",
+        ):
+            assert line in exported
+        for series in (
+            'repro_service_served_total{mode="batch"}',
+            'repro_service_rejected_total{reason="failed"}',
+            'repro_admission_shed_total{reason="rate_limited"}',
+            "repro_supervisor_hedges_won_total",
+        ):
+            assert series in totals
+        assert 'mode="single"' not in registry.to_prometheus()
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,19 @@ class TestFrameCodec:
         assert mode == "sharded"
         assert back == results
 
+    def test_mode_byte_is_pinned_and_retired_code_still_parses(self):
+        results = [[4], []]
+        for mode, code in (("sharded", 0), ("batch", 1), ("", 255)):
+            body = wire.encode_response_body(mode, results)
+            assert body[0] == code
+            assert wire.decode_response_body(body) == (mode, results)
+        # 2 was the per-query cold rung: not reused, and an old server's
+        # frame still parses, to "no mode"
+        assert 2 not in wire._MODE_NAMES
+        assert wire.decode_response_body(b"\x02" + body[1:]) == ("", results)
+        # a name this server does not know travels as "no mode"
+        assert wire.encode_response_body("single", results)[0] == 255
+
     def test_error_body_round_trip_and_typing(self):
         for code, expected in (
             (wire.ERR_OVERLOADED, Overloaded),
