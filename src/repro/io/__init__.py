@@ -3,7 +3,8 @@
 ``write_archive``/``read_archive`` round-trip a
 :class:`~repro.core.archive.CompressedArchive` bit-exactly;
 :class:`FileBackedArchive` serves queries straight off the file with
-lazy per-trajectory loading.
+lazy per-trajectory loading; :class:`UnionArchive` reads several of
+them (shards, stream segments) as one.
 """
 
 from .format import (
@@ -17,7 +18,7 @@ from .format import (
     read_header,
     write_archive,
 )
-from .reader import ArchiveClosedError, FileBackedArchive
+from .reader import ArchiveClosedError, FileBackedArchive, UnionArchive
 
 __all__ = [
     "MAGIC",
@@ -31,4 +32,5 @@ __all__ = [
     "read_header",
     "write_archive",
     "FileBackedArchive",
+    "UnionArchive",
 ]

@@ -129,8 +129,12 @@ class CorruptArchiveError(ArchiveFormatError):
     trajectory id.  Distinct from :class:`ArchiveFormatError` proper
     (wrong magic/version: the file was never one of ours) so a serving
     tier can quarantine a damaged shard instead of treating it like a
-    malformed input.
+    malformed input.  ``path`` names the damaged file when the reader
+    that found the damage knows it (:class:`~repro.io.reader.
+    FileBackedArchive` always does); it is not part of the message.
     """
+
+    path: str | None = None
 
 
 # ----------------------------------------------------------------------

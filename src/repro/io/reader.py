@@ -89,6 +89,8 @@ class FileBackedArchive:
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self._stream = stream
+        #: the file behind the stream (None for a stream with no name)
+        self.path = getattr(stream, "name", None)
         self.header = header
         self.cache_size = cache_size
         self.verify_crc = verify_crc
@@ -126,8 +128,10 @@ class FileBackedArchive:
         stream = open(path, "rb")
         try:
             header = read_header(stream)
-        except Exception:
+        except Exception as error:
             stream.close()
+            if isinstance(error, CorruptArchiveError):
+                error.path = stream.name
             raise
         return cls(
             stream, header, cache_size=cache_size, verify_crc=verify_crc
@@ -279,8 +283,12 @@ class FileBackedArchive:
         obs_metrics.counter(
             "repro_io_corrupt_records_total", labels={"reason": reason}
         ).inc()
-        _log.warning("io.corrupt_record", reason=reason, detail=message)
-        return CorruptArchiveError(message)
+        _log.warning(
+            "io.corrupt_record", reason=reason, detail=message, path=self.path
+        )
+        error = CorruptArchiveError(message)
+        error.path = self.path
+        return error
 
     def _read_record(self, entry) -> bytes:
         if self._fd is not None:
@@ -303,3 +311,48 @@ class FileBackedArchive:
     def cached_trajectory_count(self) -> int:
         """How many decoded trajectories are currently resident."""
         return len(self._cache)
+
+
+class UnionArchive:
+    """Several readers holding disjoint trajectory ids, read as one.
+
+    The read surface a StIU index and a query processor consume —
+    ``params``, ``trajectory_count``, ``trajectory_ids()``,
+    ``trajectory(id)``, ``time_span(id)`` — each call forwarded to the
+    one reader that holds the id.  The readers stay owned (opened,
+    closed) by whoever built the union; a union is immutable, so a
+    changed reader set is a new union swapped in by one assignment.
+    """
+
+    def __init__(self, readers) -> None:
+        self.readers = tuple(readers)
+        self._reader_of = {
+            trajectory_id: reader
+            for reader in self.readers
+            for trajectory_id in reader.trajectory_ids()
+        }
+
+    @property
+    def params(self) -> CompressionParams:
+        return self.readers[0].params
+
+    @property
+    def trajectory_count(self) -> int:
+        return len(self._reader_of)
+
+    def trajectory_ids(self) -> list[int]:
+        return sorted(self._reader_of)
+
+    def _holder(self, trajectory_id: int):
+        reader = self._reader_of.get(trajectory_id)
+        if reader is None:
+            raise KeyError(f"no trajectory {trajectory_id} in the archive")
+        return reader
+
+    def trajectory(self, trajectory_id: int) -> CompressedTrajectory:
+        return self._holder(trajectory_id).trajectory(trajectory_id)
+
+    def time_span(self, trajectory_id: int) -> tuple[int, int]:
+        """``(start_time, end_time)`` without parsing the whole record;
+        see :meth:`FileBackedArchive.time_span`."""
+        return self._holder(trajectory_id).time_span(trajectory_id)

@@ -21,7 +21,8 @@ time.  This module adds two layers over
   alive between batches, so steady-state throughput scales with cores.
   A batch too small to repay the pool's fixed cost (fewer than
   :data:`POOL_MIN_EXECUTIONS` shard executions) is answered on the
-  calling thread by the same per-shard engines, in process.
+  calling thread by one :class:`BatchQueryEngine` over the union of the
+  open shards, so a range query runs once, not once per shard.
 
 Every result is exactly what a lone
 :class:`~repro.query.queries.UTCQQueryProcessor` (and therefore the
@@ -41,7 +42,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from ..core.decoder import DecodeSpanCache
+from ..core.decoder import (
+    DecodeSpanCache,
+    resolve_instance_capacity,
+    resolve_trajectory_capacity,
+)
+from ..io.reader import FileBackedArchive, UnionArchive
 from ..network.grid import Rect
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -59,9 +65,12 @@ DISPATCH_WINDOW = 8
 #: A plan with fewer shard executions than this is answered on the
 #: calling thread; only a bigger one is worth splitting across the
 #: worker pool.  Fixed from the crossover sweep in
-#: ``benchmarks/pool_crossover.py`` (4 shards, 2 workers, one caller:
-#: the pool's fixed cost per request is repaid somewhere between ~130
-#: and ~270 executions, cold sooner than warm); re-derive it there on
+#: ``benchmarks/pool_crossover.py`` (4 shards, 2 workers) when the
+#: in-process route still ran every range spec once per shard and one
+#: caller's crossover lay between ~130 and ~270 executions.  Since the
+#: in-process route is one union run that crossover lies at ~400-500;
+#: four concurrent callers cross at ~130-210.  Kept at 192 (see
+#: docs/architecture.md, "Resilient serving"); re-derive it there on
 #: another host.
 POOL_MIN_EXECUTIONS = 192
 
@@ -227,7 +236,8 @@ class BatchQueryEngine:
 
         A where/when query naming a trajectory the archive does not hold
         returns ``[]`` (serving semantics — one bad id must not poison a
-        batch).
+        batch).  Any other ``KeyError`` — an index listing an id the
+        archive cannot resolve — is a defect and propagates.
         """
         slots: dict[Query, list[int]] = {}
         for position, query in enumerate(queries):
@@ -259,21 +269,25 @@ class BatchQueryEngine:
 
     def _execute(self, query: Query):
         processor = self.processor
+        if isinstance(query, RangeQuery):
+            return processor.range(query.rect, query.t, query.alpha)
         try:
             if isinstance(query, WhereQuery):
                 return processor.where(
                     query.trajectory_id, query.t, query.alpha
                 )
-            if isinstance(query, WhenQuery):
-                return processor.when(
-                    query.trajectory_id,
-                    query.edge,
-                    query.relative_distance,
-                    query.alpha,
-                )
-            return processor.range(query.rect, query.t, query.alpha)
+            return processor.when(
+                query.trajectory_id,
+                query.edge,
+                query.relative_distance,
+                query.alpha,
+            )
         except KeyError:
-            return []
+            try:
+                processor.archive.trajectory(query.trajectory_id)
+            except KeyError:
+                return []  # the archive does not hold this id
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +308,12 @@ def build_network_from_provenance(provenance: dict[str, str]):
     if scale is None:
         scale = dataset_profile(profile_name).network_scale
     return dataset_network(profile_name, scale=int(scale), seed=int(seed))
+
+
+def _network_of_shard(path):
+    """The network a shard's own provenance describes."""
+    with FileBackedArchive.open(path) as probe:
+        return build_network_from_provenance(probe.provenance)
 
 
 def _open_shard_engine(path, network) -> BatchQueryEngine:
@@ -365,10 +385,7 @@ def _shard_engine_for(path: str) -> BatchQueryEngine:
     if engine is None:
         network = _worker_config["network"]
         if network is None:
-            from ..io.reader import FileBackedArchive
-
-            with FileBackedArchive.open(path) as probe:
-                network = build_network_from_provenance(probe.provenance)
+            network = _network_of_shard(path)
         engine = _open_shard_engine(path, network)
         _worker_engines[path] = engine
     return engine
@@ -441,7 +458,7 @@ class ShardWorkerPool:
       the future;
     * the workers are forked at construction, before the owning process
       has opened any shard: forked later, every idle worker would carry
-      a copy of the parent's in-process shard engines;
+      a copy of the parent's open shards and in-process engine;
     * :meth:`restart` tears the executor down and builds a fresh one —
       new workers re-run the initializer and lazily reload their
       shards' archives and ``.stiu`` sidecars on first touch (a warm
@@ -665,15 +682,24 @@ class ShardedQueryEngine:
 
     ``network`` may be shared by every shard (the usual case: shards of
     one dataset); when ``None`` each worker rebuilds it from the
-    shard's provenance, exactly like ``repro query`` does.
+    shard's provenance, exactly like ``repro query`` does, and this
+    process from the first shard it opens.
 
     Fault surface: a worker process dying mid-batch raises
     :class:`WorkerPoolBroken` from :meth:`run`; the engine stays usable
     — :meth:`restart_pool` respawns the workers (warm ``.stiu`` sidecar
     reloads) and the batch can be retried.  :mod:`repro.serve` wraps
     exactly these seams (:meth:`plan` / :meth:`merge` /
-    :meth:`run_local` / :meth:`drop_local_engine` and the :attr:`pool`)
-    into a supervised always-on service.
+    :meth:`run_in_process` / :meth:`run_local` /
+    :meth:`drop_local_engine` and the :attr:`pool`) into a supervised
+    always-on service.
+
+    In process there is one engine: a :class:`BatchQueryEngine` over
+    the union of the shards this process has open (what
+    :class:`~repro.stream.live.LiveArchive` does for stream segments).
+    A shard is opened, sidecar first, by the first plan that involves
+    it, and the union is then rebuilt over the open shards — dict
+    unions of their indexes, the spatial layer still lazy.
     """
 
     def __init__(
@@ -700,7 +726,12 @@ class ShardedQueryEngine:
             workers = min(len(self.shard_paths), os.cpu_count() or 1)
         self.workers = max(1, workers)
         self._closed = False
-        self._local_engines: dict[str, BatchQueryEngine] = {}
+        # open shards (path -> index over its FileBackedArchive) and the
+        # one engine over their union; None until built, and again after
+        # a shard was dropped
+        self._parts: dict[str, StIUIndex] = {}
+        self._union: BatchQueryEngine | None = None
+        self._union_cache = self._new_union_cache()
         entries = resolve_hotcache_entries(hotcache_entries)
         self.hotcache = (
             HotTrajectoryCache(entries) if entries > 0 else None
@@ -753,11 +784,8 @@ class ShardedQueryEngine:
         self._closed = True
         if self.pool is not None:
             self.pool.close()
-        engines, self._local_engines = self._local_engines, {}
-        for engine in engines.values():
-            archive = engine.processor.archive
-            if not getattr(archive, "closed", False):
-                archive.close()
+        for path in list(self._parts):
+            self.drop_local_engine(path)
 
     def restart_pool(self) -> None:
         """Respawn the worker processes after a :class:`WorkerPoolBroken`."""
@@ -873,20 +901,22 @@ class ShardedQueryEngine:
         """Answer every query; results align with the submission order.
 
         When the caller has a trace open (:func:`repro.obs.trace.
-        start_trace`), the run contributes ``plan``/``shard:*``/``merge``
-        spans — including worker-side span trees grafted back across the
-        process boundary with their IPC overhead quantified.
+        start_trace`), the run contributes ``plan`` / ``merge`` spans
+        and, between them, one ``local`` span (in process) or one
+        ``shard:*`` span per pool task — with the worker-side span trees
+        grafted back across the process boundary and their IPC overhead
+        quantified.
         """
         if self._closed:
             raise EngineClosedError("engine is closed")
         with obs_trace.trace_span("plan", queries=len(queries)):
             plan = self.plan(queries)
-        execute = (
-            self._execute_pooled
-            if self.routes_to_pool(plan)
-            else self._execute_local
-        )
-        task_results = list(execute(sorted(plan.tasks.items())))
+        if self.routes_to_pool(plan):
+            task_results = list(
+                self._execute_pooled(sorted(plan.tasks.items()))
+            )
+        else:
+            task_results = self.run_in_process(plan)
         obs_metrics.counter(
             "repro_engine_queries_total", labels={"engine": "sharded"}
         ).inc(len(queries))
@@ -902,8 +932,8 @@ class ShardedQueryEngine:
         shm plane) is repaid only by a plan with at least
         :data:`POOL_MIN_EXECUTIONS` shard executions over at least two
         shards; every other plan is answered faster by
-        :meth:`run_local` on the calling thread.  ``breaker_open`` is
-        the serving tier's circuit breaker refusing the pool.
+        :meth:`run_in_process` on the calling thread.  ``breaker_open``
+        is the serving tier's circuit breaker refusing the pool.
         """
         return (
             self.pool is not None
@@ -911,13 +941,6 @@ class ShardedQueryEngine:
             and len(plan.tasks) >= 2
             and plan.executions >= POOL_MIN_EXECUTIONS
         )
-
-    def _execute_local(self, items):
-        for path, specs in items:
-            with obs_trace.trace_span(
-                "shard.local", path=os.path.basename(path)
-            ):
-                yield specs, self.run_local(path, specs)
 
     def _execute_pooled(self, items):
         parent = obs_trace.current_span()
@@ -956,9 +979,9 @@ class ShardedQueryEngine:
                     # but the batch is not — recompute in-process.
                     self.transport_fallbacks.inc()
                     _log.warning(
-                        "shm transport failed for %s (%s); "
-                        "recomputing shard in-process",
-                        os.path.basename(path), error,
+                        "shard.transport_fallback",
+                        path=path,
+                        error=str(error),
                     )
                     with obs_trace.trace_span(
                         "shard.transport_fallback",
@@ -972,38 +995,92 @@ class ShardedQueryEngine:
                 f"restart_pool() and retry"
             ) from error
 
-    def run_local(self, path: str, specs: Sequence[Query]) -> list:
-        """Execute one shard task in-process on a persistent engine.
+    def run_in_process(self, plan: BatchPlan) -> list:
+        """Answer a whole plan on the calling thread: **one** run of the
+        union engine over the plan's distinct specs that are neither
+        hot-cached nor unknown, so a range spec executes once however
+        many shards it spans.  Returns :meth:`merge`'s ``task_results``
+        (a single task).
 
         Where every plan :meth:`routes_to_pool` keeps off the pool runs
-        (all of them when ``workers == 1``), and the serving tier's
-        fallback when the pool cannot answer.
+        (all of them when ``workers == 1``).  Not thread-safe: callers
+        sharing an engine serialise (the serving tier's local lock).
         """
         if self._closed:
             raise EngineClosedError("engine is closed")
-        return self._local_engine(path).run(specs)
+        specs = [spec for spec in plan.slots if spec not in plan.answers]
+        if not specs:
+            return []
+        with obs_trace.trace_span(
+            "local", shards=len(plan.tasks), specs=len(specs)
+        ):
+            return [(specs, self._union_engine(plan.tasks).run(specs))]
+
+    def run_local(self, path: str, specs: Sequence[Query]) -> list:
+        """Execute one shard task in process: the fallback for a pool
+        task the pool could not answer.
+
+        Answered by the same union engine as :meth:`run_in_process`:
+        directed specs as they are, a range answer filtered to the ids
+        routed to ``path`` — what that shard alone would have returned,
+        so :meth:`merge`'s union over the shard tasks stays exact.
+        """
+        if self._closed:
+            raise EngineClosedError("engine is closed")
+        path = str(path)
+        route = self._route
+        return [
+            [tid for tid in answer if route[tid] == path]
+            if isinstance(spec, RangeQuery)
+            else answer
+            for spec, answer in zip(
+                specs, self._union_engine((path,)).run(specs)
+            )
+        ]
 
     def drop_local_engine(self, path: str) -> None:
-        """Forget a locally opened shard (quarantine, or an engine that
-        raised); the next :meth:`run_local` reopens it from the file."""
-        engine = self._local_engines.pop(str(path), None)
-        if engine is not None:
-            archive = engine.processor.archive
-            if not getattr(archive, "closed", False):
-                archive.close()
+        """Close one locally opened shard (quarantine, re-admission, or
+        a union that raised) and invalidate the union; the other shards
+        stay open with their record LRUs warm.  The next plan that
+        involves ``path`` reopens it from the file, and the rebuilt
+        union starts with an empty decode-span cache — spans decoded
+        from the dropped file must not outlive it."""
+        part = self._parts.pop(str(path), None)
+        if part is None:
+            return
+        self._union = None
+        self._union_cache = self._new_union_cache()
+        if not part.archive.closed:
+            part.archive.close()
 
-    def _resolve_network(self, path: str):
-        network = self.network
-        if network is None:
-            from ..io.reader import FileBackedArchive
+    def _new_union_cache(self) -> DecodeSpanCache:
+        """One decode-span cache for the union, with the budget the
+        shards had when each brought its own: the configured capacity
+        (``REPRO_DECODE_CACHE_*``) per shard."""
+        shards = len(self.shard_paths)
+        return DecodeSpanCache(
+            trajectory_capacity=shards * resolve_trajectory_capacity(),
+            instance_capacity=shards * resolve_instance_capacity(),
+        )
 
-            with FileBackedArchive.open(path) as probe:
-                network = build_network_from_provenance(probe.provenance)
-        return network
-
-    def _local_engine(self, path: str) -> BatchQueryEngine:
-        engine = self._local_engines.get(path)
-        if engine is None:
-            engine = _open_shard_engine(path, self._resolve_network(path))
-            self._local_engines[path] = engine
-        return engine
+    def _union_engine(self, paths) -> BatchQueryEngine:
+        """The one in-process engine, after opening those of ``paths``
+        not yet open.  Only ``paths`` are opened: a request never
+        reopens a shard somebody else's request got quarantined."""
+        for path in paths:
+            if path in self._parts:
+                continue
+            if self.network is None:
+                self.network = _network_of_shard(path)
+            self._parts[path] = StIUIndex.over_file(self.network, path)
+            self._union = None  # extended: re-merge, decode cache kept
+        if self._union is None:
+            parts = [self._parts[path] for path in sorted(self._parts)]
+            archive = UnionArchive([part.archive for part in parts])
+            self._union = BatchQueryEngine(
+                self.network,
+                archive,
+                StIUIndex.merged(self.network, archive, parts),
+                cache=self._union_cache,
+            )
+        return self._union

@@ -14,19 +14,20 @@ long-lived front-end can actually lean on:
   hedge);
 * every request is **routed** first
   (:meth:`~repro.query.engine.ShardedQueryEngine.routes_to_pool`): one
-  too small to repay the pool's fixed cost runs all its shard tasks on
-  the calling thread, in process; only a big one is split across the
-  pool;
+  too small to repay the pool's fixed cost is answered on the calling
+  thread by one run of the in-process engine; only a big one is split
+  across the pool;
 * there are **two rungs**, and the route fixes where a request
-  starts: the sharded pool, and the in-process
-  :class:`~repro.query.engine.BatchQueryEngine` per shard.  A
-  **circuit breaker** watches pool outcomes; a pool-routed shard task
-  the pool cannot answer (breaker refusing, attempts exhausted, slab
-  unreadable) is answered in process instead.  An in-process engine
-  that raises is dropped, reopened and asked **once more**; a second
-  failure surfaces.  Both rungs produce results pinned identical to
-  the one-at-a-time processor (and therefore the brute-force oracle,
-  up to PDDP error) — they differ only in throughput;
+  starts: the sharded pool, and the one in-process
+  :class:`~repro.query.engine.BatchQueryEngine` over the union of the
+  open shards.  A **circuit breaker** watches pool outcomes; a
+  pool-routed shard task the pool cannot answer (breaker refusing,
+  attempts exhausted, slab unreadable) is answered in process instead.
+  An in-process engine that raises is dropped, reopened and asked
+  **once more**; a second failure surfaces.  Both rungs produce
+  results pinned identical to the one-at-a-time processor (and
+  therefore the brute-force oracle, up to PDDP error) — they differ
+  only in throughput;
 * a shard whose records fail CRC verification is **quarantined**:
   requests that need it are refused with
   :class:`~repro.serve.errors.ShardQuarantined` (a range query is
@@ -74,7 +75,7 @@ from .supervisor import RetryPolicy, WorkerSupervisor
 
 _log = get_logger("repro.serve.service")
 
-# the two rungs: the worker pool, and the in-process engines
+# the two rungs: the worker pool, and the in-process engine
 MODE_SHARDED = "sharded"
 MODE_BATCH = "batch"
 
@@ -263,8 +264,10 @@ class QueryService:
             help="End-to-end request latency, admission to response",
         )
         self._closed = False
-        # serializes the warm in-process engines: held once around a
-        # whole in-process request, re-entered by each of its shard tasks
+        # serializes the engine's in-process side (its open shards and
+        # the union engine over them): held around an in-process run, a
+        # pool task's fallback, and every drop of an open shard —
+        # re-entered when a drop happens inside a run's handler
         self._local_lock = threading.RLock()
         self._quarantine_lock = threading.Lock()
         self._quarantined: dict[str, float] = {}  # path -> quarantined at
@@ -469,19 +472,15 @@ class QueryService:
             # circuit — a quarantined shard refuses its queries even
             # when their answers are cached
             plan = self.engine.plan(queries, gate=self._gate_shard)
-        items = sorted(plan.tasks.items())
         breaker = self.breaker.state
         if not self.engine.routes_to_pool(plan, breaker_open=breaker == OPEN):
             route = ROUTE_INPROCESS
-            # the whole request on this thread: no dispatch hop, no
-            # supervisor; the deadline is checked between shard tasks
-            # (a task's overshoot is bounded by POOL_MIN_EXECUTIONS)
-            with self._local_lock:
-                task_results, degraded = self._execute_serial(
-                    items, deadline_at, route
-                )
+            task_results, degraded = self._execute_in_process(
+                plan, deadline_at
+            )
         else:
             route = ROUTE_POOL
+            items = sorted(plan.tasks.items())
             if breaker == CLOSED:
                 task_results, degraded = self._execute_pipelined(
                     items, deadline_at
@@ -491,12 +490,31 @@ class QueryService:
                 # first success closes the breaker for the rest of the
                 # request instead of every shard racing to fall back
                 task_results, degraded = self._execute_serial(
-                    items, deadline_at, route
+                    items, deadline_at
                 )
         with obs_trace.trace_span("merge", tasks=len(task_results)):
             return self.engine.merge(plan, task_results), route, degraded
 
-    def _execute_serial(self, items, deadline_at: float, route: str):
+    def _execute_in_process(self, plan, deadline_at: float):
+        """The whole request as one run of the engine's union, on this
+        thread: no dispatch hop, no supervisor, no per-shard loop.
+
+        The deadline is checked once the lock is held; the run itself
+        is not interrupted (fewer than ``POOL_MIN_EXECUTIONS``
+        executions unless the breaker is keeping a big plan off the
+        pool).  Corruption quarantines the shard whose file raised.
+        """
+        with self._local_lock:
+            self._check_deadline("the request", deadline_at)
+            try:
+                return self._reopening_once(
+                    plan.tasks, lambda: self.engine.run_in_process(plan)
+                )
+            except CorruptArchiveError as error:
+                self._quarantine(error.path, error)
+                raise ShardQuarantined(error.path) from error
+
+    def _execute_serial(self, items, deadline_at: float):
         task_results = []
         degraded = False
         for path, specs in items:
@@ -504,9 +522,9 @@ class QueryService:
                 "shard:" + path.rsplit("/", 1)[-1], path=path
             ) as span:
                 answers, fell_back = self._execute_task(
-                    path, specs, deadline_at, route
+                    path, specs, deadline_at
                 )
-                span.set("mode", _mode(route, fell_back))
+                span.set("mode", _mode(ROUTE_POOL, fell_back))
             degraded |= fell_back
             task_results.append((specs, answers))
         return task_results, degraded
@@ -565,34 +583,36 @@ class QueryService:
         return task_results, degraded
 
     def _execute_task(
-        self, path: str, specs, deadline_at: float, route: str = ROUTE_POOL
+        self, path: str, specs, deadline_at: float
     ) -> tuple[list, bool]:
-        """Answer one shard task: ``(answers, degraded)``.
+        """Answer one pool-routed shard task: ``(answers, degraded)``.
 
-        A pool-routed task (there is a pool and its supervisor, then)
-        is answered by the pool, or in process when the breaker
-        refuses, the attempts are exhausted or the slab cannot be read
-        back; one routed in process, in process.  Corruption on either
-        rung quarantines the shard.
+        By the pool, or in process (:meth:`~repro.query.engine.
+        ShardedQueryEngine.run_local`) when the breaker refuses, the
+        attempts are exhausted or the slab cannot be read back.
+        Corruption on either rung quarantines the shard whose file
+        raised.
         """
         try:
-            self._check_deadline(path, deadline_at)
-            if route == ROUTE_POOL and self.breaker.allow():
+            self._check_deadline(f"shard {path}", deadline_at)
+            if self.breaker.allow():
                 answers = self._run_pooled(path, specs, deadline_at)
                 if answers is not None:
                     return answers, False
-                self._check_deadline(path, deadline_at)
+                self._check_deadline(f"shard {path}", deadline_at)
             with self._local_lock:
-                answers, reopened = self._run_in_process(path, specs)
-            return answers, reopened or route == ROUTE_POOL
+                answers, _ = self._reopening_once(
+                    (path,), lambda: self.engine.run_local(path, specs)
+                )
+            return answers, True
         except CorruptArchiveError as error:
-            self._quarantine(path, error)
-            raise ShardQuarantined(path) from error
+            self._quarantine(error.path, error)
+            raise ShardQuarantined(error.path) from error
 
-    def _check_deadline(self, path: str, deadline_at: float) -> None:
+    def _check_deadline(self, what: str, deadline_at: float) -> None:
         if self._clock() >= deadline_at:
             raise DeadlineExceeded(
-                f"deadline expired before shard {path} was executed"
+                f"deadline expired before {what} was executed"
             )
 
     def _run_pooled(
@@ -624,22 +644,27 @@ class QueryService:
             )
             return None
 
-    def _run_in_process(self, path: str, specs) -> tuple[list, bool]:
-        """``(answers, reopened)`` from the shard's warm engine.
+    def _reopening_once(self, paths, run) -> tuple[list, bool]:
+        """``(run(), reopened)`` from the in-process engine; the caller
+        holds ``_local_lock``.
 
-        A wedged warm engine must not fail the request: it is dropped
-        and the task runs once more on a freshly reopened one (new
-        archive handle, index and decode cache).  A second failure
+        A wedged warm engine must not fail the request: the shards the
+        request involves (``paths``) are dropped and ``run`` is called
+        once more, on a union rebuilt over freshly reopened files (new
+        handles, indexes and decode cache).  A second failure
         propagates.
         """
         try:
-            return self.engine.run_local(path, specs), False
+            return run(), False
         except (CorruptArchiveError, EngineClosedError):
             raise
         except Exception as error:
-            self.engine.drop_local_engine(path)
-            _log.warning("shard.local_reopen", path=path, error=str(error))
-            return self.engine.run_local(path, specs), True
+            for path in paths:
+                self.engine.drop_local_engine(path)
+            _log.warning(
+                "shard.local_reopen", paths=sorted(paths), error=str(error)
+            )
+            return run(), True
 
     # ------------------------------------------------------------------
     # quarantine
@@ -655,9 +680,10 @@ class QueryService:
         if fresh:
             self.stats.bump("quarantines")
             _log.error("shard.quarantined", path=path, error=str(error))
-            # the warm local engine holds the bad file open; drop it so
+            # the in-process engine holds the bad file open; drop it so
             # re-admission starts from a clean reopen
-            self.engine.drop_local_engine(path)
+            with self._local_lock:
+                self.engine.drop_local_engine(path)
             # cached answers may derive from the now-suspect file; the
             # hot tier's immutability assumption just reset
             self.engine.clear_hotcache()
@@ -683,7 +709,8 @@ class QueryService:
                 self._quarantined.pop(path, None)
             self.stats.bump("shards_readmitted")
             _log.info("shard.readmitted", path=path)
-            self.engine.drop_local_engine(path)
+            with self._local_lock:
+                self.engine.drop_local_engine(path)
             # the repaired file may answer differently than whatever
             # the cache saw before the quarantine
             self.engine.clear_hotcache()

@@ -213,10 +213,18 @@ def merge_segments(
     Record bytes are preserved exactly (segments are read back with
     full CRC verification and re-serialized unchanged), so downstream
     one-shot compaction stays byte-identical.  With ``network`` the
-    merged segment gets a fresh ``.stiu`` sidecar before the manifest
-    swap, so live queries stay rebuild-free across compactions.
+    merged segment gets its ``.stiu`` sidecar before the manifest swap,
+    so live queries stay rebuild-free across compactions.  The sidecar
+    is the union of the sources' (what their seals and merges already
+    derived; a source whose sidecar is missing or stale is re-indexed,
+    that source only) — byte-identical to indexing the merged segment
+    from scratch.
     """
     from .writer import write_segment_file
+
+    if network is not None:
+        from ..query.sidecar import load_or_build_index, save_index
+        from ..query.stiu import StIUIndex
 
     current = {s.name for s in store.segments()}
     missing = [name for name in task.names if name not in current]
@@ -226,6 +234,7 @@ def merge_segments(
         )
     trajectories: list[CompressedTrajectory] = []
     stats = CompressionStats()
+    index_parts = []
     for info in task.segments:
         segment = read_archive(store.segment_path(info.name))
         if segment.params != store.state.params:
@@ -234,6 +243,14 @@ def merge_segments(
             )
         trajectories.extend(segment.trajectories)
         stats.add(segment.stats)
+        if network is not None:
+            part, _ = load_or_build_index(
+                network,
+                segment,
+                store.segment_path(info.name),
+                sidecar_path=store.sidecar_path(info.name),
+            )
+            index_parts.append(part)
     trajectories.sort(key=lambda t: t.trajectory_id)
     for first, second in zip(trajectories, trajectories[1:]):
         if first.trajectory_id >= second.trajectory_id:
@@ -253,11 +270,8 @@ def merge_segments(
             fs=store.fs,
         )
         if network is not None:
-            from ..query.sidecar import save_index
-            from ..query.stiu import StIUIndex
-
             save_index(
-                StIUIndex(network, archive),
+                StIUIndex.merged(network, archive, index_parts),
                 store.segment_path(name),
                 sidecar_path=store.sidecar_path(name),
             )

@@ -40,7 +40,7 @@ from ..core.archive import (
     CompressionStats,
 )
 from ..core.decoder import DecodeSpanCache
-from ..io.reader import ArchiveClosedError, FileBackedArchive
+from ..io.reader import ArchiveClosedError, FileBackedArchive, UnionArchive
 from ..obs import metrics as obs_metrics
 from .manifest import (
     SEGMENT_DIR,
@@ -74,7 +74,7 @@ class LiveArchive:
         self._archives: dict[str, FileBackedArchive] = {}
         self._levels: dict[str, int] = {}
         self._retired: list[FileBackedArchive] = []
-        self._id_to_segment: dict[int, FileBackedArchive] = {}
+        self._union = UnionArchive(())
         self._params: CompressionParams | None = None
         self._provenance: dict[str, str] = {}
         self._closed = False
@@ -185,11 +185,7 @@ class LiveArchive:
                 self._retired.append(self._archives.pop(name))
                 self._levels.pop(name, None)
                 self._segment_indexes.pop(name, None)
-            id_map: dict[int, FileBackedArchive] = {}
-            for segment in self._archives.values():
-                for trajectory_id in segment.trajectory_ids():
-                    id_map[trajectory_id] = segment
-            self._id_to_segment = id_map
+            self._union = UnionArchive(self._archives.values())
             if self._params is None and manifest["params"]:
                 self._params = params_from_dict(manifest["params"])
             return added
@@ -218,7 +214,7 @@ class LiveArchive:
 
     @property
     def trajectory_count(self) -> int:
-        return len(self._id_to_segment)
+        return self._union.trajectory_count
 
     @property
     def instance_count(self) -> int:
@@ -243,22 +239,17 @@ class LiveArchive:
 
     def trajectory_ids(self) -> list[int]:
         self._check_open()
-        return sorted(self._id_to_segment)
-
-    def _segment_of(self, trajectory_id: int) -> FileBackedArchive:
-        self._check_open()
-        segment = self._id_to_segment.get(trajectory_id)
-        if segment is None:
-            raise KeyError(f"no trajectory {trajectory_id} in the archive")
-        return segment
+        return self._union.trajectory_ids()
 
     def trajectory(self, trajectory_id: int) -> CompressedTrajectory:
-        return self._segment_of(trajectory_id).trajectory(trajectory_id)
+        self._check_open()
+        return self._union.trajectory(trajectory_id)
 
     def time_span(self, trajectory_id: int) -> tuple[int, int]:
         """``(start_time, end_time)`` without parsing the whole record;
         see :meth:`FileBackedArchive.time_span`."""
-        return self._segment_of(trajectory_id).time_span(trajectory_id)
+        self._check_open()
+        return self._union.time_span(trajectory_id)
 
     # ------------------------------------------------------------------
     # indexing / querying

@@ -6,7 +6,9 @@ leveled merges ran, at whatever points of the ingest stream, the
 archive answers queries identically and the canonical one-shot
 ``compact()`` output is byte-identical (SHA-256) to a run that never
 compacted at all.  Hypothesis drives random trip streams, rotation
-sizes, policy parameters, and merge schedules at that invariant.
+sizes, policy parameters, and merge schedules at that invariant.  A
+merge derives its ``.stiu`` sidecar by unioning its sources' sidecars;
+under any schedule the bytes equal indexing the merged segment afresh.
 """
 
 import hashlib
@@ -16,8 +18,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.io import read_archive
 from repro.network.generators import grid_network
 from repro.network.grid import Rect
+from repro.query import StIUIndex, save_index
 from repro.stream import (
     AppendableArchiveWriter,
     LiveArchive,
@@ -110,6 +114,20 @@ def _compact_sha(directory, output) -> str:
     return hashlib.sha256(Path(output).read_bytes()).hexdigest()
 
 
+def _assert_sidecars_equal_fresh_builds(directory, scratch) -> None:
+    """Every segment's ``.stiu`` is byte-for-byte what indexing that
+    segment from its records produces."""
+    for entry in load_manifest(directory)["segments"]:
+        segment = Path(directory) / "segments" / entry["name"]
+        fresh = save_index(
+            StIUIndex(NETWORK, read_archive(segment)),
+            segment,
+            sidecar_path=Path(scratch) / "fresh.stiu",
+        )
+        stored = Path(str(segment) + ".stiu")
+        assert stored.read_bytes() == fresh.read_bytes(), entry["name"]
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     specs=trip_specs,
@@ -159,11 +177,37 @@ def test_any_merge_schedule_is_equivalent_to_never_compacting(
         oracle_answers, _ = _answers(oracle_dir)
         assert subject_answers == oracle_answers
         assert subject_misses == 0
+        _assert_sidecars_equal_fresh_builds(subject_dir, base)
 
         # the canonical compacted archive is byte-identical
         assert _compact_sha(
             subject_dir, Path(base) / "subject.utcq"
         ) == _compact_sha(oracle_dir, Path(base) / "oracle.utcq")
+
+
+def test_stale_or_missing_source_sidecar_is_rebuilt_not_trusted(tmp_path):
+    """A merge re-indexes exactly the sources whose sidecar it cannot
+    use: the merged sidecar still equals a fresh build."""
+    with _writer(tmp_path / "live", 1) as writer:
+        for i in range(4):
+            writer.append(_trip(i, 3 * i, 100 * i, 60))
+        segments = tmp_path / "live" / "segments"
+        manifest = load_manifest(tmp_path / "live")
+        names = [entry["name"] for entry in manifest["segments"]]
+        assert len(names) == 4
+        # source 0: another segment's sidecar (stale fingerprint);
+        # source 1: no sidecar at all
+        (segments / (names[0] + ".stiu")).write_bytes(
+            (segments / (names[3] + ".stiu")).read_bytes()
+        )
+        (segments / (names[1] + ".stiu")).unlink()
+        stats = drain_compactions(
+            writer, policy=SizeTieredPolicy(min_merge=4, max_merge=4)
+        )
+        assert stats.merges == 1
+    _assert_sidecars_equal_fresh_builds(tmp_path / "live", tmp_path)
+    _, misses = _answers(tmp_path / "live")
+    assert misses == 0
 
 
 # ----------------------------------------------------------------------

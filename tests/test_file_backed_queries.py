@@ -229,8 +229,10 @@ def test_time_span_lifecycle_and_unknown_ids(setup, tmp_path):
     with pytest.raises(ArchiveClosedError, match="closed"):
         lazy.time_span(first_id)  # memoised, and still refused
 
-    # an index that names trajectories the archive lacks: the engine
-    # answers [] (its KeyError contract), it does not crash
+    # an index that names trajectories the archive lacks is a defect,
+    # not an unknown id in a query: the range raises, it is not
+    # answered [] (the engine's KeyError contract covers where/when
+    # naming an id the archive does not hold, and nothing else)
     half = tmp_path / "half.utcq"
     write_archive(
         CompressedArchive(
@@ -243,7 +245,8 @@ def test_time_span_lifecycle_and_unknown_ids(setup, tmp_path):
     t = trajectories[-1].start_time
     with FileBackedArchive.open(half) as partial:
         engine = BatchQueryEngine(network, partial, StIUIndex(network, archive))
-        assert engine.run([RangeQuery(rect, t, 0.0)]) == [[]]
+        with pytest.raises(KeyError):
+            engine.run([RangeQuery(rect, t, 0.0)])
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import UTCQCompressor, decode_trajectory
@@ -204,10 +204,22 @@ def _instances(draw):
     )
 
 
+def _one_unit_serves(probabilities) -> bool:
+    """A record stores its probabilities as numerators of one unit
+    2^-L: 1.0 beside an odd multiple of 2^-64 would need m = 2^64."""
+    try:
+        dyadic_numerators(probabilities)
+    except ArchiveFormatError:
+        return False
+    return True
+
+
 @st.composite
 def _trajectories(draw):
     payload, payload_bits = draw(_payloads())
     start_time, end_time = sorted(draw(st.lists(_u64, min_size=2, max_size=2)))
+    instances = draw(st.lists(_instances(), max_size=4))
+    assume(_one_unit_serves([i.probability for i in instances]))
     return CompressedTrajectory(
         trajectory_id=draw(_u64),
         time_payload=payload,
@@ -216,7 +228,7 @@ def _trajectories(draw):
         start_time=start_time,
         end_time=end_time,
         deviation_positions=draw(_positions),
-        instances=draw(st.lists(_instances(), max_size=4)),
+        instances=instances,
     )
 
 

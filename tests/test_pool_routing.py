@@ -4,39 +4,54 @@ takes only what is big enough to split.
 The rule (``ShardedQueryEngine.routes_to_pool``) is pinned at its
 boundary and at each of its four conditions; the mechanism is pinned
 where it would silently regress — a small request makes no pool submit
-and no supervisor call, the workers are forked before the first
-request, an in-process request still honours its deadline and counts
-as degraded only when its warm engine had to be dropped and reopened.
-Answers are equal on both sides of the boundary through every serving
-surface.
+and no supervisor call and is one run of one engine over the union of
+the open shards (a range spec executes once, not once per shard), the
+union is built once and rebuilt only after a shard was dropped, the
+workers are forked before the first request, an in-process request
+still honours its deadline and counts as degraded only when the union
+had to be dropped and rebuilt, corruption quarantines the shard whose
+file raised.  Answers are equal on both sides of the boundary through
+every serving surface.
 """
+
+import io
+import json
+import threading
+import time
 
 import pytest
 
 from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
+from repro.io import FileBackedArchive
+from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.query import (
     BatchQueryEngine,
+    RangeQuery,
     ShardedQueryEngine,
     StIUIndex,
+    UTCQQueryProcessor,
     WhereQuery,
     save_index,
 )
 from repro.query.engine import POOL_MIN_EXECUTIONS
+from repro.query.transport import TransportError
 from repro.serve import (
     DeadlineExceeded,
     QueryService,
     ServiceConfig,
     WireClient,
     WireServerThread,
+    corrupt_shard,
+    restore_shard,
 )
 from repro.serve.service import MODE_BATCH, MODE_SHARDED
 from repro.trajectories.datasets import load_dataset
 
 from test_query_engine import make_queries, pool_sized_queries
 
-SHARDS = 3
+SHARDS = 4
 
 
 @pytest.fixture(scope="module")
@@ -252,22 +267,55 @@ class FakeClock:
         return self.now
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` (a plain method or a classmethod) so every
+    call appends its positional arguments to the returned list."""
+    calls = []
+    original = getattr(owner, name)  # a classmethod arrives bound
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner.__dict__[name], classmethod):
+        counting = staticmethod(counting)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestMechanism:
-    def test_small_request_never_touches_pool_or_supervisor(self, world):
+    def test_small_request_never_touches_pool_or_supervisor(
+        self, world, monkeypatch
+    ):
         network, trajectories, _, oracle, _, _ = world
         queries = make_queries(network, trajectories, count=6, seed=8)[:16]
         assert len(queries) == 16
+        range_specs = {q for q in queries if isinstance(q, RangeQuery)}
+        assert range_specs
         service, pool = make_service(world)
         with service:
+            assert len(service.engine.plan(queries).tasks) == SHARDS
+            expected = oracle.run(queries)
             calls = service.supervisor.stats.snapshot()["calls"]
             routed = obs_metrics.counter(
                 "repro_service_routed_total", labels={"route": "inprocess"}
             )
             routed_before = routed.value
+            ranges = count_calls(monkeypatch, UTCQQueryProcessor, "range")
+            runs = count_calls(monkeypatch, BatchQueryEngine, "run")
             response = service.submit_many(queries, trace=True)
-            assert response.ok and response.results == oracle.run(queries)
+            assert response.ok and response.results == expected
             assert response.mode == MODE_BATCH
             assert response.trace["attrs"]["route"] == "inprocess"
+            # one engine, one run: a range spec executes once however
+            # many shards it spans
+            assert len(runs) == 1
+            assert len(ranges) == len(range_specs)
+            names = [c["name"] for c in response.trace["children"]]
+            assert names == ["plan", "local", "merge"]
+            local = response.trace["children"][1]["attrs"]
+            assert local["shards"] == SHARDS
+            assert local["specs"] == len(set(queries))
             assert pool.submits == 0
             assert service.supervisor.stats.snapshot()["calls"] == calls
             stats = service.stats.snapshot()
@@ -303,29 +351,120 @@ class TestMechanism:
             assert len(pids) == 2
             for pid in pids:
                 os.kill(pid, 0)  # raises if the process is gone
-            assert engine._local_engines == {}
+            assert engine._parts == {} and engine._union is None
 
-    def test_deadline_is_checked_between_in_process_tasks(self, world):
+    def test_union_is_built_once_and_rebuilt_once_after_a_drop(
+        self, world, monkeypatch
+    ):
+        _, _, shard_paths, oracle, small, _ = world
+        expected = oracle.run(small)
+        merges = count_calls(monkeypatch, StIUIndex, "merged")
+        opens = count_calls(monkeypatch, FileBackedArchive, "open")
+        service, _ = make_service(world)
+        with service:
+            for _ in range(100):
+                assert service.submit_many(small).results == expected
+            assert len(merges) == 1
+            assert sorted(path for (path,) in opens) == sorted(shard_paths)
+            union = service.engine._union
+            cache = union.processor.cache
+            service.engine.drop_local_engine(shard_paths[1])
+            for _ in range(3):
+                assert service.submit_many(small).results == expected
+            assert len(merges) == 2
+            # only the dropped shard was reopened; the rebuilt union
+            # starts from an empty decode cache
+            assert [path for (path,) in opens[SHARDS:]] == [shard_paths[1]]
+            assert service.engine._union is not union
+            assert service.engine._union.processor.cache is not cache
+
+    def test_union_is_extended_shard_by_shard(self, world):
+        """A plan opens only the shards it involves; a later plan that
+        involves more extends the union and keeps its decode cache."""
+        network, _, shard_paths = world[:3]
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=1
+        ) as engine:
+            one_shard = where_specs(world, 4, shards=1)
+            reference = engine.run(one_shard)
+            assert list(engine._parts) == [shard_paths[0]]
+            cache = engine._union.processor.cache
+            engine.run(where_specs(world, 24))
+            assert sorted(engine._parts) == sorted(shard_paths)
+            assert engine._union.processor.cache is cache
+            assert engine.run(one_shard) == reference
+
+    def test_run_local_answers_for_its_shard_only(self, world):
+        network, _, shard_paths, oracle, _, big = world
+        ranges = [q for q in big if isinstance(q, RangeQuery)]
+        full = oracle.run(ranges)
+        assert any(full)
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=1
+        ) as engine:
+            engine.run(ranges)  # every shard open: the union spans all
+            for path in shard_paths:
+                assert engine.run_local(path, ranges) == [
+                    [tid for tid in answer if engine.shard_for(tid) == path]
+                    for answer in full
+                ]
+
+    def test_one_pool_task_falling_back_keeps_the_answer_exact(self, world):
+        network, _, shard_paths, oracle, _, big = world
+
+        class UnreadableOnce(CountingPool):
+            failed = 0
+
+            def decode(self, payload):
+                if not self.failed:
+                    self.failed += 1
+                    raise TransportError("slab gone")
+                return self.inner.decode(payload)
+
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=2
+        ) as engine:
+            engine.pool = pool = UnreadableOnce(engine.pool)
+            fallbacks = engine.transport_fallbacks.value
+            assert engine.run(big) == oracle.run(big)
+            assert pool.submits == SHARDS and pool.failed == 1
+            assert engine.transport_fallbacks.value == fallbacks + 1
+            # the fallback opened the one shard it answered for
+            assert len(engine._parts) == 1
+
+    def test_expired_deadline_after_the_lock_runs_nothing(
+        self, world, monkeypatch
+    ):
         _, _, _, _, small, _ = world
         clock = FakeClock()
         service, _ = make_service(world, workers=1, clock=clock)
         with service:
-            assert len(service.engine.plan(small).tasks) == SHARDS
-            ran = []
-            run_local = service.engine.run_local
-
-            def slow_run_local(path, specs):
-                ran.append(path)
-                clock.now += 10.0  # the first task eats the deadline
-                return run_local(path, specs)
-
-            service.engine.run_local = slow_run_local
-            response = service.submit_many(small, deadline=5.0)
+            runs = count_calls(monkeypatch, BatchQueryEngine, "run")
+            responses = []
+            thread = threading.Thread(
+                target=lambda: responses.append(
+                    service.submit_many(small, deadline=5.0)
+                )
+            )
+            # the request waits for the lock past its deadline
+            with service._local_lock:
+                thread.start()
+                give_up = time.monotonic() + 30
+                while (
+                    service.admission.in_flight == 0
+                    and time.monotonic() < give_up
+                ):
+                    time.sleep(0.001)
+                clock.now += 10.0
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            (response,) = responses
             assert not response.ok
             assert response.kind == "deadline"
             assert isinstance(response.error, DeadlineExceeded)
-            assert len(ran) == 1  # the remaining tasks never started
+            assert runs == [] and service.engine._parts == {}
             assert service.stats.snapshot()["deadline_exceeded"] == 1
+            assert service.admission.in_flight == 0
 
     def test_in_process_failure_falls_through_and_counts_degraded(
         self, world
@@ -333,10 +472,10 @@ class TestMechanism:
         _, _, _, oracle, small, _ = world
         service, pool = make_service(world)
         with service:
-            assert service.submit_many(small).ok  # warm every engine
-            engines = service.engine._local_engines
-            path = sorted(service.engine.plan(small).tasks)[0]
-            wedged = engines[path]
+            assert service.submit_many(small).ok  # warm the union
+            wedged = service.engine._union
+            parts = dict(service.engine._parts)
+            assert sorted(parts) == sorted(service.engine.plan(small).tasks)
 
             def wedged_run(specs):
                 raise RuntimeError("warm engine wedged")
@@ -345,57 +484,147 @@ class TestMechanism:
             response = service.submit_many(small)
             assert response.ok and response.results == oracle.run(small)
             assert response.mode == MODE_BATCH
-            # dropped and reopened: a new engine over a new file handle
-            assert engines[path] is not wedged
-            assert wedged.processor.archive.closed
+            # dropped and rebuilt: a new engine over new file handles
+            assert service.engine._union is not wedged
+            for path, part in parts.items():
+                assert part.archive.closed
+                assert service.engine._parts[path] is not part
             assert pool.submits == 0
             stats = service.stats.snapshot()
             assert stats["routed_inprocess"] == 2
             assert stats["served_degraded_batch"] == 1
-            # the reopened engine is healthy: nothing degraded after it
+            # the rebuilt engine is healthy: nothing degraded after it
             assert service.submit_many(small).results == oracle.run(small)
             assert service.stats.snapshot()["served_degraded_batch"] == 1
 
     def test_reopened_engine_failing_too_surfaces_once(
         self, world, monkeypatch
     ):
-        from repro.query import engine as engine_module
-
-        _, _, shard_paths, oracle, small, _ = world
+        _, _, _, oracle, small, _ = world
         service, pool = make_service(world)
         with service:
-            bad_path = shard_paths[0]
-            assert bad_path in service.engine.plan(small).tasks
-            opens = []
-            open_shard = engine_module._open_shard_engine
+            merges = count_calls(monkeypatch, StIUIndex, "merged")
 
-            def open_wedged(path, network):
-                opened = open_shard(path, network)
-                if path == bad_path:
-                    opens.append(path)
+            def wedged_run(self, specs):
+                raise RuntimeError("wedged again")
 
-                    def wedged_run(specs):
-                        raise RuntimeError("wedged again")
-
-                    opened.run = wedged_run
-                return opened
-
-            monkeypatch.setattr(
-                engine_module, "_open_shard_engine", open_wedged
-            )
-            with pytest.raises(RuntimeError, match="wedged again"):
-                service.submit_many(small)
-            # first open, one reopen, and no third try
-            assert opens == [bad_path, bad_path]
+            with monkeypatch.context() as patch:
+                patch.setattr(BatchQueryEngine, "run", wedged_run)
+                with pytest.raises(RuntimeError, match="wedged again"):
+                    service.submit_many(small)
+            # first build, one rebuild, and no third try
+            assert len(merges) == 2
             assert service.admission.in_flight == 0
             assert pool.submits == 0
-            healthy = [
-                spec
-                for spec in where_specs(world, 12)
-                if service.engine.shard_for(spec.trajectory_id) != bad_path
-            ]
-            assert healthy
-            response = service.submit_many(healthy)
-            assert response.ok and response.results == oracle.run(healthy)
+            response = service.submit_many(small)
+            assert response.ok and response.results == oracle.run(small)
             assert response.mode == MODE_BATCH
             assert service.stats.snapshot()["served_degraded_batch"] == 0
+
+
+class TestCorruptionNamesItsShard:
+    def test_in_process_request_quarantines_the_shard_that_raised(
+        self, world, monkeypatch
+    ):
+        _, _, shard_paths, oracle, small, _ = world
+        service, _ = make_service(
+            world,
+            config=ServiceConfig(
+                deadline=30.0, health_interval=None, quarantine_reprobe=60.0
+            ),
+        )
+        bad = shard_paths[2]
+        sink = io.StringIO()
+        pristine = corrupt_shard(bad)
+        obs_log.configure(sink)
+        try:
+            with service:
+                ranges = [q for q in small if isinstance(q, RangeQuery)]
+                assert ranges  # the plan touches every shard
+                assert sorted(service.engine.plan(small).tasks) == sorted(
+                    shard_paths
+                )
+                # every record of the bad shard is read, the damaged one
+                # included: a where per trajectory it holds
+                probes = [
+                    WhereQuery(tid, 10_000, 0.0)
+                    for tid, path in service.engine._route.items()
+                    if path == bad
+                ]
+                response = service.submit_many(small + probes)
+                assert response.kind == "quarantined"
+                assert response.error.path == bad
+                assert service.quarantined_shards() == [bad]
+                records = [
+                    json.loads(line) for line in sink.getvalue().splitlines()
+                ]
+                (corrupt,) = [
+                    r for r in records if r["event"] == "io.corrupt_record"
+                ]
+                assert corrupt["path"] == bad
+                assert bad not in service.engine._parts
+                # a shard-0 request still answers, and nobody reopens
+                # the quarantined shard on its behalf
+                opens = count_calls(monkeypatch, FileBackedArchive, "open")
+                healthy = where_specs(world, 6, shards=1)
+                again = service.submit_many(healthy)
+                assert again.ok and again.results == oracle.run(healthy)
+                assert bad not in [path for (path,) in opens]
+                assert service.submit_many(ranges).kind == "quarantined"
+                assert bad not in [path for (path,) in opens]
+        finally:
+            obs_log.configure(None)
+            restore_shard(bad, pristine)
+
+
+class TestConcurrentDrops:
+    def test_a_drop_never_lands_under_a_running_request(self, world):
+        """Request threads share one union; a quarantine drops a shard
+        out of it.  Both take ``_local_lock``, so no run ever sees a
+        file closed under it: every response is the oracle's answer or
+        a typed quarantine refusal, and none needed the engine rebuilt
+        (an unlocked drop would surface as ``shard.local_reopen``)."""
+        import sys
+
+        _, _, shard_paths, oracle, small, _ = world
+        expected = oracle.run(small)
+        service, _ = make_service(world)
+        stop = threading.Event()
+        outcomes = []
+
+        def requests():
+            while not stop.is_set():
+                response = service.submit_many(small)
+                outcomes.append(
+                    response.kind
+                    if not response.ok or response.results == expected
+                    else "wrong"
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with service:
+                threads = [
+                    threading.Thread(target=requests) for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                give_up = time.monotonic() + 1.5
+                drills = 0
+                while time.monotonic() < give_up:
+                    bad = shard_paths[drills % SHARDS]
+                    service._quarantine(bad, RuntimeError("drill"))
+                    with service._quarantine_lock:
+                        service._quarantined.clear()
+                    drills += 1
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert drills and "ok" in outcomes
+                assert set(outcomes) <= {"ok", "quarantined"}
+                assert service.stats.snapshot()["served_degraded_batch"] == 0
+                assert service.submit_many(small).results == expected
+        finally:
+            sys.setswitchinterval(interval)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
+from repro.network.grid import Rect
 from repro.query import (
     BatchQueryEngine,
     BruteForceOracle,
@@ -181,7 +182,49 @@ class TestBatchEngine:
     def test_unknown_trajectory_yields_empty(self, world):
         network, _, archive, _ = world
         engine = BatchQueryEngine(network, archive, StIUIndex(network, archive))
-        assert engine.run([WhereQuery(10**9, 1000, 0.0)]) == [[]]
+        assert engine.run(
+            [WhereQuery(10**9, 1000, 0.0), WhenQuery(10**9, (0, 1), 0.5, 0.0)]
+        ) == [[], []]
+
+    def test_internal_key_error_is_not_an_empty_answer(self, world):
+        """Only a where/when naming an id the archive does not hold is
+        answered ``[]``; an index listing an id the archive cannot
+        resolve is a defect and propagates."""
+        network, trajectories, archive, _ = world
+        index = StIUIndex(network, archive)
+        full = BatchQueryEngine(network, archive, index)
+        box = network.bounding_box()
+        everywhere = Rect(box.min_x, box.min_y, box.max_x, box.max_y)
+        probe, matches = next(
+            (query, answer)
+            for query in (
+                RangeQuery(everywhere, (t.start_time + t.end_time) // 2, 0.0)
+                for t in trajectories
+            )
+            for answer in full.run([query])
+            if len(answer) >= 2
+        )
+        lacking = CompressedArchive(
+            params=archive.params,
+            trajectories=[
+                t for t in archive.trajectories
+                if t.trajectory_id != matches[0]
+            ],
+        )
+        engine = BatchQueryEngine(network, lacking, index)
+        with pytest.raises(KeyError):
+            engine.run([probe])
+        # the same id through where: the archive does not hold it
+        assert engine.run([WhereQuery(matches[0], probe.t, 0.0)]) == [[]]
+        # a KeyError from inside where, for an id the archive holds
+        held = matches[1]
+
+        def broken_where(trajectory_id, t, alpha):
+            raise KeyError("internal")
+
+        engine.processor.where = broken_where
+        with pytest.raises(KeyError, match="internal"):
+            engine.run([WhereQuery(held, probe.t, 0.0)])
 
     def test_rejects_non_queries(self, world):
         network, _, archive, _ = world
