@@ -32,8 +32,12 @@ class Rect:
     max_y: float
 
     def __post_init__(self) -> None:
-        if self.min_x > self.max_x or self.min_y > self.max_y:
-            raise ValueError(f"degenerate rectangle {self}")
+        # one chain per axis: false for a NaN as for an inverted axis
+        if not (
+            -math.inf < self.min_x <= self.max_x < math.inf
+            and -math.inf < self.min_y <= self.max_y < math.inf
+        ):
+            raise ValueError(f"degenerate or non-finite rectangle {self}")
 
     def contains(self, x: float, y: float) -> bool:
         return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y

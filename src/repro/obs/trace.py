@@ -178,6 +178,22 @@ def start_trace(name: str, **attrs):
 
 
 @contextmanager
+def within(span: Span | None):
+    """Make ``span`` the current span for the block without starting
+    or finishing it (None: leave the context alone) — how the two
+    halves of one request, which may run on two threads, hang their
+    stages under one root."""
+    if span is None:
+        yield
+        return
+    token = _current_span.set(span)
+    try:
+        yield
+    finally:
+        _current_span.reset(token)
+
+
+@contextmanager
 def trace_span(name: str, **attrs):
     """One nested stage — a no-op unless a trace is open.
 

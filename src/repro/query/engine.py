@@ -32,6 +32,7 @@ changes *how often* shared work is done.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -106,6 +107,16 @@ class WorkerPoolBroken(QueryEngineError):
 # ----------------------------------------------------------------------
 # query specs
 # ----------------------------------------------------------------------
+def _not_finite(spec, name: str) -> ValueError:
+    """The refusal of a NaN or an infinity where a spec is made:
+    nothing downstream can answer one, and the grid turns it into an
+    error that looks like a broken engine."""
+    return ValueError(
+        f"{type(spec).__name__}.{name} must be finite, "
+        f"got {getattr(spec, name)!r}"
+    )
+
+
 @dataclass(frozen=True)
 class WhereQuery:
     """Definition 10: where was trajectory ``trajectory_id`` at ``t``?"""
@@ -113,6 +124,10 @@ class WhereQuery:
     trajectory_id: int
     t: int
     alpha: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise _not_finite(self, "alpha")
 
 
 @dataclass(frozen=True)
@@ -124,14 +139,25 @@ class WhenQuery:
     relative_distance: float
     alpha: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.relative_distance):
+            raise _not_finite(self, "relative_distance")
+        if not math.isfinite(self.alpha):
+            raise _not_finite(self, "alpha")
+
 
 @dataclass(frozen=True)
 class RangeQuery:
-    """Definition 12: which trajectories overlap ``rect`` at ``t``?"""
+    """Definition 12: which trajectories overlap ``rect`` at ``t``?
+    (:class:`~repro.network.grid.Rect` refuses non-finite corners.)"""
 
     rect: Rect
     t: int
     alpha: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.alpha):
+            raise _not_finite(self, "alpha")
 
 
 Query = Union[WhereQuery, WhenQuery, RangeQuery]

@@ -38,6 +38,7 @@ from .errors import (
 from .service import (
     MODE_BATCH,
     MODE_SHARDED,
+    PendingRequest,
     QueryService,
     ServiceConfig,
     ServiceResponse,
@@ -84,6 +85,7 @@ __all__ = [
     "ServiceClosedError",
     "ShardQuarantined",
     "WorkerPoolUnavailable",
+    "PendingRequest",
     "QueryService",
     "ServiceConfig",
     "ServiceResponse",

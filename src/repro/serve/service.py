@@ -40,6 +40,13 @@ long-lived front-end can actually lean on:
 spec); they return a :class:`ServiceResponse` whose ``error`` carries
 the typed exception, which is what a wire front-end would serialize
 and what the chaos bench's availability accounting consumes.
+
+``submit_many`` is two halves run in sequence, and a caller may run
+them on two threads: :meth:`QueryService.begin` admits, plans and
+routes (a refusal is answered there), :meth:`QueryService.finish`
+executes, merges and responds.  The wire front-end runs the first on
+its event loop and decides from the :class:`PendingRequest` where the
+second runs.
 """
 
 from __future__ import annotations
@@ -52,9 +59,15 @@ from dataclasses import dataclass, field
 from ..io.format import CorruptArchiveError, read_header, record_crc
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.log import bind_request_id, get_logger, unbind_request_id
+from ..obs.log import (
+    bind_request_id,
+    get_logger,
+    next_request_id,
+    unbind_request_id,
+)
 from ..query.engine import (
     DISPATCH_WINDOW,
+    BatchPlan,
     EngineClosedError,
     Query,
     QueryEngineError,
@@ -83,6 +96,15 @@ MODE_BATCH = "batch"
 # nothing fails, the in-process route "batch"
 ROUTE_POOL = "pool"
 ROUTE_INPROCESS = "inprocess"
+
+# what a request can be refused with; anything else is a bug and raises
+_REFUSALS = (
+    Overloaded,
+    DeadlineExceeded,
+    ShardQuarantined,
+    WorkerPoolUnavailable,
+    QueryEngineError,  # a malformed spec, or a closed engine
+)
 
 
 def _mode(route: str, degraded: bool) -> str:
@@ -146,6 +168,29 @@ class ServiceResponse:
         if self.results is None:
             raise self.error
         return self.results[0]
+
+
+@dataclass(eq=False)
+class PendingRequest:
+    """One request between :meth:`QueryService.begin` and
+    :meth:`QueryService.finish`.
+
+    Either answered already (``response`` set: shed, refused at the
+    quarantine gate, a malformed spec, a deadline already past) or
+    admitted — holding its admission slot — planned and routed.
+    """
+
+    client: str
+    started: float  # service clock
+    wall_started: float  # perf_counter, for the latency histogram
+    request_id: str
+    response: ServiceResponse | None = None
+    slot: object | None = None
+    deadline_at: float = 0.0
+    plan: BatchPlan | None = None
+    route: str = ""
+    breaker: str = CLOSED  # the state the route was decided under
+    root: obs_trace.Span | None = None  # the trace, with trace=True
 
 
 class ServiceStats(obs_metrics.CounterTally):
@@ -359,73 +404,97 @@ class QueryService:
         trace: bool = False,
     ) -> ServiceResponse:
         """One request carrying a batch; one deadline covers all of it.
+        Exactly :meth:`begin` then :meth:`finish`.
 
         With ``trace=True`` the request runs under a span tree — plan,
         per-shard pool calls with grafted worker spans and IPC
         accounting, merge — returned on ``response.trace``.
         """
+        return self.finish(
+            self.begin(queries, client=client, deadline=deadline, trace=trace)
+        )
+
+    def begin(
+        self,
+        queries,
+        *,
+        client: str = "default",
+        deadline: float | None = None,
+        trace: bool = False,
+    ) -> PendingRequest:
+        """First half of a request: admission slot, deadline, plan (the
+        quarantine gate and the hot cache run inside it) and route.
+        Executes nothing.
+
+        A refusal decided here — shed, quarantined, a malformed spec, a
+        deadline already past — comes back answered
+        (``pending.response``).  Any other request holds its admission
+        slot until :meth:`finish`, which must follow.
+        """
         if self._closed:
             raise ServiceClosedError("QueryService is closed")
-        started = self._clock()
-        wall_started = time.perf_counter()
+        pending = PendingRequest(
+            client=client,
+            started=self._clock(),
+            wall_started=time.perf_counter(),
+            request_id=next_request_id(),
+        )
         self.stats.bump("requests")
-        token = bind_request_id()
+        token = bind_request_id(pending.request_id)
         try:
-            return self._admit_and_execute(
-                queries, started, client, deadline, trace
+            pending.slot = self.admission.admit(client)
+            pending.deadline_at = pending.started + (
+                deadline if deadline is not None else self.config.deadline
             )
+            if trace:
+                pending.root = obs_trace.Span(
+                    "request", {"client": client, "queries": len(queries)}
+                ).start()
+            with obs_trace.within(pending.root), obs_trace.trace_span(
+                "plan", queries=len(queries)
+            ):
+                # the gate runs inside plan(), before the hot-cache short
+                # circuit — a quarantined shard refuses its queries even
+                # when their answers are cached
+                pending.plan = self.engine.plan(
+                    queries, gate=self._gate_shard
+                )
+            pending.breaker = self.breaker.state
+            pending.route = (
+                ROUTE_POOL
+                if self.engine.routes_to_pool(
+                    pending.plan, breaker_open=pending.breaker == OPEN
+                )
+                else ROUTE_INPROCESS
+            )
+            self._check_deadline("the request", pending.deadline_at)
+        except _REFUSALS as error:
+            self._refuse(pending, error)
+        except BaseException:
+            self._release(pending)
+            raise
         finally:
             unbind_request_id(token)
-            self._latency.observe(time.perf_counter() - wall_started)
+        return pending
 
-    def _admit_and_execute(
-        self, queries, started, client, deadline, trace
-    ) -> ServiceResponse:
+    def finish(self, pending: PendingRequest) -> ServiceResponse:
+        """Second half of a request: execute the plan on its route,
+        merge, release the slot, respond.  A request :meth:`begin`
+        already answered is returned as it is."""
+        if pending.response is not None:
+            return pending.response
+        token = bind_request_id(pending.request_id)
         try:
-            slot = self.admission.admit(client)
-        except Overloaded as error:
-            self.stats.bump("overloaded")
-            _log.info(
-                "request.shed", client=client, retry_after=error.retry_after
-            )
-            return self._respond(started, client, error=error)
-        trace_doc = None
-        try:
-            with slot:
-                deadline_at = started + (
-                    deadline if deadline is not None else self.config.deadline
-                )
-                if trace:
-                    with obs_trace.start_trace(
-                        "request", client=client, queries=len(queries)
-                    ) as root:
-                        results, route, degraded = self._execute(
-                            queries, deadline_at
-                        )
-                        root.set("mode", _mode(route, degraded))
-                        root.set("route", route)
-                    trace_doc = root.to_dict()
-                else:
-                    results, route, degraded = self._execute(
-                        queries, deadline_at
-                    )
-        except Overloaded as error:  # pragma: no cover - defensive
-            self.stats.bump("overloaded")
-            return self._respond(started, client, error=error)
-        except DeadlineExceeded as error:
-            self.stats.bump("deadline_exceeded")
-            _log.info("request.deadline_exceeded", client=client)
-            return self._respond(started, client, error=error)
-        except ShardQuarantined as error:
-            self.stats.bump("quarantined")
-            return self._respond(started, client, error=error)
-        except (WorkerPoolUnavailable, QueryEngineError) as error:
-            # QueryEngineError: a malformed spec, or a closed engine
-            self.stats.bump("failed")
-            _log.warning(
-                "request.failed", client=client, error=str(error)
-            )
-            return self._respond(started, client, error=error)
+            with obs_trace.within(pending.root):
+                results, degraded = self._execute(pending)
+        except _REFUSALS as error:
+            return self._refuse(pending, error)
+        except BaseException:
+            self._release(pending)
+            raise
+        finally:
+            unbind_request_id(token)
+        route = pending.route
         mode = _mode(route, degraded)
         self.stats.bump("completed")
         self.stats.bump("routed_" + route)
@@ -436,52 +505,73 @@ class QueryService:
             self.stats.bump("served_degraded_batch")
         elif route == ROUTE_POOL:
             self.stats.bump("served_sharded")
-        return self._respond(
-            started, client, results=results, mode=mode, trace=trace_doc
-        )
+        trace = None
+        if pending.root is not None:
+            pending.root.set("mode", mode)
+            pending.root.set("route", route)
+            trace = pending.root.finish().to_dict()
+        return self._settle(pending, results=results, mode=mode, trace=trace)
 
-    def _respond(
+    def _refuse(
+        self, pending: PendingRequest, error: Exception
+    ) -> ServiceResponse:
+        """Count and answer a typed refusal."""
+        client = pending.client
+        if isinstance(error, Overloaded):
+            self.stats.bump("overloaded")
+            _log.info(
+                "request.shed", client=client, retry_after=error.retry_after
+            )
+        elif isinstance(error, DeadlineExceeded):
+            self.stats.bump("deadline_exceeded")
+            _log.info("request.deadline_exceeded", client=client)
+        elif isinstance(error, ShardQuarantined):
+            self.stats.bump("quarantined")
+        else:
+            self.stats.bump("failed")
+            _log.warning("request.failed", client=client, error=str(error))
+        return self._settle(pending, error=error)
+
+    def _settle(
         self,
-        started: float,
-        client: str,
+        pending: PendingRequest,
         *,
         results: list | None = None,
         error: Exception | None = None,
         mode: str = "",
         trace: dict | None = None,
     ) -> ServiceResponse:
-        return ServiceResponse(
+        self._release(pending)
+        pending.response = ServiceResponse(
             ok=error is None,
             results=results,
             error=error,
             mode=mode,
-            latency=self._clock() - started,
-            client=client,
+            latency=self._clock() - pending.started,
+            client=pending.client,
             trace=trace,
         )
+        return pending.response
+
+    def _release(self, pending: PendingRequest) -> None:
+        """Give the request's admission slot back and time it."""
+        if pending.slot is not None:
+            pending.slot.release()
+        self._latency.observe(time.perf_counter() - pending.wall_started)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _execute(
-        self, queries, deadline_at: float
-    ) -> tuple[list, str, bool]:
-        """Plan, route, execute, merge: ``(results, route, degraded)``."""
-        with obs_trace.trace_span("plan", queries=len(queries)):
-            # the gate runs inside plan(), before the hot-cache short
-            # circuit — a quarantined shard refuses its queries even
-            # when their answers are cached
-            plan = self.engine.plan(queries, gate=self._gate_shard)
-        breaker = self.breaker.state
-        if not self.engine.routes_to_pool(plan, breaker_open=breaker == OPEN):
-            route = ROUTE_INPROCESS
+    def _execute(self, pending: PendingRequest) -> tuple[list, bool]:
+        """Execute a routed plan and merge: ``(results, degraded)``."""
+        plan, deadline_at = pending.plan, pending.deadline_at
+        if pending.route == ROUTE_INPROCESS:
             task_results, degraded = self._execute_in_process(
                 plan, deadline_at
             )
         else:
-            route = ROUTE_POOL
             items = sorted(plan.tasks.items())
-            if breaker == CLOSED:
+            if pending.breaker == CLOSED:
                 task_results, degraded = self._execute_pipelined(
                     items, deadline_at
                 )
@@ -493,7 +583,7 @@ class QueryService:
                     items, deadline_at
                 )
         with obs_trace.trace_span("merge", tasks=len(task_results)):
-            return self.engine.merge(plan, task_results), route, degraded
+            return self.engine.merge(plan, task_results), degraded
 
     def _execute_in_process(self, plan, deadline_at: float):
         """The whole request as one run of the engine's union, on this

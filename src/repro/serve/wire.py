@@ -49,19 +49,24 @@ it.
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from ..network.grid import Rect
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger
-from ..query.engine import RangeQuery, WhenQuery, WhereQuery
+from ..query.engine import (
+    POOL_MIN_EXECUTIONS,
+    RangeQuery,
+    WhenQuery,
+    WhereQuery,
+)
 from ..query.transport import (
     TransportError,
     UnencodableAnswers,
@@ -69,7 +74,7 @@ from ..query.transport import (
     encode_answers,
 )
 from .errors import DeadlineExceeded, Overloaded, ShardQuarantined
-from .service import MODE_BATCH, MODE_SHARDED
+from .service import MODE_BATCH, MODE_SHARDED, ROUTE_INPROCESS
 
 _log = get_logger("repro.serve.wire")
 
@@ -261,12 +266,14 @@ def decode_request_body(body) -> tuple[str, float | None, list]:
     """Unpack one request body; returns ``(client, deadline, queries)``.
 
     Raises :class:`WireProtocolError` for any malformed shape — a
-    truncated list, an unknown tag, a degenerate rectangle.  Nothing is
-    executed on that path.
+    truncated list, an unknown tag, a degenerate rectangle, a NaN or
+    infinity in any float field.  Nothing is executed on that path.
     """
     try:
         deadline, client_len, count = _REQ_HEAD.unpack_from(body, 0)
         offset = _REQ_HEAD.size
+        if not math.isfinite(deadline):
+            raise WireProtocolError(f"deadline {deadline!r}")
         if client_len > MAX_CLIENT_BYTES:
             raise WireProtocolError(f"client id of {client_len} bytes")
         if count > MAX_QUERIES_PER_REQUEST:
@@ -304,7 +311,8 @@ def decode_request_body(body) -> tuple[str, float | None, list]:
                 f"{len(body) - offset} trailing bytes after the query list"
             )
     except (struct.error, UnicodeDecodeError, ValueError) as error:
-        # ValueError includes Rect's degenerate-rectangle check
+        # ValueError includes the specs' own checks: a degenerate
+        # rectangle, a non-finite coordinate, distance or alpha
         raise WireProtocolError(f"malformed request body: {error}") from None
     return client, (deadline if deadline > 0 else None), queries
 
@@ -457,6 +465,15 @@ class _WireStats:
             "repro_wire_requests_shed_total",
             help="Requests refused at the wire before touching a thread",
         )
+        self.dispatched = {
+            on: obs_metrics.counter(
+                "repro_wire_dispatched_total",
+                labels={"on": on},
+                help="Requests finished on the event loop or handed to "
+                "the wire executor",
+            )
+            for on in ("loop", "executor")
+        }
         self.latency = obs_metrics.histogram(
             "repro_wire_request_latency_seconds",
             help="Request latency observed at the wire layer",
@@ -468,8 +485,16 @@ class WireServer:
 
     Must be constructed and driven on an event loop
     (:class:`WireServerThread` hosts one for synchronous callers).
-    ``service`` only needs ``submit_many(queries, client=, deadline=)``
-    and ``config.max_in_flight`` — the chaos tests duck-type it.
+    ``service`` only needs ``begin(queries, client=, deadline=)``,
+    ``finish(pending)`` and ``config.max_in_flight`` — the chaos tests
+    duck-type it.
+
+    Every request's first half (admission, plan, route) runs on the
+    loop.  A refusal, and a request routed in process with fewer than
+    :data:`~repro.query.engine.POOL_MIN_EXECUTIONS` executions, is
+    finished there too: it would hold the GIL and the service's local
+    lock on any thread.  Everything else — every pool wait — finishes
+    on the executor.
     """
 
     def __init__(
@@ -496,8 +521,8 @@ class WireServer:
                 getattr(service, "config", None), "max_in_flight", 64
             )
         self._dispatch_limit = max(1, int(limit))
-        # one thread per dispatchable request: an admitted request gets
-        # a thread immediately, and the shed path above the limit never
+        # one thread per request handed to the executor: it gets a
+        # thread immediately, and the shed path above the limit never
         # waits behind a queue
         self._executor = ThreadPoolExecutor(
             max_workers=self._dispatch_limit,
@@ -559,7 +584,9 @@ class WireServer:
     async def aclose(self) -> None:
         if not self._draining:
             await self.drain(timeout=0.0)
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        # queued work is not cancelled: a second half still waiting
+        # for a thread holds an admission slot only it gives back
+        self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # per-connection loop
@@ -619,10 +646,8 @@ class WireServer:
             try:
                 if self._draining:
                     return
-                header = await asyncio.wait_for(
-                    reader.readexactly(HEADER_SIZE),
-                    timeout=config.idle_timeout,
-                )
+                async with asyncio.timeout(config.idle_timeout):
+                    header = await reader.readexactly(HEADER_SIZE)
                 self.stats.bytes_read.inc(HEADER_SIZE)
                 try:
                     frame_type, request_id, length, crc = decode_header(
@@ -647,9 +672,8 @@ class WireServer:
                 # capped it, so a slow body read is bounded by
                 # read_timeout (the slow-loris edge) and the stream
                 # stays in sync even when the CRC fails below
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=config.read_timeout
-                )
+                async with asyncio.timeout(config.read_timeout):
+                    body = await reader.readexactly(length)
                 self.stats.bytes_read.inc(length)
                 self.stats.frames_in[_FRAME_NAMES[frame_type]].inc()
                 try:
@@ -756,25 +780,37 @@ class WireServer:
             window.release()
 
     async def _dispatch(self, request_id, client, deadline, queries) -> bytes:
-        loop = asyncio.get_running_loop()
-        self._dispatched += 1
-        try:
-            response = await loop.run_in_executor(
-                self._executor,
-                partial(self._call_service, client, deadline, queries),
-            )
-        except Exception as error:  # noqa: BLE001 - typed on the wire
-            # e.g. ServiceClosedError racing a drain
-            return encode_frame(
-                FRAME_ERROR,
-                request_id,
-                encode_error_body(
-                    ERR_DRAINING if self._draining else ERR_INTERNAL,
-                    str(error),
-                ),
-            )
-        finally:
-            self._dispatched -= 1
+        """Admit, plan and route on the loop; finish here too when the
+        request was refused or is small and routed in process, else on
+        the executor — the only place a pool wait may block."""
+        with obs_trace.trace_span(
+            "wire.request", client=client, queries=len(queries)
+        ) as span:
+            try:
+                pending = self.service.begin(
+                    queries, client=client, deadline=deadline
+                )
+                if pending.response is not None or (
+                    pending.route == ROUTE_INPROCESS
+                    and pending.plan.executions < POOL_MIN_EXECUTIONS
+                ):
+                    on = "loop"
+                    response = self.service.finish(pending)
+                else:
+                    on = "executor"
+                    response = await self._finish_on_executor(pending)
+            except Exception as error:  # noqa: BLE001 - typed on the wire
+                # e.g. ServiceClosedError racing a drain
+                return encode_frame(
+                    FRAME_ERROR,
+                    request_id,
+                    encode_error_body(
+                        ERR_DRAINING if self._draining else ERR_INTERNAL,
+                        str(error),
+                    ),
+                )
+            span.set("on", on)
+            self.stats.dispatched[on].inc()
         if not response.ok:
             return error_frame_for_response(request_id, response)
         try:
@@ -789,13 +825,15 @@ class WireServer:
             )
         return encode_frame(FRAME_RESPONSE, request_id, body)
 
-    def _call_service(self, client, deadline, queries):
-        with obs_trace.trace_span(
-            "wire.request", client=client, queries=len(queries)
-        ):
-            return self.service.submit_many(
-                queries, client=client, deadline=deadline
+    async def _finish_on_executor(self, pending):
+        loop = asyncio.get_running_loop()
+        self._dispatched += 1
+        try:
+            return await loop.run_in_executor(
+                self._executor, self.service.finish, pending
             )
+        finally:
+            self._dispatched -= 1
 
     # ------------------------------------------------------------------
     # writes

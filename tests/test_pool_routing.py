@@ -11,7 +11,9 @@ workers are forked before the first request, an in-process request
 still honours its deadline and counts as degraded only when the union
 had to be dropped and rebuilt, corruption quarantines the shard whose
 file raised.  Answers are equal on both sides of the boundary through
-every serving surface.
+every serving surface, and over the wire the same route decides the
+thread: the event loop finishes what is small, the executor whatever
+may wait on the pool.
 """
 
 import io
@@ -39,7 +41,9 @@ from repro.query.engine import POOL_MIN_EXECUTIONS
 from repro.query.transport import TransportError
 from repro.serve import (
     DeadlineExceeded,
+    Overloaded,
     QueryService,
+    ShardQuarantined,
     ServiceConfig,
     WireClient,
     WireServerThread,
@@ -520,6 +524,185 @@ class TestMechanism:
             assert response.ok and response.results == oracle.run(small)
             assert response.mode == MODE_BATCH
             assert service.stats.snapshot()["served_degraded_batch"] == 0
+
+
+def threads_calling(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` so every call appends the name of the thread
+    it ran on."""
+    names = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return names
+
+
+LOOP_THREAD = "repro-wire-server"  # WireServerThread's event loop
+EXECUTOR_THREAD = "repro-wire_"  # prefix of the wire executor's threads
+
+
+def wire_dispatched() -> dict:
+    """``repro_wire_dispatched_total`` by where the wire finished."""
+    return {
+        on: obs_metrics.counter(
+            "repro_wire_dispatched_total", labels={"on": on}
+        ).value
+        for on in ("loop", "executor")
+    }
+
+
+def dispatched_since(before: dict) -> dict:
+    after = wire_dispatched()
+    return {on: after[on] - before[on] for on in after}
+
+
+def spy_on_executor(monkeypatch, server) -> list:
+    """Record every submission to the wire executor of ``server``."""
+    executor = server.server._executor
+    submits = []
+    original = executor.submit
+
+    def submit(*args, **kwargs):
+        submits.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "submit", submit)
+    return submits
+
+
+class TestWireFinishesWhereItIsCheapest:
+    """The wire front-end runs every request's first half (admission,
+    plan, route) on its event loop, finishes a refusal or a small
+    in-process request there too, and hands everything else to its
+    executor — the only place a pool wait may block."""
+
+    def test_small_request_runs_on_the_loop(self, world, monkeypatch):
+        network, trajectories, _, oracle, _, _ = world
+        queries = make_queries(network, trajectories, count=6, seed=8)[:16]
+        assert len(queries) == 16
+        expected = oracle.run(queries)
+        service, pool = make_service(world)
+        with service, WireServerThread(service) as server, WireClient(
+            "127.0.0.1", server.port, seed=21
+        ) as client:
+            submits = spy_on_executor(monkeypatch, server)
+            runs = threads_calling(monkeypatch, BatchQueryEngine, "run")
+            before = wire_dispatched()
+            result = client.request(queries)
+            assert result.results == expected
+            assert result.mode == MODE_BATCH
+            assert runs == [LOOP_THREAD]
+            assert submits == []
+            assert pool.submits == 0
+            assert dispatched_since(before) == {"loop": 1, "executor": 0}
+
+    def test_pool_request_finishes_on_the_executor(self, world, monkeypatch):
+        _, _, _, oracle, _, big = world
+        expected = oracle.run(big)
+        service, pool = make_service(world)
+        with service, WireServerThread(service) as server, WireClient(
+            "127.0.0.1", server.port, seed=22
+        ) as client:
+            merges = threads_calling(monkeypatch, ShardedQueryEngine, "merge")
+            result = client.request(big)
+            assert result.results == expected
+            assert result.mode == MODE_SHARDED
+            assert pool.submits == SHARDS
+            (merged_on,) = merges
+            assert merged_on.startswith(EXECUTOR_THREAD)
+
+    def test_big_request_kept_off_the_pool_finishes_on_the_executor(
+        self, world, monkeypatch
+    ):
+        _, _, _, oracle, _, big = world
+        expected = oracle.run(big)
+        service, pool = make_service(
+            world,
+            config=ServiceConfig(
+                deadline=30.0,
+                health_interval=None,
+                breaker_failures=1,
+                breaker_reset=60.0,
+            ),
+        )
+        with service, WireServerThread(service) as server, WireClient(
+            "127.0.0.1", server.port, seed=23
+        ) as client:
+            service.breaker.record_failure()  # open: routed in process
+            submits = spy_on_executor(monkeypatch, server)
+            runs = threads_calling(monkeypatch, BatchQueryEngine, "run")
+            before = wire_dispatched()
+            result = client.request(big)
+            assert result.results == expected
+            assert result.mode == MODE_BATCH
+            assert pool.submits == 0
+            (ran_on,) = runs
+            assert ran_on.startswith(EXECUTOR_THREAD)
+            assert len(submits) == 1
+            assert dispatched_since(before) == {"loop": 0, "executor": 1}
+            assert service.stats.snapshot()["routed_inprocess"] == 1
+
+    def test_refusals_are_answered_on_the_loop(self, world, monkeypatch):
+        _, _, shard_paths, oracle, small, big = world
+        service, pool = make_service(
+            world,
+            config=ServiceConfig(
+                deadline=30.0,
+                health_interval=None,
+                rate_per_second=1e-3,  # one request per client id
+                burst=1,
+                quarantine_reprobe=60.0,
+            ),
+        )
+        with service, WireServerThread(service) as server:
+            submits = spy_on_executor(monkeypatch, server)
+            before = wire_dispatched()
+            with WireClient(
+                "127.0.0.1", server.port, client_id="shed", max_attempts=1,
+                seed=24,
+            ) as client:
+                assert client.request(small).results == oracle.run(small)
+                with pytest.raises(Overloaded):
+                    client.request(big)  # past the constant, were it let in
+            service._quarantine(shard_paths[0], RuntimeError("drill"))
+            with WireClient(
+                "127.0.0.1", server.port, client_id="gated", max_attempts=1,
+                seed=25,
+            ) as client:
+                with pytest.raises(ShardQuarantined):
+                    client.request(big)
+            assert submits == []
+            assert pool.submits == 0
+            assert dispatched_since(before) == {"loop": 3, "executor": 0}
+            stats = service.stats.snapshot()
+            assert (stats["overloaded"], stats["quarantined"]) == (1, 1)
+            assert service.admission.in_flight == 0
+
+    def test_plan_runs_once_per_request_on_the_loop(self, world, monkeypatch):
+        _, _, _, _, small, big = world
+        service, _ = make_service(
+            world,
+            config=ServiceConfig(
+                deadline=30.0,
+                health_interval=None,
+                breaker_failures=1,
+                breaker_reset=60.0,
+            ),
+        )
+        with service, WireServerThread(service) as server, WireClient(
+            "127.0.0.1", server.port, seed=26
+        ) as client:
+            plans = threads_calling(monkeypatch, ShardedQueryEngine, "plan")
+            before = wire_dispatched()
+            assert client.request(small).mode == MODE_BATCH  # loop
+            assert client.request(big).mode == MODE_SHARDED  # executor
+            service.breaker.record_failure()
+            assert client.request(big).mode == MODE_BATCH  # executor
+            assert plans == [LOOP_THREAD] * 3
+            assert dispatched_since(before) == {"loop": 1, "executor": 2}
 
 
 class TestCorruptionNamesItsShard:

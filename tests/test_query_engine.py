@@ -8,6 +8,7 @@ accuracy contract the single-query tests pin.  Sharding (with and
 without worker processes) must be invisible in the results.
 """
 
+import math
 import random
 
 import pytest
@@ -427,3 +428,30 @@ class TestQuerySpecs:
             )
         with pytest.raises(QueryEngineError):
             query_from_dict([1, 2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "where.alpha", "when.rd", "when.alpha", "range.alpha",
+            "rect.0", "rect.1", "rect.2", "rect.3",
+        ],
+    )
+    def test_non_finite_numbers_are_refused(self, field, bad):
+        documents = {
+            "where": {"kind": "where", "trajectory": 1, "time": 5,
+                      "alpha": 0.5},
+            "when": {"kind": "when", "trajectory": 1, "edge": [1, 2],
+                     "rd": 0.5, "alpha": 0.5},
+            "range": {"kind": "range", "rect": [0.0, 0.0, 10.0, 10.0],
+                      "time": 5, "alpha": 0.5},
+        }
+        kind, key = field.split(".")
+        if kind == "rect":
+            document = documents["range"]
+            document["rect"][int(key)] = bad
+        else:
+            document = documents[kind]
+            document[key] = bad
+        with pytest.raises(QueryEngineError, match="finite"):
+            query_from_dict(document)

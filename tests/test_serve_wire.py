@@ -18,6 +18,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,7 +47,11 @@ from repro.serve import (
     stall_fault,
     truncate_fault,
 )
-from repro.serve.service import ServiceResponse
+from repro.serve.service import (
+    ROUTE_INPROCESS,
+    ROUTE_POOL,
+    ServiceResponse,
+)
 from repro.serve import wire
 from repro.trajectories.datasets import load_dataset
 
@@ -251,7 +256,9 @@ class TestBackoffSchedule:
 # server hardening, against a controllable fake service
 # ----------------------------------------------------------------------
 class FakeService:
-    """Duck-typed QueryService: echoes trajectory ids, optionally gated."""
+    """Duck-typed QueryService: echoes trajectory ids.  A gated request
+    is routed to the pool, so it finishes — and waits for its gate — on
+    the wire executor; an ungated one finishes on the loop."""
 
     class config:
         max_in_flight = 8
@@ -262,19 +269,27 @@ class FakeService:
         self.calls = 0
         self._lock = threading.Lock()
 
-    def submit_many(self, queries, *, client="x", deadline=None,
-                    trace=False):
+    def begin(self, queries, *, client="x", deadline=None, trace=False):
         with self._lock:
             self.calls += 1
+        return SimpleNamespace(
+            response=None,
+            queries=queries,
+            client=client,
+            route=ROUTE_INPROCESS if self.gate is None else ROUTE_POOL,
+            plan=SimpleNamespace(executions=len(queries)),
+        )
+
+    def finish(self, pending):
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0)
         return ServiceResponse(
             ok=True,
-            results=[[q.trajectory_id] for q in queries],
+            results=[[q.trajectory_id] for q in pending.queries],
             error=None,
             mode="sharded",
             latency=0.0,
-            client=client,
+            client=pending.client,
         )
 
 
@@ -361,6 +376,53 @@ class TestWireServer:
                 kind, request_id, body = read_frame(sock)
                 assert (kind, request_id) == (wire.FRAME_ERROR, 7)
                 assert wire.decode_error_body(body)[0] == wire.ERR_MALFORMED
+
+    def test_non_finite_float_fields_are_malformed_and_never_served(self):
+        # packed by hand: the query specs refuse these values themselves
+        client = b"raw"
+
+        def body(tag, layout, values, deadline=0.0):
+            return (
+                struct.pack("<dHI", deadline, len(client), 1)
+                + client
+                + struct.pack("<B", tag)
+                + struct.pack(layout, *values)
+            )
+
+        records = [  # tag, layout, clean values, float slots
+            (0, "<qqd", (3, 100, 0.5), (2,)),
+            (1, "<qqqdd", (4, 1, 2, 0.25, 0.9), (3, 4)),
+            (2, "<ddddqd", (0.0, 0.0, 50.0, 50.0, 7, 0.8), (0, 1, 2, 3, 5)),
+        ]
+        bodies = []
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            bodies.append(body(0, "<qqd", (3, 100, 0.5), deadline=bad))
+            for tag, layout, values, slots in records:
+                wire.decode_request_body(body(tag, layout, values))  # clean
+                for slot in slots:
+                    poisoned = list(values)
+                    poisoned[slot] = bad
+                    bodies.append(body(tag, layout, poisoned))
+        assert len(bodies) == 27
+        service = FakeService()
+        with WireServerThread(service) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                for request_id, payload in enumerate(bodies, 1):
+                    sock.sendall(
+                        wire.encode_frame(wire.FRAME_REQUEST, request_id,
+                                          payload)
+                    )
+                    kind, echoed, reply = read_frame(sock)
+                    assert (kind, echoed) == (wire.FRAME_ERROR, request_id)
+                    assert (
+                        wire.decode_error_body(reply)[0] == wire.ERR_MALFORMED
+                    )
+                assert service.calls == 0
+                # and the connection still serves a well-formed request
+                sock.sendall(request_frame(99))
+                assert read_frame(sock)[:2] == (wire.FRAME_RESPONSE, 99)
 
     def test_bad_magic_closes_only_that_connection(self):
         with WireServerThread(FakeService()) as server:
