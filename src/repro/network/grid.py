@@ -170,17 +170,22 @@ class GridPartition:
             table[(start, end)] = cells
         return cells
 
-    def cells_of_rect(self, rect: Rect) -> list[int]:
-        """All cells intersecting ``rect``."""
+    def cell_runs_of_rect(self, rect: Rect) -> list[range]:
+        """The cells intersecting ``rect``, one run of consecutive ids
+        per grid row, in ascending order."""
         lo_col = self._clamp_index((rect.min_x - self.box.min_x) / self._cell_width)
         hi_col = self._clamp_index((rect.max_x - self.box.min_x) / self._cell_width)
         lo_row = self._clamp_index((rect.min_y - self.box.min_y) / self._cell_height)
         hi_row = self._clamp_index((rect.max_y - self.box.min_y) / self._cell_height)
+        side = self.cells_per_side
         return [
-            row * self.cells_per_side + col
+            range(row * side + lo_col, row * side + hi_col + 1)
             for row in range(lo_row, hi_row + 1)
-            for col in range(lo_col, hi_col + 1)
         ]
+
+    def cells_of_rect(self, rect: Rect) -> list[int]:
+        """All cells intersecting ``rect``."""
+        return [cell for run in self.cell_runs_of_rect(rect) for cell in run]
 
     def rect_of_cells(self, cell_ids: Iterable[int]) -> Rect:
         """Smallest rectangle covering all ``cell_ids`` (the paper's

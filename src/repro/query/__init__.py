@@ -36,9 +36,6 @@ from .sidecar import (
 )
 from .stiu import (
     INFINITE_VERTEX,
-    NonReferenceTuple,
-    ReferenceTuple,
-    RegionEntry,
     StIUIndex,
     TemporalTuple,
 )
@@ -72,9 +69,6 @@ __all__ = [
     "save_index",
     "sidecar_path_for",
     "INFINITE_VERTEX",
-    "NonReferenceTuple",
-    "ReferenceTuple",
-    "RegionEntry",
     "StIUIndex",
     "TemporalTuple",
 ]

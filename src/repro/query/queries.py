@@ -106,9 +106,6 @@ class UTCQQueryProcessor:
         self.index = index
         self.counters = QueryCounters()
         self.cache = cache if cache is not None else DecodeSpanCache()
-        # per-(interval, cell) reference mass for Lemma 4; derived purely
-        # from the immutable index, so it never needs invalidation
-        self._region_mass: dict[tuple[int, int], dict[int, float]] = {}
 
     # ------------------------------------------------------------------
     # shared partial-decompression helpers
@@ -252,27 +249,31 @@ class UTCQQueryProcessor:
         y = a.y + (b.y - a.y) * relative_distance
         region = self.index.grid.cell_of_point(x, y)
 
+        spatial = self.index.spatial
+        intervals = spatial.intervals()
+        instances, vertices, _, _, _, p_max = spatial.references
+        starts = spatial.reference_start
         candidate_indices: set[int] = set()
         for interval in range(
             self.index.interval_of(trajectory.start_time),
             self.index.interval_of(trajectory.end_time) + 1,
         ):
-            entry = self.index.entries_for_trajectory(
-                interval, region, trajectory_id
-            )
-            if entry is None:
+            pairs = intervals.get(interval)
+            row = pairs.row_of(region, trajectory_id) if pairs else None
+            if row is None:
                 continue
-            for reference in entry.references:
-                ref_compressed = trajectory.instances[reference.instance_index]
+            for k in range(starts[row], starts[row + 1]):
+                reference_index = instances[k]
+                ref_compressed = trajectory.instances[reference_index]
                 ref_qualifies = (
-                    reference.final_vertex != INFINITE_VERTEX
+                    vertices[k] != INFINITE_VERTEX
                     and ref_compressed.probability >= alpha
                 )
                 if ref_qualifies:
-                    candidate_indices.add(reference.instance_index)
+                    candidate_indices.add(reference_index)
                 # Lemma 1: p_max < alpha means no represented instance
                 # qualifies; the reference set needs no decompression.
-                if reference.p_max < alpha:
+                if p_max[k] < alpha:
                     self.counters.instances_pruned += 1
                     continue
                 candidate_indices.update(
@@ -319,22 +320,19 @@ class UTCQQueryProcessor:
     # ------------------------------------------------------------------
     def range(self, region: Rect, t: int, alpha: float) -> list[int]:
         interval = self.index.interval_of(t)
-        cells = self.index.grid.cells_of_rect(region)
         # Lemma 4: indexed probability mass near RE bounds the true
-        # overlap probability from above.  One pass over the touched
-        # *occupied* cells' (memoized) mass maps accumulates every
-        # candidate's bound — most cells of a query rectangle hold no
-        # tuples at all, so intersect with the interval's occupancy
-        # first instead of probing |candidates| x |cells| map lookups.
+        # overlap probability from above.  The interval's CSR is
+        # cell-major, so the pairs of one grid row of RE are one slice
+        # of its mass column: two bisects per row, then a linear walk.
         bounds: dict[int, float] = {}
-        interval_map = self.index.spatial.get(interval)
-        if interval_map:
-            for cell in interval_map.keys() & set(cells):
-                for trajectory_id, mass in self._cell_reference_mass(
-                    interval, cell
-                ).items():
+        rows = self.index.spatial.intervals().get(interval)
+        if rows is not None:
+            trajectory_ids, mass = rows.trajectory_ids, rows.mass
+            for run in self.index.grid.cell_runs_of_rect(region):
+                for k in rows.span(run.start, run.stop - 1):
+                    trajectory_id = trajectory_ids[k]
                     bounds[trajectory_id] = (
-                        bounds.get(trajectory_id, 0.0) + mass
+                        bounds.get(trajectory_id, 0.0) + mass[k]
                     )
         results: list[int] = []
         interval_entries = self.index.temporal.get(interval)
@@ -367,25 +365,6 @@ class UTCQQueryProcessor:
             if self._range_confirm(trajectory, region, t, alpha):
                 results.append(trajectory_id)
         return results
-
-    def _cell_reference_mass(
-        self, interval: int, cell: int
-    ) -> dict[int, float]:
-        """Summed ``p_total`` per trajectory for one (interval, cell)."""
-        key = (interval, cell)
-        mass = self._region_mass.get(key)
-        if mass is None:
-            mass = {}
-            for trajectory_id, entry in self.index.region_entries(
-                interval, cell
-            ).items():
-                total = 0.0
-                for reference in entry.references:
-                    total += reference.p_total
-                if total:
-                    mass[trajectory_id] = total
-            self._region_mass[key] = mass
-        return mass
 
     def _range_confirm(
         self,

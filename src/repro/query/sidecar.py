@@ -43,11 +43,14 @@ shared with :mod:`repro.io.format`)::
 
 An id or cell delta is the difference from the previous one in its list
 (the first is the value itself).  A trajectory's region tuples do not
-depend on the time interval, so version 2 writes them once and the
-loader enters the one shared :class:`RegionEntry` under every interval
-from the first active one to ``first + extra``; the span must agree with
-the trajectory's temporal tuples, which bounds the fan-out of a damaged
-count.  ``p_total`` / ``p_max`` are sums and maxima of PDDP-decoded
+depend on the time interval, so version 2 writes them once, exactly as
+:class:`~repro.query.stiu.SpatialLayer` keeps them in memory: the loader
+appends each trajectory's block to the columns, and the block stands
+for every interval from the first active one to ``first + extra``.  The
+span must agree with the trajectory's temporal tuples, which bounds the
+fan-out of a damaged count, and every count is checked against the
+values left in the section before anything is read for it.
+``p_total`` / ``p_max`` are sums and maxima of PDDP-decoded
 probabilities, so they are exact multiples of a small ``2^-L`` and are
 stored as that numerator, under the one smallest ``L`` that serves the
 section (:func:`repro.io.format.dyadic_numerators`).
@@ -76,22 +79,17 @@ from ..io.format import (
     read_uvarint_stream,
     write_uvarints,
 )
-from .stiu import (
-    NonReferenceTuple,
-    ReferenceTuple,
-    RegionEntry,
-    StIUIndex,
-    TemporalTuple,
-)
+from .stiu import SpatialLayer, StIUIndex, TemporalTuple, between
 
 MAGIC = b"UTCQSTIU"
 VERSION = 2
 
-_HEAD = struct.Struct("<8sHH")
-_FINGERPRINT = struct.Struct("<Q32s")
-_PARAMS = struct.Struct("<II")
-_COUNTS = struct.Struct("<Q")
-_SECTIONS = struct.Struct("<QQ")
+# the fixed header, in the order of the layout above
+_HEADER = struct.Struct("<8sHHQ32sIIQQQ")
+_HEADER_FIELDS = (
+    "magic version flags archive_size archive_sha256 grid_cells_per_side "
+    "time_partition_seconds trajectory_count temporal_bytes spatial_bytes"
+).split()
 
 SIDECAR_SUFFIX = ".stiu"
 
@@ -143,87 +141,40 @@ def _encode_temporal(index: StIUIndex) -> bytes:
     return bytes(out)
 
 
-def _regions_by_trajectory(
-    index: StIUIndex,
-) -> list[tuple[int, int, int, list[tuple[int, RegionEntry]]]]:
-    """``(trajectory_id, first interval, last interval, [(region,
-    entry), ...])`` in id and region order, checked: the format stores a
-    trajectory's regions once, so they must be the same under every
-    interval of one unbroken span."""
-    spatial = index.spatial
-    found: dict[int, list] = {}
-    for interval in sorted(spatial):
-        for region, entry_map in spatial[interval].items():
-            for trajectory_id, entry in entry_map.items():
-                state = found.get(trajectory_id)
-                if state is None:
-                    # first interval, last interval, (interval, region)
-                    # pairs seen, regions
-                    state = found[trajectory_id] = [interval, interval, 0, {}]
-                if state[0] == interval:
-                    state[3][region] = entry
-                elif state[3].get(region) != entry:
-                    raise SidecarFormatError(
-                        f"trajectory {trajectory_id} has different tuples "
-                        f"for region {region} in intervals {state[0]} and "
-                        f"{interval}"
-                    )
-                state[1] = interval
-                state[2] += 1
-    for trajectory_id, (first, last, pairs, regions) in found.items():
-        # every pair matched a region of the first interval, so the
-        # count is complete only if no interval or region is missing
-        if pairs != len(regions) * (last - first + 1):
-            raise SidecarFormatError(
-                f"trajectory {trajectory_id} does not have the same regions "
-                f"in every interval from {first} to {last}"
-            )
-    return [
-        (trajectory_id, first, last, sorted(regions.items()))
-        for trajectory_id, (first, last, _, regions) in sorted(found.items())
-    ]
-
-
 def _encode_spatial(index: StIUIndex) -> bytes:
-    by_trajectory = _regions_by_trajectory(index)
+    layer = index.spatial
+    references, non_references = layer.references, layer.non_references
     # one L for the section; the few distinct aggregates recur
-    distinct = list(
-        {
-            probability
-            for _, _, _, regions in by_trajectory
-            for _, entry in regions
-            for reference in entry.references
-            for probability in (reference.p_total, reference.p_max)
-        }
-    )
+    distinct = list(set(references[4]) | set(references[5]))
     bits, numerators = dyadic_numerators(distinct)
     numerator = dict(zip(distinct, numerators))
-    values = [len(by_trajectory), bits]
+    ids = layer.trajectory_ids
+    values = [len(ids), bits]
     previous_id = 0
-    for trajectory_id, first, last, regions in by_trajectory:
-        values += (trajectory_id - previous_id, first, last - first, len(regions))
-        previous_id = trajectory_id
+    for block in sorted(range(len(ids)), key=ids.__getitem__):
+        rows = between(layer.region_start, block)
+        first = layer.first_interval[block]
+        last = layer.last_interval[block]
+        values += (ids[block] - previous_id, first, last - first, len(rows))
+        previous_id = ids[block]
         previous_region = 0
-        for region, entry in regions:
-            values += (region - previous_region, len(entry.references))
-            previous_region = region
-            for reference in entry.references:
+        for row in rows:
+            tuples = between(layer.reference_start, row)
+            values += (layer.cells[row] - previous_region, len(tuples))
+            previous_region = layer.cells[row]
+            for k in tuples:
                 values += (
-                    reference.instance_index,
-                    reference.final_vertex + 1,
-                    reference.entry_number,
-                    reference.distance_position,
-                    numerator[reference.p_total],
-                    numerator[reference.p_max],
+                    references[0][k],
+                    references[1][k] + 1,
+                    references[2][k],
+                    references[3][k],
+                    numerator[references[4][k]],
+                    numerator[references[5][k]],
                 )
-            values.append(len(entry.non_references))
-            for non_reference in entry.non_references:
-                values += (
-                    non_reference.instance_index,
-                    non_reference.anchor_vertex,
-                    non_reference.anchor_number,
-                    non_reference.factor_position,
-                )
+            tuples = between(layer.non_reference_start, row)
+            values.append(len(tuples))
+            for k in tuples:
+                values += (column[k] for column in non_references)
     out = bytearray()
     write_uvarints(out, values)
     return bytes(out)
@@ -271,24 +222,39 @@ def _decode_temporal(
 
 def _decode_spatial(
     data: bytes, spans: dict[int, tuple[int, int]]
-) -> dict[int, dict[int, dict[int, RegionEntry]]]:
-    """Fan the per-trajectory section back out to
-    ``spatial[interval][region][trajectory]``.
+) -> SpatialLayer:
+    """Fill the spatial columns from the section in one pass.
 
     ``spans`` is each trajectory's ``(first, last)`` interval according
     to the temporal layer; a stored span that disagrees is damage, and
-    the check is what bounds the fan-out.
+    the check is what bounds the fan-out of the derived CSR.  Each count
+    is checked against the values left in the section before anything
+    is read for it, so a forged count costs nothing.
     """
     values = _section_values(data, "spatial")
-    spatial: dict[int, dict[int, dict[int, RegionEntry]]] = {}
+    layer = SpatialLayer()
+    instance, vertex, entry, distance, p_total, p_max = layer.references
+    position = 2
+
+    def counted(count: int, width: int, what: str) -> int:
+        if count * width > len(values) - position:
+            raise SidecarFormatError(
+                f"spatial section: {what} count {count} exceeds the "
+                f"{len(values) - position} values left"
+            )
+        return count
+
     try:
         trajectory_count, bits = values[:2]
         unit = probability_unit(bits)
-        position = 2
         trajectory_id = 0
-        for _ in range(trajectory_count):
+        for block in range(counted(trajectory_count, 4, "trajectory")):
             delta, first, extra, region_count = values[position : position + 4]
             position += 4
+            if block and not delta:
+                raise SidecarFormatError(
+                    f"trajectory {trajectory_id} is listed twice"
+                )
             trajectory_id += delta
             if spans.get(trajectory_id) != (first, first + extra):
                 raise SidecarFormatError(
@@ -296,64 +262,47 @@ def _decode_spatial(
                     f"{first + extra} in the spatial section but "
                     f"{spans.get(trajectory_id)} in the temporal one"
                 )
-            interval_maps = [
-                spatial.setdefault(interval, {})
-                for interval in range(first, first + extra + 1)
-            ]
+            layer.trajectory_ids.append(trajectory_id)
+            layer.first_interval.append(first)
+            layer.last_interval.append(first + extra)
             region = 0
-            for _ in range(region_count):
+            for ordinal in range(counted(region_count, 3, "region")):
                 delta, count = values[position : position + 2]
                 position += 2
-                region += delta
-                entry = RegionEntry()
-                for _ in range(count):
-                    (
-                        instance_index,
-                        shifted_vertex,
-                        entry_number,
-                        distance_position,
-                        p_total,
-                        p_max,
-                    ) = values[position : position + 6]
-                    position += 6
-                    entry.references.append(
-                        ReferenceTuple(
-                            instance_index,
-                            # 0 encodes fv = inf (INFINITE_VERTEX == -1)
-                            shifted_vertex - 1,
-                            entry_number,
-                            distance_position,
-                            p_total * unit,
-                            p_max * unit,
-                        )
+                if ordinal and not delta:
+                    raise SidecarFormatError(
+                        f"trajectory {trajectory_id} lists region {region} "
+                        f"twice"
                     )
+                region += delta
+                layer.cells.append(region)
+                end = position + 6 * counted(count, 6, "reference")
+                tuples, position = values[position:end], end
+                instance.extend(tuples[0::6])
+                # 0 encodes fv = inf (INFINITE_VERTEX == -1)
+                vertex.extend([v - 1 for v in tuples[1::6]])
+                entry.extend(tuples[2::6])
+                distance.extend(tuples[3::6])
+                p_total.extend([v * unit for v in tuples[4::6]])
+                p_max.extend([v * unit for v in tuples[5::6]])
+                layer.reference_start.append(len(instance))
                 count = values[position]
                 position += 1
-                for _ in range(count):
-                    (
-                        instance_index,
-                        anchor_vertex,
-                        anchor_number,
-                        factor_position,
-                    ) = values[position : position + 4]
-                    position += 4
-                    entry.non_references.append(
-                        NonReferenceTuple(
-                            instance_index,
-                            anchor_vertex,
-                            anchor_number,
-                            factor_position,
-                        )
-                    )
-                for interval_map in interval_maps:
-                    interval_map.setdefault(region, {})[trajectory_id] = entry
+                end = position + 4 * counted(count, 4, "non-reference")
+                for field, column in enumerate(layer.non_references):
+                    column.extend(values[position + field : end : 4])
+                position = end
+                layer.non_reference_start.append(len(layer.non_references[0]))
+            layer.region_start.append(len(layer.cells))
     except ArchiveFormatError as error:
         raise SidecarFormatError(f"spatial section: {error}") from None
     except (IndexError, ValueError):  # ran off the end of ``values``
         raise SidecarFormatError("truncated spatial section") from None
+    except OverflowError:  # a value wider than its column
+        raise SidecarFormatError("spatial section: value too wide") from None
     if position != len(values):
         raise SidecarFormatError("trailing bytes in spatial section")
-    return spatial
+    return layer
 
 
 # ----------------------------------------------------------------------
@@ -375,19 +324,14 @@ def save_index(
     size, digest = archive_fingerprint(archive_path)
     temporal_blob = zlib.compress(_encode_temporal(index), 6)
     spatial_blob = zlib.compress(_encode_spatial(index), 6)
-    blob = bytearray()
-    blob += _HEAD.pack(MAGIC, VERSION, 0)
-    blob += _FINGERPRINT.pack(size, digest)
-    blob += _PARAMS.pack(
-        index.grid.cells_per_side, index.time_partition_seconds
+    header = _HEADER.pack(
+        MAGIC, VERSION, 0, size, digest,
+        index.grid.cells_per_side, index.time_partition_seconds,
+        index.archive.trajectory_count, len(temporal_blob), len(spatial_blob),
     )
-    blob += _COUNTS.pack(index.archive.trajectory_count)
-    blob += _SECTIONS.pack(len(temporal_blob), len(spatial_blob))
-    blob += temporal_blob
-    blob += spatial_blob
     tmp = target.with_name(target.name + ".tmp")
     with open(tmp, "wb") as out:
-        out.write(bytes(blob))
+        out.write(header + temporal_blob + spatial_blob)
     os.replace(tmp, target)
     return target
 
@@ -397,56 +341,30 @@ def read_sidecar(sidecar_path) -> dict:
     :class:`SidecarFormatError` on any structural problem)."""
     with open(sidecar_path, "rb") as stream:
         data = stream.read()
-
-    def take(offset: int, size: int, what: str) -> bytes:
-        if offset + size > len(data):
-            raise SidecarFormatError(f"truncated sidecar ({what})")
-        return data[offset : offset + size]
-
-    offset = 0
-    magic, version, _flags = _HEAD.unpack(take(offset, _HEAD.size, "magic"))
-    offset += _HEAD.size
-    if magic != MAGIC:
-        raise SidecarFormatError(f"bad magic {magic!r}; not a StIU sidecar")
-    if version != VERSION:
+    if data[:8] != MAGIC:
+        raise SidecarFormatError(f"bad magic {data[:8]!r}; not a StIU sidecar")
+    if len(data) < _HEADER.size:
+        raise SidecarFormatError("truncated sidecar (header)")
+    document = dict(zip(_HEADER_FIELDS, _HEADER.unpack_from(data)))
+    if document["version"] != VERSION:
         raise SidecarFormatError(
-            f"unsupported sidecar version {version} (reader supports "
-            f"{VERSION})"
+            f"unsupported sidecar version {document['version']} (reader "
+            f"supports {VERSION})"
         )
-    archive_size, archive_sha = _FINGERPRINT.unpack(
-        take(offset, _FINGERPRINT.size, "fingerprint")
-    )
-    offset += _FINGERPRINT.size
-    cells_per_side, time_partition = _PARAMS.unpack(
-        take(offset, _PARAMS.size, "params")
-    )
-    offset += _PARAMS.size
-    (trajectory_count,) = _COUNTS.unpack(take(offset, _COUNTS.size, "counts"))
-    offset += _COUNTS.size
-    temporal_bytes, spatial_bytes = _SECTIONS.unpack(
-        take(offset, _SECTIONS.size, "sections")
-    )
-    offset += _SECTIONS.size
-    temporal_deflated = take(offset, temporal_bytes, "temporal section")
-    offset += temporal_bytes
-    spatial_deflated = take(offset, spatial_bytes, "spatial section")
-    offset += spatial_bytes
-    if offset != len(data):
-        raise SidecarFormatError("trailing bytes after spatial section")
+    split = _HEADER.size + document["temporal_bytes"]
+    end = split + document["spatial_bytes"]
+    if end != len(data):
+        raise SidecarFormatError(
+            "truncated sidecar (sections)"
+            if end > len(data)
+            else "trailing bytes after spatial section"
+        )
     try:
-        temporal_blob = zlib.decompress(temporal_deflated)
-        spatial_blob = zlib.decompress(spatial_deflated)
+        document["temporal_blob"] = zlib.decompress(data[_HEADER.size : split])
+        document["spatial_blob"] = zlib.decompress(data[split:])
     except zlib.error as error:
         raise SidecarFormatError(f"corrupt deflated section: {error}") from None
-    return {
-        "archive_size": archive_size,
-        "archive_sha256": archive_sha,
-        "grid_cells_per_side": cells_per_side,
-        "time_partition_seconds": time_partition,
-        "trajectory_count": trajectory_count,
-        "temporal_blob": temporal_blob,
-        "spatial_blob": spatial_blob,
-    }
+    return document
 
 
 def load_index(
@@ -473,16 +391,17 @@ def load_index(
         document = read_sidecar(target)
     except (FileNotFoundError, SidecarFormatError):
         return None
-    if document["grid_cells_per_side"] != grid_cells_per_side:
-        return None
-    if document["time_partition_seconds"] != time_partition_seconds:
-        return None
-    if document["trajectory_count"] != archive.trajectory_count:
-        return None
-    size, digest = archive_fingerprint(archive_path)
-    if (size, digest) != (
+    if (
+        document["grid_cells_per_side"],
+        document["time_partition_seconds"],
+        document["trajectory_count"],
         document["archive_size"],
         document["archive_sha256"],
+    ) != (
+        grid_cells_per_side,
+        time_partition_seconds,
+        archive.trajectory_count,
+        *archive_fingerprint(archive_path),
     ):
         return None
     try:

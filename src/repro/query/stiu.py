@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from ..core.archive import CompressedArchive, CompressedTrajectory
 from ..core.decoder import (
@@ -49,38 +51,173 @@ class TemporalTuple:
     bit_position: int
 
 
-@dataclass(frozen=True)
-class ReferenceTuple:
-    """Spatial tuple of a reference w.r.t. one region.
+# Column type codes of the spatial tuples (fields as in the module
+# docstring).  A reference tuple is (instance index, fv.id — or
+# INFINITE_VERTEX —, fv.no, d.pos, p_total, p_max); a non-reference
+# tuple is (instance index, rv.id, rv.no, ma.pos).
+REFERENCE_TYPES = "iiiidd"
+NON_REFERENCE_TYPES = "iiii"
 
-    ``final_vertex`` is :data:`INFINITE_VERTEX` when the reference itself
-    never enters the region (§5.2 case ii).
+
+def between(starts: array, index: int) -> range:
+    """The positions an offset column ``starts`` gives entry ``index``."""
+    return range(starts[index], starts[index + 1])
+
+
+class IntervalRows(NamedTuple):
+    """The derived CSR of one time interval: its occupied regions in
+    ascending order, and per region the pairs ``cell_start[s]`` to
+    ``cell_start[s + 1]`` of the three pair columns, in ascending
+    trajectory id."""
+
+    cells: array
+    cell_start: array
+    trajectory_ids: array
+    mass: array  # summed p_total of the pair's references (Lemma 4)
+    rows: array  # the pair's region row in :class:`SpatialLayer`
+
+    def span(self, first_cell: int, last_cell: int) -> range:
+        """Pair positions of the cells from ``first_cell`` to
+        ``last_cell`` inclusive (one slice: the pairs are cell-major)."""
+        return range(
+            self.cell_start[bisect.bisect_left(self.cells, first_cell)],
+            self.cell_start[bisect.bisect_right(self.cells, last_cell)],
+        )
+
+    def row_of(self, cell: int, trajectory_id: int) -> int | None:
+        """The region row of ``trajectory_id`` in ``cell``, if any."""
+        pairs = self.span(cell, cell)
+        ids = self.trajectory_ids
+        k = bisect.bisect_left(ids, trajectory_id, pairs.start, pairs.stop)
+        found = k < pairs.stop and ids[k] == trajectory_id
+        return self.rows[k] if found else None
+
+
+class SpatialLayer:
+    """The spatial layer as columns, in the ``.stiu`` section's order.
+
+    A trajectory's region tuples do not depend on the time interval, so
+    each trajectory is stored once, as one block of rows:
+
+    * per trajectory: ``trajectory_ids``, its ``first_interval`` /
+      ``last_interval`` span, and ``region_start`` (its region rows are
+      ``between(region_start, b)``);
+    * per region row, ascending cell within a block: ``cells``, and the
+      offsets ``reference_start`` / ``non_reference_start`` into the
+      tuple columns (a trailing sentinel closes each offset column);
+    * per tuple: ``references`` (six columns) and ``non_references``
+      (four), in the field orders given with their type codes above.
+
+    The per-interval CSR (:class:`IntervalRows`) is derived from the
+    blocks on first use, so saving or concatenating never builds it.
     """
 
-    instance_index: int
-    final_vertex: int
-    entry_number: int  # fv.no: E-entry index of the edge entering the region
-    distance_position: int  # d.pos: bit offset of the d.no-th rd in D̂
-    p_total: float
-    p_max: float
+    OFFSETS = ("region_start", "reference_start", "non_reference_start")
 
+    def __init__(self) -> None:
+        self.trajectory_ids = array("q")
+        self.first_interval = array("q")
+        self.last_interval = array("q")
+        self.cells = array("i")
+        self.references = tuple(array(code) for code in REFERENCE_TYPES)
+        self.non_references = tuple(array(c) for c in NON_REFERENCE_TYPES)
+        for name in self.OFFSETS:
+            setattr(self, name, array("i", [0]))
+        self._intervals: dict[int, IntervalRows] | None = None
+        self._lock = threading.Lock()
 
-@dataclass(frozen=True)
-class NonReferenceTuple:
-    """Spatial tuple of a non-reference w.r.t. one region."""
+    def _columns(self) -> tuple[array, ...]:
+        return (
+            self.trajectory_ids,
+            self.first_interval,
+            self.last_interval,
+            self.cells,
+            *self.references,
+            *self.non_references,
+        )
 
-    instance_index: int
-    anchor_vertex: int  # rv.id
-    anchor_number: int  # rv.no: position of rv in E(Nref)
-    factor_position: int  # ma.pos: bit offset of the covering factor
+    @classmethod
+    def concatenated(cls, layers: list["SpatialLayer"]) -> "SpatialLayer":
+        """The blocks of ``layers`` one after another (their trajectory
+        ids must be disjoint)."""
+        layer = cls()
+        for part in layers:
+            for name in cls.OFFSETS:
+                mine = getattr(layer, name)
+                base = mine[-1]
+                mine.extend([base + k for k in getattr(part, name)[1:]])
+            for mine, theirs in zip(layer._columns(), part._columns()):
+                mine.extend(theirs)
+        return layer
 
+    def append_trajectory(
+        self,
+        trajectory_id: int,
+        first: int,
+        last: int,
+        regions: dict[int, tuple[list[tuple], list[tuple]]],
+    ) -> None:
+        """Append one block: ``regions`` maps each cell to its reference
+        and non-reference rows (tuples in column order)."""
+        self.trajectory_ids.append(trajectory_id)
+        self.first_interval.append(first)
+        self.last_interval.append(last)
+        for cell in sorted(regions):
+            self.cells.append(cell)
+            for columns, rows, starts in zip(
+                (self.references, self.non_references),
+                regions[cell],
+                (self.reference_start, self.non_reference_start),
+            ):
+                for column, values in zip(columns, zip(*rows)):
+                    column.extend(values)
+                starts.append(len(columns[0]))
+        self.region_start.append(len(self.cells))
 
-@dataclass
-class RegionEntry:
-    """All tuples of one trajectory for one (interval, region) pair."""
+    def intervals(self) -> dict[int, IntervalRows]:
+        """The per-interval CSR, derived on first call."""
+        with self._lock:
+            if self._intervals is None:
+                self._intervals = self._derive_intervals()
+        return self._intervals
 
-    references: list[ReferenceTuple] = field(default_factory=list)
-    non_references: list[NonReferenceTuple] = field(default_factory=list)
+    def _derive_intervals(self) -> dict[int, IntervalRows]:
+        starts, p_total = self.reference_start, self.references[4]
+        mass = array("d")  # per region row, Lemma 4's summed p_total
+        for row in range(len(self.cells)):
+            mass.append(sum(p_total[starts[row] : starts[row + 1]]))
+        active: dict[int, list[int]] = {}
+        for block in range(len(self.trajectory_ids)):
+            for interval in range(
+                self.first_interval[block], self.last_interval[block] + 1
+            ):
+                active.setdefault(interval, []).append(block)
+        ids = self.trajectory_ids
+        # (ids are unbounded varints on disk; most fit four bytes)
+        id_type = "i" if max(ids, default=0) < 2**31 else "q"
+        result: dict[int, IntervalRows] = {}
+        for interval in sorted(active):
+            pairs = sorted(
+                (self.cells[row], ids[block], row)
+                for block in active[interval]
+                for row in between(self.region_start, block)
+            )
+            if not pairs:  # only a damaged section has empty blocks
+                continue
+            cells, trajectories, rows = zip(*pairs)
+            distinct = array("i", dict.fromkeys(cells))
+            cell_start = array(
+                "i", [bisect.bisect_left(cells, cell) for cell in distinct]
+            )
+            cell_start.append(len(rows))
+            result[interval] = IntervalRows(
+                distinct,
+                cell_start,
+                array(id_type, trajectories),
+                array("d", [mass[row] for row in rows]),
+                array("i", rows),
+            )
+        return result
 
 
 class StIUIndex:
@@ -126,37 +263,20 @@ class StIUIndex:
         archive = FileBackedArchive.open(
             path, cache_size=cache_size or DEFAULT_CACHE_SIZE
         )
+        explicit = None if sidecar in (None, "auto") else sidecar
+        options = dict(
+            grid_cells_per_side=grid_cells_per_side,
+            time_partition_seconds=time_partition_seconds,
+        )
         try:
-            if sidecar is not None:
-                sidecar_path = (
-                    sidecar_io.sidecar_path_for(path)
-                    if sidecar == "auto"
-                    else sidecar
+            if sidecar is None:
+                index, loaded = cls(network, archive, **options), False
+            else:
+                index, loaded = sidecar_io.load_or_build_index(
+                    network, archive, path, sidecar_path=explicit, **options
                 )
-                index = sidecar_io.load_index(
-                    network,
-                    archive,
-                    path,
-                    sidecar_path=sidecar_path,
-                    grid_cells_per_side=grid_cells_per_side,
-                    time_partition_seconds=time_partition_seconds,
-                )
-                if index is not None:
-                    return index
-            index = cls(
-                network,
-                archive,
-                grid_cells_per_side=grid_cells_per_side,
-                time_partition_seconds=time_partition_seconds,
-            )
-            if write_sidecar:
-                sidecar_io.save_index(
-                    index,
-                    path,
-                    sidecar_path=(
-                        None if sidecar in (None, "auto") else sidecar
-                    ),
-                )
+            if write_sidecar and not loaded:
+                sidecar_io.save_index(index, path, sidecar_path=explicit)
             return index
         except Exception:
             archive.close()
@@ -175,11 +295,12 @@ class StIUIndex:
         """Union per-segment indexes into one index over their union.
 
         Trajectory ids are globally unique across a stream archive's
-        segments, so merging is a plain dict union per layer — the
-        result is structurally identical to building over the combined
-        archive.  The spatial layer stays lazy: parts loaded from
-        sidecars keep their deflated sections unparsed until the first
-        spatial lookup on the merged index.
+        segments, so merging is a plain dict union of the temporal layer
+        and a concatenation of the spatial blocks — the result answers
+        exactly as a build over the combined archive.  The spatial layer
+        stays lazy: nothing is concatenated (and parts loaded from
+        sidecars keep their deflated sections unparsed) until the first
+        spatial access on the merged index.
         """
         index = cls(
             network,
@@ -194,17 +315,9 @@ class StIUIndex:
                 index.temporal.setdefault(interval, {}).update(entries)
             index._trajectory_tuples.update(part._trajectory_tuples)
         if parts:
-
-            def merge_spatial():
-                spatial: dict[int, dict[int, dict[int, RegionEntry]]] = {}
-                for part in parts:
-                    for interval, region_map in part.spatial.items():
-                        target = spatial.setdefault(interval, {})
-                        for region, entry_map in region_map.items():
-                            target.setdefault(region, {}).update(entry_map)
-                return spatial
-
-            index._spatial_loader = merge_spatial
+            index._spatial_loader = lambda: SpatialLayer.concatenated(
+                [part.spatial for part in parts]
+            )
         index.loaded_from_sidecar = bool(parts) and all(
             part.loaded_from_sidecar for part in parts
         )
@@ -237,16 +350,15 @@ class StIUIndex:
         # start arrays (index is immutable once built/loaded)
         self._interval_candidates: dict[int, tuple[int, ...]] = {}
         self._tuple_starts: dict[int, list[int]] = {}
-        # spatial[interval][region][trajectory_id] -> RegionEntry;
-        # sidecar loads materialize it lazily through the property
-        self._spatial: dict[int, dict[int, dict[int, RegionEntry]]] = {}
+        # sidecar loads and merges materialize it lazily (the property)
+        self._spatial = SpatialLayer()
         self._spatial_loader = None
         self._spatial_lock = threading.Lock()
         if build:
             self._build()
 
     @property
-    def spatial(self) -> dict[int, dict[int, dict[int, RegionEntry]]]:
+    def spatial(self) -> SpatialLayer:
         if self._spatial_loader is not None:
             with self._spatial_lock:
                 loader = self._spatial_loader
@@ -267,7 +379,7 @@ class StIUIndex:
 
     def _rebuild_spatial(self) -> None:
         """Recompute the spatial layer from the archive (loader fallback)."""
-        self._spatial = {}
+        self._spatial = SpatialLayer()
         for trajectory in self.archive.trajectories:
             self._build_spatial(trajectory)
 
@@ -305,30 +417,25 @@ class StIUIndex:
             ] = entry
         self._trajectory_tuples[trajectory.trajectory_id] = tuples
 
-    def _active_intervals(self, trajectory: CompressedTrajectory) -> range:
-        first = self.interval_of(trajectory.start_time)
-        last = self.interval_of(trajectory.end_time)
-        return range(first, last + 1)
-
     def _build_spatial(self, trajectory: CompressedTrajectory) -> None:
-        """Index one trajectory: its region tuples do not depend on the
-        time interval, so they are derived once and the same
-        :class:`RegionEntry` is entered under every interval the
-        trajectory is active in."""
+        """Append one trajectory's block: its region tuples do not
+        depend on the time interval, so they are derived once for the
+        whole span the trajectory is active in."""
         edges = decode_trajectory_edges(trajectory, self.archive.params)
         walks = [self._walk(instance) for instance in edges]
         groups: dict[int, list[int]] = {}
         for index, instance in enumerate(trajectory.instances):
             groups.setdefault(instance.reference_ordinal, []).append(index)
-        regions: dict[int, RegionEntry] = {}
+        regions: dict[int, tuple[list[tuple], list[tuple]]] = {}
         for members in groups.values():
             self._index_group(trajectory, edges, walks, members, regions)
-        for interval in self._active_intervals(trajectory):
-            interval_map = self._spatial.setdefault(interval, {})
-            for region, entry in regions.items():
-                interval_map.setdefault(region, {})[
-                    trajectory.trajectory_id
-                ] = entry
+        if regions:
+            self._spatial.append_trajectory(
+                trajectory.trajectory_id,
+                self.interval_of(trajectory.start_time),
+                self.interval_of(trajectory.end_time),
+                regions,
+            )
 
     def _walk(
         self, instance: InstanceEdges
@@ -364,9 +471,9 @@ class StIUIndex:
         edges: list[InstanceEdges],
         walks: list[tuple[list[tuple[int, int, int]], list[int]]],
         members: list[int],
-        regions: dict[int, RegionEntry],
+        regions: dict[int, tuple[list[tuple], list[tuple]]],
     ) -> None:
-        """Append the tuples of one reference and its representation set
+        """Append the rows of one reference and its representation set
         (``members``, in instance order) to ``regions``."""
         instances = trajectory.instances
         reference_index = next(i for i in members if instances[i].is_reference)
@@ -399,16 +506,14 @@ class StIUIndex:
             )
             visit = reference_visits.get(region)
             if visit is None:
-                tuple_ = ReferenceTuple(
-                    reference_index, INFINITE_VERTEX, 0, 0, p_total, p_max
-                )
+                row = (reference_index, INFINITE_VERTEX, 0, 0, p_total, p_max)
             else:
                 entry_number, final_vertex = visit
                 # d.pos: bit offset of the gamma[fv.no]-th rd in D̂(Ref)
                 d_no = max(
                     min(located[entry_number], len(distance_positions)) - 1, 0
                 )
-                tuple_ = ReferenceTuple(
+                row = (
                     reference_index,
                     final_vertex,
                     entry_number,
@@ -416,10 +521,7 @@ class StIUIndex:
                     p_total,
                     p_max,
                 )
-            entry = regions.get(region)
-            if entry is None:
-                entry = regions[region] = RegionEntry()
-            entry.references.append(tuple_)
+            regions.setdefault(region, ([], []))[0].append(row)
 
         # non-reference tuples: anchor factor per region (first region only
         # when one factor spans several regions)
@@ -444,8 +546,8 @@ class StIUIndex:
                     continue
                 previous_factor = factor_index
                 span_start = span_ends[factor_index - 1] if factor_index else 0
-                regions[region].non_references.append(
-                    NonReferenceTuple(
+                regions[region][1].append(
+                    (
                         member,
                         standing[span_start],
                         span_start,
@@ -485,16 +587,6 @@ class StIUIndex:
             self._interval_candidates[interval] = cached
         return cached
 
-    def region_entries(
-        self, interval: int, region: int
-    ) -> dict[int, RegionEntry]:
-        return self.spatial.get(interval, {}).get(region, {})
-
-    def entries_for_trajectory(
-        self, interval: int, region: int, trajectory_id: int
-    ) -> RegionEntry | None:
-        return self.region_entries(interval, region).get(trajectory_id)
-
     # ------------------------------------------------------------------
     # size accounting (Fig. 9)
     # ------------------------------------------------------------------
@@ -510,19 +602,24 @@ class StIUIndex:
         )
 
     def spatial_size_bytes(self) -> int:
-        total = 0
-        for interval_map in self.spatial.values():
-            for region_map in interval_map.values():
-                total += 8  # region key
-                for entry in region_map.values():
-                    for reference in entry.references:
-                        if reference.final_vertex == INFINITE_VERTEX:
-                            total += self.REFERENCE_INF_TUPLE_BYTES
-                        else:
-                            total += self.REFERENCE_TUPLE_BYTES
-                    total += self.NONREFERENCE_TUPLE_BYTES * len(
-                        entry.non_references
-                    )
+        """8 bytes per occupied (interval, region) plus each tuple once
+        per interval its trajectory is active in."""
+        layer = self.spatial
+        total = 8 * sum(len(rows.cells) for rows in layer.intervals().values())
+        for block in range(len(layer.trajectory_ids)):
+            rows = between(layer.region_start, block)
+            first = layer.reference_start[rows.start]
+            last = layer.reference_start[rows.stop]
+            infinite = layer.references[1][first:last].count(INFINITE_VERTEX)
+            non_references = (
+                layer.non_reference_start[rows.stop]
+                - layer.non_reference_start[rows.start]
+            )
+            total += (
+                self.REFERENCE_TUPLE_BYTES * (last - first - infinite)
+                + self.REFERENCE_INF_TUPLE_BYTES * infinite
+                + self.NONREFERENCE_TUPLE_BYTES * non_references
+            ) * (layer.last_interval[block] - layer.first_interval[block] + 1)
         return total
 
     def size_bytes(self) -> int:

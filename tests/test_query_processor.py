@@ -16,6 +16,8 @@ from repro.query import (
 )
 from repro.trajectories.datasets import load_dataset
 
+from test_stiu_golden import spatial_rows
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -69,20 +71,22 @@ class TestStIUStructure:
         start = network.vertex(instance.path[0][0])
         region = index.grid.cell_of_point(start.x, start.y)
         interval = index.interval_of(trajectory.start_time)
-        entry = index.entries_for_trajectory(
-            interval, region, trajectory.trajectory_id
-        )
-        assert entry is not None
-        assert entry.references
+        rows = [
+            entry
+            for i, cell, trajectory_id, entry in spatial_rows(index.spatial)
+            if (i, cell, trajectory_id)
+            == (interval, region, trajectory.trajectory_id)
+        ]
+        assert len(rows) == 1
+        references, _ = rows[0]
+        assert references
 
     def test_p_total_bounded_by_one(self, setup):
         _, _, _, index, _, _ = setup
-        for interval_map in index.spatial.values():
-            for region_map in interval_map.values():
-                for entry in region_map.values():
-                    for reference in entry.references:
-                        assert 0.0 < reference.p_total <= 1.0 + 1e-9
-                        assert 0.0 <= reference.p_max <= reference.p_total + 1e-9
+        for _, _, _, (references, _) in spatial_rows(index.spatial):
+            for *_, p_total, p_max in references:
+                assert 0.0 < p_total <= 1.0 + 1e-9
+                assert 0.0 <= p_max <= p_total + 1e-9
 
     def test_index_size_positive_and_decomposes(self, setup):
         _, _, _, index, _, _ = setup
@@ -90,6 +94,22 @@ class TestStIUStructure:
         assert index.spatial_size_bytes() > 0
         assert index.size_bytes() == (
             index.temporal_size_bytes() + index.spatial_size_bytes()
+        )
+
+    def test_fig9_sizes_are_pinned(self, setup):
+        """Fig. 9's byte model counts each spatial tuple once per interval
+        its trajectory is active in, plus 8 bytes per occupied (interval,
+        region); these are the values the tuple-object index reported,
+        at one interval per trajectory and at a 60-second partition."""
+        network, _, archive, index, _, _ = setup
+        assert (index.temporal_size_bytes(), index.spatial_size_bytes()) == (
+            560,
+            25510,
+        )
+        fanned = StIUIndex(network, archive, time_partition_seconds=60)
+        assert (fanned.temporal_size_bytes(), fanned.spatial_size_bytes()) == (
+            2436,
+            312040,
         )
 
     def test_finer_grid_grows_spatial_index(self, setup):

@@ -10,6 +10,7 @@ sections are attacked directly, as if that checksum had collided.
 """
 
 import struct
+import tracemalloc
 
 import pytest
 
@@ -17,8 +18,11 @@ from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
 from repro.io import FileBackedArchive
 from repro.query import sidecar
-from repro.query.stiu import ReferenceTuple, RegionEntry, StIUIndex
+from repro.io.format import write_uvarints
+from repro.query.stiu import SpatialLayer, StIUIndex
 from repro.trajectories.datasets import load_dataset
+
+from test_stiu_golden import spatial_rows
 
 PARTITION = 60  # most trajectories span several intervals
 
@@ -44,6 +48,18 @@ def spans_of(index):
     }
 
 
+def rows(index_or_layer):
+    """The spatial layer's row view, as a list."""
+    layer = getattr(index_or_layer, "spatial", index_or_layer)
+    return list(spatial_rows(layer))
+
+
+def section(values) -> bytes:
+    out = bytearray()
+    write_uvarints(out, values)
+    return bytes(out)
+
+
 def load(network, path):
     """``load_index`` with the spatial section forced through its parser
     (no silent rebuild): ``None``, or a fully materialised index."""
@@ -59,20 +75,21 @@ def load(network, path):
 
 class TestFileDamage:
     def test_round_trip_shares_one_entry_per_trajectory_and_region(self, world):
+        """Every interval's CSR points at the trajectory's one region
+        row: the tuples are stored once, however many intervals."""
         network, _, path, built = world
         loaded = load(network, path)
         assert loaded.temporal == built.temporal
-        assert loaded.spatial == built.spatial
-        for spatial in (built.spatial, loaded.spatial):
-            entries = [
-                (trajectory_id, region, id(entry))
-                for region_map in spatial.values()
-                for region, entry_map in region_map.items()
-                for trajectory_id, entry in entry_map.items()
+        assert rows(loaded) == rows(built)
+        for layer in (built.spatial, loaded.spatial):
+            pointed = [
+                (rows_.trajectory_ids[k], rows_.rows[k])
+                for rows_ in layer.intervals().values()
+                for k in range(len(rows_.rows))
             ]
-            pairs = {(t, r) for t, r, _ in entries}
-            assert len(entries) > 2 * len(pairs)  # many intervals each
-            assert len({e for _, _, e in entries}) == len(pairs)
+            assert len(pointed) > 2 * len(layer.cells)  # many intervals each
+            assert {row for _, row in pointed} == set(range(len(layer.cells)))
+            assert len(set(pointed)) == len(layer.cells)
 
     def test_every_truncation_point_is_a_format_error(self, world, tmp_path):
         network, _, path, _ = world
@@ -103,7 +120,7 @@ class TestFileDamage:
                     outcomes.add(loaded is None)
                     if loaded is not None:
                         assert loaded.temporal == built.temporal
-                        assert loaded.spatial == built.spatial
+                        assert rows(loaded) == rows(built)
         finally:
             target.write_bytes(pristine)
         assert outcomes == {True, False}
@@ -125,7 +142,7 @@ class TestFileDamage:
             )
             try:
                 assert not index.loaded_from_sidecar
-                assert index.spatial == built.spatial
+                assert rows(index) == rows(built)
             finally:
                 index.archive.close()
         finally:
@@ -145,7 +162,7 @@ class TestInflatedSections:
         spatial = sidecar._decode_spatial(
             sidecar._encode_spatial(index), spans_of(index)
         )
-        assert spatial == index.spatial
+        assert rows(spatial) == rows(index)
 
     def test_every_truncation_point_is_a_format_error(self, world):
         _, _, _, index = world
@@ -166,11 +183,7 @@ class TestInflatedSections:
     def test_every_flipped_byte_parses_or_is_a_format_error(self, world):
         _, _, _, index = world
         spans = spans_of(index)
-        entries = sum(
-            len(entry_map)
-            for region_map in index.spatial.values()
-            for entry_map in region_map.values()
-        )
+        entries = len(rows(index))
         sections = [
             (sidecar._encode_temporal(index), sidecar._decode_temporal),
             (
@@ -190,17 +203,10 @@ class TestInflatedSections:
                         outcomes.add("refused")
                         continue
                     outcomes.add("parsed")
-                    if isinstance(decoded, dict):
+                    if isinstance(decoded, SpatialLayer):
                         # the temporal spans bound the fan-out: a damaged
                         # interval count cannot multiply the entries
-                        assert (
-                            sum(
-                                len(entry_map)
-                                for region_map in decoded.values()
-                                for entry_map in region_map.values()
-                            )
-                            <= entries
-                        )
+                        assert len(rows(decoded)) <= entries
             assert outcomes == {"refused", "parsed"}
 
     def test_a_span_the_temporal_layer_does_not_know_is_refused(self, world):
@@ -220,58 +226,62 @@ class TestInflatedSections:
             )
 
 
-class TestWriterRefusals:
-    """Version 2 stores a trajectory's regions once; an index where that
-    would lose something is refused at write, not flattened."""
+    def test_a_forged_count_is_refused_before_any_work(self):
+        """Each count field is checked against the values left in the
+        section: 2**30 of anything is refused at once, and the parse
+        allocates about what the section itself takes."""
+        spans = {7: (3, 3)}
+        block = [7, 3, 0]  # id, first interval, extra intervals
+        forged = {
+            "trajectory": [2**30, 0],
+            "region": [1, 0, *block, 2**30],
+            "reference": [1, 0, *block, 1, 5, 2**30],
+            "non-reference": [1, 0, *block, 1, 5, 0, 2**30],
+        }
+        for what, values in forged.items():
+            data = section(values + [0] * 16)
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    sidecar.SidecarFormatError, match=f"{what} count"
+                ):
+                    sidecar._decode_spatial(data, spans)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, what
 
-    def rebuilt(self, world):
-        network, archive, _, _ = world
-        return StIUIndex(network, archive, time_partition_seconds=PARTITION)
-
-    def multi_interval_entry(self, index):
-        for interval in sorted(index.spatial):
-            for region, entry_map in index.spatial[interval].items():
-                for trajectory_id in entry_map:
-                    later = index.spatial.get(interval + 1, {}).get(region, {})
-                    if trajectory_id in later:
-                        return interval, region, trajectory_id
-        raise AssertionError("no trajectory spans two intervals")
-
-    def test_tuples_that_differ_between_intervals(self, world, tmp_path):
-        _, _, path, _ = world
-        index = self.rebuilt(world)
-        interval, region, trajectory_id = self.multi_interval_entry(index)
-        entry = index.spatial[interval + 1][region][trajectory_id]
-        index.spatial[interval + 1][region][trajectory_id] = RegionEntry(
-            entry.references[:-1], entry.non_references
+    def test_a_trajectory_or_region_listed_twice_is_refused(self):
+        """One block per trajectory and one row per region in it: a
+        section that repeats either (which no writer produces) is
+        damage, not a second set of tuples."""
+        spans = {7: (3, 3)}
+        region = [5, 1, 0, 0, 0, 0, 1, 1, 0]  # cell 5: one reference, no non-ref
+        twice = [2, 0, 7, 3, 0, 1, *region, 0, 3, 0, 1, *region]
+        with pytest.raises(sidecar.SidecarFormatError, match="listed twice"):
+            sidecar._decode_spatial(section(twice), spans)
+        again = [0, 1, 0, 0, 0, 0, 1, 1, 0]  # the same cell again
+        with pytest.raises(sidecar.SidecarFormatError, match="twice"):
+            sidecar._decode_spatial(
+                section([1, 0, 7, 3, 0, 2, *region, *again]), spans
+            )
+        # the well-formed single block parses
+        layer = sidecar._decode_spatial(
+            section([1, 0, 7, 3, 0, 1, *region]), spans
         )
-        with pytest.raises(sidecar.SidecarFormatError, match="different tuples"):
-            sidecar.save_index(index, path, sidecar_path=tmp_path / "x.stiu")
+        assert [(i, c, t) for i, c, t, _ in spatial_rows(layer)] == [(3, 5, 7)]
 
-    def test_an_interval_missing_from_the_span(self, world, tmp_path):
-        _, _, path, _ = world
-        index = self.rebuilt(world)
-        interval, region, trajectory_id = self.multi_interval_entry(index)
-        del index.spatial[interval + 1][region][trajectory_id]
-        with pytest.raises(sidecar.SidecarFormatError, match="same regions"):
-            sidecar.save_index(index, path, sidecar_path=tmp_path / "x.stiu")
+
+class TestWriterRefusals:
+    """An index holding something version 2 cannot store is refused at
+    write, not flattened."""
 
     def test_an_aggregate_that_is_not_a_pddp_sum(self, world, tmp_path):
         from repro.io import ArchiveFormatError
 
-        _, _, path, _ = world
-        index = self.rebuilt(world)
-        interval, region, trajectory_id = self.multi_interval_entry(index)
-        entry = index.spatial[interval][region][trajectory_id]
-        first = entry.references[0]
-        entry.references[0] = ReferenceTuple(
-            first.instance_index,
-            first.final_vertex,
-            first.entry_number,
-            first.distance_position,
-            float("nan"),
-            first.p_max,
-        )
+        network, archive, path, _ = world
+        index = StIUIndex(network, archive, time_partition_seconds=PARTITION)
+        index.spatial.references[4][0] = float("nan")  # p_total
         with pytest.raises(ArchiveFormatError, match="exactly"):
             sidecar.save_index(index, path, sidecar_path=tmp_path / "x.stiu")
 

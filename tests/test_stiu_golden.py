@@ -32,13 +32,7 @@ from repro.network.generators import perturbed_grid_network
 from repro.network.grid import GridPartition
 from repro.query import StIUIndex, save_index
 from repro.query.sidecar import read_sidecar
-from repro.query.stiu import (
-    INFINITE_VERTEX,
-    NonReferenceTuple,
-    ReferenceTuple,
-    RegionEntry,
-    TemporalTuple,
-)
+from repro.query.stiu import INFINITE_VERTEX, TemporalTuple, between
 from repro.trajectories.generators import GenerationConfig, generate_dataset
 
 from test_golden_archive import GOLDEN_SHA256, PROVENANCE, golden_setup  # noqa: F401
@@ -59,6 +53,40 @@ GOLDEN_INDEX = {
 }
 
 
+def spatial_rows(layer):
+    """The spatial layer's row view: ``(interval, region, trajectory_id,
+    (references, non_references))`` for every (interval, region,
+    trajectory), in that key order, each tuple a plain tuple of its
+    columns' values."""
+
+    def tuples(columns, span):
+        return tuple(zip(*(column[span.start : span.stop] for column in columns)))
+
+    for interval, pairs in sorted(layer.intervals().items()):
+        for slot, cell in enumerate(pairs.cells):
+            for k in between(pairs.cell_start, slot):
+                row = pairs.rows[k]
+                entry = (
+                    tuples(layer.references, between(layer.reference_start, row)),
+                    tuples(
+                        layer.non_references,
+                        between(layer.non_reference_start, row),
+                    ),
+                )
+                yield interval, cell, pairs.trajectory_ids[k], entry
+
+
+def spatial_map(index: StIUIndex) -> dict:
+    """``{interval: {region: {trajectory_id: (references,
+    non_references)}}}`` read off the index's row view."""
+    spatial: dict = {}
+    for interval, region, trajectory_id, entry in spatial_rows(index.spatial):
+        spatial.setdefault(interval, {}).setdefault(region, {})[
+            trajectory_id
+        ] = entry
+    return spatial
+
+
 def structure_digest(index: StIUIndex) -> str:
     """SHA-256 over ``temporal`` and ``spatial`` in key order, tuples in
     list order, floats by ``repr`` (exact)."""
@@ -69,36 +97,11 @@ def structure_digest(index: StIUIndex) -> str:
             digest.update(
                 repr((interval, tid, e.start, e.number, e.bit_position)).encode()
             )
-    for interval in sorted(index.spatial):
-        for region in sorted(index.spatial[interval]):
-            for tid in sorted(index.spatial[interval][region]):
-                e = index.spatial[interval][region][tid]
-                row = (
-                    interval,
-                    region,
-                    tid,
-                    [
-                        (
-                            r.instance_index,
-                            r.final_vertex,
-                            r.entry_number,
-                            r.distance_position,
-                            r.p_total,
-                            r.p_max,
-                        )
-                        for r in e.references
-                    ],
-                    [
-                        (
-                            n.instance_index,
-                            n.anchor_vertex,
-                            n.anchor_number,
-                            n.factor_position,
-                        )
-                        for n in e.non_references
-                    ],
-                )
-                digest.update(repr(row).encode())
+    for interval, region, tid, (references, non_references) in (
+        spatial_rows(index.spatial)
+    ):
+        row = (interval, region, tid, list(references), list(non_references))
+        digest.update(repr(row).encode())
     return digest.hexdigest()
 
 
@@ -162,11 +165,7 @@ def test_spatial_section_does_not_grow_with_the_interval_count(
             )
             for t in archive.trajectories
         )
-        entries[partition] = sum(
-            len(entry_map)
-            for region_map in index.spatial.values()
-            for entry_map in region_map.values()
-        )
+        entries[partition] = sum(1 for _ in spatial_rows(index.spatial))
     # the index fans out over the intervals; the bytes do not
     assert entries[60] > 3 * entries[1800]
     assert inflated[60] - inflated[1800] == span_bytes[60] - span_bytes[1800]
@@ -177,7 +176,8 @@ def test_spatial_section_does_not_grow_with_the_interval_count(
 # ----------------------------------------------------------------------
 def reference_index(network, archive, cells_per_side, partition):
     """``(temporal, spatial, shapes)``: the two layers as the paper
-    describes them, and which of the awkward cases the input held."""
+    describes them (``spatial`` in the shape of :func:`spatial_map`),
+    and which of the awkward cases the input held."""
     shapes = set()
     box = GridPartition.for_network(network, cells_per_side).box
     grid = GridPartition(box, cells_per_side)  # no edge table of its own
@@ -219,7 +219,7 @@ def reference_index(network, archive, cells_per_side, partition):
             return (
                 spatial.setdefault(interval, {})
                 .setdefault(region, {})
-                .setdefault(tid, RegionEntry())
+                .setdefault(tid, ([], []))
             )
 
         first = trajectory.start_time // partition
@@ -252,13 +252,11 @@ def reference_index(network, archive, cells_per_side, partition):
                         ones = sum(tuples[ref].time_flags[: k + 1])
                         dps = instances[ref].distance_positions
                         d_pos = dps[max(min(ones, len(dps)) - 1, 0)] if dps else 0
-                        made = ReferenceTuple(ref, fv, k, d_pos, p_total, p_max)
+                        made = (ref, fv, k, d_pos, p_total, p_max)
                     else:
                         shapes.add("fv = inf")
-                        made = ReferenceTuple(
-                            ref, INFINITE_VERTEX, 0, 0, p_total, p_max
-                        )
-                    entry(interval, region).references.append(made)
+                        made = (ref, INFINITE_VERTEX, 0, 0, p_total, p_max)
+                    entry(interval, region)[0].append(made)
                 for m in members:
                     if m == ref:
                         continue
@@ -282,14 +280,24 @@ def reference_index(network, archive, cells_per_side, partition):
                             continue
                         used.add(f_index)
                         fps = instances[m].factor_positions
-                        entry(interval, region).non_references.append(
-                            NonReferenceTuple(
+                        entry(interval, region)[1].append(
+                            (
                                 m,
                                 stood[m][cursor],
                                 cursor,
                                 fps[f_index] if f_index < len(fps) else 0,
                             )
                         )
+    spatial = {
+        interval: {
+            region: {
+                tid: (tuple(references), tuple(non_references))
+                for tid, (references, non_references) in entries.items()
+            }
+            for region, entries in regions.items()
+        }
+        for interval, regions in spatial.items()
+    }
     return temporal, spatial, shapes
 
 
@@ -332,7 +340,7 @@ def test_reference_case_covers_the_hard_shapes():
     }
     assert max(len(t.instances) for t in archive.trajectories) > 8
     assert index.temporal == temporal
-    assert index.spatial == spatial
+    assert spatial_map(index) == spatial
 
 
 @settings(max_examples=25, deadline=None)
@@ -359,7 +367,7 @@ def test_builder_matches_reference(
     )
     assume("trajectory over several intervals" in shapes)
     assert index.temporal == temporal
-    assert index.spatial == spatial
+    assert spatial_map(index) == spatial
     # the loader fallback rebuilds the spatial layer alone
     index._rebuild_spatial()
-    assert index.spatial == spatial
+    assert spatial_map(index) == spatial

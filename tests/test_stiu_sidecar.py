@@ -18,6 +18,8 @@ from repro.query.stiu import StIUIndex
 from repro.trajectories.datasets import load_dataset
 from repro.workloads.harness import build_query_workload
 
+from test_stiu_golden import spatial_rows
+
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
@@ -35,22 +37,7 @@ def build_index(network, path, **kwargs):
 def assert_same_index(a: StIUIndex, b: StIUIndex) -> None:
     assert a.temporal == b.temporal
     assert a._trajectory_tuples == b._trajectory_tuples
-    assert a.spatial.keys() == b.spatial.keys()
-    for interval in a.spatial:
-        assert a.spatial[interval].keys() == b.spatial[interval].keys()
-        for region in a.spatial[interval]:
-            left = a.spatial[interval][region]
-            right = b.spatial[interval][region]
-            assert left.keys() == right.keys()
-            for trajectory_id in left:
-                assert (
-                    left[trajectory_id].references
-                    == right[trajectory_id].references
-                )
-                assert (
-                    left[trajectory_id].non_references
-                    == right[trajectory_id].non_references
-                )
+    assert list(spatial_rows(a.spatial)) == list(spatial_rows(b.spatial))
 
 
 class TestRoundTrip:
