@@ -42,9 +42,11 @@ import threading
 import time
 
 from repro.core import CompressedArchive, UTCQCompressor
+from repro.core.decoder import DecodeSpanCache
 from repro.query import (
     RangeQuery,
     StIUIndex,
+    UTCQQueryProcessor,
     WhenQuery,
     WhereQuery,
     save_index,
@@ -86,6 +88,24 @@ def build_shards(root: str, count: int, seed: int):
         save_index(StIUIndex(network, part), path)
         paths.append(path)
     return network, trajectories, paths
+
+
+def working_set_bytes(network, path) -> int:
+    """What the decode cache charges for everything queries can touch in
+    one shard: every record, time sequence, reference, instance and
+    chainage table, reached by a ``where`` at alpha 0 per trajectory."""
+    index = StIUIndex.over_file(network, path)
+    try:
+        processor = UTCQQueryProcessor(
+            network, index.archive, index,
+            cache=DecodeSpanCache(budget_bytes=1 << 40, register=False),
+        )
+        for trajectory_id in index.archive.trajectory_ids():
+            start, end = index.archive.time_span(trajectory_id)
+            processor.where(trajectory_id, (start + end) // 2, 0.0)
+        return processor.cache.resident_bytes
+    finally:
+        index.archive.close()
 
 
 def request_lists(network, trajectories, size, *, warm, callers, seed):
@@ -178,7 +198,6 @@ def main() -> None:
         "every turn equally often",
     )
     args = parser.parse_args()
-    per_shard = args.trajectories // SHARDS
     print(
         f"{args.trajectories} CD trajectories, {SHARDS} shards, "
         f"{WORKERS} pool workers, POOL_MIN_EXECUTIONS="
@@ -192,17 +211,14 @@ def main() -> None:
         network, trajectories, paths = build_shards(
             root, args.trajectories, args.seed
         )
+        cold_budget = working_set_bytes(network, paths[0]) // 4
         for warm in (True, False):
             # cold: each shard is four times its decode cache (workers
             # inherit the environment when the pool forks)
-            for name, entries in (
-                ("REPRO_DECODE_CACHE_TRAJECTORIES", per_shard // 4),
-                ("REPRO_DECODE_CACHE_INSTANCES", per_shard * 2),
-            ):
-                if warm:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = str(entries)
+            if warm:
+                os.environ.pop("REPRO_DECODE_CACHE_BYTES", None)
+            else:
+                os.environ["REPRO_DECODE_CACHE_BYTES"] = str(cold_budget)
             with QueryService(
                 paths,
                 network=network,

@@ -51,9 +51,9 @@ def main() -> None:
     print(f"wrote {sidecar_path_for(path)}: index sidecar")
 
     # 4. reopen warm: the index loads from the sidecar (no rebuild) and
-    #    trajectories stream through a bounded LRU; queries decode only
-    #    what they touch
-    index = StIUIndex.over_file(network, path, cache_size=8)
+    #    queries parse and decode only what they touch, keeping it in a
+    #    decode cache budgeted in bytes
+    index = StIUIndex.over_file(network, path)
     print(f"index loaded from sidecar: {index.loaded_from_sidecar}")
     with index.archive as on_disk:
         queries = UTCQQueryProcessor(network, on_disk, index)
@@ -80,10 +80,12 @@ def main() -> None:
                     f"(p={result.probability:.3f})"
                 )
 
+        cache = queries.cache
         print(
             f"\nresident trajectories after querying: "
-            f"{on_disk.cached_trajectory_count()} of "
-            f"{on_disk.trajectory_count} (lazy loading works)"
+            f"{cache.stats()['records']['resident']} of "
+            f"{on_disk.trajectory_count}, {cache.resident_bytes} of "
+            f"{cache.budget_bytes} cache bytes (lazy loading works)"
         )
 
         # 5. the same queries as one deduplicated batch

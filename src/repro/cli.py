@@ -716,7 +716,7 @@ def cmd_info(args) -> int:
             header = read_header(stream)
             if args.check:
                 # reuse the open stream + parsed header for the CRC walk
-                archive = FileBackedArchive(stream, header, cache_size=1)
+                archive = FileBackedArchive(stream, header)
                 for trajectory_id in archive.trajectory_ids():
                     archive.trajectory(trajectory_id)  # raises on mismatch
                 checked = True

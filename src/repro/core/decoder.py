@@ -6,17 +6,17 @@ together with the StIU index.  Full decoding exists for round-trip
 verification and for consumers who want the data back.
 
 :class:`DecodeSpanCache` sits between the query layer and these entry
-points: a bounded LRU of decoded spans (time sequences, reference
-tuples, materialized instances, chainage tables) keyed by trajectory or
-instance, so repeated probes of a hot trajectory cost O(span) instead
-of a full re-decode.  One cache can be shared by several query
-processors over the same archive + network (e.g. through a
-:class:`~repro.stream.live.LiveArchive` while ingestion continues).
+points: one LRU, budgeted in bytes, of parsed records and decoded spans
+(time sequences, reference tuples, materialized instances, chainage
+tables) keyed by trajectory or instance, so repeated probes of a hot
+trajectory cost O(span) instead of a re-parse and a re-decode.  One
+cache can be shared by several query processors over the same archive +
+network (e.g. through a :class:`~repro.stream.live.LiveArchive` while
+ingestion continues).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, NamedTuple
@@ -249,88 +249,59 @@ def decode_archive(
     ]
 
 
-#: "use the environment / built-in default" — distinct from None, which
-#: means an explicitly unbounded section
-_UNSET = object()
-
-DEFAULT_TRAJECTORY_CAPACITY = 1024
-_DEFAULT_INSTANCE_CAPACITY = 8192
-
-
-def _env_capacity(name: str, default: int) -> int:
-    return env_int(name, default, minimum=0)
+#: The decode cache's budget in charged bytes: what the entry caps it
+#: replaced (1,024 trajectories, 8,192 instances per section) held at
+#: the entry sizes of ``engine-uniform-cold``, rounded up; the
+#: derivation is in docs/architecture.md ("Decode cache").
+DECODE_CACHE_BYTES = 32 << 20
 
 
-def resolve_trajectory_capacity(explicit=_UNSET) -> int | None:
-    """Per-trajectory section capacity: explicit argument (``None`` =
-    unbounded) > ``REPRO_DECODE_CACHE_TRAJECTORIES`` > 1024."""
-    if explicit is not _UNSET:
-        return explicit
-    return _env_capacity(
-        "REPRO_DECODE_CACHE_TRAJECTORIES", DEFAULT_TRAJECTORY_CAPACITY
+def configured_budget_bytes() -> int:
+    """``REPRO_DECODE_CACHE_BYTES``, else :data:`DECODE_CACHE_BYTES`."""
+    return env_int("REPRO_DECODE_CACHE_BYTES", DECODE_CACHE_BYTES, minimum=0)
+
+
+class _Section:
+    """The counters of one kind of cached value, and what an entry of
+    that kind is charged: ``base + per_element * elements(value)``."""
+
+    __slots__ = (
+        "name", "base", "per_element", "elements",
+        "hits", "misses", "evictions", "resident", "bytes",
     )
 
+    def __init__(self, name: str, base: int, per_element: int, elements):
+        self.name = name
+        self.base = base
+        self.per_element = per_element
+        self.elements = elements
+        self.hits = self.misses = self.evictions = 0
+        self.resident = self.bytes = 0
 
-def resolve_instance_capacity(explicit=_UNSET) -> int | None:
-    """Per-instance section capacity: explicit argument (``None`` =
-    unbounded) > ``REPRO_DECODE_CACHE_INSTANCES`` > 8192."""
-    if explicit is not _UNSET:
-        return explicit
-    return _env_capacity(
-        "REPRO_DECODE_CACHE_INSTANCES", _DEFAULT_INSTANCE_CAPACITY
-    )
+    def charge(self, value) -> int:
+        return self.base + self.per_element * self.elements(value)
 
 
-class _LruSection:
-    """One bounded LRU map inside a :class:`DecodeSpanCache`.
-
-    ``capacity`` of ``None`` means unbounded; ``0`` disables the section
-    entirely (every lookup misses — reachable through
-    ``REPRO_DECODE_CACHE_TRAJECTORIES=0`` / ``..._INSTANCES=0``).
-    """
-
-    __slots__ = ("capacity", "_entries", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int | None) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        value = self._entries.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if self.capacity is not None:
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
+# name, bytes per entry, bytes per element, what an element is: the
+# retained bytes tracemalloc measures per entry on the CD profile, the
+# cache's own bookkeeping included (tests/test_decode_cache.py holds
+# every section's charge within 0.5-2x of that measurement)
+_SECTIONS = (
+    ("records", 850, 290, lambda record: len(record.instances)),
+    ("times", 400, 42, len),
+    ("references", 620, 20, lambda encoded: len(encoded.edge_numbers)),
+    ("instances", 540, 94, lambda i: len(i.path) + len(i.locations)),
+    ("chainages", 530, 33, lambda c: len(c.path) + len(c.location_chainages)),
+)
 
 
 class DecodeSpanCache:
-    """Shared, bounded LRU of decoded trajectory spans.
+    """Shared LRU of parsed records and decoded spans, budgeted in bytes.
 
-    Four sections, sized independently:
+    Five sections share one recency order and one budget:
 
+    * ``records`` — parsed :class:`CompressedTrajectory` records, keyed
+      by trajectory id;
     * ``times`` — full SIAR time sequences, keyed by trajectory id;
     * ``references`` — decoded reference tuples, keyed by
       ``(trajectory_id, reference_ordinal)``;
@@ -340,31 +311,34 @@ class DecodeSpanCache:
       instances (network-dependent: share a cache only across
       processors using the same road network).
 
-    Thread-safe: lookups take a lock around LRU mutation only; the
-    decode itself (the ``factory``) runs unlocked, so concurrent misses
-    on the same key may decode twice and harmlessly overwrite each
-    other with equal values.
+    An entry is charged once, when it is stored, by its section's
+    estimate; the least recently used entries of any section leave
+    until the charged total fits ``budget_bytes`` again (``None``:
+    ``REPRO_DECODE_CACHE_BYTES``, else :data:`DECODE_CACHE_BYTES`).
+    A budget of 0 memoizes nothing.
+
+    Thread-safe: lookups take a lock around the LRU only; the decode
+    itself (the ``factory``) runs unlocked, so concurrent misses on the
+    same key may decode twice — the first value stored is kept, and
+    every caller gets it.
     """
 
-    _SECTION_NAMES = ("times", "references", "instances", "chainages")
-
     def __init__(
-        self,
-        *,
-        trajectory_capacity: int | None = _UNSET,
-        instance_capacity: int | None = _UNSET,
-        register: bool = True,
+        self, *, budget_bytes: int | None = None, register: bool = True
     ) -> None:
-        # capacities resolve explicit > REPRO_DECODE_CACHE_* env > the
-        # built-in defaults, so cache-size sweeps need no code changes
-        self.trajectory_capacity = resolve_trajectory_capacity(
-            trajectory_capacity
-        )
-        self.instance_capacity = resolve_instance_capacity(instance_capacity)
-        self.times = _LruSection(self.trajectory_capacity)
-        self.references = _LruSection(self.instance_capacity)
-        self.instances = _LruSection(self.instance_capacity)
-        self.chainages = _LruSection(self.instance_capacity)
+        if budget_bytes is None:
+            budget_bytes = configured_budget_bytes()
+        if budget_bytes < 0:
+            raise ValueError(f"budget_bytes must be >= 0, got {budget_bytes}")
+        self.budget_bytes = budget_bytes
+        self.resident_bytes = 0
+        self._sections = {spec[0]: _Section(*spec) for spec in _SECTIONS}
+        (
+            self._records, self._times, self._references,
+            self._instances, self._chainages,
+        ) = self._sections.values()
+        # (section name, key) -> (value, charge, section), oldest first
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         if register:
             # weak-ref collector: the registry asks this cache for its
@@ -372,83 +346,101 @@ class DecodeSpanCache:
             # path never touches a registry lock
             obs_metrics.get_registry().register_collector(self)
 
-    def _lookup(self, section: _LruSection, key, factory: Callable):
+    def _lookup(self, section: _Section, key, factory: Callable):
+        slot = (section.name, key)
+        entries = self._entries
         with self._lock:
-            value = section.get(key)
-        if value is not None:
-            return value
+            entry = entries.get(slot)
+            if entry is not None:
+                entries.move_to_end(slot)
+                section.hits += 1
+                return entry[0]
+            section.misses += 1
         value = factory()
+        charge = section.charge(value)
+        if charge > self.budget_bytes:
+            return value
         with self._lock:
-            section.put(key, value)
+            entry = entries.get(slot)
+            if entry is not None:  # a concurrent miss stored it first
+                entries.move_to_end(slot)
+                return entry[0]
+            entries[slot] = (value, charge, section)
+            section.resident += 1
+            section.bytes += charge
+            self.resident_bytes += charge
+            while self.resident_bytes > self.budget_bytes:
+                _, (_, freed, owner) = entries.popitem(last=False)
+                owner.resident -= 1
+                owner.bytes -= freed
+                owner.evictions += 1
+                self.resident_bytes -= freed
         return value
 
+    def record_for(self, trajectory_id: int, factory: Callable):
+        return self._lookup(self._records, trajectory_id, factory)
+
     def times_for(self, trajectory_id: int, factory: Callable):
-        return self._lookup(self.times, trajectory_id, factory)
+        return self._lookup(self._times, trajectory_id, factory)
 
     def reference_for(
         self, trajectory_id: int, ordinal: int, factory: Callable
     ):
         return self._lookup(
-            self.references, (trajectory_id, ordinal), factory
+            self._references, (trajectory_id, ordinal), factory
         )
 
     def instance_for(self, trajectory_id: int, index: int, factory: Callable):
-        return self._lookup(self.instances, (trajectory_id, index), factory)
+        return self._lookup(self._instances, (trajectory_id, index), factory)
 
     def chainage_for(self, trajectory_id: int, index: int, factory: Callable):
-        return self._lookup(self.chainages, (trajectory_id, index), factory)
+        return self._lookup(self._chainages, (trajectory_id, index), factory)
 
     def clear(self) -> None:
         with self._lock:
-            for section in (
-                self.times, self.references, self.instances, self.chainages
-            ):
-                section.clear()
-
-    def _sections(self):
-        return tuple(
-            (name, getattr(self, name)) for name in self._SECTION_NAMES
-        )
+            self._entries.clear()
+            self.resident_bytes = 0
+            for section in self._sections.values():
+                section.resident = section.bytes = 0
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """A consistent hit/miss/eviction/resident snapshot per section.
-
-        All four sections are read under the one cache lock, so the
-        numbers are from a single instant even while other threads keep
-        querying — no torn hits-without-their-misses reads.
-        """
+        """A consistent hit/miss/eviction/resident/bytes snapshot per
+        section, read under the one cache lock — no torn
+        hits-without-their-misses reads while other threads query."""
         with self._lock:
             return {
                 name: {
                     "hits": section.hits,
                     "misses": section.misses,
                     "evictions": section.evictions,
-                    "resident": len(section),
+                    "resident": section.resident,
+                    "bytes": section.bytes,
                 }
-                for name, section in self._sections()
+                for name, section in self._sections.items()
             }
 
     def collect_metrics(self):
-        """Registry-collector view of :meth:`stats` (see
+        """Registry-collector view of :meth:`stats` and the budget (see
         :meth:`repro.obs.metrics.MetricsRegistry.register_collector`)."""
         for name, counts in self.stats().items():
             labels = {"section": name}
-            yield (
-                "counter", "repro_decode_cache_hits_total", labels,
-                {"value": float(counts["hits"])},
-            )
-            yield (
-                "counter", "repro_decode_cache_misses_total", labels,
-                {"value": float(counts["misses"])},
-            )
-            yield (
-                "counter", "repro_decode_cache_evictions_total", labels,
-                {"value": float(counts["evictions"])},
-            )
+            for event in ("hits", "misses", "evictions"):
+                yield (
+                    "counter", f"repro_decode_cache_{event}_total", labels,
+                    {"value": float(counts[event])},
+                )
             yield (
                 "gauge", "repro_decode_cache_resident", labels,
                 {"value": float(counts["resident"])},
             )
+            yield (
+                "gauge", "repro_decode_cache_bytes", labels,
+                {"value": float(counts["bytes"])},
+            )
+        yield (
+            "gauge", "repro_decode_cache_budget_bytes", None,
+            {"value": float(self.budget_bytes)},
+        )
 
 
 def decode_instance_by_index(

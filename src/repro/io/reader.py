@@ -3,20 +3,20 @@
 :class:`FileBackedArchive` mirrors the read-side surface of
 :class:`~repro.core.archive.CompressedArchive` — ``params``, ``stats``,
 ``trajectory(id)``, iteration over ``trajectories`` — but decodes each
-trajectory record straight off disk on first touch, keeping only a
-bounded LRU of decoded trajectories in memory.  This lets the StIU index
-and the query processor run against an archive file without ever
-materializing the whole dataset (the `info`/`query` CLI path).
+trajectory record straight off disk when asked and keeps none of them:
+the query processor holds what it parsed in its
+:class:`~repro.core.decoder.DecodeSpanCache`, under that cache's byte
+budget.  This lets the StIU index and the query processor run against
+an archive file without ever materializing the whole dataset (the
+`info`/`query` CLI path).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 
 from ..core.archive import CompressedTrajectory, CompressionParams, CompressionStats
-from ..core.decoder import DEFAULT_TRAJECTORY_CAPACITY
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
 from .format import (
@@ -28,11 +28,6 @@ from .format import (
     read_header,
     record_crc,
 )
-
-# The record LRU feeds the DecodeSpanCache: a span-cache hit still needs
-# the trajectory's record, so a smaller record tier turns span hits into
-# record parses.  One constant sizes both.
-DEFAULT_CACHE_SIZE = DEFAULT_TRAJECTORY_CAPACITY
 
 _log = get_logger("repro.io.reader")
 
@@ -74,27 +69,18 @@ class FileBackedArchive:
             index = StIUIndex(network, archive)
             ...
 
-    ``verify_crc`` checks each record's CRC-32 the first time it is
-    loaded; disable it for hot paths that trust the file.
+    ``verify_crc`` checks each record's CRC-32 every time it is read;
+    disable it for hot paths that trust the file.
     """
 
     def __init__(
-        self,
-        stream,
-        header: ArchiveHeader,
-        *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        verify_crc: bool = True,
+        self, stream, header: ArchiveHeader, *, verify_crc: bool = True
     ) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self._stream = stream
         #: the file behind the stream (None for a stream with no name)
         self.path = getattr(stream, "name", None)
         self.header = header
-        self.cache_size = cache_size
         self.verify_crc = verify_crc
-        self._cache: OrderedDict[int, CompressedTrajectory] = OrderedDict()
         # (start_time, end_time) of every trajectory touched so far; two
         # ints each, never evicted.  Single dict gets/sets of immutable
         # values, so it needs no lock.
@@ -105,9 +91,9 @@ class FileBackedArchive:
         self._closed = False
         # Concurrent readers: positional reads (os.pread) share one file
         # descriptor without seek races; streams without a descriptor
-        # (e.g. BytesIO) fall back to seek+read under the lock.  The same
-        # lock also guards LRU mutation, so a thread pool can hammer
-        # ``trajectory()`` while record decoding itself runs unlocked.
+        # (e.g. BytesIO) fall back to seek+read under the lock, which
+        # also orders close() against them; record decoding runs
+        # unlocked, so a thread pool can hammer ``trajectory()``.
         self._lock = threading.Lock()
         try:
             self._fd: int | None = stream.fileno()
@@ -118,13 +104,7 @@ class FileBackedArchive:
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def open(
-        cls,
-        path,
-        *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        verify_crc: bool = True,
-    ) -> "FileBackedArchive":
+    def open(cls, path, *, verify_crc: bool = True) -> "FileBackedArchive":
         stream = open(path, "rb")
         try:
             header = read_header(stream)
@@ -133,9 +113,7 @@ class FileBackedArchive:
             if isinstance(error, CorruptArchiveError):
                 error.path = stream.name
             raise
-        return cls(
-            stream, header, cache_size=cache_size, verify_crc=verify_crc
-        )
+        return cls(stream, header, verify_crc=verify_crc)
 
     @property
     def closed(self) -> bool:
@@ -150,7 +128,6 @@ class FileBackedArchive:
                     "FileBackedArchive is already closed"
                 )
             self._closed = True
-            self._cache.clear()
             self._time_spans.clear()
         if not self._stream.closed:
             self._stream.close()
@@ -201,24 +178,19 @@ class FileBackedArchive:
         return [entry.trajectory_id for entry in self.header.directory]
 
     def trajectory(self, trajectory_id: int) -> CompressedTrajectory:
-        """Load (or fetch from cache) a single trajectory by id.
+        """Read, check and parse a single trajectory's record.
 
-        Safe to call from multiple threads: a cache miss reads the
-        record with a positional ``pread`` (no shared seek cursor) and
-        decodes it outside the lock.  Two threads racing on the same
-        uncached id may both decode it; records are immutable, so the
-        last write to the cache wins harmlessly.
+        Every call parses afresh; callers that come back to a record
+        keep it in a :class:`~repro.core.decoder.DecodeSpanCache`.  Safe
+        to call from multiple threads: the record is read with a
+        positional ``pread`` (no shared seek cursor) and parsed outside
+        any lock.
         """
         if self._closed:
             raise ArchiveClosedError(
                 f"cannot load trajectory {trajectory_id}: the archive "
                 f"is closed"
             )
-        with self._lock:
-            cached = self._cache.get(trajectory_id)
-            if cached is not None:
-                self._cache.move_to_end(trajectory_id)
-                return cached
         trajectory = decode_trajectory_record(
             self._verified_record(trajectory_id)
         )
@@ -227,10 +199,6 @@ class FileBackedArchive:
             trajectory.start_time,
             trajectory.end_time,
         )
-        with self._lock:
-            self._cache[trajectory_id] = trajectory
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
         return trajectory
 
     def time_span(self, trajectory_id: int) -> tuple[int, int]:
@@ -307,10 +275,6 @@ class FileBackedArchive:
                 )
             self._stream.seek(entry.offset)
             return self._stream.read(entry.length)
-
-    def cached_trajectory_count(self) -> int:
-        """How many decoded trajectories are currently resident."""
-        return len(self._cache)
 
 
 class UnionArchive:

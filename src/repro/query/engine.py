@@ -43,11 +43,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from ..core.decoder import (
-    DecodeSpanCache,
-    resolve_instance_capacity,
-    resolve_trajectory_capacity,
-)
+from ..core.decoder import DecodeSpanCache, configured_budget_bytes
 from ..io.reader import FileBackedArchive, UnionArchive
 from ..network.grid import Rect
 from ..obs import metrics as obs_metrics
@@ -310,7 +306,7 @@ class BatchQueryEngine:
             )
         except KeyError:
             try:
-                processor.archive.trajectory(query.trajectory_id)
+                processor.record(query.trajectory_id)
             except KeyError:
                 return []  # the archive does not hold this id
             raise
@@ -1067,10 +1063,10 @@ class ShardedQueryEngine:
     def drop_local_engine(self, path: str) -> None:
         """Close one locally opened shard (quarantine, re-admission, or
         a union that raised) and invalidate the union; the other shards
-        stay open with their record LRUs warm.  The next plan that
-        involves ``path`` reopens it from the file, and the rebuilt
-        union starts with an empty decode-span cache — spans decoded
-        from the dropped file must not outlive it."""
+        stay open.  The next plan that involves ``path`` reopens it from
+        the file, and the rebuilt union starts with an empty decode-span
+        cache — records and spans decoded from the dropped file must not
+        outlive it."""
         part = self._parts.pop(str(path), None)
         if part is None:
             return
@@ -1081,12 +1077,10 @@ class ShardedQueryEngine:
 
     def _new_union_cache(self) -> DecodeSpanCache:
         """One decode-span cache for the union, with the budget the
-        shards had when each brought its own: the configured capacity
-        (``REPRO_DECODE_CACHE_*``) per shard."""
-        shards = len(self.shard_paths)
+        shards had when each brought its own: the configured budget
+        (``REPRO_DECODE_CACHE_BYTES``) per shard."""
         return DecodeSpanCache(
-            trajectory_capacity=shards * resolve_trajectory_capacity(),
-            instance_capacity=shards * resolve_instance_capacity(),
+            budget_bytes=len(self.shard_paths) * configured_budget_bytes()
         )
 
     def _union_engine(self, paths) -> BatchQueryEngine:

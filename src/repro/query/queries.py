@@ -88,9 +88,9 @@ class UTCQQueryProcessor:
 
     ``cache`` is the decode-span LRU shared with other processors over
     the same archive + network (``None`` creates a private one).  It
-    memoizes decoded time sequences, reference tuples, materialized
-    instances, and chainage tables, so repeated probes of a hot
-    trajectory cost O(span) instead of a re-decode.
+    memoizes parsed records, decoded time sequences, reference tuples,
+    materialized instances, and chainage tables, so repeated probes of
+    a hot trajectory cost O(span) instead of a re-parse and a re-decode.
     """
 
     def __init__(
@@ -110,6 +110,12 @@ class UTCQQueryProcessor:
     # ------------------------------------------------------------------
     # shared partial-decompression helpers
     # ------------------------------------------------------------------
+    def record(self, trajectory_id: int) -> CompressedTrajectory:
+        """The trajectory's parsed record, through the decode cache."""
+        return self.cache.record_for(
+            trajectory_id, lambda: self.archive.trajectory(trajectory_id)
+        )
+
     def _decode_times_around(
         self, trajectory: CompressedTrajectory, t: int
     ) -> list[int] | None:
@@ -204,7 +210,7 @@ class UTCQQueryProcessor:
     def where(
         self, trajectory_id: int, t: int, alpha: float
     ) -> list[WhereResult]:
-        trajectory = self.archive.trajectory(trajectory_id)
+        trajectory = self.record(trajectory_id)
         # the same guards _decode_times_around applies, without paying
         # for a partial decode the decode-span cache makes redundant
         if not trajectory.start_time <= t <= trajectory.end_time:
@@ -242,7 +248,7 @@ class UTCQQueryProcessor:
         relative_distance: float,
         alpha: float,
     ) -> list[WhenResult]:
-        trajectory = self.archive.trajectory(trajectory_id)
+        trajectory = self.record(trajectory_id)
         a = self.network.vertex(edge[0])
         b = self.network.vertex(edge[1])
         x = a.x + (b.x - a.x) * relative_distance
@@ -361,7 +367,7 @@ class UTCQQueryProcessor:
             if not start_time <= t <= end_time:
                 self.counters.trajectories_time_pruned += 1
                 continue
-            trajectory = self.archive.trajectory(trajectory_id)
+            trajectory = self.record(trajectory_id)
             if self._range_confirm(trajectory, region, t, alpha):
                 results.append(trajectory_id)
         return results

@@ -226,9 +226,9 @@ class StIUIndex:
     ``archive`` may be an in-memory :class:`CompressedArchive` or a lazy
     :class:`~repro.io.reader.FileBackedArchive` — the index only needs
     ``params``, iteration over ``trajectories``, and ``trajectory(id)``.
-    Building over a file streams one trajectory at a time through the
-    reader's LRU cache, so peak memory stays bounded by the cache, not
-    the dataset.
+    Building over a file parses one trajectory at a time and keeps no
+    record, so peak memory stays bounded by one record, not the
+    dataset.
     """
 
     @classmethod
@@ -237,7 +237,6 @@ class StIUIndex:
         network: RoadNetwork,
         path,
         *,
-        cache_size: int | None = None,
         grid_cells_per_side: int = 32,
         time_partition_seconds: int = 1800,
         sidecar: object = "auto",
@@ -257,12 +256,10 @@ class StIUIndex:
         is reachable as ``index.archive`` for a query processor); close
         it via ``index.archive.close()`` when done.
         """
-        from ..io.reader import DEFAULT_CACHE_SIZE, FileBackedArchive
+        from ..io.reader import FileBackedArchive
         from . import sidecar as sidecar_io
 
-        archive = FileBackedArchive.open(
-            path, cache_size=cache_size or DEFAULT_CACHE_SIZE
-        )
+        archive = FileBackedArchive.open(path)
         explicit = None if sidecar in (None, "auto") else sidecar
         options = dict(
             grid_cells_per_side=grid_cells_per_side,

@@ -16,9 +16,9 @@ generation read at :meth:`refresh` time.  Segment files are immutable,
 so the snapshot never changes underneath an index built on it; call
 :meth:`refresh` to pick up newly sealed segments *and* compaction
 results (merged segments replace their sources in the id map, while
-the replaced readers are retired — kept open until :meth:`close` so
-queries in flight on an older snapshot still complete).  The unsealed
-buffer inside the writer is never visible.
+the replaced readers are retired — kept open until the next
+:meth:`refresh`, so calls in flight on the older snapshot still
+complete).  The unsealed buffer inside the writer is never visible.
 
 Indexing: segments carry ``.stiu`` sidecars written at rotation and
 merge time, so :meth:`build_index` *loads* per-segment indexes and
@@ -73,6 +73,7 @@ class LiveArchive:
         self.directory = Path(directory)
         self._archives: dict[str, FileBackedArchive] = {}
         self._levels: dict[str, int] = {}
+        # readers the last refresh() replaced; the next one closes them
         self._retired: list[FileBackedArchive] = []
         self._union = UnionArchive(())
         self._params: CompressionParams | None = None
@@ -102,10 +103,11 @@ class LiveArchive:
             )
             for outcome in ("hit", "miss", "stale")
         }
-        # Decoded spans survive refresh(): sealed segments are immutable,
-        # so trajectories decoded before a refresh stay valid after it.
-        # Query processors built over this archive should pass this cache
-        # (see query_processor()) so mid-ingestion queries keep their
+        # Parsed records and decoded spans survive refresh(): sealed
+        # segments are immutable, so trajectories decoded before a
+        # refresh stay valid after it.  trajectory() reads through this
+        # cache, and query processors built over this archive share it
+        # (see query_processor()), so mid-ingestion queries keep their
         # warm spans across index rebuilds.
         self.decode_cache = DecodeSpanCache()
         self.refresh()
@@ -150,10 +152,12 @@ class LiveArchive:
         segments were newly opened.
 
         Newly sealed segments are opened; segments compaction removed
-        are retired (their readers stay open for queries already in
-        flight and are closed with the archive).  The id map is rebuilt
-        atomically, so concurrent :meth:`trajectory` calls see either
-        the old snapshot or the new one, never a mix.
+        are retired: their readers stay open for calls already in flight
+        on the previous union and are closed by the next refresh (or
+        with the archive), so a long-lived archive holds the readers of
+        at most one refresh's worth of merged-away segments.  The id map
+        is rebuilt atomically, so concurrent :meth:`trajectory` calls
+        see either the old snapshot or the new one, never a mix.
         """
         self._check_open()
         with self._refresh_lock:
@@ -181,6 +185,10 @@ class LiveArchive:
                 self._archives[info.name] = segment
                 self._levels[info.name] = info.level
                 added += 1
+            for segment in self._retired:
+                if not segment.closed:
+                    segment.close()
+            self._retired = []
             for name in sorted(set(self._archives) - current):
                 self._retired.append(self._archives.pop(name))
                 self._levels.pop(name, None)
@@ -226,7 +234,8 @@ class LiveArchive:
 
     @property
     def retired_count(self) -> int:
-        """Readers kept open for old snapshots after compaction."""
+        """Readers the last refresh retired, kept open until the next
+        one for calls still running on the previous snapshot."""
         return len(self._retired)
 
     def segment_levels(self) -> dict[str, int]:
@@ -241,15 +250,31 @@ class LiveArchive:
         self._check_open()
         return self._union.trajectory_ids()
 
+    def _read(self, read, trajectory_id: int):
+        """``read(union, trajectory_id)`` on the current snapshot.  A
+        call that outlives two refreshes finds its reader closed (see
+        :meth:`refresh`); it is answered again from the snapshot that
+        replaced it, which holds every id a merge kept."""
+        while True:
+            union = self._union
+            try:
+                return read(union, trajectory_id)
+            except ArchiveClosedError:
+                if self._closed or union is self._union:
+                    raise
+
     def trajectory(self, trajectory_id: int) -> CompressedTrajectory:
         self._check_open()
-        return self._union.trajectory(trajectory_id)
+        return self.decode_cache.record_for(
+            trajectory_id,
+            lambda: self._read(UnionArchive.trajectory, trajectory_id),
+        )
 
     def time_span(self, trajectory_id: int) -> tuple[int, int]:
         """``(start_time, end_time)`` without parsing the whole record;
         see :meth:`FileBackedArchive.time_span`."""
         self._check_open()
-        return self._union.time_span(trajectory_id)
+        return self._read(UnionArchive.time_span, trajectory_id)
 
     # ------------------------------------------------------------------
     # indexing / querying

@@ -1,6 +1,8 @@
 """Acceptance: queries over a file-backed archive match the in-memory path."""
 
+import gc
 import io
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro import StIUIndex, UTCQQueryProcessor
 from repro.core import compress_dataset
 from repro.core.archive import CompressedArchive
+from repro.core.decoder import DecodeSpanCache
 from repro.io import (
     ArchiveClosedError,
     CorruptArchiveError,
@@ -44,16 +47,19 @@ def processors(setup):
     network, trajectories, archive, path = setup
     memory_index = StIUIndex(network, archive)
     memory = UTCQQueryProcessor(network, archive, memory_index)
-    lazy = FileBackedArchive.open(path, cache_size=2)
+    lazy = FileBackedArchive.open(path)
     file_index = StIUIndex(network, lazy)
-    file_backed = UTCQQueryProcessor(network, lazy, file_index)
+    # a few trajectories' worth of records and spans, no more
+    file_backed = UTCQQueryProcessor(
+        network, lazy, file_index, cache=DecodeSpanCache(budget_bytes=16384)
+    )
     yield memory, file_backed, trajectories
     lazy.close()
 
 
 def test_over_file_classmethod(setup):
     network, _, archive, path = setup
-    index = StIUIndex.over_file(network, path, cache_size=4)
+    index = StIUIndex.over_file(network, path)
     try:
         assert isinstance(index.archive, FileBackedArchive)
         memory_index = StIUIndex(network, archive)
@@ -108,7 +114,36 @@ def test_lazy_cache_stays_bounded(processors):
     for trajectory in trajectories:
         t = (trajectory.start_time + trajectory.end_time) // 2
         file_backed.where(trajectory.trajectory_id, t, alpha=0.5)
-    assert file_backed.archive.cached_trajectory_count() <= 2
+    cache = file_backed.cache
+    assert cache.resident_bytes <= cache.budget_bytes
+    assert cache.stats()["records"]["evictions"] > 0
+    # the reader itself keeps nothing: every read parses afresh
+    first = trajectories[0].trajectory_id
+    archive = file_backed.archive
+    assert archive.trajectory(first) is not archive.trajectory(first)
+
+
+def test_file_backed_build_keeps_no_record(setup, monkeypatch):
+    """A StIU build over a file holds one parsed record at a time: once
+    it is done, nothing — reader or index — keeps any of them."""
+    import repro.io.reader as reader_module
+
+    network, _, archive, path = setup
+    parsed = []
+    real_decode = reader_module.decode_trajectory_record
+
+    def tracked(record):
+        trajectory = real_decode(record)
+        parsed.append(weakref.ref(trajectory))
+        return trajectory
+
+    monkeypatch.setattr(reader_module, "decode_trajectory_record", tracked)
+    with FileBackedArchive.open(path) as lazy:
+        index = StIUIndex(network, lazy)
+        gc.collect()
+        assert len(parsed) == archive.trajectory_count
+        assert all(ref() is None for ref in parsed)
+        assert index.size_bytes() == StIUIndex(network, archive).size_bytes()
 
 
 def test_lifecycle_hygiene(setup):
@@ -147,8 +182,10 @@ def _spans(archive, ids):
 
 
 def test_time_span_agrees_with_trajectory_on_every_archive_kind(
-    setup, tmp_path
+    setup, tmp_path, monkeypatch
 ):
+    import repro.io.reader as reader_module
+
     network, trajectories, archive, path = setup
     ids = [t.trajectory_id for t in archive.trajectories]
     expected = {
@@ -157,10 +194,17 @@ def test_time_span_agrees_with_trajectory_on_every_archive_kind(
     }
     assert _spans(archive, ids) == expected
 
-    with FileBackedArchive.open(path, cache_size=2) as lazy:
+    parses = []
+    real_decode = reader_module.decode_trajectory_record
+    monkeypatch.setattr(
+        reader_module,
+        "decode_trajectory_record",
+        lambda record: parses.append(1) or real_decode(record),
+    )
+    with FileBackedArchive.open(path) as lazy:
         assert _spans(lazy, ids) == expected
         # answered without a single full record parse
-        assert lazy.cached_trajectory_count() == 0
+        assert parses == []
         assert all(
             lazy.time_span(i)
             == (lazy.trajectory(i).start_time, lazy.trajectory(i).end_time)
@@ -283,7 +327,7 @@ def test_range_parses_only_survivors_alive_at_t(setup, monkeypatch):
             query_survivors = in_interval - counters.trajectories_pruned
             survivors += query_survivors
             alive += query_survivors - counters.trajectories_time_pruned
-            assert cold.cached_trajectory_count() == (
+            assert processor.cache.stats()["records"]["resident"] == (
                 query_survivors - counters.trajectories_time_pruned
             )
     assert len(parses) == alive

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import UTCQCompressor, decode_trajectory
+from repro.core.decoder import DecodeSpanCache
 from repro.core.archive import (
     CompressedArchive,
     CompressedInstance,
@@ -495,11 +496,17 @@ class TestFileBackedArchive:
         self, cd_archive, archive_path
     ):
         target = cd_archive.trajectories[7]
+        cache = DecodeSpanCache(register=False)
         with FileBackedArchive.open(archive_path) as lazy:
-            loaded = lazy.trajectory(target.trajectory_id)
+            loaded = cache.record_for(
+                target.trajectory_id,
+                lambda: lazy.trajectory(target.trajectory_id),
+            )
             assert loaded == target
-            # only the touched trajectory is resident
-            assert lazy.cached_trajectory_count() == 1
+            # only the touched trajectory is resident, and in the decode
+            # cache, not in the reader: a second read parses afresh
+            assert cache.stats()["records"]["resident"] == 1
+            assert lazy.trajectory(target.trajectory_id) is not loaded
 
     def test_sequence_view(self, cd_archive, archive_path):
         with FileBackedArchive.open(archive_path) as lazy:
@@ -517,10 +524,28 @@ class TestFileBackedArchive:
             assert lazy.params == cd_archive.params
 
     def test_lru_eviction(self, cd_archive, archive_path):
-        with FileBackedArchive.open(archive_path, cache_size=4) as lazy:
-            for trajectory_id in lazy.trajectory_ids():
-                lazy.trajectory(trajectory_id)
-            assert lazy.cached_trajectory_count() == 4
+        with FileBackedArchive.open(archive_path) as lazy:
+            ids = lazy.trajectory_ids()
+            probe = DecodeSpanCache(register=False)
+            for trajectory_id in ids:
+                probe.record_for(
+                    trajectory_id, lambda: lazy.trajectory(trajectory_id)
+                )
+            # room for about half of the records
+            cache = DecodeSpanCache(
+                budget_bytes=probe.resident_bytes // 2, register=False
+            )
+            for trajectory_id in ids:
+                cache.record_for(
+                    trajectory_id, lambda: lazy.trajectory(trajectory_id)
+                )
+            records = cache.stats()["records"]
+            assert 1 <= records["resident"] < len(ids)
+            assert records["resident"] + records["evictions"] == len(ids)
+            assert cache.resident_bytes <= cache.budget_bytes
+            # the most recent record is the one kept
+            last = ids[-1]
+            cache.record_for(last, lambda: pytest.fail("evicted"))
 
     def test_unknown_id(self, archive_path):
         with FileBackedArchive.open(archive_path) as lazy:

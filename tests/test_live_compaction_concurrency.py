@@ -5,10 +5,12 @@ a thread pool refreshes a shared :class:`LiveArchive` and answers
 ``where`` queries while the main thread keeps ingesting and a
 :class:`CompactionDaemon` merges segments underneath — every answer
 must match a serially-computed reference, whatever snapshot each
-worker happened to see.  Readers retired by a refresh must keep
-serving query processors built on the older snapshot.
+worker happened to see.  Query processors built on an older snapshot
+must keep answering after a refresh retired its readers, and the
+retired readers must be released by the refresh after that.
 """
 
+import os
 import random
 import threading
 import time
@@ -16,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.io import ArchiveClosedError, UnionArchive
 from repro.io.format import read_archive
 from repro.network.generators import grid_network
 from repro.query import StIUIndex, save_index
@@ -155,8 +158,8 @@ def test_processor_on_retired_snapshot_keeps_answering(
     network, trips, reference, tmp_path
 ):
     """A query processor built before a compaction must stay usable
-    after refresh() replaced its segments — the retired readers are
-    kept open until the archive closes."""
+    after refresh() replaced its segments — its records come through
+    the archive, which serves them from the current snapshot."""
     directory = tmp_path / "fleet"
     with _writer(directory, network) as writer:
         for trip in trips[:8]:
@@ -181,6 +184,102 @@ def test_processor_on_retired_snapshot_keeps_answering(
         assert before.where(trip.trajectory_id, t, alpha=0.1) == expected
         assert after.where(trip.trajectory_id, t, alpha=0.1) == expected
     live.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts fds through /proc"
+)
+def test_retired_readers_are_released_across_many_merges(
+    network, trips, reference, tmp_path
+):
+    """A long-lived live archive must not keep one open reader per
+    merged-away segment: the readers one refresh retires are closed by
+    the next, while a processor built before a refresh keeps answering."""
+    directory = tmp_path / "fleet"
+    writer = _writer(directory, network)
+    # merges run inline, sharing the writer's store
+    daemon = CompactionDaemon(
+        writer, policy=SizeTieredPolicy(min_merge=2, max_merge=2)
+    )
+    baseline = _open_fds()
+    live = LiveArchive(directory)
+    merges = 0
+    retired_total = 0
+    previously_retired = []
+    for start in range(0, TRIPS, 2):
+        for trip in trips[start:start + 2]:
+            writer.append(trip)
+        merges += daemon.run_once()
+        processor = live.query_processor(network)
+        before = set(live.segment_levels())
+        live.refresh()
+        retired_now = len(before - set(live.segment_levels()))
+        retired_total += retired_now
+        # only the readers this refresh retired are still held ...
+        assert live.retired_count == retired_now
+        # ... the ones the previous refresh retired are closed ...
+        assert all(reader.closed for reader in previously_retired)
+        previously_retired = list(live._retired)
+        # ... and every open fd is a current or just-retired segment
+        assert _open_fds() - baseline <= (
+            live.segment_count + live.retired_count
+        )
+        for trip in trips[:start]:  # what the processor's snapshot held
+            t = _mid(trip.trajectory_id)
+            assert processor.where(trip.trajectory_id, t, alpha=0.1) == (
+                reference[trip.trajectory_id]
+            )
+    writer.close()
+    assert merges >= 10
+    assert retired_total > 2 * max(live.segment_count, 1)
+    live.close()
+    assert _open_fds() == baseline
+
+
+@pytest.mark.parametrize("method", ["trajectory", "time_span"])
+def test_a_read_outliving_two_refreshes_answers_from_the_new_snapshot(
+    network, trips, tmp_path, monkeypatch, method
+):
+    """A reader retired by one refresh is closed by the next; a call
+    still running on it then reads from the snapshot that replaced it
+    instead of failing."""
+    directory = tmp_path / "fleet"
+    writer = _writer(directory, network)
+    daemon = CompactionDaemon(
+        writer, policy=SizeTieredPolicy(min_merge=2, max_merge=8)
+    )
+    for trip in trips[:8]:
+        writer.append(trip)
+    live = LiveArchive(directory)
+    target = trips[0].trajectory_id
+    expected = (trips[0].start_time, trips[0].end_time)
+    real = getattr(UnionArchive, method)
+    outlived = []
+
+    def read(union, trajectory_id):
+        if not outlived:  # the first call: two refreshes land under it
+            outlived.append(union)
+            assert daemon.run_once() > 0
+            live.refresh()
+            live.refresh()
+            gone = set(union.readers) - set(live._union.readers)
+            assert gone and all(reader.closed for reader in gone)
+        return real(union, trajectory_id)
+
+    monkeypatch.setattr(UnionArchive, method, read)
+    answer = getattr(live, method)(target)
+    if method == "trajectory":
+        answer = (answer.start_time, answer.end_time)
+    assert answer == expected
+    assert len(outlived) == 1
+    writer.close()
+    live.close()
+    with pytest.raises(ArchiveClosedError):
+        getattr(live, method)(target)
 
 
 def test_sidecars_written_concurrently_equal_solitary_builds(tmp_path):

@@ -234,12 +234,32 @@ def test_decode_cache_reports_consistent_stats():
     # per section under one lock, and scrapes into any registry
     from repro.core.decoder import DecodeSpanCache
 
-    cache = DecodeSpanCache(register=False)
+    cache = DecodeSpanCache(budget_bytes=4096, register=False)
+    cache.times_for(1, lambda: [10, 20, 30])
     stats = cache.stats()
-    for section in ("times", "references", "instances", "chainages"):
+    # ledger/layers.py reads the four span sections by name
+    for section in ("records", "times", "references", "instances", "chainages"):
         entry = stats[section]
-        assert set(entry) >= {"hits", "misses", "evictions", "resident"}
+        assert set(entry) == {"hits", "misses", "evictions", "resident", "bytes"}
+    assert stats["times"]["resident"] == 1
+    assert 0 < stats["times"]["bytes"] == cache.resident_bytes <= 4096
     registry = MetricsRegistry()
     registry.register_collector(cache)
     metrics = registry.snapshot()["metrics"]
     assert 'repro_decode_cache_hits_total{section="times"}' in metrics
+    # a scrape answers "is the cache full, and with what?"
+    assert metrics['repro_decode_cache_bytes{section="times"}']["value"] == (
+        stats["times"]["bytes"]
+    )
+    assert metrics['repro_decode_cache_bytes{section="records"}']["value"] == 0
+    assert metrics["repro_decode_cache_budget_bytes"]["value"] == 4096
+    # with two caches alive, counters are their sum and a gauge is the
+    # one registered last
+    second = DecodeSpanCache(budget_bytes=1000, register=False)
+    second.times_for(1, lambda: [10, 20, 30])
+    registry.register_collector(second)
+    metrics = registry.snapshot()["metrics"]
+    assert metrics['repro_decode_cache_misses_total{section="times"}'][
+        "value"
+    ] == 2
+    assert metrics["repro_decode_cache_budget_bytes"]["value"] == 1000

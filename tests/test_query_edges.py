@@ -100,7 +100,7 @@ class TestInstanceCaching:
             if not inst.is_reference
         ][:2]
         processor._materialize(target, indices[0])
-        cache_size = len(processor.cache.references)
+        decoded = processor.cache.stats()["references"]["misses"]
         processor._materialize(target, indices[1])
         # a shared reference must not be decoded twice
         same_ref = (
@@ -108,7 +108,7 @@ class TestInstanceCaching:
             == target.instances[indices[1]].reference_ordinal
         )
         if same_ref:
-            assert len(processor.cache.references) == cache_size
+            assert processor.cache.stats()["references"]["misses"] == decoded
 
     def test_shared_cache_across_processors(self, world):
         """Two processors over the same archive share decoded spans."""
@@ -124,28 +124,6 @@ class TestInstanceCaching:
         b = second._materialize(trajectory, 0)
         assert a is b
         assert second.counters.instances_decoded == 0
-
-    def test_legacy_cache_disables_span_sections(self, world):
-        from repro.core.decoder import DecodeSpanCache
-        from repro.query import UTCQQueryProcessor
-
-        network, _, archive, index, _ = world
-        # capacity 0 (REPRO_DECODE_CACHE_TRAJECTORIES=0) turns a section
-        # off; the per-instance sections keep their own capacity
-        processor = UTCQQueryProcessor(
-            network,
-            archive,
-            index,
-            cache=DecodeSpanCache(trajectory_capacity=0),
-        )
-        trajectory = archive.trajectories[0]
-        first = processor._full_times(trajectory)
-        second = processor._full_times(trajectory)
-        assert first == second
-        assert first is not second  # a disabled section never memoizes
-        assert processor._materialize(trajectory, 0) is processor._materialize(
-            trajectory, 0
-        )
 
 
 class TestCounters:

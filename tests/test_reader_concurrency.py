@@ -1,11 +1,13 @@
 """Concurrent readers against one ``FileBackedArchive``.
 
 The archive serves record reads with positional ``pread`` calls, so a
-single shared handle has no seek cursor to race on; the LRU is guarded
-by a lock.  These tests hammer one archive from a thread pool — with a
-cache big enough to hold everything and with a pathologically tiny one
-that forces constant eviction and re-reads — and require every returned
-record to be identical to a serially-loaded reference.
+single shared handle has no seek cursor to race on; the parsed records
+live in the query layer's decode cache, whose LRU is guarded by a lock.
+These tests hammer one archive through one such cache from a thread
+pool — with a budget big enough to hold everything and with a
+pathologically tiny one that forces constant eviction and re-reads —
+and require every returned record to be identical to a serially-loaded
+reference.
 """
 
 import random
@@ -15,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.compressor import compress_dataset
+from repro.core.decoder import DecodeSpanCache
 from repro.io.format import write_archive
 from repro.io.reader import ArchiveClosedError, FileBackedArchive
 from repro.trajectories.datasets import load_dataset
@@ -34,7 +37,7 @@ def archive_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def reference(archive_path):
-    with FileBackedArchive.open(archive_path, cache_size=1000) as archive:
+    with FileBackedArchive.open(archive_path) as archive:
         return {
             trajectory_id: archive.trajectory(trajectory_id)
             for trajectory_id in archive.trajectory_ids()
@@ -55,17 +58,33 @@ def _records_equal(a, b):
     )
 
 
-@pytest.mark.parametrize("cache_size", [1000, 2])
-def test_thread_pool_hammer(archive_path, reference, cache_size):
+def _cache_holding(records, reference):
+    """A decode cache with room for about ``records`` parsed records."""
+    probe = DecodeSpanCache(register=False)
+    for trajectory_id, record in reference.items():
+        probe.record_for(trajectory_id, lambda: record)
+    per_record = probe.resident_bytes // len(reference)
+    return DecodeSpanCache(budget_bytes=records * per_record, register=False)
+
+
+def _fetch(cache, archive, trajectory_id):
+    return cache.record_for(
+        trajectory_id, lambda: archive.trajectory(trajectory_id)
+    )
+
+
+@pytest.mark.parametrize("records", [1000, 2])
+def test_thread_pool_hammer(archive_path, reference, records):
     ids = sorted(reference)
-    with FileBackedArchive.open(archive_path, cache_size=cache_size) as archive:
+    cache = _cache_holding(records, reference)
+    with FileBackedArchive.open(archive_path) as archive:
 
         def worker(seed):
             rng = random.Random(seed)
             bad = 0
             for _ in range(ROUNDS):
                 trajectory_id = rng.choice(ids)
-                loaded = archive.trajectory(trajectory_id)
+                loaded = _fetch(cache, archive, trajectory_id)
                 if not _records_equal(loaded, reference[trajectory_id]):
                     bad += 1
             return bad
@@ -73,22 +92,26 @@ def test_thread_pool_hammer(archive_path, reference, cache_size):
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             corrupt = sum(pool.map(worker, range(THREADS)))
     assert corrupt == 0
+    stats = cache.stats()["records"]
+    assert stats["hits"] + stats["misses"] == THREADS * ROUNDS
+    assert cache.resident_bytes <= cache.budget_bytes
+    if records == 2:
+        assert stats["evictions"] > 0
 
 
-@pytest.mark.parametrize("cache_size", [1000, 2])
+@pytest.mark.parametrize("records", [1000, 2])
 def test_time_span_and_trajectory_mixed_across_threads(
-    archive_path, reference, cache_size
+    archive_path, reference, records
 ):
     """The span table is filled by both calls; whatever the interleaving,
     every span equals the single-threaded one and no record is damaged."""
     ids = sorted(reference)
     spans = {i: (reference[i].start_time, reference[i].end_time) for i in ids}
+    cache = _cache_holding(records, reference)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with FileBackedArchive.open(
-            archive_path, cache_size=cache_size
-        ) as archive:
+        with FileBackedArchive.open(archive_path) as archive:
 
             def worker(seed):
                 rng = random.Random(seed)
@@ -101,7 +124,7 @@ def test_time_span_and_trajectory_mixed_across_threads(
                         ]
                     else:
                         bad += not _records_equal(
-                            archive.trajectory(trajectory_id),
+                            _fetch(cache, archive, trajectory_id),
                             reference[trajectory_id],
                         )
                 return bad
@@ -116,7 +139,8 @@ def test_time_span_and_trajectory_mixed_across_threads(
 
 def test_concurrent_iteration_and_random_access(archive_path, reference):
     ids = sorted(reference)
-    with FileBackedArchive.open(archive_path, cache_size=3) as archive:
+    cache = _cache_holding(3, reference)
+    with FileBackedArchive.open(archive_path) as archive:
 
         def iterate(_):
             return sum(1 for _ in archive.trajectories)
@@ -124,7 +148,7 @@ def test_concurrent_iteration_and_random_access(archive_path, reference):
         def poke(seed):
             rng = random.Random(seed)
             for _ in range(ROUNDS):
-                archive.trajectory(rng.choice(ids))
+                _fetch(cache, archive, rng.choice(ids))
             return len(ids)
 
         with ThreadPoolExecutor(max_workers=6) as pool:
@@ -135,7 +159,7 @@ def test_concurrent_iteration_and_random_access(archive_path, reference):
 
 def test_closed_archive_raises_for_all_threads(archive_path, reference):
     ids = sorted(reference)
-    archive = FileBackedArchive.open(archive_path, cache_size=4)
+    archive = FileBackedArchive.open(archive_path)
     archive.close()
 
     def read(_):
