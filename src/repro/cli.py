@@ -33,7 +33,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError
-from .io.format import ArchiveFormatError, read_header
+from .io.format import ArchiveFormatError
 from .io.reader import FileBackedArchive
 
 PROVENANCE_GENERATOR = "repro.load_dataset"
@@ -135,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for randomized pivot selection (default: 17)",
     )
     compress.add_argument(
-        "--no-sidecar", action="store_true",
-        help="skip writing the .stiu index sidecar next to the archive "
-        "(queries against the file will rebuild the index on open)",
-    )
-    compress.add_argument(
         "--quiet", action="store_true", help="suppress progress output"
     )
 
@@ -190,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     when.add_argument("archive")
     when.add_argument("--trajectory", type=int, required=True)
     when.add_argument(
-        "--edge", required=True, metavar="START,END",
+        "--edge", required=True, metavar="START,END", type=_comma_list,
         help="edge as 'start_vertex,end_vertex'",
     )
     when.add_argument(
@@ -207,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     range_.add_argument("archive")
     range_.add_argument(
         "--rect", required=True, metavar="MINX,MINY,MAXX,MAXY",
+        type=_comma_list,
         help="query rectangle in network coordinates (use --rect=... "
         "when the first coordinate is negative)",
     )
@@ -568,42 +564,8 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _network_from_provenance(archive: FileBackedArchive, args):
-    """Rebuild the road network an archive was compressed against."""
-    from .network.generators import dataset_network
-    from .trajectories.datasets import profile as dataset_profile
-
-    provenance = archive.provenance
-    profile_name = args.profile or provenance.get("profile")
-    seed = (
-        args.dataset_seed
-        if args.dataset_seed is not None
-        else _int_or_none(provenance.get("dataset_seed"))
-    )
-    scale = (
-        args.network_scale
-        if args.network_scale is not None
-        else _int_or_none(provenance.get("network_scale"))
-    )
-    if profile_name is None or seed is None:
-        raise CliError(
-            "the archive carries no dataset provenance; pass "
-            "--profile and --dataset-seed (and --network-scale) explicitly"
-        )
-    if scale is None:
-        scale = dataset_profile(profile_name).network_scale
-    return dataset_network(profile_name, scale=scale, seed=seed)
-
-
-def _int_or_none(text: str | None) -> int | None:
-    return None if text is None else int(text)
-
-
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CliError(f"{what} must be 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
 
 
 def _open_archive(path: str) -> FileBackedArchive:
@@ -611,17 +573,46 @@ def _open_archive(path: str) -> FileBackedArchive:
         return FileBackedArchive.open(path)
     except FileNotFoundError:
         raise CliError(f"no such archive: {path}")
-    except ArchiveFormatError as error:
-        raise CliError(f"{path}: {error}")
+
+
+def _network_of(archive: FileBackedArchive, args):
+    """The road network ``archive`` was compressed against: its
+    provenance, with ``--profile/--dataset-seed/--network-scale`` merged
+    over it."""
+    from .query.engine import QueryEngineError, build_network_from_provenance
+
+    provenance = dict(archive.provenance)
+    for key in ("profile", "dataset_seed", "network_scale"):
+        if getattr(args, key) is not None:
+            provenance[key] = str(getattr(args, key))
+    try:
+        return build_network_from_provenance(provenance)
+    except QueryEngineError:
+        raise CliError(
+            "the archive carries no dataset provenance; pass "
+            "--profile and --dataset-seed (and --network-scale) explicitly"
+        )
+
+
+def _network_of_shards(paths: list[str], args):
+    """Check that every shard exists; resolve the network from the first
+    (CLI overrides win)."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise CliError(f"no such archive: {path}")
+    with _open_archive(paths[0]) as first:
+        return _network_of(first, args)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 def cmd_compress(args) -> int:
-    import os
-
-    from .pipeline.batch import compress_parallel, default_worker_count
+    from .pipeline.batch import (
+        compress_parallel,
+        default_worker_count,
+        save_archive_with_index,
+    )
     from .trajectories.datasets import load_dataset, profile as dataset_profile
 
     # fail before compressing, not after
@@ -673,15 +664,9 @@ def cmd_compress(args) -> int:
         "network_scale": str(scale),
         "trajectory_count": str(args.count),
     }
-    if args.no_sidecar:
-        size = archive.save(args.output, provenance=provenance)
-        sidecar_path = None
-    else:
-        from .pipeline.batch import save_archive_with_index
-
-        size, sidecar_path = save_archive_with_index(
-            archive, args.output, network, provenance=provenance
-        )
+    size, sidecar_path = save_archive_with_index(
+        archive, args.output, network, provenance=provenance
+    )
     if not args.quiet:
         row = archive.stats.as_row()
         ratios = ", ".join(f"{key} {value:.2f}" for key, value in row.items())
@@ -693,35 +678,22 @@ def cmd_compress(args) -> int:
             f"({report.workers} worker{'s' if report.workers != 1 else ''})"
         )
         print(f"compression ratios — {ratios}")
-        if sidecar_path is not None:
-            import os as _os
-
-            print(
-                f"wrote {sidecar_path}: StIU index sidecar, "
-                f"{_os.path.getsize(sidecar_path)} bytes (warm query opens)"
-            )
+        print(
+            f"wrote {sidecar_path}: StIU index sidecar, "
+            f"{os.path.getsize(sidecar_path)} bytes (warm query opens)"
+        )
     return 0
 
 
 def cmd_info(args) -> int:
     from .query.sidecar import sidecar_path_for
 
-    try:
-        stream = open(args.archive, "rb")
-    except FileNotFoundError:
-        raise CliError(f"no such archive: {args.archive}")
-    checked = False
-    with stream:
-        try:
-            header = read_header(stream)
-            if args.check:
-                # reuse the open stream + parsed header for the CRC walk
-                archive = FileBackedArchive(stream, header)
-                for trajectory_id in archive.trajectory_ids():
-                    archive.trajectory(trajectory_id)  # raises on mismatch
-                checked = True
-        except ArchiveFormatError as error:
-            raise CliError(f"{args.archive}: {error}")
+    with _open_archive(args.archive) as archive:
+        header = archive.header
+        if args.check:
+            for trajectory_id in archive.trajectory_ids():
+                archive.trajectory(trajectory_id)  # raises on mismatch
+    checked = args.check
 
     stats = header.stats
     # what `ls -l` shows against the paper's Table-8 uncompressed size
@@ -808,7 +780,7 @@ def cmd_decompress(args) -> int:
     from .core.decoder import decode_trajectory
 
     with _open_archive(args.archive) as archive:
-        network = _network_from_provenance(archive, args)
+        network = _network_of(archive, args)
         out = sys.stdout if args.output == "-" else open(args.output, "w")
         try:
             for position, trajectory_id in enumerate(archive.trajectory_ids()):
@@ -843,31 +815,94 @@ def cmd_decompress(args) -> int:
     return 0
 
 
-def _query_processor(archive: FileBackedArchive, args):
-    from .query.queries import UTCQQueryProcessor
-    from .query.sidecar import load_index
-    from .query.stiu import StIUIndex
+#: the ``query batch`` fields a single-query command's options fill in
+_SPEC_FIELDS = ("kind", "trajectory", "time", "edge", "rd", "rect", "alpha")
 
-    network = _network_from_provenance(archive, args)
-    # warm path: the .stiu sidecar written at compress/compact time
-    index = load_index(network, archive, args.archive)
-    if index is None:
-        index = StIUIndex(network, archive)
-    return UTCQQueryProcessor(network, archive, index)
+_NOTHING_QUALIFIES = {
+    "where": "no instance qualifies",
+    "when": "no passing time qualifies",
+    "range": "no trajectory qualifies",
+}
 
 
 def cmd_query(args) -> int:
+    """``where`` / ``when`` / ``range`` are a batch of one: every kind
+    runs through :class:`~repro.query.engine.ShardedQueryEngine`."""
+    from .query.engine import (
+        QueryEngineError,
+        ShardedQueryEngine,
+        query_from_dict,
+        result_to_jsonable,
+    )
+
+    if args.kind == "batch":
+        paths, workers = args.archives, args.workers
+        documents = _load_batch_documents(args.input)
+    else:
+        paths, workers = [args.archive], 1
+        documents = [
+            {key: getattr(args, key) for key in _SPEC_FIELDS if key in args}
+        ]
     try:
-        if args.kind == "batch":
-            return _run_query_batch(args)
-        return _run_query(args)
-    except KeyError as error:
-        raise CliError(f"{error.args[0]}")
+        queries = [query_from_dict(document) for document in documents]
+    except QueryEngineError as error:
+        raise CliError(f"{error}")
+    network = _network_of_shards(paths, args)
+    try:
+        with ShardedQueryEngine(
+            paths, network=network, workers=workers
+        ) as engine:
+            if args.kind in ("where", "when"):
+                # the engine answers an unknown id with [], as a batch
+                # must; a single query names the mistake instead
+                trajectory_id = queries[0].trajectory_id
+                if engine.shard_for(trajectory_id) is None:
+                    raise CliError(
+                        f"no trajectory {trajectory_id} in the archive"
+                    )
+            results = engine.run(queries)
+    except QueryEngineError as error:
+        raise CliError(f"{error}")
+    if args.json:
+        for query, result in zip(queries, results):
+            print(json.dumps(result_to_jsonable(query, result)))
+    elif args.kind == "batch":
+        hits = sum(1 for result in results if result)
+        print(
+            f"{len(queries)} queries over {len(paths)} "
+            f"shard{'s' if len(paths) != 1 else ''} "
+            f"({workers} worker{'s' if workers != 1 else ''}): "
+            f"{hits} with non-empty results"
+        )
+        for position, (document, result) in enumerate(
+            zip(documents, results)
+        ):
+            print(f"  [{position}] {document.get('kind')}: {len(result)} result(s)")
+    else:
+        _print_result(args.kind, results[0])
+    return 0
 
 
-def _load_batch_queries(source: str):
-    from .query.engine import QueryEngineError, query_from_dict
+def _print_result(kind: str, result: list) -> None:
+    if not result:
+        print(_NOTHING_QUALIFIES[kind])
+    for r in result:
+        if kind == "where":
+            print(
+                f"instance {r.instance_index}: edge "
+                f"{r.edge[0]} -> {r.edge[1]} at {r.ndist:.1f} m "
+                f"(p={r.probability:.3f})"
+            )
+        elif kind == "when":
+            print(
+                f"instance {r.instance_index}: t={r.time:.1f}s "
+                f"(p={r.probability:.3f})"
+            )
+        else:
+            print(f"trajectory {r}")
 
+
+def _load_batch_documents(source: str) -> list:
     if source == "-":
         text = sys.stdin.read()
     else:
@@ -881,133 +916,10 @@ def _load_batch_queries(source: str):
         raise CliError("the query input is empty")
     try:
         if text.startswith("["):
-            documents = json.loads(text)
-        else:
-            documents = [
-                json.loads(line) for line in text.splitlines() if line.strip()
-            ]
+            return json.loads(text)
+        return [json.loads(line) for line in text.splitlines() if line.strip()]
     except json.JSONDecodeError as error:
         raise CliError(f"bad query JSON: {error}")
-    try:
-        return documents, [query_from_dict(doc) for doc in documents]
-    except QueryEngineError as error:
-        raise CliError(f"{error}")
-
-
-def _run_query_batch(args) -> int:
-    import os
-
-    from .query.engine import (
-        QueryEngineError,
-        ShardedQueryEngine,
-        result_to_jsonable,
-    )
-
-    documents, queries = _load_batch_queries(args.input)
-    for path in args.archives:
-        if not os.path.exists(path):
-            raise CliError(f"no such archive: {path}")
-    # resolve the network once from the first shard (CLI overrides win)
-    with _open_archive(args.archives[0]) as first:
-        network = _network_from_provenance(first, args)
-    try:
-        with ShardedQueryEngine(
-            args.archives, network=network, workers=args.workers
-        ) as engine:
-            results = engine.run(queries)
-    except QueryEngineError as error:
-        raise CliError(f"{error}")
-    if args.json:
-        for query, result in zip(queries, results):
-            print(json.dumps(result_to_jsonable(query, result)))
-    else:
-        hits = sum(1 for result in results if result)
-        print(
-            f"{len(queries)} queries over {len(args.archives)} "
-            f"shard{'s' if len(args.archives) != 1 else ''} "
-            f"({args.workers} worker{'s' if args.workers != 1 else ''}): "
-            f"{hits} with non-empty results"
-        )
-        for position, (document, result) in enumerate(
-            zip(documents, results)
-        ):
-            print(f"  [{position}] {document.get('kind')}: {len(result)} result(s)")
-    return 0
-
-
-def _run_query(args) -> int:
-    with _open_archive(args.archive) as archive:
-        processor = _query_processor(archive, args)
-        if args.kind == "where":
-            results = processor.where(args.trajectory, args.time, args.alpha)
-            if args.json:
-                print(
-                    json.dumps(
-                        [
-                            {
-                                "instance": r.instance_index,
-                                "edge": list(r.edge),
-                                "ndist": r.ndist,
-                                "probability": r.probability,
-                            }
-                            for r in results
-                        ]
-                    )
-                )
-            else:
-                if not results:
-                    print("no instance qualifies")
-                for r in results:
-                    print(
-                        f"instance {r.instance_index}: edge "
-                        f"{r.edge[0]} -> {r.edge[1]} at {r.ndist:.1f} m "
-                        f"(p={r.probability:.3f})"
-                    )
-        elif args.kind == "when":
-            edge = _parse_pair(args.edge, "--edge")
-            results = processor.when(
-                args.trajectory, edge, args.rd, args.alpha
-            )
-            if args.json:
-                print(
-                    json.dumps(
-                        [
-                            {
-                                "instance": r.instance_index,
-                                "time": r.time,
-                                "probability": r.probability,
-                            }
-                            for r in results
-                        ]
-                    )
-                )
-            else:
-                if not results:
-                    print("no passing time qualifies")
-                for r in results:
-                    print(
-                        f"instance {r.instance_index}: t={r.time:.1f}s "
-                        f"(p={r.probability:.3f})"
-                    )
-        else:  # range
-            from .network.grid import Rect
-
-            parts = args.rect.split(",")
-            if len(parts) != 4:
-                raise CliError(
-                    f"--rect must be 'minx,miny,maxx,maxy', "
-                    f"got {args.rect!r}"
-                )
-            rect = Rect(*(float(p) for p in parts))
-            results = processor.range(rect, args.time, args.alpha)
-            if args.json:
-                print(json.dumps(results))
-            else:
-                if not results:
-                    print("no trajectory qualifies")
-                for trajectory_id in results:
-                    print(f"trajectory {trajectory_id}")
-    return 0
 
 
 def _telemetry_begin(args):
@@ -1018,8 +930,6 @@ def _telemetry_begin(args):
     exported as ``REPRO_LOG_JSON`` so worker subprocesses spawned by
     the run inherit the same sink.
     """
-    import os
-
     from .obs import log as obs_log
     from .obs import metrics as obs_metrics
 
@@ -1052,18 +962,23 @@ def _telemetry_end(args, baseline) -> None:
 
 
 def cmd_serve_bench(args) -> int:
-    if args.wire:
-        return _serve_bench_wire_chaos(args)
-    return _serve_bench_chaos(args)
-
-
-def _serve_bench_chaos(args) -> int:
-    from .workloads.query_bench import run_chaos_bench, write_bench_json
+    """Chaos in the worker pool, or with ``--wire`` through the network:
+    client -> ChaosTCPProxy -> WireServer -> QueryService, with the full
+    worker/shard chaos underneath."""
+    from .workloads import query_bench
     from .workloads.reporting import render_table
 
+    if args.wire:
+        run = query_bench.run_wire_chaos_bench
+        title = "wire chaos benchmark"
+        fault_key, fault_label = "network_faults", "network faults"
+    else:
+        run = query_bench.run_chaos_bench
+        title = "chaos serving benchmark"
+        fault_key, fault_label = "faults_injected", "faults"
     baseline = _telemetry_begin(args)
     try:
-        results, summary = run_chaos_bench(
+        results, summary = run(
             duration=args.duration,
             clients=args.clients,
             quick=args.quick,
@@ -1074,26 +989,33 @@ def _serve_bench_chaos(args) -> int:
     except ValueError as error:
         raise CliError(str(error))
     try:
-        rows = write_bench_json(
+        rows = query_bench.write_bench_json(
             results, args.output, label=args.label, append=args.append
         )
     except OSError as error:
         raise CliError(f"cannot write {args.output}: {error}")
     print(
         render_table(
-            f"chaos serving benchmark ({'quick' if args.quick else 'full'} "
-            f"workload, {summary['duration']}s, {args.clients} clients)",
+            f"{title} ({'quick' if args.quick else 'full'} "
+            f"workload, {summary['duration']}s, {args.clients} clients"
+            f"{' through ChaosTCPProxy' if args.wire else ''})",
             ["label", "benchmark", "unit", "work", "seconds", "rate"],
             rows,
         )
+    )
+    loris = (
+        f"loris connections reaped: {summary['loris_reaped']}; "
+        if args.wire
+        else ""
     )
     print(
         f"availability {summary['availability_percent']}% over "
         f"{summary['requests']} requests "
         f"(p50 {summary['p50_ms']}ms, p99 {summary['p99_ms']}ms); "
         f"outcomes: {summary['outcomes']}; "
-        f"faults: {summary['faults_injected']}; "
+        f"{fault_label}: {summary[fault_key]}; "
         f"routes: {summary['routes']}; "
+        f"{loris}"
         f"mismatches: {summary['result_mismatches']}"
     )
     print(f"wrote {args.output} ({len(rows)} rows)")
@@ -1103,8 +1025,15 @@ def _serve_bench_chaos(args) -> int:
             f"{summary['result_mismatches']} completed results did not "
             f"match the healthy-engine reference"
         )
-    _check_chaos_was_exercised(summary, summary["faults_injected"])
-    _check_availability_floor(args, summary)
+    _check_chaos_was_exercised(summary, summary[fault_key])
+    if (
+        args.availability_floor is not None
+        and summary["availability_percent"] < args.availability_floor
+    ):
+        raise CliError(
+            f"availability {summary['availability_percent']}% is below the "
+            f"required floor of {args.availability_floor}%"
+        )
     return 0
 
 
@@ -1121,73 +1050,6 @@ def _check_chaos_was_exercised(summary: dict, injected: dict) -> None:
         )
 
 
-def _check_availability_floor(args, summary: dict) -> None:
-    floor = getattr(args, "availability_floor", None)
-    if floor is None:
-        return
-    availability = summary["availability_percent"]
-    if availability < floor:
-        raise CliError(
-            f"availability {availability}% is below the required "
-            f"floor of {floor}%"
-        )
-
-
-def _serve_bench_wire_chaos(args) -> int:
-    """Chaos through the network: client -> ChaosTCPProxy -> WireServer
-    -> QueryService, with the full worker/shard chaos underneath."""
-    from .workloads.query_bench import run_wire_chaos_bench, write_bench_json
-    from .workloads.reporting import render_table
-
-    baseline = _telemetry_begin(args)
-    try:
-        results, summary = run_wire_chaos_bench(
-            duration=args.duration,
-            clients=args.clients,
-            quick=args.quick,
-            deadline=args.deadline,
-            workers=args.workers,
-            hotcache_entries=args.hotcache_size,
-        )
-    except ValueError as error:
-        raise CliError(str(error))
-    try:
-        rows = write_bench_json(
-            results, args.output, label=args.label, append=args.append
-        )
-    except OSError as error:
-        raise CliError(f"cannot write {args.output}: {error}")
-    print(
-        render_table(
-            f"wire chaos benchmark ({'quick' if args.quick else 'full'} "
-            f"workload, {summary['duration']}s, {args.clients} clients "
-            f"through ChaosTCPProxy)",
-            ["label", "benchmark", "unit", "work", "seconds", "rate"],
-            rows,
-        )
-    )
-    print(
-        f"availability {summary['availability_percent']}% over "
-        f"{summary['requests']} requests "
-        f"(p50 {summary['p50_ms']}ms, p99 {summary['p99_ms']}ms); "
-        f"outcomes: {summary['outcomes']}; "
-        f"network faults: {summary['network_faults']}; "
-        f"routes: {summary['routes']}; "
-        f"loris connections reaped: {summary['loris_reaped']}; "
-        f"mismatches: {summary['result_mismatches']}"
-    )
-    print(f"wrote {args.output} ({len(rows)} rows)")
-    _telemetry_end(args, baseline)
-    if summary["result_mismatches"]:
-        raise CliError(
-            f"{summary['result_mismatches']} completed results did not "
-            f"match the healthy-engine reference"
-        )
-    _check_chaos_was_exercised(summary, summary["network_faults"])
-    _check_availability_floor(args, summary)
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the wire front-end until SIGTERM/SIGINT, then drain."""
     import asyncio
@@ -1201,11 +1063,7 @@ def cmd_serve(args) -> int:
         WireServerConfig,
     )
 
-    for path in args.archives:
-        if not os.path.exists(path):
-            raise CliError(f"no such archive: {path}")
-    with _open_archive(args.archives[0]) as first:
-        network = _network_from_provenance(first, args)
+    network = _network_of_shards(args.archives, args)
     baseline = _telemetry_begin(args)
     try:
         wire_config = WireServerConfig(
@@ -1355,7 +1213,7 @@ def cmd_stream(args) -> int:
     }
     try:
         return handlers[args.action](args)
-    except (StreamArchiveError, ArchiveFormatError, ValueError) as error:
+    except (StreamArchiveError, ValueError) as error:
         # ValueError: config validation (e.g. --segment-size 0)
         raise CliError(f"{error}")
 
@@ -1425,8 +1283,6 @@ def _stream_replay(args) -> int:
 
 
 def _stream_compact(args) -> int:
-    import os
-
     from .stream import compact
     from .stream.writer import SEGMENT_DIR, load_manifest, manifest_segments
 
@@ -1603,10 +1459,11 @@ def main(argv: list[str] | None = None) -> int:
         # a malformed REPRO_* variable: one operator-facing line
         # instead of an uncaught ValueError traceback
         raise CliError(str(error))
+    except ArchiveFormatError as error:
+        # a foreign or damaged archive, wherever a command read it
+        raise CliError(f"{error.path}: {error}" if error.path else f"{error}")
     except BrokenPipeError:
         # stdout consumer (e.g. `| head`) closed early; exit quietly
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 

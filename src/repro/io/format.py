@@ -118,7 +118,15 @@ _STATS_FIELDS = (
 
 class ArchiveFormatError(Exception):
     """Raised when a file is not a valid version-2 ``.utcq`` archive, or
-    when an archive holds something version 2 cannot store exactly."""
+    when an archive holds something version 2 cannot store exactly.
+
+    ``path`` names the file when the reader that found the problem
+    knows it (:func:`read_header` and
+    :class:`~repro.io.reader.FileBackedArchive` always do); it is not
+    part of the message.
+    """
+
+    path: str | None = None
 
 
 class CorruptArchiveError(ArchiveFormatError):
@@ -129,12 +137,8 @@ class CorruptArchiveError(ArchiveFormatError):
     trajectory id.  Distinct from :class:`ArchiveFormatError` proper
     (wrong magic/version: the file was never one of ours) so a serving
     tier can quarantine a damaged shard instead of treating it like a
-    malformed input.  ``path`` names the damaged file when the reader
-    that found the damage knows it (:class:`~repro.io.reader.
-    FileBackedArchive` always does); it is not part of the message.
+    malformed input.
     """
-
-    path: str | None = None
 
 
 # ----------------------------------------------------------------------
@@ -583,8 +587,16 @@ def decode_directory(
 
 
 def read_header(stream: BinaryIO) -> ArchiveHeader:
-    """Read and validate the header + directory from ``stream`` (at 0)."""
+    """Read and validate the header + directory from ``stream`` (at 0).
+    An :class:`ArchiveFormatError` names the stream's file as ``path``."""
+    try:
+        return _read_header(stream)
+    except ArchiveFormatError as error:
+        error.path = getattr(stream, "name", None)
+        raise
 
+
+def _read_header(stream: BinaryIO) -> ArchiveHeader:
     def take(size: int, what: str) -> bytes:
         data = stream.read(size)
         if len(data) != size:

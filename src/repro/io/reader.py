@@ -108,10 +108,8 @@ class FileBackedArchive:
         stream = open(path, "rb")
         try:
             header = read_header(stream)
-        except Exception as error:
+        except Exception:
             stream.close()
-            if isinstance(error, CorruptArchiveError):
-                error.path = stream.name
             raise
         return cls(stream, header, verify_crc=verify_crc)
 

@@ -100,7 +100,8 @@ class SidecarFormatError(Exception):
 
 
 def sidecar_path_for(archive_path) -> Path:
-    """Default sidecar location: the archive path plus ``.stiu``."""
+    """Where the sidecar of ``archive_path`` lives: the archive path plus
+    ``.stiu``.  The one naming rule; every other module asks here."""
     return Path(str(archive_path) + SIDECAR_SUFFIX)
 
 
@@ -308,19 +309,13 @@ def _decode_spatial(
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def save_index(
-    index: StIUIndex, archive_path, *, sidecar_path=None
-) -> Path:
+def save_index(index: StIUIndex, archive_path) -> Path:
     """Persist ``index`` next to its archive; returns the sidecar path.
 
     The write is atomic (tmp + ``os.replace``), so a concurrent reader
     never observes a half-written sidecar.
     """
-    target = (
-        sidecar_path_for(archive_path)
-        if sidecar_path is None
-        else Path(sidecar_path)
-    )
+    target = sidecar_path_for(archive_path)
     size, digest = archive_fingerprint(archive_path)
     temporal_blob = zlib.compress(_encode_temporal(index), 6)
     spatial_blob = zlib.compress(_encode_spatial(index), 6)
@@ -372,7 +367,6 @@ def load_index(
     archive,
     archive_path,
     *,
-    sidecar_path=None,
     grid_cells_per_side: int = 32,
     time_partition_seconds: int = 1800,
 ) -> StIUIndex | None:
@@ -382,13 +376,8 @@ def load_index(
     sidecar, version bump, parameter mismatch, stale archive
     fingerprint — so the caller's fallback is always a plain build.
     """
-    target = (
-        sidecar_path_for(archive_path)
-        if sidecar_path is None
-        else Path(sidecar_path)
-    )
     try:
-        document = read_sidecar(target)
+        document = read_sidecar(sidecar_path_for(archive_path))
     except (FileNotFoundError, SidecarFormatError):
         return None
     if (
@@ -440,7 +429,6 @@ def load_or_build_index(
     archive,
     archive_path,
     *,
-    sidecar_path=None,
     grid_cells_per_side: int = 32,
     time_partition_seconds: int = 1800,
 ) -> tuple[StIUIndex, bool]:
@@ -455,7 +443,6 @@ def load_or_build_index(
         network,
         archive,
         archive_path,
-        sidecar_path=sidecar_path,
         grid_cells_per_side=grid_cells_per_side,
         time_partition_seconds=time_partition_seconds,
     )

@@ -239,41 +239,30 @@ class StIUIndex:
         *,
         grid_cells_per_side: int = 32,
         time_partition_seconds: int = 1800,
-        sidecar: object = "auto",
-        write_sidecar: bool = False,
     ) -> "StIUIndex":
         """Open ``path`` lazily and index it, preferring the sidecar.
 
-        ``sidecar`` is the persistence policy: ``"auto"`` loads the
-        default ``<path>.stiu`` sidecar when it exists and matches the
-        archive (falling back to a full build otherwise), an explicit
-        path loads that file, and ``None`` always rebuilds.  With
-        ``write_sidecar`` a freshly built index is persisted so the next
-        open is warm.  ``index.loaded_from_sidecar`` records which path
-        was taken.
+        The archive's ``.stiu`` sidecar is loaded when it exists and
+        matches the archive; otherwise the index is built from the
+        records.  ``index.loaded_from_sidecar`` records which path was
+        taken.
 
         The file-backed archive stays open for the index's lifetime (and
         is reachable as ``index.archive`` for a query processor); close
         it via ``index.archive.close()`` when done.
         """
         from ..io.reader import FileBackedArchive
-        from . import sidecar as sidecar_io
+        from .sidecar import load_or_build_index
 
         archive = FileBackedArchive.open(path)
-        explicit = None if sidecar in (None, "auto") else sidecar
-        options = dict(
-            grid_cells_per_side=grid_cells_per_side,
-            time_partition_seconds=time_partition_seconds,
-        )
         try:
-            if sidecar is None:
-                index, loaded = cls(network, archive, **options), False
-            else:
-                index, loaded = sidecar_io.load_or_build_index(
-                    network, archive, path, sidecar_path=explicit, **options
-                )
-            if write_sidecar and not loaded:
-                sidecar_io.save_index(index, path, sidecar_path=explicit)
+            index, _ = load_or_build_index(
+                network,
+                archive,
+                path,
+                grid_cells_per_side=grid_cells_per_side,
+                time_partition_seconds=time_partition_seconds,
+            )
             return index
         except Exception:
             archive.close()

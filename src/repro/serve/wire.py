@@ -402,8 +402,6 @@ class WireServerConfig:
     pipeline_window: int = 8  # in-flight requests per connection
     idle_timeout: float = 300.0  # seconds between frames before close
     read_timeout: float = 10.0  # seconds to deliver one frame's body
-    max_dispatch: int | None = None  # global in-flight cap; None =
-    # the service's max_in_flight
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
@@ -515,15 +513,10 @@ class WireServer:
         self._connections: set[asyncio.StreamWriter] = set()
         self._tasks: set[asyncio.Task] = set()
         self._dispatched = 0
-        limit = self.config.max_dispatch
-        if limit is None:
-            limit = getattr(
-                getattr(service, "config", None), "max_in_flight", 64
-            )
-        self._dispatch_limit = max(1, int(limit))
-        # one thread per request handed to the executor: it gets a
-        # thread immediately, and the shed path above the limit never
-        # waits behind a queue
+        # one thread per request the service may admit, so a request
+        # handed to the executor gets a thread immediately, and the
+        # shed path above the limit never waits behind a queue
+        self._dispatch_limit = max(1, service.config.max_in_flight)
         self._executor = ThreadPoolExecutor(
             max_workers=self._dispatch_limit,
             thread_name_prefix="repro-wire",

@@ -245,10 +245,7 @@ def merge_segments(
         stats.add(segment.stats)
         if network is not None:
             part, _ = load_or_build_index(
-                network,
-                segment,
-                store.segment_path(info.name),
-                sidecar_path=store.sidecar_path(info.name),
+                network, segment, store.segment_path(info.name)
             )
             index_parts.append(part)
     trajectories.sort(key=lambda t: t.trajectory_id)
@@ -273,7 +270,6 @@ def merge_segments(
             save_index(
                 StIUIndex.merged(network, archive, index_parts),
                 store.segment_path(name),
-                sidecar_path=store.sidecar_path(name),
             )
         merged = SegmentInfo(
             name=name,

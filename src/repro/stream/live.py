@@ -44,7 +44,6 @@ from ..io.reader import ArchiveClosedError, FileBackedArchive, UnionArchive
 from ..obs import metrics as obs_metrics
 from .manifest import (
     SEGMENT_DIR,
-    SIDECAR_SUFFIX,
     StreamArchiveError,
     load_manifest,
     manifest_segments,
@@ -301,10 +300,7 @@ class LiveArchive:
                     path = self.directory / SEGMENT_DIR / name
                     try:
                         part, from_sidecar = load_or_build_index(
-                            network,
-                            segment,
-                            path,
-                            sidecar_path=Path(str(path) + SIDECAR_SUFFIX),
+                            network, segment, path
                         )
                         if from_sidecar:
                             self.sidecar_hits += 1

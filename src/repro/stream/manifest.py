@@ -48,7 +48,6 @@ MANIFEST_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 
 SEGMENT_SUFFIX = ".utcq"
-SIDECAR_SUFFIX = ".stiu"
 _SEGMENT_NAME = re.compile(r"^seg-(\d{5,})\.utcq$")
 
 _COMPONENT_FIELDS = (
@@ -322,7 +321,9 @@ class ManifestStore:
         return self.segments_directory / name
 
     def sidecar_path(self, name: str) -> Path:
-        return self.segments_directory / (name + SIDECAR_SUFFIX)
+        from ..query.sidecar import sidecar_path_for
+
+        return sidecar_path_for(self.segment_path(name))
 
     # -- committing -----------------------------------------------------
     def as_manifest(self) -> dict:
@@ -453,6 +454,7 @@ def recover(store: ManifestStore) -> RecoveryReport:
     Idempotent: running it again on the result is a no-op.
     """
     from ..io.format import ArchiveFormatError, read_header
+    from ..query.sidecar import sidecar_path_for
 
     report = RecoveryReport()
     fs = store.fs
@@ -546,11 +548,10 @@ def recover(store: ManifestStore) -> RecoveryReport:
                 fs.unlink(path)
                 report.deleted_segments.append(name)
 
-        for sidecar in sorted(
-            store.segments_directory.glob(f"*{SIDECAR_SUFFIX}")
-        ):
-            owner = sidecar.name[: -len(SIDECAR_SUFFIX)]
-            if owner not in referenced:
+        kept = {store.sidecar_path(name) for name in referenced}
+        every_sidecar = sidecar_path_for("*").name  # a glob pattern
+        for sidecar in sorted(store.segments_directory.glob(every_sidecar)):
+            if sidecar not in kept:
                 fs.unlink(sidecar)
                 report.deleted_sidecars.append(sidecar.name)
 
@@ -569,7 +570,6 @@ __all__ = [
     "ManifestStore",
     "RecoveryReport",
     "SEGMENT_DIR",
-    "SIDECAR_SUFFIX",
     "SegmentInfo",
     "StreamArchiveError",
     "load_manifest",

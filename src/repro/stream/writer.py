@@ -319,9 +319,7 @@ class AppendableArchiveWriter:
         from ..query.stiu import StIUIndex
 
         save_index(
-            StIUIndex(self.network, archive),
-            self.store.segment_path(name),
-            sidecar_path=self.store.sidecar_path(name),
+            StIUIndex(self.network, archive), self.store.segment_path(name)
         )
 
     def close(self) -> None:

@@ -136,6 +136,8 @@ class _ServingFixture:
     def __init__(self, root, *, quick: bool) -> None:
         import os
 
+        from ..pipeline.batch import save_archive_with_index
+
         count = 60 if quick else 240
         scale = 12 if quick else 14
         prof = profile("CD")
@@ -158,7 +160,7 @@ class _ServingFixture:
                 trajectories=archive.trajectories[lo:hi],
             )
             path = os.path.join(root, f"shard-{shard}.utcq")
-            self._save_with_sidecar(part, path)
+            save_archive_with_index(part, path, self.network)
             self.shard_paths.append(path)
         self.distinct, self.stream = build_serving_workload(
             self.network,
@@ -168,13 +170,6 @@ class _ServingFixture:
         )
         #: the distinct queries, each once (sampling can repeat one)
         self.pool = list(dict.fromkeys(self.distinct))
-
-    def _save_with_sidecar(self, archive, path) -> None:
-        from ..query.sidecar import save_index
-        from ..query.stiu import StIUIndex
-
-        archive.save(path)
-        save_index(StIUIndex(self.network, archive), path)
 
 
 def draw_request(fixture: _ServingFixture, rng: random.Random) -> list:

@@ -1,6 +1,7 @@
 """CLI tests: every documented subcommand runs and answers correctly."""
 
 import json
+import shutil
 
 import pytest
 
@@ -78,11 +79,11 @@ def test_info_json(archive_path, capsys):
     )
 
 
-def test_info_counts_only_the_archive_without_a_sidecar(tmp_path, capsys):
+def test_info_counts_only_the_archive_without_a_sidecar(
+    archive_path, tmp_path, capsys
+):
     path = tmp_path / "bare.utcq"
-    assert main(
-        ["compress", str(path), *PROFILE_ARGS, "--no-sidecar", "--quiet"]
-    ) == 0
+    shutil.copyfile(archive_path, path)  # the archive, not its sidecar
     assert main(["info", str(path), "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["stored_bytes"] == document["file_bytes"]
@@ -168,6 +169,92 @@ def test_query_range(archive_path, reference_setup, capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out) == expected
+
+
+# trajectory 0 of the archive lives from t=17413 to t=17662
+SINGLE_QUERIES = [
+    (
+        ["where", "--trajectory", "0", "--time", "17486", "--alpha", "0.1"],
+        {"kind": "where", "trajectory": 0, "time": 17486, "alpha": 0.1},
+    ),
+    (
+        ["when", "--trajectory", "0", "--edge", "105,93", "--rd", "0.5",
+         "--alpha", "0.1"],
+        {"kind": "when", "trajectory": 0, "edge": [105, 93], "rd": 0.5,
+         "alpha": 0.1},
+    ),
+    (
+        ["range", "--rect=0,0,2000,2000", "--time", "17486", "--alpha", "0.2"],
+        {"kind": "range", "rect": [0, 0, 2000, 2000], "time": 17486,
+         "alpha": 0.2},
+    ),
+]
+
+
+def test_single_query_json_is_its_batch_line(archive_path, tmp_path, capsys):
+    """``query where|when|range --json`` prints exactly the line ``query
+    batch --json`` prints for the same spec."""
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(
+        "".join(json.dumps(document) + "\n" for _, document in SINGLE_QUERIES)
+    )
+    assert main(
+        ["query", "batch", str(archive_path), "-i", str(batch), "--json"]
+    ) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(SINGLE_QUERIES)
+    for (argv, _), line in zip(SINGLE_QUERIES, lines):
+        assert json.loads(line), argv  # every spec has an answer
+        kind, *options = argv
+        assert main(
+            ["query", kind, str(archive_path), *options, "--json"]
+        ) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["where", "--trajectory", "0", "--time", "17486", "--alpha", "0.1"],
+            [
+                "instance 0: edge 105 -> 93 at 42.3 m (p=0.391)",
+                "instance 1: edge 105 -> 93 at 42.3 m (p=0.383)",
+                "instance 2: edge 105 -> 93 at 42.3 m (p=0.227)",
+            ],
+        ),
+        (
+            ["where", "--trajectory", "0", "--time", "0"],
+            ["no instance qualifies"],
+        ),
+        (
+            ["when", "--trajectory", "0", "--edge", "105,93", "--rd", "0.5",
+             "--alpha", "0.1"],
+            [
+                "instance 0: t=17491.8s (p=0.391)",
+                "instance 1: t=17492.3s (p=0.383)",
+                "instance 2: t=17491.8s (p=0.227)",
+            ],
+        ),
+        (
+            ["when", "--trajectory", "0", "--edge", "0,1"],
+            ["no passing time qualifies"],
+        ),
+        (
+            ["range", "--rect=0,0,2000,2000", "--time", "17486",
+             "--alpha", "0.2"],
+            ["trajectory 0"],
+        ),
+        (
+            ["range", "--rect=-5,-5,-1,-1", "--time", "17486"],
+            ["no trajectory qualifies"],
+        ),
+    ],
+)
+def test_single_query_text_output(archive_path, capsys, argv, expected):
+    kind, *options = argv
+    assert main(["query", kind, str(archive_path), *options]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_decompress(archive_path, reference_setup, capsys):
@@ -363,6 +450,80 @@ class TestCliErrorContract:
                 "--trajectory", "1", "--time", "0",
             ])
         self.assert_clean_failure(excinfo, capsys)
+
+    @pytest.fixture
+    def damaged(self, archive_path, tmp_path):
+        """A copy of the archive, without its sidecar, with one byte
+        flipped inside the record of trajectory 0."""
+        from repro.io.format import read_header
+
+        with open(archive_path, "rb") as stream:
+            entry = read_header(stream).directory[0]
+        assert entry.trajectory_id == 0
+        data = bytearray(archive_path.read_bytes())
+        data[entry.offset + entry.length // 2] ^= 0xFF
+        path = tmp_path / "damaged.utcq"
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.fixture
+    def foreign(self, tmp_path):
+        path = tmp_path / "foreign.utcq"
+        path.write_bytes(b"not an archive at all")
+        return path
+
+    @pytest.fixture
+    def batch_input(self, tmp_path):
+        path = tmp_path / "queries.jsonl"
+        path.write_text('{"kind": "where", "trajectory": 0, "time": 17486}\n')
+        return path
+
+    def test_query_where_on_a_damaged_record(self, damaged, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "query", "where", str(damaged),
+                "--trajectory", "0", "--time", "17486",
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "CRC mismatch for trajectory 0" in message
+
+    def test_query_batch_on_a_damaged_record(
+        self, damaged, batch_input, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "batch", str(damaged), "-i", str(batch_input)])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "CRC mismatch for trajectory 0" in message
+
+    def test_decompress_a_damaged_record(self, damaged, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompress", str(damaged)])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "CRC mismatch for trajectory 0" in message
+
+    def test_query_batch_with_a_foreign_second_shard(
+        self, archive_path, foreign, batch_input, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "query", "batch", str(archive_path), str(foreign),
+                "-i", str(batch_input),
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "bad magic" in message
+        assert str(foreign) in message
+
+    def test_serve_with_a_foreign_second_shard(
+        self, archive_path, foreign, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "serve", str(archive_path), str(foreign),
+                "--port", "0", "--workers", "1",
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "bad magic" in message
+        assert str(foreign) in message
 
     def test_stream_missing_directory(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -502,8 +502,11 @@ class TestWireServer:
     def test_wire_dispatch_cap_sheds_instead_of_queueing(self):
         gate = threading.Event()
         service = FakeService(gate)
-        config = WireServerConfig(pipeline_window=8, max_dispatch=1)
-        with WireServerThread(service, config=config) as server:
+        # the wire executor is sized by the service's in-flight window
+        service.config = SimpleNamespace(
+            max_in_flight=1, deadline=FakeService.config.deadline
+        )
+        with WireServerThread(service) as server:
             try:
                 with socket.create_connection(
                     ("127.0.0.1", server.port), timeout=5.0

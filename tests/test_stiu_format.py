@@ -9,6 +9,7 @@ caught by the header checks and the deflate checksum; the two inflated
 sections are attacked directly, as if that checksum had collided.
 """
 
+import shutil
 import struct
 import tracemalloc
 
@@ -280,10 +281,12 @@ class TestWriterRefusals:
         from repro.io import ArchiveFormatError
 
         network, archive, path, _ = world
+        copy = tmp_path / "x.utcq"  # the world's own sidecar stays intact
+        shutil.copyfile(path, copy)
         index = StIUIndex(network, archive, time_partition_seconds=PARTITION)
         index.spatial.references[4][0] = float("nan")  # p_total
         with pytest.raises(ArchiveFormatError, match="exactly"):
-            sidecar.save_index(index, path, sidecar_path=tmp_path / "x.stiu")
+            sidecar.save_index(index, copy)
 
 
 def test_a_slice_of_a_parsed_archive_needs_its_stats(world):

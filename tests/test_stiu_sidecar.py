@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from repro.core.compressor import compress_dataset
+from repro.io import FileBackedArchive
 from repro.pipeline.batch import save_archive_with_index
 from repro.query import sidecar
 from repro.query.stiu import StIUIndex
@@ -30,8 +31,18 @@ def world(tmp_path_factory):
     return network, trajectories, archive, path
 
 
-def build_index(network, path, **kwargs):
-    return StIUIndex.over_file(network, path, sidecar=None, **kwargs)
+def build_index(network, path):
+    """A fresh build over the file, whatever sidecar sits beside it."""
+    return StIUIndex(network, FileBackedArchive.open(path))
+
+
+def persist_sidecar(network, path):
+    """Build the index of the archive at ``path`` and save its sidecar."""
+    index = build_index(network, path)
+    try:
+        sidecar.save_index(index, path)
+    finally:
+        index.archive.close()
 
 
 def assert_same_index(a: StIUIndex, b: StIUIndex) -> None:
@@ -43,11 +54,7 @@ def assert_same_index(a: StIUIndex, b: StIUIndex) -> None:
 class TestRoundTrip:
     def test_loaded_index_is_structurally_identical(self, world):
         network, _, _, path = world
-        built = build_index(network, path)
-        try:
-            sidecar.save_index(built, path)
-        finally:
-            built.archive.close()
+        persist_sidecar(network, path)
         loaded = StIUIndex.over_file(network, path)
         rebuilt = build_index(network, path)
         try:
@@ -114,8 +121,7 @@ class TestStaleness:
         network, _, archive, _ = world
         path = tmp_path / "fresh.utcq"
         archive.save(path)
-        index = StIUIndex.over_file(network, path, write_sidecar=True)
-        index.archive.close()
+        persist_sidecar(network, path)
         assert sidecar.sidecar_path_for(path).exists()
         warm = StIUIndex.over_file(network, path)
         try:
@@ -127,8 +133,7 @@ class TestStaleness:
         network, trajectories, archive, _ = world
         path = tmp_path / "mutating.utcq"
         archive.save(path)
-        index = StIUIndex.over_file(network, path, write_sidecar=True)
-        index.archive.close()
+        persist_sidecar(network, path)
         # rewrite the archive with fewer trajectories: same path, new bytes
         smaller = compress_dataset(
             network, trajectories[:10], default_interval=10
@@ -144,8 +149,7 @@ class TestStaleness:
         network, _, archive, _ = world
         path = tmp_path / "flipped.utcq"
         archive.save(path)
-        index = StIUIndex.over_file(network, path, write_sidecar=True)
-        index.archive.close()
+        persist_sidecar(network, path)
         # flip one payload byte without changing the file size
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
@@ -160,8 +164,7 @@ class TestStaleness:
         network, _, archive, _ = world
         path = tmp_path / "params.utcq"
         archive.save(path)
-        index = StIUIndex.over_file(network, path, write_sidecar=True)
-        index.archive.close()
+        persist_sidecar(network, path)
         other_grid = StIUIndex.over_file(
             network, path, grid_cells_per_side=16
         )
@@ -179,8 +182,7 @@ class TestStaleness:
         network, _, archive, _ = world
         path = tmp_path / "versioned.utcq"
         archive.save(path)
-        index = StIUIndex.over_file(network, path, write_sidecar=True)
-        index.archive.close()
+        persist_sidecar(network, path)
         sidecar_path = sidecar.sidecar_path_for(path)
         data = bytearray(sidecar_path.read_bytes())
         struct.pack_into("<H", data, 8, sidecar.VERSION + 1)
@@ -202,8 +204,7 @@ class TestStaleness:
         network, _, archive, _ = world
         path = tmp_path / "lazy.utcq"
         archive.save(path)
-        loaded = StIUIndex.over_file(network, path, write_sidecar=True)
-        loaded.archive.close()
+        persist_sidecar(network, path)
         loaded = StIUIndex.over_file(network, path)
         try:
             assert loaded.loaded_from_sidecar
@@ -222,8 +223,7 @@ class TestStaleness:
         network, _, archive, _ = world
         path = tmp_path / "truncated.utcq"
         archive.save(path)
-        index = StIUIndex.over_file(network, path, write_sidecar=True)
-        index.archive.close()
+        persist_sidecar(network, path)
         sidecar_path = sidecar.sidecar_path_for(path)
         data = sidecar_path.read_bytes()
         sidecar_path.write_bytes(data[: len(data) // 2])
