@@ -50,11 +50,10 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger
 from ..trajectories.model import EdgeKey
-from . import transport as query_transport
 from .hotcache import MISS, HotTrajectoryCache, resolve_hotcache_entries
 from .queries import UTCQQueryProcessor, WhenResult, WhereResult
 from .stiu import StIUIndex
-from .transport import TransportError
+from .transport import TransportError, decode_answers_blob, encode_answers
 
 #: shard sub-batches one request keeps in flight at once
 DISPATCH_WINDOW = 8
@@ -346,59 +345,15 @@ def _open_shard_engine(path, network) -> BatchQueryEngine:
 
 
 # worker-global state, installed by the pool initializer: shard engines
-# (archive + sidecar index + decode cache) persist across batches, and
-# so does the worker's answer slab
+# (archive + sidecar index + decode cache) persist across batches
 _worker_config: dict | None = None
 _worker_engines: dict[str, BatchQueryEngine] = {}
-_worker_slab = None  # SlabWriter | None | False (False: disabled for good)
 
 
 def _init_query_worker(config: dict) -> None:
-    global _worker_config, _worker_slab
+    global _worker_config
     _worker_config = config
     _worker_engines.clear()
-    _worker_slab = None
-
-
-def _worker_slab_writer():
-    """This worker's slab writer, created lazily; None when the slab
-    could not be created (inline fallback)."""
-    global _worker_slab
-    if _worker_slab is False:
-        return None
-    if _worker_slab is not None:
-        return _worker_slab
-    try:
-        _worker_slab = query_transport.SlabWriter(
-            _worker_config["arena"],
-            generation=_worker_config["pool_generation"],
-        )
-    except Exception as error:
-        # no /dev/shm, size limit, permissions: answers ride the pipe
-        _worker_slab = False
-        _log.warning("transport.slab_unavailable", error=str(error))
-        return None
-    return _worker_slab
-
-
-def _transport_payload(answers: list):
-    """Worker-side: ship answers by descriptor when possible.
-
-    A tagged descriptor, or a tagged inline payload when there is no
-    slab, the answers are not codec-expressible, or the slab has no
-    safe room.
-    """
-    writer = _worker_slab_writer()
-    if writer is None:
-        return query_transport.tag_inline(answers)
-    try:
-        blob = query_transport.encode_answers(answers)
-    except query_transport.UnencodableAnswers:
-        return query_transport.tag_inline(answers)
-    descriptor = writer.write(blob)
-    if descriptor is None:
-        return query_transport.tag_inline(answers)
-    return query_transport.tag_descriptor(descriptor)
 
 
 def _shard_engine_for(path: str) -> BatchQueryEngine:
@@ -413,9 +368,11 @@ def _shard_engine_for(path: str) -> BatchQueryEngine:
     return engine
 
 
-def _run_shard_batch(task: tuple):
+def _run_shard_batch(task: tuple) -> bytes:
+    """One shard sub-batch; the answers leave the worker as codec bytes
+    (:func:`repro.query.transport.encode_answers`)."""
     path, queries = task
-    return _transport_payload(_shard_engine_for(path).run(queries))
+    return encode_answers(_shard_engine_for(path).run(queries))
 
 
 def _run_shard_batch_traced(task: tuple) -> dict:
@@ -435,7 +392,7 @@ def _run_shard_batch_traced(task: tuple) -> dict:
         with obs_trace.trace_span("worker.run", queries=len(queries)):
             answers = engine.run(queries)
         with obs_trace.trace_span("worker.encode"):
-            payload = _transport_payload(answers)
+            payload = encode_answers(answers)
     return {"answers": payload, "span": span.to_dict()}
 
 
@@ -446,14 +403,14 @@ def _ping_worker(payload: object) -> tuple[int, object]:
 
 def _graft_shard_span(parent, path, specs, payload: dict, roundtrip: float):
     """Attach a traced task's worker span under ``parent``; returns the
-    bare answers.
+    task's encoded answers.
 
     Shard sub-batches run concurrently, so the ``shard:`` span's wall
     time is the parent-observed submit-to-result round trip (not a
     ``with`` block: by the time the first ``result()`` returns, other
     shards have already been running).  ``ipc_seconds`` is that round
     trip minus the worker's own wall time — pickle out, queue wait,
-    pickle back.
+    answer bytes back.
     """
     shard_span = obs_trace.Span(
         f"shard:{os.path.basename(path)}",
@@ -503,9 +460,6 @@ class ShardWorkerPool:
         self._lock = threading.Lock()
         self._closed = False
         self.generation = 0
-        self._reader = query_transport.SlabReaderPool(
-            config["arena"], generation=0
-        )
         self._executor = self._spawn()
         try:
             # the executor forks on first submit: one ping forks them now
@@ -515,38 +469,19 @@ class ShardWorkerPool:
             raise
 
     def _spawn(self) -> ProcessPoolExecutor:
-        # start the parent's resource tracker before any worker forks:
-        # children inherit it, so slab registrations land in one shared
-        # tracker the parent's unlink can clear.  A worker that starts
-        # its own tracker would warn about "leaked" segments the parent
-        # already reclaimed.
-        from multiprocessing import resource_tracker
-
-        try:
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker unavailable
-            pass
-        # workers see the generation they were spawned into: their slab
-        # names (and entry headers) carry it, so descriptors from a
-        # dead generation can never validate after a respawn
         return ProcessPoolExecutor(
             max_workers=self._workers,
             mp_context=self._context,
             initializer=_init_query_worker,
-            initargs=({**self._config, "pool_generation": self.generation},),
+            initargs=(self._config,),
         )
 
-    @property
-    def transport_arena(self) -> str:
-        """The shm arena id this pool's slabs are named after."""
-        return self._reader.arena
-
-    def decode(self, payload):
-        """Resolve one task payload to answers (see
-        :func:`repro.query.transport.decode_payload`).  Part of the
-        pool duck-type: workers always tag their payloads, so a
+    def decode(self, payload) -> list:
+        """One task result (codec bytes) back to its answer list; raises
+        :class:`~repro.query.transport.TransportError` on a blob that
+        does not decode cleanly.  Part of the pool duck-type: a
         stand-in (chaos proxy, test wrapper) must forward this."""
-        return query_transport.decode_payload(payload, self._reader)
+        return decode_answers_blob(payload)
 
     @property
     def workers(self) -> int:
@@ -569,9 +504,10 @@ class ShardWorkerPool:
     ) -> Future:
         """Hand one shard sub-batch to the pool.
 
-        With ``traced=True`` the worker runs the traced task variant
-        and the future resolves to ``{"answers": [...], "span": {...}}``
-        instead of the bare answer list.
+        The future resolves to the answers' codec bytes (turn them
+        back into results with :meth:`decode`).  With ``traced=True``
+        the worker runs the traced task variant and the future resolves
+        to ``{"answers": <bytes>, "span": {...}}`` instead.
         """
         fn = _run_shard_batch_traced if traced else _run_shard_batch
         return self.submit_call(fn, (str(path), list(specs)))
@@ -641,9 +577,6 @@ class ShardWorkerPool:
             self._executor = self._spawn()
         self._reap(old)
         old.shutdown(wait=False, cancel_futures=True)
-        # stale descriptors now fail fast; dead generations' slabs
-        # are unlinked (including those of crashed workers)
-        self._reader.invalidate(generation)
         obs_metrics.counter(
             "repro_pool_restarts_total",
             help="Worker-pool respawns (new generation of processes)",
@@ -661,7 +594,6 @@ class ShardWorkerPool:
             executor = self._executor
         self._reap(executor)
         executor.shutdown(wait=False, cancel_futures=True)
-        self._reader.close()
 
 
 @dataclass
@@ -700,7 +632,11 @@ class ShardedQueryEngine:
     caches) persists across :meth:`run` calls, so a long-lived server
     pays the spawn and index-load cost once.  :meth:`routes_to_pool`
     decides per batch whether the pool or the calling thread answers.
-    Use as a context manager or call :meth:`close`.
+    A pool task's answers come back through the executor's own result
+    pipe as one ``bytes`` object in the answer codec
+    (:mod:`repro.query.transport`, the bytes the wire protocol sends
+    too), not as a pickled object graph.  Use as a context manager or
+    call :meth:`close`.
 
     ``network`` may be shared by every shard (the usual case: shards of
     one dataset); when ``None`` each worker rebuilds it from the
@@ -739,10 +675,7 @@ class ShardedQueryEngine:
         if len(set(self.shard_paths)) != len(self.shard_paths):
             raise QueryEngineError("duplicate shard paths")
         self.network = network
-        self._config = {
-            "network": network,
-            "arena": query_transport.new_arena_id(),
-        }
+        self._config = {"network": network}
         self._route = self._build_routing(self.shard_paths)
         if workers is None:
             workers = min(len(self.shard_paths), os.cpu_count() or 1)
@@ -950,8 +883,8 @@ class ShardedQueryEngine:
     ) -> bool:
         """The one routing rule: is ``plan`` big enough to split?
 
-        The pool's fixed cost per request (thread hops, pickles, the
-        shm plane) is repaid only by a plan with at least
+        The pool's fixed cost per request (thread hops, pickled specs
+        out, encoded answers back) is repaid only by a plan with at least
         :data:`POOL_MIN_EXECUTIONS` shard executions over at least two
         shards; every other plan is answered faster by
         :meth:`run_in_process` on the calling thread.  ``breaker_open``
@@ -996,9 +929,8 @@ class ShardedQueryEngine:
                 try:
                     payload = self.pool.decode(payload)
                 except TransportError as error:
-                    # Slab unreadable (stale generation, torn entry,
-                    # vanished segment): the worker's answer is lost
-                    # but the batch is not — recompute in-process.
+                    # Answer blob undecodable: the worker's answer is
+                    # lost but the batch is not — recompute in-process.
                     self.transport_fallbacks.inc()
                     _log.warning(
                         "shard.transport_fallback",

@@ -20,7 +20,6 @@ from .chaos import (
     delay_fault,
     disconnect_fault,
     kill_fault,
-    midwrite_kill_fault,
     refuse_fault,
     restore_shard,
     stall_fault,
@@ -73,7 +72,6 @@ __all__ = [
     "restore_shard",
     "kill_fault",
     "delay_fault",
-    "midwrite_kill_fault",
     "refuse_fault",
     "disconnect_fault",
     "truncate_fault",

@@ -36,17 +36,10 @@ from collections import deque
 from pathlib import Path
 
 from ..io.format import read_header
-from ..query import transport as query_transport
-from ..query.engine import (
-    _run_shard_batch,
-    _run_shard_batch_traced,
-    _shard_engine_for,
-    _worker_slab_writer,
-)
+from ..query.engine import _run_shard_batch, _run_shard_batch_traced
 
 KILL = "kill"
 DELAY = "delay"
-MIDWRITE_KILL = "midwrite_kill"
 
 
 def kill_fault() -> tuple:
@@ -57,52 +50,12 @@ def delay_fault(seconds: float) -> tuple:
     return (DELAY, float(seconds))
 
 
-def midwrite_kill_fault() -> tuple:
-    """Die with a half-written slab entry — the torn-write scenario."""
-    return (MIDWRITE_KILL,)
-
-
-def tear_slab_entry(writer, descriptor: dict) -> None:
-    """Blank the second half of a written entry's payload in place:
-    complete header, truncated payload — the on-slab state of a worker
-    killed mid-write."""
-    body = descriptor["offset"] + query_transport._HEADER.size
-    length = descriptor["length"]
-    kept = length // 2
-    writer._shm.buf[body + kept:body + length] = bytes(length - kept)
-
-
-def _die_mid_slab_write(task: tuple) -> None:
-    """Worker-side: compute the real answers, write a slab entry, tear
-    it (:func:`tear_slab_entry`), then die.
-
-    This is the nastiest shm failure shape: the bytes look like an
-    entry but the payload does not match the header's CRC.  The parent
-    must never see it — the worker dies before returning a descriptor,
-    so the supervisor observes ``BrokenProcessPool``, respawns, and the
-    dead generation's slab is swept.  Degrades to a plain kill when the
-    worker has no slab.
-    """
-    writer = _worker_slab_writer()
-    if writer is not None:
-        try:
-            path, queries = task
-            answers = _shard_engine_for(path).run(queries)
-            blob = query_transport.encode_answers(answers)
-            tear_slab_entry(writer, writer.write(blob))
-        except Exception:
-            pass  # dying is the one job left
-    os._exit(1)
-
-
-def _run_shard_batch_with_fault(payload: tuple) -> list:
+def _run_shard_batch_with_fault(payload: tuple):
     """Worker-side: suffer the fault, then (maybe) do the real work."""
     fault, task, traced = payload
     if fault is not None:
         if fault[0] == KILL:
             os._exit(1)  # no cleanup — this is the point
-        elif fault[0] == MIDWRITE_KILL:
-            _die_mid_slab_write(task)
         elif fault[0] == DELAY:
             time.sleep(fault[1])
     if traced:
@@ -140,7 +93,7 @@ class ChaosProxy:
         self._rng = random.Random(seed)
         self._scripted: deque = deque()
         self._lock = threading.Lock()
-        self.injected = {KILL: 0, DELAY: 0, MIDWRITE_KILL: 0}
+        self.injected = {KILL: 0, DELAY: 0}
 
     # ------------------------------------------------------------------
     # fault scheduling
@@ -191,10 +144,6 @@ class ChaosProxy:
 
     def decode(self, payload):
         return self._pool.decode(payload)
-
-    @property
-    def transport_arena(self) -> str:
-        return self._pool.transport_arena
 
     def worker_pids(self) -> list[int]:
         return self._pool.worker_pids()

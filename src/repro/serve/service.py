@@ -22,7 +22,8 @@ long-lived front-end can actually lean on:
   :class:`~repro.query.engine.BatchQueryEngine` over the union of the
   open shards.  A **circuit breaker** watches pool outcomes; a
   pool-routed shard task the pool cannot answer (breaker refusing,
-  attempts exhausted, slab unreadable) is answered in process instead.
+  attempts exhausted, answer bytes undecodable) is answered in process
+  instead.
   An in-process engine that raises is dropped, reopened and asked
   **once more**; a second failure surfaces.  Both rungs produce
   results pinned identical to the one-at-a-time processor (and
@@ -679,7 +680,7 @@ class QueryService:
 
         By the pool, or in process (:meth:`~repro.query.engine.
         ShardedQueryEngine.run_local`) when the breaker refuses, the
-        attempts are exhausted or the slab cannot be read back.
+        attempts are exhausted or the answer bytes do not decode.
         Corruption on either rung quarantines the shard whose file
         raised.
         """
@@ -725,8 +726,8 @@ class QueryService:
             return self.engine.pool.decode(payload)
         except TransportError as error:
             # the worker answered (pool is healthy — the breaker
-            # already recorded the success) but its slab could not be
-            # read back; recompute in process instead of failing the
+            # already recorded the success) but its answer bytes did
+            # not decode; recompute in process instead of failing the
             # request
             self.engine.transport_fallbacks.inc()
             _log.warning(

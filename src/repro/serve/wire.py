@@ -2,7 +2,7 @@
 
 Until this module, :class:`~repro.serve.service.QueryService` was only
 reachable in-process; supervision, admission control, and
-the shm data plane had never been exercised against the failure modes
+the worker pool had never been exercised against the failure modes
 a real network brings.  ``repro.serve.wire`` puts a hardened TCP
 server in front of the service:
 
@@ -20,10 +20,9 @@ server in front of the service:
 A request body carries the client id, an optional per-request deadline
 and a packed query list; a response body is the rung that answered
 (the mode byte: 0 sharded, 1 batch, 255 none; 2 is retired) plus the
-PR 9 answer codec blob
-(:func:`repro.query.transport.encode_answers` — the same bytes the shm
-slabs carry, so the wire and the data plane cannot drift); an error
-body is a typed code + ``retry_after`` + message, one code per
+answer codec blob (:func:`repro.query.transport.encode_answers` — the
+same bytes a pool worker returns for its shard task, so the wire and
+the pool cannot drift); an error body is a typed code + ``retry_after`` + message, one code per
 :class:`~repro.serve.service.ServiceResponse` outcome.  The CRC means
 a corrupted frame is *detected*, answered with a typed error frame,
 and never parsed — a bad frame can cost a retry, never a wrong answer.

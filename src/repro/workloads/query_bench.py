@@ -474,9 +474,9 @@ def run_wire_chaos_bench(
     :class:`~repro.serve.WireClient` → seeded
     :class:`~repro.serve.ChaosTCPProxy` →
     :class:`~repro.serve.WireServerThread` →
-    :class:`~repro.serve.QueryService` → worker pool and shm transport
-    — while the proxy refuses connections, disconnects mid-frame,
-    truncates frames, corrupts bytes in flight, and stalls chunks, and
+    :class:`~repro.serve.QueryService` → worker pool — while the
+    proxy refuses connections, disconnects mid-frame, truncates
+    frames, corrupts bytes in flight, and stalls chunks, and
     a dedicated **slow-loris** thread holds half-sent headers open
     until the server's read deadlines reap them.  Clients retry with
     jittered backoff, so availability measures *end-to-end* recovery:

@@ -1,18 +1,15 @@
-"""Shared-memory result transport: codec, slab protocol, lifecycle.
+"""Pool result transport: the answer codec, and the pool over it.
 
 The pins, in order of blast radius:
 
 * the binary answer codec round-trips every result shape bit-exactly
-  (``struct`` doubles are lossless) and refuses anything else;
-* a descriptor is only ever trusted after full validation — stale
-  generation, forged offsets, overwritten entries, and torn writes all
-  raise :class:`TransportError`, never return wrong answers;
-* the parent owns slab lifecycle: ``close()`` and generation
-  invalidation leave ``/dev/shm`` empty, including slabs of workers
-  that died without answering;
-* the sharded engine produces oracle-identical answers whether a
-  task's answers come back as a slab descriptor or — no slab, or an
-  answer larger than the slab — inline.
+  (``struct`` doubles are lossless), refuses anything else, and raises
+  :class:`TransportError` for any blob that is not exactly one encoded
+  answer list — truncated, or with bytes left over;
+* the sharded engine's pool, whose workers return that codec's bytes
+  through the executor's own pipe, produces oracle-identical answers,
+  also across a worker crash and a pool restart;
+* close() and restart() never wait on a wedged worker.
 """
 
 import os
@@ -23,34 +20,15 @@ from repro.core.archive import CompressedArchive
 from repro.core.compressor import compress_dataset
 from repro.query import StIUIndex, ShardedQueryEngine, save_index
 from repro.query.queries import WhenResult, WhereResult
-from repro.query import transport as query_transport
-from repro.query.engine import DISPATCH_WINDOW
 from repro.query.transport import (
-    SLAB_KEEP,
-    TAG_INLINE,
-    TAG_SHM,
-    SlabReaderPool,
-    SlabWriter,
     TransportError,
     UnencodableAnswers,
     decode_answers_blob,
-    decode_payload,
     encode_answers,
-    list_arena_slabs,
-    new_arena_id,
-    slab_name,
-    tag_descriptor,
-    tag_inline,
 )
-from repro.serve.chaos import tear_slab_entry
 from repro.trajectories.datasets import load_dataset
 
 from test_query_engine import pool_sized_queries
-
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"),
-    reason="POSIX shared memory is not file-backed here",
-)
 
 
 # ----------------------------------------------------------------------
@@ -92,230 +70,34 @@ class TestAnswerCodec:
         with pytest.raises(TransportError):
             decode_answers_blob(blob[: len(blob) - 4])
 
+    def test_trailing_bytes_are_typed(self):
+        blob = encode_answers([RANGE])
+        with pytest.raises(TransportError, match="trailing"):
+            decode_answers_blob(blob + b"junk")
+        with pytest.raises(TransportError, match="trailing"):
+            decode_answers_blob(memoryview(blob + b"\x00"))
+
     def test_decodes_from_memoryview(self):
         blob = encode_answers([RANGE])
         assert decode_answers_blob(memoryview(blob)) == [RANGE]
 
 
 # ----------------------------------------------------------------------
-# slab writer + reader validation
-# ----------------------------------------------------------------------
-@pytest.fixture
-def arena():
-    arena = new_arena_id()
-    yield arena
-    for name in list_arena_slabs(arena):
-        from repro.query.transport import unlink_slab
-
-        unlink_slab(name)
-
-
-def make_pair(arena, *, generation=0, size=256 * 1024, keep=4):
-    writer = SlabWriter(arena, generation=generation, size=size, keep=keep)
-    reader = SlabReaderPool(arena, generation=generation)
-    return writer, reader
-
-
-class TestSlabProtocol:
-    def test_write_then_decode_round_trips(self, arena):
-        writer, reader = make_pair(arena)
-        try:
-            answers = [WHERE, WHEN, RANGE, []]
-            descriptor = writer.write(encode_answers(answers))
-            assert descriptor is not None
-            assert descriptor["slab"] == writer.name
-            assert reader.decode(descriptor) == answers
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_many_writes_each_descriptor_valid(self, arena):
-        writer, reader = make_pair(arena)
-        try:
-            descriptors = []
-            for i in range(writer.keep):
-                descriptors.append(writer.write(encode_answers([[i]])))
-            for i, descriptor in enumerate(descriptors):
-                assert reader.decode(descriptor) == [[i]]
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_torn_write_fails_crc(self, arena):
-        writer, reader = make_pair(arena)
-        try:
-            descriptor = writer.write(encode_answers([RANGE]))
-            tear_slab_entry(writer, descriptor)
-            with pytest.raises(TransportError, match="CRC|torn"):
-                reader.decode(descriptor)
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_stale_generation_is_rejected(self, arena):
-        writer = SlabWriter(arena, generation=0, size=256 * 1024)
-        reader = SlabReaderPool(arena, generation=1)
-        try:
-            descriptor = writer.write(encode_answers([RANGE]))
-            with pytest.raises(TransportError, match="stale"):
-                reader.decode(descriptor)
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_forged_offset_is_rejected(self, arena):
-        writer, reader = make_pair(arena)
-        try:
-            descriptor = writer.write(encode_answers([RANGE]))
-            forged = {**descriptor, "offset": writer.size + 64}
-            with pytest.raises(TransportError, match="bounds"):
-                reader.decode(forged)
-            shifted = {**descriptor, "offset": descriptor["offset"] + 8}
-            with pytest.raises(TransportError):
-                reader.decode(shifted)
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_overwritten_entry_is_detected(self, arena):
-        # tiny slab, tiny keep: old entries get overwritten quickly
-        writer, reader = make_pair(arena, size=64 * 1024, keep=1)
-        try:
-            stale = writer.write(encode_answers([RANGE]))
-            blob = encode_answers([list(range(4000))])
-            for _ in range(40):  # wrap the slab several times over
-                assert writer.write(blob) is not None
-            with pytest.raises(TransportError):
-                reader.decode(stale)
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_protected_tail_is_never_overwritten(self, arena):
-        writer, reader = make_pair(arena, size=64 * 1024, keep=8)
-        try:
-            blob = encode_answers([list(range(500))])
-            window = []
-            for i in range(200):
-                descriptor = writer.write(blob)
-                assert descriptor is not None
-                window.append(descriptor)
-                window = window[-writer.keep :]
-                # the most recent ``keep`` descriptors always validate
-                for held in window:
-                    reader.decode(held)
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_oversized_payload_refused_not_torn(self, arena):
-        writer, reader = make_pair(arena, size=64 * 1024)
-        try:
-            assert writer.write(b"x" * (128 * 1024)) is None
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_malformed_descriptor_is_typed(self, arena):
-        _, reader = make_pair(arena)
-        try:
-            with pytest.raises(TransportError):
-                reader.decode({"slab": "x"})
-            with pytest.raises(TransportError):
-                reader.decode(None)
-        finally:
-            reader.close()
-
-    def test_missing_slab_is_typed(self, arena):
-        _, reader = make_pair(arena)
-        try:
-            with pytest.raises(TransportError, match="gone"):
-                reader.decode(
-                    {
-                        "slab": slab_name(arena, 0, 999999),
-                        "offset": 0,
-                        "length": 8,
-                        "generation": 0,
-                        "seq": 0,
-                        "crc": 0,
-                    }
-                )
-        finally:
-            reader.close()
-
-
-class TestPayloadTagging:
-    def test_plain_payload_passes_through(self):
-        assert decode_payload([[1, 2]], None) == [[1, 2]]
-
-    def test_inline_tag_unwraps(self):
-        assert decode_payload(tag_inline([WHERE]), None) == [WHERE]
-
-    def test_descriptor_without_reader_is_typed(self):
-        with pytest.raises(TransportError, match="no slab reader"):
-            decode_payload(tag_descriptor({"slab": "x"}), None)
-
-
-# ----------------------------------------------------------------------
-# lifecycle: /dev/shm hygiene under close, crash, and respawn
-# ----------------------------------------------------------------------
-class TestSlabLifecycle:
-    def test_close_unlinks_every_slab(self, arena):
-        writer, reader = make_pair(arena)
-        descriptor = writer.write(encode_answers([RANGE]))
-        reader.decode(descriptor)  # reader is attached now
-        writer.close()
-        assert list_arena_slabs(arena)  # alive until the parent sweeps
-        reader.close()
-        assert list_arena_slabs(arena) == []
-
-    def test_close_sweeps_slabs_never_decoded(self, arena):
-        # a worker that crashed before answering once: the parent never
-        # attached its slab, the /dev/shm scan still reclaims it
-        writer = SlabWriter(arena, generation=0, size=256 * 1024)
-        writer.write(encode_answers([RANGE]))
-        writer.close()
-        reader = SlabReaderPool(arena, generation=0)
-        assert reader.close() == 1
-        assert list_arena_slabs(arena) == []
-
-    def test_invalidate_sweeps_dead_generations_only(self, arena):
-        old = SlabWriter(arena, generation=0, size=256 * 1024)
-        live = SlabWriter(arena, generation=1, size=256 * 1024)
-        reader = SlabReaderPool(arena, generation=0)
-        try:
-            stale = old.write(encode_answers([RANGE]))
-            reader.decode(stale)
-            assert reader.invalidate(new_generation=1) == 1
-            assert list_arena_slabs(arena) == [live.name]
-            # the stale descriptor can never validate again
-            with pytest.raises(TransportError, match="stale"):
-                reader.decode(stale)
-            fresh = live.write(encode_answers([RANGE]))
-            assert reader.decode(fresh) == [RANGE]
-        finally:
-            old.close()
-            live.close()
-            assert reader.close() == 1
-            assert list_arena_slabs(arena) == []
-
-
-# ----------------------------------------------------------------------
-# the engine over real worker processes: descriptors and inline payloads
+# the engine over real worker processes
 # ----------------------------------------------------------------------
 SHARDS = 2
 
 
 class RecordingPool:
-    """Forwarding pool stand-in that notes, parent side, the tag of
+    """Forwarding pool stand-in that notes, parent side, the type of
     every task payload handed to ``decode``."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.tags = []
+        self.types = []
 
     def decode(self, payload):
-        self.tags.append(payload[0])
+        self.types.append(type(payload))
         return self.inner.decode(payload)
 
     def __getattr__(self, name):
@@ -346,9 +128,7 @@ def sharded_world(tmp_path_factory):
 
 
 class TestEngineTransports:
-    def test_both_transports_match_single_process_oracle(
-        self, sharded_world, monkeypatch
-    ):
+    def test_pool_matches_single_process_oracle(self, sharded_world):
         network, shard_paths, queries = sharded_world
         with ShardedQueryEngine(
             shard_paths, network=network, workers=1
@@ -360,68 +140,8 @@ class TestEngineTransports:
             engine.pool = recording = RecordingPool(engine.pool)
             assert engine.run(queries) == expected
             assert engine.run(queries) == expected
-            assert set(recording.tags) == {TAG_SHM}
-
-        # a host where no slab can be created: the patch is in place
-        # before the pool forks, so every worker falls back to inline
-        def no_shared_memory(self, *args, **kwargs):
-            raise OSError("no shared memory on this host")
-
-        monkeypatch.setattr(SlabWriter, "__init__", no_shared_memory)
-        with ShardedQueryEngine(
-            shard_paths, network=network, workers=2
-        ) as engine:
-            engine.pool = recording = RecordingPool(engine.pool)
-            arena = engine.pool.transport_arena
-            assert engine.run(queries) == expected
-            assert list_arena_slabs(arena) == []
-            assert engine.run(queries) == expected
-            assert set(recording.tags) == {TAG_INLINE}
-        assert list_arena_slabs(arena) == []
-
-    def test_answer_larger_than_the_slab_rides_inline(
-        self, sharded_world, monkeypatch
-    ):
-        network, shard_paths, queries = sharded_world
-        with ShardedQueryEngine(
-            shard_paths, network=network, workers=1
-        ) as oracle:
-            expected = oracle.run(queries)
-            blob_sizes = sorted(
-                len(encode_answers(oracle.run_local(path, specs)))
-                for path, specs in oracle.plan(queries).tasks.items()
-            )
-        assert blob_sizes[0] < blob_sizes[-1]  # the fixture's shards differ
-        # room for every shard's answers but the largest, by one byte
-        monkeypatch.setattr(
-            query_transport,
-            "SLAB_BYTES",
-            query_transport._HEADER.size + blob_sizes[-1] - 1,
-        )
-        with ShardedQueryEngine(
-            shard_paths, network=network, workers=2
-        ) as engine:
-            engine.pool = recording = RecordingPool(engine.pool)
-            arena = engine.pool.transport_arena
-            assert engine.run(queries) == expected
-            assert engine.run(queries) == expected
-            assert {TAG_SHM, TAG_INLINE} <= set(recording.tags)
-        assert list_arena_slabs(arena) == []
-
-    def test_hedged_window_fits_inside_the_protected_tail(self):
-        # a worker may be handed, before the parent reads any of them,
-        # one task per dispatch slot plus one hedge each; none of those
-        # descriptors may point at bytes the writer is free to reuse
-        assert 2 * DISPATCH_WINDOW < SLAB_KEEP
-
-    def test_engine_close_leaves_no_shm_residue(self, sharded_world):
-        network, shard_paths, queries = sharded_world
-        engine = ShardedQueryEngine(shard_paths, network=network, workers=2)
-        arena = engine.pool.transport_arena
-        engine.run(queries)
-        assert list_arena_slabs(arena)  # workers materialised slabs
-        engine.close()
-        assert list_arena_slabs(arena) == []
+            # every task came back as codec bytes, one per shard task
+            assert recording.types == [bytes] * (2 * SHARDS)
 
     def test_worker_crash_then_restart_sweeps_and_recovers(
         self, sharded_world
@@ -436,7 +156,6 @@ class TestEngineTransports:
             shard_paths, network=network, workers=2
         ) as engine:
             expected = engine.run(queries)
-            arena = engine.pool.transport_arena
             os.kill(engine.pool.worker_pids()[0], signal.SIGKILL)
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
@@ -449,12 +168,7 @@ class TestEngineTransports:
                 pytest.fail("killed worker never surfaced")
             engine.restart_pool()
             assert engine.run(queries) == expected
-            generation = engine.pool.generation
-            assert generation >= 1
-            # every surviving slab belongs to the live generation
-            for name in list_arena_slabs(arena):
-                assert f"-g{generation}-" in name
-        assert list_arena_slabs(arena) == []
+            assert engine.pool.generation >= 1
 
 
 # ----------------------------------------------------------------------

@@ -158,6 +158,11 @@ class TestFrameCodec:
         assert mode == "sharded"
         assert back == results
 
+    def test_response_body_with_trailing_bytes_is_malformed(self):
+        body = wire.encode_response_body("sharded", [[1, 2, 3]])
+        with pytest.raises(WireProtocolError, match="trailing"):
+            wire.decode_response_body(body + b"junk")
+
     def test_mode_byte_is_pinned_and_retired_code_still_parses(self):
         results = [[4], []]
         for mode, code in (("sharded", 0), ("batch", 1), ("", 255)):
@@ -715,8 +720,8 @@ class TestWireOverRealService:
         self, dataset, wire_world
     ):
         network, shard_paths, _, _ = wire_world
-        # pool-sized, so the answers cross the worker pool and the shm
-        # plane as well as the socket
+        # pool-sized, so the answers cross the worker pool as well as
+        # the socket
         queries = pool_sized_queries(*dataset, shard_paths, seed=9)
         with ShardedQueryEngine(
             shard_paths, network=network, workers=1
