@@ -273,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard worker processes (default: 4)",
     )
     serve_bench.add_argument(
-        "--hotcache-size", type=int, default=None, metavar="N",
-        help="entries in the Zipf-aware hot-answer cache in front of "
-        "the decode layer (0 disables; default: REPRO_HOTCACHE, else 0)",
-    )
-    serve_bench.add_argument(
         "--duration", type=float, default=30.0,
         help="seconds to keep the service under load (default: 30)",
     )
@@ -354,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds a frame body may take to arrive before the "
         "connection is closed — the slow-loris bound (default: 10)",
     )
-    serve.add_argument(
-        "--hotcache-size", type=int, default=None, metavar="N",
-        help="hot-answer cache entries (0 disables; default: "
-        "REPRO_HOTCACHE, else 0)",
-    )
     _add_dataset_arguments(serve)
     _add_telemetry_arguments(serve)
 
@@ -421,42 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     compact_ = actions.add_parser(
         "compact",
         help="merge segments: into one canonical .utcq archive (with "
-        "OUTPUT), or in place under an LSM policy (--policy/--daemon)",
+        "OUTPUT), or in place under the size-tiered policy",
     )
     compact_.add_argument("directory", help="stream-archive directory")
     compact_.add_argument(
         "output", nargs="?", default=None,
-        help="path of the canonical archive to write (omit to run "
-        "in-place policy compaction instead)",
-    )
-    compact_.add_argument(
-        "--policy", choices=("size-tiered", "leveled"), default=None,
-        help="in-place merge policy (default when no OUTPUT: size-tiered)",
+        help="path of the canonical archive to write (omit to merge "
+        "in place until the policy finds no work)",
     )
     compact_.add_argument(
         "--min-merge", type=int, default=4,
-        help="size-tiered: segments per merge, minimum (default: 4)",
+        help="in place: segments per merge, minimum (default: 4)",
     )
     compact_.add_argument(
         "--max-merge", type=int, default=8,
-        help="size-tiered: segments per merge, maximum (default: 8)",
-    )
-    compact_.add_argument(
-        "--fanout", type=int, default=4,
-        help="leveled: segments per level before promotion (default: 4)",
-    )
-    compact_.add_argument(
-        "--daemon", action="store_true",
-        help="keep compacting on a background thread for --duration "
-        "seconds instead of draining once and exiting",
-    )
-    compact_.add_argument(
-        "--interval", type=float, default=0.5,
-        help="daemon poll interval in seconds (default: 0.5)",
-    )
-    compact_.add_argument(
-        "--duration", type=float, default=10.0,
-        help="how long the daemon runs in seconds (default: 10)",
+        help="in place: segments per merge, maximum (default: 8)",
     )
     _add_telemetry_arguments(compact_)
 
@@ -984,7 +953,6 @@ def cmd_serve_bench(args) -> int:
             quick=args.quick,
             deadline=args.deadline,
             workers=args.workers,
-            hotcache_entries=args.hotcache_size,
         )
     except ValueError as error:
         raise CliError(str(error))
@@ -1082,7 +1050,6 @@ def cmd_serve(args) -> int:
             config=ServiceConfig(
                 deadline=args.deadline,
                 max_in_flight=args.max_in_flight,
-                hotcache_entries=args.hotcache_size,
             ),
         )
     except (QueryEngineError, ValueError) as error:
@@ -1283,11 +1250,15 @@ def _stream_replay(args) -> int:
 
 
 def _stream_compact(args) -> int:
-    """``stream compact DIR`` merges segments in place under a policy;
-    ``stream compact DIR OUTPUT`` writes one canonical archive."""
-    import time as _time
-
-    from .stream import CompactionDaemon, compact, load_manifest, make_policy
+    """``stream compact DIR`` merges segments in place, size-tiered,
+    until no merge is left; ``stream compact DIR OUTPUT`` writes one
+    canonical archive."""
+    from .stream import (
+        CompactionDaemon,
+        SizeTieredPolicy,
+        compact,
+        load_manifest,
+    )
 
     baseline = _telemetry_begin(args)
     manifest = load_manifest(args.directory)
@@ -1310,31 +1281,15 @@ def _stream_compact(args) -> int:
                 "index sidecar (queries will rebuild the index on open)"
             )
     else:
-        policy_name = args.policy or "size-tiered"
-        if policy_name == "size-tiered":
-            policy = make_policy(
-                policy_name,
-                min_merge=args.min_merge,
-                max_merge=args.max_merge,
-            )
-        else:
-            policy = make_policy(policy_name, fanout=args.fanout)
+        policy = SizeTieredPolicy(
+            min_merge=args.min_merge, max_merge=args.max_merge
+        )
         daemon = CompactionDaemon(
-            args.directory,
-            policy=policy,
-            network=network,
-            interval=args.interval,
+            args.directory, policy=policy, network=network
         )
         before = len(manifest["segments"])
-        if args.daemon:
-            daemon.start()
-            try:
-                _time.sleep(args.duration)
-            finally:
-                stats = daemon.stop()
-        else:
-            daemon.run_once()
-            stats = daemon.stats
+        daemon.run_once()
+        stats = daemon.stats
         after = len(load_manifest(args.directory)["segments"])
         print(
             f"{policy.describe()}: {stats.merges} merge(s), "

@@ -1,12 +1,12 @@
 """Typed parsing of the ``REPRO_*`` environment knobs.
 
 Before this module every tunable read its variable ad hoc —
-``hotcache.py`` / ``shortest_path.py`` / ``decoder.py`` / ``obs/log.py``
-each had their own copy of the try/except — and, worse, each copy
-*silently fell back to the default* on a malformed value, so
-``REPRO_HOTCACHE=many`` quietly ran with the cache off instead of
-telling the operator their deployment knob was ignored.  The variables
-are listed in ``docs/architecture.md`` ("Configuration").
+``shortest_path.py`` / ``decoder.py`` / ``obs/log.py`` each had their
+own copy of the try/except — and, worse, each copy *silently fell back
+to the default* on a malformed value, so
+``REPRO_DECODE_CACHE_BYTES=many`` quietly ran with the default budget
+instead of telling the operator their deployment knob was ignored.
+The variables are listed in ``docs/architecture.md`` ("Configuration").
 
 These helpers centralize the contract:
 

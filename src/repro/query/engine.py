@@ -50,7 +50,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger
 from ..trajectories.model import EdgeKey
-from .hotcache import MISS, HotTrajectoryCache, resolve_hotcache_entries
 from .queries import UTCQQueryProcessor, WhenResult, WhereResult
 from .stiu import StIUIndex
 from .transport import TransportError, decode_answers_blob, encode_answers
@@ -611,7 +610,6 @@ class BatchPlan:
     tasks: dict = field(default_factory=dict)
     answers: dict = field(default_factory=dict)
     range_specs: list = field(default_factory=list)
-    cached: set = field(default_factory=set)  # specs served by hotcache
 
     @property
     def total(self) -> int:
@@ -620,8 +618,8 @@ class BatchPlan:
     @property
     def executions(self) -> int:
         """Shard executions the plan costs: one per (shard, distinct
-        spec).  Hot-cache hits and unknown ids are in no task and cost
-        nothing; a range spec counts once per shard."""
+        spec).  Unknown ids are in no task and cost nothing; a range
+        spec counts once per shard."""
         return sum(len(specs) for specs in self.tasks.values())
 
 
@@ -667,7 +665,6 @@ class ShardedQueryEngine:
         network=None,
         workers: int | None = None,
         pool: ShardWorkerPool | None = None,
-        hotcache_entries: int | None = None,
     ) -> None:
         if not shard_paths:
             raise QueryEngineError("at least one shard path is required")
@@ -687,10 +684,6 @@ class ShardedQueryEngine:
         self._parts: dict[str, StIUIndex] = {}
         self._union: BatchQueryEngine | None = None
         self._union_cache = self._new_union_cache()
-        entries = resolve_hotcache_entries(hotcache_entries)
-        self.hotcache = (
-            HotTrajectoryCache(entries) if entries > 0 else None
-        )
         self.transport_fallbacks = obs_metrics.counter(
             "repro_transport_fallbacks_total",
             help="Shard tasks re-executed locally after a transport error",
@@ -769,12 +762,9 @@ class ShardedQueryEngine:
         Duplicate queries are collapsed here — each distinct spec is
         shipped to (and answered by) each involved shard exactly once
         per batch.  ``gate`` (when given) is called with every shard
-        path a spec would need, *before* any hot-cache short circuit —
-        so a quarantined shard refuses its queries even when their
-        answers are cached (the serving tier's contract: no answers
-        from behind a quarantine).  Hot-cache hits land directly in
-        ``plan.answers`` and never become shard tasks — for a sharded
-        request that is the whole IPC cost of the spec, gone.
+        path a spec would need, so a quarantined shard refuses its
+        queries (the serving tier's contract: no answers from behind a
+        quarantine).
         """
         plan = BatchPlan()
         for position, query in enumerate(queries):
@@ -795,12 +785,6 @@ class ShardedQueryEngine:
             if gate is not None:
                 for path in involved:
                     gate(path)
-            if self.hotcache is not None:
-                hit = self.hotcache.get(spec)
-                if hit is not MISS:
-                    plan.answers[spec] = hit
-                    plan.cached.add(spec)
-                    continue
             if isinstance(spec, RangeQuery):
                 plan.range_specs.append(spec)
             for path in involved:
@@ -812,27 +796,19 @@ class ShardedQueryEngine:
 
         ``task_results`` yields ``(specs, shard_answers)`` pairs, one
         per executed task; range answers are unioned across shards.
-        Freshly computed answers are offered to the hot cache here —
-        after the union, so a cached range answer is always the full
-        cross-shard merge.
         """
         answers = dict(plan.answers)
         partial_ranges: dict[Query, set[int]] = {
             spec: set() for spec in plan.range_specs
         }
-        executed: set = set()
         for specs, shard_answers in task_results:
             for spec, answer in zip(specs, shard_answers):
-                executed.add(spec)
                 if isinstance(spec, RangeQuery):
                     partial_ranges[spec].update(answer)
                 else:
                     answers[spec] = answer
         for spec, union in partial_ranges.items():
             answers[spec] = sorted(union)
-        if self.hotcache is not None:
-            for spec in executed:
-                self.hotcache.offer(spec, answers[spec])
 
         results: list = [None] * plan.total
         for spec, positions in plan.slots.items():
@@ -840,14 +816,6 @@ class ShardedQueryEngine:
             for position in positions:
                 results[position] = answer
         return results
-
-    def clear_hotcache(self) -> None:
-        """Drop every hot-cached answer (no-op when the tier is off).
-
-        The serving tier calls this whenever its view of shard
-        immutability resets — quarantine and re-admission."""
-        if self.hotcache is not None:
-            self.hotcache.clear()
 
     # ------------------------------------------------------------------
     # execution
@@ -951,9 +919,9 @@ class ShardedQueryEngine:
 
     def run_in_process(self, plan: BatchPlan) -> list:
         """Answer a whole plan on the calling thread: **one** run of the
-        union engine over the plan's distinct specs that are neither
-        hot-cached nor unknown, so a range spec executes once however
-        many shards it spans.  Returns :meth:`merge`'s ``task_results``
+        union engine over the plan's distinct specs that are not
+        unknown, so a range spec executes once however many shards it
+        spans.  Returns :meth:`merge`'s ``task_results``
         (a single task).
 
         Where every plan :meth:`routes_to_pool` keeps off the pool runs

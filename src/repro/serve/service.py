@@ -129,8 +129,6 @@ class ServiceConfig:
     breaker_reset: float = 1.0
     quarantine_reprobe: float = 0.5
     health_interval: float | None = 1.0  # None: no background probing
-    # None: engine resolves REPRO_HOTCACHE (default off)
-    hotcache_entries: int | None = None
 
     def __post_init__(self) -> None:
         if self.deadline <= 0:
@@ -267,7 +265,6 @@ class QueryService:
             network=network,
             workers=workers,
             pool=pool,
-            hotcache_entries=self.config.hotcache_entries,
         )
         if pool_wrapper is not None and self.engine.pool is not None:
             # chaos seam: e.g. pool_wrapper=lambda p: ChaosProxy(p, ...)
@@ -424,7 +421,7 @@ class QueryService:
         trace: bool = False,
     ) -> PendingRequest:
         """First half of a request: admission slot, deadline, plan (the
-        quarantine gate and the hot cache run inside it) and route.
+        quarantine gate runs inside it) and route.
         Executes nothing.
 
         A refusal decided here — shed, quarantined, a malformed spec, a
@@ -454,9 +451,8 @@ class QueryService:
             with obs_trace.within(pending.root), obs_trace.trace_span(
                 "plan", queries=len(queries)
             ):
-                # the gate runs inside plan(), before the hot-cache short
-                # circuit — a quarantined shard refuses its queries even
-                # when their answers are cached
+                # the gate runs inside plan(): a quarantined shard
+                # refuses its queries
                 pending.plan = self.engine.plan(
                     queries, gate=self._gate_shard
                 )
@@ -775,9 +771,6 @@ class QueryService:
             # re-admission starts from a clean reopen
             with self._local_lock:
                 self.engine.drop_local_engine(path)
-            # cached answers may derive from the now-suspect file; the
-            # hot tier's immutability assumption just reset
-            self.engine.clear_hotcache()
 
     def _gate_shard(self, path: str) -> None:
         """Refuse quarantined shards; re-probe once the window passed."""
@@ -802,9 +795,6 @@ class QueryService:
             _log.info("shard.readmitted", path=path)
             with self._local_lock:
                 self.engine.drop_local_engine(path)
-            # the repaired file may answer differently than whatever
-            # the cache saw before the quarantine
-            self.engine.clear_hotcache()
             return
         raise ShardQuarantined(path)
 

@@ -13,7 +13,7 @@ path::
          ▼
     AppendableArchiveWriter          seal: rotating .utcq segments + .stiu
          │                           sidecars + generational manifest
-         ├── CompactionDaemon        merge_segments: size-tiered / leveled
+         ├── CompactionDaemon        merge_segments: size-tiered
          │                           merges while ingestion continues
          ├── gc_segments             retention: drop whole cold segments
          ├── LiveArchive             query the sealed union mid-ingestion
@@ -34,15 +34,12 @@ behind, and sweeping everything else.  The CLI front end is
 
 from .compaction import (
     CompactionDaemon,
-    CompactionPolicy,
     CompactionStats,
     CompactionTask,
-    LeveledPolicy,
     SizeTieredPolicy,
     compact,
     drain_compactions,
     gc_segments,
-    make_policy,
     merge_segments,
 )
 from .ingest import ObserveStatus, StreamCounters, StreamingMapMatcher
@@ -79,14 +76,11 @@ __all__ = [
     "load_manifest",
     "manifest_segments",
     "CompactionDaemon",
-    "CompactionPolicy",
     "CompactionStats",
     "CompactionTask",
-    "LeveledPolicy",
     "SizeTieredPolicy",
     "drain_compactions",
     "gc_segments",
-    "make_policy",
     "merge_segments",
     "Filesystem",
     "ManifestStore",

@@ -5,11 +5,8 @@ finished run, wrong for a service that ingests forever.  This module
 adds the storage-engine answer — incremental merges of rotated segments
 while ingestion continues:
 
-* **Policies** decide *what* to merge.  :class:`SizeTieredPolicy`
-  merges runs of similarly-sized segments (the Cassandra/RocksDB
-  universal shape); :class:`LeveledPolicy` promotes the oldest
-  ``fanout`` segments of the fullest level into one segment at the next
-  level, so segment count stays ``O(fanout · log n)``.
+* :class:`SizeTieredPolicy` decides *what* to merge: runs of
+  similarly-sized segments (the Cassandra/RocksDB universal shape).
 * :func:`merge_segments` performs one merge crash-safely: the merged
   segment (and its ``.stiu`` sidecar) is written tmp + fsync + rename
   under a fresh name, the manifest swap of the source entries for the
@@ -69,7 +66,7 @@ _log = get_logger("repro.stream.compaction")
 
 
 # ----------------------------------------------------------------------
-# policies
+# policy
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CompactionTask:
@@ -83,18 +80,8 @@ class CompactionTask:
         return [s.name for s in self.segments]
 
 
-class CompactionPolicy:
-    """Decides which sealed segments to merge next (or nothing)."""
-
-    def plan(self, segments: list[SegmentInfo]) -> CompactionTask | None:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
 @dataclass
-class SizeTieredPolicy(CompactionPolicy):
+class SizeTieredPolicy:
     """Merge runs of similarly-sized segments, smallest tiers first.
 
     Segments (in trajectory-id order) whose file sizes stay within
@@ -155,65 +142,6 @@ class SizeTieredPolicy(CompactionPolicy):
             f"size-tiered(min={self.min_merge}, max={self.max_merge}, "
             f"ratio={self.size_ratio:g})"
         )
-
-
-@dataclass
-class LeveledPolicy(CompactionPolicy):
-    """Promote the oldest ``fanout`` segments of an overfull level.
-
-    Fresh seals land at level 0; whenever any level below ``max_level``
-    holds at least ``fanout`` segments, its oldest ``fanout`` (by
-    trajectory id) merge into one segment at the next level.  Steady
-    state keeps fewer than ``fanout`` segments per level, so the open
-    segment count — and with it every LiveArchive refresh — stays
-    logarithmic in the trips ingested.
-    """
-
-    fanout: int = 4
-    max_level: int = 6
-
-    def __post_init__(self) -> None:
-        if self.fanout < 2:
-            raise ValueError("fanout must be >= 2")
-        if self.max_level < 1:
-            raise ValueError("max_level must be >= 1")
-
-    def plan(self, segments: list[SegmentInfo]) -> CompactionTask | None:
-        by_level: dict[int, list[SegmentInfo]] = {}
-        for info in segments:
-            by_level.setdefault(info.level, []).append(info)
-        for level in sorted(by_level):
-            if level >= self.max_level:
-                continue
-            members = by_level[level]
-            if len(members) >= self.fanout:
-                members.sort(key=lambda s: s.min_trajectory_id)
-                chosen = members[: self.fanout]
-                return CompactionTask(
-                    segments=tuple(chosen), target_level=level + 1
-                )
-        return None
-
-    def describe(self) -> str:
-        return f"leveled(fanout={self.fanout}, max_level={self.max_level})"
-
-
-POLICIES = {
-    "size-tiered": SizeTieredPolicy,
-    "leveled": LeveledPolicy,
-}
-
-
-def make_policy(name: str, **kwargs) -> CompactionPolicy:
-    """Instantiate a policy by its CLI name (``size-tiered``/``leveled``)."""
-    try:
-        factory = POLICIES[name]
-    except KeyError:
-        raise StreamArchiveError(
-            f"unknown compaction policy {name!r}; "
-            f"choose from {sorted(POLICIES)}"
-        ) from None
-    return factory(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +315,11 @@ def gc_segments(
         raise StreamArchiveError(
             "specify exactly one of drop_before / ttl_seconds"
         )
+    if ttl_seconds is not None and ttl_seconds < 0:
+        # a negative TTL would put the cutoff after the newest segment
+        raise StreamArchiveError(
+            f"ttl_seconds must be >= 0, got {ttl_seconds}"
+        )
     with store.lock:
         segments = store.segments()
         if drop_before is not None:
@@ -460,7 +393,7 @@ class CompactionDaemon:
         self,
         source,
         *,
-        policy: CompactionPolicy | None = None,
+        policy: SizeTieredPolicy | None = None,
         network=None,
         interval: float = 0.5,
     ) -> None:
@@ -557,12 +490,12 @@ class CompactionDaemon:
 def drain_compactions(
     directory_or_store,
     *,
-    policy: CompactionPolicy | None = None,
+    policy: SizeTieredPolicy | None = None,
     network=None,
     **kwargs,
 ) -> CompactionStats:
-    """Run a policy to quiescence synchronously (the CLI's non-daemon
-    mode); returns the work counters."""
+    """Run a policy to quiescence synchronously; returns the work
+    counters."""
     daemon = CompactionDaemon(
         directory_or_store, policy=policy, network=network, **kwargs
     )
@@ -572,15 +505,11 @@ def drain_compactions(
 
 __all__ = [
     "CompactionDaemon",
-    "CompactionPolicy",
     "CompactionStats",
     "CompactionTask",
-    "LeveledPolicy",
-    "POLICIES",
     "SizeTieredPolicy",
     "compact",
     "drain_compactions",
     "gc_segments",
-    "make_policy",
     "merge_segments",
 ]

@@ -229,7 +229,6 @@ def run_chaos_bench(
     delay_seconds: float = 0.4,
     workers: int = 2,
     seed: int = 23,
-    hotcache_entries: int | None = None,
 ) -> tuple[list[BenchResult], dict]:
     """``repro serve-bench``: availability under faults.
 
@@ -293,15 +292,9 @@ def run_chaos_bench(
                 quarantine_reprobe=0.05,
                 breaker_reset=0.5,
                 health_interval=0.25,
-                hotcache_entries=hotcache_entries,
             ),
         )
         proxy = proxy_holder[0] if proxy_holder else None
-        hotcache_effective = (
-            service.engine.hotcache.capacity
-            if service.engine.hotcache is not None
-            else 0
-        )
 
         lock = threading.Lock()
         latencies: list[float] = []
@@ -419,14 +412,9 @@ def run_chaos_bench(
             "chaos_delay_seconds", "seconds", 1, elapsed,
             value=delay_seconds,
         ),
-        GaugeResult(
-            "chaos_hotcache_entries", "entries", 1, elapsed,
-            value=float(hotcache_effective),
-        ),
     ]
     summary = {
         "seed": seed,
-        "hotcache_entries": hotcache_effective,
         "fault_script": {
             "kill_probability": kill_probability,
             "delay_probability": delay_probability,
@@ -466,7 +454,6 @@ def run_wire_chaos_bench(
     stall_seconds: float = 0.05,
     workers: int = 2,
     seed: int = 29,
-    hotcache_entries: int | None = None,
 ) -> tuple[list[BenchResult], dict]:
     """``repro serve-bench --wire``: availability through a hostile wire.
 
@@ -524,7 +511,6 @@ def run_wire_chaos_bench(
                 quarantine_reprobe=0.05,
                 breaker_reset=0.5,
                 health_interval=0.25,
-                hotcache_entries=hotcache_entries,
             ),
         )
         lock = threading.Lock()
@@ -756,7 +742,6 @@ def run_trace_probe(
     workers: int = SHARD_COUNT,
     queries: int = 128,
     repeats: int = 3,
-    hotcache_entries: int | None = None,
 ) -> tuple[dict, dict]:
     """One traced request through the real sharded serving path.
 
@@ -779,7 +764,7 @@ def run_trace_probe(
     import tempfile
 
     from ..obs.trace import Span, ipc_breakdown
-    from ..serve import QueryService, ServiceConfig
+    from ..serve import QueryService
 
     if queries < 1:
         raise ValueError(f"queries must be >= 1, got {queries}")
@@ -797,7 +782,6 @@ def run_trace_probe(
             fixture.shard_paths,
             network=fixture.network,
             workers=workers,
-            config=ServiceConfig(hotcache_entries=hotcache_entries),
         )
         try:
             warm = service.submit_many(batch, client="trace-probe")

@@ -1,8 +1,8 @@
 """Property-based equivalence: compaction never changes what's stored.
 
 The load-bearing invariant of the segment lifecycle is that background
-merges only *regroup* record bytes — so however many size-tiered or
-leveled merges ran, at whatever points of the ingest stream, the
+merges only *regroup* record bytes — so however many size-tiered
+merges ran, at whatever points of the ingest stream, the
 archive answers queries identically and the canonical one-shot
 ``compact()`` output is byte-identical (SHA-256) to a run that never
 compacted at all.  Hypothesis drives random trip streams, rotation
@@ -26,7 +26,6 @@ from repro.query import StIUIndex, save_index
 from repro.stream import (
     AppendableArchiveWriter,
     LiveArchive,
-    LeveledPolicy,
     SizeTieredPolicy,
     compact,
     drain_compactions,
@@ -79,18 +78,11 @@ trip_specs = st.lists(
     max_size=10,
 )
 
-policies = st.one_of(
-    st.builds(
-        SizeTieredPolicy,
-        min_merge=st.integers(2, 4),
-        max_merge=st.integers(4, 6),
-        size_ratio=st.sampled_from([1.5, 4.0, 16.0]),
-    ),
-    st.builds(
-        LeveledPolicy,
-        fanout=st.integers(2, 4),
-        max_level=st.integers(1, 4),
-    ),
+policies = st.builds(
+    SizeTieredPolicy,
+    min_merge=st.integers(2, 4),
+    max_merge=st.integers(4, 6),
+    size_ratio=st.sampled_from([1.5, 4.0, 16.0]),
 )
 
 
@@ -267,48 +259,5 @@ def test_policy_plans_are_well_formed(raw, policy):
     assert len(set(names)) == len(names) >= 2
     assert set(names) <= known
     assert task.target_level > min(s.level for s in task.segments)
-    if isinstance(policy, SizeTieredPolicy):
-        assert len(names) <= policy.max_merge
-    else:
-        assert len(names) == policy.fanout
-        assert task.target_level <= policy.max_level
+    assert len(names) <= policy.max_merge
 
-
-@settings(max_examples=100, deadline=None)
-@given(raw=segment_infos, fanout=st.integers(2, 4), max_level=st.integers(1, 4))
-def test_leveled_policy_reaches_steady_state(raw, fanout, max_level):
-    """Repeatedly applying a leveled plan terminates with every level
-    below capacity — the bounded-segment-count guarantee."""
-    from repro.stream import SegmentInfo
-
-    policy = LeveledPolicy(fanout=fanout, max_level=max_level)
-    infos = _build_infos(raw)
-    for _ in range(200):
-        task = policy.plan(infos)
-        if task is None:
-            break
-        removed = set(task.names)
-        merged = SegmentInfo(
-            name=f"seg-{90_000 + len(infos):05d}.utcq",
-            trajectory_count=sum(s.trajectory_count for s in task.segments),
-            instance_count=sum(s.instance_count for s in task.segments),
-            min_trajectory_id=min(
-                s.min_trajectory_id for s in task.segments
-            ),
-            max_trajectory_id=max(
-                s.max_trajectory_id for s in task.segments
-            ),
-            min_time=0,
-            max_time=100,
-            file_bytes=sum(s.file_bytes for s in task.segments),
-            level=task.target_level,
-        )
-        infos = [s for s in infos if s.name not in removed] + [merged]
-    else:
-        raise AssertionError("leveled compaction never reached steady state")
-    by_level: dict[int, int] = {}
-    for info in infos:
-        by_level[info.level] = by_level.get(info.level, 0) + 1
-    for level, count in by_level.items():
-        if level < max_level:
-            assert count < fanout

@@ -126,7 +126,7 @@ class TestConsumersUseTheContract:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, ["src", env.get("PYTHONPATH")])
         )
-        env["REPRO_HOTCACHE"] = "many"
+        env["REPRO_DECODE_CACHE_BYTES"] = "many"
         done = subprocess.run(
             [
                 sys.executable, "-m", "repro", "query", "batch",
@@ -142,7 +142,7 @@ class TestConsumersUseTheContract:
         )
         assert done.returncode == 2, done.stdout + done.stderr
         assert "error:" in done.stderr
-        assert "REPRO_HOTCACHE" in done.stderr
+        assert "REPRO_DECODE_CACHE_BYTES" in done.stderr
         assert "Traceback" not in done.stderr
 
 

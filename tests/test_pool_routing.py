@@ -209,27 +209,6 @@ class TestRoutingRule:
             assert stats["routed_inprocess"] == 1
             assert stats["served_degraded_batch"] == 0
 
-    def test_hot_cache_hits_never_reach_the_pool(self, world):
-        _, _, _, oracle, _, big = world
-        service, pool = make_service(
-            world,
-            config=ServiceConfig(
-                deadline=30.0, health_interval=None, hotcache_entries=4096
-            ),
-        )
-        with service:
-            expected = oracle.run(big)
-            # run 1 establishes popularity, run 2 admits
-            for _ in range(2):
-                assert service.submit_many(big).results == expected
-            before = pool.submits
-            assert before == 2 * SHARDS
-            plan = service.engine.plan(big)
-            assert plan.executions == 0 and len(plan.cached) == len(set(big))
-            response = service.submit_many(big)
-            assert response.ok and response.results == expected
-            assert pool.submits == before
-
 
 # ----------------------------------------------------------------------
 # same answers on both sides of the boundary, on every surface

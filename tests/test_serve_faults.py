@@ -20,7 +20,6 @@ pools, which is where the state machines are pinned cheaply.
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import replace
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -323,52 +322,6 @@ class TestChaosScenarios:
             assert response.results == expected
             assert response.mode == MODE_SHARDED
             assert elapsed < 0.6 * SHARDS  # strictly beats serial
-
-    def test_hotcache_serves_hits_and_quarantine_clears_it(self, pool_world):
-        network, shard_paths, queries, expected = pool_world
-        config = ServiceConfig(
-            deadline=30.0,
-            health_interval=None,
-            quarantine_reprobe=0.2,
-            hotcache_entries=64,
-        )
-        service, proxy = make_service(pool_world, config=config)
-        with service:
-            cache = service.engine.hotcache
-            assert cache is not None
-            # run 1 establishes popularity, run 2 admits, run 3 hits —
-            # every run oracle-identical
-            for _ in range(3):
-                response = service.submit_many(queries)
-                assert response.ok and response.results == expected
-            assert cache.stats()["hits"] > 0
-            assert len(cache) > 0
-
-            target = str(shard_paths[1])
-            pristine = corrupt_shard(target)
-            try:
-                # the same request shape with specs the cache has never
-                # seen: the pool must be consulted, so the corruption is
-                # observed (cached answers alone never touch it)
-                probe = [replace(q, alpha=q.alpha / 2) for q in queries]
-                # flush every warm worker, one kill per shard task: a
-                # survivor could answer from its warm record cache, or
-                # be killed by the respawn and its task recomputed by
-                # the (just as warm) in-process engine, corruption unseen
-                proxy.arm(*[kill_fault()] * SHARDS)
-                refused = service.submit_many(probe)
-                assert refused.kind == "quarantined"
-                assert proxy.injected["kill"] == SHARDS
-                # quarantine invalidated every cached answer: nothing
-                # is served from behind the quarantine, cached or not
-                assert len(cache) == 0
-                blocked = service.submit_many(queries)
-                assert blocked.kind == "quarantined"
-            finally:
-                restore_shard(target, pristine)
-            time.sleep(0.25)
-            healed = service.submit_many(queries)
-            assert healed.ok and healed.results == expected
 
 
 # ----------------------------------------------------------------------

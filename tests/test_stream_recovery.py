@@ -20,6 +20,7 @@ from repro.network.generators import grid_network
 from repro.stream import (
     AppendableArchiveWriter,
     LiveArchive,
+    StreamArchiveError,
     compact,
     load_manifest,
 )
@@ -384,3 +385,20 @@ class TestGcCrash:
         }
         _assert_directory_consistent(directory, reopened.store)
         reopened.close()
+
+    def test_negative_ttl_is_refused_and_drops_nothing(
+        self, network, tmp_path
+    ):
+        directory = tmp_path / "fleet"
+        _seed(directory, network)
+        store = ManifestStore.open(directory)
+        names = {s.name for s in store.segments()}
+        assert len(names) == 4
+        # a negative TTL puts the cutoff after the newest segment: it
+        # would drop every segment, the newest included
+        with pytest.raises(StreamArchiveError, match="ttl_seconds"):
+            gc_segments(store, ttl_seconds=-5)
+        assert {s.name for s in store.segments()} == names
+        reopened = ManifestStore.open(directory)
+        assert {s.name for s in reopened.segments()} == names
+        _assert_directory_consistent(directory, store)
