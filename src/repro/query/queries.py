@@ -11,17 +11,20 @@ without full decompression:
   fetches the region's tuples; Lemma 1 skips a reference's whole
   representation set when its ``p_max`` (and its own probability) is
   below alpha.
-* **range(Tu, RE, t_q, alpha)** — Definition 12.  Candidates come from
-  the temporal interval; Lemma 4 prunes trajectories whose indexed
-  probability mass near RE cannot reach alpha; Lemma 2 classifies
-  instances by their bracketing sub-path (inside / disjoint / boundary,
-  the latter needing a D decode); Lemma 3 accepts as soon as the
-  confirmed mass reaches alpha.
+* **range(Tu, RE, t_q, alpha)** — Definition 12.  Candidates are the
+  trajectories the spatial layer lists as active in t_q's interval;
+  Lemma 4 prunes those whose indexed probability mass near RE cannot
+  reach alpha; each remaining instance is tested by whether its
+  position at t_q lies in RE; Lemma 3 accepts as soon as the confirmed
+  mass reaches alpha.  Lemma 2 (classify the bracketing sub-path as
+  inside / disjoint / boundary, so only boundary instances need their
+  distances D) is not applied: the position test needs the decoded
+  instance anyway, so classifying after the decode saves nothing.  The
+  form that would pay classifies from E and T' before D is decoded.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from ..bits.bitio import BitReader
@@ -69,18 +72,12 @@ class QueryCounters:
     instances_pruned: int = 0
     trajectories_pruned: int = 0
     trajectories_time_pruned: int = 0
-    lemma2_inside: int = 0
-    lemma2_disjoint: int = 0
-    lemma2_boundary: int = 0
 
     def reset(self) -> None:
         self.instances_decoded = 0
         self.instances_pruned = 0
         self.trajectories_pruned = 0
         self.trajectories_time_pruned = 0
-        self.lemma2_inside = 0
-        self.lemma2_disjoint = 0
-        self.lemma2_boundary = 0
 
 
 class UTCQQueryProcessor:
@@ -325,14 +322,20 @@ class UTCQQueryProcessor:
     # probabilistic range (Definition 12)
     # ------------------------------------------------------------------
     def range(self, region: Rect, t: int, alpha: float) -> list[int]:
-        interval = self.index.interval_of(t)
-        # Lemma 4: indexed probability mass near RE bounds the true
-        # overlap probability from above.  The interval's CSR is
-        # cell-major, so the pairs of one grid row of RE are one slice
-        # of its mass column: two bisects per row, then a linear walk.
-        bounds: dict[int, float] = {}
-        rows = self.index.spatial.intervals().get(interval)
-        if rows is not None:
+        # candidates are the trajectories the spatial layer lists as
+        # active in t's interval: every interval from a trajectory's
+        # first timestamp to its last, not only those holding one
+        rows = self.index.spatial.intervals().get(self.index.interval_of(t))
+        if rows is None:
+            return []
+        active = self.index.trajectories_in_interval(t)
+        if alpha > 0:
+            # Lemma 4: indexed probability mass near RE bounds the true
+            # overlap probability from above.  The interval's CSR is
+            # cell-major, so the pairs of one grid row of RE are one
+            # slice of its mass column: two bisects per row, then a
+            # linear walk.
+            bounds: dict[int, float] = {}
             trajectory_ids, mass = rows.trajectory_ids, rows.mass
             for run in self.index.grid.cell_runs_of_rect(region):
                 for k in rows.span(run.start, run.stop - 1):
@@ -340,25 +343,15 @@ class UTCQQueryProcessor:
                     bounds[trajectory_id] = (
                         bounds.get(trajectory_id, 0.0) + mass[k]
                     )
-        results: list[int] = []
-        interval_entries = self.index.temporal.get(interval)
-        if not interval_entries:
-            return results
-        if alpha > 0:
-            # only trajectories with indexed mass near RE can pass the
-            # bound, so walk the (small) bounds map instead of every
-            # candidate in the interval
             survivors = sorted(
                 trajectory_id
                 for trajectory_id, bound in bounds.items()
                 if min(bound, 1.0) >= alpha
-                and trajectory_id in interval_entries
             )
-            self.counters.trajectories_pruned += len(interval_entries) - len(
-                survivors
-            )
+            self.counters.trajectories_pruned += len(active) - len(survivors)
         else:
-            survivors = self.index.trajectories_in_interval(t)
+            survivors = active
+        results: list[int] = []
         # most survivors of the interval-wide bound are not alive at t
         # itself: test the (memoised) time span first, so only those that
         # reach _range_confirm have their record parsed
@@ -412,71 +405,9 @@ class UTCQQueryProcessor:
         position = chain.position_at_time(full_times, t)
         if position is None:
             return False
-        # Lemma 2 over the bracketing sub-path
-        bracket = bisect.bisect_right(full_times, t) - 1
-        lo = chain.location_chainages[max(bracket, 0)]
-        hi = chain.location_chainages[
-            min(bracket + 1, len(chain.location_chainages) - 1)
-        ]
-        subpath = chain.subpath_between(lo, hi)
-        inside, disjoint = self._classify_subpath(subpath, region)
-        if inside:
-            self.counters.lemma2_inside += 1
-            return True
-        if disjoint:
-            self.counters.lemma2_disjoint += 1
-            return False
-        self.counters.lemma2_boundary += 1
         a = self.network.vertex(position.edge[0])
         b = self.network.vertex(position.edge[1])
         fraction = position.ndist / self.network.edge_length(*position.edge)
         x = a.x + (b.x - a.x) * fraction
         y = a.y + (b.y - a.y) * fraction
         return region.contains(x, y)
-
-    def _classify_subpath(
-        self, subpath: list[EdgeKey], region: Rect
-    ) -> tuple[bool, bool]:
-        """(fully inside, fully disjoint) classification of Lemma 2."""
-        all_inside = True
-        any_touch = False
-        for edge in subpath:
-            a = self.network.vertex(edge[0])
-            b = self.network.vertex(edge[1])
-            a_in = region.contains(a.x, a.y)
-            b_in = region.contains(b.x, b.y)
-            if a_in and b_in:
-                any_touch = True
-                continue
-            all_inside = False
-            if a_in or b_in or _segment_intersects_rect(
-                a.x, a.y, b.x, b.y, region
-            ):
-                any_touch = True
-        return all_inside, not any_touch
-
-
-def _segment_intersects_rect(
-    x0: float, y0: float, x1: float, y1: float, rect: Rect
-) -> bool:
-    """Liang-Barsky style segment/rectangle intersection test."""
-    dx, dy = x1 - x0, y1 - y0
-    t_min, t_max = 0.0, 1.0
-    for p, q in (
-        (-dx, x0 - rect.min_x),
-        (dx, rect.max_x - x0),
-        (-dy, y0 - rect.min_y),
-        (dy, rect.max_y - y0),
-    ):
-        if p == 0:
-            if q < 0:
-                return False
-            continue
-        r = q / p
-        if p < 0:
-            t_min = max(t_min, r)
-        else:
-            t_max = min(t_max, r)
-        if t_min > t_max:
-            return False
-    return True

@@ -564,12 +564,16 @@ class StIUIndex:
         return tuples[position]
 
     def trajectories_in_interval(self, t: int) -> tuple[int, ...]:
-        """Sorted ids with a temporal tuple in ``t``'s interval (the
-        memoised tuple itself: immutable, so callers share it)."""
+        """Sorted ids active in ``t``'s interval: the spatial layer's,
+        which lists a trajectory in every interval from its first
+        timestamp to its last (the temporal layer only in those holding
+        one).  The memoised tuple itself: immutable, so callers share
+        it."""
         interval = self.interval_of(t)
         cached = self._interval_candidates.get(interval)
         if cached is None:
-            cached = tuple(sorted(self.temporal.get(interval, {})))
+            rows = self.spatial.intervals().get(interval)
+            cached = tuple(sorted(set(rows.trajectory_ids))) if rows else ()
             self._interval_candidates[interval] = cached
         return cached
 

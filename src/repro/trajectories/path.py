@@ -66,14 +66,6 @@ class PathChainage:
         ndist = chainage - self._prefix[index]
         return PathPosition(index, self.path[index], ndist)
 
-    def subpath_between(self, lo_chainage: float, hi_chainage: float) -> list[EdgeKey]:
-        """Path edges intersected by the chainage interval (inclusive)."""
-        if lo_chainage > hi_chainage:
-            lo_chainage, hi_chainage = hi_chainage, lo_chainage
-        lo = self.position_at(lo_chainage)
-        hi = self.position_at(hi_chainage)
-        return self.path[lo.edge_index : hi.edge_index + 1]
-
 
 class InstanceChainage(PathChainage):
     """Chainage over an instance's path with its locations pre-resolved."""

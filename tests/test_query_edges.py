@@ -5,8 +5,11 @@ import pytest
 from repro.bits.bitio import BitReader
 from repro.core import siar
 from repro.core.compressor import compress_dataset
+from repro.network.grid import Rect
 from repro.query import StIUIndex, UTCQQueryProcessor
+from repro.query.brute import BruteForceOracle
 from repro.trajectories.datasets import load_dataset
+from repro.trajectories.model import MappedLocation
 
 
 @pytest.fixture(scope="module")
@@ -144,31 +147,43 @@ class TestCounters:
         assert processor.counters.instances_decoded == 0
 
 
-class TestSegmentRectIntersection:
-    def test_crossing_segment(self):
-        from repro.network.grid import Rect
-        from repro.query.queries import _segment_intersects_rect
+class TestRangeAcrossTimestampGaps:
+    """A trajectory alive at ``t`` is a range candidate even when ``t``'s
+    time interval holds none of its timestamps (two consecutive
+    timestamps further apart than the time partition)."""
 
-        rect = Rect(0, 0, 10, 10)
-        assert _segment_intersects_rect(-5, 5, 15, 5, rect)
+    PARTITION = 60
 
-    def test_outside_segment(self):
-        from repro.network.grid import Rect
-        from repro.query.queries import _segment_intersects_rect
+    @pytest.fixture(scope="class")
+    def probes(self, world):
+        network, trajectories, archive, _, _ = world
+        index = StIUIndex(
+            network,
+            archive,
+            grid_cells_per_side=16,
+            time_partition_seconds=self.PARTITION,
+        )
+        processor = UTCQQueryProcessor(network, archive, index)
+        oracle = BruteForceOracle(network, trajectories)
+        found = []
+        for trajectory in trajectories:
+            times = trajectory.times
+            for t0, t1 in zip(times, times[1:]):
+                t = (t0 + t1) // 2
+                interval = index.interval_of(t)
+                if interval in (index.interval_of(t0), index.interval_of(t1)):
+                    continue
+                where = oracle.where(trajectory.trajectory_id, t, alpha=0.0)
+                best = max(where, key=lambda result: result.probability)
+                x, y = MappedLocation(best.edge, best.ndist).position(network)
+                region = Rect(x - 50, y - 50, x + 50, y + 50)
+                found.append((trajectory.trajectory_id, region, t))
+        assert found, "the data has no gap wider than the partition"
+        return processor, oracle, found
 
-        rect = Rect(0, 0, 10, 10)
-        assert not _segment_intersects_rect(20, 20, 30, 30, rect)
-
-    def test_touching_corner(self):
-        from repro.network.grid import Rect
-        from repro.query.queries import _segment_intersects_rect
-
-        rect = Rect(0, 0, 10, 10)
-        assert _segment_intersects_rect(10, 10, 20, 20, rect)
-
-    def test_contained_segment(self):
-        from repro.network.grid import Rect
-        from repro.query.queries import _segment_intersects_rect
-
-        rect = Rect(0, 0, 10, 10)
-        assert _segment_intersects_rect(2, 2, 8, 8, rect)
+    @pytest.mark.parametrize("alpha", [0.01, 0.0])
+    def test_alive_trajectory_is_found(self, probes, alpha):
+        processor, oracle, found = probes
+        for trajectory_id, region, t in found:
+            assert trajectory_id in oracle.range(region, t, alpha)
+            assert trajectory_id in processor.range(region, t, alpha)

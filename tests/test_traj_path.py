@@ -50,11 +50,6 @@ class TestPathChainage:
         assert position.edge_index == 1
         assert position.ndist == pytest.approx(0.0)
 
-    def test_subpath_between(self, chain):
-        assert chain.subpath_between(50.0, 150.0) == [(0, 1), (1, 2)]
-        assert chain.subpath_between(150.0, 50.0) == [(0, 1), (1, 2)]
-        assert chain.subpath_between(10.0, 20.0) == [(0, 1)]
-
     def test_empty_path_rejected(self, network):
         with pytest.raises(ValueError):
             PathChainage(network, [])
