@@ -6,6 +6,8 @@ the pivot count.  The paper picks 1 pivot for CD/HZ and 2 for DK as the
 ratio/efficiency sweet spots.
 """
 
+from statistics import median
+
 import pytest
 from conftest import record_experiment
 
@@ -13,6 +15,7 @@ from repro.trajectories.datasets import profile
 from repro.workloads.harness import run_utcq_compression
 
 PIVOT_COUNTS = (1, 2, 3, 4, 5)
+TIMED_RUNS = 5  # per pivot count, for the time assert
 
 
 @pytest.mark.parametrize("name", ["DK", "CD", "HZ"])
@@ -47,7 +50,20 @@ def test_fig8_pivot_sweep(benchmark, datasets, name):
         rows,
     )
     ratios = [row[2] for row in rows]
-    times = [row[4] for row in rows]
-    # ratio must not collapse as pivots increase; time grows with pivots
+    # ratio must not collapse as pivots increase
     assert min(ratios) > 0.9 * ratios[0]
-    assert times[-1] > times[0]
+    # time grows with pivots: the gap between two single runs is within
+    # the host's noise, so after one unmeasured warm-up run the fewest
+    # and the most pivots are timed interleaved and their medians
+    # compared
+    fewest, most = PIVOT_COUNTS[0], PIVOT_COUNTS[-1]
+    run_utcq_compression(network, trajectories, prof, pivot_count=fewest)
+    times = {fewest: [], most: []}
+    for run in range(TIMED_RUNS):
+        for pivots in (fewest, most) if run % 2 == 0 else (most, fewest):
+            times[pivots].append(
+                run_utcq_compression(
+                    network, trajectories, prof, pivot_count=pivots
+                ).seconds
+            )
+    assert median(times[most]) > median(times[fewest]), times

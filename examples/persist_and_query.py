@@ -3,7 +3,8 @@
 Compresses a Chengdu-profile dataset across all cores (byte-identical
 to a serial run), writes the versioned ``.utcq`` on-disk format plus
 its ``.stiu`` index sidecar, then reopens the file warm — the StIU
-index loads from the sidecar instead of being rebuilt — and answers
+temporal layer loads from the sidecar instead of being rebuilt, and
+spatial rows are derived only for what a query reads — and answers
 where/when queries straight off disk, one at a time and as a batch.
 Only the touched trajectory records are ever decoded.
 
@@ -46,7 +47,7 @@ def main() -> None:
         f"ratio {archive.stats.total_ratio:.2f})"
     )
 
-    # 3. persist the StIU index too, so every later open is warm
+    # 3. persist the StIU temporal layer too, so every later open is warm
     save_index(StIUIndex(network, archive), path)
     print(f"wrote {sidecar_path_for(path)}: index sidecar")
 

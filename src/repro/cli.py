@@ -649,7 +649,8 @@ def cmd_compress(args) -> int:
         print(f"compression ratios — {ratios}")
         print(
             f"wrote {sidecar_path}: StIU index sidecar, "
-            f"{os.path.getsize(sidecar_path)} bytes (warm query opens)"
+            f"{os.path.getsize(sidecar_path)} bytes (temporal layer; "
+            f"spatial rows derived on first use)"
         )
     return 0
 
@@ -1274,7 +1275,10 @@ def _stream_compact(args) -> int:
             f"into {args.output} ({size} bytes)"
         )
         if sidecar is not None:
-            print(f"wrote {sidecar}: StIU index sidecar (warm query opens)")
+            print(
+                f"wrote {sidecar}: StIU index sidecar (temporal layer; "
+                f"spatial rows derived on first use)"
+            )
         else:
             print(
                 "note: no dataset provenance in the manifest; skipped the "

@@ -193,10 +193,11 @@ class FileBackedArchive:
             self._verified_record(trajectory_id)
         )
         self._check_record_id(trajectory_id, trajectory.trajectory_id)
-        self._time_spans[trajectory_id] = (
-            trajectory.start_time,
-            trajectory.end_time,
-        )
+        if trajectory_id not in self._time_spans:
+            self._time_spans[trajectory_id] = (
+                trajectory.start_time,
+                trajectory.end_time,
+            )
         return trajectory
 
     def time_span(self, trajectory_id: int) -> tuple[int, int]:

@@ -80,6 +80,7 @@ class GridPartition:
         # a racing thread can only store an equal tuple.
         self._network: RoadNetwork | None = None
         self._edge_cells: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._hops: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
 
     @classmethod
     def for_network(
@@ -176,6 +177,15 @@ class GridPartition:
             cells = tuple(self.cells_of_segment(a.x, a.y, b.x, b.y))
             table[(start, end)] = cells
         return cells
+
+    def hop_table(
+        self, network: RoadNetwork
+    ) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
+        """``(vertex, out-edge number) -> (end vertex, cells of the
+        edge)`` for ``network``, filled by its reader (the StIU spatial
+        kernel) on a miss.  Unlocked like the edge table; any other
+        network gets a throwaway."""
+        return self._hops if network is self._network else {}
 
     def cell_runs_of_rect(self, rect: Rect) -> list[range]:
         """The cells intersecting ``rect``, one run of consecutive ids

@@ -199,9 +199,10 @@ def save_archive_with_index(
     fsynced, each through ``fs`` (the crash-injection seam), so a kill
     leaves the old file or the complete new one.  The sidecar follows
     with an atomic replace and no fsync: losing it costs one index
-    rebuild on open.  The index is built from the records, or is the
-    union of ``parts``, the indexes of the archives merged into
-    ``archive`` (same bytes, no record decoded).  Returns
+    rebuild on open.  The sidecar holds the temporal layer: built from
+    the records, or the union of ``parts``, the indexes of the archives
+    merged into ``archive`` (same bytes, no record decoded).  No spatial
+    row is built: readers derive them on first use.  Returns
     ``(file_bytes, sidecar_path)``; without a ``network`` no sidecar is
     written and the path is ``None``.
     """

@@ -655,7 +655,9 @@ class ShardedQueryEngine:
     :class:`~repro.stream.live.LiveArchive` does for stream segments).
     A shard is opened, sidecar first, by the first plan that involves
     it, and the union is then rebuilt over the open shards — dict
-    unions of their indexes, the spatial layer still lazy.
+    unions of their temporal layers; the union's spatial rows are
+    derived from the union archive, an interval at a time, as queries
+    first need them.
     """
 
     def __init__(

@@ -8,11 +8,12 @@ without full decompression:
   only instances with decoded probability >= alpha are materialized, and
   each position is interpolated along the instance's path.
 * **when(Tu_j, <edge, rd>, alpha)** — Definition 11.  The spatial index
-  fetches the region's tuples; Lemma 1 skips a reference's whole
+  fetches the trajectory's tuples for the region (one row: they do not
+  depend on the time interval); Lemma 1 skips a reference's whole
   representation set when its ``p_max`` (and its own probability) is
   below alpha.
 * **range(Tu, RE, t_q, alpha)** — Definition 12.  Candidates are the
-  trajectories the spatial layer lists as active in t_q's interval;
+  trajectories the temporal layer lists as active in t_q's interval;
   Lemma 4 prunes those whose indexed probability mass near RE cannot
   reach alpha; each remaining instance is tested by whether its
   position at t_q lies in RE; Lemma 3 accepts as soon as the confirmed
@@ -252,19 +253,14 @@ class UTCQQueryProcessor:
         y = a.y + (b.y - a.y) * relative_distance
         region = self.index.grid.cell_of_point(x, y)
 
+        # a trajectory's block does not depend on the interval: its row
+        # for the probe's cell is read once
         spatial = self.index.spatial
-        intervals = spatial.intervals()
-        instances, vertices, _, _, _, p_max = spatial.references
-        starts = spatial.reference_start
+        row = spatial.row_of(trajectory_id, region)
         candidate_indices: set[int] = set()
-        for interval in range(
-            self.index.interval_of(trajectory.start_time),
-            self.index.interval_of(trajectory.end_time) + 1,
-        ):
-            pairs = intervals.get(interval)
-            row = pairs.row_of(region, trajectory_id) if pairs else None
-            if row is None:
-                continue
+        if row is not None:
+            instances, vertices, _, _, _, p_max = spatial.references
+            starts = spatial.reference_start
             for k in range(starts[row], starts[row + 1]):
                 reference_index = instances[k]
                 ref_compressed = trajectory.instances[reference_index]
@@ -322,10 +318,11 @@ class UTCQQueryProcessor:
     # probabilistic range (Definition 12)
     # ------------------------------------------------------------------
     def range(self, region: Rect, t: int, alpha: float) -> list[int]:
-        # candidates are the trajectories the spatial layer lists as
-        # active in t's interval: every interval from a trajectory's
-        # first timestamp to its last, not only those holding one
-        rows = self.index.spatial.intervals().get(self.index.interval_of(t))
+        # candidates are the trajectories active in t's interval: every
+        # interval from a trajectory's first timestamp to its last, not
+        # only those holding one.  The first query of an interval derives
+        # its CSR from those trajectories' records.
+        rows = self.index.spatial.interval_rows(self.index.interval_of(t))
         if rows is None:
             return []
         active = self.index.trajectories_in_interval(t)

@@ -1,14 +1,17 @@
 """The StIU index: Spatio-temporal Information based Uncertain Trajectory
 Index (§5.2).
 
-Two layers, built at compression time:
+Two layers:
 
-* **temporal** — the day is split into equal intervals; each uncertain
+* **temporal** — built at compression time and stored (the ``.stiu``
+  sidecar).  The day is split into equal intervals; each uncertain
   trajectory stores, per intersecting interval, a tuple ``(t.start,
   t.no, t.pos)``: its earliest timestamp in the interval, that
   timestamp's index, and the bit position of the *next* deviation code in
   the compressed time stream, so decoding can resume mid-stream.
-* **spatial** — the network is partitioned into grid regions; within each
+* **spatial** — derived from the records on first use, one interval at a
+  time, never stored (it is a pure function of the records, the network
+  and the grid).  The network is partitioned into grid regions; within each
   time interval, every trajectory links to the regions its instances
   traverse.  Reference tuples carry the final vertex (the vertex
   traversed immediately before entering the region, Definition 9), its
@@ -28,14 +31,11 @@ import threading
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 from ..core.archive import CompressedArchive, CompressedTrajectory
-from ..core.decoder import (
-    InstanceEdges,
-    decode_times,
-    decode_trajectory_edges,
-)
+from ..core.decoder import decode_times, decode_trajectory_edges
 from ..network.graph import RoadNetwork
 from ..network.grid import GridPartition
 
@@ -84,140 +84,342 @@ class IntervalRows(NamedTuple):
             self.cell_start[bisect.bisect_right(self.cells, last_cell)],
         )
 
-    def row_of(self, cell: int, trajectory_id: int) -> int | None:
-        """The region row of ``trajectory_id`` in ``cell``, if any."""
-        pairs = self.span(cell, cell)
-        ids = self.trajectory_ids
-        k = bisect.bisect_left(ids, trajectory_id, pairs.start, pairs.stop)
-        found = k < pairs.stop and ids[k] == trajectory_id
-        return self.rows[k] if found else None
-
 
 class SpatialLayer:
-    """The spatial layer as columns, in the ``.stiu`` section's order.
+    """The spatial layer as columns, derived from the records on first use.
 
-    A trajectory's region tuples do not depend on the time interval, so
-    each trajectory is stored once, as one block of rows:
+    Every row is a pure function of a record, the network and the grid,
+    so none is stored.  A trajectory's region tuples do not depend on the
+    time interval, so each trajectory is derived once, as one block of
+    rows, appended in the order blocks are derived:
 
-    * per trajectory: ``trajectory_ids``, its ``first_interval`` /
-      ``last_interval`` span, and ``region_start`` (its region rows are
-      ``between(region_start, b)``);
+    * per block: ``trajectory_ids``, and ``region_start`` (its region
+      rows are ``between(region_start, b)``);
     * per region row, ascending cell within a block: ``cells``, and the
       offsets ``reference_start`` / ``non_reference_start`` into the
       tuple columns (a trailing sentinel closes each offset column);
     * per tuple: ``references`` (six columns) and ``non_references``
       (four), in the field orders given with their type codes above.
 
-    The per-interval CSR (:class:`IntervalRows`) is derived from the
-    blocks on first use, so saving or concatenating never builds it.
+    A trajectory is active in every interval from its first temporal
+    tuple's to its last's (``spans`` is the temporal layer's
+    per-trajectory tuple lists).  An interval's CSR
+    (:class:`IntervalRows`) is derived once, from the blocks of the
+    trajectories active in it, and is immutable after.  All derivation
+    runs under one lock; the columns only grow, so a row number once
+    handed out stays valid.
     """
 
-    OFFSETS = ("region_start", "reference_start", "non_reference_start")
-
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        network: RoadNetwork,
+        grid: GridPartition,
+        archive,
+        spans: dict[int, list[TemporalTuple]],
+        time_partition_seconds: int,
+    ) -> None:
+        self.network = network
+        self.grid = grid
+        self.archive = archive
+        self._spans = spans
+        self._partition = time_partition_seconds
         self.trajectory_ids = array("q")
-        self.first_interval = array("q")
-        self.last_interval = array("q")
         self.cells = array("i")
         self.references = tuple(array(code) for code in REFERENCE_TYPES)
         self.non_references = tuple(array(c) for c in NON_REFERENCE_TYPES)
-        for name in self.OFFSETS:
-            setattr(self, name, array("i", [0]))
-        self._intervals: dict[int, IntervalRows] | None = None
+        self.region_start = array("i", [0])
+        self.reference_start = array("i", [0])
+        self.non_reference_start = array("i", [0])
+        self._block_of: dict[int, int | None] = {}
+        self._active: dict[int, tuple[int, ...]] | None = None
+        self._intervals: dict[int, IntervalRows | None] = {}
         self._lock = threading.Lock()
 
-    def _columns(self) -> tuple[array, ...]:
+    # ------------------------------------------------------------------
+    # accessors (each derives what it needs on first use)
+    # ------------------------------------------------------------------
+    def span(self, trajectory_id: int) -> tuple[int, int]:
+        """The first and last interval ``trajectory_id`` is active in."""
+        tuples = self._spans[trajectory_id]
         return (
-            self.trajectory_ids,
-            self.first_interval,
-            self.last_interval,
-            self.cells,
-            *self.references,
-            *self.non_references,
+            tuples[0].start // self._partition,
+            tuples[-1].start // self._partition,
         )
 
-    @classmethod
-    def concatenated(cls, layers: list["SpatialLayer"]) -> "SpatialLayer":
-        """The blocks of ``layers`` one after another (their trajectory
-        ids must be disjoint)."""
-        layer = cls()
-        for part in layers:
-            for name in cls.OFFSETS:
-                mine = getattr(layer, name)
-                base = mine[-1]
-                mine.extend([base + k for k in getattr(part, name)[1:]])
-            for mine, theirs in zip(layer._columns(), part._columns()):
-                mine.extend(theirs)
-        return layer
+    def active(self, interval: int) -> tuple[int, ...]:
+        """Ascending ids of the trajectories active in ``interval`` (a
+        memoised tuple: immutable, so callers share it)."""
+        return self._active_intervals().get(interval, ())
 
-    def append_trajectory(
-        self,
-        trajectory_id: int,
-        first: int,
-        last: int,
-        regions: dict[int, tuple[list[tuple], list[tuple]]],
-    ) -> None:
-        """Append one block: ``regions`` maps each cell to its reference
-        and non-reference rows (tuples in column order)."""
-        self.trajectory_ids.append(trajectory_id)
-        self.first_interval.append(first)
-        self.last_interval.append(last)
-        for cell in sorted(regions):
-            self.cells.append(cell)
-            for columns, rows, starts in zip(
-                (self.references, self.non_references),
-                regions[cell],
-                (self.reference_start, self.non_reference_start),
-            ):
-                for column, values in zip(columns, zip(*rows)):
-                    column.extend(values)
-                starts.append(len(columns[0]))
-        self.region_start.append(len(self.cells))
+    def block_of(self, trajectory_id: int) -> int | None:
+        """The block of ``trajectory_id``, ``None`` if it has no rows."""
+        if trajectory_id not in self._block_of:
+            with self._lock:
+                return self._block(trajectory_id)
+        return self._block_of[trajectory_id]
+
+    def row_of(self, trajectory_id: int, cell: int) -> int | None:
+        """The region row of ``trajectory_id`` in ``cell``, if any."""
+        block = self.block_of(trajectory_id)
+        if block is None:
+            return None
+        rows = between(self.region_start, block)
+        k = bisect.bisect_left(self.cells, cell, rows.start, rows.stop)
+        return k if k < rows.stop and self.cells[k] == cell else None
+
+    def interval_rows(self, interval: int) -> IntervalRows | None:
+        """The CSR of ``interval``; ``None`` when nothing is active."""
+        if interval not in self._intervals:
+            if not self.active(interval):
+                return None  # nothing to derive, and nothing kept
+            with self._lock:
+                if interval not in self._intervals:
+                    self._intervals[interval] = self._derive_interval(
+                        interval
+                    )
+        return self._intervals[interval]
 
     def intervals(self) -> dict[int, IntervalRows]:
-        """The per-interval CSR, derived on first call."""
-        with self._lock:
-            if self._intervals is None:
-                self._intervals = self._derive_intervals()
-        return self._intervals
-
-    def _derive_intervals(self) -> dict[int, IntervalRows]:
-        starts, p_total = self.reference_start, self.references[4]
-        mass = array("d")  # per region row, Lemma 4's summed p_total
-        for row in range(len(self.cells)):
-            mass.append(sum(p_total[starts[row] : starts[row + 1]]))
-        active: dict[int, list[int]] = {}
-        for block in range(len(self.trajectory_ids)):
-            for interval in range(
-                self.first_interval[block], self.last_interval[block] + 1
-            ):
-                active.setdefault(interval, []).append(block)
-        ids = self.trajectory_ids
-        # (ids are unbounded varints on disk; most fit four bytes)
-        id_type = "i" if max(ids, default=0) < 2**31 else "q"
-        result: dict[int, IntervalRows] = {}
-        for interval in sorted(active):
-            pairs = sorted(
-                (self.cells[row], ids[block], row)
-                for block in active[interval]
-                for row in between(self.region_start, block)
-            )
-            if not pairs:  # only a damaged section has empty blocks
-                continue
-            cells, trajectories, rows = zip(*pairs)
-            distinct = array("i", dict.fromkeys(cells))
-            cell_start = array(
-                "i", [bisect.bisect_left(cells, cell) for cell in distinct]
-            )
-            cell_start.append(len(rows))
-            result[interval] = IntervalRows(
-                distinct,
-                cell_start,
-                array(id_type, trajectories),
-                array("d", [mass[row] for row in rows]),
-                array("i", rows),
-            )
+        """The full view: every interval's CSR, deriving all of them."""
+        result = {}
+        for interval in sorted(self._active_intervals()):
+            rows = self.interval_rows(interval)
+            if rows is not None:
+                result[interval] = rows
         return result
+
+    def _active_intervals(self) -> dict[int, tuple[int, ...]]:
+        if self._active is None:
+            with self._lock:
+                if self._active is None:
+                    active: dict[int, list[int]] = {}
+                    for trajectory_id in sorted(self._spans):
+                        if self._spans[trajectory_id]:
+                            first, last = self.span(trajectory_id)
+                            for interval in range(first, last + 1):
+                                active.setdefault(interval, []).append(
+                                    trajectory_id
+                                )
+                    self._active = {
+                        interval: tuple(ids) for interval, ids in active.items()
+                    }
+        return self._active
+
+    # ------------------------------------------------------------------
+    # derivation (the lock is held)
+    # ------------------------------------------------------------------
+    def _block(self, trajectory_id: int) -> int | None:
+        if trajectory_id not in self._block_of:
+            if not self._spans.get(trajectory_id):
+                return None  # not indexed: nothing derived, nothing kept
+            self._block_of[trajectory_id] = self._derive_block(trajectory_id)
+        return self._block_of[trajectory_id]
+
+    def _derive_interval(self, interval: int) -> IntervalRows | None:
+        region_start, cells = self.region_start, self.cells
+        pairs = []
+        for trajectory_id in self._active[interval]:
+            block = self._block(trajectory_id)
+            if block is not None:
+                pairs += (
+                    (cells[row], trajectory_id, row)
+                    for row in between(region_start, block)
+                )
+        if not pairs:
+            return None
+        pairs.sort()
+        cells_of_pairs, trajectories, rows = zip(*pairs)
+        distinct = array("i", dict.fromkeys(cells_of_pairs))
+        cell_start = array(
+            "i",
+            [bisect.bisect_left(cells_of_pairs, cell) for cell in distinct],
+        )
+        cell_start.append(len(rows))
+        # (ids are unbounded varints on disk; most fit four bytes)
+        id_type = "i" if max(trajectories) < 2**31 else "q"
+        starts, p_total = self.reference_start, self.references[4]
+        return IntervalRows(
+            distinct,
+            cell_start,
+            array(id_type, trajectories),
+            # Lemma 4's mass of each row, summed in column order
+            array("d", [sum(p_total[starts[r] : starts[r + 1]]) for r in rows]),
+            array("i", rows),
+        )
+
+    def _derive_block(self, trajectory_id: int) -> int | None:
+        """The kernel: derive and append one trajectory's block in one
+        pass over its instances, or ``None`` when it enters no region."""
+        trajectory = self.archive.trajectory(trajectory_id)
+        instances = trajectory.instances
+        edges = decode_trajectory_edges(trajectory, self.archive.params)
+        network = self.network
+        cells_of_edge = self.grid.cells_of_edge
+        hops = self.grid.hop_table(network)
+        # per instance, each region's first visit in walk order, as
+        # (E-entry index, final vertex): the vertex the path stands at
+        # when it enters the region (the start vertex for the first,
+        # the paper's (SV, 0, 0) convention).  Non-references also keep
+        # the vertex they stand at before each E entry.
+        visits: list[dict[int, tuple[int, int]]] = []
+        standings: list[list[int] | None] = []
+        for instance in edges:
+            first_visits: dict[int, tuple[int, int]] = {}
+            standing = None if instance.factors is None else []
+            current = instance.start_vertex
+            for entry, number in enumerate(instance.edge_numbers):
+                if standing is not None:
+                    standing.append(current)
+                if number == 0:
+                    continue
+                hop = hops.get((current, number))
+                if hop is None:
+                    end = network.edge_by_number(current, number).end
+                    hop = (end, cells_of_edge(network, current, end))
+                    hops[(current, number)] = hop
+                for region in hop[1]:
+                    if region not in first_visits:
+                        first_visits[region] = (entry, current)
+                current = hop[0]
+            visits.append(first_visits)
+            standings.append(standing)
+
+        groups: dict[int, list[int]] = {}
+        for index, instance in enumerate(instances):
+            groups.setdefault(instance.reference_ordinal, []).append(index)
+        probability = [instance.probability for instance in instances]
+        # (cell, then the tuple's columns), in the order the rows are
+        # made: a stable sort by cell then gives each cell's rows in
+        # group order
+        reference_rows: list[tuple] = []
+        non_reference_rows: list[tuple] = []
+        for members in groups.values():
+            reference = next(i for i in members if instances[i].is_reference)
+            reference_visits = visits[reference]
+            positions = instances[reference].distance_positions
+            # d.pos per E entry: the bit offset of the gamma[fv.no]-th rd
+            # in D̂(Ref), gamma counting mapped locations up to the entry
+            if positions:
+                last = len(positions)
+                d_pos = [
+                    positions[max(min(located, last) - 1, 0)]
+                    for located in accumulate(edges[reference].time_flags)
+                ]
+            else:
+                d_pos = [0] * len(edges[reference].time_flags)
+            if len(members) == 1:
+                # alone: p_total is its probability, p_max has nothing to
+                # range over, and it enters every region itself
+                p = probability[reference]
+                reference_rows += (
+                    (region, reference, vertex, entry, d_pos[entry], p, 0.0)
+                    for region, (entry, vertex) in reference_visits.items()
+                )
+            else:
+                # which members enter each region, as a bit per member
+                entered: dict[int, int] = {}
+                for bit, member in enumerate(members):
+                    flag = 1 << bit
+                    for region in visits[member]:
+                        entered[region] = entered.get(region, 0) | flag
+                aggregates: dict[int, tuple[float, float]] = {}
+                for region, mask in entered.items():
+                    if mask not in aggregates:
+                        # p_total is summed in the iteration order of the
+                        # set of the entering members, in member order
+                        present = set(
+                            [m for k, m in enumerate(members) if mask >> k & 1]
+                        )
+                        aggregates[mask] = (
+                            sum([probability[m] for m in present]),
+                            max(
+                                [
+                                    probability[m]
+                                    for m in present
+                                    if m != reference
+                                ],
+                                default=0.0,
+                            ),
+                        )
+                    p_total, p_max = aggregates[mask]
+                    visit = reference_visits.get(region)
+                    if visit is None:  # only represented instances enter
+                        entry, vertex, d = 0, INFINITE_VERTEX, 0
+                    else:
+                        entry, vertex = visit
+                        d = d_pos[entry]
+                    reference_rows.append(
+                        (region, reference, vertex, entry, d, p_total, p_max)
+                    )
+
+            # non-reference tuples: the factor covering each region's
+            # entry, at the first region only when it spans several
+            for member in members:
+                if member == reference:
+                    continue
+                factor_positions = instances[member].factor_positions
+                # E-entry index one past the span each factor reproduces
+                span_ends = list(
+                    accumulate(f.consumed for f in edges[member].factors)
+                )
+                standing = standings[member]
+                end = 0  # where the factor of the previous row ends
+                for region, (entry, _) in visits[member].items():
+                    # entries only grow along a walk: one before ``end``
+                    # is in the factor already indexed
+                    if entry < end:
+                        continue
+                    factor = bisect.bisect_right(span_ends, entry)
+                    if factor == len(span_ends):
+                        break  # past the last factor, as is every later one
+                    end = span_ends[factor]
+                    span_start = span_ends[factor - 1] if factor else 0
+                    non_reference_rows.append(
+                        (
+                            region,
+                            member,
+                            standing[span_start],
+                            span_start,
+                            factor_positions[factor]
+                            if factor < len(factor_positions)
+                            else 0,
+                        )
+                    )
+
+        if not reference_rows:
+            return None
+        # append the block: rows in ascending cell order, one extend per
+        # column (every region with a non-reference row has a reference
+        # row, so the reference rows give the block's cells)
+        cell_of_row = itemgetter(0)
+        reference_rows.sort(key=cell_of_row)
+        non_reference_rows.sort(key=cell_of_row)
+        row_cells, *columns = zip(*reference_rows)
+        # each cell's rows end one past its last row
+        ends = {cell: k for k, cell in enumerate(row_cells, 1)}
+        cells = list(ends)
+        base = len(self.references[0])
+        self.reference_start += array("i", [base + k for k in ends.values()])
+        for column, values in zip(self.references, columns):
+            column += array(column.typecode, values)
+        base = len(self.non_references[0])
+        if non_reference_rows:
+            ends = {row[0]: k for k, row in enumerate(non_reference_rows, 1)}
+            starts, k = [], 0
+            for cell in cells:
+                k = ends.get(cell, k)
+                starts.append(base + k)
+            self.non_reference_start += array("i", starts)
+            _, *columns = zip(*non_reference_rows)
+            for column, values in zip(self.non_references, columns):
+                column += array(column.typecode, values)
+        else:
+            self.non_reference_start += array("i", [base]) * len(cells)
+        block = len(self.trajectory_ids)
+        self.cells += array("i", cells)
+        self.region_start.append(len(self.cells))
+        self.trajectory_ids.append(trajectory_id)
+        return block
 
 
 class StIUIndex:
@@ -228,7 +430,9 @@ class StIUIndex:
     ``params``, iteration over ``trajectories``, and ``trajectory(id)``.
     Building over a file parses one trajectory at a time and keeps no
     record, so peak memory stays bounded by one record, not the
-    dataset.
+    dataset.  The build makes the temporal layer; :attr:`spatial`
+    derives its rows from ``archive.trajectory(id)`` when a query first
+    needs them.
     """
 
     @classmethod
@@ -243,9 +447,9 @@ class StIUIndex:
         """Open ``path`` lazily and index it, preferring the sidecar.
 
         The archive's ``.stiu`` sidecar is loaded when it exists and
-        matches the archive; otherwise the index is built from the
-        records.  ``index.loaded_from_sidecar`` records which path was
-        taken.
+        matches the archive; otherwise the temporal layer is built from
+        the records.  ``index.loaded_from_sidecar`` records which path
+        was taken.
 
         The file-backed archive stays open for the index's lifetime (and
         is reachable as ``index.archive`` for a query processor); close
@@ -281,12 +485,10 @@ class StIUIndex:
         """Union per-segment indexes into one index over their union.
 
         Trajectory ids are globally unique across a stream archive's
-        segments, so merging is a plain dict union of the temporal layer
-        and a concatenation of the spatial blocks — the result answers
-        exactly as a build over the combined archive.  The spatial layer
-        stays lazy: nothing is concatenated (and parts loaded from
-        sidecars keep their deflated sections unparsed) until the first
-        spatial access on the merged index.
+        segments, so merging is a plain dict union of the temporal
+        layers — the result answers exactly as a build over the combined
+        archive.  Its spatial rows are derived from ``archive`` (the
+        union) when they are first needed.
         """
         index = cls(
             network,
@@ -300,10 +502,6 @@ class StIUIndex:
             for interval, entries in part.temporal.items():
                 index.temporal.setdefault(interval, {}).update(entries)
             index._trajectory_tuples.update(part._trajectory_tuples)
-        if parts:
-            index._spatial_loader = lambda: SpatialLayer.concatenated(
-                [part.spatial for part in parts]
-            )
         index.loaded_from_sidecar = bool(parts) and all(
             part.loaded_from_sidecar for part in parts
         )
@@ -318,9 +516,9 @@ class StIUIndex:
         time_partition_seconds: int = 1800,
         build: bool = True,
     ) -> None:
-        """``build=False`` creates an empty shell whose ``temporal`` /
-        ``spatial`` structures the sidecar loader fills in; every normal
-        caller wants the default full build."""
+        """``build=False`` creates an empty shell whose temporal layer
+        the sidecar loader or :meth:`merged` fills in; every normal
+        caller wants the default build."""
         if time_partition_seconds < 1:
             raise ValueError("time partition must be at least one second")
         self.network = network
@@ -330,56 +528,30 @@ class StIUIndex:
         self.loaded_from_sidecar = False
         # temporal[interval][trajectory_id] -> TemporalTuple
         self.temporal: dict[int, dict[int, TemporalTuple]] = {}
-        # per-trajectory sorted temporal tuples for binary search
+        # per-trajectory sorted temporal tuples for binary search; the
+        # spatial layer reads its spans here, so fill it, never rebind it
         self._trajectory_tuples: dict[int, list[TemporalTuple]] = {}
-        # memoized sorted candidate lists per interval and per-trajectory
-        # start arrays (index is immutable once built/loaded)
-        self._interval_candidates: dict[int, tuple[int, ...]] = {}
+        # memoized per-trajectory start arrays (the layer is immutable
+        # once built/loaded)
         self._tuple_starts: dict[int, list[int]] = {}
-        # sidecar loads and merges materialize it lazily (the property)
-        self._spatial = SpatialLayer()
-        self._spatial_loader = None
-        self._spatial_lock = threading.Lock()
+        self.spatial = SpatialLayer(
+            network,
+            self.grid,
+            archive,
+            self._trajectory_tuples,
+            time_partition_seconds,
+        )
         if build:
-            self._build()
-
-    @property
-    def spatial(self) -> SpatialLayer:
-        if self._spatial_loader is not None:
-            with self._spatial_lock:
-                loader = self._spatial_loader
-                if loader is not None:
-                    try:
-                        spatial = loader()
-                    except Exception:
-                        # corrupt spatial section (only discovered now —
-                        # the sidecar parses it lazily): fall back to
-                        # building it from the archive, like a stale
-                        # sidecar would have at open time
-                        self._spatial_loader = None
-                        self._rebuild_spatial()
-                    else:
-                        self._spatial = spatial
-                        self._spatial_loader = None
-        return self._spatial
-
-    def _rebuild_spatial(self) -> None:
-        """Recompute the spatial layer from the archive (loader fallback)."""
-        self._spatial = SpatialLayer()
-        for trajectory in self.archive.trajectories:
-            self._build_spatial(trajectory)
+            for trajectory in archive.trajectories:
+                self._build_temporal(
+                    trajectory, decode_times(trajectory, archive.params)
+                )
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def interval_of(self, t: int) -> int:
         return t // self.time_partition_seconds
-
-    def _build(self) -> None:
-        params = self.archive.params
-        for trajectory in self.archive.trajectories:
-            self._build_temporal(trajectory, decode_times(trajectory, params))
-            self._build_spatial(trajectory)
 
     def _build_temporal(
         self, trajectory: CompressedTrajectory, times: list[int]
@@ -403,146 +575,6 @@ class StIUIndex:
             ] = entry
         self._trajectory_tuples[trajectory.trajectory_id] = tuples
 
-    def _build_spatial(self, trajectory: CompressedTrajectory) -> None:
-        """Append one trajectory's block: its region tuples do not
-        depend on the time interval, so they are derived once for the
-        whole span the trajectory is active in."""
-        edges = decode_trajectory_edges(trajectory, self.archive.params)
-        walks = [self._walk(instance) for instance in edges]
-        groups: dict[int, list[int]] = {}
-        for index, instance in enumerate(trajectory.instances):
-            groups.setdefault(instance.reference_ordinal, []).append(index)
-        regions: dict[int, tuple[list[tuple], list[tuple]]] = {}
-        for members in groups.values():
-            self._index_group(trajectory, edges, walks, members, regions)
-        if regions:
-            self._spatial.append_trajectory(
-                trajectory.trajectory_id,
-                self.interval_of(trajectory.start_time),
-                self.interval_of(trajectory.end_time),
-                regions,
-            )
-
-    def _walk(
-        self, instance: InstanceEdges
-    ) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """One pass along an instance's path: ``(region, E-entry index,
-        final vertex)`` for each region at its first entry, and the
-        vertex the path stands at before each ``E`` entry.
-
-        The final vertex of the first region is the start vertex (the
-        paper's ``(SV, 0, 0)`` convention).
-        """
-        network = self.network
-        cells_of_edge = self.grid.cells_of_edge
-        visits: list[tuple[int, int, int]] = []
-        seen: set[int] = set()
-        standing: list[int] = []
-        current = instance.start_vertex
-        for entry_index, number in enumerate(instance.edge_numbers):
-            standing.append(current)
-            if number == 0:
-                continue
-            end = network.edge_by_number(current, number).end
-            for region in cells_of_edge(network, current, end):
-                if region not in seen:
-                    seen.add(region)
-                    visits.append((region, entry_index, current))
-            current = end
-        return visits, standing
-
-    def _index_group(
-        self,
-        trajectory: CompressedTrajectory,
-        edges: list[InstanceEdges],
-        walks: list[tuple[list[tuple[int, int, int]], list[int]]],
-        members: list[int],
-        regions: dict[int, tuple[list[tuple], list[tuple]]],
-    ) -> None:
-        """Append the rows of one reference and its representation set
-        (``members``, in instance order) to ``regions``."""
-        instances = trajectory.instances
-        reference_index = next(i for i in members if instances[i].is_reference)
-        distance_positions = instances[reference_index].distance_positions
-        # gamma: mapped locations up to and including each E entry
-        located = list(accumulate(edges[reference_index].time_flags))
-
-        # regions touched by anyone in the group
-        group_regions: dict[int, list[int]] = {}
-        for member in members:
-            for region, _, _ in walks[member][0]:
-                group_regions.setdefault(region, []).append(member)
-        reference_visits = {
-            region: (entry, fv)
-            for region, entry, fv in walks[reference_index][0]
-        }
-
-        for region, overlapping in group_regions.items():
-            # p_total is summed in this set's iteration order, which the
-            # persisted float depends on
-            present = set(overlapping)
-            p_total = sum(instances[m].probability for m in present)
-            p_max = max(
-                (
-                    instances[m].probability
-                    for m in present
-                    if m != reference_index
-                ),
-                default=0.0,
-            )
-            visit = reference_visits.get(region)
-            if visit is None:
-                row = (reference_index, INFINITE_VERTEX, 0, 0, p_total, p_max)
-            else:
-                entry_number, final_vertex = visit
-                # d.pos: bit offset of the gamma[fv.no]-th rd in D̂(Ref)
-                d_no = max(
-                    min(located[entry_number], len(distance_positions)) - 1, 0
-                )
-                row = (
-                    reference_index,
-                    final_vertex,
-                    entry_number,
-                    distance_positions[d_no] if distance_positions else 0,
-                    p_total,
-                    p_max,
-                )
-            regions.setdefault(region, ([], []))[0].append(row)
-
-        # non-reference tuples: anchor factor per region (first region only
-        # when one factor spans several regions)
-        for member in members:
-            if member == reference_index:
-                continue
-            factor_positions = instances[member].factor_positions
-            # E-entry index one past the span each factor reproduces
-            span_ends = list(
-                accumulate(factor.consumed for factor in edges[member].factors)
-            )
-            visits, standing = walks[member]
-            previous_factor = -1
-            for region, entry_index, _ in visits:
-                # entries only grow along a walk, so a repeated factor is
-                # the previous one
-                factor_index = bisect.bisect_right(span_ends, entry_index)
-                if (
-                    factor_index == len(span_ends)
-                    or factor_index == previous_factor
-                ):
-                    continue
-                previous_factor = factor_index
-                span_start = span_ends[factor_index - 1] if factor_index else 0
-                regions[region][1].append(
-                    (
-                        member,
-                        standing[span_start],
-                        span_start,
-                        factor_positions[factor_index]
-                        if factor_index < len(factor_positions)
-                        else 0,
-                    )
-                )
-
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
@@ -564,18 +596,11 @@ class StIUIndex:
         return tuples[position]
 
     def trajectories_in_interval(self, t: int) -> tuple[int, ...]:
-        """Sorted ids active in ``t``'s interval: the spatial layer's,
-        which lists a trajectory in every interval from its first
-        timestamp to its last (the temporal layer only in those holding
-        one).  The memoised tuple itself: immutable, so callers share
-        it."""
-        interval = self.interval_of(t)
-        cached = self._interval_candidates.get(interval)
-        if cached is None:
-            rows = self.spatial.intervals().get(interval)
-            cached = tuple(sorted(set(rows.trajectory_ids))) if rows else ()
-            self._interval_candidates[interval] = cached
-        return cached
+        """Sorted ids active in ``t``'s interval: every interval from a
+        trajectory's first timestamp to its last (the temporal layer has
+        a tuple only in those holding one).  The memoised tuple itself:
+        immutable, so callers share it."""
+        return self.spatial.active(self.interval_of(t))
 
     # ------------------------------------------------------------------
     # size accounting (Fig. 9)
@@ -596,7 +621,8 @@ class StIUIndex:
         per interval its trajectory is active in."""
         layer = self.spatial
         total = 8 * sum(len(rows.cells) for rows in layer.intervals().values())
-        for block in range(len(layer.trajectory_ids)):
+        for block, trajectory_id in enumerate(layer.trajectory_ids):
+            first_interval, last_interval = layer.span(trajectory_id)
             rows = between(layer.region_start, block)
             first = layer.reference_start[rows.start]
             last = layer.reference_start[rows.stop]
@@ -609,7 +635,7 @@ class StIUIndex:
                 self.REFERENCE_TUPLE_BYTES * (last - first - infinite)
                 + self.REFERENCE_INF_TUPLE_BYTES * infinite
                 + self.NONREFERENCE_TUPLE_BYTES * non_references
-            ) * (layer.last_interval[block] - layer.first_interval[block] + 1)
+            ) * (last_interval - first_interval + 1)
         return total
 
     def size_bytes(self) -> int:

@@ -20,13 +20,15 @@ the replaced readers are retired — kept open until the next
 :meth:`refresh`, so calls in flight on the older snapshot still
 complete).  The unsealed buffer inside the writer is never visible.
 
-Indexing: segments carry ``.stiu`` sidecars written at rotation and
-merge time, so :meth:`build_index` *loads* per-segment indexes and
-merges them instead of decoding every record — an open of a sidecar-ed
-archive never triggers a StIU rebuild (``sidecar_misses`` counts the
-exceptions, e.g. a segment whose sidecar was deleted or is stale).
-Per-segment indexes are cached by segment name, so a refresh only
-pays for segments it has not seen.
+Indexing: segments carry ``.stiu`` sidecars (the temporal layer)
+written at rotation and merge time, so :meth:`build_index` *loads*
+per-segment indexes and merges them instead of decoding every record —
+an open of a sidecar-ed archive never triggers a StIU rebuild
+(``sidecar_misses`` counts the exceptions, e.g. a segment whose sidecar
+was deleted or is stale).  Per-segment indexes are cached by segment
+name, so a refresh only pays for segments it has not seen.  The merged
+index derives its spatial rows from this archive when a query first
+needs them.
 """
 
 from __future__ import annotations
@@ -297,7 +299,9 @@ class LiveArchive:
         a usable sidecar are decoded and rebuilt.  Per-segment indexes
         are cached by name, so successive calls after a refresh pay
         only for unseen segments.  The merged index is a fresh object
-        each call (cheap — dict unions over the cached parts).
+        each call (cheap — dict unions over the cached parts' temporal
+        layers; its spatial rows are derived from this archive on first
+        use).
         """
         self._check_open()
         with self._refresh_lock:

@@ -402,7 +402,8 @@ def test_stream_compact_stdout_of_both_forms(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"compacted 6 trajectories from 1 segments (2061 bytes) into "
         f"{output} (2088 bytes)\n"
-        f"wrote {output}.stiu: StIU index sidecar (warm query opens)\n"
+        f"wrote {output}.stiu: StIU index sidecar (temporal layer; "
+        f"spatial rows derived on first use)\n"
     )
     assert output.stat().st_size == 2088
     assert output.with_name(output.name + ".stiu").exists()

@@ -140,6 +140,40 @@ class TestCounters:
         processor.where(trajectory.trajectory_id, t, alpha=0.99)
         assert processor.counters.instances_pruned >= 1
 
+    @pytest.mark.parametrize("partition", [60, 1800])
+    def test_when_prunes_each_reference_tuple_once(self, world, partition):
+        """Lemma 1 prunes a reference set once per tuple of the probe's
+        row, however many time intervals the trajectory spans: its
+        region tuples do not depend on the interval."""
+        network, trajectories, archive, _, _ = world
+        index = StIUIndex(
+            network,
+            archive,
+            grid_cells_per_side=16,
+            time_partition_seconds=partition,
+        )
+        processor = UTCQQueryProcessor(network, archive, index)
+        trajectory = trajectories[0]
+        compressed = archive.trajectory(trajectory.trajectory_id)
+        spans = index.interval_of(compressed.end_time) - index.interval_of(
+            compressed.start_time
+        )
+        path = trajectory.best_instance().path
+        edge = path[len(path) // 2]
+        a, b = network.vertex(edge[0]), network.vertex(edge[1])
+        cell = index.grid.cell_of_point((a.x + b.x) / 2, (a.y + b.y) / 2)
+        row = index.spatial.row_of(trajectory.trajectory_id, cell)
+        assert row is not None
+        starts = index.spatial.reference_start
+        processor.counters.reset()
+        # no instance reaches alpha > 1: every tuple of the row is pruned
+        assert processor.when(trajectory.trajectory_id, edge, 0.5, 1.01) == []
+        assert processor.counters.instances_pruned == (
+            starts[row + 1] - starts[row]
+        )
+        if partition == 60:
+            assert spans > 1  # the case that counted once per interval
+
     def test_counters_reset(self, world):
         _, _, _, _, processor = world
         processor.counters.instances_decoded = 7

@@ -1,17 +1,18 @@
-"""Hostile input to the ``.stiu`` version-2 parser, and what its writer
-refuses.
+"""Hostile input to the ``.stiu`` version-3 parser.
 
 A sidecar is a cache: whatever is wrong with it, the answer is the
 correct index (loaded, or rebuilt from the archive) — reached through
 ``SidecarFormatError`` / ``None``, never through another exception and
 never through work sized by a damaged count.  The file-level damage is
-caught by the header checks and the deflate checksum; the two inflated
-sections are attacked directly, as if that checksum had collided.
+caught by the header checks and the deflate checksum; the inflated
+temporal section is attacked directly, as if that checksum had
+collided.  The spatial rows are derived from the archive, so a loaded
+index must derive exactly the rows of a built one.
 """
 
-import shutil
 import struct
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.core.compressor import compress_dataset
 from repro.io import FileBackedArchive
 from repro.query import sidecar
 from repro.io.format import write_uvarints
-from repro.query.stiu import SpatialLayer, StIUIndex
+from repro.query.stiu import StIUIndex
 from repro.trajectories.datasets import load_dataset
 
 from test_stiu_golden import spatial_rows
@@ -39,16 +40,6 @@ def world(tmp_path_factory):
     return network, archive, path, index
 
 
-def spans_of(index):
-    return {
-        trajectory_id: (
-            index.interval_of(tuples[0].start),
-            index.interval_of(tuples[-1].start),
-        )
-        for trajectory_id, tuples in index._trajectory_tuples.items()
-    }
-
-
 def rows(index_or_layer):
     """The spatial layer's row view, as a list."""
     layer = getattr(index_or_layer, "spatial", index_or_layer)
@@ -62,15 +53,14 @@ def section(values) -> bytes:
 
 
 def load(network, path):
-    """``load_index`` with the spatial section forced through its parser
-    (no silent rebuild): ``None``, or a fully materialised index."""
+    """``load_index``: ``None``, or the loaded index with every spatial
+    row derived (while its archive is open)."""
     with FileBackedArchive.open(path) as archive:
         index = sidecar.load_index(
             network, archive, path, time_partition_seconds=PARTITION
         )
         if index is not None:
-            index._spatial = index._spatial_loader()
-            index._spatial_loader = None
+            index.spatial.intervals()
         return index
 
 
@@ -150,6 +140,39 @@ class TestFileDamage:
             target.write_bytes(pristine)
 
 
+    def test_version_2_sidecar_is_rebuilt_not_read(self, world, tmp_path):
+        """Version 2 stored the spatial layer after the temporal section
+        (and its length in the header); such a file is refused and the
+        index built from the records."""
+        network, _, path, built = world
+        target = sidecar.sidecar_path_for(path)
+        pristine = target.read_bytes()
+        document = sidecar.read_sidecar(target)
+        temporal = pristine[sidecar._HEADER.size :]
+        spatial = zlib.compress(b"\x00\x00")
+        fields = [document[name] for name in sidecar._HEADER_FIELDS]
+        fields[1] = 2  # version
+        header = struct.pack("<8sHHQ32sIIQQQ", *fields, len(spatial))
+        try:
+            target.write_bytes(header + temporal + spatial)
+            with pytest.raises(
+                sidecar.SidecarFormatError, match="unsupported sidecar version 2"
+            ):
+                sidecar.read_sidecar(target)
+            assert load(network, path) is None
+            index = StIUIndex.over_file(
+                network, path, time_partition_seconds=PARTITION
+            )
+            try:
+                assert not index.loaded_from_sidecar
+                assert index.temporal == built.temporal
+                assert rows(index) == rows(built)
+            finally:
+                index.archive.close()
+        finally:
+            target.write_bytes(pristine)
+
+
 class TestInflatedSections:
     """Past the deflate checksum: the varint streams themselves."""
 
@@ -160,10 +183,6 @@ class TestInflatedSections:
         )
         assert temporal == index.temporal
         assert per_trajectory == index._trajectory_tuples
-        spatial = sidecar._decode_spatial(
-            sidecar._encode_spatial(index), spans_of(index)
-        )
-        assert rows(spatial) == rows(index)
 
     def test_every_truncation_point_is_a_format_error(self, world):
         _, _, _, index = world
@@ -171,122 +190,46 @@ class TestInflatedSections:
         for cut in range(len(temporal)):
             with pytest.raises(sidecar.SidecarFormatError):
                 sidecar._decode_temporal(temporal[:cut])
-        spatial = sidecar._encode_spatial(index)
-        spans = spans_of(index)
-        for cut in range(len(spatial)):
-            with pytest.raises(sidecar.SidecarFormatError):
-                sidecar._decode_spatial(spatial[:cut], spans)
         with pytest.raises(sidecar.SidecarFormatError, match="trailing"):
             sidecar._decode_temporal(temporal + b"\x00")
-        with pytest.raises(sidecar.SidecarFormatError, match="trailing"):
-            sidecar._decode_spatial(spatial + b"\x00", spans)
 
     def test_every_flipped_byte_parses_or_is_a_format_error(self, world):
         _, _, _, index = world
-        spans = spans_of(index)
-        entries = len(rows(index))
-        sections = [
-            (sidecar._encode_temporal(index), sidecar._decode_temporal),
-            (
-                sidecar._encode_spatial(index),
-                lambda data: sidecar._decode_spatial(data, spans),
-            ),
-        ]
-        for blob, decode in sections:
-            outcomes = set()
-            for offset in range(len(blob)):
-                for mask in (0x01, 0x80):
-                    damaged = bytearray(blob)
-                    damaged[offset] ^= mask
-                    try:
-                        decoded = decode(bytes(damaged))
-                    except sidecar.SidecarFormatError:
-                        outcomes.add("refused")
-                        continue
-                    outcomes.add("parsed")
-                    if isinstance(decoded, SpatialLayer):
-                        # the temporal spans bound the fan-out: a damaged
-                        # interval count cannot multiply the entries
-                        assert len(rows(decoded)) <= entries
-            assert outcomes == {"refused", "parsed"}
-
-    def test_a_span_the_temporal_layer_does_not_know_is_refused(self, world):
-        """The one count that sizes work — how many intervals a
-        trajectory's entries fan out to — is checked, not trusted."""
-        _, _, _, index = world
-        spans = spans_of(index)
-        blob = sidecar._encode_spatial(index)
-        victim = min(spans)
-        first, last = spans[victim]
-        for wrong in ((first, last + 10**9), (first + 1, last), (0, last)):
-            with pytest.raises(sidecar.SidecarFormatError, match="spans"):
-                sidecar._decode_spatial(blob, {**spans, victim: wrong})
-        with pytest.raises(sidecar.SidecarFormatError, match="spans"):
-            sidecar._decode_spatial(
-                blob, {t: s for t, s in spans.items() if t != victim}
-            )
-
+        blob = sidecar._encode_temporal(index)
+        tuples = sum(len(entries) for entries in index.temporal.values())
+        outcomes = set()
+        for offset in range(len(blob)):
+            for mask in (0x01, 0x80):
+                damaged = bytearray(blob)
+                damaged[offset] ^= mask
+                try:
+                    temporal, _ = sidecar._decode_temporal(bytes(damaged))
+                except sidecar.SidecarFormatError:
+                    outcomes.add("refused")
+                    continue
+                outcomes.add("parsed")
+                # a damaged count cannot multiply the tuples
+                assert sum(map(len, temporal.values())) <= tuples
+        assert outcomes == {"refused", "parsed"}
 
     def test_a_forged_count_is_refused_before_any_work(self):
-        """Each count field is checked against the values left in the
-        section: 2**30 of anything is refused at once, and the parse
+        """A count field sizes no work: the parse runs off the values
+        the section holds, so 2**30 of anything is refused at once and
         allocates about what the section itself takes."""
-        spans = {7: (3, 3)}
-        block = [7, 3, 0]  # id, first interval, extra intervals
         forged = {
-            "trajectory": [2**30, 0],
-            "region": [1, 0, *block, 2**30],
-            "reference": [1, 0, *block, 1, 5, 2**30],
-            "non-reference": [1, 0, *block, 1, 5, 0, 2**30],
+            "interval": [2**30],
+            "entry": [1, 5, 2**30],
         }
         for what, values in forged.items():
             data = section(values + [0] * 16)
             tracemalloc.start()
             try:
-                with pytest.raises(
-                    sidecar.SidecarFormatError, match=f"{what} count"
-                ):
-                    sidecar._decode_spatial(data, spans)
+                with pytest.raises(sidecar.SidecarFormatError, match="truncated"):
+                    sidecar._decode_temporal(data)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 1024, what
-
-    def test_a_trajectory_or_region_listed_twice_is_refused(self):
-        """One block per trajectory and one row per region in it: a
-        section that repeats either (which no writer produces) is
-        damage, not a second set of tuples."""
-        spans = {7: (3, 3)}
-        region = [5, 1, 0, 0, 0, 0, 1, 1, 0]  # cell 5: one reference, no non-ref
-        twice = [2, 0, 7, 3, 0, 1, *region, 0, 3, 0, 1, *region]
-        with pytest.raises(sidecar.SidecarFormatError, match="listed twice"):
-            sidecar._decode_spatial(section(twice), spans)
-        again = [0, 1, 0, 0, 0, 0, 1, 1, 0]  # the same cell again
-        with pytest.raises(sidecar.SidecarFormatError, match="twice"):
-            sidecar._decode_spatial(
-                section([1, 0, 7, 3, 0, 2, *region, *again]), spans
-            )
-        # the well-formed single block parses
-        layer = sidecar._decode_spatial(
-            section([1, 0, 7, 3, 0, 1, *region]), spans
-        )
-        assert [(i, c, t) for i, c, t, _ in spatial_rows(layer)] == [(3, 5, 7)]
-
-
-class TestWriterRefusals:
-    """An index holding something version 2 cannot store is refused at
-    write, not flattened."""
-
-    def test_an_aggregate_that_is_not_a_pddp_sum(self, world, tmp_path):
-        from repro.io import ArchiveFormatError
-
-        network, archive, path, _ = world
-        copy = tmp_path / "x.utcq"  # the world's own sidecar stays intact
-        shutil.copyfile(path, copy)
-        index = StIUIndex(network, archive, time_partition_seconds=PARTITION)
-        index.spatial.references[4][0] = float("nan")  # p_total
-        with pytest.raises(ArchiveFormatError, match="exactly"):
-            sidecar.save_index(index, copy)
 
 
 def test_a_slice_of_a_parsed_archive_needs_its_stats(world):

@@ -4,8 +4,9 @@ The index builder is free to get faster, not to change what it builds.
 Two guards:
 
 * the golden dataset of ``test_golden_archive.py`` must produce the
-  ``.stiu`` sidecar bytes (and the in-memory ``temporal`` / ordered
-  ``spatial`` tuples) recorded from the first builder, at the default
+  ``.stiu`` sidecar bytes (the temporal layer) and the in-memory
+  ``temporal`` / ordered ``spatial`` tuples (the spatial ones derived
+  from the records) recorded from the first builder, at the default
   30-minute time partition and at a 60-second one that makes most
   trajectories span several intervals;
 * on random small networks and datasets the builder must equal
@@ -31,23 +32,23 @@ from repro.io.format import write_archive
 from repro.network.generators import perturbed_grid_network
 from repro.network.grid import GridPartition
 from repro.query import StIUIndex, save_index
-from repro.query.sidecar import read_sidecar
+from repro.query.sidecar import _HEADER, _encode_temporal, read_sidecar
 from repro.query.stiu import INFINITE_VERTEX, TemporalTuple, between
 from repro.trajectories.generators import GenerationConfig, generate_dataset
 
 from test_golden_archive import GOLDEN_SHA256, PROVENANCE, golden_setup  # noqa: F401
 
 # time partition -> (.stiu SHA-256, structure digest).  The structure
-# digests are those recorded from the builder of PR 13 (commit 62f1a4c)
-# over the golden archive; the .stiu digests are of sidecar format v2,
-# which stores the same structures in fewer bytes.
+# digests are those recorded from the builder of commit 62f1a4c over the
+# golden archive; the .stiu digests are of sidecar format v3, which
+# stores the temporal layer alone.
 GOLDEN_INDEX = {
     1800: (
-        "654a72175cdd784e03dbcc317a86a3d2a330b89a11252201eb26037c5bfe8c87",
+        "1235c521da8f64c3d560d16ed240bd92ed3314c4f77cce60b5dd532b23187ba7",
         "7ece0d94bf4667af62f74762b959d7e7b52565a79065f5ca24e2ec9e611c1c03",
     ),
     60: (
-        "e7718ebc27fe246066cbbd15fcb3a4379b226f742e3e63345445b31cb08bb33e",
+        "5d19c66890359de8f41cbf658b5a98b8dbd1666b587884e879793ecd991ddaeb",
         "fd01bc733fd4b48fc23ac0475c7a99fce73afc92a663b1a8ad4aab14aa933d10",
     ),
 }
@@ -123,52 +124,56 @@ def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
 
 
 # ----------------------------------------------------------------------
-# the mechanism of format v2: each fact is stored once
+# the mechanism of format v3: only what cannot be derived is stored
 # ----------------------------------------------------------------------
 def test_golden_files_are_smaller_than_their_input(golden_setup, tmp_path):  # noqa: F811
     """Table 8 read off the disk: archive plus sidecar against the
     paper's uncompressed size.  25 trajectories is where the fixed
-    headers weigh most; format v1 took 1.50x the raw bytes here."""
+    headers weigh most; format v1 took 1.50x the raw bytes here, format
+    v2 (which stored the spatial layer) 0.9x."""
     network, _, archive = golden_setup
     path = tmp_path / "golden.utcq"
     archive_bytes = write_archive(archive, path, provenance=PROVENANCE)
     sidecar_bytes = save_index(StIUIndex(network, archive), path).stat().st_size
     raw_bytes = archive.stats.original.total / 8
-    assert archive_bytes + sidecar_bytes <= 1.1 * raw_bytes
+    assert archive_bytes + sidecar_bytes <= 0.5 * raw_bytes
 
 
-def _uvarint_bytes(value: int) -> int:
-    return max((value.bit_length() + 6) // 7, 1)
-
-
-def test_spatial_section_does_not_grow_with_the_interval_count(
+def test_the_sidecar_stores_the_temporal_layer_alone(
     golden_setup, tmp_path  # noqa: F811
 ):
-    """A trajectory's region tuples are written once however many time
-    intervals it is active in: a 60-second partition changes the
-    inflated spatial section only by the size of each trajectory's
-    ``first interval`` / ``extra intervals`` varints."""
+    """The spatial layer is derived, not stored: the file is the header
+    and the deflated temporal section, however far the spatial rows fan
+    out over the intervals and whatever the grid."""
     network, _, archive = golden_setup
     path = tmp_path / "golden.utcq"
     write_archive(archive, path, provenance=PROVENANCE)
-    inflated = {}
-    span_bytes = {}
+    sizes = {}
     entries = {}
     for partition in (1800, 60):
-        index = StIUIndex(network, archive, time_partition_seconds=partition)
-        document = read_sidecar(save_index(index, path))
-        inflated[partition] = len(document["spatial_blob"])
-        span_bytes[partition] = sum(
-            _uvarint_bytes(t.start_time // partition)
-            + _uvarint_bytes(
-                t.end_time // partition - t.start_time // partition
+        for cells in (8, 32):
+            index = StIUIndex(
+                network,
+                archive,
+                grid_cells_per_side=cells,
+                time_partition_seconds=partition,
             )
-            for t in archive.trajectories
-        )
-        entries[partition] = sum(1 for _ in spatial_rows(index.spatial))
-    # the index fans out over the intervals; the bytes do not
-    assert entries[60] > 3 * entries[1800]
-    assert inflated[60] - inflated[1800] == span_bytes[60] - span_bytes[1800]
+            target = save_index(index, path)
+            document = read_sidecar(target)
+            assert document["temporal_blob"] == _encode_temporal(index)
+            assert target.stat().st_size == (
+                _HEADER.size + document["temporal_bytes"]
+            )
+            sizes[partition, cells] = target.stat().st_size
+            entries[partition, cells] = sum(
+                1 for _ in spatial_rows(index.spatial)
+            )
+    # the index fans out over the intervals and the cells; the bytes do
+    # not follow either
+    assert entries[60, 32] > 3 * entries[1800, 32]
+    assert entries[60, 32] > entries[60, 8]
+    assert sizes[60, 8] == sizes[60, 32]
+    assert sizes[1800, 8] == sizes[1800, 32]
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +373,13 @@ def test_builder_matches_reference(
     assume("trajectory over several intervals" in shapes)
     assert index.temporal == temporal
     assert spatial_map(index) == spatial
-    # the loader fallback rebuilds the spatial layer alone
-    index._rebuild_spatial()
-    assert spatial_map(index) == spatial
+    # blocks are derived in whatever order queries ask for them
+    again = StIUIndex(
+        network,
+        archive,
+        grid_cells_per_side=cells_per_side,
+        time_partition_seconds=partition,
+    )
+    for trajectory in reversed(archive.trajectories):
+        again.spatial.block_of(trajectory.trajectory_id)
+    assert spatial_map(again) == spatial

@@ -7,10 +7,12 @@ small multiple of that.  An object per tuple (a frozen dataclass inside
 a per-(interval, region, trajectory) entry inside three levels of dicts)
 took about 500 bytes here.
 
-Measured with ``tracemalloc`` over materialising the spatial layer
-alone, both for a built index and for one loaded from its sidecar; the
-temporal layer and the network's shared grid tables are outside the
-measurement.
+Measured with ``tracemalloc`` over deriving the whole spatial layer from
+the records, both under a built index over the in-memory archive and
+under one loaded from its sidecar over the file (which parses each
+record it derives from, and keeps none); the temporal layer, the
+network's shared grid tables and the file's time-span memo (warmed
+first) are outside the measurement.
 """
 
 import gc
@@ -61,28 +63,26 @@ def materialise(index) -> None:
 
 
 def test_a_built_spatial_layer_holds_a_few_bytes_per_tuple(world):
-    _, index, _ = world
-    materialise(index)
-    previous = index.spatial  # kept alive: only the new layer is counted
-
-    def rebuild():
-        index._rebuild_spatial()
-        materialise(index)
-
-    size = held_bytes(rebuild)
-    assert index.spatial is not previous
+    network, built, _ = world
+    materialise(built)  # the grid's edge and hop tables, warmed
+    index = StIUIndex(network, built.archive)
+    size = held_bytes(lambda: materialise(index))
     tuples = tuple_count(index.spatial)
+    assert tuples == tuple_count(built.spatial)
     assert tuples > 10_000
     assert size <= BYTES_PER_TUPLE * tuples, size / tuples
 
 
 def test_a_loaded_spatial_layer_holds_a_few_bytes_per_tuple(world):
     network, built, path = world
+    materialise(built)
     with FileBackedArchive.open(path) as archive:
         loaded = sidecar.load_index(network, archive, path)
-        # the loader holds the inflated section; keep it out of the count
-        loader = loaded._spatial_loader
-        assert loader is not None
+        assert loaded.loaded_from_sidecar
+        # a parse memoises the record's time span in the archive: the
+        # archive's bytes, not the layer's
+        for trajectory_id in archive.trajectory_ids():
+            archive.trajectory(trajectory_id)
         size = held_bytes(lambda: materialise(loaded))
         tuples = tuple_count(loaded.spatial)
         assert tuples == tuple_count(built.spatial)

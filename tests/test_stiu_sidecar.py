@@ -1,18 +1,23 @@
 """Persistence tests for the ``.stiu`` StIU index sidecar.
 
 Covers the round trip (a sidecar-loaded index is structurally identical
-to a fresh build and answers queries identically), staleness detection
-(rewritten archive, truncated/corrupt sidecar, parameter mismatch, and
-version bump all force a rebuild), and the write-at-compress-time
-integrations (``save_archive_with_index``, stream ``compact``).
+to a fresh build and answers queries identically), the spatial rows
+derived on first use (only what a query reads, once, whatever the
+threads), staleness detection (rewritten archive, truncated/corrupt
+sidecar, parameter mismatch, and version bump all force a rebuild), and
+the write-at-compress-time integrations (``save_archive_with_index``,
+stream ``compact``).
 """
 
 import struct
+import sys
+import threading
 
 import pytest
 
 from repro.core.compressor import compress_dataset
 from repro.io import FileBackedArchive
+from repro.network.grid import Rect
 from repro.pipeline.batch import save_archive_with_index
 from repro.query import sidecar
 from repro.query.stiu import StIUIndex
@@ -95,15 +100,102 @@ class TestRoundTrip:
             rebuilt.archive.close()
 
     def test_spatial_section_is_lazy(self, world):
-        network, _, _, path = world
+        """The sidecar holds no spatial row, and the open derives none:
+        the first spatial access derives them from the records."""
+        network, _, archive, path = world
         loaded = StIUIndex.over_file(network, path)
         try:
             assert loaded.loaded_from_sidecar
-            assert loaded._spatial_loader is not None
-            _ = loaded.spatial
-            assert loaded._spatial_loader is None
+            assert len(loaded.spatial.trajectory_ids) == 0
+            loaded.spatial.intervals()
+            assert sorted(loaded.spatial.trajectory_ids) == sorted(
+                t.trajectory_id for t in archive.trajectories
+            )
         finally:
             loaded.archive.close()
+
+
+def derived_blocks(index) -> list[int]:
+    """The ids whose spatial blocks ``index`` has derived, in order."""
+    return list(index.spatial.trajectory_ids)
+
+
+class TestDerivedOnFirstUse:
+    def test_the_first_range_derives_the_blocks_active_in_its_interval(
+        self, world
+    ):
+        from repro.query.queries import UTCQQueryProcessor
+
+        network, _, archive, path = world
+        persist_sidecar(network, path)
+        box = network.bounding_box()
+        rect = Rect(box.min_x, box.min_y, box.max_x, box.max_y)
+        trajectory = archive.trajectories[0]
+        t = (trajectory.start_time + trajectory.end_time) // 2
+        index = StIUIndex.over_file(network, path)
+        try:
+            active = index.trajectories_in_interval(t)
+            assert 0 < len(active) < archive.trajectory_count
+            UTCQQueryProcessor(network, index.archive, index).range(
+                rect, t, 0.5
+            )
+            assert sorted(derived_blocks(index)) == list(active)
+            assert list(index.spatial._intervals) == [index.interval_of(t)]
+        finally:
+            index.archive.close()
+
+    def test_a_when_derives_one_block(self, world):
+        from repro.query.queries import UTCQQueryProcessor
+
+        network, trajectories, _, path = world
+        persist_sidecar(network, path)
+        trajectory = trajectories[3]
+        edge = trajectory.best_instance().path[0]
+        index = StIUIndex.over_file(network, path)
+        try:
+            processor = UTCQQueryProcessor(network, index.archive, index)
+            assert processor.when(trajectory.trajectory_id, edge, 0.5, 0.1)
+            assert derived_blocks(index) == [trajectory.trajectory_id]
+            assert not index.spatial._intervals
+        finally:
+            index.archive.close()
+
+    def test_threads_racing_on_first_access_get_identical_rows(self, world):
+        """Blocks and intervals are derived once, under the layer's
+        lock: every thread sees the rows one thread alone derives."""
+        network, _, archive, path = world
+        expected = list(spatial_rows(StIUIndex(network, archive).spatial))
+        index = build_index(network, path)
+        start = threading.Barrier(4, timeout=60)
+        seen = []
+
+        def race(order) -> None:
+            start.wait()
+            for trajectory in order:
+                index.spatial.block_of(trajectory.trajectory_id)
+            seen.append(list(spatial_rows(index.spatial)))
+
+        orders = [
+            archive.trajectories,
+            archive.trajectories[::-1],
+            archive.trajectories[1::2] + archive.trajectories[::2],
+            [],  # straight to the intervals
+        ]
+        threads = [threading.Thread(target=race, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the derive
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert seen == [expected] * len(orders)
+            blocks = derived_blocks(index)
+            assert sorted(blocks) == sorted(set(blocks))  # each once
+        finally:
+            sys.setswitchinterval(interval)
+            index.archive.close()
 
 
 class TestStaleness:
@@ -194,30 +286,6 @@ class TestStaleness:
             assert not rebuilt.loaded_from_sidecar
         finally:
             rebuilt.archive.close()
-
-    def test_corrupt_lazy_spatial_section_falls_back_to_rebuild(
-        self, world, tmp_path
-    ):
-        """The spatial section is parsed lazily; if it turns out corrupt
-        at first access, the index rebuilds it from the archive instead
-        of silently serving an empty spatial map."""
-        network, _, archive, _ = world
-        path = tmp_path / "lazy.utcq"
-        archive.save(path)
-        persist_sidecar(network, path)
-        loaded = StIUIndex.over_file(network, path)
-        try:
-            assert loaded.loaded_from_sidecar
-            loaded._spatial_loader = lambda: (_ for _ in ()).throw(
-                sidecar.SidecarFormatError("corrupt spatial section")
-            )
-            rebuilt = build_index(network, path)
-            try:
-                assert_same_index(loaded, rebuilt)
-            finally:
-                rebuilt.archive.close()
-        finally:
-            loaded.archive.close()
 
     def test_truncated_sidecar_rejected(self, world, tmp_path):
         network, _, archive, _ = world
