@@ -747,6 +747,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_decompress(args) -> int:
+    from .core import CorruptPayloadError
     from .core.decoder import decode_trajectory
 
     with _open_archive(args.archive) as archive:
@@ -757,9 +758,15 @@ def cmd_decompress(args) -> int:
                 if args.limit is not None and position >= args.limit:
                     break
                 compressed = archive.trajectory(trajectory_id)
-                decoded = decode_trajectory(
-                    network, compressed, archive.params
-                )
+                try:
+                    decoded = decode_trajectory(
+                        network, compressed, archive.params
+                    )
+                except CorruptPayloadError as error:
+                    # a valid CRC over a payload that does not decode
+                    raise CliError(
+                        f"{args.archive}: trajectory {trajectory_id}: {error}"
+                    )
                 record = {
                     "trajectory_id": decoded.trajectory_id,
                     "times": list(decoded.times),
@@ -798,6 +805,7 @@ _NOTHING_QUALIFIES = {
 def cmd_query(args) -> int:
     """``where`` / ``when`` / ``range`` are a batch of one: every kind
     runs through :class:`~repro.query.engine.ShardedQueryEngine`."""
+    from .core import CorruptPayloadError
     from .query.engine import (
         QueryEngineError,
         ShardedQueryEngine,
@@ -831,7 +839,8 @@ def cmd_query(args) -> int:
                         f"no trajectory {trajectory_id} in the archive"
                     )
             results = engine.run(queries)
-    except QueryEngineError as error:
+    except (QueryEngineError, CorruptPayloadError) as error:
+        # a payload that does not decode is named, not a traceback
         raise CliError(f"{error}")
     if args.json:
         for query, result in zip(queries, results):

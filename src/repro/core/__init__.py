@@ -7,6 +7,7 @@ from .archive import (
     CompressedTrajectory,
     CompressionParams,
     CompressionStats,
+    CorruptPayloadError,
 )
 from .compressor import (
     DEFAULT_ETA_DISTANCE,
@@ -31,6 +32,7 @@ __all__ = [
     "CompressedTrajectory",
     "CompressionParams",
     "CompressionStats",
+    "CorruptPayloadError",
     "DEFAULT_ETA_DISTANCE",
     "DEFAULT_ETA_PROBABILITY",
     "UTCQCompressor",

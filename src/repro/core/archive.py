@@ -19,6 +19,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+class CorruptPayloadError(ValueError):
+    """A payload that cannot be decoded: it reads past its end, names an
+    edge number its vertex does not have, or decodes to data the model
+    rejects.  A record's CRC can be valid and its payload still be one
+    (a bit flipped before the CRC was computed)."""
+
+    @classmethod
+    def wrapping(cls, error: Exception) -> "CorruptPayloadError":
+        detail = error
+        if isinstance(error, KeyError) and error.args:
+            # a KeyError's str() is the repr of its message
+            detail = error.args[0]
+        return cls(f"undecodable payload: {detail}")
+
+
+#: What the bit readers, the network tables and the model raise on a
+#: damaged payload; the decoders turn each into a CorruptPayloadError.
+DECODE_FAILURES = (EOFError, IndexError, KeyError, ValueError)
+
+
 @dataclass
 class ComponentBits:
     """Bit counts per TED component."""

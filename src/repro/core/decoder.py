@@ -29,10 +29,12 @@ from ..network.graph import RoadNetwork
 from ..trajectories.model import TrajectoryInstance, UncertainTrajectory
 from . import siar
 from .archive import (
+    DECODE_FAILURES,
     CompressedArchive,
     CompressedInstance,
     CompressedTrajectory,
     CompressionParams,
+    CorruptPayloadError,
 )
 from .factors import (
     EdgeFactor,
@@ -43,12 +45,12 @@ from .factors import (
     read_flag_stream,
 )
 from .improved_ted import InstanceTuple, decode_instance, restore_time_flags
-from .pddp import PddpDecoder, decode_fraction, max_code_length
+from .pddp import PddpDecoder, max_code_length, read_fraction
 
 
-def _read_probability(reader: BitReader, eta: float) -> float:
-    code_length = reader.read_uint(uint_width(max_code_length(eta)))
-    return decode_fraction(reader.read_bits(code_length))
+def read_probability(reader: BitReader, eta: float) -> float:
+    """Inverse of :func:`~repro.core.encoder.write_probability`."""
+    return read_fraction(reader, uint_width(max_code_length(eta)))
 
 
 def decode_times(
@@ -56,9 +58,12 @@ def decode_times(
 ) -> list[int]:
     """Decode the full shared time sequence of a trajectory."""
     reader = BitReader(trajectory.time_payload, trajectory.time_payload_bits)
-    return siar.decode(
-        reader, params.default_interval, t0_bits=params.t0_bits
-    )
+    try:
+        return siar.decode(
+            reader, params.default_interval, t0_bits=params.t0_bits
+        )
+    except DECODE_FAILURES as error:
+        raise CorruptPayloadError.wrapping(error) from error
 
 
 def decode_times_prefix(
@@ -79,10 +84,16 @@ def decode_times_prefix(
 def _read_reference_edges(
     reader: BitReader, symbol_width: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``E`` and the full ``T'`` from the head of a reference payload."""
+    """``E`` and the full ``T'`` from the head of a reference payload.
+
+    The fixed-width ``E`` row is read with one ``read_uint`` and split,
+    as the writer packs it into one push."""
     entry_count = expgolomb.decode_unsigned(reader)
+    row = reader.read_uint(symbol_width * entry_count)
+    mask = (1 << symbol_width) - 1
     edge_numbers = tuple(
-        reader.read_uint(symbol_width) for _ in range(entry_count)
+        (row >> shift) & mask
+        for shift in range(symbol_width * (entry_count - 1), -1, -symbol_width)
     )
     trimmed = reader.read_bits(max(entry_count - 2, 0))
     return edge_numbers, restore_time_flags(trimmed)
@@ -95,16 +106,21 @@ def decode_reference_tuple(
     if not instance.is_reference:
         raise ValueError("decode_reference_tuple expects a reference")
     reader = BitReader(instance.payload, instance.payload_bits)
-    edge_numbers, flags = _read_reference_edges(reader, params.symbol_width)
-    distances = tuple(PddpDecoder(reader, params.eta_distance).values)
-    probability = _read_probability(reader, params.eta_probability)
-    return InstanceTuple(
-        start_vertex=instance.start_vertex,
-        edge_numbers=edge_numbers,
-        relative_distances=distances,
-        time_flags=flags,
-        probability=probability,
-    )
+    try:
+        edge_numbers, flags = _read_reference_edges(
+            reader, params.symbol_width
+        )
+        distances = tuple(PddpDecoder(reader, params.eta_distance).values)
+        probability = read_probability(reader, params.eta_probability)
+        return InstanceTuple(
+            start_vertex=instance.start_vertex,
+            edge_numbers=edge_numbers,
+            relative_distances=distances,
+            time_flags=flags,
+            probability=probability,
+        )
+    except DECODE_FAILURES as error:
+        raise CorruptPayloadError.wrapping(error) from error
 
 
 def decode_non_reference_tuple(
@@ -116,31 +132,36 @@ def decode_non_reference_tuple(
     if instance.is_reference:
         raise ValueError("decode_non_reference_tuple expects a non-reference")
     reader = BitReader(instance.payload, instance.payload_bits)
-    reader.seek(instance.edge_offset)  # skip the reference index
-    factors = read_edge_factors(
-        reader, len(reference.edge_numbers), params.symbol_width
-    )
-    edge_numbers = tuple(apply_edge_factors(factors, reference.edge_numbers))
-    trimmed = read_flag_stream(
-        reader,
-        list(reference.trimmed_time_flags),
-        max(len(edge_numbers) - 2, 0),
-    )
-    flags = restore_time_flags(trimmed)
-    patches = read_distance_patches(
-        reader, len(reference.relative_distances), params.eta_distance
-    )
-    distances = tuple(
-        apply_distance_patches(list(reference.relative_distances), patches)
-    )
-    probability = _read_probability(reader, params.eta_probability)
-    return InstanceTuple(
-        start_vertex=reference.start_vertex,
-        edge_numbers=edge_numbers,
-        relative_distances=distances,
-        time_flags=flags,
-        probability=probability,
-    )
+    try:
+        reader.seek(instance.edge_offset)  # skip the reference index
+        factors = read_edge_factors(
+            reader, len(reference.edge_numbers), params.symbol_width
+        )
+        edge_numbers = tuple(
+            apply_edge_factors(factors, reference.edge_numbers)
+        )
+        trimmed = read_flag_stream(
+            reader,
+            list(reference.trimmed_time_flags),
+            max(len(edge_numbers) - 2, 0),
+        )
+        flags = restore_time_flags(trimmed)
+        patches = read_distance_patches(
+            reader, len(reference.relative_distances), params.eta_distance
+        )
+        distances = tuple(
+            apply_distance_patches(list(reference.relative_distances), patches)
+        )
+        probability = read_probability(reader, params.eta_probability)
+        return InstanceTuple(
+            start_vertex=reference.start_vertex,
+            edge_numbers=edge_numbers,
+            relative_distances=distances,
+            time_flags=flags,
+            probability=probability,
+        )
+    except DECODE_FAILURES as error:
+        raise CorruptPayloadError.wrapping(error) from error
 
 
 def decode_trajectory_tuples(
@@ -234,9 +255,12 @@ def decode_trajectory(
     if total_probability > 0:
         for instance in instances:
             instance.probability /= total_probability
-    return UncertainTrajectory(
-        trajectory.trajectory_id, instances, times
-    )
+    try:
+        return UncertainTrajectory(
+            trajectory.trajectory_id, instances, times
+        )
+    except ValueError as error:  # times and instances disagree
+        raise CorruptPayloadError.wrapping(error) from error
 
 
 def decode_archive(

@@ -30,27 +30,29 @@ from .factors import (
 from .improved_ted import InstanceTuple
 from .pddp import (
     PddpEncoder,
-    decode_fraction,
-    encode_fraction,
+    fraction_word,
     max_code_length,
+    probability_word,
 )
 from .refselect import ReferenceSelection
 
 START_VERTEX_BITS = 32  # paper convention: vertex ids are 32-bit
 
 
-def _write_probability(
+def write_probability(
     writer: BitWriter, probability: float, eta: float
 ) -> tuple[int, float]:
-    """Write one probability as a direct PDDP fraction code.
+    """Write one probability as a direct PDDP fraction code (length
+    field and code bits in one push; never a code that decodes to 0, see
+    :func:`~repro.core.pddp.probability_word`).  UTCQ and the TED
+    baseline both write probabilities through it.
 
     Returns ``(bits_written, decoded_value)``.
     """
-    before = len(writer)
-    code = encode_fraction(probability, eta)
-    writer.write_uint(len(code), uint_width(max_code_length(eta)))
-    writer.write_bits(code)
-    return len(writer) - before, decode_fraction(code)
+    code, length, value = probability_word(probability, eta)
+    width = uint_width(max_code_length(eta)) + length
+    writer.append_bits((length << length) | code, width)
+    return width, value
 
 
 def encode_reference(
@@ -86,7 +88,7 @@ def encode_reference(
     bits.distance = probability_offset - distance_offset
     distance_positions = tuple(pddp.positions)
 
-    probability_bits, decoded_probability = _write_probability(
+    probability_bits, decoded_probability = write_probability(
         writer, encoded.probability, params.eta_probability
     )
     bits.probability = probability_bits
@@ -154,7 +156,7 @@ def encode_non_reference(
     probability_offset = len(writer)
     bits.distance = probability_offset - distance_offset
 
-    probability_bits, decoded_probability = _write_probability(
+    probability_bits, decoded_probability = write_probability(
         writer, encoded.probability, params.eta_probability
     )
     bits.probability = probability_bits
@@ -220,9 +222,7 @@ def encode_trajectory(
             tuples[instance_index], ordinal_of[instance_index], params
         )
         decoded_distances = [
-            decode_fraction(
-                encode_fraction(rd, params.eta_distance)
-            )
+            fraction_word(rd, params.eta_distance)[2]
             for rd in tuples[instance_index].relative_distances
         ]
         encoded_references[instance_index] = (instance, decoded_distances)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from ..bits import expgolomb
 from ..bits.bitio import BitReader, BitWriter, uint_width
-from .pddp import decode_fraction, encode_fraction, max_code_length
+from .pddp import fraction_word, max_code_length, read_fraction
 
 
 @dataclass(frozen=True)
@@ -476,9 +476,8 @@ def write_distance_patches(
     expgolomb.encode_unsigned(writer, len(patches))
     for position, value in patches:
         writer.write_uint(position, pos_width)
-        code = encode_fraction(value, eta)
-        writer.write_uint(len(code), length_width)
-        writer.write_bits(code)
+        code, length, _ = fraction_word(value, eta)
+        writer.append_bits((length << length) | code, length_width + length)
 
 
 def read_distance_patches(
@@ -491,10 +490,7 @@ def read_distance_patches(
     patches: list[tuple[int, float]] = []
     for _ in range(count):
         position = reader.read_uint(pos_width)
-        code_length = reader.read_uint(length_width)
-        patches.append(
-            (position, decode_fraction(reader.read_bits(code_length)))
-        )
+        patches.append((position, read_fraction(reader, length_width)))
     return patches
 
 

@@ -30,6 +30,7 @@ from ..trajectories.model import (
     MappedLocation,
     TrajectoryInstance,
 )
+from .archive import DECODE_FAILURES, CorruptPayloadError
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,65 @@ def restore_time_flags(trimmed: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return (1, *trimmed, 1)
 
 
+#: rd of a point exactly on the end vertex (see
+#: :meth:`MappedLocation.relative_distance`, which this module inlines)
+_RD_CEILING = 1.0 - 1e-12
+
+
 def encode_instance(
     network: RoadNetwork, instance: TrajectoryInstance
 ) -> InstanceTuple:
-    """Derive the improved TED tuple of ``instance``."""
-    counts = instance.points_per_edge()
+    """Derive the improved TED tuple of ``instance``.
+
+    One pass over the locations, walking the network's frozen tables:
+    path edges without a location become ``(number, T'=0)`` entries, a
+    location's edge ``(number, 1)`` and each further location on the
+    same edge ``(0, 1)``; ``rd`` is computed inline from the edge's
+    length in :meth:`RoadNetwork.out_table`.
+    """
+    numbering = network.numbering()
+    out_table = network.out_table()
+    path = instance.path
+    try:
+        numbers = [numbering[edge] for edge in path]
+    except KeyError:
+        edge = next(edge for edge in path if edge not in numbering)
+        raise KeyError(
+            f"edge ({edge[0]}, {edge[1]}) is not in the network"
+        ) from None
     edge_numbers: list[int] = []
     time_flags: list[int] = []
-    for path_index, edge in enumerate(instance.path):
-        edge_numbers.append(network.out_number(*edge))
-        count = counts[path_index]
-        if count >= 1:
-            time_flags.append(1)
-            if count > 1:
-                edge_numbers.extend([0] * (count - 1))
-                time_flags.extend([1] * (count - 1))
+    distances: list[float] = []
+    previous = -1
+    length = 0.0
+    for location, index in zip(
+        instance.locations, instance.location_edge_indices
+    ):
+        if index == previous:
+            edge_numbers.append(0)
         else:
-            time_flags.append(0)
+            for skipped in range(previous + 1, index):
+                edge_numbers.append(numbers[skipped])
+                time_flags.append(0)
+            number = numbers[index]
+            length = out_table[path[index][0]][number - 1].length
+            edge_numbers.append(number)
+            previous = index
+        time_flags.append(1)
+        rd = location.ndist / length
+        if not 0.0 <= rd <= 1.0:
+            raise ValueError(
+                f"ndist {location.ndist} outside edge {location.edge} "
+                f"of length {length}"
+            )
+        distances.append(rd if rd < _RD_CEILING else _RD_CEILING)
+    for skipped in range(previous + 1, len(path)):
+        edge_numbers.append(numbers[skipped])
+        time_flags.append(0)
     return InstanceTuple(
-        start_vertex=instance.start_vertex,
+        start_vertex=path[0][0],
         edge_numbers=tuple(edge_numbers),
-        relative_distances=tuple(instance.relative_distances(network)),
+        relative_distances=tuple(distances),
         time_flags=tuple(time_flags),
         probability=instance.probability,
     )
@@ -104,36 +143,59 @@ def encode_instance(
 def decode_instance(
     network: RoadNetwork, encoded: InstanceTuple
 ) -> TrajectoryInstance:
-    """Reconstruct a :class:`TrajectoryInstance` from its tuple."""
+    """Reconstruct a :class:`TrajectoryInstance` from its tuple.
+
+    Walks the network's frozen :meth:`RoadNetwork.out_table`.  A tuple
+    that does not describe an instance of this network (an edge number
+    its vertex does not have, a path the model rejects) raises
+    :class:`~repro.core.archive.CorruptPayloadError`.
+    """
+    try:
+        return _decode_instance(network.out_table(), encoded)
+    except DECODE_FAILURES as error:
+        raise CorruptPayloadError.wrapping(error) from error
+
+
+def _decode_instance(out_table, encoded: InstanceTuple) -> TrajectoryInstance:
     path: list[EdgeKey] = []
     locations: list[MappedLocation] = []
     edge_indices: list[int] = []
     current_vertex = encoded.start_vertex
+    distances = encoded.relative_distances
     distance_cursor = 0
+    edge_key: EdgeKey = (0, 0)
+    length = 0.0
+    index = -1  # of the current edge in path
+    last_index = -1
+    last_ndist = 0.0
     for number, flag in zip(encoded.edge_numbers, encoded.time_flags):
-        if number > 0:
-            edge = network.edge_by_number(current_vertex, number)
-            path.append(edge.key)
-            current_vertex = edge.end
-        elif not path:
+        if number:
+            edges = out_table[current_vertex]
+            try:
+                _, end, length = edges[number - 1]
+            except IndexError:
+                raise KeyError(
+                    f"vertex {current_vertex} has {len(edges)} out-edges; "
+                    f"number {number} invalid"
+                ) from None
+            edge_key = (current_vertex, end)
+            current_vertex = end
+            path.append(edge_key)
+            index += 1
+        elif index < 0:
             raise ValueError("E starts with a repeat marker")
-        if flag == 1:
-            edge_key = path[-1]
-            rd = encoded.relative_distances[distance_cursor]
+        if flag:
+            ndist = distances[distance_cursor] * length
             distance_cursor += 1
-            ndist = rd * network.edge_length(*edge_key)
             # lossy distance codes may invert two same-edge locations by
             # less than eta * length; clamping keeps the model's order
             # invariant without leaving the error bound
-            if (
-                edge_indices
-                and edge_indices[-1] == len(path) - 1
-                and ndist < locations[-1].ndist
-            ):
-                ndist = locations[-1].ndist
+            if last_index == index and ndist < last_ndist:
+                ndist = last_ndist
             locations.append(MappedLocation(edge_key, ndist))
-            edge_indices.append(len(path) - 1)
-    if distance_cursor != len(encoded.relative_distances):
+            edge_indices.append(index)
+            last_index, last_ndist = index, ndist
+    if distance_cursor != len(distances):
         raise ValueError("D has more entries than T' marks")
     return TrajectoryInstance(
         path=path,

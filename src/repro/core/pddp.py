@@ -31,12 +31,16 @@ from ..bits.bitio import BitReader, BitWriter, uint_width
 
 # Fraction codes are pure functions of (x, eta) and the same handful of
 # relative distances / probabilities recurs across every instance of a
-# dataset, so both directions are memoized.  The caches are bounded (and
-# simply dropped when full) to keep long-running ingestion processes flat.
+# dataset, so each code is memoized once, as an integer word that both
+# directions use.  The memos are bounded (and simply dropped when full)
+# to keep long-running ingestion processes flat.
 _CACHE_LIMIT = 1 << 15
 _LENGTH_CACHE: dict[float, int] = {}
-_ENCODE_CACHE: dict[tuple[float, float], tuple[int, ...]] = {}
-_DECODE_CACHE: dict[tuple[int, ...], float] = {}
+_WORDS: dict[tuple[float, float], tuple[int, int, float]] = {}
+# Every value with the same code shares one word object: an eta admits
+# fewer than 2**(max_code_length + 1) codes, against up to _CACHE_LIMIT
+# memoized values, so a memo entry costs its key and one reference.
+_SHARED_WORDS: dict[tuple[int, ...], tuple[int, int, float]] = {}
 
 
 def max_code_length(eta: float) -> int:
@@ -62,52 +66,77 @@ def encode_fraction(x: float, eta: float) -> tuple[int, ...]:
 
     Returns the shortest bit tuple whose value is within ``eta`` of ``x``.
     Values are clamped into [0, 1) first; an ``x`` within ``eta`` of zero
-    encodes as the empty tuple.
+    encodes as the empty tuple.  This bitwise form is the reference that
+    :func:`fraction_word` builds its words from.
     """
-    key = (x, eta)
-    cached = _ENCODE_CACHE.get(key)
-    if cached is not None:
-        return cached
     limit = max_code_length(eta)
     clamped = min(max(x, 0.0), 1.0 - 2.0 ** -(limit + 1))
     bits: list[int] = []
     value = 0.0
     scale = 0.5
     if abs(value - clamped) <= eta:
-        bits_tuple: tuple[int, ...] = ()
-    else:
-        for _ in range(limit):
-            if value + scale <= clamped:
-                bits.append(1)
-                value += scale
-            else:
-                bits.append(0)
-            scale /= 2
-            if abs(value - clamped) <= eta:
-                break
-        bits_tuple = tuple(bits)
-    if len(_ENCODE_CACHE) >= _CACHE_LIMIT:
-        _ENCODE_CACHE.clear()
-    _ENCODE_CACHE[key] = bits_tuple
-    return bits_tuple
-
-
-def decode_fraction(bits: tuple[int, ...] | list[int]) -> float:
-    """Value of a truncated binary-expansion code."""
-    key = tuple(bits)
-    cached = _DECODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = 0.0
-    scale = 0.5
-    for bit in key:
-        if bit:
+        return ()
+    for _ in range(limit):
+        if value + scale <= clamped:
+            bits.append(1)
             value += scale
+        else:
+            bits.append(0)
         scale /= 2
-    if len(_DECODE_CACHE) >= _CACHE_LIMIT:
-        _DECODE_CACHE.clear()
-    _DECODE_CACHE[key] = value
-    return value
+        if abs(value - clamped) <= eta:
+            break
+    return tuple(bits)
+
+
+def fraction_word(x: float, eta: float) -> tuple[int, int, float]:
+    """:func:`encode_fraction` as one word: ``(code, length, value)``.
+
+    ``code`` holds the code's ``length`` bits as an integer, MSB first,
+    and ``value`` is what they decode to, ``code / 2**length`` — exact,
+    since ``length <= max_code_length(eta) <= 53``.
+    """
+    key = (x, eta)
+    word = _WORDS.get(key)
+    if word is None:
+        bits = encode_fraction(x, eta)
+        word = _SHARED_WORDS.get(bits)
+        if word is None:
+            code = 0
+            for bit in bits:
+                code = (code << 1) | bit
+            word = (code, len(bits), code / (1 << len(bits)))
+            _SHARED_WORDS[bits] = word
+        if len(_WORDS) >= _CACHE_LIMIT:
+            _WORDS.clear()
+            _SHARED_WORDS.clear()
+        _WORDS[key] = word
+    return word
+
+
+def probability_word(p: float, eta: float) -> tuple[int, int, float]:
+    """:func:`fraction_word` of a probability, which must not decode to 0.
+
+    A ``p`` within ``eta`` of zero has the empty code, whose value 0 no
+    instance may carry; it takes the ``max_code_length(eta)``-bit code
+    ``0...01`` instead, whose value ``2**-L <= eta`` is still within
+    ``eta`` of ``p``.
+    """
+    word = fraction_word(p, eta)
+    if word[2] == 0.0:
+        length = max_code_length(eta)
+        return (1, length, 1 / (1 << length))
+    return word
+
+
+def read_fraction(reader: BitReader, length_bits: int) -> float:
+    """Read one length-prefixed fraction code and return its value."""
+    length = reader.read_uint(length_bits)
+    return reader.read_uint(length) / (1 << length)
+
+
+def _dictionary_order(word: tuple[int, int, float]) -> tuple[int, int]:
+    # (length, code): for equal lengths, integer order is bit-tuple order
+    return word[1], word[0]
 
 
 @dataclass
@@ -123,66 +152,73 @@ class PddpEncoder:
     eta: float
 
     def __post_init__(self) -> None:
-        self.codes: list[tuple[int, ...]] = []
+        self.words: list[tuple[int, int, float]] = []
         self._positions: list[int] | None = None
 
     def add(self, value: float) -> int:
         """Queue ``value``; returns its index."""
-        self.codes.append(encode_fraction(value, self.eta))
-        return len(self.codes) - 1
+        self.words.append(fraction_word(value, self.eta))
+        return len(self.words) - 1
 
     def add_all(self, values: list[float]) -> None:
-        for value in values:
-            self.add(value)
+        eta = self.eta
+        self.words.extend(fraction_word(value, eta) for value in values)
 
     def _direct_size(self) -> int:
         length_bits = uint_width(max_code_length(self.eta))
-        return sum(length_bits + len(code) for code in self.codes)
+        return sum(length_bits + word[1] for word in self.words)
 
-    def _dictionary_size(self) -> tuple[int, list[tuple[int, ...]]]:
-        distinct = sorted(set(self.codes), key=lambda c: (len(c), c))
+    def _dictionary_size(self) -> tuple[int, list[tuple[int, int, float]]]:
+        distinct = sorted(set(self.words), key=_dictionary_order)
         index_bits = uint_width(max(len(distinct) - 1, 0))
         length_bits = uint_width(max_code_length(self.eta))
         header = (
             expgolomb.encoded_length(len(distinct))
-            + sum(length_bits + len(code) for code in distinct)
+            + sum(length_bits + word[1] for word in distinct)
         )
-        return header + index_bits * len(self.codes), distinct
-
-    @staticmethod
-    def _code_word(code: tuple[int, ...], length_bits: int) -> tuple[int, int]:
-        """One (value, width) word holding the length field and code bits."""
-        value = len(code)
-        for bit in code:
-            value = (value << 1) | bit
-        return value, length_bits + len(code)
+        return header + index_bits * len(self.words), distinct
 
     def serialize(self, writer: BitWriter) -> None:
-        """Write mode flag, header, and all values; records positions."""
+        """Write mode flag, header, and all values; records positions.
+
+        Each section (the dictionary's codes, the indices, the direct
+        codes) is packed into one integer and written with one push; a
+        code is its length field and its bits, ``(length << length) |
+        code``."""
         length_bits = uint_width(max_code_length(self.eta))
+        words = self.words
         direct_size = self._direct_size()
         dict_size, distinct = self._dictionary_size()
         use_dictionary = dict_size < direct_size
         writer.write_bit(1 if use_dictionary else 0)
-        expgolomb.encode_unsigned(writer, len(self.codes))
-        positions: list[int] = []
+        expgolomb.encode_unsigned(writer, len(words))
         if use_dictionary:
             expgolomb.encode_unsigned(writer, len(distinct))
-            for code in distinct:
-                writer.append_bits(*self._code_word(code, length_bits))
-            index_of = {code: i for i, code in enumerate(distinct)}
+            header = 0
+            header_bits = 0
+            for code, length, _ in distinct:
+                width = length_bits + length
+                header = (header << width) | (length << length) | code
+                header_bits += width
+            writer.append_bits(header, header_bits)
+            index_of = {word: i for i, word in enumerate(distinct)}
             index_bits = uint_width(max(len(distinct) - 1, 0))
-            for code in self.codes:
-                positions.append(len(writer))
-                writer.write_uint(index_of[code], index_bits)
+            start = len(writer)
+            positions = [start + index_bits * i for i in range(len(words))]
+            row = 0
+            for word in words:
+                row = (row << index_bits) | index_of[word]
+            writer.append_bits(row, index_bits * len(words))
         else:
-            words = {
-                code: self._code_word(code, length_bits)
-                for code in set(self.codes)
-            }
-            for code in self.codes:
-                positions.append(len(writer))
-                writer.append_bits(*words[code])
+            position = start = len(writer)
+            positions = []
+            row = 0
+            for code, length, _ in words:
+                positions.append(position)
+                width = length_bits + length
+                row = (row << width) | (length << length) | code
+                position += width
+            writer.append_bits(row, position - start)
         self._positions = positions
 
     @property
@@ -193,7 +229,7 @@ class PddpEncoder:
 
     def serialized_size(self) -> int:
         """Size in bits the cheaper mode will take (without serializing)."""
-        flag_and_count = 1 + expgolomb.encoded_length(len(self.codes))
+        flag_and_count = 1 + expgolomb.encoded_length(len(self.words))
         return flag_and_count + min(self._direct_size(), self._dictionary_size()[0])
 
 
@@ -205,20 +241,21 @@ class PddpDecoder:
         length_bits = uint_width(max_code_length(eta))
         self.use_dictionary = reader.read_bit() == 1
         self.count = expgolomb.decode_unsigned(reader)
-        self._values: list[float] = []
         if self.use_dictionary:
             distinct_count = expgolomb.decode_unsigned(reader)
-            dictionary = []
-            for _ in range(distinct_count):
-                code_length = reader.read_uint(length_bits)
-                dictionary.append(decode_fraction(reader.read_bits(code_length)))
+            dictionary = [
+                read_fraction(reader, length_bits)
+                for _ in range(distinct_count)
+            ]
             index_bits = uint_width(max(distinct_count - 1, 0))
-            for _ in range(self.count):
-                self._values.append(dictionary[reader.read_uint(index_bits)])
+            self._values = [
+                dictionary[reader.read_uint(index_bits)]
+                for _ in range(self.count)
+            ]
         else:
-            for _ in range(self.count):
-                code_length = reader.read_uint(length_bits)
-                self._values.append(decode_fraction(reader.read_bits(code_length)))
+            self._values = [
+                read_fraction(reader, length_bits) for _ in range(self.count)
+            ]
 
     @property
     def values(self) -> list[float]:

@@ -75,7 +75,8 @@ class RoadNetwork:
 
     def __init__(self) -> None:
         self._vertices: dict[int, Vertex] = {}
-        self._out: dict[int, list[Edge]] = {}
+        # out-edges per vertex, in number order once finalize() has run
+        self._out: dict[int, tuple[Edge, ...]] = {}
         self._in: dict[int, list[Edge]] = {}
         self._edges: dict[tuple[int, int], Edge] = {}
         self._numbers: dict[tuple[int, int], int] = {}
@@ -105,8 +106,9 @@ class RoadNetwork:
             return existing
         vertex = Vertex(vertex_id, x, y)
         self._vertices[vertex_id] = vertex
+        self._finalized = False
         self._partitions.clear()
-        self._out.setdefault(vertex_id, [])
+        self._out.setdefault(vertex_id, ())
         self._in.setdefault(vertex_id, [])
         return vertex
 
@@ -131,27 +133,52 @@ class RoadNetwork:
             raise ValueError(f"edge {key} must have positive length, got {length}")
         edge = Edge(start, end, float(length))
         self._edges[key] = edge
-        self._out[start].append(edge)
+        self._out[start] += (edge,)
         self._in[end].append(edge)
         self._finalized = False
         self._partitions.clear()
         return edge
 
     def finalize(self) -> None:
-        """Freeze out-edge ordering and the derived edge numbering."""
+        """Freeze out-edge ordering and the derived edge numbering.
+
+        The two tables the codecs walk are then frozen: :meth:`numbering`
+        and :meth:`out_table`.  Any later ``add_vertex`` / ``add_edge``
+        unfreezes them.
+        """
         if self._finalized:
             return
         self._numbers.clear()
         max_degree = 0
-        for vertex_id, edges in self._out.items():
-            edges.sort(key=lambda e: e.end)
+        out = self._out
+        for vertex_id, edges in out.items():
+            edges = out[vertex_id] = tuple(sorted(edges, key=lambda e: e.end))
             max_degree = max(max_degree, len(edges))
-            for index, edge in enumerate(edges):
-                self._numbers[edge.key] = index + 1
+            for number, edge in enumerate(edges, 1):
+                self._numbers[edge.key] = number
         for edges in self._in.values():
             edges.sort(key=lambda e: e.start)
         self._max_out_degree = max_degree
         self._finalized = True
+
+    def numbering(self) -> dict[tuple[int, int], int]:
+        """Frozen table: edge key -> out number (Def. 6).
+
+        Read-only; the encoder looks every path edge up here instead of
+        calling :meth:`out_number` per symbol.
+        """
+        if not self._finalized:
+            self.finalize()
+        return self._numbers
+
+    def out_table(self) -> dict[int, tuple[Edge, ...]]:
+        """Frozen table: vertex -> its out-edges in number order, so
+        ``out_table()[v][n - 1]`` is the edge numbered ``n`` and carries
+        its end vertex and length.  Read-only; the decoder walks it, and
+        the encoder reads lengths from it."""
+        if not self._finalized:
+            self.finalize()
+        return self._out
 
     # ------------------------------------------------------------------
     # lookups
@@ -173,8 +200,9 @@ class RoadNetwork:
 
     def out_edges(self, vertex_id: int) -> tuple[Edge, ...]:
         """Out-edges of ``vertex_id`` in frozen (numbering) order."""
-        self.finalize()
-        return tuple(self._out[vertex_id])
+        if not self._finalized:
+            self.finalize()
+        return self._out[vertex_id]
 
     def in_edges(self, vertex_id: int) -> tuple[Edge, ...]:
         self.finalize()
@@ -185,7 +213,8 @@ class RoadNetwork:
 
     def out_number(self, start: int, end: int) -> int:
         """The 1-based outgoing edge number of ``(start -> end)`` (Def. 6)."""
-        self.finalize()
+        if not self._finalized:
+            self.finalize()
         try:
             return self._numbers[(start, end)]
         except KeyError:
@@ -193,7 +222,8 @@ class RoadNetwork:
 
     def edge_by_number(self, start: int, number: int) -> Edge:
         """Inverse of :meth:`out_number`."""
-        self.finalize()
+        if not self._finalized:
+            self.finalize()
         edges = self._out[start]
         if not 1 <= number <= len(edges):
             raise KeyError(

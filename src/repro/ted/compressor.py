@@ -29,15 +29,10 @@ from ..bits.bitio import BitReader, BitWriter, uint_width
 from ..network.graph import RoadNetwork
 from ..trajectories.model import TrajectoryInstance, UncertainTrajectory
 from ..core.archive import CompressionStats
-from ..core.encoder import START_VERTEX_BITS
+from ..core.decoder import read_probability
+from ..core.encoder import START_VERTEX_BITS, write_probability
 from ..core.improved_ted import InstanceTuple, decode_instance, encode_instance
-from ..core.pddp import (
-    PddpDecoder,
-    PddpEncoder,
-    decode_fraction,
-    encode_fraction,
-    max_code_length,
-)
+from ..core.pddp import PddpDecoder, PddpEncoder
 from . import time_codec
 from .matrix import MatrixStore
 
@@ -195,13 +190,9 @@ class TEDCompressor:
         stats.compressed.distance += distance_bits
         stats.original.distance += 32 * len(encoded.relative_distances)
 
-        probability_offset = len(writer)
-        code = encode_fraction(encoded.probability, self.eta_probability)
-        writer.write_uint(
-            len(code), uint_width(max_code_length(self.eta_probability))
+        probability_bits, probability = write_probability(
+            writer, encoded.probability, self.eta_probability
         )
-        writer.write_bits(code)
-        probability_bits = len(writer) - probability_offset
         stats.compressed.probability += probability_bits
         stats.original.probability += 32
 
@@ -214,7 +205,7 @@ class TEDCompressor:
             flags_bits=flags_bits,
             distance_bits=distance_bits,
             probability_bits=probability_bits,
-            probability=decode_fraction(code),
+            probability=probability,
             point_count=encoded.point_count,
         )
 
@@ -238,10 +229,7 @@ def decode_ted_instance_tuple(
     else:
         flags = tuple(reader.read_bits(len(entries)))
     distances = tuple(PddpDecoder(reader, archive.eta_distance).values)
-    code_length = reader.read_uint(
-        uint_width(max_code_length(archive.eta_probability))
-    )
-    probability = decode_fraction(reader.read_bits(code_length))
+    probability = read_probability(reader, archive.eta_probability)
     return InstanceTuple(
         start_vertex=instance.start_vertex,
         edge_numbers=entries,

@@ -528,6 +528,55 @@ class TestCliErrorContract:
         message = self.assert_clean_failure(excinfo, capsys)
         assert "CRC mismatch for trajectory 0" in message
 
+    @pytest.fixture
+    def undecodable(self, archive_path, tmp_path):
+        """A copy of the archive whose record CRCs are all valid but
+        whose trajectory-0 payload has one bit flipped: the first flip,
+        in bit order, that the decoder cannot get through."""
+        from repro.core import CorruptPayloadError, decode_trajectory
+        from repro.io.format import read_archive, read_header, write_archive
+
+        with open(archive_path, "rb") as stream:
+            provenance = read_header(stream).provenance
+        archive = read_archive(archive_path)
+        network = load_dataset("CD", 1, seed=21, network_scale=12)[0]
+        trajectory = archive.trajectories[0]
+        assert trajectory.trajectory_id == 0
+        instance = trajectory.instances[0]
+        original = instance.payload
+        for bit in range(instance.payload_bits):
+            data = bytearray(original)
+            data[bit >> 3] ^= 0x80 >> (bit & 7)
+            instance.payload = bytes(data)
+            try:
+                decode_trajectory(network, trajectory, archive.params)
+            except (CorruptPayloadError, EOFError, KeyError, IndexError):
+                break
+        else:
+            pytest.fail("no single bit flip made the payload undecodable")
+        path = tmp_path / "undecodable.utcq"
+        write_archive(archive, path, provenance=provenance)
+        return path
+
+    def test_info_checks_the_undecodable_archive_clean(self, undecodable, capsys):
+        assert main(["info", str(undecodable), "--check"]) == 0
+        assert "CRCs OK" in capsys.readouterr().out
+
+    def test_decompress_an_undecodable_payload(self, undecodable, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["decompress", str(undecodable)])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert message.startswith(f"error: {undecodable}: trajectory 0: ")
+
+    def test_query_where_on_an_undecodable_payload(self, undecodable, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "query", "where", str(undecodable),
+                "--trajectory", "0", "--time", "17486",
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "undecodable payload" in message
+
     def test_query_batch_with_a_foreign_second_shard(
         self, archive_path, foreign, batch_input, capsys
     ):

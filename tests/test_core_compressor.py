@@ -1,8 +1,11 @@
 """End-to-end tests: compress -> archive -> decode round trips and sizes."""
 
+import copy
+
 import pytest
 
 from repro.core import (
+    CorruptPayloadError,
     UTCQCompressor,
     compress_dataset,
     decode_archive,
@@ -18,6 +21,7 @@ from repro.core.decoder import (
 )
 from repro.core.improved_ted import encode_instance
 from repro.trajectories.datasets import CD, DK, load_dataset
+from repro.trajectories.model import TrajectoryInstance, UncertainTrajectory
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +258,110 @@ class TestReferentialBenefit:
                 original.instances, restored.instances
             ):
                 assert rest_inst.path == orig_inst.path
+
+
+def tiny_probability_trajectory():
+    """A CD trajectory whose last instance has probability 1/1024, below
+    the default eta_p of 1/512 (the matcher's share quantum is 1/1024,
+    so a matched trip can carry such an instance)."""
+    network, trajectories = load_dataset("CD", 20, seed=1)
+    source = next(t for t in trajectories if t.instance_count >= 3)
+    tiny = 1 / 1024
+    rest = sum(i.probability for i in source.instances[:-1])
+    instances = [
+        TrajectoryInstance(
+            path=list(i.path),
+            locations=list(i.locations),
+            probability=(
+                tiny if index == source.instance_count - 1
+                else i.probability * (1 - tiny) / rest
+            ),
+            location_edge_indices=list(i.location_edge_indices),
+        )
+        for index, i in enumerate(source.instances)
+    ]
+    return network, UncertainTrajectory(
+        source.trajectory_id, instances, list(source.times)
+    )
+
+
+class TestProbabilityBelowEta:
+    def test_archive_with_a_tiny_instance_decodes(self, tmp_path):
+        from repro.io.format import read_archive, write_archive
+
+        network, trajectory = tiny_probability_trajectory()
+        archive = compress_dataset(
+            network, [trajectory], default_interval=CD.default_interval
+        )
+        eta = archive.params.eta_probability
+        stored = [i.probability for i in archive.trajectories[0].instances]
+        assert min(stored) > 0
+        for original, value in zip(trajectory.instances, stored):
+            assert abs(original.probability - value) <= eta
+        write_archive(archive, tmp_path / "tiny.utcq")
+        (restored,) = decode_archive(network, read_archive(tmp_path / "tiny.utcq"))
+        assert restored.instance_count == trajectory.instance_count
+        for original, instance in zip(trajectory.instances, restored.instances):
+            assert instance.path == original.path
+
+
+def flipped(trajectory, instance_index: int, bit: int):
+    """A copy of ``trajectory`` with one payload bit of one instance
+    flipped (``instance_index`` None: the time payload)."""
+    trajectory = copy.deepcopy(trajectory)
+    if instance_index is None:
+        data = bytearray(trajectory.time_payload)
+        data[bit >> 3] ^= 0x80 >> (bit & 7)
+        trajectory.time_payload = bytes(data)
+    else:
+        instance = trajectory.instances[instance_index]
+        data = bytearray(instance.payload)
+        data[bit >> 3] ^= 0x80 >> (bit & 7)
+        instance.payload = bytes(data)
+    return trajectory
+
+
+class TestUndecodablePayload:
+    def test_every_single_bit_flip_decodes_or_raises_the_typed_error(
+        self, cd_data, cd_archive
+    ):
+        network, _ = cd_data
+        params = cd_archive.params
+        failures = 0
+        for trajectory in cd_archive.trajectories[:3]:
+            targets = [(None, trajectory.time_payload_bits)] + [
+                (index, instance.payload_bits)
+                for index, instance in enumerate(trajectory.instances)
+            ]
+            for instance_index, bit_count in targets:
+                for bit in range(bit_count):
+                    damaged = flipped(trajectory, instance_index, bit)
+                    try:
+                        decode_trajectory(network, damaged, params)
+                    except CorruptPayloadError as error:
+                        assert isinstance(error, ValueError)
+                        failures += 1
+        assert failures > 0
+
+    def test_partial_entry_points_raise_the_typed_error(self, cd_archive):
+        """A payload cut to one bit ends every reader early."""
+        params = cd_archive.params
+        trajectory = next(
+            t for t in cd_archive.trajectories
+            if not all(i.is_reference for i in t.instances)
+        )
+        reference = decode_reference_tuple(
+            trajectory.reference_by_ordinal(0), params
+        )
+        cut = copy.deepcopy(trajectory)
+        cut.time_payload_bits = 1
+        for instance in cut.instances:
+            instance.payload_bits = 1
+        with pytest.raises(CorruptPayloadError):
+            decode_times(cut, params)
+        non_reference = next(i for i in cut.instances if not i.is_reference)
+        non_reference.edge_offset = 0
+        with pytest.raises(CorruptPayloadError):
+            decode_non_reference_tuple(non_reference, reference, params)
+        with pytest.raises(CorruptPayloadError):
+            decode_reference_tuple(cut.reference_by_ordinal(0), params)

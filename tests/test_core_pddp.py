@@ -4,16 +4,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bits import expgolomb
 from repro.bits.bitio import BitReader, BitWriter
 from repro.core.pddp import (
     PddpDecoder,
     PddpEncoder,
-    decode_fraction,
     decode_values,
     encode_fraction,
     encode_values,
+    fraction_word,
     max_code_length,
+    probability_word,
+    read_fraction,
 )
+
+#: the error bounds of Table 7 (eta_D and eta_p sweeps)
+TABLE7_ETAS = [1 / 32, 1 / 64, 1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048]
+
+
+def decode_fraction(bits) -> float:
+    """Bitwise reference: the value of a truncated binary-expansion code,
+    summed one bit at a time."""
+    value = 0.0
+    scale = 0.5
+    for bit in bits:
+        if bit:
+            value += scale
+        scale /= 2
+    return value
 
 
 class TestFractionCodes:
@@ -147,3 +165,77 @@ def test_property_tighter_eta_never_lengthens_error(x):
     loose = decode_fraction(encode_fraction(x, 1 / 16))
     tight = decode_fraction(encode_fraction(x, 1 / 1024))
     assert abs(tight - x) <= abs(loose - x) + 1e-12
+
+
+class TestIntegerWords:
+    """The integer words the codec reads and writes agree with the
+    bitwise reference codes they are built from."""
+
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.sampled_from(TABLE7_ETAS),
+    )
+    def test_word_is_the_reference_code_read_as_an_integer(self, x, eta):
+        bits = encode_fraction(x, eta)
+        code, length, value = fraction_word(x, eta)
+        assert length == len(bits)
+        assert code == int("".join(map(str, bits)) or "0", 2)
+        assert value == decode_fraction(bits)
+
+    @pytest.mark.parametrize("eta", TABLE7_ETAS)
+    def test_every_code_reads_back_as_the_reference_value(self, eta):
+        length_bits = max_code_length(eta).bit_length()
+        for length in range(max_code_length(eta) + 1):
+            writer = BitWriter()
+            for code in range(1 << length):
+                writer.write_uint(length, length_bits)
+                writer.write_uint(code, length)
+            reader = BitReader.from_writer(writer)
+            for code in range(1 << length):
+                bits = [(code >> shift) & 1 for shift in range(length - 1, -1, -1)]
+                assert read_fraction(reader, length_bits) == decode_fraction(bits)
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from(TABLE7_ETAS),
+    )
+    def test_dictionary_order_is_the_bit_tuple_order(self, values, eta):
+        values = values * 8  # repeats make the dictionary mode win
+        encoder = PddpEncoder(eta)
+        encoder.add_all(values)
+        writer = BitWriter()
+        encoder.serialize(writer)
+        reference = sorted(
+            {encode_fraction(v, eta) for v in values},
+            key=lambda code: (len(code), code),
+        )
+        _, distinct = encoder._dictionary_size()
+        assert [
+            tuple((code >> shift) & 1 for shift in range(length - 1, -1, -1))
+            for code, length, _ in distinct
+        ] == reference
+        # the dictionary header, read back bitwise
+        reader = BitReader.from_writer(writer)
+        assert reader.read_bit() == 1
+        assert expgolomb.decode_unsigned(reader) == len(values)
+        assert expgolomb.decode_unsigned(reader) == len(reference)
+        length_bits = max_code_length(eta).bit_length()
+        stored = [
+            tuple(reader.read_bits(reader.read_uint(length_bits)))
+            for _ in reference
+        ]
+        assert stored == reference
+
+    @pytest.mark.parametrize("eta", TABLE7_ETAS)
+    def test_probability_word_never_decodes_to_zero(self, eta):
+        for p in (eta / 4, eta / 2, eta):
+            code, length, value = probability_word(p, eta)
+            assert fraction_word(p, eta)[2] == 0.0
+            assert (code, length) == (1, max_code_length(eta))
+            assert 0 < value <= eta
+            assert abs(value - p) <= eta
+        assert probability_word(0.5, eta) == fraction_word(0.5, eta)

@@ -23,6 +23,12 @@ from repro.trajectories.datasets import load_dataset, profile
 # SHA-256 of the archive produced by the settings below (format v2).
 GOLDEN_SHA256 = "f8ccf094d3b451994d5d054cca2f9597bd5ef9f193f606f2675a1769d7128884"
 
+# SHA-256 of what decoding that archive returns (see ``decoded_digest``):
+# the decoders must give back the same floats, not just floats within eta.
+GOLDEN_DECODED_SHA256 = (
+    "0675162e02a573720db4c817dac59a6550f680ecb2375b073af2ca4fb1d776df"
+)
+
 PROFILE = "CD"
 TRAJECTORIES = 25
 DATASET_SEED = 11
@@ -77,3 +83,30 @@ def test_golden_archive_round_trips(golden_setup, tmp_path):
         assert len(restored.instances) == len(original.instances)
         for a, b in zip(original.instances, restored.instances):
             assert b.path == a.path
+
+
+def decoded_digest(decoded) -> str:
+    """SHA-256 over every id, time, probability, path edge, ``ndist`` and
+    location edge index of a decoded archive, floats written as ``repr``."""
+    digest = hashlib.sha256()
+    for trajectory in decoded:
+        digest.update(repr((trajectory.trajectory_id, list(trajectory.times))).encode())
+        for instance in trajectory.instances:
+            digest.update(repr((
+                instance.probability,
+                instance.path,
+                [(location.edge, location.ndist) for location in instance.locations],
+                instance.location_edge_indices,
+            )).encode())
+    return digest.hexdigest()
+
+
+def test_decoded_output_is_pinned(golden_setup, tmp_path):
+    network, _, archive = golden_setup
+    path = tmp_path / "golden.utcq"
+    write_archive(archive, path, provenance=PROVENANCE)
+    digest = decoded_digest(decode_archive(network, read_archive(path)))
+    assert digest == GOLDEN_DECODED_SHA256, (
+        f"decoded output changed: sha256 {digest} != pinned "
+        f"{GOLDEN_DECODED_SHA256}"
+    )

@@ -233,3 +233,16 @@ class TestHeadlineComparison:
         network, trajectories = cd_data
         utcq = compress_dataset(network, trajectories, default_interval=10)
         assert utcq.stats.flags_ratio > ted_archive.stats.flags_ratio
+
+
+def test_instance_below_eta_probability_round_trips():
+    """An instance with probability <= eta_p keeps a nonzero code."""
+    from test_core_compressor import tiny_probability_trajectory
+
+    network, trajectory = tiny_probability_trajectory()
+    compressor = TEDCompressor(network=network, default_interval=CD.default_interval)
+    archive = compressor.compress([trajectory])
+    (compressed,) = archive.trajectories
+    assert min(i.probability for i in compressed.instances) > 0
+    restored = decode_ted_trajectory(network, archive, compressed)
+    assert restored.instance_count == trajectory.instance_count
