@@ -106,6 +106,52 @@ def structure_digest(index: StIUIndex) -> str:
     return digest.hexdigest()
 
 
+# time partition -> digest of the fields a query reads (see
+# kept_structure_digest), recorded before the unread tuple fields went;
+# it must not move when a field no query reads is dropped
+GOLDEN_KEPT = {
+    1800: "08f9677ffebf784ba5606893d7e405d6d8f85773cbf0533874064f45c307838e",
+    60: "f9a2d73729bf71863898509fca59274e99b08921d246d6b39e0e44fb8d4be5fc",
+}
+
+# the reference tuple's columns a query reads: instance, fv.id, p_total,
+# p_max
+KEPT_REFERENCE_COLUMNS = (0, 1, 4, 5)
+
+
+def kept_structure_digest(index: StIUIndex) -> str:
+    """SHA-256 over what a query reads of the index: each temporal
+    ``t.start``, and per (interval, region, trajectory) its Lemma 4 mass,
+    its reference tuples' ``instance`` / ``fv.id`` / ``p_total`` /
+    ``p_max`` and its count of non-reference tuples (Fig. 9 multiplies
+    it).  Key order, floats by ``repr`` (exact)."""
+    digest = hashlib.sha256()
+    for interval in sorted(index.temporal):
+        for tid in sorted(index.temporal[interval]):
+            start = index.temporal[interval][tid]
+            start = getattr(start, "start", start)
+            digest.update(repr((interval, tid, start)).encode())
+    layer = index.spatial
+    columns = [layer.references[c] for c in KEPT_REFERENCE_COLUMNS]
+    for interval, pairs in sorted(layer.intervals().items()):
+        for slot, cell in enumerate(pairs.cells):
+            for k in between(pairs.cell_start, slot):
+                tid = pairs.trajectory_ids[k]
+                row = layer.row_of(tid, cell)
+                span = between(layer.reference_start, row)
+                references = list(
+                    zip(*(column[span.start : span.stop] for column in columns))
+                )
+                non_references = len(between(layer.non_reference_start, row))
+                digest.update(
+                    repr(
+                        (interval, cell, tid, pairs.mass[k], references,
+                         non_references)
+                    ).encode()
+                )
+    return digest.hexdigest()
+
+
 def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
     network, _, archive = golden_setup
     path = tmp_path / "golden.utcq"
@@ -115,6 +161,7 @@ def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
     for partition, (sidecar_sha, structure_sha) in GOLDEN_INDEX.items():
         index = StIUIndex(network, archive, time_partition_seconds=partition)
         assert structure_digest(index) == structure_sha, partition
+        assert kept_structure_digest(index) == GOLDEN_KEPT[partition], partition
         sidecar = save_index(index, path)
         digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
         assert digest == sidecar_sha, (
