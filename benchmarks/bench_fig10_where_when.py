@@ -1,8 +1,9 @@
 """Fig. 10 — probabilistic where and when query performance, UTCQ vs TED.
 
-UTCQ answers both via the StIU temporal index (resuming the time stream
-mid-way) and Lemma 1's p_max filter; the TED baseline must fully decode
-every candidate instance.  The paper reports UTCQ faster on both, with
+UTCQ answers both via the StIU index (the temporal layer for where, the
+spatial row of the probe's region for when), Lemma 1's p_max filter and
+a decode cache that keeps each time stream and instance it decoded; the
+TED baseline must fully decode every candidate instance.  The paper reports UTCQ faster on both, with
 the when-query margin dependent on the dataset's pruning opportunities.
 """
 

@@ -17,9 +17,7 @@ from .compressor import (
 )
 from .decoder import (
     decode_archive,
-    decode_instance_by_index,
     decode_times,
-    decode_times_prefix,
     decode_trajectory,
 )
 from .improved_ted import InstanceTuple, decode_instance, encode_instance
@@ -38,9 +36,7 @@ __all__ = [
     "UTCQCompressor",
     "compress_dataset",
     "decode_archive",
-    "decode_instance_by_index",
     "decode_times",
-    "decode_times_prefix",
     "decode_trajectory",
     "InstanceTuple",
     "decode_instance",

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..bits.bitio import uint_width
+
 
 class CorruptPayloadError(ValueError):
     """A payload that cannot be decoded: it reads past its end, names an
@@ -142,16 +144,20 @@ class CompressionParams:
     pivot_count: int = 1
 
 
+def reference_index_width(reference_count: int) -> int:
+    """Bits of the reference index that opens a non-reference payload."""
+    return uint_width(max(reference_count - 1, 0))
+
+
 @dataclass
 class CompressedInstance:
-    """One serialized instance payload plus decode/index metadata.
+    """One serialized instance payload plus what pruning reads.
 
     ``payload``/``payload_bits`` are the real bit stream.  For references
     the stream is ``|E|, E, T'(trimmed), D(PDDP), p``; for non-references
-    it is ``ref_index, ComE, ComT', ComD, p``.  Offsets mark section
-    starts (bits) for partial decompression; ``distance_positions`` and
-    ``factor_positions`` feed the StIU spatial tuples (``d.pos`` /
-    ``ma.pos``).
+    it is ``ref_index, ComE, ComT', ComD, p``, the index
+    :func:`reference_index_width` bits wide.  Every stream is decoded
+    from its start, so no section offset is kept.
     """
 
     is_reference: bool
@@ -159,13 +165,7 @@ class CompressedInstance:
     payload_bits: int
     start_vertex: int | None  # references only (32-bit accounted)
     reference_ordinal: int  # position among the trajectory's references
-    edge_offset: int
-    flags_offset: int
-    distance_offset: int
-    probability_offset: int
-    distance_positions: tuple[int, ...]
-    factor_positions: tuple[int, ...]
-    probability: float  # decoded value, cached for index construction
+    probability: float  # decoded value, read by pruning without a decode
 
 
 @dataclass
@@ -184,7 +184,6 @@ class CompressedTrajectory:
     point_count: int
     start_time: int
     end_time: int
-    deviation_positions: tuple[int, ...]
     instances: list[CompressedInstance]
     stats: CompressionStats | None = field(default=None, compare=False)
 
@@ -263,7 +262,7 @@ class CompressedArchive:
 
         See :mod:`repro.io.format` for the layout.  The round trip is
         bit-exact: ``CompressedArchive.load(path)`` restores payloads,
-        offsets, and stats identical to this archive.
+        probabilities and stats identical to this archive.
         """
         from ..io.format import write_archive
 

@@ -1,9 +1,12 @@
-"""Decompression: full archives, single instances, and partial streams.
+"""Decompression: full archives, single instances, and the edge side.
 
-The query processor (§5) never calls ``decode_archive`` — it uses the
-partial entry points (time prefixes, single references, factor streams)
-together with the StIU index.  Full decoding exists for round-trip
-verification and for consumers who want the data back.
+The query processor (§5) never calls ``decode_archive``: it decodes one
+trajectory's whole time stream and one instance at a time (a
+non-reference against its decoded reference), each from the start of
+its payload, and the StIU spatial derive decodes only the edge side of
+a trajectory.  No stream is resumed partway, so no bit offset is kept.
+Full decoding exists for round-trip verification and for consumers who
+want the data back.
 
 :class:`DecodeSpanCache` sits between the query layer and these entry
 points: one LRU, budgeted in bytes, of parsed records and decoded spans
@@ -35,6 +38,7 @@ from .archive import (
     CompressedTrajectory,
     CompressionParams,
     CorruptPayloadError,
+    reference_index_width,
 )
 from .factors import (
     EdgeFactor,
@@ -64,21 +68,6 @@ def decode_times(
         )
     except DECODE_FAILURES as error:
         raise CorruptPayloadError.wrapping(error) from error
-
-
-def decode_times_prefix(
-    trajectory: CompressedTrajectory,
-    params: CompressionParams,
-    stop_after: int,
-) -> list[int]:
-    """Decode only the first ``stop_after`` timestamps (partial)."""
-    reader = BitReader(trajectory.time_payload, trajectory.time_payload_bits)
-    return siar.decode_prefix(
-        reader,
-        params.default_interval,
-        t0_bits=params.t0_bits,
-        stop_after=stop_after,
-    )
 
 
 def _read_reference_edges(
@@ -127,13 +116,16 @@ def decode_non_reference_tuple(
     instance: CompressedInstance,
     reference: InstanceTuple,
     params: CompressionParams,
+    reference_count: int,
 ) -> InstanceTuple:
-    """Decode a non-reference payload against its decoded reference."""
+    """Decode a non-reference payload against its decoded reference;
+    ``reference_count`` (the trajectory's) sizes the reference index
+    the payload opens with."""
     if instance.is_reference:
         raise ValueError("decode_non_reference_tuple expects a non-reference")
     reader = BitReader(instance.payload, instance.payload_bits)
     try:
-        reader.seek(instance.edge_offset)  # skip the reference index
+        reader.seek(reference_index_width(reference_count))
         factors = read_edge_factors(
             reader, len(reference.edge_numbers), params.symbol_width
         )
@@ -174,6 +166,7 @@ def decode_trajectory_tuples(
             references[instance.reference_ordinal] = decode_reference_tuple(
                 instance, params
             )
+    reference_count = trajectory.reference_count
     tuples: list[InstanceTuple] = []
     for instance in trajectory.instances:
         if instance.is_reference:
@@ -181,7 +174,10 @@ def decode_trajectory_tuples(
         else:
             tuples.append(
                 decode_non_reference_tuple(
-                    instance, references[instance.reference_ordinal], params
+                    instance,
+                    references[instance.reference_ordinal],
+                    params,
+                    reference_count,
                 )
             )
     return tuples
@@ -189,52 +185,68 @@ def decode_trajectory_tuples(
 
 class InstanceEdges(NamedTuple):
     """The edge side of one instance, as :func:`decode_trajectory_edges`
-    returns it: ``time_flags`` (full ``T'``) for references only,
-    ``factors`` (the E factor stream) for non-references only."""
+    returns it: ``factors`` (the E factor stream) for non-references
+    only."""
 
     start_vertex: int
     edge_numbers: tuple[int, ...]
-    time_flags: tuple[int, ...] | None
     factors: list[EdgeFactor] | None
 
 
 def decode_trajectory_edges(
     trajectory: CompressedTrajectory, params: CompressionParams
 ) -> list[InstanceEdges]:
-    """Decode only what the StIU build reads (§5.2): ``E`` of every
-    instance, ``T'`` of references and the E factor stream of
-    non-references.  Distances, patches and probabilities are left
-    undecoded; the index takes their positions and values from the
-    fields already recorded on each :class:`CompressedInstance`."""
-    references: dict[int, InstanceEdges] = {}
-    for instance in trajectory.instances:
-        if instance.is_reference:
+    """Decode only what the StIU spatial derive reads (§5.2): ``E`` of
+    every instance and the E factor stream of non-references.  A
+    reference's ``T'`` is read too, and must hold one bit per E entry
+    and mark one location per timestamp, as a full decode requires
+    (:class:`~repro.core.improved_ted.InstanceTuple`, the model's
+    :class:`~repro.trajectories.model.UncertainTrajectory`); distances,
+    patches and probabilities are left undecoded.  A payload that fails
+    either raises :class:`CorruptPayloadError`, so a damaged trajectory
+    is never derived as one that enters no region."""
+    try:
+        references: dict[int, InstanceEdges] = {}
+        for instance in trajectory.instances:
+            if instance.is_reference:
+                reader = BitReader(instance.payload, instance.payload_bits)
+                edge_numbers, flags = _read_reference_edges(
+                    reader, params.symbol_width
+                )
+                marked = sum(flags)
+                if (
+                    len(flags) != len(edge_numbers)
+                    or marked != trajectory.point_count
+                ):
+                    raise ValueError(
+                        f"T' of reference {instance.reference_ordinal} marks "
+                        f"{marked} locations on {len(edge_numbers)} E "
+                        f"entries for {trajectory.point_count} timestamps"
+                    )
+                references[instance.reference_ordinal] = InstanceEdges(
+                    instance.start_vertex, edge_numbers, None
+                )
+        index_width = reference_index_width(trajectory.reference_count)
+        edges: list[InstanceEdges] = []
+        for instance in trajectory.instances:
+            reference = references[instance.reference_ordinal]
+            if instance.is_reference:
+                edges.append(reference)
+                continue
             reader = BitReader(instance.payload, instance.payload_bits)
-            edge_numbers, flags = _read_reference_edges(
-                reader, params.symbol_width
+            reader.seek(index_width)
+            factors = read_edge_factors(
+                reader, len(reference.edge_numbers), params.symbol_width
             )
-            references[instance.reference_ordinal] = InstanceEdges(
-                instance.start_vertex, edge_numbers, flags, None
+            edges.append(
+                InstanceEdges(
+                    reference.start_vertex,
+                    tuple(apply_edge_factors(factors, reference.edge_numbers)),
+                    factors,
+                )
             )
-    edges: list[InstanceEdges] = []
-    for instance in trajectory.instances:
-        reference = references[instance.reference_ordinal]
-        if instance.is_reference:
-            edges.append(reference)
-            continue
-        reader = BitReader(instance.payload, instance.payload_bits)
-        reader.seek(instance.edge_offset)  # skip the reference index
-        factors = read_edge_factors(
-            reader, len(reference.edge_numbers), params.symbol_width
-        )
-        edges.append(
-            InstanceEdges(
-                reference.start_vertex,
-                tuple(apply_edge_factors(factors, reference.edge_numbers)),
-                None,
-                factors,
-            )
-        )
+    except DECODE_FAILURES as error:
+        raise CorruptPayloadError.wrapping(error) from error
     return edges
 
 
@@ -311,7 +323,7 @@ class _Section:
 # cache's own bookkeeping included (tests/test_decode_cache.py holds
 # every section's charge within 0.5-2x of that measurement)
 _SECTIONS = (
-    ("records", 850, 290, lambda record: len(record.instances)),
+    ("records", 720, 165, lambda record: len(record.instances)),
     ("times", 400, 42, len),
     ("references", 620, 20, lambda encoded: len(encoded.edge_numbers)),
     ("instances", 540, 94, lambda i: len(i.path) + len(i.locations)),
@@ -465,26 +477,3 @@ class DecodeSpanCache:
             "gauge", "repro_decode_cache_budget_bytes", None,
             {"value": float(self.budget_bytes)},
         )
-
-
-def decode_instance_by_index(
-    network: RoadNetwork,
-    trajectory: CompressedTrajectory,
-    params: CompressionParams,
-    index: int,
-) -> TrajectoryInstance:
-    """Decode a single instance, touching at most one reference payload.
-
-    This is the "partial decompression" granularity queries rely on: a
-    non-reference costs its own payload plus its reference's, never the
-    whole trajectory.
-    """
-    target = trajectory.instances[index]
-    if target.is_reference:
-        return decode_instance(network, decode_reference_tuple(target, params))
-    reference = decode_reference_tuple(
-        trajectory.reference_by_ordinal(target.reference_ordinal), params
-    )
-    return decode_instance(
-        network, decode_non_reference_tuple(target, reference, params)
-    )

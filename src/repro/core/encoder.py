@@ -19,6 +19,7 @@ from .archive import (
     CompressedTrajectory,
     CompressionParams,
     CompressionStats,
+    reference_index_width,
 )
 from .factors import (
     distance_patches,
@@ -64,7 +65,6 @@ def encode_reference(
     writer = BitWriter()
     bits = ComponentBits()
 
-    edge_offset = len(writer)
     expgolomb.encode_unsigned(writer, len(encoded.edge_numbers))
     if encoded.edge_numbers:
         # fixed-width row, packed into one accumulator push; every
@@ -74,19 +74,17 @@ def encode_reference(
         for number in encoded.edge_numbers:
             row = (row << symbol_width) | number
         writer.append_bits(row, symbol_width * len(encoded.edge_numbers))
-    flags_offset = len(writer)
-    bits.edge = flags_offset - edge_offset + START_VERTEX_BITS
+    bits.edge = len(writer) + START_VERTEX_BITS
 
+    before = len(writer)
     writer.write_bits(encoded.trimmed_time_flags)
-    distance_offset = len(writer)
-    bits.flags = distance_offset - flags_offset
+    bits.flags = len(writer) - before
 
     pddp = PddpEncoder(params.eta_distance)
     pddp.add_all(list(encoded.relative_distances))
+    before = len(writer)
     pddp.serialize(writer)
-    probability_offset = len(writer)
-    bits.distance = probability_offset - distance_offset
-    distance_positions = tuple(pddp.positions)
+    bits.distance = len(writer) - before
 
     probability_bits, decoded_probability = write_probability(
         writer, encoded.probability, params.eta_probability
@@ -99,12 +97,6 @@ def encode_reference(
         payload_bits=len(writer),
         start_vertex=encoded.start_vertex,
         reference_ordinal=ordinal,
-        edge_offset=edge_offset,
-        flags_offset=flags_offset,
-        distance_offset=distance_offset,
-        probability_offset=probability_offset,
-        distance_positions=distance_positions,
-        factor_positions=(),
         probability=decoded_probability,
     )
     return instance, bits
@@ -122,39 +114,33 @@ def encode_non_reference(
     writer = BitWriter()
     bits = ComponentBits()
 
-    ref_index_width = uint_width(max(reference_count - 1, 0))
-    writer.write_uint(reference_ordinal, ref_index_width)
-    bits.overhead = len(writer)
-
-    edge_offset = len(writer)
-    factors = factorize_edges(encoded.edge_numbers, reference.edge_numbers)
-    factor_positions: list[int] = []
-    write_edge_factors(
-        writer,
-        factors,
-        len(reference.edge_numbers),
-        params.symbol_width,
-        positions=factor_positions,
+    writer.write_uint(
+        reference_ordinal, reference_index_width(reference_count)
     )
-    flags_offset = len(writer)
-    bits.edge = flags_offset - edge_offset
+    bits.overhead = before = len(writer)
 
+    factors = factorize_edges(encoded.edge_numbers, reference.edge_numbers)
+    write_edge_factors(
+        writer, factors, len(reference.edge_numbers), params.symbol_width
+    )
+    bits.edge = len(writer) - before
+
+    before = len(writer)
     write_flag_stream(
         writer, encoded.trimmed_time_flags, reference.trimmed_time_flags
     )
-    distance_offset = len(writer)
-    bits.flags = distance_offset - flags_offset
+    bits.flags = len(writer) - before
 
     patches = distance_patches(
         list(encoded.relative_distances),
         reference_decoded_distances,
         params.eta_distance,
     )
+    before = len(writer)
     write_distance_patches(
         writer, patches, len(reference.relative_distances), params.eta_distance
     )
-    probability_offset = len(writer)
-    bits.distance = probability_offset - distance_offset
+    bits.distance = len(writer) - before
 
     probability_bits, decoded_probability = write_probability(
         writer, encoded.probability, params.eta_probability
@@ -167,12 +153,6 @@ def encode_non_reference(
         payload_bits=len(writer),
         start_vertex=None,
         reference_ordinal=reference_ordinal,
-        edge_offset=edge_offset,
-        flags_offset=flags_offset,
-        distance_offset=distance_offset,
-        probability_offset=probability_offset,
-        distance_positions=(),
-        factor_positions=tuple(factor_positions),
         probability=decoded_probability,
     )
     return instance, bits
@@ -203,10 +183,9 @@ def encode_trajectory(
     stats = CompressionStats()
 
     time_writer = BitWriter()
-    _, positions = siar.encode_with_positions(
+    siar.encode(
         time_writer, times, params.default_interval, t0_bits=params.t0_bits
     )
-    deviation_positions = tuple(positions)
     stats.compressed.time = len(time_writer)
     stats.original.time = 32 * len(times)
 
@@ -258,7 +237,6 @@ def encode_trajectory(
         point_count=len(times),
         start_time=times[0],
         end_time=times[-1],
-        deviation_positions=deviation_positions,
         instances=instances,
         stats=stats,
     )

@@ -198,15 +198,8 @@ def write_edge_factors(
     factors: Sequence[EdgeFactor],
     reference_length: int,
     symbol_width: int,
-    *,
-    positions: list[int] | None = None,
 ) -> None:
-    """Serialize an E factor stream (§4.4 widths).
-
-    When ``positions`` is given, each factor's absolute bit offset in
-    ``writer`` is appended to it in the same pass (the StIU spatial index
-    stores these as factor anchors).
-    """
+    """Serialize an E factor stream (§4.4 widths)."""
     s_width = uint_width(reference_length)
     l_width = uint_width(max(reference_length - 1, 0))
     expgolomb.encode_unsigned(writer, len(factors))
@@ -215,8 +208,6 @@ def write_edge_factors(
     last = factors[-1]
     writer.write_bit(1 if last.mismatch is not None else 0)
     for factor in factors:
-        if positions is not None:
-            positions.append(len(writer))
         writer.write_uint(factor.start, s_width)
         if factor.start == reference_length:
             if factor.length is not None or factor.mismatch is None:

@@ -144,16 +144,13 @@ class PddpEncoder:
     """Collects values for one component, then serializes them compactly.
 
     Usage: ``add`` every value during representation, then ``serialize``
-    once; ``positions`` afterwards maps value index to its bit offset
-    within the serialized payload (the StIU spatial index stores such
-    offsets as ``d.pos``).
+    once.
     """
 
     eta: float
 
     def __post_init__(self) -> None:
         self.words: list[tuple[int, int, float]] = []
-        self._positions: list[int] | None = None
 
     def add(self, value: float) -> int:
         """Queue ``value``; returns its index."""
@@ -179,7 +176,7 @@ class PddpEncoder:
         return header + index_bits * len(self.words), distinct
 
     def serialize(self, writer: BitWriter) -> None:
-        """Write mode flag, header, and all values; records positions.
+        """Write mode flag, header, and all values.
 
         Each section (the dictionary's codes, the indices, the direct
         codes) is packed into one integer and written with one push; a
@@ -203,29 +200,18 @@ class PddpEncoder:
             writer.append_bits(header, header_bits)
             index_of = {word: i for i, word in enumerate(distinct)}
             index_bits = uint_width(max(len(distinct) - 1, 0))
-            start = len(writer)
-            positions = [start + index_bits * i for i in range(len(words))]
             row = 0
             for word in words:
                 row = (row << index_bits) | index_of[word]
             writer.append_bits(row, index_bits * len(words))
         else:
-            position = start = len(writer)
-            positions = []
             row = 0
+            row_bits = 0
             for code, length, _ in words:
-                positions.append(position)
                 width = length_bits + length
                 row = (row << width) | (length << length) | code
-                position += width
-            writer.append_bits(row, position - start)
-        self._positions = positions
-
-    @property
-    def positions(self) -> list[int]:
-        if self._positions is None:
-            raise RuntimeError("serialize() must run before positions are known")
-        return self._positions
+                row_bits += width
+            writer.append_bits(row, row_bits)
 
     def serialized_size(self) -> int:
         """Size in bits the cheaper mode will take (without serializing)."""

@@ -83,37 +83,6 @@ def encode(
     return sequence
 
 
-def encode_with_positions(
-    writer: BitWriter,
-    times: list[int],
-    default_interval: int,
-    *,
-    t0_bits: int = DEFAULT_T0_BITS,
-) -> tuple[SiarSequence, list[int]]:
-    """:func:`encode` that also returns each deviation's bit offset.
-
-    Produces exactly the :func:`encode` stream while recording
-    :func:`deviation_bit_positions` from the writer cursor in the same
-    pass, so the compressor does not represent the sequence twice.
-    ``writer`` must be empty (positions are absolute stream offsets).
-    """
-    if len(writer):
-        raise ValueError("encode_with_positions expects an empty writer")
-    sequence = represent(times, default_interval)
-    if sequence.t0 >= (1 << t0_bits):
-        raise ValueError(
-            f"t0 {sequence.t0} does not fit in {t0_bits} bits; "
-            "raise t0_bits or rebase timestamps"
-        )
-    writer.write_uint(sequence.t0, t0_bits)
-    expgolomb.encode_unsigned(writer, len(times))
-    positions: list[int] = []
-    for deviation in sequence.deviations:
-        positions.append(len(writer))
-        expgolomb.encode(writer, deviation)
-    return sequence, positions
-
-
 def decode(
     reader: BitReader,
     default_interval: int,
@@ -125,56 +94,6 @@ def decode(
     count = expgolomb.decode_unsigned(reader)
     deviations = tuple(expgolomb.decode(reader) for _ in range(count - 1))
     return restore(SiarSequence(t0, deviations, default_interval))
-
-
-def decode_prefix(
-    reader: BitReader,
-    default_interval: int,
-    *,
-    t0_bits: int = DEFAULT_T0_BITS,
-    stop_after: int,
-) -> list[int]:
-    """Decode only the first ``stop_after`` timestamps.
-
-    Partial decompression for the temporal StIU index: a where query knows
-    from the index roughly where its timestamp falls and decodes only a
-    prefix of the time stream.
-    """
-    t0 = reader.read_uint(t0_bits)
-    count = expgolomb.decode_unsigned(reader)
-    take = min(max(stop_after, 1), count)
-    times = [t0]
-    for _ in range(take - 1):
-        deviation = expgolomb.decode(reader)
-        times.append(times[-1] + default_interval + deviation)
-    return times
-
-
-def decode_from_offset(
-    reader: BitReader,
-    *,
-    start_time: int,
-    start_index: int,
-    bit_position: int,
-    total_count: int,
-    default_interval: int,
-    stop_after: int | None = None,
-) -> list[int]:
-    """Resume decoding mid-stream from an StIU temporal tuple.
-
-    The tuple supplies the absolute ``start_time`` of timestamp number
-    ``start_index`` and the ``bit_position`` of the *next* deviation code;
-    decoding proceeds from there, yielding timestamps ``start_index..``.
-    """
-    reader.seek(bit_position)
-    remaining = total_count - start_index - 1
-    if stop_after is not None:
-        remaining = min(remaining, stop_after)
-    times = [start_time]
-    for _ in range(max(remaining, 0)):
-        deviation = expgolomb.decode(reader)
-        times.append(times[-1] + default_interval + deviation)
-    return times
 
 
 def encoded_size_bits(
@@ -190,24 +109,3 @@ def encoded_size_bits(
         + expgolomb.encoded_length(len(times))
         + sum(expgolomb.encoded_length(d) for d in sequence.deviations)
     )
-
-
-def deviation_bit_positions(
-    times: list[int],
-    default_interval: int,
-    *,
-    t0_bits: int = DEFAULT_T0_BITS,
-) -> list[int]:
-    """Bit offset (within the encoded stream) of each deviation code.
-
-    ``positions[i]`` is where the code for deviation ``i`` (between
-    timestamps ``i`` and ``i+1``) begins.  The StIU temporal index stores
-    these so queries can resume decoding mid-stream.
-    """
-    sequence = represent(times, default_interval)
-    positions: list[int] = []
-    offset = t0_bits + expgolomb.encoded_length(len(times))
-    for deviation in sequence.deviations:
-        positions.append(offset)
-        offset += expgolomb.encoded_length(deviation)
-    return positions

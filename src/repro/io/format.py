@@ -1,4 +1,4 @@
-"""The ``.utcq`` on-disk archive format (version 2).
+"""The ``.utcq`` on-disk archive format (version 3).
 
 A :class:`~repro.core.archive.CompressedArchive` is written as a small
 fixed header followed by a packed per-trajectory directory and one
@@ -11,19 +11,24 @@ without touching the rest of the file
 All compressed payloads (SIAR time streams, reference and factor
 streams) are stored verbatim — the same bytes :class:`~repro.bits.bitio.
 BitWriter` produced at compression time, together with their exact bit
-counts — so serialization round-trips bit-for-bit and every StIU offset
-(``t.pos``, ``d.pos``, ``ma.pos``, the per-instance section offsets)
-remains valid against the on-disk stream.
+counts — so serialization round-trips bit-for-bit.
 
-Version 2 stores each fact once.  Ascending lists are stored as their
-successive differences; a probability — a PDDP-decoded value, so a
-multiple ``m * 2^-L`` of a small power of two — as its numerator ``m``,
-with one ``L`` per record (the smallest that serves all its instances);
-and the per-trajectory :class:`CompressionStats` not at all — the header
-holds their sum, and a parsed record carries ``stats=None``.  The
-encoder refuses what it cannot store exactly (a probability that is
-negative, not finite or finer than ``2^-64``, a descending list, ids out
-of order) with :class:`ArchiveFormatError`; it never rounds or reorders.
+Version 2 stored each fact once: a probability — a PDDP-decoded value,
+so a multiple ``m * 2^-L`` of a small power of two — as its numerator
+``m``, with one ``L`` per record (the smallest that serves all its
+instances), and the per-trajectory :class:`CompressionStats` not at all
+— the header holds their sum, and a parsed record carries
+``stats=None``.  Version 3 stores only what a decoder or a query reads:
+the bit positions of time deviations, distances and factors and the
+per-instance section offsets, kept for resuming a stream partway, are
+gone, since every stream is decoded from its start (a non-reference's
+reference index is :func:`~repro.core.archive.reference_index_width`
+bits wide, which the record's reference flags give).  The encoder
+refuses what it cannot store exactly (a probability that is negative,
+not finite or finer than ``2^-64``, a trajectory that ends before it
+starts, ids out of order) with :class:`ArchiveFormatError`; it never
+rounds or reorders.  A version-1 or -2 file is refused by its version
+number.
 
 Layout (all integers little-endian; ``uv`` = unsigned LEB128 varint)::
 
@@ -45,24 +50,18 @@ Layout (all integers little-endian; ``uv`` = unsigned LEB128 varint)::
 
 The first id delta is the id itself; every later one is at least 1.
 
-Record layout (``deltas(xs)`` = ``xs[0], xs[1]-xs[0], ...``): every
-varint field first, in one run a reader decodes in a single pass, then
-the raw payloads the fields describe::
+Record layout: every varint field first, in one run a reader decodes
+in a single pass, then the raw payloads the fields describe::
 
     uv fields_bytes (byte length of the varint fields that follow)
     uv trajectory_id, uv point_count, uv start_time,
     uv end_time - start_time
     uv time_payload_bits
-    uv n_deviation_positions, n x uv deltas(deviation_positions)
     uv instance_count, uv L (probability bits), then per instance:
         uv flags (bit0 = is_reference, bit1 = has start_vertex,
                   bits 2.. = reference_ordinal)
         [uv start_vertex]  (iff bit1)
         uv payload_bits
-        4 x uv deltas(edge_offset, flags_offset, distance_offset,
-                      probability_offset)
-        uv n_distance_positions, n x uv deltas(distance_positions)
-        uv n_factor_positions, n x uv deltas(factor_positions)
         uv probability numerator m  (probability = m / 2**L)
     raw time payload ((time_payload_bits + 7) // 8 bytes), then each
     instance's raw payload ((payload_bits + 7) // 8 bytes), in order
@@ -88,7 +87,7 @@ from ..core.archive import (
 )
 
 MAGIC = b"UTCQARC\x00"
-VERSION = 2
+VERSION = 3
 
 _HEAD = struct.Struct("<8sHH")
 _PARAMS = struct.Struct("<ddIHHI")
@@ -117,8 +116,8 @@ _STATS_FIELDS = (
 
 
 class ArchiveFormatError(Exception):
-    """Raised when a file is not a valid version-2 ``.utcq`` archive, or
-    when an archive holds something version 2 cannot store exactly.
+    """Raised when a file is not a valid version-3 ``.utcq`` archive, or
+    when an archive holds something version 3 cannot store exactly.
 
     ``path`` names the file when the reader that found the problem
     knows it (:func:`read_header` and
@@ -321,15 +320,12 @@ def encode_trajectory_record(trajectory: CompressedTrajectory) -> bytes:
     bits, numerators = dyadic_numerators(
         [instance.probability for instance in instances]
     )
-    positions = trajectory.deviation_positions
     fields = [
         trajectory.trajectory_id,
         trajectory.point_count,
         trajectory.start_time,
         trajectory.end_time - trajectory.start_time,
         trajectory.time_payload_bits,
-        len(positions),
-        *deltas(positions),
         len(instances),
         bits,
     ]
@@ -345,31 +341,21 @@ def encode_trajectory_record(trajectory: CompressedTrajectory) -> bytes:
         if instance.is_reference:
             flags |= _FLAG_REFERENCE
         if instance.start_vertex is None:
-            fields += (flags, instance.payload_bits)
+            fields += (flags, instance.payload_bits, numerator)
         else:
             fields += (
                 flags | _FLAG_START_VERTEX,
                 instance.start_vertex,
                 instance.payload_bits,
+                numerator,
             )
-        fields += (
-            instance.edge_offset,
-            instance.flags_offset - instance.edge_offset,
-            instance.distance_offset - instance.flags_offset,
-            instance.probability_offset - instance.distance_offset,
-            len(instance.distance_positions),
-        )
-        fields += deltas(instance.distance_positions)
-        fields.append(len(instance.factor_positions))
-        fields += deltas(instance.factor_positions)
-        fields.append(numerator)
     body = bytearray()
     try:
         write_uvarints(body, fields)
     except ArchiveFormatError as error:
         raise ArchiveFormatError(
-            f"trajectory {trajectory.trajectory_id}: {error} (times, section "
-            f"offsets and position lists must ascend)"
+            f"trajectory {trajectory.trajectory_id}: {error} (its end time "
+            f"must not precede its start time)"
         ) from None
     head = bytearray()
     write_uvarint(head, len(body))
@@ -386,7 +372,7 @@ def decode_record_time_span(data: bytes) -> tuple[int, int, int]:
 def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
     """Parse one on-disk record back into a compressed trajectory.
 
-    The result carries ``stats=None``: version 2 keeps the stats in the
+    The result carries ``stats=None``: the format keeps the stats in the
     header only.
     """
     fields_bytes, position = read_uvarint(data, 0)
@@ -401,12 +387,10 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
             start_time,
             duration,
             time_payload_bits,
-            count,
-        ) = fields[:6]
-        position = 6 + count
-        deviation_positions = tuple(accumulate(fields[6:position]))
-        instance_count, bits = fields[position : position + 2]
-        position += 2
+            instance_count,
+            bits,
+        ) = fields[:7]
+        position = 7
         unit = probability_unit(bits)
         size = (time_payload_bits + 7) >> 3
         time_payload = bytes(data[cursor : cursor + size])
@@ -418,26 +402,11 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
             if flags & _FLAG_START_VERTEX:
                 position += 1
                 start_vertex = fields[position]
-            (
-                payload_bits,
-                edge_offset,
-                flags_delta,
-                distance_delta,
-                probability_delta,
-                count,
-            ) = fields[position + 1 : position + 7]
-            position += 7
-            end = position + count
-            distance_positions = tuple(accumulate(fields[position:end]))
-            position = end + 1 + fields[end]
-            factor_positions = tuple(accumulate(fields[end + 1 : position]))
-            numerator = fields[position]
-            position += 1
+            payload_bits, numerator = fields[position + 1 : position + 3]
+            position += 3
             size = (payload_bits + 7) >> 3
             payload = bytes(data[cursor : cursor + size])
             cursor += size
-            flags_offset = edge_offset + flags_delta
-            distance_offset = flags_offset + distance_delta
             instances.append(
                 CompressedInstance(
                     is_reference=bool(flags & _FLAG_REFERENCE),
@@ -445,12 +414,6 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
                     payload_bits=payload_bits,
                     start_vertex=start_vertex,
                     reference_ordinal=flags >> _ORDINAL_SHIFT,
-                    edge_offset=edge_offset,
-                    flags_offset=flags_offset,
-                    distance_offset=distance_offset,
-                    probability_offset=distance_offset + probability_delta,
-                    distance_positions=distance_positions,
-                    factor_positions=factor_positions,
                     probability=numerator * unit,
                 )
             )
@@ -473,7 +436,6 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
         point_count=point_count,
         start_time=start_time,
         end_time=start_time + duration,
-        deviation_positions=deviation_positions,
         instances=instances,
     )
 

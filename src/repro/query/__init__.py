@@ -37,7 +37,6 @@ from .sidecar import (
 from .stiu import (
     INFINITE_VERTEX,
     StIUIndex,
-    TemporalTuple,
 )
 
 __all__ = [
@@ -70,5 +69,4 @@ __all__ = [
     "sidecar_path_for",
     "INFINITE_VERTEX",
     "StIUIndex",
-    "TemporalTuple",
 ]

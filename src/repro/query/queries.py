@@ -3,9 +3,10 @@
 All three queries run against the :class:`~repro.query.stiu.StIUIndex`
 without full decompression:
 
-* **where(Tu_j, t, alpha)** — Definition 10.  The temporal index locates
-  the bracketing timestamps by resuming the SIAR stream mid-way (t.pos);
-  only instances with decoded probability >= alpha are materialized, and
+* **where(Tu_j, t, alpha)** — Definition 10.  The temporal index says
+  whether the trajectory has a timestamp at or before t; the whole time
+  stream is decoded once and kept by the decode-span cache; only
+  instances with decoded probability >= alpha are materialized, and
   each position is interpolated along the instance's path.
 * **when(Tu_j, <edge, rd>, alpha)** — Definition 11.  The spatial index
   fetches the trajectory's tuples for the region (one row: they do not
@@ -28,13 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bits.bitio import BitReader
-from ..core import siar
 from ..core.archive import CompressedArchive, CompressedTrajectory
 from ..core.decoder import (
     DecodeSpanCache,
     decode_non_reference_tuple,
     decode_reference_tuple,
+    decode_times,
 )
 from ..core.improved_ted import InstanceTuple, decode_instance
 from ..network.graph import RoadNetwork
@@ -106,7 +106,7 @@ class UTCQQueryProcessor:
         self.cache = cache if cache is not None else DecodeSpanCache()
 
     # ------------------------------------------------------------------
-    # shared partial-decompression helpers
+    # shared decode helpers
     # ------------------------------------------------------------------
     def record(self, trajectory_id: int) -> CompressedTrajectory:
         """The trajectory's parsed record, through the decode cache."""
@@ -114,44 +114,11 @@ class UTCQQueryProcessor:
             trajectory_id, lambda: self.archive.trajectory(trajectory_id)
         )
 
-    def _decode_times_around(
-        self, trajectory: CompressedTrajectory, t: int
-    ) -> list[int] | None:
-        """Timestamps from the indexed resume point up to just past ``t``.
-
-        Returns absolute timestamps starting at the temporal tuple's
-        ``t.no``; ``None`` when ``t`` is outside the trajectory's span.
-        """
-        if not trajectory.start_time <= t <= trajectory.end_time:
-            return None
-        entry = self.index.temporal_tuple_for(trajectory.trajectory_id, t)
-        if entry is None:
-            return None
-        reader = BitReader(
-            trajectory.time_payload, trajectory.time_payload_bits
-        )
-        times = siar.decode_from_offset(
-            reader,
-            start_time=entry.start,
-            start_index=entry.number,
-            bit_position=entry.bit_position,
-            total_count=trajectory.point_count,
-            default_interval=self.archive.params.default_interval,
-        )
-        return times
-
     def _full_times(self, trajectory: CompressedTrajectory) -> list[int]:
-        def decode() -> list[int]:
-            reader = BitReader(
-                trajectory.time_payload, trajectory.time_payload_bits
-            )
-            return siar.decode(
-                reader,
-                self.archive.params.default_interval,
-                t0_bits=self.archive.params.t0_bits,
-            )
-
-        return self.cache.times_for(trajectory.trajectory_id, decode)
+        return self.cache.times_for(
+            trajectory.trajectory_id,
+            lambda: decode_times(trajectory, self.archive.params),
+        )
 
     def _reference_tuple(
         self, trajectory: CompressedTrajectory, ordinal: int
@@ -181,7 +148,10 @@ class UTCQQueryProcessor:
                     trajectory, compressed.reference_ordinal
                 )
                 encoded = decode_non_reference_tuple(
-                    compressed, reference, self.archive.params
+                    compressed,
+                    reference,
+                    self.archive.params,
+                    trajectory.reference_count,
                 )
             return decode_instance(self.network, encoded)
 
@@ -209,11 +179,9 @@ class UTCQQueryProcessor:
         self, trajectory_id: int, t: int, alpha: float
     ) -> list[WhereResult]:
         trajectory = self.record(trajectory_id)
-        # the same guards _decode_times_around applies, without paying
-        # for a partial decode the decode-span cache makes redundant
         if not trajectory.start_time <= t <= trajectory.end_time:
             return []
-        if self.index.temporal_tuple_for(trajectory_id, t) is None:
+        if self.index.temporal_start_for(trajectory_id, t) is None:
             return []
         full_times = self._full_times(trajectory)
         results: list[WhereResult] = []
@@ -259,7 +227,7 @@ class UTCQQueryProcessor:
         row = spatial.row_of(trajectory_id, region)
         candidate_indices: set[int] = set()
         if row is not None:
-            instances, vertices, _, _, _, p_max = spatial.references
+            instances, vertices, _, p_max = spatial.references
             starts = spatial.reference_start
             for k in range(starts[row], starts[row + 1]):
                 reference_index = instances[k]

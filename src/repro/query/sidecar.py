@@ -1,8 +1,9 @@
 """Persistent StIU index: the versioned ``.stiu`` sidecar format.
 
-The sidecar persists the StIU temporal layer next to the archive
-(``<archive>.stiu``), written once at compress/compact time, so an open
-decodes no time stream.  The spatial layer is not stored: it is a pure
+The sidecar persists the StIU temporal layer — each trajectory's
+``t.start`` per time interval — next to the archive (``<archive>.stiu``),
+written once at compress/compact time, so an open decodes no time
+stream.  The spatial layer is not stored: it is a pure
 function of the records, the network and the grid, and
 :class:`~repro.query.stiu.SpatialLayer` derives it, one time interval
 at a time, when a query first needs it.
@@ -21,7 +22,7 @@ shared with :mod:`repro.io.format`)::
     |   uv interval_count, then per interval (ascending):          |
     |     uv interval, uv entry_count, then per entry (ascending   |
     |     trajectory id):                                          |
-    |       uv id delta, uv t.start, uv t.no, uv t.pos             |
+    |       uv id delta, uv t.start                                |
     +--------------------------------------------------------------+
 
 An id delta is the difference from the previous id in its interval (the
@@ -33,7 +34,8 @@ Staleness: the header pins the archive's byte size and SHA-256.  A
 mismatch (the archive was rewritten, recompressed, or replaced) makes
 :func:`load_index` return ``None`` so the caller rebuilds; the same
 happens for a version bump (a version-2 file, which also carried the
-spatial layer, included) or different index parameters.
+spatial layer, and a version-3 one, whose entries also carried ``t.no``
+and ``t.pos``, included) or different index parameters.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ import zlib
 from pathlib import Path
 
 from ..io.format import ArchiveFormatError, read_uvarint_stream, write_uvarints
-from .stiu import StIUIndex, TemporalTuple
+from .stiu import StIUIndex
 
 MAGIC = b"UTCQSTIU"
-VERSION = 3
+VERSION = 4
 
 # the fixed header, in the order of the layout above
 _HEADER = struct.Struct("<8sHHQ32sIIQQ")
@@ -61,7 +63,7 @@ SIDECAR_SUFFIX = ".stiu"
 
 
 class SidecarFormatError(Exception):
-    """Raised when a file is not a valid version-3 ``.stiu`` sidecar."""
+    """Raised when a file is not a valid version-4 ``.stiu`` sidecar."""
 
 
 def sidecar_path_for(archive_path) -> Path:
@@ -94,13 +96,7 @@ def _encode_temporal(index: StIUIndex) -> bytes:
         values += (interval, len(entries))
         previous = 0
         for trajectory_id in sorted(entries):
-            entry = entries[trajectory_id]
-            values += (
-                trajectory_id - previous,
-                entry.start,
-                entry.number,
-                entry.bit_position,
-            )
+            values += (trajectory_id - previous, entries[trajectory_id])
             previous = trajectory_id
     out = bytearray()
     write_uvarints(out, values)
@@ -109,37 +105,34 @@ def _encode_temporal(index: StIUIndex) -> bytes:
 
 def _decode_temporal(
     data: bytes,
-) -> tuple[dict[int, dict[int, TemporalTuple]], dict[int, list[TemporalTuple]]]:
+) -> tuple[dict[int, dict[int, int]], dict[int, list[int]]]:
     try:
         values = read_uvarint_stream(data)
     except ArchiveFormatError as error:
         raise SidecarFormatError(f"temporal section: {error}") from None
-    temporal: dict[int, dict[int, TemporalTuple]] = {}
-    per_trajectory: dict[int, list[TemporalTuple]] = {}
+    temporal: dict[int, dict[int, int]] = {}
+    per_trajectory: dict[int, list[int]] = {}
     try:
         position = 1
         for _ in range(values[0]):
             interval, entry_count = values[position : position + 2]
             position += 2
-            entries: dict[int, TemporalTuple] = {}
+            entries: dict[int, int] = {}
             trajectory_id = 0
             for _ in range(entry_count):
-                delta, start, number, bit_position = values[
-                    position : position + 4
-                ]
-                position += 4
+                delta, start = values[position : position + 2]
+                position += 2
                 trajectory_id += delta
-                entry = TemporalTuple(start, number, bit_position)
-                entries[trajectory_id] = entry
-                per_trajectory.setdefault(trajectory_id, []).append(entry)
+                entries[trajectory_id] = start
+                per_trajectory.setdefault(trajectory_id, []).append(start)
             temporal[interval] = entries
     except (IndexError, ValueError):  # ran off the end of ``values``
         raise SidecarFormatError("truncated temporal section") from None
     if position != len(values):
         raise SidecarFormatError("trailing bytes in temporal section")
-    # _build_temporal appends tuples in timestamp order; restore it
-    for tuples in per_trajectory.values():
-        tuples.sort(key=lambda entry: (entry.start, entry.number))
+    # _build_temporal keeps each trajectory's starts ascending
+    for starts in per_trajectory.values():
+        starts.sort()
     return temporal, per_trajectory
 
 
@@ -239,7 +232,7 @@ def load_index(
         build=False,
     )
     index.temporal = temporal
-    index._trajectory_tuples.update(per_trajectory)
+    index._trajectory_starts.update(per_trajectory)
     index.loaded_from_sidecar = True
     return index
 

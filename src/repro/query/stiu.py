@@ -1,27 +1,30 @@
 """The StIU index: Spatio-temporal Information based Uncertain Trajectory
 Index (§5.2).
 
-Two layers:
+Two layers, each holding only the fields a query reads:
 
 * **temporal** — built at compression time and stored (the ``.stiu``
   sidecar).  The day is split into equal intervals; each uncertain
-  trajectory stores, per intersecting interval, a tuple ``(t.start,
-  t.no, t.pos)``: its earliest timestamp in the interval, that
-  timestamp's index, and the bit position of the *next* deviation code in
-  the compressed time stream, so decoding can resume mid-stream.
+  trajectory stores, per intersecting interval, its earliest timestamp
+  in the interval (``t.start``).  The paper's tuple also carries that
+  timestamp's index and a bit position in the time stream (``t.no``,
+  ``t.pos``) to resume decoding mid-stream; queries here decode a whole
+  time stream through the decode cache, so neither is kept.
 * **spatial** — derived from the records on first use, one interval at a
   time, never stored (it is a pure function of the records, the network
   and the grid).  The network is partitioned into grid regions; within each
   time interval, every trajectory links to the regions its instances
   traverse.  Reference tuples carry the final vertex (the vertex
-  traversed immediately before entering the region, Definition 9), its
-  position in ``E``, the bit position of the corresponding relative
-  distance in ``D̂``, and the pruning aggregates ``p_total`` / ``p_max``
-  over the reference's representation set.  A reference that never enters
-  the region itself (but whose non-references do) stores the ``fv = inf``
-  form.  Non-reference tuples carry the anchor vertex of the E-factor
-  covering the region entry and that factor's bit position (``ma.pos``);
-  a factor spanning several regions is indexed only at the first (§5.2).
+  traversed immediately before entering the region, Definition 9) and
+  the pruning aggregates ``p_total`` / ``p_max`` over the reference's
+  representation set.  A reference that never enters the region itself
+  (but whose non-references do) stores the ``fv = inf`` form.  A
+  non-reference has a tuple per E-factor covering a region entry (a
+  factor spanning several regions is indexed only at the first, §5.2);
+  only their number per region is kept, for Fig. 9's size model.  The
+  paper's ``fv.no``, ``d.pos``, ``rv.id``, ``rv.no`` and ``ma.pos``
+  locate a resume point in a payload, and every payload here is decoded
+  from its start.
 """
 
 from __future__ import annotations
@@ -29,12 +32,15 @@ from __future__ import annotations
 import bisect
 import threading
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple
 
-from ..core.archive import CompressedArchive, CompressedTrajectory
+from ..core.archive import (
+    CompressedArchive,
+    CompressedTrajectory,
+    CorruptPayloadError,
+)
 from ..core.decoder import decode_times, decode_trajectory_edges
 from ..network.graph import RoadNetwork
 from ..network.grid import GridPartition
@@ -42,21 +48,10 @@ from ..network.grid import GridPartition
 INFINITE_VERTEX = -1  # the paper's "fv.id = infinity" marker
 
 
-@dataclass(frozen=True)
-class TemporalTuple:
-    """(t.start, t.no, t.pos) for one trajectory in one time interval."""
-
-    start: int
-    number: int
-    bit_position: int
-
-
-# Column type codes of the spatial tuples (fields as in the module
-# docstring).  A reference tuple is (instance index, fv.id — or
-# INFINITE_VERTEX —, fv.no, d.pos, p_total, p_max); a non-reference
-# tuple is (instance index, rv.id, rv.no, ma.pos).
-REFERENCE_TYPES = "iiiidd"
-NON_REFERENCE_TYPES = "iiii"
+# Column type codes of the reference tuples (fields as in the module
+# docstring): (instance index, fv.id — or INFINITE_VERTEX —, p_total,
+# p_max).
+REFERENCE_TYPES = "iidd"
 
 
 def between(starts: array, index: int) -> range:
@@ -67,14 +62,13 @@ def between(starts: array, index: int) -> range:
 class IntervalRows(NamedTuple):
     """The derived CSR of one time interval: its occupied regions in
     ascending order, and per region the pairs ``cell_start[s]`` to
-    ``cell_start[s + 1]`` of the three pair columns, in ascending
+    ``cell_start[s + 1]`` of the two pair columns, in ascending
     trajectory id."""
 
     cells: array
     cell_start: array
     trajectory_ids: array
     mass: array  # summed p_total of the pair's references (Lemma 4)
-    rows: array  # the pair's region row in :class:`SpatialLayer`
 
     def span(self, first_cell: int, last_cell: int) -> range:
         """Pair positions of the cells from ``first_cell`` to
@@ -95,15 +89,16 @@ class SpatialLayer:
 
     * per block: ``trajectory_ids``, and ``region_start`` (its region
       rows are ``between(region_start, b)``);
-    * per region row, ascending cell within a block: ``cells``, and the
-      offsets ``reference_start`` / ``non_reference_start`` into the
-      tuple columns (a trailing sentinel closes each offset column);
-    * per tuple: ``references`` (six columns) and ``non_references``
-      (four), in the field orders given with their type codes above.
+    * per region row, ascending cell within a block: ``cells``, the
+      offsets ``reference_start`` into the reference columns and the
+      running count ``non_reference_start`` of non-reference tuples (a
+      trailing sentinel closes each offset column);
+    * per reference tuple: ``references`` (four columns), in the field
+      order given with their type codes above.
 
     A trajectory is active in every interval from its first temporal
-    tuple's to its last's (``spans`` is the temporal layer's
-    per-trajectory tuple lists).  An interval's CSR
+    ``t.start``'s to its last's (``spans`` is the temporal layer's
+    per-trajectory ascending starts).  An interval's CSR
     (:class:`IntervalRows`) is derived once, from the blocks of the
     trajectories active in it, and is immutable after.  All derivation
     runs under one lock; the columns only grow, so a row number once
@@ -115,7 +110,7 @@ class SpatialLayer:
         network: RoadNetwork,
         grid: GridPartition,
         archive,
-        spans: dict[int, list[TemporalTuple]],
+        spans: dict[int, list[int]],
         time_partition_seconds: int,
     ) -> None:
         self.network = network
@@ -126,7 +121,6 @@ class SpatialLayer:
         self.trajectory_ids = array("q")
         self.cells = array("i")
         self.references = tuple(array(code) for code in REFERENCE_TYPES)
-        self.non_references = tuple(array(c) for c in NON_REFERENCE_TYPES)
         self.region_start = array("i", [0])
         self.reference_start = array("i", [0])
         self.non_reference_start = array("i", [0])
@@ -140,11 +134,8 @@ class SpatialLayer:
     # ------------------------------------------------------------------
     def span(self, trajectory_id: int) -> tuple[int, int]:
         """The first and last interval ``trajectory_id`` is active in."""
-        tuples = self._spans[trajectory_id]
-        return (
-            tuples[0].start // self._partition,
-            tuples[-1].start // self._partition,
-        )
+        starts = self._spans[trajectory_id]
+        return starts[0] // self._partition, starts[-1] // self._partition
 
     def active(self, interval: int) -> tuple[int, ...]:
         """Ascending ids of the trajectories active in ``interval`` (a
@@ -217,34 +208,34 @@ class SpatialLayer:
 
     def _derive_interval(self, interval: int) -> IntervalRows | None:
         region_start, cells = self.region_start, self.cells
+        starts, p_total = self.reference_start, self.references[2]
         pairs = []
         for trajectory_id in self._active[interval]:
             block = self._block(trajectory_id)
             if block is not None:
+                # Lemma 4's mass of each row, summed in column order
                 pairs += (
-                    (cells[row], trajectory_id, row)
+                    (
+                        cells[row],
+                        trajectory_id,
+                        sum(p_total[starts[row] : starts[row + 1]]),
+                    )
                     for row in between(region_start, block)
                 )
         if not pairs:
             return None
         pairs.sort()
-        cells_of_pairs, trajectories, rows = zip(*pairs)
+        cells_of_pairs, trajectories, mass = zip(*pairs)
         distinct = array("i", dict.fromkeys(cells_of_pairs))
         cell_start = array(
             "i",
             [bisect.bisect_left(cells_of_pairs, cell) for cell in distinct],
         )
-        cell_start.append(len(rows))
+        cell_start.append(len(pairs))
         # (ids are unbounded varints on disk; most fit four bytes)
         id_type = "i" if max(trajectories) < 2**31 else "q"
-        starts, p_total = self.reference_start, self.references[4]
         return IntervalRows(
-            distinct,
-            cell_start,
-            array(id_type, trajectories),
-            # Lemma 4's mass of each row, summed in column order
-            array("d", [sum(p_total[starts[r] : starts[r + 1]]) for r in rows]),
-            array("i", rows),
+            distinct, cell_start, array(id_type, trajectories), array("d", mass)
         )
 
     def _derive_block(self, trajectory_id: int) -> int | None:
@@ -259,22 +250,20 @@ class SpatialLayer:
         # per instance, each region's first visit in walk order, as
         # (E-entry index, final vertex): the vertex the path stands at
         # when it enters the region (the start vertex for the first,
-        # the paper's (SV, 0, 0) convention).  Non-references also keep
-        # the vertex they stand at before each E entry.
+        # the paper's (SV, 0, 0) convention)
         visits: list[dict[int, tuple[int, int]]] = []
-        standings: list[list[int] | None] = []
         for instance in edges:
             first_visits: dict[int, tuple[int, int]] = {}
-            standing = None if instance.factors is None else []
             current = instance.start_vertex
             for entry, number in enumerate(instance.edge_numbers):
-                if standing is not None:
-                    standing.append(current)
                 if number == 0:
                     continue
                 hop = hops.get((current, number))
                 if hop is None:
-                    end = network.edge_by_number(current, number).end
+                    try:
+                        end = network.edge_by_number(current, number).end
+                    except KeyError as error:  # E damaged under a valid CRC
+                        raise CorruptPayloadError.wrapping(error) from error
                     hop = (end, cells_of_edge(network, current, end))
                     hops[(current, number)] = hop
                 for region in hop[1]:
@@ -282,7 +271,6 @@ class SpatialLayer:
                         first_visits[region] = (entry, current)
                 current = hop[0]
             visits.append(first_visits)
-            standings.append(standing)
 
         groups: dict[int, list[int]] = {}
         for index, instance in enumerate(instances):
@@ -292,28 +280,18 @@ class SpatialLayer:
         # made: a stable sort by cell then gives each cell's rows in
         # group order
         reference_rows: list[tuple] = []
-        non_reference_rows: list[tuple] = []
+        # per cell, its count of non-reference tuples
+        non_reference_counts: dict[int, int] = {}
         for members in groups.values():
             reference = next(i for i in members if instances[i].is_reference)
             reference_visits = visits[reference]
-            positions = instances[reference].distance_positions
-            # d.pos per E entry: the bit offset of the gamma[fv.no]-th rd
-            # in D̂(Ref), gamma counting mapped locations up to the entry
-            if positions:
-                last = len(positions)
-                d_pos = [
-                    positions[max(min(located, last) - 1, 0)]
-                    for located in accumulate(edges[reference].time_flags)
-                ]
-            else:
-                d_pos = [0] * len(edges[reference].time_flags)
             if len(members) == 1:
                 # alone: p_total is its probability, p_max has nothing to
                 # range over, and it enters every region itself
                 p = probability[reference]
                 reference_rows += (
-                    (region, reference, vertex, entry, d_pos[entry], p, 0.0)
-                    for region, (entry, vertex) in reference_visits.items()
+                    (region, reference, vertex, p, 0.0)
+                    for region, (_, vertex) in reference_visits.items()
                 )
             else:
                 # which members enter each region, as a bit per member
@@ -343,13 +321,10 @@ class SpatialLayer:
                         )
                     p_total, p_max = aggregates[mask]
                     visit = reference_visits.get(region)
-                    if visit is None:  # only represented instances enter
-                        entry, vertex, d = 0, INFINITE_VERTEX, 0
-                    else:
-                        entry, vertex = visit
-                        d = d_pos[entry]
+                    # only represented instances enter: fv = inf
+                    vertex = INFINITE_VERTEX if visit is None else visit[1]
                     reference_rows.append(
-                        (region, reference, vertex, entry, d, p_total, p_max)
+                        (region, reference, vertex, p_total, p_max)
                     )
 
             # non-reference tuples: the factor covering each region's
@@ -357,13 +332,11 @@ class SpatialLayer:
             for member in members:
                 if member == reference:
                     continue
-                factor_positions = instances[member].factor_positions
                 # E-entry index one past the span each factor reproduces
                 span_ends = list(
                     accumulate(f.consumed for f in edges[member].factors)
                 )
-                standing = standings[member]
-                end = 0  # where the factor of the previous row ends
+                end = 0  # where the factor of the previous tuple ends
                 for region, (entry, _) in visits[member].items():
                     # entries only grow along a walk: one before ``end``
                     # is in the factor already indexed
@@ -373,27 +346,16 @@ class SpatialLayer:
                     if factor == len(span_ends):
                         break  # past the last factor, as is every later one
                     end = span_ends[factor]
-                    span_start = span_ends[factor - 1] if factor else 0
-                    non_reference_rows.append(
-                        (
-                            region,
-                            member,
-                            standing[span_start],
-                            span_start,
-                            factor_positions[factor]
-                            if factor < len(factor_positions)
-                            else 0,
-                        )
+                    non_reference_counts[region] = (
+                        non_reference_counts.get(region, 0) + 1
                     )
 
         if not reference_rows:
             return None
         # append the block: rows in ascending cell order, one extend per
-        # column (every region with a non-reference row has a reference
+        # column (every region with a non-reference tuple has a reference
         # row, so the reference rows give the block's cells)
-        cell_of_row = itemgetter(0)
-        reference_rows.sort(key=cell_of_row)
-        non_reference_rows.sort(key=cell_of_row)
+        reference_rows.sort(key=itemgetter(0))
         row_cells, *columns = zip(*reference_rows)
         # each cell's rows end one past its last row
         ends = {cell: k for k, cell in enumerate(row_cells, 1)}
@@ -402,19 +364,13 @@ class SpatialLayer:
         self.reference_start += array("i", [base + k for k in ends.values()])
         for column, values in zip(self.references, columns):
             column += array(column.typecode, values)
-        base = len(self.non_references[0])
-        if non_reference_rows:
-            ends = {row[0]: k for k, row in enumerate(non_reference_rows, 1)}
-            starts, k = [], 0
-            for cell in cells:
-                k = ends.get(cell, k)
-                starts.append(base + k)
-            self.non_reference_start += array("i", starts)
-            _, *columns = zip(*non_reference_rows)
-            for column, values in zip(self.non_references, columns):
-                column += array(column.typecode, values)
-        else:
-            self.non_reference_start += array("i", [base]) * len(cells)
+        self.non_reference_start += array(
+            "i",
+            accumulate(
+                (non_reference_counts.get(cell, 0) for cell in cells),
+                initial=self.non_reference_start[-1],
+            ),
+        )[1:]
         block = len(self.trajectory_ids)
         self.cells += array("i", cells)
         self.region_start.append(len(self.cells))
@@ -501,7 +457,7 @@ class StIUIndex:
         for part in parts:
             for interval, entries in part.temporal.items():
                 index.temporal.setdefault(interval, {}).update(entries)
-            index._trajectory_tuples.update(part._trajectory_tuples)
+            index._trajectory_starts.update(part._trajectory_starts)
         index.loaded_from_sidecar = bool(parts) and all(
             part.loaded_from_sidecar for part in parts
         )
@@ -526,19 +482,17 @@ class StIUIndex:
         self.time_partition_seconds = time_partition_seconds
         self.grid = GridPartition.for_network(network, grid_cells_per_side)
         self.loaded_from_sidecar = False
-        # temporal[interval][trajectory_id] -> TemporalTuple
-        self.temporal: dict[int, dict[int, TemporalTuple]] = {}
-        # per-trajectory sorted temporal tuples for binary search; the
-        # spatial layer reads its spans here, so fill it, never rebind it
-        self._trajectory_tuples: dict[int, list[TemporalTuple]] = {}
-        # memoized per-trajectory start arrays (the layer is immutable
-        # once built/loaded)
-        self._tuple_starts: dict[int, list[int]] = {}
+        # temporal[interval][trajectory_id] -> t.start
+        self.temporal: dict[int, dict[int, int]] = {}
+        # per trajectory, its t.start values ascending, for binary
+        # search; the spatial layer reads its spans here, so fill it,
+        # never rebind it
+        self._trajectory_starts: dict[int, list[int]] = {}
         self.spatial = SpatialLayer(
             network,
             self.grid,
             archive,
-            self._trajectory_tuples,
+            self._trajectory_starts,
             time_partition_seconds,
         )
         if build:
@@ -556,44 +510,29 @@ class StIUIndex:
     def _build_temporal(
         self, trajectory: CompressedTrajectory, times: list[int]
     ) -> None:
-        tuples: list[TemporalTuple] = []
-        seen_intervals: set[int] = set()
-        positions = trajectory.deviation_positions
-        end_position = trajectory.time_payload_bits
-        for number, t in enumerate(times):
+        starts: list[int] = []
+        previous = None
+        for t in times:  # ascending, so an interval's first t comes first
             interval = self.interval_of(t)
-            if interval in seen_intervals:
-                continue
-            seen_intervals.add(interval)
-            bit_position = (
-                positions[number] if number < len(positions) else end_position
-            )
-            entry = TemporalTuple(t, number, bit_position)
-            tuples.append(entry)
-            self.temporal.setdefault(interval, {})[
-                trajectory.trajectory_id
-            ] = entry
-        self._trajectory_tuples[trajectory.trajectory_id] = tuples
+            if interval != previous:
+                previous = interval
+                starts.append(t)
+                self.temporal.setdefault(interval, {})[
+                    trajectory.trajectory_id
+                ] = t
+        self._trajectory_starts[trajectory.trajectory_id] = starts
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def temporal_tuple_for(
-        self, trajectory_id: int, t: int
-    ) -> TemporalTuple | None:
-        """Binary-search the trajectory's tuples for the latest one with
+    def temporal_start_for(self, trajectory_id: int, t: int) -> int | None:
+        """Binary-search the trajectory's starts for the latest
         ``t.start <= t`` (the paper's Example 3 lookup)."""
-        tuples = self._trajectory_tuples.get(trajectory_id)
-        if not tuples:
+        starts = self._trajectory_starts.get(trajectory_id)
+        if not starts:
             return None
-        starts = self._tuple_starts.get(trajectory_id)
-        if starts is None:
-            starts = [entry.start for entry in tuples]
-            self._tuple_starts[trajectory_id] = starts
         position = bisect.bisect_right(starts, t) - 1
-        if position < 0:
-            return None
-        return tuples[position]
+        return starts[position] if position >= 0 else None
 
     def trajectories_in_interval(self, t: int) -> tuple[int, ...]:
         """Sorted ids active in ``t``'s interval: every interval from a
@@ -605,6 +544,9 @@ class StIUIndex:
     # ------------------------------------------------------------------
     # size accounting (Fig. 9)
     # ------------------------------------------------------------------
+    # The byte model of the paper's tuple layout, every field of §5.2
+    # counted, not of the columns this index keeps: Fig. 9 reports the
+    # paper's index size.
     TEMPORAL_TUPLE_BYTES = 4 + 2 + 4  # t.start, t.no, t.pos
     REFERENCE_TUPLE_BYTES = 4 + 2 + 4 + 4 + 4  # fv.id, fv.no, d.pos, pt, pm
     REFERENCE_INF_TUPLE_BYTES = 4 + 4 + 4  # fv=inf form

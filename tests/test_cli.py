@@ -55,7 +55,7 @@ def test_compress_records_provenance(archive_path):
 def test_info(archive_path, capsys):
     assert main(["info", str(archive_path), "--check"]) == 0
     out = capsys.readouterr().out
-    assert "format v2" in out
+    assert "format v3" in out
     assert "trajectories 15" in out
     assert "CRCs OK" in out
     # Table 8 as `ls -l` shows it: archive + sidecar over the raw bytes
@@ -69,7 +69,7 @@ def test_info_json(archive_path, capsys):
     assert main(["info", str(archive_path), "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["trajectory_count"] == 15
-    assert document["format_version"] == 2
+    assert document["format_version"] == 3
     assert document["ratios"]["Total"] > 1.0
     assert document["provenance"]["profile"] == "CD"
     sidecar_bytes = archive_path.with_name("cd.utcq.stiu").stat().st_size
@@ -396,16 +396,16 @@ def test_stream_compact_stdout_of_both_forms(tmp_path, capsys):
     ) == 0
     assert capsys.readouterr().out == (
         "size-tiered(min=2, max=8, ratio=4): 1 merge(s), 3 segments in, "
-        "3 -> 1 segments, 2545 bytes read / 2061 written (generation 5)\n"
+        "3 -> 1 segments, 1873 bytes read / 1389 written (generation 5)\n"
     )
     assert main(["stream", "compact", str(directory), str(output)]) == 0
     assert capsys.readouterr().out == (
-        f"compacted 6 trajectories from 1 segments (2061 bytes) into "
-        f"{output} (2088 bytes)\n"
+        f"compacted 6 trajectories from 1 segments (1389 bytes) into "
+        f"{output} (1416 bytes)\n"
         f"wrote {output}.stiu: StIU index sidecar (temporal layer; "
         f"spatial rows derived on first use)\n"
     )
-    assert output.stat().st_size == 2088
+    assert output.stat().st_size == 1416
     assert output.with_name(output.name + ".stiu").exists()
 
 
@@ -573,6 +573,15 @@ class TestCliErrorContract:
             main([
                 "query", "where", str(undecodable),
                 "--trajectory", "0", "--time", "17486",
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "undecodable payload" in message
+
+    def test_query_range_on_an_undecodable_payload(self, undecodable, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "query", "range", str(undecodable),
+                "--rect=0,0,5000,5000", "--time", "17486",
             ])
         message = self.assert_clean_failure(excinfo, capsys)
         assert "undecodable payload" in message

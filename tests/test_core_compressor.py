@@ -9,9 +9,7 @@ from repro.core import (
     UTCQCompressor,
     compress_dataset,
     decode_archive,
-    decode_instance_by_index,
     decode_times,
-    decode_times_prefix,
     decode_trajectory,
 )
 from repro.core.decoder import (
@@ -19,7 +17,7 @@ from repro.core.decoder import (
     decode_reference_tuple,
     decode_trajectory_tuples,
 )
-from repro.core.improved_ted import encode_instance
+from repro.core.improved_ted import decode_instance, encode_instance
 from repro.trajectories.datasets import CD, DK, load_dataset
 from repro.trajectories.model import TrajectoryInstance, UncertainTrajectory
 
@@ -141,19 +139,28 @@ class TestRoundTrip:
                 assert restored_tuple.edge_numbers == expected.edge_numbers
 
     def test_single_instance_decode_matches_full(self, cd_data, cd_archive):
+        """One instance decoded alone, touching at most its reference's
+        payload (the query processor's granularity), equals its full
+        decode; the reference count the trajectory's flags give sizes
+        a non-reference's reference index."""
         network, trajectories = cd_data
-        compressed = cd_archive.trajectories[0]
-        full = decode_trajectory(network, compressed, cd_archive.params)
-        for index in range(len(compressed.instances)):
-            single = decode_instance_by_index(
-                network, compressed, cd_archive.params, index
-            )
-            assert single.path == full.instances[index].path
-
-    def test_times_prefix(self, cd_archive):
-        compressed = cd_archive.trajectories[0]
-        full = decode_times(compressed, cd_archive.params)
-        assert decode_times_prefix(compressed, cd_archive.params, 2) == full[:2]
+        params = cd_archive.params
+        for compressed in cd_archive.trajectories:
+            full = decode_trajectory(network, compressed, params)
+            for index, target in enumerate(compressed.instances):
+                reference = decode_reference_tuple(
+                    compressed.reference_by_ordinal(target.reference_ordinal),
+                    params,
+                )
+                encoded = (
+                    reference
+                    if target.is_reference
+                    else decode_non_reference_tuple(
+                        target, reference, params, compressed.reference_count
+                    )
+                )
+                single = decode_instance(network, encoded)
+                assert single.path == full.instances[index].path
 
 
 class TestDecoderValidation:
@@ -171,7 +178,9 @@ class TestDecoderValidation:
         reference = trajectory.references()[0]
         decoded = decode_reference_tuple(reference, cd_archive.params)
         with pytest.raises(ValueError):
-            decode_non_reference_tuple(reference, decoded, cd_archive.params)
+            decode_non_reference_tuple(
+                reference, decoded, cd_archive.params, 1
+            )
 
 
 class TestCompressorConfiguration:
@@ -360,8 +369,9 @@ class TestUndecodablePayload:
         with pytest.raises(CorruptPayloadError):
             decode_times(cut, params)
         non_reference = next(i for i in cut.instances if not i.is_reference)
-        non_reference.edge_offset = 0
         with pytest.raises(CorruptPayloadError):
-            decode_non_reference_tuple(non_reference, reference, params)
+            decode_non_reference_tuple(
+                non_reference, reference, params, cut.reference_count
+            )
         with pytest.raises(CorruptPayloadError):
             decode_reference_tuple(cut.reference_by_ordinal(0), params)

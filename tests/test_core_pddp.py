@@ -116,22 +116,6 @@ class TestSerializedStreams:
         writer = encode_values([], 1 / 128)
         assert decode_values(BitReader.from_writer(writer), 1 / 128) == []
 
-    def test_positions_point_at_values(self):
-        values = [0.3, 0.6, 0.9]
-        encoder = PddpEncoder(1 / 128)
-        encoder.add_all(values)
-        writer = BitWriter()
-        encoder.serialize(writer)
-        assert len(encoder.positions) == 3
-        assert encoder.positions == sorted(encoder.positions)
-        assert all(0 < p < len(writer) for p in encoder.positions)
-
-    def test_positions_before_serialize_raise(self):
-        encoder = PddpEncoder(1 / 128)
-        encoder.add(0.5)
-        with pytest.raises(RuntimeError):
-            _ = encoder.positions
-
     def test_serialized_size_matches_reality(self):
         values = [0.17, 0.42, 0.42, 0.9, 0.17]
         encoder = PddpEncoder(1 / 128)

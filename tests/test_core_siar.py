@@ -89,57 +89,6 @@ class TestEncode:
         assert siar.decode(reader, 10, t0_bits=20) == times
 
 
-class TestPartialDecoding:
-    def test_decode_prefix(self):
-        times = paper_times()
-        writer = BitWriter()
-        siar.encode(writer, times, 240)
-        reader = BitReader.from_writer(writer)
-        assert siar.decode_prefix(reader, 240, stop_after=3) == times[:3]
-
-    def test_decode_prefix_clamps(self):
-        times = paper_times()
-        writer = BitWriter()
-        siar.encode(writer, times, 240)
-        reader = BitReader.from_writer(writer)
-        assert siar.decode_prefix(reader, 240, stop_after=99) == times
-
-    def test_deviation_positions_allow_mid_stream_resume(self):
-        times = paper_times()
-        writer = BitWriter()
-        siar.encode(writer, times, 240)
-        positions = siar.deviation_bit_positions(times, 240)
-        assert len(positions) == len(times) - 1
-        reader = BitReader.from_writer(writer)
-        # resume from timestamp index 3
-        resumed = siar.decode_from_offset(
-            reader,
-            start_time=times[3],
-            start_index=3,
-            bit_position=positions[3],
-            total_count=len(times),
-            default_interval=240,
-        )
-        assert resumed == times[3:]
-
-    def test_decode_from_offset_with_stop(self):
-        times = paper_times()
-        writer = BitWriter()
-        siar.encode(writer, times, 240)
-        positions = siar.deviation_bit_positions(times, 240)
-        reader = BitReader.from_writer(writer)
-        resumed = siar.decode_from_offset(
-            reader,
-            start_time=times[2],
-            start_index=2,
-            bit_position=positions[2],
-            total_count=len(times),
-            default_interval=240,
-            stop_after=2,
-        )
-        assert resumed == times[2:5]
-
-
 @given(
     st.integers(min_value=1, max_value=600),
     st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=60),

@@ -20,8 +20,8 @@ from repro.core.decoder import decode_archive
 from repro.io.format import read_archive, write_archive
 from repro.trajectories.datasets import load_dataset, profile
 
-# SHA-256 of the archive produced by the settings below (format v2).
-GOLDEN_SHA256 = "f8ccf094d3b451994d5d054cca2f9597bd5ef9f193f606f2675a1769d7128884"
+# SHA-256 of the archive produced by the settings below (format v3).
+GOLDEN_SHA256 = "bb0c5d0dcffc1cf69f5c262b0afad0cd1ea1ce2b89aef2f047e325a3042777ff"
 
 # SHA-256 of what decoding that archive returns (see ``decoded_digest``):
 # the decoders must give back the same floats, not just floats within eta.

@@ -109,12 +109,6 @@ class TestFailureInjection:
             payload_bits=instance.payload_bits,
             start_vertex=instance.start_vertex,
             reference_ordinal=instance.reference_ordinal,
-            edge_offset=instance.edge_offset,
-            flags_offset=instance.flags_offset,
-            distance_offset=instance.distance_offset,
-            probability_offset=instance.probability_offset,
-            distance_positions=instance.distance_positions,
-            factor_positions=instance.factor_positions,
             probability=instance.probability,
         )
 
@@ -127,12 +121,6 @@ class TestFailureInjection:
             payload_bits=max(reference.payload_bits // 4, 8),
             start_vertex=reference.start_vertex,
             reference_ordinal=reference.reference_ordinal,
-            edge_offset=reference.edge_offset,
-            flags_offset=reference.flags_offset,
-            distance_offset=reference.distance_offset,
-            probability_offset=reference.probability_offset,
-            distance_positions=reference.distance_positions,
-            factor_positions=reference.factor_positions,
             probability=reference.probability,
         )
         with pytest.raises((EOFError, ValueError)):

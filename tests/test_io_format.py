@@ -166,11 +166,10 @@ class TestProbabilityNumerators:
             probability_unit(65)
 
 
-# What the version-2 encoder can emit: ascending position lists, ordered
-# section offsets, probabilities with at most 64 fractional bits, and
-# (for a whole archive) unique ascending ids.
+# What the version-3 encoder can emit: probabilities with at most 64
+# fractional bits, a start time no later than the end time, and (for a
+# whole archive) unique ascending ids.
 _u64 = st.one_of(st.integers(0, 127), st.integers(0, 2**64 - 1))
-_positions = st.lists(_u64, max_size=5).map(sorted).map(tuple)
 _probabilities = st.one_of(
     st.integers(1, 16), st.integers(0, 64)
 ).flatmap(
@@ -187,7 +186,6 @@ def _payloads(draw):
 @st.composite
 def _instances(draw):
     payload, payload_bits = draw(_payloads())
-    offsets = sorted(draw(st.lists(_u64, min_size=4, max_size=4)))
     return CompressedInstance(
         is_reference=draw(st.booleans()),
         payload=payload,
@@ -195,12 +193,6 @@ def _instances(draw):
         start_vertex=draw(st.none() | _u64),
         # shares the flags varint with two flag bits
         reference_ordinal=draw(st.integers(0, 2**62 - 1)),
-        edge_offset=offsets[0],
-        flags_offset=offsets[1],
-        distance_offset=offsets[2],
-        probability_offset=offsets[3],
-        distance_positions=draw(_positions),
-        factor_positions=draw(_positions),
         probability=draw(_probabilities),
     )
 
@@ -228,7 +220,6 @@ def _trajectories(draw):
         point_count=draw(_u64),
         start_time=start_time,
         end_time=end_time,
-        deviation_positions=draw(_positions),
         instances=instances,
     )
 
@@ -264,7 +255,7 @@ class TestRecordRoundTrip:
         self, trajectory, instance, data
     ):
         """Anything outside the strategies above is an error when the
-        record is written — never a rounded value or a reordered list."""
+        record is written — never a rounded value or a wrapped one."""
         low, high = data.draw(
             st.lists(_u64, min_size=2, max_size=2, unique=True).map(sorted)
         )
@@ -272,10 +263,6 @@ class TestRecordRoundTrip:
             st.sampled_from([-0.25, float("nan"), float("inf"), 2.0**-70])
         )
         bad_instances = [
-            _with(instance, distance_positions=(high, low)),
-            _with(instance, factor_positions=(low, high, low)),
-            _with(instance, edge_offset=high, flags_offset=low),
-            _with(instance, distance_offset=high, probability_offset=low),
             _with(instance, reference_ordinal=2**62),
             _with(instance, probability=bad_probability),
             _with(instance, payload_bits=instance.payload_bits + 8),
@@ -284,7 +271,6 @@ class TestRecordRoundTrip:
             _with(trajectory, instances=[*trajectory.instances, bad])
             for bad in bad_instances
         ] + [
-            _with(trajectory, deviation_positions=(high, low)),
             _with(trajectory, start_time=high, end_time=low),
             _with(trajectory, point_count=-1),
         ]
@@ -489,6 +475,20 @@ class TestHeaderAndDirectoryDamage:
             ArchiveFormatError, match="unsupported archive version 1"
         ):
             read_archive(old)
+
+    def test_version_2_is_refused_by_name(self, archive_path, tmp_path):
+        """Version 2 records also carried bit-position lists and section
+        offsets; no reader of them exists, so a version-2 file gets the
+        typed version error, not a misparse."""
+        data = bytearray(archive_path.read_bytes())
+        data[8:10] = (2).to_bytes(2, "little")
+        old = tmp_path / "v2.utcq"
+        old.write_bytes(bytes(data))
+        for read in (read_archive, FileBackedArchive.open):
+            with pytest.raises(
+                ArchiveFormatError, match="unsupported archive version 2"
+            ):
+                read(old)
 
 
 class TestFileBackedArchive:

@@ -1,9 +1,10 @@
-"""Edge-case tests for the query processor's partial-decompression paths."""
+"""Edge-case tests for the query processor's decode paths."""
+
+import copy
 
 import pytest
 
-from repro.bits.bitio import BitReader
-from repro.core import siar
+from repro.core import CorruptPayloadError, decode_trajectory
 from repro.core.compressor import compress_dataset
 from repro.network.grid import Rect
 from repro.query import StIUIndex, UTCQQueryProcessor
@@ -23,53 +24,6 @@ def world():
     )
     processor = UTCQQueryProcessor(network, archive, index)
     return network, trajectories, archive, index, processor
-
-
-class TestMidStreamTimeResume:
-    def test_resumed_times_match_full_decode(self, world):
-        """decode_from_offset via the temporal tuple equals the suffix of a
-        full decode, for every tuple of every trajectory."""
-        _, trajectories, archive, index, _ = world
-        for compressed in archive.trajectories:
-            reader = BitReader(
-                compressed.time_payload, compressed.time_payload_bits
-            )
-            full = siar.decode(
-                reader,
-                archive.params.default_interval,
-                t0_bits=archive.params.t0_bits,
-            )
-            for entry in index._trajectory_tuples[compressed.trajectory_id]:
-                reader = BitReader(
-                    compressed.time_payload, compressed.time_payload_bits
-                )
-                resumed = siar.decode_from_offset(
-                    reader,
-                    start_time=entry.start,
-                    start_index=entry.number,
-                    bit_position=entry.bit_position,
-                    total_count=compressed.point_count,
-                    default_interval=archive.params.default_interval,
-                )
-                assert resumed == full[entry.number :]
-
-    def test_decode_times_around_brackets_query_time(self, world):
-        _, trajectories, archive, _, processor = world
-        for compressed in archive.trajectories[:10]:
-            t = (compressed.start_time + compressed.end_time) // 2
-            times = processor._decode_times_around(compressed, t)
-            assert times is not None
-            assert times[0] <= t <= times[-1]
-
-    def test_decode_times_around_rejects_outside(self, world):
-        _, _, archive, _, processor = world
-        compressed = archive.trajectories[0]
-        assert (
-            processor._decode_times_around(
-                compressed, compressed.end_time + 10**6
-            )
-            is None
-        )
 
 
 class TestInstanceCaching:
@@ -221,3 +175,80 @@ class TestRangeAcrossTimestampGaps:
         for trajectory_id, region, t in found:
             assert trajectory_id in oracle.range(region, t, alpha)
             assert trajectory_id in processor.range(region, t, alpha)
+
+
+class TestRangeOverAnUndecodablePayload:
+    """A reference payload damaged under a valid CRC (its first bit
+    flipped before the CRCs were computed) is a typed error for
+    ``range``, as it is for ``where`` and a full decode: never a
+    trajectory silently left out because its damaged ``E`` count derives
+    no region rows, and never a bare ``KeyError`` from the derive."""
+
+    def test_range_raises_instead_of_leaving_the_trajectory_out(self, world):
+        network, _, archive, _, _ = world
+        for trajectory_id in range(len(archive.trajectories)):
+            damaged = copy.deepcopy(archive)
+            trajectory = damaged.trajectories[trajectory_id]
+            reference = trajectory.references()[0]
+            reference.payload = (
+                bytes([reference.payload[0] ^ 0x80]) + reference.payload[1:]
+            )
+            with pytest.raises(CorruptPayloadError):
+                decode_trajectory(network, trajectory, damaged.params)
+            index = StIUIndex(
+                network,
+                damaged,
+                grid_cells_per_side=16,
+                time_partition_seconds=600,
+            )
+            processor = UTCQQueryProcessor(network, damaged, index)
+            box = index.grid.box
+            everywhere = Rect(box.min_x, box.min_y, box.max_x, box.max_y)
+            t = (trajectory.start_time + trajectory.end_time) // 2
+            for alpha in (0.0, 0.1):
+                with pytest.raises(
+                    CorruptPayloadError, match="undecodable payload"
+                ):
+                    processor.range(everywhere, t, alpha=alpha)
+
+    def test_a_damaged_non_reference_answers_or_raises_the_typed_error(
+        self, world
+    ):
+        """A bit flipped in a non-reference payload can name an edge
+        number its vertex does not have; the spatial derive reports it
+        as the typed error, never a bare ``KeyError``."""
+        network, _, archive, _, _ = world
+        outcomes = set()
+        for trajectory_id, trajectory in enumerate(archive.trajectories[:6]):
+            members = [
+                k for k, i in enumerate(trajectory.instances)
+                if not i.is_reference
+            ]
+            if not members:
+                continue
+            bits = trajectory.instances[members[0]].payload_bits
+            for bit in range(0, bits, 2):
+                damaged = copy.deepcopy(archive)
+                instance = damaged.trajectories[trajectory_id].instances[
+                    members[0]
+                ]
+                payload = bytearray(instance.payload)
+                payload[bit >> 3] ^= 0x80 >> (bit & 7)
+                instance.payload = bytes(payload)
+                index = StIUIndex(
+                    network,
+                    damaged,
+                    grid_cells_per_side=16,
+                    time_partition_seconds=600,
+                )
+                processor = UTCQQueryProcessor(network, damaged, index)
+                box = index.grid.box
+                everywhere = Rect(box.min_x, box.min_y, box.max_x, box.max_y)
+                t = (trajectory.start_time + trajectory.end_time) // 2
+                try:
+                    processor.range(everywhere, t, alpha=0.0)
+                except CorruptPayloadError:
+                    outcomes.add("typed")
+                else:
+                    outcomes.add("answered")
+        assert outcomes == {"typed", "answered"}

@@ -39,26 +39,24 @@ class TestStIUStructure:
     def test_temporal_tuples_cover_span(self, setup):
         _, trajectories, _, index, _, _ = setup
         for trajectory in trajectories:
-            entry = index.temporal_tuple_for(
+            start = index.temporal_start_for(
                 trajectory.trajectory_id, trajectory.start_time
             )
-            assert entry is not None
-            assert entry.start == trajectory.start_time
-            assert entry.number == 0
+            assert start == trajectory.start_time
 
     def test_temporal_lookup_mid_trajectory(self, setup):
         _, trajectories, _, index, _, _ = setup
         trajectory = max(trajectories, key=lambda t: len(t.times))
         t = mid_time(trajectory)
-        entry = index.temporal_tuple_for(trajectory.trajectory_id, t)
-        assert entry is not None
-        assert entry.start <= t
+        start = index.temporal_start_for(trajectory.trajectory_id, t)
+        assert start is not None
+        assert start <= t
 
     def test_temporal_lookup_before_start(self, setup):
         _, trajectories, _, index, _, _ = setup
         trajectory = trajectories[0]
         assert (
-            index.temporal_tuple_for(
+            index.temporal_start_for(
                 trajectory.trajectory_id, trajectory.start_time - 10**6
             )
             is None

@@ -1,4 +1,4 @@
-"""Hostile input to the ``.stiu`` version-3 parser.
+"""Hostile input to the ``.stiu`` version-4 parser.
 
 A sidecar is a cache: whatever is wrong with it, the answer is the
 correct index (loaded, or rebuilt from the archive) — reached through
@@ -74,9 +74,12 @@ class TestFileDamage:
         assert rows(loaded) == rows(built)
         for layer in (built.spatial, loaded.spatial):
             pointed = [
-                (rows_.trajectory_ids[k], rows_.rows[k])
+                (tid, layer.row_of(tid, cell))
                 for rows_ in layer.intervals().values()
-                for k in range(len(rows_.rows))
+                for slot, cell in enumerate(rows_.cells)
+                for tid in rows_.trajectory_ids[
+                    rows_.cell_start[slot] : rows_.cell_start[slot + 1]
+                ]
             ]
             assert len(pointed) > 2 * len(layer.cells)  # many intervals each
             assert {row for _, row in pointed} == set(range(len(layer.cells)))
@@ -172,6 +175,50 @@ class TestFileDamage:
         finally:
             target.write_bytes(pristine)
 
+    def test_version_3_sidecar_is_rebuilt_not_read(self, world, tmp_path):
+        """Version 3 entries also carried ``t.no`` and ``t.pos``; its
+        temporal section, four varints an entry, is refused by version,
+        never parsed as two-varint entries, and the index is built from
+        the records."""
+        network, _, path, built = world
+        target = sidecar.sidecar_path_for(path)
+        pristine = target.read_bytes()
+        values = [len(built.temporal)]
+        for interval in sorted(built.temporal):
+            entries = built.temporal[interval]
+            values += (interval, len(entries))
+            previous = 0
+            for number, trajectory_id in enumerate(sorted(entries)):
+                values += (
+                    trajectory_id - previous, entries[trajectory_id], number, 17
+                )
+                previous = trajectory_id
+        blob = zlib.compress(section(values), 6)
+        fields = [
+            sidecar.read_sidecar(target)[name]
+            for name in sidecar._HEADER_FIELDS
+        ]
+        fields[1] = 3  # version
+        fields[-1] = len(blob)
+        try:
+            target.write_bytes(sidecar._HEADER.pack(*fields) + blob)
+            with pytest.raises(
+                sidecar.SidecarFormatError, match="unsupported sidecar version 3"
+            ):
+                sidecar.read_sidecar(target)
+            assert load(network, path) is None
+            index = StIUIndex.over_file(
+                network, path, time_partition_seconds=PARTITION
+            )
+            try:
+                assert not index.loaded_from_sidecar
+                assert index.temporal == built.temporal
+                assert rows(index) == rows(built)
+            finally:
+                index.archive.close()
+        finally:
+            target.write_bytes(pristine)
+
 
 class TestInflatedSections:
     """Past the deflate checksum: the varint streams themselves."""
@@ -182,7 +229,7 @@ class TestInflatedSections:
             sidecar._encode_temporal(index)
         )
         assert temporal == index.temporal
-        assert per_trajectory == index._trajectory_tuples
+        assert per_trajectory == index._trajectory_starts
 
     def test_every_truncation_point_is_a_format_error(self, world):
         _, _, _, index = world

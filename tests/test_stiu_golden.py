@@ -5,10 +5,11 @@ Two guards:
 
 * the golden dataset of ``test_golden_archive.py`` must produce the
   ``.stiu`` sidecar bytes (the temporal layer) and the in-memory
-  ``temporal`` / ordered ``spatial`` tuples (the spatial ones derived
-  from the records) recorded from the first builder, at the default
-  30-minute time partition and at a 60-second one that makes most
-  trajectories span several intervals;
+  ``temporal`` / ordered ``spatial`` fields a query reads (the spatial
+  ones derived from the records) recorded from the builder that still
+  kept every field of the paper's tuples, at the default 30-minute time
+  partition and at a 60-second one that makes most trajectories span
+  several intervals;
 * on random small networks and datasets the builder must equal
   :func:`reference_index`, §5.2 spelled out the slow way (full decode,
   every edge rasterised on the spot, linear scans).
@@ -25,6 +26,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bits.bitio import BitReader
+from repro.core.archive import reference_index_width
 from repro.core.compressor import UTCQCompressor
 from repro.core.decoder import decode_times, decode_trajectory_tuples
 from repro.core.factors import read_edge_factors
@@ -33,48 +35,35 @@ from repro.network.generators import perturbed_grid_network
 from repro.network.grid import GridPartition
 from repro.query import StIUIndex, save_index
 from repro.query.sidecar import _HEADER, _encode_temporal, read_sidecar
-from repro.query.stiu import INFINITE_VERTEX, TemporalTuple, between
+from repro.query.stiu import INFINITE_VERTEX, between
 from repro.trajectories.generators import GenerationConfig, generate_dataset
 
 from test_golden_archive import GOLDEN_SHA256, PROVENANCE, golden_setup  # noqa: F401
 
-# time partition -> (.stiu SHA-256, structure digest).  The structure
-# digests are those recorded from the builder of commit 62f1a4c over the
-# golden archive; the .stiu digests are of sidecar format v3, which
-# stores the temporal layer alone.
-GOLDEN_INDEX = {
-    1800: (
-        "1235c521da8f64c3d560d16ed240bd92ed3314c4f77cce60b5dd532b23187ba7",
-        "7ece0d94bf4667af62f74762b959d7e7b52565a79065f5ca24e2ec9e611c1c03",
-    ),
-    60: (
-        "5d19c66890359de8f41cbf658b5a98b8dbd1666b587884e879793ecd991ddaeb",
-        "fd01bc733fd4b48fc23ac0475c7a99fce73afc92a663b1a8ad4aab14aa933d10",
-    ),
-}
-
-
 def spatial_rows(layer):
     """The spatial layer's row view: ``(interval, region, trajectory_id,
     (references, non_references))`` for every (interval, region,
-    trajectory), in that key order, each tuple a plain tuple of its
-    columns' values."""
-
-    def tuples(columns, span):
-        return tuple(zip(*(column[span.start : span.stop] for column in columns)))
-
+    trajectory), in that key order: ``references`` a tuple of plain
+    tuples of the reference columns' values, ``non_references`` the
+    count of non-reference tuples."""
     for interval, pairs in sorted(layer.intervals().items()):
         for slot, cell in enumerate(pairs.cells):
             for k in between(pairs.cell_start, slot):
-                row = pairs.rows[k]
+                trajectory_id = pairs.trajectory_ids[k]
+                row = layer.row_of(trajectory_id, cell)
+                span = between(layer.reference_start, row)
                 entry = (
-                    tuples(layer.references, between(layer.reference_start, row)),
-                    tuples(
-                        layer.non_references,
-                        between(layer.non_reference_start, row),
+                    tuple(
+                        zip(
+                            *(
+                                column[span.start : span.stop]
+                                for column in layer.references
+                            )
+                        )
                     ),
+                    len(between(layer.non_reference_start, row)),
                 )
-                yield interval, cell, pairs.trajectory_ids[k], entry
+                yield interval, cell, trajectory_id, entry
 
 
 def spatial_map(index: StIUIndex) -> dict:
@@ -88,67 +77,47 @@ def spatial_map(index: StIUIndex) -> dict:
     return spatial
 
 
-def structure_digest(index: StIUIndex) -> str:
-    """SHA-256 over ``temporal`` and ``spatial`` in key order, tuples in
-    list order, floats by ``repr`` (exact)."""
-    digest = hashlib.sha256()
-    for interval in sorted(index.temporal):
-        for tid in sorted(index.temporal[interval]):
-            e = index.temporal[interval][tid]
-            digest.update(
-                repr((interval, tid, e.start, e.number, e.bit_position)).encode()
-            )
-    for interval, region, tid, (references, non_references) in (
-        spatial_rows(index.spatial)
-    ):
-        row = (interval, region, tid, list(references), list(non_references))
-        digest.update(repr(row).encode())
-    return digest.hexdigest()
-
-
-# time partition -> digest of the fields a query reads (see
-# kept_structure_digest), recorded before the unread tuple fields went;
-# it must not move when a field no query reads is dropped
-GOLDEN_KEPT = {
-    1800: "08f9677ffebf784ba5606893d7e405d6d8f85773cbf0533874064f45c307838e",
-    60: "f9a2d73729bf71863898509fca59274e99b08921d246d6b39e0e44fb8d4be5fc",
+# time partition -> (.stiu SHA-256, structure digest).  The structure
+# digests are of the fields a query reads, recorded from the builder
+# that still kept every field of the paper's tuples (it must not move
+# when a field no query reads goes); the .stiu digests are of sidecar
+# format v4, which stores the temporal layer's t.start alone.
+GOLDEN_INDEX = {
+    1800: (
+        "438d91d8fbfed5415216ca420b30f8b945d64452aacb536229f7bbe2776d8ffe",
+        "08f9677ffebf784ba5606893d7e405d6d8f85773cbf0533874064f45c307838e",
+    ),
+    60: (
+        "1a4a3678a036af1a4df44f694624a0d4d665bd79d98358dd1e929bf76f933309",
+        "f9a2d73729bf71863898509fca59274e99b08921d246d6b39e0e44fb8d4be5fc",
+    ),
 }
 
-# the reference tuple's columns a query reads: instance, fv.id, p_total,
-# p_max
-KEPT_REFERENCE_COLUMNS = (0, 1, 4, 5)
 
-
-def kept_structure_digest(index: StIUIndex) -> str:
+def structure_digest(index: StIUIndex) -> str:
     """SHA-256 over what a query reads of the index: each temporal
     ``t.start``, and per (interval, region, trajectory) its Lemma 4 mass,
-    its reference tuples' ``instance`` / ``fv.id`` / ``p_total`` /
-    ``p_max`` and its count of non-reference tuples (Fig. 9 multiplies
+    its reference tuples (``instance``, ``fv.id``, ``p_total``,
+    ``p_max``) and its count of non-reference tuples (Fig. 9 multiplies
     it).  Key order, floats by ``repr`` (exact)."""
     digest = hashlib.sha256()
     for interval in sorted(index.temporal):
         for tid in sorted(index.temporal[interval]):
             start = index.temporal[interval][tid]
-            start = getattr(start, "start", start)
             digest.update(repr((interval, tid, start)).encode())
-    layer = index.spatial
-    columns = [layer.references[c] for c in KEPT_REFERENCE_COLUMNS]
-    for interval, pairs in sorted(layer.intervals().items()):
-        for slot, cell in enumerate(pairs.cells):
-            for k in between(pairs.cell_start, slot):
-                tid = pairs.trajectory_ids[k]
-                row = layer.row_of(tid, cell)
-                span = between(layer.reference_start, row)
-                references = list(
-                    zip(*(column[span.start : span.stop] for column in columns))
-                )
-                non_references = len(between(layer.non_reference_start, row))
-                digest.update(
-                    repr(
-                        (interval, cell, tid, pairs.mass[k], references,
-                         non_references)
-                    ).encode()
-                )
+    masses = (
+        mass
+        for _, pairs in sorted(index.spatial.intervals().items())
+        for mass in pairs.mass
+    )
+    for (interval, region, tid, (references, non_references)), mass in zip(
+        spatial_rows(index.spatial), masses
+    ):
+        digest.update(
+            repr(
+                (interval, region, tid, mass, list(references), non_references)
+            ).encode()
+        )
     return digest.hexdigest()
 
 
@@ -161,7 +130,6 @@ def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
     for partition, (sidecar_sha, structure_sha) in GOLDEN_INDEX.items():
         index = StIUIndex(network, archive, time_partition_seconds=partition)
         assert structure_digest(index) == structure_sha, partition
-        assert kept_structure_digest(index) == GOLDEN_KEPT[partition], partition
         sidecar = save_index(index, path)
         digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
         assert digest == sidecar_sha, (
@@ -171,7 +139,8 @@ def test_golden_index_bytes_are_pinned(golden_setup, tmp_path):  # noqa: F811
 
 
 # ----------------------------------------------------------------------
-# the mechanism of format v3: only what cannot be derived is stored
+# the mechanism of sidecar formats v3 and v4: only what cannot be
+# derived is stored
 # ----------------------------------------------------------------------
 def test_golden_files_are_smaller_than_their_input(golden_setup, tmp_path):  # noqa: F811
     """Table 8 read off the disk: archive plus sidecar against the
@@ -238,24 +207,16 @@ def reference_index(network, archive, cells_per_side, partition):
     spatial: dict = {}
     for trajectory in archive.trajectories:
         tid = trajectory.trajectory_id
-        positions = trajectory.deviation_positions
-        for number, t in enumerate(decode_times(trajectory, params)):
+        for t in decode_times(trajectory, params):
             if tid not in temporal.setdefault(t // partition, {}):
-                temporal[t // partition][tid] = TemporalTuple(
-                    t,
-                    number,
-                    positions[number]
-                    if number < len(positions)
-                    else trajectory.time_payload_bits,
-                )
+                temporal[t // partition][tid] = t
 
         instances = trajectory.instances
         tuples = decode_trajectory_tuples(trajectory, params)
-        visits, stood = [], []  # per instance: region entries / vertex per entry
+        visits = []  # per instance: region entries
         for encoded in tuples:
-            seen, current, entered, vertices = set(), encoded.start_vertex, [], []
+            seen, current, entered = set(), encoded.start_vertex, []
             for k, number in enumerate(encoded.edge_numbers):
-                vertices.append(current)
                 if number:
                     edge = network.edge_by_number(current, number)
                     a, b = network.vertex(edge.start), network.vertex(edge.end)
@@ -265,13 +226,12 @@ def reference_index(network, archive, cells_per_side, partition):
                             entered.append((region, k, current))
                     current = edge.end
             visits.append(entered)
-            stood.append(vertices)
 
         def entry(interval, region):
             return (
                 spatial.setdefault(interval, {})
                 .setdefault(region, {})
-                .setdefault(tid, ([], []))
+                .setdefault(tid, ([], [0]))
             )
 
         first = trajectory.start_time // partition
@@ -298,22 +258,20 @@ def reference_index(network, archive, cells_per_side, partition):
                         (instances[m].probability for m in present if m != ref),
                         default=0.0,
                     )
-                    hit = [(k, fv) for r, k, fv in visits[ref] if r == region]
+                    hit = [fv for r, _, fv in visits[ref] if r == region]
                     if hit:
-                        k, fv = hit[0]
-                        ones = sum(tuples[ref].time_flags[: k + 1])
-                        dps = instances[ref].distance_positions
-                        d_pos = dps[max(min(ones, len(dps)) - 1, 0)] if dps else 0
-                        made = (ref, fv, k, d_pos, p_total, p_max)
+                        made = (ref, hit[0], p_total, p_max)
                     else:
                         shapes.add("fv = inf")
-                        made = (ref, INFINITE_VERTEX, 0, 0, p_total, p_max)
+                        made = (ref, INFINITE_VERTEX, p_total, p_max)
                     entry(interval, region)[0].append(made)
                 for m in members:
                     if m == ref:
                         continue
                     reader = BitReader(instances[m].payload, instances[m].payload_bits)
-                    reader.seek(instances[m].edge_offset)
+                    reader.seek(
+                        reference_index_width(trajectory.reference_count)
+                    )
                     factors = read_edge_factors(
                         reader, len(tuples[ref].edge_numbers), params.symbol_width
                     )
@@ -331,19 +289,11 @@ def reference_index(network, archive, cells_per_side, partition):
                             shapes.add("factor over several regions")
                             continue
                         used.add(f_index)
-                        fps = instances[m].factor_positions
-                        entry(interval, region)[1].append(
-                            (
-                                m,
-                                stood[m][cursor],
-                                cursor,
-                                fps[f_index] if f_index < len(fps) else 0,
-                            )
-                        )
+                        entry(interval, region)[1][0] += 1
     spatial = {
         interval: {
             region: {
-                tid: (tuple(references), tuple(non_references))
+                tid: (tuple(references), non_references[0])
                 for tid, (references, non_references) in entries.items()
             }
             for region, entries in regions.items()

@@ -55,7 +55,7 @@ def held_bytes(step) -> int:
 
 def tuple_count(layer) -> int:
     """Stored spatial tuples (each once, whatever its interval span)."""
-    return len(layer.references[0]) + len(layer.non_references[0])
+    return len(layer.references[0]) + layer.non_reference_start[-1]
 
 
 def materialise(index) -> None:

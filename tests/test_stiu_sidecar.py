@@ -52,7 +52,7 @@ def persist_sidecar(network, path):
 
 def assert_same_index(a: StIUIndex, b: StIUIndex) -> None:
     assert a.temporal == b.temporal
-    assert a._trajectory_tuples == b._trajectory_tuples
+    assert a._trajectory_starts == b._trajectory_starts
     assert list(spatial_rows(a.spatial)) == list(spatial_rows(b.spatial))
 
 
