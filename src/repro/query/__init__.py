@@ -9,6 +9,7 @@ from .engine import (
     RangeQuery,
     ShardedQueryEngine,
     ShardWorkerPool,
+    UnknownEdgeError,
     WhenQuery,
     WhereQuery,
     WorkerPoolBroken,
@@ -48,6 +49,7 @@ __all__ = [
     "RangeQuery",
     "ShardedQueryEngine",
     "ShardWorkerPool",
+    "UnknownEdgeError",
     "WorkerPoolBroken",
     "WhenQuery",
     "WhereQuery",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..network.graph import RoadNetwork
 from ..network.grid import Rect
 from ..trajectories.model import EdgeKey, UncertainTrajectory
-from ..trajectories.path import InstanceChainage
+from ..trajectories.path import InstanceChainage, time_bracket
 from .queries import WhenResult, WhereResult
 
 
@@ -87,23 +87,14 @@ class BruteForceOracle:
     def range(self, region: Rect, t: int, alpha: float) -> list[int]:
         results: list[int] = []
         for trajectory in self.trajectories.values():
-            if not trajectory.start_time <= t <= trajectory.end_time:
+            bracket = time_bracket(trajectory.times, t)
+            if bracket is None:
                 continue
-            times = list(trajectory.times)
             total = 0.0
             for index, instance in enumerate(trajectory.instances):
                 chain = self._chain(trajectory.trajectory_id, index)
-                position = chain.position_at_time(times, t)
-                if position is None:
-                    continue
-                a = self.network.vertex(position.edge[0])
-                b = self.network.vertex(position.edge[1])
-                fraction = position.ndist / self.network.edge_length(
-                    *position.edge
-                )
-                x = a.x + (b.x - a.x) * fraction
-                y = a.y + (b.y - a.y) * fraction
-                if region.contains(x, y):
+                point = chain.point_at(chain.chainage_at(bracket))
+                if region.contains(*point):
                     total += instance.probability
             if total >= alpha:
                 results.append(trajectory.trajectory_id)

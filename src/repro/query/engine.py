@@ -88,6 +88,10 @@ class EngineClosedError(QueryEngineError):
     """
 
 
+class UnknownEdgeError(QueryEngineError):
+    """A when spec names an edge the road network does not hold."""
+
+
 class WorkerPoolBroken(QueryEngineError):
     """The shard worker pool lost a process mid-batch.
 
@@ -136,6 +140,13 @@ class WhenQuery:
     def __post_init__(self) -> None:
         if not math.isfinite(self.relative_distance):
             raise _not_finite(self, "relative_distance")
+        if not 0.0 <= self.relative_distance <= 1.0:
+            # past an end of the edge the point lies on another edge,
+            # and the answer would be a time spent there
+            raise ValueError(
+                f"WhenQuery.relative_distance must be in [0, 1], "
+                f"got {self.relative_distance!r}"
+            )
         if not math.isfinite(self.alpha):
             raise _not_finite(self, "alpha")
 
@@ -256,8 +267,11 @@ class BatchQueryEngine:
 
         A where/when query naming a trajectory the archive does not hold
         returns ``[]`` (serving semantics — one bad id must not poison a
-        batch).  Any other ``KeyError`` — an index listing an id the
-        archive cannot resolve — is a defect and propagates.
+        batch).  A when query on a held trajectory naming an edge the
+        network does not hold refuses the batch with
+        :class:`UnknownEdgeError`.  Any other ``KeyError`` — an index
+        listing an id the archive cannot resolve — is a defect and
+        propagates.
         """
         slots: dict[Query, list[int]] = {}
         for position, query in enumerate(queries):
@@ -295,6 +309,12 @@ class BatchQueryEngine:
             if isinstance(query, WhereQuery):
                 return processor.where(
                     query.trajectory_id, query.t, query.alpha
+                )
+            if not processor.network.has_edge(*query.edge):
+                processor.record(query.trajectory_id)  # unknown id: []
+                raise UnknownEdgeError(
+                    f"no edge {query.edge[0]} -> {query.edge[1]} in the "
+                    f"road network"
                 )
             return processor.when(
                 query.trajectory_id,

@@ -7,17 +7,22 @@ without full decompression:
   whether the trajectory has a timestamp at or before t; the whole time
   stream is decoded once and kept by the decode-span cache; only
   instances with decoded probability >= alpha are materialized, and
-  each position is interpolated along the instance's path.
+  each position is interpolated along the instance's path (t is
+  bracketed in the time stream once, for every instance).
 * **when(Tu_j, <edge, rd>, alpha)** — Definition 11.  The spatial index
   fetches the trajectory's tuples for the region (one row: they do not
   depend on the time interval); Lemma 1 skips a reference's whole
   representation set when its ``p_max`` (and its own probability) is
   below alpha.
 * **range(Tu, RE, t_q, alpha)** — Definition 12.  Candidates are the
-  trajectories the temporal layer lists as active in t_q's interval;
+  trajectories the temporal layer lists as active in t_q's interval.
   Lemma 4 prunes those whose indexed probability mass near RE cannot
-  reach alpha; each remaining instance is tested by whether its
-  position at t_q lies in RE; Lemma 3 accepts as soon as the confirmed
+  reach alpha, in one walk over the interval's pairs in RE's cells: a
+  pair whose own mass reaches alpha admits its trajectory outright, and
+  only the other pairs are summed.  A survivor alive at t_q has t_q
+  bracketed in its time stream once; each instance turns that bracket
+  into its point at t_q, tested against RE's closed bounds, most
+  probable instance first; Lemma 3 accepts as soon as the confirmed
   mass reaches alpha.  Lemma 2 (classify the bracketing sub-path as
   inside / disjoint / boundary, so only boundary instances need their
   distances D) is not applied: the position test needs the decoded
@@ -40,8 +45,8 @@ from ..core.improved_ted import InstanceTuple, decode_instance
 from ..network.graph import RoadNetwork
 from ..network.grid import Rect
 from ..trajectories.model import EdgeKey, TrajectoryInstance
-from ..trajectories.path import InstanceChainage
-from .stiu import INFINITE_VERTEX, StIUIndex
+from ..trajectories.path import InstanceChainage, time_bracket
+from .stiu import INFINITE_VERTEX, IntervalRows, StIUIndex
 
 
 @dataclass(frozen=True)
@@ -183,16 +188,16 @@ class UTCQQueryProcessor:
             return []
         if self.index.temporal_start_for(trajectory_id, t) is None:
             return []
-        full_times = self._full_times(trajectory)
+        bracket = time_bracket(self._full_times(trajectory), t)
         results: list[WhereResult] = []
         for index, compressed in enumerate(trajectory.instances):
             if compressed.probability < alpha:
                 self.counters.instances_pruned += 1
                 continue
             chain = self._chain(trajectory, index)
-            position = chain.position_at_time(full_times, t)
-            if position is None:
+            if bracket is None:
                 continue
+            position = chain.position_at(chain.chainage_at(bracket))
             results.append(
                 WhereResult(
                     trajectory_id,
@@ -295,23 +300,8 @@ class UTCQQueryProcessor:
             return []
         active = self.index.trajectories_in_interval(t)
         if alpha > 0:
-            # Lemma 4: indexed probability mass near RE bounds the true
-            # overlap probability from above.  The interval's CSR is
-            # cell-major, so the pairs of one grid row of RE are one
-            # slice of its mass column: two bisects per row, then a
-            # linear walk.
-            bounds: dict[int, float] = {}
-            trajectory_ids, mass = rows.trajectory_ids, rows.mass
-            for run in self.index.grid.cell_runs_of_rect(region):
-                for k in rows.span(run.start, run.stop - 1):
-                    trajectory_id = trajectory_ids[k]
-                    bounds[trajectory_id] = (
-                        bounds.get(trajectory_id, 0.0) + mass[k]
-                    )
-            survivors = sorted(
-                trajectory_id
-                for trajectory_id, bound in bounds.items()
-                if min(bound, 1.0) >= alpha
+            survivors = lemma4_survivors(
+                rows, self.index.grid.cell_runs_of_rect(region), alpha
             )
             self.counters.trajectories_pruned += len(active) - len(survivors)
         else:
@@ -337,42 +327,63 @@ class UTCQQueryProcessor:
         t: int,
         alpha: float,
     ) -> bool:
-        full_times = self._full_times(trajectory)
+        # every instance shares the time stream: t is bracketed once, and
+        # each instance only turns the bracket into its point
+        bracket = time_bracket(self._full_times(trajectory), t)
+        instances = trajectory.instances
         order = sorted(
-            range(len(trajectory.instances)),
-            key=lambda i: -trajectory.instances[i].probability,
+            range(len(instances)), key=lambda i: -instances[i].probability
         )
         confirmed = 0.0
-        remaining = sum(i.probability for i in trajectory.instances)
+        remaining = sum(i.probability for i in instances)
         for index in order:
-            compressed = trajectory.instances[index]
-            remaining -= compressed.probability
-            overlap = self._instance_overlaps(
-                trajectory, index, region, t, full_times
-            )
-            if overlap:
-                confirmed += compressed.probability
+            probability = instances[index].probability
+            remaining -= probability
+            chain = self._chain(trajectory, index)
+            if bracket is not None and region.contains(
+                *chain.point_at(chain.chainage_at(bracket))
+            ):
+                confirmed += probability
                 if confirmed >= alpha:  # Lemma 3 early accept
                     return True
             if confirmed + remaining < alpha:  # cannot reach alpha anymore
                 return False
         return confirmed >= alpha
 
-    def _instance_overlaps(
-        self,
-        trajectory: CompressedTrajectory,
-        index: int,
-        region: Rect,
-        t: int,
-        full_times: list[int],
-    ) -> bool:
-        chain = self._chain(trajectory, index)
-        position = chain.position_at_time(full_times, t)
-        if position is None:
-            return False
-        a = self.network.vertex(position.edge[0])
-        b = self.network.vertex(position.edge[1])
-        fraction = position.ndist / self.network.edge_length(*position.edge)
-        x = a.x + (b.x - a.x) * fraction
-        y = a.y + (b.y - a.y) * fraction
-        return region.contains(x, y)
+
+def lemma4_survivors(rows: IntervalRows, runs, alpha: float) -> list[int]:
+    """Lemma 4: the ascending ids whose indexed probability mass in the
+    cells of ``runs`` (one run of consecutive cell ids per grid row of
+    RE) reaches ``alpha``, the mass being capped at 1.
+
+    The interval's CSR is cell-major, so the pairs of one run are one
+    slice of its columns.  A pair whose own mass reaches ``alpha``
+    admits its trajectory outright: masses are >= 0, so the full sum is
+    at least that mass.  Only the other pairs are summed, in scan order,
+    so a trajectory none of whose pairs reaches ``alpha`` gets the same
+    sum the plain rule ``min(sum, 1) >= alpha`` would; below the cap
+    that rule is ``sum >= alpha``.
+    """
+    if alpha > 1.0:
+        return []  # a mass capped at 1 never reaches it
+    admitted: set[int] = set()
+    bounds: dict[int, float] = {}
+    trajectory_ids, mass = rows.trajectory_ids, rows.mass
+    for run in runs:
+        span = rows.span(run.start, run.stop - 1)
+        pairs = zip(
+            trajectory_ids[span.start : span.stop],
+            mass[span.start : span.stop],
+        )
+        for trajectory_id, pair_mass in pairs:
+            if pair_mass >= alpha:
+                admitted.add(trajectory_id)
+            else:
+                bound = bounds.get(trajectory_id, 0.0)
+                bounds[trajectory_id] = bound + pair_mass
+    admitted.update(
+        trajectory_id
+        for trajectory_id, bound in bounds.items()
+        if bound >= alpha
+    )
+    return sorted(admitted)

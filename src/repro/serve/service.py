@@ -69,7 +69,6 @@ from ..obs.log import (
 from ..query.engine import (
     DISPATCH_WINDOW,
     BatchPlan,
-    EngineClosedError,
     Query,
     QueryEngineError,
     ShardedQueryEngine,
@@ -739,11 +738,12 @@ class QueryService:
         request involves (``paths``) are dropped and ``run`` is called
         once more, on a union rebuilt over freshly reopened files (new
         handles, indexes and decode cache).  A second failure
-        propagates.
+        propagates.  A :class:`QueryEngineError` (a refused spec, a
+        closed engine) propagates at once: no reopen would answer it.
         """
         try:
             return run(), False
-        except (CorruptArchiveError, EngineClosedError):
+        except (CorruptArchiveError, QueryEngineError):
             raise
         except Exception as error:
             for path in paths:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..network.graph import RoadNetwork
 from ..network.grid import Rect
 from ..trajectories.model import EdgeKey, TrajectoryInstance
-from ..trajectories.path import InstanceChainage
+from ..trajectories.path import InstanceChainage, time_bracket
 from .compressor import (
     TedArchive,
     decode_ted_instance_tuple,
@@ -160,18 +160,14 @@ class TedQueryIndex:
             if not trajectory.start_time <= t <= trajectory.end_time:
                 continue
             times, instances = self._decode_all_instances(position)
+            bracket = time_bracket(times, t)
+            if bracket is None:
+                continue
             total = 0.0
             for instance in instances:
                 chain = InstanceChainage(self.network, instance)
-                where = chain.position_at_time(times, t)
-                if where is None:
-                    continue
-                a = self.network.vertex(where.edge[0])
-                b = self.network.vertex(where.edge[1])
-                fraction = where.ndist / self.network.edge_length(*where.edge)
-                x = a.x + (b.x - a.x) * fraction
-                y = a.y + (b.y - a.y) * fraction
-                if region.contains(x, y):
+                point = chain.point_at(chain.chainage_at(bracket))
+                if region.contains(*point):
                     total += instance.probability
             if total >= alpha:
                 results.append(trajectory.trajectory_id)

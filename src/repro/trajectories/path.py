@@ -1,18 +1,41 @@
 """Chainage arithmetic along instance paths.
 
-The where/when queries interpolate an object's position between two
-mapped locations under a constant-speed assumption along the network
+The where/when/range queries interpolate an object's position between
+two mapped locations under a constant-speed assumption along the network
 path.  ``PathChainage`` precomputes cumulative edge lengths so that
 ``(edge index, ndist) <-> absolute chainage`` conversions are O(1)/O(log n).
+
+A position at time ``t`` is computed in two steps: :func:`time_bracket`
+places ``t`` among the timestamps, which every instance of a trajectory
+shares, and :meth:`InstanceChainage.chainage_at` turns that bracket into
+one instance's chainage.  A query over many instances brackets once.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..network.graph import RoadNetwork
 from .model import EdgeKey, MappedLocation, TrajectoryInstance
+
+#: where a time falls among a trajectory's timestamps: ``(k, fraction)``
+#: with ``times[k] <= t < times[k + 1]``, or ``(k, None)`` at the last
+#: timestamp ``times[k]``
+TimeBracket = tuple[int, float | None]
+
+
+def time_bracket(times: Sequence[int], t: int) -> TimeBracket | None:
+    """Bracket ``t`` in the ascending ``times``; ``None`` when ``t`` falls
+    outside them."""
+    if t < times[0] or t > times[-1]:
+        return None
+    index = bisect.bisect_right(times, t) - 1
+    if index >= len(times) - 1:
+        return index, None
+    t0, t1 = times[index], times[index + 1]
+    return index, (t - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True)
@@ -58,13 +81,37 @@ class PathChainage:
             raise ValueError("location does not lie on the given path edge")
         return self.chainage_of(edge_index, location.ndist)
 
+    def _locate(self, chainage: float) -> tuple[int, float]:
+        """``(edge index, ndist)`` of an absolute chainage, clamped to the
+        path: ``min(max(chainage, 0.0), total_length)`` and the index
+        capped at the last edge, spelled as comparisons (the builtins
+        cost more than the rest of a lookup)."""
+        prefix = self._prefix
+        if chainage < 0.0:
+            chainage = 0.0
+        if chainage > prefix[-1]:
+            chainage = prefix[-1]
+        index = bisect.bisect_right(prefix, chainage) - 1
+        last = len(prefix) - 2
+        if index > last:
+            index = last
+        return index, chainage - prefix[index]
+
     def position_at(self, chainage: float) -> PathPosition:
         """The path position at an absolute chainage (clamped to the path)."""
-        chainage = min(max(chainage, 0.0), self.total_length)
-        index = bisect.bisect_right(self._prefix, chainage) - 1
-        index = min(index, len(self.path) - 1)
-        ndist = chainage - self._prefix[index]
+        index, ndist = self._locate(chainage)
         return PathPosition(index, self.path[index], ndist)
+
+    def point_at(self, chainage: float) -> tuple[float, float]:
+        """The plane coordinates of :meth:`position_at`'s position (the
+        edge's linear embedding), without building the position."""
+        index, ndist = self._locate(chainage)
+        start, end = self.path[index]
+        network = self.network
+        a = network.vertex(start)
+        b = network.vertex(end)
+        fraction = ndist / network.edge_length(start, end)
+        return a.x + (b.x - a.x) * fraction, a.y + (b.y - a.y) * fraction
 
 
 class InstanceChainage(PathChainage):
@@ -80,21 +127,24 @@ class InstanceChainage(PathChainage):
             )
         ]
 
+    def chainage_at(self, bracket: TimeBracket) -> float:
+        """Constant-speed chainage of the object at a bracketed time."""
+        index, fraction = bracket
+        chains = self.location_chainages
+        if fraction is None:
+            return chains[-1]
+        c0 = chains[index]
+        return c0 + (chains[index + 1] - c0) * fraction
+
     def position_at_time(self, times: list[int], t: int) -> PathPosition | None:
         """Constant-speed position of the object at time ``t``.
 
         Returns ``None`` when ``t`` falls outside the instance's time span.
         """
-        if t < times[0] or t > times[-1]:
+        bracket = time_bracket(times, t)
+        if bracket is None:
             return None
-        index = bisect.bisect_right(times, t) - 1
-        if index >= len(times) - 1:
-            return self.position_at(self.location_chainages[-1])
-        t0, t1 = times[index], times[index + 1]
-        c0 = self.location_chainages[index]
-        c1 = self.location_chainages[index + 1]
-        fraction = (t - t0) / (t1 - t0)
-        return self.position_at(c0 + (c1 - c0) * fraction)
+        return self.position_at(self.chainage_at(bracket))
 
     def time_at_chainage(
         self, times: list[int], chainage: float, *, tolerance: float = 1e-9

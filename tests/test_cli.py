@@ -478,6 +478,34 @@ class TestCliErrorContract:
             ])
         self.assert_clean_failure(excinfo, capsys)
 
+    @pytest.mark.parametrize("edge", ["999999,999998", "1,1"])
+    def test_query_when_on_an_edge_not_in_the_network(
+        self, archive_path, edge, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "query", "when", str(archive_path),
+                "--trajectory", "0", "--edge", edge, "--rd", "0.5",
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert f"no edge {edge.replace(',', ' -> ')} " in message
+
+    @pytest.mark.parametrize("rd", ["1.5", "-0.5"])
+    def test_query_when_off_the_edge(self, archive_path, rd, capsys):
+        """A relative distance past either end of a real path edge of
+        trajectory 0 is refused, not answered with a time spent on a
+        neighbouring edge."""
+        assert main(["decompress", str(archive_path), "--limit", "1"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        edge = record["instances"][0]["path"][0]
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "query", "when", str(archive_path), "--trajectory", "0",
+                "--edge", f"{edge[0]},{edge[1]}", f"--rd={rd}",
+            ])
+        message = self.assert_clean_failure(excinfo, capsys)
+        assert "relative_distance must be in [0, 1]" in message
+
     @pytest.fixture
     def damaged(self, archive_path, tmp_path):
         """A copy of the archive, without its sidecar, with one byte

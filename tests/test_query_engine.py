@@ -23,6 +23,7 @@ from repro.query import (
     RangeQuery,
     ShardedQueryEngine,
     StIUIndex,
+    UnknownEdgeError,
     UTCQQueryProcessor,
     WhenQuery,
     WhereQuery,
@@ -186,6 +187,30 @@ class TestBatchEngine:
         assert engine.run(
             [WhereQuery(10**9, 1000, 0.0), WhenQuery(10**9, (0, 1), 0.5, 0.0)]
         ) == [[], []]
+
+    @pytest.mark.parametrize("edge", [(999999, 999998), (1, 1)])
+    def test_when_on_an_edge_not_in_the_network_is_refused(
+        self, world, edge
+    ):
+        """An unknown vertex, or two known vertices with no edge between
+        them: a typed refusal naming the edge, never a bare ``KeyError``
+        or an empty answer."""
+        network, trajectories, archive, _ = world
+        assert not network.has_edge(*edge)
+        assert network.has_vertex(1)
+        engine = BatchQueryEngine(
+            network, archive, StIUIndex(network, archive)
+        )
+        tid = trajectories[0].trajectory_id
+        with pytest.raises(
+            UnknownEdgeError, match=f"no edge {edge[0]} -> {edge[1]} "
+        ):
+            engine.run([WhenQuery(tid, edge, 0.5, 0.0)])
+        with pytest.raises(UnknownEdgeError):
+            with ShardedQueryEngine(
+                world[3], network=network, workers=1
+            ) as sharded:
+                sharded.run([WhenQuery(tid, edge, 0.5, 0.0)])
 
     def test_internal_key_error_is_not_an_empty_answer(self, world):
         """Only a where/when naming an id the archive does not hold is
@@ -428,6 +453,20 @@ class TestQuerySpecs:
             )
         with pytest.raises(QueryEngineError):
             query_from_dict([1, 2])
+
+    @pytest.mark.parametrize("rd", [-0.5, -1e-12, 1.0 + 1e-12, 1.5, 3.0])
+    def test_relative_distance_off_the_edge_is_refused(self, rd):
+        # rd > 1 would answer for a point on a later edge of the path
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            WhenQuery(1, (1, 2), rd, 0.5)
+        with pytest.raises(QueryEngineError, match=r"\[0, 1\]"):
+            query_from_dict(
+                {"kind": "when", "trajectory": 1, "edge": [1, 2], "rd": rd}
+            )
+
+    def test_relative_distance_at_either_end_is_accepted(self):
+        assert WhenQuery(1, (1, 2), 0.0, 0.5).relative_distance == 0.0
+        assert WhenQuery(1, (1, 2), 1.0, 0.5).relative_distance == 1.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

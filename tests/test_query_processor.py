@@ -1,8 +1,11 @@
 """Tests for StIU-backed queries against the brute-force oracle."""
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compressor import compress_dataset
 from repro.network.grid import Rect
@@ -14,6 +17,8 @@ from repro.query import (
     when_accuracy,
     where_accuracy,
 )
+from repro.query.queries import lemma4_survivors
+from repro.query.stiu import IntervalRows
 from repro.trajectories.datasets import load_dataset
 
 from test_stiu_golden import spatial_rows
@@ -270,3 +275,70 @@ class TestAccuracyMetrics:
     def test_empty_sets_score_one(self):
         report = range_accuracy([], [])
         assert report.f1 == 1.0
+
+
+# ----------------------------------------------------------------------
+# Lemma 4: admitting on one pair's mass keeps what the plain sum keeps
+# ----------------------------------------------------------------------
+SIDE = 4  # grid cells per side of the generated CSR
+
+
+@st.composite
+def csr_and_alpha(draw):
+    """An interval CSR over a ``SIDE x SIDE`` grid (few ids, so they
+    repeat across cells and rows), the runs of a rectangle, and alpha."""
+    alpha = draw(
+        st.one_of(
+            st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.0 + 2**-52, 1.5]),
+            st.floats(-1.0, 2.0, allow_nan=False),
+        )
+    )
+    # 0, alpha itself, and halves of alpha that sum to it exactly
+    at = max(alpha, 0.0)
+    masses = st.one_of(
+        st.sampled_from([0.0, at, at / 2, at / 4, 1.0]),
+        st.floats(0.0, 1.25, allow_nan=False),
+    )
+    cells = draw(
+        st.lists(
+            st.integers(0, SIDE * SIDE - 1), unique=True, max_size=10
+        ).map(sorted)
+    )
+    cell_start, ids, mass = [0], [], []
+    for _ in cells:
+        for tid in draw(
+            st.lists(st.integers(0, 6), unique=True, min_size=1).map(sorted)
+        ):
+            ids.append(tid)
+            mass.append(draw(masses))
+        cell_start.append(len(ids))
+    rows = IntervalRows(
+        array("i", cells), array("i", cell_start), array("i", ids),
+        array("d", mass),
+    )
+    lo_row, hi_row = sorted(draw(st.integers(0, SIDE - 1)) for _ in range(2))
+    lo_col, hi_col = sorted(draw(st.integers(0, SIDE - 1)) for _ in range(2))
+    runs = [
+        range(row * SIDE + lo_col, row * SIDE + hi_col + 1)
+        for row in range(lo_row, hi_row + 1)
+    ]
+    return rows, runs, alpha
+
+
+def plain_rule(rows: IntervalRows, runs, alpha: float) -> list[int]:
+    """Lemma 4 spelled out: sum every pair's mass per trajectory."""
+    bounds: dict[int, float] = {}
+    for run in runs:
+        for k in rows.span(run.start, run.stop - 1):
+            tid = rows.trajectory_ids[k]
+            bounds[tid] = bounds.get(tid, 0.0) + rows.mass[k]
+    return sorted(
+        tid for tid, bound in bounds.items() if min(bound, 1.0) >= alpha
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_and_alpha())
+def test_lemma4_admit_or_sum_keeps_what_the_sum_keeps(case):
+    rows, runs, alpha = case
+    assert lemma4_survivors(rows, runs, alpha) == plain_rule(rows, runs, alpha)

@@ -429,6 +429,28 @@ class TestWireServer:
                 sock.sendall(request_frame(99))
                 assert read_frame(sock)[:2] == (wire.FRAME_RESPONSE, 99)
 
+    def test_relative_distance_off_the_edge_is_malformed_by_name(self):
+        # packed by hand: a WhenQuery refuses rd = 1.5 itself
+        client = b"raw"
+        payload = (
+            struct.pack("<dHI", 0.0, len(client), 1)
+            + client
+            + struct.pack("<B", 1)
+            + struct.pack("<qqqdd", 4, 1, 2, 1.5, 0.9)
+        )
+        service = FakeService()
+        with WireServerThread(service) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(wire.encode_frame(wire.FRAME_REQUEST, 1, payload))
+                kind, echoed, reply = read_frame(sock)
+                assert (kind, echoed) == (wire.FRAME_ERROR, 1)
+                code, _, message = wire.decode_error_body(reply)
+                assert code == wire.ERR_MALFORMED
+                assert "relative_distance must be in [0, 1]" in message
+        assert service.calls == 0
+
     def test_bad_magic_closes_only_that_connection(self):
         with WireServerThread(FakeService()) as server:
             with socket.create_connection(
@@ -759,6 +781,37 @@ class TestWireOverRealService:
                 ) as client:
                     with pytest.raises(DeadlineExceeded):
                         client.request(queries, deadline=1e-9)
+        finally:
+            service.close()
+
+    def test_when_on_an_edge_not_in_the_network_is_refused_by_name(
+        self, dataset, wire_world
+    ):
+        network, shard_paths, queries, expected = wire_world
+        tid = dataset[1][0].trajectory_id
+        service = QueryService(
+            shard_paths,
+            network=network,
+            workers=None,
+            config=ServiceConfig(deadline=30.0, health_interval=None),
+        )
+        try:
+            with WireServerThread(service) as server:
+                with WireClient(
+                    "127.0.0.1", server.port, seed=15, max_attempts=1
+                ) as client:
+                    assert client.request(queries).results == expected
+                    parts = dict(service.engine._parts)
+                    with pytest.raises(
+                        wire.WireServerError,
+                        match="no edge 999999 -> 999998 ",
+                    ):
+                        client.request(
+                            [WhenQuery(tid, (999999, 999998), 0.5, 0.0)]
+                        )
+                    # a refused spec is not a sick shard: nothing reopens
+                    assert service.engine._parts == parts
+                    assert client.request(queries).results == expected
         finally:
             service.close()
 
