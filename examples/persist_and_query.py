@@ -84,7 +84,7 @@ def main() -> None:
         cache = queries.cache
         print(
             f"\nresident trajectories after querying: "
-            f"{cache.stats()['records']['resident']} of "
+            f"{cache.stats()['times']['resident']} of "
             f"{on_disk.trajectory_count}, {cache.resident_bytes} of "
             f"{cache.budget_bytes} cache bytes (lazy loading works)"
         )

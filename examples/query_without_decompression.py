@@ -85,7 +85,8 @@ def main() -> None:
         f"{counters.trajectories_pruned}"
     )
     # the counters were reset before the range query, and the where /
-    # when queries above left their instances in the decode cache
+    # when queries above left their instances decoded in the decode
+    # cache's trajectory blocks
     print(
         "instances decoded by the range query: "
         f"{counters.instances_decoded}"

@@ -9,13 +9,13 @@ Full decoding exists for round-trip verification and for consumers who
 want the data back.
 
 :class:`DecodeSpanCache` sits between the query layer and these entry
-points: one LRU, budgeted in bytes, of parsed records and decoded spans
-(time sequences, reference tuples, materialized instances, chainage
-tables) keyed by trajectory or instance, so repeated probes of a hot
-trajectory cost O(span) instead of a re-parse and a re-decode.  One
-cache can be shared by several query processors over the same archive +
-network (e.g. through a :class:`~repro.stream.live.LiveArchive` while
-ingestion continues).
+points: one LRU, budgeted in bytes, of parsed records and one
+:class:`TrajectoryBlock` per trajectory — its record, its time stream,
+and one chainage slot per instance, decoded the first time a query
+needs it — so repeated probes of a hot trajectory cost one lookup
+instead of a re-parse and a re-decode.  One cache can be shared by
+several query processors over the same archive + network (e.g. through
+a :class:`~repro.stream.live.LiveArchive` while ingestion continues).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ..bits.bitio import BitReader, uint_width
 from ..obs import metrics as obs_metrics
 from ..network.graph import RoadNetwork
 from ..trajectories.model import TrajectoryInstance, UncertainTrajectory
+from ..trajectories.path import InstanceChainage
 from . import siar
 from .archive import (
     DECODE_FAILURES,
@@ -285,10 +286,9 @@ def decode_archive(
     ]
 
 
-#: The decode cache's budget in charged bytes: what the entry caps it
-#: replaced (1,024 trajectories, 8,192 instances per section) held at
-#: the entry sizes of ``engine-uniform-cold``, rounded up; the
-#: derivation is in docs/architecture.md ("Decode cache").
+#: The decode cache's budget in charged bytes: room for every block of
+#: ``engine-uniform-cold``'s working set with every slot filled, with
+#: headroom; the derivation is in docs/architecture.md ("Decode cache").
 DECODE_CACHE_BYTES = 32 << 20
 
 
@@ -297,66 +297,183 @@ def configured_budget_bytes() -> int:
     return env_int("REPRO_DECODE_CACHE_BYTES", DECODE_CACHE_BYTES, minimum=0)
 
 
-class _Section:
-    """The counters of one kind of cached value, and what an entry of
-    that kind is charged: ``base + per_element * elements(value)``."""
+def _less_probable(pair: tuple[int, float]) -> float:
+    return -pair[1]
+
+
+class TrajectoryBlock:
+    """What the where / when / range queries read of one trajectory.
+
+    Built from the parsed ``record`` and its decoded ``times``, which
+    every instance shares:
+
+    * ``chains`` — one slot per instance: its chainage table, ``None``
+      until a query first needs it (:meth:`decode_chain`, then
+      :meth:`DecodeSpanCache.fill`);
+    * ``references`` — reference ordinal -> the decoded reference tuple,
+      kept once the first slot of its group is decoded, so the other
+      members of the group decode against it;
+    * :meth:`ranked` and :meth:`members`, worked out the first time a
+      range or a when query asks (a where-only trajectory never pays
+      for them).
+    """
 
     __slots__ = (
-        "name", "base", "per_element", "elements",
-        "hits", "misses", "evictions", "resident", "bytes",
+        "record", "times", "chains", "references", "_ranked", "_members",
     )
 
-    def __init__(self, name: str, base: int, per_element: int, elements):
-        self.name = name
-        self.base = base
-        self.per_element = per_element
-        self.elements = elements
+    def __init__(self, record: CompressedTrajectory, times: list[int]) -> None:
+        self.record = record
+        self.times = times
+        self.chains: list[InstanceChainage | None] = (
+            [None] * len(record.instances)
+        )
+        self.references: dict[int, InstanceTuple] = {}
+        self._ranked: tuple[list[tuple[int, float]], float] | None = None
+        self._members: dict[int, list[int]] | None = None
+
+    def ranked(self) -> tuple[list[tuple[int, float]], float]:
+        """The instances' ``(index, probability)`` pairs, most probable
+        first (a stable sort: ties keep instance order), and their total
+        probability, summed in instance order."""
+        ranked = self._ranked
+        if ranked is None:
+            instances = self.record.instances
+            order = sorted(
+                (
+                    (index, instance.probability)
+                    for index, instance in enumerate(instances)
+                ),
+                key=_less_probable,
+            )
+            mass = sum(instance.probability for instance in instances)
+            ranked = self._ranked = (order, mass)
+        return ranked
+
+    def members(self, ordinal: int) -> list[int]:
+        """The ascending indices of the non-references decoded against
+        reference ``ordinal``."""
+        members = self._members
+        if members is None:
+            members = {}
+            for index, instance in enumerate(self.record.instances):
+                if not instance.is_reference:
+                    members.setdefault(instance.reference_ordinal, []).append(
+                        index
+                    )
+            self._members = members
+        return members.get(ordinal, [])
+
+    def decode_chain(
+        self, network: RoadNetwork, params: CompressionParams, index: int
+    ) -> tuple[InstanceChainage, InstanceTuple | None]:
+        """Decode instance ``index`` into its chainage table, without
+        storing it.  Returns the table and the reference tuple decoded
+        on the way (``None`` when the block already held it).
+
+        The instance is reconstructed by :func:`decode_instance`, so
+        every check of the codec and of
+        :class:`~repro.trajectories.model.TrajectoryInstance` applies: a
+        damaged payload raises :class:`CorruptPayloadError`.  Only the
+        table is kept.
+        """
+        record = self.record
+        compressed = record.instances[index]
+        ordinal = compressed.reference_ordinal
+        reference = self.references.get(ordinal)
+        decoded = None
+        if reference is None:
+            reference = decoded = decode_reference_tuple(
+                record.reference_by_ordinal(ordinal), params
+            )
+        if compressed.is_reference:
+            encoded = reference
+        else:
+            encoded = decode_non_reference_tuple(
+                compressed, reference, params, record.reference_count
+            )
+        chain = InstanceChainage(network, decode_instance(network, encoded))
+        return chain, decoded
+
+
+# What an entry is charged, in bytes: a base plus a cost per element.
+# The constants are the retained bytes tracemalloc measures on the CD
+# profile, the cache's own bookkeeping included;
+# tests/test_decode_cache.py holds each charge within 0.5-2x of that.
+def _record_charge(record: CompressedTrajectory) -> int:
+    return 720 + 165 * len(record.instances)
+
+
+def _block_charge(block: TrajectoryBlock) -> int:
+    # the block's own record is in it: a block parses its record itself
+    return 800 + 60 * len(block.times) + 340 * len(block.chains)
+
+
+def _slot_charge(chain: InstanceChainage) -> int:
+    return 375 + 69 * (len(chain.path) + len(chain.location_chainages))
+
+
+def _reference_charge(encoded: InstanceTuple) -> int:
+    return 440 + 29 * len(encoded.edge_numbers)
+
+
+class _Section:
+    """The counters of one kind of cached value."""
+
+    __slots__ = ("hits", "misses", "evictions", "resident", "bytes")
+
+    def __init__(self) -> None:
         self.hits = self.misses = self.evictions = 0
         self.resident = self.bytes = 0
 
-    def charge(self, value) -> int:
-        return self.base + self.per_element * self.elements(value)
 
-
-# name, bytes per entry, bytes per element, what an element is: the
-# retained bytes tracemalloc measures per entry on the CD profile, the
-# cache's own bookkeeping included (tests/test_decode_cache.py holds
-# every section's charge within 0.5-2x of that measurement)
-_SECTIONS = (
-    ("records", 720, 165, lambda record: len(record.instances)),
-    ("times", 400, 42, len),
-    ("references", 620, 20, lambda encoded: len(encoded.edge_numbers)),
-    ("instances", 540, 94, lambda i: len(i.path) + len(i.locations)),
-    ("chainages", 530, 33, lambda c: len(c.path) + len(c.location_chainages)),
-)
+#: the sections :meth:`DecodeSpanCache.stats` reports, in its order
+SECTIONS = ("records", "times", "references", "instances", "chainages")
 
 
 class DecodeSpanCache:
-    """Shared LRU of parsed records and decoded spans, budgeted in bytes.
+    """Shared LRU of parsed records and trajectory blocks, budgeted in
+    bytes.
 
-    Five sections share one recency order and one budget:
+    Two kinds of entry share one recency order and one budget:
 
-    * ``records`` — parsed :class:`CompressedTrajectory` records, keyed
-      by trajectory id;
-    * ``times`` — full SIAR time sequences, keyed by trajectory id;
-    * ``references`` — decoded reference tuples, keyed by
-      ``(trajectory_id, reference_ordinal)``;
-    * ``instances`` — materialized :class:`TrajectoryInstance` objects,
-      keyed by ``(trajectory_id, instance_index)``;
-    * ``chainages`` — cumulative-length chainage tables over those
-      instances (network-dependent: share a cache only across
-      processors using the same road network).
+    * parsed :class:`CompressedTrajectory` records, keyed
+      ``("records", trajectory_id)`` (:meth:`record_for`);
+    * one :class:`TrajectoryBlock` per trajectory, keyed by its id
+      (:meth:`block_for`).  A block's slots are filled later, one
+      instance at a time (:meth:`fill`).  Chainage tables depend on the
+      road network: share a cache only across processors using the same
+      one.
 
-    An entry is charged once, when it is stored, by its section's
-    estimate; the least recently used entries of any section leave
+    :meth:`stats` reports five sections:
+
+    * ``records`` — record lookups, and the records held;
+    * ``times`` — block lookups, and the blocks held (each block holds
+      its own record and time stream);
+    * ``chainages`` — slot probes: a hit is a probe of a filled slot
+      (:meth:`count_slot_hits`), a miss a slot decode (:meth:`fill`);
+      resident are the filled slots of resident blocks;
+    * ``references`` — per slot decode, whether the block already held
+      the reference tuple (a hit) or the decode read one (a miss);
+      resident are the tuples resident blocks hold;
+    * ``instances`` — always zero: a block keeps no
+      :class:`~repro.trajectories.model.TrajectoryInstance`.
+
+    A record or block is charged when it is stored, and a slot or
+    reference tuple when it is stored into a resident block; the least
+    recently used entries leave — a block with its slots and tuples —
     until the charged total fits ``budget_bytes`` again (``None``:
-    ``REPRO_DECODE_CACHE_BYTES``, else :data:`DECODE_CACHE_BYTES`).
-    A budget of 0 memoizes nothing.
+    ``REPRO_DECODE_CACHE_BYTES``, else :data:`DECODE_CACHE_BYTES`).  A
+    fill can evict its own block.  An entry charged more than the whole
+    budget is not stored, and a budget of 0 memoizes nothing: every
+    lookup builds a fresh block, whose slots live as long as its caller
+    holds it.
 
-    Thread-safe: lookups take a lock around the LRU only; the decode
-    itself (the ``factory``) runs unlocked, so concurrent misses on the
-    same key may decode twice — the first value stored is kept, and
-    every caller gets it.
+    Thread-safe: lookups and fills take a lock around the LRU only; the
+    decode itself (the ``factory``, :meth:`TrajectoryBlock.decode_chain`)
+    runs unlocked, so concurrent misses on the same key or slot may
+    decode twice — the first value stored is kept, and every caller
+    gets it.
     """
 
     def __init__(
@@ -368,12 +485,12 @@ class DecodeSpanCache:
             raise ValueError(f"budget_bytes must be >= 0, got {budget_bytes}")
         self.budget_bytes = budget_bytes
         self.resident_bytes = 0
-        self._sections = {spec[0]: _Section(*spec) for spec in _SECTIONS}
+        self._sections = {name: _Section() for name in SECTIONS}
         (
             self._records, self._times, self._references,
             self._instances, self._chainages,
         ) = self._sections.values()
-        # (section name, key) -> (value, charge, section), oldest first
+        # key -> record or block, oldest first
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         if register:
@@ -382,55 +499,121 @@ class DecodeSpanCache:
             # path never touches a registry lock
             obs_metrics.get_registry().register_collector(self)
 
-    def _lookup(self, section: _Section, key, factory: Callable):
-        slot = (section.name, key)
+    def _lookup(self, key, section: _Section, charge_of, factory: Callable):
         entries = self._entries
         with self._lock:
-            entry = entries.get(slot)
-            if entry is not None:
-                entries.move_to_end(slot)
+            value = entries.get(key)
+            if value is not None:
+                entries.move_to_end(key)
                 section.hits += 1
-                return entry[0]
+                return value
             section.misses += 1
         value = factory()
-        charge = section.charge(value)
+        charge = charge_of(value)
         if charge > self.budget_bytes:
             return value
         with self._lock:
-            entry = entries.get(slot)
-            if entry is not None:  # a concurrent miss stored it first
-                entries.move_to_end(slot)
-                return entry[0]
-            entries[slot] = (value, charge, section)
+            stored = entries.get(key)
+            if stored is not None:  # a concurrent miss stored it first
+                entries.move_to_end(key)
+                return stored
+            entries[key] = value
             section.resident += 1
             section.bytes += charge
             self.resident_bytes += charge
-            while self.resident_bytes > self.budget_bytes:
-                _, (_, freed, owner) = entries.popitem(last=False)
-                owner.resident -= 1
-                owner.bytes -= freed
-                owner.evictions += 1
-                self.resident_bytes -= freed
+            self._evict()
         return value
 
     def record_for(self, trajectory_id: int, factory: Callable):
-        return self._lookup(self._records, trajectory_id, factory)
-
-    def times_for(self, trajectory_id: int, factory: Callable):
-        return self._lookup(self._times, trajectory_id, factory)
-
-    def reference_for(
-        self, trajectory_id: int, ordinal: int, factory: Callable
-    ):
+        """The parsed record of ``trajectory_id``; ``factory()`` parses
+        it on a miss."""
         return self._lookup(
-            self._references, (trajectory_id, ordinal), factory
+            ("records", trajectory_id), self._records, _record_charge,
+            factory,
         )
 
-    def instance_for(self, trajectory_id: int, index: int, factory: Callable):
-        return self._lookup(self._instances, (trajectory_id, index), factory)
+    def block_for(
+        self, trajectory_id: int, factory: Callable[[], TrajectoryBlock]
+    ) -> TrajectoryBlock:
+        """The block of ``trajectory_id``; ``factory()`` builds it on a
+        miss."""
+        return self._lookup(
+            trajectory_id, self._times, _block_charge, factory
+        )
 
-    def chainage_for(self, trajectory_id: int, index: int, factory: Callable):
-        return self._lookup(self._chainages, (trajectory_id, index), factory)
+    def fill(
+        self,
+        block: TrajectoryBlock,
+        index: int,
+        chain: InstanceChainage,
+        reference: InstanceTuple | None,
+    ) -> InstanceChainage:
+        """Store ``chain`` in slot ``index`` of ``block``, and the
+        reference tuple its decode read (``None``: the block held it),
+        unless a concurrent fill stored them first; returns the slot's
+        value.  While ``block`` is resident, what is stored is charged
+        to the budget, and least recently used entries leave until it
+        holds again."""
+        added = 0
+        with self._lock:
+            resident = self._entries.get(block.record.trajectory_id) is block
+            references = self._references
+            if reference is None:
+                references.hits += 1
+            else:
+                references.misses += 1
+                ordinal = block.record.instances[index].reference_ordinal
+                if ordinal not in block.references:
+                    block.references[ordinal] = reference
+                    if resident:
+                        charge = _reference_charge(reference)
+                        references.resident += 1
+                        references.bytes += charge
+                        added += charge
+            slots = self._chainages
+            slots.misses += 1
+            stored = block.chains[index]
+            if stored is not None:
+                chain = stored
+            else:
+                block.chains[index] = chain
+                if resident:
+                    charge = _slot_charge(chain)
+                    slots.resident += 1
+                    slots.bytes += charge
+                    added += charge
+            if added:
+                self.resident_bytes += added
+                self._evict()
+        return chain
+
+    def count_slot_hits(self, count: int) -> None:
+        """Count ``count`` probes of filled slots (one call per query
+        and trajectory, not one per probe)."""
+        with self._lock:
+            self._chainages.hits += count
+
+    def _evict(self) -> None:
+        """Drop least recently used entries until the budget holds;
+        the caller holds the lock."""
+        entries = self._entries
+        while self.resident_bytes > self.budget_bytes:
+            key, value = entries.popitem(last=False)
+            if isinstance(value, TrajectoryBlock):
+                self._drop(self._times, _block_charge(value))
+                for encoded in value.references.values():
+                    self._drop(self._references, _reference_charge(encoded))
+                for chain in value.chains:
+                    if chain is not None:
+                        self._drop(self._chainages, _slot_charge(chain))
+            else:
+                self._drop(self._records, _record_charge(value))
+
+    def _drop(self, section: _Section, charge: int) -> None:
+        section.resident -= 1
+        section.bytes -= charge
+        section.evictions += 1
+        self.resident_bytes -= charge
 
     def clear(self) -> None:
         with self._lock:

@@ -9,7 +9,6 @@ from .engine import (
     RangeQuery,
     ShardedQueryEngine,
     ShardWorkerPool,
-    UnknownEdgeError,
     WhenQuery,
     WhereQuery,
     WorkerPoolBroken,
@@ -25,6 +24,7 @@ from .metrics import (
 )
 from .queries import (
     QueryCounters,
+    UnknownEdgeError,
     UTCQQueryProcessor,
     WhenResult,
     WhereResult,

@@ -50,7 +50,12 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.log import get_logger
 from ..trajectories.model import EdgeKey
-from .queries import UTCQQueryProcessor, WhenResult, WhereResult
+from .queries import (
+    QueryEngineError,
+    UTCQQueryProcessor,
+    WhenResult,
+    WhereResult,
+)
 from .stiu import StIUIndex
 from .transport import TransportError, decode_answers_blob, encode_answers
 
@@ -75,10 +80,6 @@ POOL_START_TIMEOUT = 30.0
 _log = get_logger("repro.query.engine")
 
 
-class QueryEngineError(Exception):
-    """Raised for malformed batch specs or unusable shards."""
-
-
 class EngineClosedError(QueryEngineError):
     """A closed engine was asked to run queries.
 
@@ -86,10 +87,6 @@ class EngineClosedError(QueryEngineError):
     close is a caller bug and gets a typed error, not whatever the
     half-torn-down pool happens to raise.
     """
-
-
-class UnknownEdgeError(QueryEngineError):
-    """A when spec names an edge the road network does not hold."""
 
 
 class WorkerPoolBroken(QueryEngineError):
@@ -269,7 +266,8 @@ class BatchQueryEngine:
         returns ``[]`` (serving semantics — one bad id must not poison a
         batch).  A when query on a held trajectory naming an edge the
         network does not hold refuses the batch with
-        :class:`UnknownEdgeError`.  Any other ``KeyError`` — an index
+        :class:`~repro.query.queries.UnknownEdgeError` (raised by
+        ``UTCQQueryProcessor.when``).  Any other ``KeyError`` — an index
         listing an id the archive cannot resolve — is a defect and
         propagates.
         """
@@ -309,12 +307,6 @@ class BatchQueryEngine:
             if isinstance(query, WhereQuery):
                 return processor.where(
                     query.trajectory_id, query.t, query.alpha
-                )
-            if not processor.network.has_edge(*query.edge):
-                processor.record(query.trajectory_id)  # unknown id: []
-                raise UnknownEdgeError(
-                    f"no edge {query.edge[0]} -> {query.edge[1]} in the "
-                    f"road network"
                 )
             return processor.when(
                 query.trajectory_id,

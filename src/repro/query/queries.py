@@ -4,11 +4,10 @@ All three queries run against the :class:`~repro.query.stiu.StIUIndex`
 without full decompression:
 
 * **where(Tu_j, t, alpha)** — Definition 10.  The temporal index says
-  whether the trajectory has a timestamp at or before t; the whole time
-  stream is decoded once and kept by the decode-span cache; only
-  instances with decoded probability >= alpha are materialized, and
-  each position is interpolated along the instance's path (t is
-  bracketed in the time stream once, for every instance).
+  whether the trajectory has a timestamp at or before t; only instances
+  with decoded probability >= alpha are decoded, and each position is
+  interpolated along the instance's path (t is bracketed in the time
+  stream once, for every instance).
 * **when(Tu_j, <edge, rd>, alpha)** — Definition 11.  The spatial index
   fetches the trajectory's tuples for the region (one row: they do not
   depend on the time interval); Lemma 1 skips a reference's whole
@@ -28,6 +27,14 @@ without full decompression:
   distances D) is not applied: the position test needs the decoded
   instance anyway, so classifying after the decode saves nothing.  The
   form that would pay classifies from E and T' before D is decoded.
+
+Each query reads a trajectory through one lookup of its
+:class:`~repro.core.decoder.TrajectoryBlock` in the shared
+:class:`~repro.core.decoder.DecodeSpanCache`: the parsed record, the
+time stream decoded once, the instances in probability order with their
+total mass (range) and each reference's non-references (when), and one
+chainage slot per instance, decoded the first time a query reads it.
+Probing a filled slot takes no lock.
 """
 
 from __future__ import annotations
@@ -35,18 +42,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.archive import CompressedArchive, CompressedTrajectory
-from ..core.decoder import (
-    DecodeSpanCache,
-    decode_non_reference_tuple,
-    decode_reference_tuple,
-    decode_times,
-)
-from ..core.improved_ted import InstanceTuple, decode_instance
+from ..core.decoder import DecodeSpanCache, TrajectoryBlock, decode_times
 from ..network.graph import RoadNetwork
 from ..network.grid import Rect
-from ..trajectories.model import EdgeKey, TrajectoryInstance
+from ..trajectories.model import EdgeKey
 from ..trajectories.path import InstanceChainage, time_bracket
 from .stiu import INFINITE_VERTEX, IntervalRows, StIUIndex
+
+
+class QueryEngineError(Exception):
+    """Raised for malformed batch specs or unusable shards."""
+
+
+class UnknownEdgeError(QueryEngineError):
+    """A when spec names an edge the road network does not hold."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,12 @@ class UTCQQueryProcessor:
     """Query engine over a compressed archive + StIU index.
 
     ``cache`` is the decode-span LRU shared with other processors over
-    the same archive + network (``None`` creates a private one).  It
-    memoizes parsed records, decoded time sequences, reference tuples,
-    materialized instances, and chainage tables, so repeated probes of
-    a hot trajectory cost O(span) instead of a re-parse and a re-decode.
+    the same archive + network (``None`` creates a private one).  Each
+    query looks up the one :class:`~repro.core.decoder.TrajectoryBlock`
+    of each trajectory it reads, once, and decodes an instance into its
+    block's slot the first time any query needs it, so repeated probes
+    of a hot trajectory cost one lookup instead of a re-parse and a
+    re-decode.
     """
 
     def __init__(
@@ -111,7 +122,7 @@ class UTCQQueryProcessor:
         self.cache = cache if cache is not None else DecodeSpanCache()
 
     # ------------------------------------------------------------------
-    # shared decode helpers
+    # decoded blocks
     # ------------------------------------------------------------------
     def record(self, trajectory_id: int) -> CompressedTrajectory:
         """The trajectory's parsed record, through the decode cache."""
@@ -119,63 +130,23 @@ class UTCQQueryProcessor:
             trajectory_id, lambda: self.archive.trajectory(trajectory_id)
         )
 
-    def _full_times(self, trajectory: CompressedTrajectory) -> list[int]:
-        return self.cache.times_for(
-            trajectory.trajectory_id,
-            lambda: decode_times(trajectory, self.archive.params),
+    def _block(self, trajectory_id: int) -> TrajectoryBlock:
+        """The trajectory's decoded block: one cache lookup per query."""
+        def build() -> TrajectoryBlock:
+            record = self.archive.trajectory(trajectory_id)
+            return TrajectoryBlock(
+                record, decode_times(record, self.archive.params)
+            )
+
+        return self.cache.block_for(trajectory_id, build)
+
+    def _fill(self, block: TrajectoryBlock, index: int) -> InstanceChainage:
+        """Decode and store an empty slot of ``block``."""
+        self.counters.instances_decoded += 1
+        chain, reference = block.decode_chain(
+            self.network, self.archive.params, index
         )
-
-    def _reference_tuple(
-        self, trajectory: CompressedTrajectory, ordinal: int
-    ) -> InstanceTuple:
-        return self.cache.reference_for(
-            trajectory.trajectory_id,
-            ordinal,
-            lambda: decode_reference_tuple(
-                trajectory.reference_by_ordinal(ordinal), self.archive.params
-            ),
-        )
-
-    def _materialize(
-        self, trajectory: CompressedTrajectory, instance_index: int
-    ) -> TrajectoryInstance:
-        """Decode one instance (reference payload shared via cache)."""
-
-        def decode() -> TrajectoryInstance:
-            compressed = trajectory.instances[instance_index]
-            self.counters.instances_decoded += 1
-            if compressed.is_reference:
-                encoded = self._reference_tuple(
-                    trajectory, compressed.reference_ordinal
-                )
-            else:
-                reference = self._reference_tuple(
-                    trajectory, compressed.reference_ordinal
-                )
-                encoded = decode_non_reference_tuple(
-                    compressed,
-                    reference,
-                    self.archive.params,
-                    trajectory.reference_count,
-                )
-            return decode_instance(self.network, encoded)
-
-        return self.cache.instance_for(
-            trajectory.trajectory_id, instance_index, decode
-        )
-
-    def _chain(
-        self, trajectory: CompressedTrajectory, instance_index: int
-    ) -> InstanceChainage:
-        """Chainage table of one instance (cached: building it walks the
-        whole path to accumulate edge lengths)."""
-        return self.cache.chainage_for(
-            trajectory.trajectory_id,
-            instance_index,
-            lambda: InstanceChainage(
-                self.network, self._materialize(trajectory, instance_index)
-            ),
-        )
+        return self.cache.fill(block, index, chain, reference)
 
     # ------------------------------------------------------------------
     # probabilistic where (Definition 10)
@@ -183,18 +154,25 @@ class UTCQQueryProcessor:
     def where(
         self, trajectory_id: int, t: int, alpha: float
     ) -> list[WhereResult]:
-        trajectory = self.record(trajectory_id)
+        block = self._block(trajectory_id)
+        trajectory = block.record
         if not trajectory.start_time <= t <= trajectory.end_time:
             return []
         if self.index.temporal_start_for(trajectory_id, t) is None:
             return []
-        bracket = time_bracket(self._full_times(trajectory), t)
+        bracket = time_bracket(block.times, t)
+        chains = block.chains
+        hits = 0
         results: list[WhereResult] = []
         for index, compressed in enumerate(trajectory.instances):
             if compressed.probability < alpha:
                 self.counters.instances_pruned += 1
                 continue
-            chain = self._chain(trajectory, index)
+            chain = chains[index]
+            if chain is None:
+                chain = self._fill(block, index)
+            else:
+                hits += 1
             if bracket is None:
                 continue
             position = chain.position_at(chain.chainage_at(bracket))
@@ -207,6 +185,8 @@ class UTCQQueryProcessor:
                     compressed.probability,
                 )
             )
+        if hits:
+            self.cache.count_slot_hits(hits)
         return results
 
     # ------------------------------------------------------------------
@@ -219,9 +199,28 @@ class UTCQQueryProcessor:
         relative_distance: float,
         alpha: float,
     ) -> list[WhenResult]:
-        trajectory = self.record(trajectory_id)
-        a = self.network.vertex(edge[0])
-        b = self.network.vertex(edge[1])
+        """The passing times of ``trajectory_id``'s instances at
+        ``relative_distance`` along ``edge``.
+
+        Refuses an ``rd`` outside [0, 1] with :class:`ValueError` (past
+        an end of the edge the point lies on another edge), and an edge
+        the road network does not hold with :class:`UnknownEdgeError`;
+        an id the archive does not hold raises :class:`KeyError` first.
+        """
+        if not 0.0 <= relative_distance <= 1.0:
+            raise ValueError(
+                f"relative_distance must be in [0, 1], "
+                f"got {relative_distance!r}"
+            )
+        block = self._block(trajectory_id)
+        network = self.network
+        if not network.has_edge(*edge):
+            raise UnknownEdgeError(
+                f"no edge {edge[0]} -> {edge[1]} in the road network"
+            )
+        trajectory = block.record
+        a = network.vertex(edge[0])
+        b = network.vertex(edge[1])
         x = a.x + (b.x - a.x) * relative_distance
         y = a.y + (b.y - a.y) * relative_distance
         region = self.index.grid.cell_of_point(x, y)
@@ -249,15 +248,15 @@ class UTCQQueryProcessor:
                     self.counters.instances_pruned += 1
                     continue
                 candidate_indices.update(
-                    self._group_members(
-                        trajectory, ref_compressed.reference_ordinal
-                    )
+                    block.members(ref_compressed.reference_ordinal)
                 )
         results: list[WhenResult] = []
         if not candidate_indices:
             return results
-        full_times = self._full_times(trajectory)
-        edge_length = self.network.edge_length(*edge)
+        full_times = block.times
+        chains = block.chains
+        hits = 0
+        edge_length = network.edge_length(*edge)
         ndist = relative_distance * edge_length
         # decoded chainages carry PDDP error up to eta per edge length
         tolerance = self.archive.params.eta_distance * edge_length + 1e-6
@@ -266,7 +265,11 @@ class UTCQQueryProcessor:
             if compressed.probability < alpha:
                 self.counters.instances_pruned += 1
                 continue
-            chain = self._chain(trajectory, index)
+            chain = chains[index]
+            if chain is None:
+                chain = self._fill(block, index)
+            else:
+                hits += 1
             for passing in chain.times_at_position(
                 full_times, edge, ndist, tolerance=tolerance
             ):
@@ -275,17 +278,9 @@ class UTCQQueryProcessor:
                         trajectory_id, index, passing, compressed.probability
                     )
                 )
+        if hits:
+            self.cache.count_slot_hits(hits)
         return results
-
-    def _group_members(
-        self, trajectory: CompressedTrajectory, ordinal: int
-    ) -> list[int]:
-        return [
-            index
-            for index, instance in enumerate(trajectory.instances)
-            if instance.reference_ordinal == ordinal
-            and not instance.is_reference
-        ]
 
     # ------------------------------------------------------------------
     # probabilistic range (Definition 12)
@@ -309,46 +304,56 @@ class UTCQQueryProcessor:
         results: list[int] = []
         # most survivors of the interval-wide bound are not alive at t
         # itself: test the (memoised) time span first, so only those that
-        # reach _range_confirm have their record parsed
+        # reach _range_confirm have their block looked up
         for trajectory_id in survivors:
             start_time, end_time = self.archive.time_span(trajectory_id)
             if not start_time <= t <= end_time:
                 self.counters.trajectories_time_pruned += 1
                 continue
-            trajectory = self.record(trajectory_id)
-            if self._range_confirm(trajectory, region, t, alpha):
+            if self._range_confirm(
+                self._block(trajectory_id), region, t, alpha
+            ):
                 results.append(trajectory_id)
         return results
 
     def _range_confirm(
         self,
-        trajectory: CompressedTrajectory,
+        block: TrajectoryBlock,
         region: Rect,
         t: int,
         alpha: float,
     ) -> bool:
         # every instance shares the time stream: t is bracketed once, and
-        # each instance only turns the bracket into its point
-        bracket = time_bracket(self._full_times(trajectory), t)
-        instances = trajectory.instances
-        order = sorted(
-            range(len(instances)), key=lambda i: -instances[i].probability
-        )
+        # each instance only turns the bracket into its point, most
+        # probable instance first
+        bracket = time_bracket(block.times, t)
+        chains = block.chains
+        hits = 0
+        order, remaining = block.ranked()
         confirmed = 0.0
-        remaining = sum(i.probability for i in instances)
-        for index in order:
-            probability = instances[index].probability
+        verdict = None
+        for index, probability in order:
             remaining -= probability
-            chain = self._chain(trajectory, index)
+            chain = chains[index]
+            if chain is None:
+                chain = self._fill(block, index)
+            else:
+                hits += 1
             if bracket is not None and region.contains(
                 *chain.point_at(chain.chainage_at(bracket))
             ):
                 confirmed += probability
                 if confirmed >= alpha:  # Lemma 3 early accept
-                    return True
+                    verdict = True
+                    break
             if confirmed + remaining < alpha:  # cannot reach alpha anymore
-                return False
-        return confirmed >= alpha
+                verdict = False
+                break
+        if hits:
+            self.cache.count_slot_hits(hits)
+        if verdict is None:
+            return confirmed >= alpha
+        return verdict
 
 
 def lemma4_survivors(rows: IntervalRows, runs, alpha: float) -> list[int]:

@@ -115,11 +115,13 @@ class PathChainage:
 
 
 class InstanceChainage(PathChainage):
-    """Chainage over an instance's path with its locations pre-resolved."""
+    """Chainage over an instance's path with its locations pre-resolved.
+
+    Keeps the path, its prefix lengths and the locations' chainages, not
+    the instance it was built from."""
 
     def __init__(self, network: RoadNetwork, instance: TrajectoryInstance) -> None:
         super().__init__(network, instance.path)
-        self.instance = instance
         self.location_chainages = [
             self.chainage_of(idx, loc.ndist)
             for idx, loc in zip(

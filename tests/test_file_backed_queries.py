@@ -116,7 +116,8 @@ def test_lazy_cache_stays_bounded(processors):
         file_backed.where(trajectory.trajectory_id, t, alpha=0.5)
     cache = file_backed.cache
     assert cache.resident_bytes <= cache.budget_bytes
-    assert cache.stats()["records"]["evictions"] > 0
+    # queries hold records in their trajectory blocks, and those leave
+    assert cache.stats()["times"]["evictions"] > 0
     # the reader itself keeps nothing: every read parses afresh
     first = trajectories[0].trajectory_id
     archive = file_backed.archive
@@ -330,7 +331,8 @@ def test_range_parses_only_survivors_alive_at_t(setup, monkeypatch):
             query_survivors = in_interval - counters.trajectories_pruned
             survivors += query_survivors
             alive += query_survivors - counters.trajectories_time_pruned
-            assert processor.cache.stats()["records"]["resident"] == (
+            # one block, holding the parsed record, per survivor alive
+            assert processor.cache.stats()["times"]["resident"] == (
                 query_survivors - counters.trajectories_time_pruned
             )
     assert len(parses) == alive

@@ -232,10 +232,16 @@ def test_collectors_sum_and_die_with_their_owner():
 def test_decode_cache_reports_consistent_stats():
     # the real collector: DecodeSpanCache exposes hits/misses/evictions
     # per section under one lock, and scrapes into any registry
-    from repro.core.decoder import DecodeSpanCache
+    from types import SimpleNamespace
+
+    from repro.core.decoder import DecodeSpanCache, TrajectoryBlock
+
+    def block():
+        record = SimpleNamespace(trajectory_id=1, instances=[])
+        return TrajectoryBlock(record, [10, 20, 30])
 
     cache = DecodeSpanCache(budget_bytes=4096, register=False)
-    cache.times_for(1, lambda: [10, 20, 30])
+    cache.block_for(1, block)
     stats = cache.stats()
     # ledger/layers.py reads the four span sections by name
     for section in ("records", "times", "references", "instances", "chainages"):
@@ -256,7 +262,7 @@ def test_decode_cache_reports_consistent_stats():
     # with two caches alive, counters are their sum and a gauge is the
     # one registered last
     second = DecodeSpanCache(budget_bytes=1000, register=False)
-    second.times_for(1, lambda: [10, 20, 30])
+    second.block_for(1, block)
     registry.register_collector(second)
     metrics = registry.snapshot()["metrics"]
     assert metrics['repro_decode_cache_misses_total{section="times"}'][

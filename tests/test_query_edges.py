@@ -27,14 +27,14 @@ def world():
 
 
 class TestInstanceCaching:
-    def test_materialize_caches(self, world):
+    def test_slot_is_decoded_once(self, world):
         _, _, archive, _, processor = world
         processor.counters.reset()
         processor.cache.clear()
-        trajectory = archive.trajectories[0]
-        a = processor._materialize(trajectory, 0)
+        trajectory_id = archive.trajectories[0].trajectory_id
+        a = processor._fill(processor._block(trajectory_id), 0)
         decoded_after_first = processor.counters.instances_decoded
-        b = processor._materialize(trajectory, 0)
+        b = processor._block(trajectory_id).chains[0]
         assert a is b
         assert processor.counters.instances_decoded == decoded_after_first
 
@@ -56,9 +56,10 @@ class TestInstanceCaching:
             for i, inst in enumerate(target.instances)
             if not inst.is_reference
         ][:2]
-        processor._materialize(target, indices[0])
+        block = processor._block(target.trajectory_id)
+        processor._fill(block, indices[0])
         decoded = processor.cache.stats()["references"]["misses"]
-        processor._materialize(target, indices[1])
+        processor._fill(block, indices[1])
         # a shared reference must not be decoded twice
         same_ref = (
             target.instances[indices[0]].reference_ordinal
@@ -68,7 +69,7 @@ class TestInstanceCaching:
             assert processor.cache.stats()["references"]["misses"] == decoded
 
     def test_shared_cache_across_processors(self, world):
-        """Two processors over the same archive share decoded spans."""
+        """Two processors over the same archive share decoded blocks."""
         from repro.core.decoder import DecodeSpanCache
         from repro.query import UTCQQueryProcessor
 
@@ -76,9 +77,9 @@ class TestInstanceCaching:
         cache = DecodeSpanCache()
         first = UTCQQueryProcessor(network, archive, index, cache=cache)
         second = UTCQQueryProcessor(network, archive, index, cache=cache)
-        trajectory = archive.trajectories[0]
-        a = first._materialize(trajectory, 0)
-        b = second._materialize(trajectory, 0)
+        trajectory_id = archive.trajectories[0].trajectory_id
+        a = first._fill(first._block(trajectory_id), 0)
+        b = second._block(trajectory_id).chains[0]
         assert a is b
         assert second.counters.instances_decoded == 0
 

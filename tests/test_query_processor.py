@@ -200,6 +200,36 @@ class TestWhenQuery:
             trajectory.trajectory_id, unvisited, 0.5, alpha=0.0
         ) == []
 
+    @pytest.mark.parametrize("rd", [1.5, -0.5, 1.0 + 1e-9, float("nan")])
+    def test_when_refuses_rd_off_the_edge(self, setup, rd):
+        """Called directly, as the harness and the examples do, the
+        processor refuses a point past either end of a real path edge
+        instead of answering with a time spent on a neighbouring edge."""
+        _, trajectories, _, _, processor, _ = setup
+        trajectory = trajectories[0]
+        edge = trajectory.best_instance().path[0]
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            processor.when(trajectory.trajectory_id, edge, rd, 0.0)
+        for closed_end in (0.0, 1.0):  # [0, 1] is closed: both ends answer
+            processor.when(trajectory.trajectory_id, edge, closed_end, 0.0)
+
+    @pytest.mark.parametrize("edge", [(999999, 999998), (1, 1)])
+    def test_when_refuses_an_edge_not_in_the_network(self, setup, edge):
+        """An unknown vertex, or two known vertices with no edge between
+        them: a typed refusal naming the edge, never a bare ``KeyError``
+        (which a batch would read as an unknown trajectory)."""
+        from repro.query import UnknownEdgeError
+
+        network, trajectories, _, _, processor, _ = setup
+        assert not network.has_edge(*edge) and network.has_vertex(1)
+        with pytest.raises(
+            UnknownEdgeError, match=f"no edge {edge[0]} -> {edge[1]} "
+        ):
+            processor.when(trajectories[0].trajectory_id, edge, 0.5, 0.0)
+        # an id the archive does not hold is reported first, as before
+        with pytest.raises(KeyError):
+            processor.when(10**9, edge, 0.5, 0.0)
+
 
 class TestRangeQuery:
     def _query_rect(self, network, trajectory, margin=150.0):
