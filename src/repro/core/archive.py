@@ -154,10 +154,12 @@ class CompressedInstance:
     """One serialized instance payload plus what pruning reads.
 
     ``payload``/``payload_bits`` are the real bit stream.  For references
-    the stream is ``|E|, E, T'(trimmed), D(PDDP), p``; for non-references
-    it is ``ref_index, ComE, ComT', ComD, p``, the index
+    the stream is ``p, |E|, E, T'(trimmed), D(PDDP)``; for non-references
+    it is ``p, ref_index, ComE, ComT', ComD``, the index
     :func:`reference_index_width` bits wide.  Every stream is decoded
-    from its start, so no section offset is kept.
+    from its start, so no section offset is kept; ``probability`` is the
+    value of the leading ``p`` code, which the ``.utcq`` format does not
+    store a second time.
     """
 
     is_reference: bool

@@ -97,11 +97,11 @@ def decode_reference_tuple(
         raise ValueError("decode_reference_tuple expects a reference")
     reader = BitReader(instance.payload, instance.payload_bits)
     try:
+        probability = read_probability(reader, params.eta_probability)
         edge_numbers, flags = _read_reference_edges(
             reader, params.symbol_width
         )
         distances = tuple(PddpDecoder(reader, params.eta_distance).values)
-        probability = read_probability(reader, params.eta_probability)
         return InstanceTuple(
             start_vertex=instance.start_vertex,
             edge_numbers=edge_numbers,
@@ -126,7 +126,8 @@ def decode_non_reference_tuple(
         raise ValueError("decode_non_reference_tuple expects a non-reference")
     reader = BitReader(instance.payload, instance.payload_bits)
     try:
-        reader.seek(reference_index_width(reference_count))
+        probability = read_probability(reader, params.eta_probability)
+        reader.read_uint(reference_index_width(reference_count))
         factors = read_edge_factors(
             reader, len(reference.edge_numbers), params.symbol_width
         )
@@ -145,7 +146,6 @@ def decode_non_reference_tuple(
         distances = tuple(
             apply_distance_patches(list(reference.relative_distances), patches)
         )
-        probability = read_probability(reader, params.eta_probability)
         return InstanceTuple(
             start_vertex=reference.start_vertex,
             edge_numbers=edge_numbers,
@@ -202,15 +202,18 @@ def decode_trajectory_edges(
     reference's ``T'`` is read too, and must hold one bit per E entry
     and mark one location per timestamp, as a full decode requires
     (:class:`~repro.core.improved_ted.InstanceTuple`, the model's
-    :class:`~repro.trajectories.model.UncertainTrajectory`); distances,
-    patches and probabilities are left undecoded.  A payload that fails
+    :class:`~repro.trajectories.model.UncertainTrajectory`); distances
+    and patches are left undecoded, and the leading probability code is
+    only read past.  A payload that fails
     either raises :class:`CorruptPayloadError`, so a damaged trajectory
     is never derived as one that enters no region."""
+    eta = params.eta_probability
     try:
         references: dict[int, InstanceEdges] = {}
         for instance in trajectory.instances:
             if instance.is_reference:
                 reader = BitReader(instance.payload, instance.payload_bits)
+                read_probability(reader, eta)
                 edge_numbers, flags = _read_reference_edges(
                     reader, params.symbol_width
                 )
@@ -235,7 +238,8 @@ def decode_trajectory_edges(
                 edges.append(reference)
                 continue
             reader = BitReader(instance.payload, instance.payload_bits)
-            reader.seek(index_width)
+            read_probability(reader, eta)
+            reader.read_uint(index_width)
             factors = read_edge_factors(
                 reader, len(reference.edge_numbers), params.symbol_width
             )
@@ -438,7 +442,10 @@ class DecodeSpanCache:
     Two kinds of entry share one recency order and one budget:
 
     * parsed :class:`CompressedTrajectory` records, keyed
-      ``("records", trajectory_id)`` (:meth:`record_for`);
+      ``("records", trajectory_id)`` (:meth:`record_for`), held only
+      while no block of that id is: a block holds its record, so
+      :meth:`record_for` returns a resident block's, and storing a block
+      drops its id's record entry and that entry's charge;
     * one :class:`TrajectoryBlock` per trajectory, keyed by its id
       (:meth:`block_for`).  A block's slots are filled later, one
       instance at a time (:meth:`fill`).  Chainage tables depend on the
@@ -447,7 +454,8 @@ class DecodeSpanCache:
 
     :meth:`stats` reports five sections:
 
-    * ``records`` — record lookups, and the records held;
+    * ``records`` — record lookups (one served by a resident block is a
+      hit), and the records held outside blocks;
     * ``times`` — block lookups, and the blocks held (each block holds
       its own record and time stream);
     * ``chainages`` — slot probes: a hit is a probe of a filled slot
@@ -521,12 +529,25 @@ class DecodeSpanCache:
             section.resident += 1
             section.bytes += charge
             self.resident_bytes += charge
+            if section is self._times:
+                # the block holds the record: its own entry would charge
+                # the same object twice
+                record = entries.pop(("records", key), None)
+                if record is not None:
+                    self._release(self._records, _record_charge(record))
             self._evict()
         return value
 
     def record_for(self, trajectory_id: int, factory: Callable):
-        """The parsed record of ``trajectory_id``; ``factory()`` parses
-        it on a miss."""
+        """The parsed record of ``trajectory_id``: a resident block's
+        (a records hit), else the records entry; ``factory()`` parses it
+        on a miss."""
+        with self._lock:
+            block = self._entries.get(trajectory_id)
+            if block is not None:
+                self._entries.move_to_end(trajectory_id)
+                self._records.hits += 1
+                return block.record
         return self._lookup(
             ("records", trajectory_id), self._records, _record_charge,
             factory,
@@ -610,9 +631,12 @@ class DecodeSpanCache:
                 self._drop(self._records, _record_charge(value))
 
     def _drop(self, section: _Section, charge: int) -> None:
+        self._release(section, charge)
+        section.evictions += 1
+
+    def _release(self, section: _Section, charge: int) -> None:
         section.resident -= 1
         section.bytes -= charge
-        section.evictions += 1
         self.resident_bytes -= charge
 
     def clear(self) -> None:

@@ -4,7 +4,8 @@ The encoder turns improved-TED instance tuples plus a reference selection
 into the bit-level payloads held by :class:`~repro.core.archive.
 CompressedTrajectory`.  References are stored directly (fixed-width edge
 numbers, raw trimmed T', PDDP distances); non-references store factor
-streams against their reference.  All component sizes are measured from
+streams against their reference.  Every payload opens with its
+probability code.  All component sizes are measured from
 the actual bit positions, so the Table 8 accounting is exact.
 """
 
@@ -46,7 +47,9 @@ def write_probability(
     """Write one probability as a direct PDDP fraction code (length
     field and code bits in one push; never a code that decodes to 0, see
     :func:`~repro.core.pddp.probability_word`).  UTCQ and the TED
-    baseline both write probabilities through it.
+    baseline both write probabilities through it; a UTCQ payload opens
+    with it, so a record parser reads the probability from the payload's
+    leading bytes (:func:`~repro.core.pddp.leading_probability`).
 
     Returns ``(bits_written, decoded_value)``.
     """
@@ -64,7 +67,11 @@ def encode_reference(
     """Serialize one reference instance."""
     writer = BitWriter()
     bits = ComponentBits()
+    bits.probability, decoded_probability = write_probability(
+        writer, encoded.probability, params.eta_probability
+    )
 
+    before = len(writer)
     expgolomb.encode_unsigned(writer, len(encoded.edge_numbers))
     if encoded.edge_numbers:
         # fixed-width row, packed into one accumulator push; every
@@ -74,7 +81,7 @@ def encode_reference(
         for number in encoded.edge_numbers:
             row = (row << symbol_width) | number
         writer.append_bits(row, symbol_width * len(encoded.edge_numbers))
-    bits.edge = len(writer) + START_VERTEX_BITS
+    bits.edge = len(writer) - before + START_VERTEX_BITS
 
     before = len(writer)
     writer.write_bits(encoded.trimmed_time_flags)
@@ -85,11 +92,6 @@ def encode_reference(
     before = len(writer)
     pddp.serialize(writer)
     bits.distance = len(writer) - before
-
-    probability_bits, decoded_probability = write_probability(
-        writer, encoded.probability, params.eta_probability
-    )
-    bits.probability = probability_bits
 
     instance = CompressedInstance(
         is_reference=True,
@@ -113,11 +115,16 @@ def encode_non_reference(
     """Serialize one non-reference against its (already encoded) reference."""
     writer = BitWriter()
     bits = ComponentBits()
+    bits.probability, decoded_probability = write_probability(
+        writer, encoded.probability, params.eta_probability
+    )
 
+    before = len(writer)
     writer.write_uint(
         reference_ordinal, reference_index_width(reference_count)
     )
-    bits.overhead = before = len(writer)
+    bits.overhead = len(writer) - before
+    before = len(writer)
 
     factors = factorize_edges(encoded.edge_numbers, reference.edge_numbers)
     write_edge_factors(
@@ -141,11 +148,6 @@ def encode_non_reference(
         writer, patches, len(reference.relative_distances), params.eta_distance
     )
     bits.distance = len(writer) - before
-
-    probability_bits, decoded_probability = write_probability(
-        writer, encoded.probability, params.eta_probability
-    )
-    bits.probability = probability_bits
 
     instance = CompressedInstance(
         is_reference=False,

@@ -134,6 +134,35 @@ def read_fraction(reader: BitReader, length_bits: int) -> float:
     return reader.read_uint(length) / (1 << length)
 
 
+def leading_probability(
+    data: bytes, bit_count: int, length_bits: int, max_length: int
+) -> float:
+    """The value of the probability code that opens ``data`` (``bit_count``
+    bits long): what :func:`read_fraction` reads there, taken from one
+    ``int.from_bytes`` of the leading bytes, with no reader.
+
+    ``length_bits`` is ``uint_width(max_length)``, ``max_length`` is
+    ``max_code_length(eta)``.  Raises ``ValueError`` for a length field
+    above ``max_length``, a code that runs past ``bit_count``, or one that
+    decodes to 0, which :func:`probability_word` never writes.
+    """
+    size = (length_bits + max_length + 7) >> 3
+    head = data[:size]
+    window = int.from_bytes(head, "big") << ((size - len(head)) << 3)
+    shift = (size << 3) - length_bits
+    length = window >> shift
+    if length > max_length:
+        raise ValueError(
+            f"a {length}-bit probability code; eta allows at most {max_length}"
+        )
+    if length_bits + length > bit_count:
+        raise ValueError("the probability code runs past the payload")
+    code = (window >> (shift - length)) & ((1 << length) - 1)
+    if not code:
+        raise ValueError("the probability code decodes to 0")
+    return code / (1 << length)
+
+
 def _dictionary_order(word: tuple[int, int, float]) -> tuple[int, int]:
     # (length, code): for equal lengths, integer order is bit-tuple order
     return word[1], word[0]

@@ -83,6 +83,14 @@ def encode(
     return sequence
 
 
+def read_head(
+    data: bytes, bit_count: int, *, t0_bits: int = DEFAULT_T0_BITS
+) -> tuple[int, int]:
+    """``(t0, point count)``: the two fields an encoded stream opens with."""
+    reader = BitReader(data, bit_count)
+    return reader.read_uint(t0_bits), expgolomb.decode_unsigned(reader)
+
+
 def decode(
     reader: BitReader,
     default_interval: int,

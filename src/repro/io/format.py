@@ -1,4 +1,4 @@
-"""The ``.utcq`` on-disk archive format (version 3).
+"""The ``.utcq`` on-disk archive format (version 4).
 
 A :class:`~repro.core.archive.CompressedArchive` is written as a small
 fixed header followed by a packed per-trajectory directory and one
@@ -13,22 +13,32 @@ streams) are stored verbatim — the same bytes :class:`~repro.bits.bitio.
 BitWriter` produced at compression time, together with their exact bit
 counts — so serialization round-trips bit-for-bit.
 
-Version 2 stored each fact once: a probability — a PDDP-decoded value,
-so a multiple ``m * 2^-L`` of a small power of two — as its numerator
-``m``, with one ``L`` per record (the smallest that serves all its
-instances), and the per-trajectory :class:`CompressionStats` not at all
-— the header holds their sum, and a parsed record carries
-``stats=None``.  Version 3 stores only what a decoder or a query reads:
-the bit positions of time deviations, distances and factors and the
-per-instance section offsets, kept for resuming a stream partway, are
-gone, since every stream is decoded from its start (a non-reference's
-reference index is :func:`~repro.core.archive.reference_index_width`
-bits wide, which the record's reference flags give).  The encoder
-refuses what it cannot store exactly (a probability that is negative,
-not finite or finer than ``2^-64``, a trajectory that ends before it
-starts, ids out of order) with :class:`ArchiveFormatError`; it never
-rounds or reorders.  A version-1 or -2 file is refused by its version
-number.
+Version 4 stores every fact once.  A record holds no copy of what the
+file already holds elsewhere:
+
+* its trajectory id is the directory's, and the directory's CRC covers
+  it — the CRC-32 of ``uv trajectory_id`` followed by the record — so a
+  record read from another entry's slot fails its check;
+* its start time and point count are the ``t0`` and the Exp-Golomb
+  count its SIAR time payload opens with;
+* each instance's probability is the PDDP code its payload opens with
+  (:func:`~repro.core.encoder.write_probability`), read at parse time
+  from the payload's leading bytes, so pruning still needs no decode.
+
+A record parser therefore takes the id from the directory and the
+archive's params (``t0_bits``, ``eta_probability``); the header ends in
+a CRC-32 of itself, so a damaged param is refused at open instead of
+changing every record it parses.  The per-trajectory
+:class:`CompressionStats` are not stored — the header holds their sum,
+and a parsed record carries ``stats=None`` — nor are bit positions or
+section offsets: every stream is decoded from its start (a
+non-reference's reference index is
+:func:`~repro.core.archive.reference_index_width` bits wide, which the
+record's reference flags give).  The encoder refuses what it cannot
+store exactly (a start time, point count or probability its payloads do
+not decode to, a trajectory that ends before it starts, ids out of
+order) with :class:`ArchiveFormatError`; it never rounds or reorders.
+A version-1, -2 or -3 file is refused by its version number.
 
 Layout (all integers little-endian; ``uv`` = unsigned LEB128 varint)::
 
@@ -40,10 +50,11 @@ Layout (all integers little-endian; ``uv`` = unsigned LEB128 varint)::
     |                  then compressed, same order)                 |
     | provenance: count u32, then (klen u16, key, vlen u16, value) |
     | trajectory_count u32, instance_count u64, directory_bytes u64|
+    | header_crc u32 (CRC-32 of every header byte before it)       |
     +--------------------------------------------------------------+
     | directory (directory_bytes), in ascending id order:          |
     |   trajectory_count x (uv id delta, uv record length)         |
-    |   trajectory_count x u32 crc32                               |
+    |   trajectory_count x u32 crc32(uv id + record)               |
     +--------------------------------------------------------------+
     | records, back to back in directory order                     |
     +--------------------------------------------------------------+
@@ -54,17 +65,17 @@ Record layout: every varint field first, in one run a reader decodes
 in a single pass, then the raw payloads the fields describe::
 
     uv fields_bytes (byte length of the varint fields that follow)
-    uv trajectory_id, uv point_count, uv start_time,
     uv end_time - start_time
     uv time_payload_bits
-    uv instance_count, uv L (probability bits), then per instance:
+    uv instance_count, then per instance:
         uv flags (bit0 = is_reference, bit1 = has start_vertex,
                   bits 2.. = reference_ordinal)
         [uv start_vertex]  (iff bit1)
         uv payload_bits
-        uv probability numerator m  (probability = m / 2**L)
-    raw time payload ((time_payload_bits + 7) // 8 bytes), then each
-    instance's raw payload ((payload_bits + 7) // 8 bytes), in order
+    raw time payload ((time_payload_bits + 7) // 8 bytes; opens with
+        t0 in t0_bits bits, then the point count), then each instance's
+        raw payload ((payload_bits + 7) // 8 bytes; opens with its
+        probability code), in order
 """
 
 from __future__ import annotations
@@ -77,7 +88,10 @@ from itertools import accumulate
 from operator import sub
 from typing import BinaryIO, Iterable, Sequence
 
+from ..bits.bitio import uint_width
+from ..core import siar
 from ..core.archive import (
+    DECODE_FAILURES,
     CompressedArchive,
     CompressedInstance,
     CompressedTrajectory,
@@ -85,9 +99,10 @@ from ..core.archive import (
     CompressionParams,
     CompressionStats,
 )
+from ..core.pddp import leading_probability, max_code_length
 
 MAGIC = b"UTCQARC\x00"
-VERSION = 3
+VERSION = 4
 
 _HEAD = struct.Struct("<8sHH")
 _PARAMS = struct.Struct("<ddIHHI")
@@ -102,8 +117,8 @@ _ORDINAL_SHIFT = 2
 
 # every varint is a u64: ten bytes, which is where the readers stop
 _U64_END = 1 << 64
-# a probability is m * 2^-L, m a varint
-_MAX_PROBABILITY_BITS = 64
+# a start time is read from the time payload's first t0_bits bits
+_MAX_T0_BITS = 64
 
 _STATS_FIELDS = (
     "time",
@@ -116,8 +131,8 @@ _STATS_FIELDS = (
 
 
 class ArchiveFormatError(Exception):
-    """Raised when a file is not a valid version-3 ``.utcq`` archive, or
-    when an archive holds something version 3 cannot store exactly.
+    """Raised when a file is not a valid version-4 ``.utcq`` archive, or
+    when an archive holds something version 4 cannot store exactly.
 
     ``path`` names the file when the reader that found the problem
     knows it (:func:`read_header` and
@@ -132,8 +147,8 @@ class CorruptArchiveError(ArchiveFormatError):
     """A structurally valid archive whose stored bytes are damaged.
 
     Raised when a trajectory record contradicts its directory entry —
-    CRC-32 mismatch, short read, or a record carrying the wrong
-    trajectory id.  Distinct from :class:`ArchiveFormatError` proper
+    a CRC-32 mismatch (which a record in the wrong slot is too) or a
+    short read.  Distinct from :class:`ArchiveFormatError` proper
     (wrong magic/version: the file was never one of ours) so a serving
     tier can quarantine a damaged shard instead of treating it like a
     malformed input.
@@ -249,48 +264,6 @@ def deltas(values: Sequence[int]) -> Iterable[int]:
 
 
 # ----------------------------------------------------------------------
-# probabilities
-# ----------------------------------------------------------------------
-def dyadic_numerators(values: Sequence[float]) -> tuple[int, list[int]]:
-    """``(L, [m, ...])`` with ``m / 2**L == value`` bit for bit for every
-    value, ``L`` the smallest that does it — or an
-    :class:`ArchiveFormatError`; a value is never rounded.
-
-    A PDDP-decoded probability has at most ``max_code_length(eta_p)``
-    fractional bits (9 at the default bound), and sums and maxima of
-    such values no more, so ``m`` is a one- or two-byte varint.
-    """
-    try:
-        ratios = [value.as_integer_ratio() for value in values]
-    except (OverflowError, ValueError):  # inf, nan
-        ratios = None
-    if ratios is not None:
-        # the denominators are powers of two: the largest serves them all
-        shared = max([den for _, den in ratios], default=1)
-        numerators = [num * (shared // den) for num, den in ratios]
-        if shared <= 1 << _MAX_PROBABILITY_BITS and (
-            not numerators
-            or (min(numerators) >= 0 and max(numerators) < _U64_END)
-        ):
-            return shared.bit_length() - 1, numerators
-    raise ArchiveFormatError(
-        f"cannot store {tuple(values)} exactly: a stored value is a "
-        f"non-negative multiple m * 2^-L with L <= {_MAX_PROBABILITY_BITS} "
-        f"and m < 2^64"
-    )
-
-
-def probability_unit(bits: int) -> float:
-    """``2^-bits`` for a stored ``L`` (hostile input: checked)."""
-    if bits > _MAX_PROBABILITY_BITS:
-        raise ArchiveFormatError(
-            f"{bits}-bit probabilities; the format stores at most "
-            f"{_MAX_PROBABILITY_BITS}"
-        )
-    return 2.0**-bits
-
-
-# ----------------------------------------------------------------------
 # stats
 # ----------------------------------------------------------------------
 def _stats_values(stats: CompressionStats) -> list[int]:
@@ -308,102 +281,145 @@ def _stats_from_values(values: Sequence[int]) -> CompressionStats:
 # ----------------------------------------------------------------------
 # trajectory records
 # ----------------------------------------------------------------------
-def encode_trajectory_record(trajectory: CompressedTrajectory) -> bytes:
-    """Serialize one compressed trajectory to its on-disk record."""
+def _probability_code_widths(params: CompressionParams) -> tuple[int, int]:
+    """``(length field bits, longest code)`` of a payload's probability."""
+    longest = max_code_length(params.eta_probability)
+    return uint_width(longest), longest
+
+
+def encode_trajectory_record(
+    trajectory: CompressedTrajectory, params: CompressionParams
+) -> bytes:
+    """Serialize one compressed trajectory to its on-disk record.
+
+    The record leaves out what its payloads hold (see the module
+    docstring), so a trajectory whose ``start_time``, ``point_count`` or
+    an instance ``probability`` differs from what its payloads decode to
+    is refused: the format stores nothing it would read back changed.
+    """
+    trajectory_id = trajectory.trajectory_id
     instances = trajectory.instances
     if len(trajectory.time_payload) != (trajectory.time_payload_bits + 7) >> 3:
         raise ArchiveFormatError(
-            f"time payload of trajectory {trajectory.trajectory_id} has "
+            f"time payload of trajectory {trajectory_id} has "
             f"{len(trajectory.time_payload)} bytes for "
             f"{trajectory.time_payload_bits} bits"
         )
-    bits, numerators = dyadic_numerators(
-        [instance.probability for instance in instances]
-    )
+    try:
+        time_head = siar.read_head(
+            trajectory.time_payload,
+            trajectory.time_payload_bits,
+            t0_bits=params.t0_bits,
+        )
+    except DECODE_FAILURES:
+        time_head = None
+    if time_head != (trajectory.start_time, trajectory.point_count):
+        raise ArchiveFormatError(
+            f"trajectory {trajectory_id}: start time {trajectory.start_time} "
+            f"and point count {trajectory.point_count} are not what its time "
+            f"payload opens with ({time_head})"
+        )
+    length_bits, longest = _probability_code_widths(params)
     fields = [
-        trajectory.trajectory_id,
-        trajectory.point_count,
-        trajectory.start_time,
         trajectory.end_time - trajectory.start_time,
         trajectory.time_payload_bits,
         len(instances),
-        bits,
     ]
     payloads = [trajectory.time_payload]
-    for instance, numerator in zip(instances, numerators):
+    for index, instance in enumerate(instances):
         if len(instance.payload) != (instance.payload_bits + 7) >> 3:
             raise ArchiveFormatError(
                 f"instance payload has {len(instance.payload)} bytes for "
                 f"{instance.payload_bits} bits"
+            )
+        try:
+            probability = leading_probability(
+                instance.payload, instance.payload_bits, length_bits, longest
+            )
+        except ValueError as error:
+            raise ArchiveFormatError(
+                f"trajectory {trajectory_id}: instance {index}: {error}"
+            ) from None
+        if probability != instance.probability:
+            raise ArchiveFormatError(
+                f"trajectory {trajectory_id}: instance {index} has "
+                f"probability {instance.probability!r}, its payload's code "
+                f"{probability!r}"
             )
         payloads.append(instance.payload)
         flags = instance.reference_ordinal << _ORDINAL_SHIFT
         if instance.is_reference:
             flags |= _FLAG_REFERENCE
         if instance.start_vertex is None:
-            fields += (flags, instance.payload_bits, numerator)
+            fields += (flags, instance.payload_bits)
         else:
             fields += (
                 flags | _FLAG_START_VERTEX,
                 instance.start_vertex,
                 instance.payload_bits,
-                numerator,
             )
     body = bytearray()
     try:
         write_uvarints(body, fields)
     except ArchiveFormatError as error:
         raise ArchiveFormatError(
-            f"trajectory {trajectory.trajectory_id}: {error} (its end time "
-            f"must not precede its start time)"
+            f"trajectory {trajectory_id}: {error} (its end time must not "
+            f"precede its start time)"
         ) from None
     head = bytearray()
     write_uvarint(head, len(body))
     return b"".join((head, body, *payloads))
 
 
-def decode_record_time_span(data: bytes) -> tuple[int, int, int]:
-    """``(trajectory_id, start_time, end_time)`` from a record's five
-    leading varints, without parsing the rest."""
-    (_, trajectory_id, _, start_time, duration), _ = read_uvarints(data, 0, 5)
-    return trajectory_id, start_time, start_time + duration
+def decode_record_time_span(data: bytes, t0_bits: int) -> tuple[int, int]:
+    """``(start_time, end_time)`` of a record, from its duration (the
+    first field) and the ``t0`` its time payload opens with, without
+    parsing the rest."""
+    fields_bytes, position = read_uvarint(data, 0)
+    duration, _ = read_uvarint(data, position)
+    start = position + fields_bytes
+    size = (t0_bits + 7) >> 3
+    head = data[start : start + size]
+    if len(head) != size:
+        raise ArchiveFormatError("truncated record (time payload)")
+    start_time = int.from_bytes(head, "big") >> ((size << 3) - t0_bits)
+    return start_time, start_time + duration
 
 
-def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
-    """Parse one on-disk record back into a compressed trajectory.
+def decode_trajectory_record(
+    data: bytes, trajectory_id: int, params: CompressionParams
+) -> CompressedTrajectory:
+    """Parse one on-disk record, stored under ``trajectory_id`` in an
+    archive compressed with ``params``, back into a compressed trajectory.
 
-    The result carries ``stats=None``: the format keeps the stats in the
-    header only.
+    The start time and point count come from the time payload's head,
+    each probability from its payload's leading code.  The result
+    carries ``stats=None``: the format keeps the stats in the header
+    only.
     """
     fields_bytes, position = read_uvarint(data, 0)
     cursor = position + fields_bytes  # walks the raw payloads
     if cursor > len(data):
         raise ArchiveFormatError("truncated record fields")
     fields = read_uvarint_stream(data[position:cursor])
+    if len(fields) < 3:
+        raise ArchiveFormatError("truncated record fields")
+    duration, time_payload_bits, instance_count = fields[:3]
+    position = 3
+    size = (time_payload_bits + 7) >> 3
+    time_payload = bytes(data[cursor : cursor + size])
+    cursor += size
+    length_bits, longest = _probability_code_widths(params)
+    instances = []
     try:
-        (
-            trajectory_id,
-            point_count,
-            start_time,
-            duration,
-            time_payload_bits,
-            instance_count,
-            bits,
-        ) = fields[:7]
-        position = 7
-        unit = probability_unit(bits)
-        size = (time_payload_bits + 7) >> 3
-        time_payload = bytes(data[cursor : cursor + size])
-        cursor += size
-        instances = []
-        for _ in range(instance_count):
+        for index in range(instance_count):
             flags = fields[position]
             start_vertex: int | None = None
             if flags & _FLAG_START_VERTEX:
                 position += 1
                 start_vertex = fields[position]
-            payload_bits, numerator = fields[position + 1 : position + 3]
-            position += 3
+            payload_bits = fields[position + 1]
+            position += 2
             size = (payload_bits + 7) >> 3
             payload = bytes(data[cursor : cursor + size])
             cursor += size
@@ -414,11 +430,17 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
                     payload_bits=payload_bits,
                     start_vertex=start_vertex,
                     reference_ordinal=flags >> _ORDINAL_SHIFT,
-                    probability=numerator * unit,
+                    probability=leading_probability(
+                        payload, payload_bits, length_bits, longest
+                    ),
                 )
             )
-    except (IndexError, ValueError):  # ran off the end of ``fields``
+    except IndexError:  # ran off the end of ``fields``
         raise ArchiveFormatError("truncated record fields") from None
+    except ValueError as error:  # the probability code
+        raise ArchiveFormatError(
+            f"trajectory {trajectory_id}: instance {index}: {error}"
+        ) from None
     if position != len(fields):
         raise ArchiveFormatError(
             f"trailing fields in record of trajectory {trajectory_id}"
@@ -429,6 +451,14 @@ def decode_trajectory_record(data: bytes) -> CompressedTrajectory:
             f"record of trajectory {trajectory_id} has {len(data)} bytes, "
             f"its fields say {cursor}"
         )
+    try:
+        start_time, point_count = siar.read_head(
+            time_payload, time_payload_bits, t0_bits=params.t0_bits
+        )
+    except DECODE_FAILURES as error:
+        raise ArchiveFormatError(
+            f"trajectory {trajectory_id}: time payload: {error}"
+        ) from None
     return CompressedTrajectory(
         trajectory_id=trajectory_id,
         time_payload=time_payload,
@@ -495,6 +525,7 @@ def write_header(
         blob += _KVLEN.pack(len(key_bytes)) + key_bytes
         blob += _KVLEN.pack(len(value_bytes)) + value_bytes
     blob += _COUNTS.pack(trajectory_count, instance_count, directory_bytes)
+    blob += _U32.pack(zlib.crc32(blob) & 0xFFFFFFFF)
     out.write(bytes(blob))
     return len(blob)
 
@@ -518,7 +549,9 @@ def encode_directory(
             for value in pair
         ),
     )
-    out += struct.pack(f"<{len(records)}I", *map(record_crc, records))
+    out += struct.pack(
+        f"<{len(records)}I", *map(record_crc, trajectory_ids, records)
+    )
     return bytes(out)
 
 
@@ -559,10 +592,14 @@ def read_header(stream: BinaryIO) -> ArchiveHeader:
 
 
 def _read_header(stream: BinaryIO) -> ArchiveHeader:
+    crc = 0  # of every header byte read so far
+
     def take(size: int, what: str) -> bytes:
+        nonlocal crc
         data = stream.read(size)
         if len(data) != size:
             raise ArchiveFormatError(f"truncated archive ({what})")
+        crc = zlib.crc32(data, crc)
         return data
 
     magic, version, _flags = _HEAD.unpack(take(_HEAD.size, "magic"))
@@ -582,14 +619,6 @@ def _read_header(stream: BinaryIO) -> ArchiveHeader:
         t0_bits,
         pivot_count,
     ) = _PARAMS.unpack(take(_PARAMS.size, "params"))
-    params = CompressionParams(
-        eta_distance=eta_distance,
-        eta_probability=eta_probability,
-        default_interval=default_interval,
-        symbol_width=symbol_width,
-        t0_bits=t0_bits,
-        pivot_count=pivot_count,
-    )
     stats = _stats_from_values(_STATS.unpack(take(_STATS.size, "stats")))
     (provenance_count,) = _U32.unpack(take(_U32.size, "provenance count"))
     provenance: dict[str, str] = {}
@@ -607,6 +636,27 @@ def _read_header(stream: BinaryIO) -> ArchiveHeader:
         raise ArchiveFormatError(f"provenance is not UTF-8: {error}") from None
     trajectory_count, instance_count, directory_bytes = _COUNTS.unpack(
         take(_COUNTS.size, "counts")
+    )
+    header_crc = crc & 0xFFFFFFFF
+    if _U32.unpack(take(_U32.size, "header CRC"))[0] != header_crc:
+        raise CorruptArchiveError("header CRC mismatch")
+    # records parse with the params: a crafted header is refused too
+    try:
+        for eta in (eta_distance, eta_probability):
+            max_code_length(eta)
+    except ValueError as error:
+        raise ArchiveFormatError(f"bad params: {error}") from None
+    if t0_bits > _MAX_T0_BITS:
+        raise ArchiveFormatError(
+            f"bad params: a {t0_bits}-bit start time; at most {_MAX_T0_BITS}"
+        )
+    params = CompressionParams(
+        eta_distance=eta_distance,
+        eta_probability=eta_probability,
+        default_interval=default_interval,
+        symbol_width=symbol_width,
+        t0_bits=t0_bits,
+        pivot_count=pivot_count,
     )
     # directory_bytes and the record lengths size reads: hold both to
     # the file's real size before trusting them
@@ -635,8 +685,13 @@ def _read_header(stream: BinaryIO) -> ArchiveHeader:
     )
 
 
-def record_crc(record: bytes) -> int:
-    return zlib.crc32(record) & 0xFFFFFFFF
+def record_crc(trajectory_id: int, record: bytes) -> int:
+    """The directory's check of ``record`` stored under ``trajectory_id``:
+    the CRC-32 of ``uv trajectory_id`` followed by the record, so a
+    record read from another entry's slot fails it."""
+    prefix = bytearray()
+    write_uvarint(prefix, trajectory_id)
+    return zlib.crc32(record, zlib.crc32(prefix)) & 0xFFFFFFFF
 
 
 def write_archive(
@@ -653,7 +708,7 @@ def write_archive(
     """
     provenance = dict(provenance or {})
     records = [
-        encode_trajectory_record(trajectory)
+        encode_trajectory_record(trajectory, archive.params)
         for trajectory in archive.trajectories
     ]
     directory = encode_directory(
@@ -691,11 +746,15 @@ def read_archive(path) -> CompressedArchive:
                 raise CorruptArchiveError(
                     f"truncated record for trajectory {entry.trajectory_id}"
                 )
-            if record_crc(record) != entry.crc32:
+            if record_crc(entry.trajectory_id, record) != entry.crc32:
                 raise CorruptArchiveError(
                     f"CRC mismatch for trajectory {entry.trajectory_id}"
                 )
-            trajectories.append(decode_trajectory_record(record))
+            trajectories.append(
+                decode_trajectory_record(
+                    record, entry.trajectory_id, header.params
+                )
+            )
     return CompressedArchive(
         params=header.params, trajectories=trajectories, stats=header.stats
     )

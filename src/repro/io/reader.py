@@ -69,18 +69,16 @@ class FileBackedArchive:
             index = StIUIndex(network, archive)
             ...
 
-    ``verify_crc`` checks each record's CRC-32 every time it is read;
-    disable it for hot paths that trust the file.
+    Every read checks the record's CRC-32, which covers the id its
+    directory entry names: a damaged or misplaced record raises
+    :class:`CorruptArchiveError`.
     """
 
-    def __init__(
-        self, stream, header: ArchiveHeader, *, verify_crc: bool = True
-    ) -> None:
+    def __init__(self, stream, header: ArchiveHeader) -> None:
         self._stream = stream
         #: the file behind the stream (None for a stream with no name)
         self.path = getattr(stream, "name", None)
         self.header = header
-        self.verify_crc = verify_crc
         # (start_time, end_time) of every trajectory touched so far; two
         # ints each, never evicted.  Single dict gets/sets of immutable
         # values, so it needs no lock.
@@ -104,14 +102,14 @@ class FileBackedArchive:
     # lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def open(cls, path, *, verify_crc: bool = True) -> "FileBackedArchive":
+    def open(cls, path) -> "FileBackedArchive":
         stream = open(path, "rb")
         try:
             header = read_header(stream)
         except Exception:
             stream.close()
             raise
-        return cls(stream, header, verify_crc=verify_crc)
+        return cls(stream, header)
 
     @property
     def closed(self) -> bool:
@@ -190,9 +188,8 @@ class FileBackedArchive:
                 f"is closed"
             )
         trajectory = decode_trajectory_record(
-            self._verified_record(trajectory_id)
+            self._verified_record(trajectory_id), trajectory_id, self.params
         )
-        self._check_record_id(trajectory_id, trajectory.trajectory_id)
         if trajectory_id not in self._time_spans:
             self._time_spans[trajectory_id] = (
                 trajectory.start_time,
@@ -203,10 +200,11 @@ class FileBackedArchive:
     def time_span(self, trajectory_id: int) -> tuple[int, int]:
         """``(start_time, end_time)`` of one trajectory, memoised.
 
-        A miss reads the record and applies the same length / CRC / id
+        A miss reads the record and applies the same length / CRC
         checks as :meth:`trajectory` — a damaged record raises
-        :class:`CorruptArchiveError` here too — but parses only its four
-        leading varints.  Thread-safe like :meth:`trajectory`.
+        :class:`CorruptArchiveError` here too — but parses only its
+        leading varints and the ``t0`` its time payload opens with.
+        Thread-safe like :meth:`trajectory`.
         """
         if self._closed:
             raise ArchiveClosedError(
@@ -215,11 +213,9 @@ class FileBackedArchive:
             )
         span = self._time_spans.get(trajectory_id)
         if span is None:
-            found_id, start_time, end_time = decode_record_time_span(
-                self._verified_record(trajectory_id)
+            span = self._time_spans[trajectory_id] = decode_record_time_span(
+                self._verified_record(trajectory_id), self.params.t0_bits
             )
-            self._check_record_id(trajectory_id, found_id)
-            span = self._time_spans[trajectory_id] = (start_time, end_time)
         return span
 
     def _verified_record(self, trajectory_id: int) -> bytes:
@@ -232,18 +228,11 @@ class FileBackedArchive:
             raise self._corrupt(
                 "truncated", f"truncated record for trajectory {trajectory_id}"
             )
-        if self.verify_crc and record_crc(record) != entry.crc32:
+        if record_crc(trajectory_id, record) != entry.crc32:
             raise self._corrupt(
                 "crc_mismatch", f"CRC mismatch for trajectory {trajectory_id}"
             )
         return record
-
-    def _check_record_id(self, trajectory_id: int, found_id: int) -> None:
-        if found_id != trajectory_id:
-            raise self._corrupt(
-                "id_mismatch",
-                f"directory/record id mismatch: {trajectory_id} != {found_id}",
-            )
 
     def _corrupt(self, reason: str, message: str) -> CorruptArchiveError:
         """Count + log a damaged record, return the error to raise."""

@@ -813,7 +813,7 @@ class QueryService:
                     record = stream.read(entry.length)
                     if len(record) != entry.length:
                         return False
-                    if record_crc(record) != entry.crc32:
+                    if record_crc(entry.trajectory_id, record) != entry.crc32:
                         return False
         except Exception:
             return False

@@ -55,7 +55,7 @@ def test_compress_records_provenance(archive_path):
 def test_info(archive_path, capsys):
     assert main(["info", str(archive_path), "--check"]) == 0
     out = capsys.readouterr().out
-    assert "format v3" in out
+    assert "format v4" in out
     assert "trajectories 15" in out
     assert "CRCs OK" in out
     # Table 8 as `ls -l` shows it: archive + sidecar over the raw bytes
@@ -69,7 +69,7 @@ def test_info_json(archive_path, capsys):
     assert main(["info", str(archive_path), "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["trajectory_count"] == 15
-    assert document["format_version"] == 3
+    assert document["format_version"] == 4
     assert document["ratios"]["Total"] > 1.0
     assert document["provenance"]["profile"] == "CD"
     sidecar_bytes = archive_path.with_name("cd.utcq.stiu").stat().st_size
@@ -396,16 +396,16 @@ def test_stream_compact_stdout_of_both_forms(tmp_path, capsys):
     ) == 0
     assert capsys.readouterr().out == (
         "size-tiered(min=2, max=8, ratio=4): 1 merge(s), 3 segments in, "
-        "3 -> 1 segments, 1873 bytes read / 1389 written (generation 5)\n"
+        "3 -> 1 segments, 1805 bytes read / 1313 written (generation 5)\n"
     )
     assert main(["stream", "compact", str(directory), str(output)]) == 0
     assert capsys.readouterr().out == (
-        f"compacted 6 trajectories from 1 segments (1389 bytes) into "
-        f"{output} (1416 bytes)\n"
+        f"compacted 6 trajectories from 1 segments (1313 bytes) into "
+        f"{output} (1340 bytes)\n"
         f"wrote {output}.stiu: StIU index sidecar (temporal layer; "
         f"spatial rows derived on first use)\n"
     )
-    assert output.stat().st_size == 1416
+    assert output.stat().st_size == 1340
     assert output.with_name(output.name + ".stiu").exists()
 
 
@@ -560,8 +560,12 @@ class TestCliErrorContract:
     def undecodable(self, archive_path, tmp_path):
         """A copy of the archive whose record CRCs are all valid but
         whose trajectory-0 payload has one bit flipped: the first flip,
-        in bit order, that the decoder cannot get through."""
+        in bit order, that the decoder cannot get through, past the
+        probability code the payload opens with (the writer refuses a
+        code that disagrees with the record's probability)."""
+        from repro.bits import BitReader
         from repro.core import CorruptPayloadError, decode_trajectory
+        from repro.core.decoder import read_probability
         from repro.io.format import read_archive, read_header, write_archive
 
         with open(archive_path, "rb") as stream:
@@ -572,7 +576,9 @@ class TestCliErrorContract:
         assert trajectory.trajectory_id == 0
         instance = trajectory.instances[0]
         original = instance.payload
-        for bit in range(instance.payload_bits):
+        reader = BitReader(original, instance.payload_bits)
+        read_probability(reader, archive.params.eta_probability)
+        for bit in range(reader.position, instance.payload_bits):
             data = bytearray(original)
             data[bit >> 3] ^= 0x80 >> (bit & 7)
             instance.payload = bytes(data)

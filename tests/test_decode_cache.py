@@ -90,7 +90,8 @@ operations = st.lists(
 
 class _Model:
     """One recency order over ``("record", key)`` and ``("block", key)``
-    entries, with each resident block's charged slots and tuples."""
+    entries, with each resident block's charged slots and tuples; a key
+    has a record entry only while it has no block."""
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
@@ -148,6 +149,14 @@ class _Model:
 
     def lookup(self, entry, value, made: bool) -> None:
         section = "records" if entry[0] == "record" else "times"
+        block = ("block", entry[1])
+        if section == "records" and block in self.order:
+            # a resident block holds the record: a records hit on it
+            assert not made and value is self.values[block].record
+            self.counts["records"]["hits"] += 1
+            self.order.remove(block)
+            self.order.append(block)
+            return
         if entry in self.order:
             assert not made and value is self.values[entry]
             self.counts[section]["hits"] += 1
@@ -163,10 +172,18 @@ class _Model:
         if charge <= self.budget:
             self.order.append(entry)
             self.values[entry] = value
+            self.add(section, charge)
             if section == "times":
                 self.slots[id(value)] = set()
                 self.tuples[id(value)] = set()
-            self.add(section, charge)
+                # the block's record replaces the record entry, which
+                # leaves uncounted as an eviction
+                record = ("record", entry[1])
+                if record in self.order:
+                    self.order.remove(record)
+                    counts = self.counts["records"]
+                    counts["resident"] -= 1
+                    counts["bytes"] -= _record_charge(self.values.pop(record))
             self.evict()
 
     def fill(
@@ -359,6 +376,9 @@ def test_each_charge_is_what_its_entries_hold(world):
         held = {
             "records": _held_bytes(lambda: [processor.record(i) for i in ids])
         }
+        charged = {"records": cache.stats()["records"]["bytes"]}
+        # a block drops its id's record entry: measure blocks alone
+        cache.clear()
         blocks = []
 
         def build_blocks():
@@ -369,7 +389,7 @@ def test_each_charge_is_what_its_entries_hold(world):
                 blocks.append(block)
 
         held["times"] = _held_bytes(build_blocks)
-        charged = {name: counts["bytes"] for name, counts in cache.stats().items()}
+        charged["times"] = cache.stats()["times"]["bytes"]
 
         def fill(references: bool):
             for block in blocks:
@@ -392,7 +412,8 @@ def test_each_charge_is_what_its_entries_hold(world):
             - after_references["chainages"]["bytes"]
         )
     slots = sum(len(block.chains) for block in blocks)
-    assert stats["records"]["resident"] == stats["times"]["resident"] == 300
+    assert stats["records"]["resident"] == 0
+    assert stats["times"]["resident"] == 300
     assert stats["chainages"]["resident"] == stats["chainages"]["misses"] == slots
     assert stats["references"]["misses"] == stats["references"]["resident"]
     assert all(stats[s]["evictions"] == 0 for s in SECTIONS)

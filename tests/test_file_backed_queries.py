@@ -133,8 +133,8 @@ def test_file_backed_build_keeps_no_record(setup, monkeypatch):
     parsed = []
     real_decode = reader_module.decode_trajectory_record
 
-    def tracked(record):
-        trajectory = real_decode(record)
+    def tracked(*args):
+        trajectory = real_decode(*args)
         parsed.append(weakref.ref(trajectory))
         return trajectory
 
@@ -200,7 +200,7 @@ def test_time_span_agrees_with_trajectory_on_every_archive_kind(
     monkeypatch.setattr(
         reader_module,
         "decode_trajectory_record",
-        lambda record: parses.append(1) or real_decode(record),
+        lambda *args: parses.append(1) or real_decode(*args),
     )
     with FileBackedArchive.open(path) as lazy:
         assert _spans(lazy, ids) == expected
@@ -256,7 +256,7 @@ def test_time_span_checks_the_record_like_a_full_load(setup, tmp_path):
         damaged = bytearray(data)
         damaged[offset] ^= 0x40
         bad.write_bytes(bytes(damaged))
-        with FileBackedArchive.open(bad, verify_crc=True) as archive:
+        with FileBackedArchive.open(bad) as archive:
             with pytest.raises(CorruptArchiveError):
                 archive.time_span(entry.trajectory_id)
             # the neighbours are untouched
@@ -316,7 +316,7 @@ def test_range_parses_only_survivors_alive_at_t(setup, monkeypatch):
     monkeypatch.setattr(
         reader_module,
         "decode_trajectory_record",
-        lambda record: parses.append(1) or real_decode(record),
+        lambda *args: parses.append(1) or real_decode(*args),
     )
     box = network.bounding_box()
     rect = Rect(box.min_x, box.min_y, box.max_x, box.max_y)

@@ -20,8 +20,8 @@ from repro.core.decoder import decode_archive
 from repro.io.format import read_archive, write_archive
 from repro.trajectories.datasets import load_dataset, profile
 
-# SHA-256 of the archive produced by the settings below (format v3).
-GOLDEN_SHA256 = "bb0c5d0dcffc1cf69f5c262b0afad0cd1ea1ce2b89aef2f047e325a3042777ff"
+# SHA-256 of the archive produced by the settings below (format v4).
+GOLDEN_SHA256 = "8394085f2f9b52d2e6bfa6d3bb10ed577659d44adb5efd7a1b9052a987c79a7e"
 
 # SHA-256 of what decoding that archive returns (see ``decoded_digest``):
 # the decoders must give back the same floats, not just floats within eta.

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.bits import BitWriter, expgolomb
 from repro.core import UTCQCompressor, decode_trajectory
 from repro.core.decoder import DecodeSpanCache
+from repro.core.encoder import write_probability
 from repro.core.archive import (
     CompressedArchive,
     CompressedInstance,
     CompressedTrajectory,
+    CompressionParams,
 )
+from repro.core.pddp import leading_probability, max_code_length
 from repro.io import (
     ArchiveFormatError,
     CorruptArchiveError,
@@ -25,10 +29,8 @@ from repro.io.format import (
     decode_directory,
     decode_record_time_span,
     decode_trajectory_record,
-    dyadic_numerators,
     encode_directory,
     encode_trajectory_record,
-    probability_unit,
     read_uvarint,
     read_uvarint_stream,
     read_uvarints,
@@ -94,7 +96,7 @@ class TestVarints:
         with pytest.raises(ArchiveFormatError, match="varint too long"):
             read_uvarints(b"\x05" + overlong, 0, 2)
         with pytest.raises(ArchiveFormatError, match="varint too long"):
-            decode_trajectory_record(overlong)
+            decode_trajectory_record(overlong, 0, PARAMS)
 
     def test_run_reader_matches_single_reader(self):
         values = [0, 1, 127, 128, 300, 2**21, 2**63, 2**64 - 1, 5]
@@ -116,76 +118,143 @@ class TestVarints:
             read_uvarint_stream(b"\x80" * 10 + b"\x01")
 
 
+#: what the generated records below are written with: a 17-bit t0 and
+#: probability codes of at most 9 bits behind a 4-bit length field
+PARAMS = CompressionParams(
+    eta_distance=2.0**-7,
+    eta_probability=2.0**-9,
+    default_interval=10,
+    symbol_width=3,
+)
+
+
+def _code(length: int, code: int, *, eta: float = PARAMS.eta_probability):
+    """A payload holding one probability code, as its writer packs it."""
+    writer = BitWriter()
+    writer.write_uint(length, (max_code_length(eta)).bit_length())
+    writer.write_uint(code, length)
+    return writer.getvalue(), len(writer)
+
+
+def _leading(payload: bytes, bits: int, eta: float) -> float:
+    longest = max_code_length(eta)
+    return leading_probability(payload, bits, longest.bit_length(), longest)
+
+
 class TestProbabilityNumerators:
-    """A PDDP value is ``m * 2^-L``: the numerator is the same float."""
+    """A probability is stored once, as the PDDP code ``m * 2^-L`` its
+    payload opens with; the record parser reads it from the payload's
+    leading bytes, and gets the same float the writer decoded."""
 
     @pytest.mark.parametrize("bits", range(1, 17))
     def test_every_numerator_round_trips(self, bits):
-        values = [m / 2**bits for m in range(2**bits + 1)]
-        found_bits, numerators = dyadic_numerators(values)
-        assert found_bits == bits  # m = 1 needs them all
-        assert numerators == list(range(2**bits + 1))
-        unit = probability_unit(bits)
-        assert [(m * unit).hex() for m in numerators] == [
-            value.hex() for value in values
-        ]
+        eta = 2.0 ** -(bits + 1)  # every m / 2^bits is then exact
+        for numerator in range(1, 2**bits):
+            value = numerator / 2**bits
+            writer = BitWriter()
+            _, decoded = write_probability(writer, value, eta)
+            writer.write_uint(numerator, bits)  # what follows the code
+            assert decoded == value
+            assert _leading(writer.getvalue(), len(writer), eta).hex() == (
+                value.hex()
+            )
 
     def test_the_smallest_power_serves(self):
-        assert dyadic_numerators([0.5, 0.25, 0.75]) == (2, [2, 1, 3])
-        assert dyadic_numerators([0.0, 1.0]) == (0, [0, 1])
-        assert dyadic_numerators([]) == (0, [])
-        # not a PDDP value, but a float is a dyadic rational: stored as is
-        bits, (numerator,) = dyadic_numerators([0.1])
-        assert (numerator * probability_unit(bits)).hex() == (0.1).hex()
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        bits=st.integers(1, 16),
-        data=st.data(),
-    )
-    def test_p_total_is_the_sum_of_the_numerators(self, bits, data):
-        """``p_total`` is a float sum of up to 16 instance probabilities;
-        it is exact, so its numerator is the integer sum."""
-        numerators = data.draw(
-            st.lists(st.integers(0, 2**bits), min_size=1, max_size=16)
-        )
-        p_total = sum(m / 2**bits for m in numerators)
-        found_bits, (total, _) = dyadic_numerators([p_total, 2.0**-bits])
-        assert (found_bits, total) == (bits, sum(numerators))
-        assert (total * probability_unit(bits)).hex() == p_total.hex()
+        """The stored code is the shortest one: an odd numerator over
+        ``2^L`` takes exactly ``L`` code bits, whatever the payload's
+        bit count."""
+        eta = 2.0**-10  # m / 2^9 is then exact
+        width = max_code_length(eta).bit_length()
+        for value, length in ((0.5, 1), (0.25, 2), (0.75, 2), (3 / 512, 9)):
+            writer = BitWriter()
+            bits, decoded = write_probability(writer, value, eta)
+            assert (bits, decoded) == (width + length, value)
+            payload = writer.getvalue()
+            assert _leading(payload, bits, eta) == value
+            with pytest.raises(ValueError, match="runs past"):
+                _leading(payload, bits - 1, eta)
 
     @pytest.mark.parametrize(
         "value", [-0.5, float("nan"), float("inf"), 2.0**-65, 2.0**64]
     )
-    def test_what_cannot_be_stored_exactly_is_refused(self, value):
-        with pytest.raises(ArchiveFormatError, match="exactly"):
-            dyadic_numerators([0.5, value])
+    def test_what_cannot_be_stored_exactly_is_refused(self, value, cd_archive):
+        """A probability that is not its payload's code is refused at
+        write, never rounded to it."""
+        trajectory = cd_archive.trajectories[0]
+        bad = _with(
+            trajectory,
+            instances=[
+                _with(trajectory.instances[0], probability=value),
+                *trajectory.instances[1:],
+            ],
+        )
+        with pytest.raises(ArchiveFormatError, match="probability"):
+            encode_trajectory_record(bad, cd_archive.params)
 
     def test_damaged_bit_count_is_typed(self):
-        with pytest.raises(ArchiveFormatError):
-            probability_unit(65)
+        """A length field past ``max_code_length(eta_p)``, or a code that
+        decodes to 0, is a typed error at parse."""
+        longest = max_code_length(PARAMS.eta_probability)
+        for payload, bits in (_code(longest + 1, 1), _code(3, 0), _code(0, 0)):
+            with pytest.raises(ValueError):
+                _leading(payload, bits, PARAMS.eta_probability)
+        record = encode_trajectory_record(_sample_trajectory(), PARAMS)
+        # the instance payload is the record's last byte pair: its length
+        # field, then the code
+        for damaged_head in (0xA0, 0x00):  # length 10 > 9; length 0
+            damaged = record[:-2] + bytes([damaged_head]) + record[-1:]
+            with pytest.raises(ArchiveFormatError, match="instance 0"):
+                decode_trajectory_record(damaged, 5, PARAMS)
 
 
-# What the version-3 encoder can emit: probabilities with at most 64
-# fractional bits, a start time no later than the end time, and (for a
+def _sample_trajectory() -> CompressedTrajectory:
+    """One trajectory of one instance: t0 = 40000, two points, p = 0.5."""
+    time = BitWriter()
+    time.write_uint(40000, PARAMS.t0_bits)
+    expgolomb.encode_unsigned(time, 2)
+    expgolomb.encode(time, 0)
+    payload, payload_bits = _code(1, 1)
+    payload += b"\x00"
+    return CompressedTrajectory(
+        trajectory_id=5,
+        time_payload=time.getvalue(),
+        time_payload_bits=len(time),
+        point_count=2,
+        start_time=40000,
+        end_time=40010,
+        instances=[
+            CompressedInstance(
+                is_reference=True,
+                payload=payload,
+                payload_bits=payload_bits + 8,
+                start_vertex=7,
+                reference_ordinal=0,
+                probability=0.5,
+            )
+        ],
+    )
+
+
+# What the version-4 encoder can emit: a time payload that opens with
+# t0 and the point count, instance payloads that open with their
+# probability code, a start time no later than the end time, and (for a
 # whole archive) unique ascending ids.
 _u64 = st.one_of(st.integers(0, 127), st.integers(0, 2**64 - 1))
-_probabilities = st.one_of(
-    st.integers(1, 16), st.integers(0, 64)
-).flatmap(
-    lambda bits: st.integers(0, 2**bits).map(lambda m: m / 2**bits)
-)
+_tails = st.lists(st.integers(0, 1), max_size=64)
 
 
-@st.composite
-def _payloads(draw):
-    bits = draw(st.integers(0, 80))
-    return draw(st.binary(min_size=(bits + 7) // 8, max_size=(bits + 7) // 8)), bits
+def _finish(writer: BitWriter, tail) -> tuple[bytes, int]:
+    writer.write_bits(tail)
+    return writer.getvalue(), len(writer)
 
 
 @st.composite
 def _instances(draw):
-    payload, payload_bits = draw(_payloads())
+    writer = BitWriter()
+    _, probability = write_probability(
+        writer, draw(st.floats(0.0, 1.0)), PARAMS.eta_probability
+    )
+    payload, payload_bits = _finish(writer, draw(_tails))
     return CompressedInstance(
         is_reference=draw(st.booleans()),
         payload=payload,
@@ -193,34 +262,26 @@ def _instances(draw):
         start_vertex=draw(st.none() | _u64),
         # shares the flags varint with two flag bits
         reference_ordinal=draw(st.integers(0, 2**62 - 1)),
-        probability=draw(_probabilities),
+        probability=probability,
     )
-
-
-def _one_unit_serves(probabilities) -> bool:
-    """A record stores its probabilities as numerators of one unit
-    2^-L: 1.0 beside an odd multiple of 2^-64 would need m = 2^64."""
-    try:
-        dyadic_numerators(probabilities)
-    except ArchiveFormatError:
-        return False
-    return True
 
 
 @st.composite
 def _trajectories(draw):
-    payload, payload_bits = draw(_payloads())
-    start_time, end_time = sorted(draw(st.lists(_u64, min_size=2, max_size=2)))
-    instances = draw(st.lists(_instances(), max_size=4))
-    assume(_one_unit_serves([i.probability for i in instances]))
+    start_time = draw(st.integers(0, 2**PARAMS.t0_bits - 1))
+    point_count = draw(_u64)
+    writer = BitWriter()
+    writer.write_uint(start_time, PARAMS.t0_bits)
+    expgolomb.encode_unsigned(writer, point_count)
+    payload, payload_bits = _finish(writer, draw(_tails))
     return CompressedTrajectory(
         trajectory_id=draw(_u64),
         time_payload=payload,
         time_payload_bits=payload_bits,
-        point_count=draw(_u64),
+        point_count=point_count,
         start_time=start_time,
-        end_time=end_time,
-        instances=instances,
+        end_time=start_time + draw(_u64),
+        instances=draw(st.lists(_instances(), max_size=4)),
     )
 
 
@@ -228,23 +289,34 @@ def _with(target, **changes):
     return type(target)(**{**vars(target), **changes})
 
 
+def _time_span_end(record: bytes) -> int:
+    """The byte where the ``t0`` a time-span read needs ends."""
+    fields_bytes, position = read_uvarint(record, 0)
+    return position + fields_bytes + (PARAMS.t0_bits + 7) // 8
+
+
 class TestRecordRoundTrip:
     def test_every_trajectory_record(self, cd_archive):
+        params = cd_archive.params
         for trajectory in cd_archive.trajectories:
-            record = encode_trajectory_record(trajectory)
-            assert decode_trajectory_record(record) == trajectory
+            record = encode_trajectory_record(trajectory, params)
+            assert decode_trajectory_record(
+                record, trajectory.trajectory_id, params
+            ) == trajectory
 
     @settings(max_examples=200, deadline=None)
     @given(trajectory=_trajectories())
     def test_generated_records_round_trip_both_ways(self, trajectory):
-        """Any field values, not just what the compressor emits: empty
-        payloads, multi-byte varints everywhere, no instances."""
-        record = encode_trajectory_record(trajectory)
-        decoded = decode_trajectory_record(record)
+        """Any field values, not just what the compressor emits: payloads
+        that hold only their leading codes, multi-byte varints
+        everywhere, no instances."""
+        record = encode_trajectory_record(trajectory, PARAMS)
+        decoded = decode_trajectory_record(
+            record, trajectory.trajectory_id, PARAMS
+        )
         assert decoded == trajectory
-        assert encode_trajectory_record(decoded) == record
-        assert decode_record_time_span(record) == (
-            trajectory.trajectory_id,
+        assert encode_trajectory_record(decoded, PARAMS) == record
+        assert decode_record_time_span(record, PARAMS.t0_bits) == (
             trajectory.start_time,
             trajectory.end_time,
         )
@@ -255,53 +327,85 @@ class TestRecordRoundTrip:
         self, trajectory, instance, data
     ):
         """Anything outside the strategies above is an error when the
-        record is written — never a rounded value or a wrapped one."""
-        low, high = data.draw(
-            st.lists(_u64, min_size=2, max_size=2, unique=True).map(sorted)
-        )
+        record is written — never a rounded value or a wrapped one, and
+        never a field that differs from what its payload decodes to."""
         bad_probability = data.draw(
             st.sampled_from([-0.25, float("nan"), float("inf"), 2.0**-70])
         )
         bad_instances = [
             _with(instance, reference_ordinal=2**62),
             _with(instance, probability=bad_probability),
+            _with(instance, probability=instance.probability / 2),
             _with(instance, payload_bits=instance.payload_bits + 8),
         ]
         bad_trajectories = [
             _with(trajectory, instances=[*trajectory.instances, bad])
             for bad in bad_instances
         ] + [
-            _with(trajectory, start_time=high, end_time=low),
+            _with(trajectory, end_time=trajectory.start_time - 1),
+            _with(trajectory, start_time=trajectory.start_time + 1),
+            _with(trajectory, point_count=trajectory.point_count + 1),
             _with(trajectory, point_count=-1),
         ]
         for bad in bad_trajectories:
             with pytest.raises(ArchiveFormatError):
-                encode_trajectory_record(bad)
+                encode_trajectory_record(bad, PARAMS)
+
+    def test_a_field_its_payload_contradicts_is_refused(self, cd_archive):
+        """The record stores the start time, point count and
+        probabilities only in the payloads, so a trajectory whose fields
+        disagree with them cannot be written."""
+        params = cd_archive.params
+        trajectory = cd_archive.trajectories[0]
+        instance = trajectory.instances[0]
+        for bad, field in (
+            (_with(trajectory, start_time=trajectory.start_time + 1),
+             "start time"),
+            (_with(trajectory, point_count=trajectory.point_count - 1),
+             "point count"),
+            (_with(trajectory, instances=[
+                _with(instance, probability=instance.probability + 2.0**-20),
+                *trajectory.instances[1:],
+            ]), "probability"),
+        ):
+            with pytest.raises(ArchiveFormatError, match=field):
+                encode_trajectory_record(bad, params)
 
     def test_every_truncation_point_is_a_format_error(self, cd_archive):
         """A cut record never leaks the parser's IndexError (or a
-        struct.error), and never parses."""
+        struct.error), and never parses; a time span needs the record
+        up to its ``t0``."""
+        params = cd_archive.params
         for trajectory in cd_archive.trajectories[:5]:
-            record = encode_trajectory_record(trajectory)
+            record = encode_trajectory_record(trajectory, params)
             for cut in range(len(record)):
                 with pytest.raises(ArchiveFormatError):
-                    decode_trajectory_record(record[:cut])
-            for cut in range(4):
+                    decode_trajectory_record(
+                        record[:cut], trajectory.trajectory_id, params
+                    )
+            for cut in range(_time_span_end(record)):
                 with pytest.raises(ArchiveFormatError):
-                    decode_record_time_span(record[:cut])
+                    decode_record_time_span(record[:cut], params.t0_bits)
 
     def test_every_flipped_byte_parses_or_is_a_format_error(self, cd_archive):
-        """Past the CRC (``verify_crc=False``, or a collision) a damaged
-        record either parses to some trajectory or raises the typed
-        error, in time linear in the record: no count is trusted."""
+        """Past the CRC (a collision) a damaged record either parses to
+        some trajectory or raises the typed error, in time linear in the
+        record: no count is trusted.  The same holds for a time span."""
+        params = cd_archive.params
         for trajectory in cd_archive.trajectories[:5]:
-            record = encode_trajectory_record(trajectory)
+            record = encode_trajectory_record(trajectory, params)
             for offset in range(len(record)):
                 for mask in (0x01, 0x40, 0x80, 0xFF):
                     damaged = bytearray(record)
                     damaged[offset] ^= mask
                     try:
-                        decode_trajectory_record(bytes(damaged))
+                        decode_trajectory_record(
+                            bytes(damaged), trajectory.trajectory_id, params
+                        )
+                    except ArchiveFormatError:
+                        pass
+                    try:
+                        decode_record_time_span(bytes(damaged), params.t0_bits)
                     except ArchiveFormatError:
                         pass
 
@@ -443,9 +547,10 @@ class TestHeaderAndDirectoryDamage:
         self, cd_archive, archive_path
     ):
         """A flipped byte before the records is refused with a typed
-        error at open or at the first record it misplaces — or changes
-        only header fields no record depends on.  Never another
-        exception, never a read sized by a damaged count."""
+        error at open (the header's CRC, which covers the params every
+        record parses with) or at the first record it misplaces or
+        renames (the record CRC covers the directory's id).  Never
+        another exception, never a read sized by a damaged count."""
         data = archive_path.read_bytes()
         records_start = read_header(io.BytesIO(data)).directory[0].offset
         outcomes = set()
@@ -462,7 +567,7 @@ class TestHeaderAndDirectoryDamage:
                 else:
                     assert loaded == cd_archive.trajectories
                     outcomes.add(None)
-        assert outcomes == {ArchiveFormatError, CorruptArchiveError, None}
+        assert outcomes == {ArchiveFormatError, CorruptArchiveError}
 
     def test_version_1_is_refused_by_name(self, archive_path, tmp_path):
         """No version-1 reader exists: such a file gets the typed
@@ -489,6 +594,58 @@ class TestHeaderAndDirectoryDamage:
                 ArchiveFormatError, match="unsupported archive version 2"
             ):
                 read(old)
+
+
+    def test_version_3_is_refused_by_name(self, archive_path, tmp_path):
+        """Version 3 records repeated the id, start time, point count and
+        probabilities that version 4 reads from the directory and the
+        payloads; a version-3 file gets the typed version error."""
+        data = bytearray(archive_path.read_bytes())
+        data[8:10] = (3).to_bytes(2, "little")
+        old = tmp_path / "v3.utcq"
+        old.write_bytes(bytes(data))
+        for read in (read_archive, FileBackedArchive.open):
+            with pytest.raises(
+                ArchiveFormatError, match="unsupported archive version 3"
+            ):
+                read(old)
+
+    def test_swapped_records_each_fail_their_crc(self, archive_path, tmp_path):
+        """The record holds no id; the CRC covers the directory's.  Two
+        records swapped, with the directory's lengths swapped to match,
+        are each refused as damage at their new slot."""
+        data = archive_path.read_bytes()
+        header = read_header(io.BytesIO(data))
+        first, second = header.directory[2], header.directory[5]
+        assert first.length != second.length
+        records = [
+            data[entry.offset : entry.offset + entry.length]
+            for entry in header.directory
+        ]
+        records[2], records[5] = records[5], records[2]
+        ids = [entry.trajectory_id for entry in header.directory]
+        crcs = b"".join(
+            entry.crc32.to_bytes(4, "little") for entry in header.directory
+        )
+        # same ids and CRCs, lengths in the new order: the directory's
+        # byte size is unchanged, so the header stays valid as it is
+        directory = encode_directory(ids, records)[: -len(crcs)] + crcs
+        records_start = header.directory[0].offset
+        damaged = tmp_path / "swapped.utcq"
+        damaged.write_bytes(
+            data[: records_start - len(directory)]
+            + directory
+            + b"".join(records)
+        )
+        with FileBackedArchive.open(damaged) as lazy:
+            for entry in (first, second):
+                for read in (lazy.trajectory, lazy.time_span):
+                    with pytest.raises(CorruptArchiveError, match="CRC"):
+                        read(entry.trajectory_id)
+            # the records in their own slots still load
+            assert lazy.trajectory(0) is not None
+        with pytest.raises(CorruptArchiveError, match="CRC"):
+            read_archive(damaged)
 
 
 class TestFileBackedArchive:

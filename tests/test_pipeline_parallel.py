@@ -67,8 +67,10 @@ class TestDeterminism:
         by_id = {t.trajectory_id: t for t in backward.trajectories}
         for trajectory in forward.trajectories:
             assert encode_trajectory_record(
-                trajectory
-            ) == encode_trajectory_record(by_id[trajectory.trajectory_id])
+                trajectory, forward.params
+            ) == encode_trajectory_record(
+                by_id[trajectory.trajectory_id], backward.params
+            )
 
 
 class TestReporting:

@@ -4,7 +4,9 @@ import copy
 
 import pytest
 
+from repro.bits import BitReader
 from repro.core import CorruptPayloadError, decode_trajectory
+from repro.core.decoder import read_probability
 from repro.core.compressor import compress_dataset
 from repro.network.grid import Rect
 from repro.query import StIUIndex, UTCQQueryProcessor
@@ -179,8 +181,9 @@ class TestRangeAcrossTimestampGaps:
 
 
 class TestRangeOverAnUndecodablePayload:
-    """A reference payload damaged under a valid CRC (its first bit
-    flipped before the CRCs were computed) is a typed error for
+    """A reference payload damaged under a valid CRC (the first bit of
+    its ``E`` count, which follows the probability code, flipped before
+    the CRCs were computed) is a typed error for
     ``range``, as it is for ``where`` and a full decode: never a
     trajectory silently left out because its damaged ``E`` count derives
     no region rows, and never a bare ``KeyError`` from the derive."""
@@ -191,9 +194,12 @@ class TestRangeOverAnUndecodablePayload:
             damaged = copy.deepcopy(archive)
             trajectory = damaged.trajectories[trajectory_id]
             reference = trajectory.references()[0]
-            reference.payload = (
-                bytes([reference.payload[0] ^ 0x80]) + reference.payload[1:]
-            )
+            reader = BitReader(reference.payload, reference.payload_bits)
+            read_probability(reader, damaged.params.eta_probability)
+            bit = reader.position
+            payload = bytearray(reference.payload)
+            payload[bit >> 3] ^= 0x80 >> (bit & 7)
+            reference.payload = bytes(payload)
             with pytest.raises(CorruptPayloadError):
                 decode_trajectory(network, trajectory, damaged.params)
             index = StIUIndex(

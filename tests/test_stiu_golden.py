@@ -28,7 +28,11 @@ from hypothesis import strategies as st
 from repro.bits.bitio import BitReader
 from repro.core.archive import reference_index_width
 from repro.core.compressor import UTCQCompressor
-from repro.core.decoder import decode_times, decode_trajectory_tuples
+from repro.core.decoder import (
+    decode_times,
+    decode_trajectory_tuples,
+    read_probability,
+)
 from repro.core.factors import read_edge_factors
 from repro.io.format import write_archive
 from repro.network.generators import perturbed_grid_network
@@ -84,11 +88,11 @@ def spatial_map(index: StIUIndex) -> dict:
 # format v4, which stores the temporal layer's t.start alone.
 GOLDEN_INDEX = {
     1800: (
-        "438d91d8fbfed5415216ca420b30f8b945d64452aacb536229f7bbe2776d8ffe",
+        "a2bff77d53f5a3d65dab0956b935ce222e07dfb9437abb8654c5b387e6bcc6e5",
         "08f9677ffebf784ba5606893d7e405d6d8f85773cbf0533874064f45c307838e",
     ),
     60: (
-        "1a4a3678a036af1a4df44f694624a0d4d665bd79d98358dd1e929bf76f933309",
+        "53708a08c43849db1246a3346846286f7d45cd8f994b222608323a6bc02bc7c0",
         "f9a2d73729bf71863898509fca59274e99b08921d246d6b39e0e44fb8d4be5fc",
     ),
 }
@@ -269,7 +273,8 @@ def reference_index(network, archive, cells_per_side, partition):
                     if m == ref:
                         continue
                     reader = BitReader(instances[m].payload, instances[m].payload_bits)
-                    reader.seek(
+                    read_probability(reader, params.eta_probability)
+                    reader.read_uint(
                         reference_index_width(trajectory.reference_count)
                     )
                     factors = read_edge_factors(

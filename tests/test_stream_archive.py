@@ -213,6 +213,37 @@ class TestLiveArchive:
         ]
         live.close()
 
+    def test_a_queried_trajectory_is_cached_and_charged_once(
+        self, network, streamed
+    ):
+        """``live.trajectory`` then a ``where`` on it leave one cache
+        entry, the block, charged once: the block holds the record the
+        first lookup parsed, so storing it drops the record entry, and
+        the next record lookup is the block's (a records hit)."""
+        directory, _ = streamed
+        with LiveArchive(directory) as live:
+            processor = live.query_processor(network)
+            cache = live.decode_cache
+            trajectory_id = live.trajectory_ids()[0]
+            trajectory = live.trajectory(trajectory_id)
+            t = (trajectory.start_time + trajectory.end_time) // 2
+            processor.where(trajectory_id, t, alpha=0.0)
+            stats = cache.stats()
+            assert (stats["records"]["resident"], stats["records"]["bytes"]) == (
+                0, 0,
+            )
+            assert stats["times"]["resident"] == 1
+            assert cache.resident_bytes == sum(
+                stats[section]["bytes"]
+                for section in ("times", "chainages", "references")
+            )
+            block = processor._block(trajectory_id)
+            assert block.record is trajectory
+            hits = stats["records"]["hits"]
+            assert live.trajectory(trajectory_id) is trajectory
+            assert cache.stats()["records"]["hits"] == hits + 1
+            assert cache.stats()["records"]["resident"] == 0
+
     def test_live_stats_aggregate_segments(self, streamed):
         directory, _ = streamed
         with LiveArchive(directory) as live:
@@ -394,9 +425,10 @@ class TestEndToEndAcceptance:
                 streamed_archive.params,
                 compressor.trajectory_rng(trip.trajectory_id),
             )
+            params = streamed_archive.params
             assert encode_trajectory_record(
-                stored
-            ) == encode_trajectory_record(expected)
+                stored, params
+            ) == encode_trajectory_record(expected, params)
 
 
 def _trip_with_id(network, trajectory_id):
