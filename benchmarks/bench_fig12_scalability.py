@@ -7,6 +7,8 @@ TED's grows super-linearly (dataset-wide matrix base search); query
 times grow with the data size for both engines.
 """
 
+import statistics
+
 import pytest
 from conftest import record_experiment
 
@@ -22,6 +24,10 @@ from repro.workloads.harness import (
 )
 
 FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
+# query workloads are timed this many times per fraction and the median
+# kept: one pass of 15 range queries takes well under a millisecond each,
+# so a single timing is at the mercy of one scheduler hiccup
+QUERY_REPEATS = 5
 
 
 @pytest.mark.parametrize("name", ["CD", "HZ"])
@@ -93,14 +99,18 @@ def test_fig12_query_scalability(benchmark, datasets, name):
             ted_index = TedQueryIndex(
                 network, ted.archive, time_partition_seconds=1800
             )
-            utcq_times = time_utcq_queries(processor, workload)
-            ted_times = time_ted_queries(ted_index, workload)
             rows.append(
                 [
                     name,
                     int(fraction * 100),
-                    utcq_times.range_ms,
-                    ted_times.range_ms,
+                    statistics.median(
+                        time_utcq_queries(processor, workload).range_ms
+                        for _ in range(QUERY_REPEATS)
+                    ),
+                    statistics.median(
+                        time_ted_queries(ted_index, workload).range_ms
+                        for _ in range(QUERY_REPEATS)
+                    ),
                 ]
             )
         return rows

@@ -9,15 +9,16 @@ projection distance, the standard choice in HMM map matching [2, 15]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..network.spatial_index import EdgeSpatialIndex
 from ..trajectories.model import EdgeKey, RawPoint
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One possible road position of a raw GPS fix."""
+class Candidate(NamedTuple):
+    """One possible road position of a raw GPS fix (a named tuple:
+    immutable, and cheap to build -- a matcher builds one per candidate
+    of every fix)."""
 
     edge: EdgeKey
     ndist: float
@@ -49,17 +50,13 @@ def candidates_for_point(
         if nearest is None:
             return []
         hits = [nearest]
-    results: list[Candidate] = []
-    for edge_key, t, distance in hits[:max_candidates]:
-        length = index.network.edge_length(*edge_key)
-        results.append(
-            Candidate(
-                edge=edge_key,
-                ndist=t * length,
-                distance=distance,
-                emission_log_probability=emission_log_probability(
-                    distance, sigma
-                ),
-            )
+    edge_length = index.network.edge_length
+    return [
+        Candidate(
+            edge_key,
+            t * edge_length(*edge_key),
+            distance,
+            emission_log_probability(distance, sigma),
         )
-    return results
+        for edge_key, t, distance in hits[:max_candidates]
+    ]

@@ -16,9 +16,10 @@ matchings; their likelihoods are normalized into instance probabilities.
 A step costs work proportional to candidate *pairs*: a transition depends
 only on (previous candidate, candidate), so each pair is routed and
 scored once (at most ``max_candidates``² routes, over one shared Dijkstra
-frontier per source vertex) and every partial extends by table look-up
-into a new lattice node that points back at it — nothing as long as the
-trip is copied.
+frontier per source vertex), every extension is scored by table look-up
+as a plain tuple, and only the extensions the beam keeps become lattice
+nodes that point back at the partial they extend — nothing as long as
+the trip is copied.
 
 The pass is decomposed into per-step operations (:meth:`ProbabilisticMapMatcher.
 candidate_step`, :meth:`~ProbabilisticMapMatcher.initial_beam`,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..network.graph import RoadNetwork
 from ..network.shortest_path import FrontierCache
@@ -46,6 +48,8 @@ from ..trajectories.model import (
     UncertainTrajectory,
 )
 from .candidates import Candidate, candidates_for_point
+
+_negated_score = itemgetter(0)
 
 
 @dataclass
@@ -203,24 +207,32 @@ class ProbabilisticMapMatcher:
         unmatchable from here on.
         """
         table = self._transition_table(beam, previous_step, step, straight)
-        extended: list[BeamPartial] = []
-        for candidate_index, candidate in enumerate(step):
-            emission = candidate.emission_log_probability
-            for partial in beam:
-                transition = table[partial.candidate_index][candidate_index]
-                if transition is None:
-                    continue
-                log_transition, path = transition
-                extended.append(
-                    BeamPartial(
-                        partial.log_probability + log_transition + emission,
-                        candidate_index,
-                        path,
-                        partial,
-                    )
-                )
-        extended.sort(key=lambda p: -p.log_probability)
-        return extended[: self.config.max_instances * 3]
+        # score every extension as a plain tuple, negated score first so
+        # that a stable sort on it orders exactly as ``-log_probability``
+        # would, and build lattice nodes only for the partials kept
+        rows = [
+            (partial.log_probability, table[partial.candidate_index], partial)
+            for partial in beam
+        ]
+        emissions = [candidate.emission_log_probability for candidate in step]
+        scored = [
+            (
+                -(log_probability + transition[0] + emission),
+                candidate_index,
+                transition[1],
+                partial,
+            )
+            for candidate_index, emission in enumerate(emissions)
+            for log_probability, row, partial in rows
+            if (transition := row[candidate_index]) is not None
+        ]
+        scored.sort(key=_negated_score)
+        return [
+            BeamPartial(-negated, candidate_index, path, partial)
+            for negated, candidate_index, path, partial in scored[
+                : self.config.max_instances * 3
+            ]
+        ]
 
     def finalize(
         self,
@@ -240,8 +252,14 @@ class ProbabilisticMapMatcher:
         seen: set[tuple] = set()
         weights: list[float] = []
         best_log = finals[0].log_probability
+        # one mapped location per (step, candidate), shared by every
+        # instance that picks it (locations are immutable)
+        locations = [
+            [self.candidate_location(candidate) for candidate in step]
+            for step in steps
+        ]
         for partial in finals:
-            instance = self._assemble(steps, partial)
+            instance = self._assemble(locations, partial)
             if instance is None:
                 continue
             signature = instance.signature()
@@ -291,18 +309,22 @@ class ProbabilisticMapMatcher:
 
     # ------------------------------------------------------------------
     def _assemble(
-        self, steps: list[list[Candidate]], partial: BeamPartial
+        self,
+        step_locations: list[list[MappedLocation]],
+        partial: BeamPartial,
     ) -> TrajectoryInstance | None:
         """Stitch candidate positions and connecting routes into one
-        instance, tolerating same-edge consecutive fixes."""
+        instance, tolerating same-edge consecutive fixes;
+        ``step_locations[i][j]`` is candidate ``j`` of step ``i`` as a
+        location."""
         nodes = partial.history()
-        first = steps[0][nodes[0].candidate_index]
+        first = step_locations[0][nodes[0].candidate_index]
         path: list[EdgeKey] = [first.edge]
-        locations = [self.candidate_location(first)]
+        locations = [first]
         edge_indices = [0]
         for step_index in range(1, len(nodes)):
             node = nodes[step_index]
-            candidate = steps[step_index][node.candidate_index]
+            candidate = step_locations[step_index][node.candidate_index]
             connecting = node.path
             if candidate.edge == path[-1] and not connecting:
                 # same edge, moving forward
@@ -316,7 +338,7 @@ class ProbabilisticMapMatcher:
                         return None  # disconnected stitch: drop this one
                     path.append(candidate.edge)
                 edge_indices.append(len(path) - 1)
-            locations.append(self.candidate_location(candidate))
+            locations.append(candidate)
         # enforce monotone ndist for same-edge neighbors
         for i in range(1, len(locations)):
             if (

@@ -48,6 +48,7 @@ from ..query.queries import UTCQQueryProcessor
 from ..query.sidecar import load_or_build_index
 from ..query.stiu import StIUIndex
 from .manifest import (
+    MANIFEST_NAME,
     SEGMENT_DIR,
     StreamArchiveError,
     load_manifest,
@@ -114,7 +115,11 @@ class LiveArchive:
         # (see query_processor()), so mid-ingestion queries keep their
         # warm spans across index rebuilds.
         self.decode_cache = DecodeSpanCache()
-        self.refresh()
+        try:
+            self.refresh()
+        except BaseException:
+            self.close()  # the segments opened before the failure
+            raise
 
     @classmethod
     def open(cls, directory) -> "LiveArchive":
@@ -172,7 +177,13 @@ class LiveArchive:
                 # a merge swapped a listed segment out and unlinked it
                 # after the manifest was read: the newer manifest names
                 # what replaced it (a segment missing there too raises)
-                self._adopt(load_manifest(self.directory))
+                try:
+                    self._adopt(load_manifest(self.directory))
+                except FileNotFoundError as error:
+                    raise StreamArchiveError(
+                        f"segment {Path(error.filename).name} listed in "
+                        f"{self.directory / MANIFEST_NAME} is missing"
+                    ) from None
             return len(set(self._archives) - opened)
 
     def _adopt(self, manifest: dict) -> None:

@@ -33,6 +33,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from ..core.archive import ComponentBits, CompressionParams, CompressionStats
@@ -50,6 +51,28 @@ _SEGMENT_NAME = re.compile(r"^seg-(\d{5,})\.utcq$")
 
 _COMPONENT_FIELDS = (
     "time", "edge", "distance", "flags", "probability", "overhead",
+)
+
+# every top-level field a version-2 manifest carries, with its JSON type
+_MANIFEST_FIELDS = (
+    ("generation", int),
+    ("params", dict),
+    ("provenance", dict),
+    ("stats", list),
+    ("trajectory_count", int),
+    ("instance_count", int),
+    ("next_segment_id", int),
+    ("segments", list),
+)
+_segment_counts = attrgetter(
+    "trajectory_count",
+    "instance_count",
+    "min_trajectory_id",
+    "max_trajectory_id",
+    "min_time",
+    "max_time",
+    "file_bytes",
+    "level",
 )
 
 
@@ -74,7 +97,7 @@ def params_to_dict(params: CompressionParams) -> dict:
 def params_from_dict(data: dict) -> CompressionParams:
     try:
         return CompressionParams(**data)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise StreamArchiveError(f"bad params in manifest: {error}") from None
 
 
@@ -155,11 +178,19 @@ class SegmentInfo:
     @classmethod
     def from_dict(cls, data: dict) -> "SegmentInfo":
         try:
-            return cls(**data)
+            info = cls(**data)
         except TypeError as error:
             raise StreamArchiveError(
                 f"bad segment entry in manifest: {error}"
             ) from None
+        # the name becomes a path under segments/: only a segment name
+        if not (
+            isinstance(info.name, str)
+            and _SEGMENT_NAME.match(info.name)
+            and set(map(type, _segment_counts(info))) == {int}
+        ):
+            raise StreamArchiveError(f"bad segment entry in manifest: {data}")
+        return info
 
 
 def segment_id_of(name: str) -> int:
@@ -186,9 +217,9 @@ def load_manifest(directory) -> dict:
         raise StreamArchiveError(
             f"no stream archive at {directory} (missing {MANIFEST_NAME})"
         ) from None
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSON syntax, or bytes that are not UTF-8
         raise StreamArchiveError(f"corrupt manifest {path}: {error}") from None
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise StreamArchiveError(
             f"{path} is not a stream-archive manifest"
         )
@@ -196,10 +227,29 @@ def load_manifest(directory) -> dict:
         raise StreamArchiveError(
             f"unsupported manifest version {manifest.get('version')}"
         )
+    for key, kind in _MANIFEST_FIELDS:
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise StreamArchiveError(
+                f"corrupt manifest {path}: {key!r} is missing or not "
+                f"a JSON {kind.__name__}"
+            )
+    stats = manifest["stats"]
+    if len(stats) != 12 or any(type(value) is not int for value in stats):
+        raise StreamArchiveError(
+            f"corrupt manifest {path}: 'stats' must hold 12 integers"
+        )
+    if any(type(value) is not str for value in manifest["provenance"].values()):
+        raise StreamArchiveError(
+            f"corrupt manifest {path}: 'provenance' values must be strings"
+        )
     return manifest
 
 
 def manifest_segments(manifest: dict) -> list[SegmentInfo]:
+    """The segment entries of a manifest :func:`load_manifest` read;
+    an entry with a missing, extra or mistyped field raises
+    :class:`StreamArchiveError`."""
     return [SegmentInfo.from_dict(entry) for entry in manifest["segments"]]
 
 

@@ -382,6 +382,26 @@ def test_stream_stats_rejects_missing_directory(tmp_path):
         main(["stream", "stats", str(tmp_path / "nope")])
 
 
+@pytest.mark.parametrize("action", ["stats", "compact"])
+def test_stream_commands_refuse_a_manifest_without_segments(
+    stream_directory, tmp_path, capsys, action
+):
+    """A manifest whose "segments" key is misspelled is one clean error
+    line and exit 2, not a KeyError traceback."""
+    directory = tmp_path / "fleet"
+    shutil.copytree(stream_directory, directory)
+    manifest = directory / "manifest.json"
+    manifest.write_text(
+        manifest.read_text().replace('"segments"', '"segmints"')
+    )
+    with pytest.raises(SystemExit) as raised:
+        main(["stream", action, str(directory)])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "'segments' is missing" in err
+
+
 def test_stream_compact_stdout_of_both_forms(tmp_path, capsys):
     """In place, then canonical: both forms print exactly these lines,
     and the sidecar path printed is the one the writer wrote."""

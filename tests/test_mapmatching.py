@@ -13,6 +13,7 @@ from repro.mapmatching import (
     synthesize_raw_trajectory,
 )
 from repro.mapmatching.candidates import emission_log_probability
+from repro.mapmatching import hmm
 from repro.mapmatching.hmm import BeamPartial
 from repro.network.generators import grid_network
 from repro.network.spatial_index import EdgeSpatialIndex
@@ -261,6 +262,39 @@ class TestBeamLattice:
             # not one of each per (partial, candidate): 24 x 4 = 96
             assert recording.gets <= 4
             assert recording.path_to_calls <= 16
+        assert full_steps >= 3
+
+    def test_a_step_builds_nodes_only_for_the_partials_it_keeps(
+        self, network, raw, monkeypatch
+    ):
+        matcher = ProbabilisticMapMatcher(
+            network, MatcherConfig(sigma=20.0, search_radius=50.0)
+        )
+        keep = matcher.config.max_instances * 3
+        built = []
+
+        class CountedPartial(BeamPartial):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        full_steps = 0
+        for beam, previous_step, step, straight in _beam_steps(matcher, raw):
+            if (len(beam), len(previous_step), len(step)) != (24, 4, 4):
+                continue
+            full_steps += 1
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(hmm, "BeamPartial", CountedPartial)
+                extended = matcher.extend_beam(
+                    beam, previous_step, step, straight
+                )
+            # up to 24 x 4 = 96 extensions are scored; a lattice node is
+            # built only for each of the 24 the beam keeps
+            assert len(built) <= keep
+            assert len(extended) == len(built)
         assert full_steps >= 3
 
     def test_partials_link_to_their_predecessor_by_identity(

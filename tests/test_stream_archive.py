@@ -22,6 +22,7 @@ from repro.query.stiu import StIUIndex
 from repro.stream import (
     AppendableArchiveWriter,
     LiveArchive,
+    ManifestStore,
     SessionConfig,
     SizeTieredPolicy,
     StreamArchiveError,
@@ -29,6 +30,7 @@ from repro.stream import (
     compact,
     drain_compactions,
     load_manifest,
+    manifest_segments,
     replay,
 )
 from repro.stream import live as live_module
@@ -458,6 +460,48 @@ def _three_segments(network, tmp_path):
         for trajectory_id in range(6):
             writer.append(_trip_with_id(network, trajectory_id))
     return directory
+
+
+def test_every_truncation_and_bit_flip_of_a_manifest_loads_or_is_refused(
+    network, tmp_path
+):
+    """The manifest is a byte parser like the others: every prefix of a
+    real one, and every copy with bit 0 or bit 5 of one byte flipped
+    (a digit changed, a letter's case swapped), either opens -- as a
+    document, as a store and as a live archive over its segments -- or
+    raises StreamArchiveError; never a KeyError, a TypeError or a
+    FileNotFoundError naming a segment the manifest invented."""
+    directory = tmp_path / "fleet"
+    with AppendableArchiveWriter(
+        directory, network, default_interval=10, segment_max_trajectories=2,
+        provenance={"profile": "CD", "dataset_seed": "11"},
+    ) as writer:
+        for trajectory_id in range(6):
+            writer.append(_trip_with_id(network, trajectory_id))
+    path = directory / "manifest.json"
+    original = path.read_bytes()
+    variants = [original[:size] for size in range(len(original))] + [
+        original[:at] + bytes([original[at] ^ bit]) + original[at + 1:]
+        for at in range(len(original))
+        for bit in (0x01, 0x20)
+    ]
+    loaded = refused = 0
+    for number, data in enumerate(variants):
+        path.write_bytes(data)
+        try:
+            manifest_segments(load_manifest(directory))
+            ManifestStore.open(directory)
+            with LiveArchive(directory) as live:
+                live.trajectory_ids()
+        except StreamArchiveError:
+            refused += 1
+        except Exception as error:
+            pytest.fail(f"variant {number} of {len(variants)}: {error!r}")
+        else:
+            loaded += 1
+    path.write_bytes(original)
+    assert loaded + refused == len(variants) == 3 * len(original)
+    assert loaded > 0 and refused > len(original)
 
 
 def _merge_all(directory, network):
