@@ -88,27 +88,6 @@ class UTCQCompressor:
             pivot_count=self.pivot_count,
         )
 
-    def select_for(
-        self, trajectory: UncertainTrajectory, rng: random.Random
-    ) -> ReferenceSelection:
-        """Pivot selection + FJD scoring + Algorithm 1 for one trajectory."""
-        tuples = [
-            encode_instance(self.network, instance)
-            for instance in trajectory.instances
-        ]
-        if len(tuples) == 1:
-            selection = ReferenceSelection(references=[0], assignments={0: []})
-            return selection
-        pivots = select_pivots(
-            [t.edge_numbers for t in tuples], self.pivot_count, rng
-        )
-        matrix = score_matrix(
-            [t.probability for t in tuples],
-            [t.start_vertex for t in tuples],
-            pivots,
-        )
-        return select_references(matrix)
-
     def compress_trajectory(
         self,
         trajectory: UncertainTrajectory,

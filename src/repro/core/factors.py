@@ -401,33 +401,6 @@ def read_flag_stream(
     return apply_flag_factors(factors, reference)
 
 
-def read_flag_stream_factors(
-    reader: BitReader, reference_length: int, target_length: int
-) -> tuple[list[FlagFactor] | None, list[int] | None]:
-    """Read a flag stream without applying it.
-
-    Returns ``(factors, None)`` in factored mode or ``(None, raw_bits)``
-    in raw mode — the form the partial-decompression arrays (§5.1) work
-    on directly.
-    """
-    raw_mode = reader.read_bit() == 1
-    if raw_mode:
-        return None, reader.read_bits(target_length)
-    width = uint_width(max(reference_length - 1, 0))
-    count = expgolomb.decode_unsigned(reader)
-    if count == 0:
-        return [], None
-    has_final_m = reader.read_bit() == 1
-    pairs = [
-        (reader.read_uint(width), reader.read_uint(width) + 1)
-        for _ in range(count)
-    ]
-    final_m = reader.read_bit() if has_final_m else None
-    factors = [FlagFactor(start, length, None) for start, length in pairs[:-1]]
-    factors.append(FlagFactor(pairs[-1][0], pairs[-1][1], final_m))
-    return factors, None
-
-
 # ----------------------------------------------------------------------
 # D factors
 # ----------------------------------------------------------------------

@@ -18,6 +18,10 @@ Each instance ``Tu^j_w`` becomes the tuple
 ``decode_instance`` reconstructs a :class:`TrajectoryInstance` from the
 tuple plus the road network, which makes the whole pipeline losslessly
 invertible (up to the D quantization chosen at compression time).
+
+Queries do not decode a tuple part way, as the paper's flag and
+original arrays (§5.1) would: each queried trajectory is decoded once
+into a cached block (:class:`~repro.core.decoder.DecodeSpanCache`).
 """
 
 from __future__ import annotations
@@ -204,36 +208,3 @@ def _decode_instance(out_table, encoded: InstanceTuple) -> TrajectoryInstance:
         location_edge_indices=edge_indices,
     )
 
-
-def path_vertices(network: RoadNetwork, encoded: InstanceTuple) -> list[int]:
-    """The vertex sequence visited by the encoded path, starting at SV.
-
-    Used by the StIU spatial index, whose tuples store vertex ids (final
-    vertices and factor anchor vertices) alongside positions in ``E``.
-    """
-    vertices = [encoded.start_vertex]
-    current = encoded.start_vertex
-    for number in encoded.edge_numbers:
-        if number > 0:
-            edge = network.edge_by_number(current, number)
-            current = edge.end
-            vertices.append(current)
-    return vertices
-
-
-def edge_prefix(
-    network: RoadNetwork, encoded: InstanceTuple, entry_count: int
-) -> list[EdgeKey]:
-    """Decode only the first ``entry_count`` entries of ``E`` into edges.
-
-    Partial decompression helper: where/when queries rarely need the whole
-    path, only the stretch bracketing a timestamp or location.
-    """
-    edges: list[EdgeKey] = []
-    current = encoded.start_vertex
-    for number in encoded.edge_numbers[:entry_count]:
-        if number > 0:
-            edge = network.edge_by_number(current, number)
-            edges.append(edge.key)
-            current = edge.end
-    return edges

@@ -14,7 +14,6 @@ from .engine import (
     WorkerPoolBroken,
     query_from_dict,
 )
-from .flagarrays import FlagArray, OriginalArray
 from .metrics import (
     AccuracyReport,
     f1_score,
@@ -54,8 +53,6 @@ __all__ = [
     "WhenQuery",
     "WhereQuery",
     "query_from_dict",
-    "FlagArray",
-    "OriginalArray",
     "AccuracyReport",
     "f1_score",
     "range_accuracy",

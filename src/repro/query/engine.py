@@ -22,7 +22,11 @@ time.  This module adds two layers over
   A batch too small to repay the pool's fixed cost (fewer than
   :data:`POOL_MIN_EXECUTIONS` shard executions) is answered on the
   calling thread by one :class:`BatchQueryEngine` over the union of the
-  open shards, so a range query runs once, not once per shard.
+  open shards, so a range query runs once, not once per shard.  A
+  bigger one runs its shard tasks through
+  :meth:`ShardedQueryEngine.run_pooled`, the one dispatcher (the
+  serving tier's supervised calls go through it too); a task the pool
+  cannot answer falls back in process on the calling thread.
 
 Every result is exactly what a lone
 :class:`~repro.query.queries.UTCQQueryProcessor` (and therefore the
@@ -38,7 +42,7 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -61,6 +65,11 @@ from .transport import TransportError, decode_answers_blob, encode_answers
 
 #: shard sub-batches one request keeps in flight at once
 DISPATCH_WINDOW = 8
+
+#: the rung that answered a pool-routed task or request: the worker
+#: pool, or the in-process engine it fell back to
+MODE_SHARDED = "sharded"
+MODE_BATCH = "batch"
 
 #: A plan with fewer shard executions than this is answered on the
 #: calling thread; only a bigger one is worth splitting across the
@@ -379,22 +388,20 @@ def _shard_engine_for(path: str) -> BatchQueryEngine:
     return engine
 
 
-def _run_shard_batch(task: tuple) -> bytes:
+def _run_shard_batch(task: tuple):
     """One shard sub-batch; the answers leave the worker as codec bytes
-    (:func:`repro.query.transport.encode_answers`)."""
-    path, queries = task
-    return encode_answers(_shard_engine_for(path).run(queries))
+    (:func:`repro.query.transport.encode_answers`).
 
-
-def _run_shard_batch_traced(task: tuple) -> dict:
-    """Traced variant: same answers, plus this worker's span tree.
-
-    The worker opens its own trace root (spans cannot cross a process
-    boundary live) and piggybacks the finished tree on the result; the
-    parent grafts it under the request's tree and derives the IPC
-    overhead from its own observed round-trip time.
+    A traced task (the tuple's third field) returns ``{"answers":
+    <bytes>, "span": {...}}`` instead: the worker opens its own trace
+    root (spans cannot cross a process boundary live) and piggybacks
+    the finished tree on the result; the parent grafts it under the
+    request's tree and derives the IPC overhead from its own observed
+    round-trip time.
     """
-    path, queries = task
+    path, queries, traced = task
+    if not traced:
+        return encode_answers(_shard_engine_for(path).run(queries))
     with obs_trace.worker_trace(
         "worker", shard=os.path.basename(path)
     ) as span:
@@ -410,30 +417,6 @@ def _run_shard_batch_traced(task: tuple) -> dict:
 def _ping_worker(payload: object) -> tuple[int, object]:
     """Health-check task: proves a worker can pull work and answer."""
     return os.getpid(), payload
-
-
-def _graft_shard_span(parent, path, specs, payload: dict, roundtrip: float):
-    """Attach a traced task's worker span under ``parent``; returns the
-    task's encoded answers.
-
-    Shard sub-batches run concurrently, so the ``shard:`` span's wall
-    time is the parent-observed submit-to-result round trip (not a
-    ``with`` block: by the time the first ``result()`` returns, other
-    shards have already been running).  ``ipc_seconds`` is that round
-    trip minus the worker's own wall time — pickle out, queue wait,
-    answer bytes back.
-    """
-    shard_span = obs_trace.Span(
-        f"shard:{os.path.basename(path)}",
-        {"path": str(path), "queries": len(specs)},
-    )
-    shard_span.wall = roundtrip
-    worker = obs_trace.Span.from_dict(payload["span"])
-    worker.set("roundtrip_seconds", roundtrip)
-    worker.set("ipc_seconds", max(0.0, roundtrip - worker.wall))
-    shard_span.children.append(worker)
-    parent.children.append(shard_span)
-    return payload["answers"]
 
 
 class ShardWorkerPool:
@@ -517,11 +500,12 @@ class ShardWorkerPool:
 
         The future resolves to the answers' codec bytes (turn them
         back into results with :meth:`decode`).  With ``traced=True``
-        the worker runs the traced task variant and the future resolves
+        the worker also records its span tree and the future resolves
         to ``{"answers": <bytes>, "span": {...}}`` instead.
         """
-        fn = _run_shard_batch_traced if traced else _run_shard_batch
-        return self.submit_call(fn, (str(path), list(specs)))
+        return self.submit_call(
+            _run_shard_batch, (str(path), list(specs), traced)
+        )
 
     def submit_call(self, fn, payload) -> Future:
         """Generic submission seam (used by pings and chaos wrappers)."""
@@ -658,6 +642,7 @@ class ShardedQueryEngine:
     — :meth:`restart_pool` respawns the workers (warm ``.stiu`` sidecar
     reloads) and the batch can be retried.  :mod:`repro.serve` wraps
     exactly these seams (:meth:`plan` / :meth:`merge` /
+    :meth:`run_pooled` / :meth:`decode_answers` /
     :meth:`run_in_process` / :meth:`run_local` /
     :meth:`drop_local_engine` and the :attr:`pool`) into a supervised
     always-on service.
@@ -702,6 +687,11 @@ class ShardedQueryEngine:
             "repro_transport_fallbacks_total",
             help="Shard tasks re-executed locally after a transport error",
         )
+        # runs pool-routed shard tasks (run_pooled); threads start on
+        # first use, so an engine that never routes to the pool has none
+        self._dispatch = ThreadPoolExecutor(
+            max_workers=DISPATCH_WINDOW, thread_name_prefix="repro-dispatch"
+        )
         if pool is not None:
             self.pool: ShardWorkerPool | None = pool
         elif self.workers == 1:
@@ -744,6 +734,9 @@ class ShardedQueryEngine:
         if self._closed:
             return
         self._closed = True
+        # wait=False: a dispatch thread may be blocked on a pool future
+        # that only resolves once the pool below is torn down
+        self._dispatch.shutdown(wait=False, cancel_futures=True)
         if self.pool is not None:
             self.pool.close()
         for path in list(self._parts):
@@ -849,9 +842,15 @@ class ShardedQueryEngine:
         with obs_trace.trace_span("plan", queries=len(queries)):
             plan = self.plan(queries)
         if self.routes_to_pool(plan):
-            task_results = list(
-                self._execute_pooled(sorted(plan.tasks.items()))
-            )
+            try:
+                task_results, _ = self.run_pooled(
+                    sorted(plan.tasks.items()), self._ask_pool, self.run_local
+                )
+            except BrokenProcessPool as error:
+                raise WorkerPoolBroken(
+                    f"a shard worker died mid-batch: {error}; call "
+                    f"restart_pool() and retry"
+                ) from error
         else:
             task_results = self.run_in_process(plan)
         obs_metrics.counter(
@@ -879,57 +878,104 @@ class ShardedQueryEngine:
             and plan.executions >= POOL_MIN_EXECUTIONS
         )
 
-    def _execute_pooled(self, items):
+    def run_pooled(
+        self, items, answer, fallback, *, window: int = DISPATCH_WINDOW
+    ) -> tuple[list, bool]:
+        """Run a plan's shard tasks ``[(path, specs), ...]`` on the pool:
+        ``(task_results, degraded)`` for :meth:`merge`.
+
+        ``answer(path, specs)`` runs on the engine's dispatch threads,
+        at most ``window`` tasks at once, so shard round trips overlap.
+        It returns the task's answers, or ``None`` when the pool could
+        not answer; ``fallback(path, specs)`` then answers on this, the
+        collecting, thread, so the in-process side stays single-threaded
+        (``degraded`` says one did).  Results are collected in task
+        order.  After the first error no new task starts; the running
+        ones are collected, then the error is raised.
+
+        With a trace open each task runs under its own ``shard:<file>``
+        root (contextvars do not cross threads) carrying ``path``,
+        ``t0_offset_seconds`` — how long after the first submission it
+        started; near-zero offsets across shards are the proof of
+        overlap — and ``mode`` (``batch`` when it fell back); the roots
+        are grafted onto the caller's span in task order.
+        """
+        if self._closed:
+            raise EngineClosedError("engine is closed")
         parent = obs_trace.current_span()
-        traced = parent is not None
-        # Pipelined dispatch: keep up to DISPATCH_WINDOW shard
-        # sub-batches in flight before collecting the oldest, so shard
-        # roundtrips overlap instead of serialising (the pr5-era
-        # near-sequential profile in docs/observability.md).  Collection
-        # stays in submission order — merge() is order-insensitive, but
-        # deterministic traces are easier to read.
+        t0 = time.perf_counter()
+
+        def run_task(path, specs):
+            if parent is None:
+                return answer(path, specs), None
+            with obs_trace.start_trace(
+                f"shard:{os.path.basename(path)}", path=str(path)
+            ) as span:
+                span.set(
+                    "t0_offset_seconds", round(time.perf_counter() - t0, 6)
+                )
+                return answer(path, specs), span
+
         pending: deque = deque()
         cursor = 0
+        task_results = []
+        degraded = False
+        error: Exception | None = None
+        while pending or cursor < len(items):
+            while cursor < len(items) and len(pending) < window:
+                path, specs = items[cursor]
+                cursor += 1
+                pending.append(
+                    (path, specs, self._dispatch.submit(run_task, path, specs))
+                )
+            path, specs, future = pending.popleft()
+            try:
+                answers, span = future.result()
+                if error is not None:
+                    continue  # collected only: the request fails anyway
+                fell_back = answers is None
+                if fell_back:
+                    with obs_trace.within(span):
+                        answers = fallback(path, specs)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = error or exc
+                cursor = len(items)  # start no new task
+                continue
+            degraded |= fell_back
+            if span is not None:
+                span.set("mode", MODE_BATCH if fell_back else MODE_SHARDED)
+                parent.children.append(span)
+            task_results.append((specs, answers))
+        if error is not None:
+            raise error
+        return task_results, degraded
+
+    def _ask_pool(self, path: str, specs) -> list | None:
+        """One shard task straight to the pool (no supervision): submit,
+        graft the worker's span under this task's, decode."""
+        traced = obs_trace.is_tracing()
+        submitted = time.perf_counter()
+        payload = self.pool.submit(path, specs, traced=traced).result()
+        if traced:
+            obs_trace.attach_child(
+                payload["span"],
+                roundtrip_seconds=time.perf_counter() - submitted,
+            )
+            payload = payload["answers"]
+        return self.decode_answers(path, payload)
+
+    def decode_answers(self, path: str, payload) -> list | None:
+        """A pool task's answer bytes back to its answers; ``None`` —
+        counted in :attr:`transport_fallbacks` — when they do not decode
+        and the task must be answered in process instead."""
         try:
-            while pending or cursor < len(items):
-                while (
-                    cursor < len(items) and len(pending) < DISPATCH_WINDOW
-                ):
-                    path, specs = items[cursor]
-                    cursor += 1
-                    pending.append((
-                        path, specs, time.perf_counter(),
-                        self.pool.submit(path, specs, traced=traced),
-                    ))
-                path, specs, submitted, future = pending.popleft()
-                payload = future.result()
-                roundtrip = time.perf_counter() - submitted
-                if traced:
-                    payload = _graft_shard_span(
-                        parent, path, specs, payload, roundtrip
-                    )
-                try:
-                    payload = self.pool.decode(payload)
-                except TransportError as error:
-                    # Answer blob undecodable: the worker's answer is
-                    # lost but the batch is not — recompute in-process.
-                    self.transport_fallbacks.inc()
-                    _log.warning(
-                        "shard.transport_fallback",
-                        path=path,
-                        error=str(error),
-                    )
-                    with obs_trace.trace_span(
-                        "shard.transport_fallback",
-                        path=os.path.basename(path),
-                    ):
-                        payload = self.run_local(path, specs)
-                yield specs, payload
-        except BrokenProcessPool as error:
-            raise WorkerPoolBroken(
-                f"a shard worker died mid-batch: {error}; call "
-                f"restart_pool() and retry"
-            ) from error
+            return self.pool.decode(payload)
+        except TransportError as error:
+            self.transport_fallbacks.inc()
+            _log.warning(
+                "shard.transport_fallback", path=path, error=str(error)
+            )
+            return None
 
     def run_in_process(self, plan: BatchPlan) -> list:
         """Answer a whole plan on the calling thread: **one** run of the

@@ -158,8 +158,6 @@ class UTCQQueryProcessor:
         trajectory = block.record
         if not trajectory.start_time <= t <= trajectory.end_time:
             return []
-        if self.index.temporal_start_for(trajectory_id, t) is None:
-            return []
         bracket = time_bracket(block.times, t)
         chains = block.chains
         hits = 0

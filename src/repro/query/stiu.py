@@ -484,9 +484,8 @@ class StIUIndex:
         self.loaded_from_sidecar = False
         # temporal[interval][trajectory_id] -> t.start
         self.temporal: dict[int, dict[int, int]] = {}
-        # per trajectory, its t.start values ascending, for binary
-        # search; the spatial layer reads its spans here, so fill it,
-        # never rebind it
+        # per trajectory, its t.start values ascending; the spatial
+        # layer reads its spans here, so fill it, never rebind it
         self._trajectory_starts: dict[int, list[int]] = {}
         self.spatial = SpatialLayer(
             network,
@@ -525,15 +524,6 @@ class StIUIndex:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def temporal_start_for(self, trajectory_id: int, t: int) -> int | None:
-        """Binary-search the trajectory's starts for the latest
-        ``t.start <= t`` (the paper's Example 3 lookup)."""
-        starts = self._trajectory_starts.get(trajectory_id)
-        if not starts:
-            return None
-        position = bisect.bisect_right(starts, t) - 1
-        return starts[position] if position >= 0 else None
-
     def trajectories_in_interval(self, t: int) -> tuple[int, ...]:
         """Sorted ids active in ``t``'s interval: every interval from a
         trajectory's first timestamp to its last (the temporal layer has

@@ -36,7 +36,7 @@ from collections import deque
 from pathlib import Path
 
 from ..io.format import read_header
-from ..query.engine import _run_shard_batch, _run_shard_batch_traced
+from ..query.engine import _run_shard_batch
 
 KILL = "kill"
 DELAY = "delay"
@@ -52,14 +52,12 @@ def delay_fault(seconds: float) -> tuple:
 
 def _run_shard_batch_with_fault(payload: tuple):
     """Worker-side: suffer the fault, then (maybe) do the real work."""
-    fault, task, traced = payload
+    fault, task = payload
     if fault is not None:
         if fault[0] == KILL:
             os._exit(1)  # no cleanup — this is the point
         elif fault[0] == DELAY:
             time.sleep(fault[1])
-    if traced:
-        return _run_shard_batch_traced(task)
     return _run_shard_batch(task)
 
 
@@ -133,7 +131,7 @@ class ChaosProxy:
             return self._pool.submit(path, specs, traced=traced)
         return self._pool.submit_call(
             _run_shard_batch_with_fault,
-            (fault, (str(path), list(specs)), traced),
+            (fault, (str(path), list(specs), traced)),
         )
 
     def submit_call(self, fn, payload):

@@ -9,9 +9,11 @@ long-lived front-end can actually lean on:
   :class:`~repro.serve.errors.Overloaded` instead of queueing
   unboundedly;
 * every admitted request runs under a **deadline**; shard sub-queries
-  go through the :class:`~repro.serve.supervisor.WorkerSupervisor`
+  run on the engine's one dispatcher
+  (:meth:`~repro.query.engine.ShardedQueryEngine.run_pooled`) through
+  the breaker and the :class:`~repro.serve.supervisor.WorkerSupervisor`
   (respawn on worker death, retry with backoff, one cross-worker
-  hedge);
+  hedge), one at a time while the breaker is not closed;
 * every request is **routed** first
   (:meth:`~repro.query.engine.ShardedQueryEngine.routes_to_pool`): one
   too small to repay the pool's fixed cost is answered on the calling
@@ -23,7 +25,7 @@ long-lived front-end can actually lean on:
   open shards.  A **circuit breaker** watches pool outcomes; a
   pool-routed shard task the pool cannot answer (breaker refusing,
   attempts exhausted, answer bytes undecodable) is answered in process
-  instead.
+  instead, on the request thread.
   An in-process engine that raises is dropped, reopened and asked
   **once more**; a second failure surfaces.  Both rungs produce
   results pinned identical to the one-at-a-time processor (and
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..io.format import CorruptArchiveError, read_header, record_crc
@@ -68,13 +70,14 @@ from ..obs.log import (
 )
 from ..query.engine import (
     DISPATCH_WINDOW,
+    MODE_BATCH,
+    MODE_SHARDED,
     BatchPlan,
     Query,
     QueryEngineError,
     ShardedQueryEngine,
     ShardWorkerPool,
 )
-from ..query.transport import TransportError
 from .admission import AdmissionController
 from .breaker import CLOSED, OPEN, CircuitBreaker
 from .errors import (
@@ -87,10 +90,6 @@ from .errors import (
 from .supervisor import RetryPolicy, WorkerSupervisor
 
 _log = get_logger("repro.serve.service")
-
-# the two rungs: the worker pool, and the in-process engine
-MODE_SHARDED = "sharded"
-MODE_BATCH = "batch"
 
 # where a request was routed; the pool route answers "sharded" when
 # nothing fails, the in-process route "batch"
@@ -268,15 +267,6 @@ class QueryService:
         if pool_wrapper is not None and self.engine.pool is not None:
             # chaos seam: e.g. pool_wrapper=lambda p: ChaosProxy(p, ...)
             self.engine.pool = pool_wrapper(self.engine.pool)
-        # Pipelined shard dispatch for pool-routed requests: one
-        # long-lived thread per window slot, so a request's shard
-        # sub-batches run concurrently (threads block in
-        # supervisor.call; the work itself happens in pool workers or,
-        # fallen back, under _local_lock).
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=DISPATCH_WINDOW,
-            thread_name_prefix="repro-dispatch",
-        )
         self.admission = AdmissionController(
             max_in_flight=self.config.max_in_flight,
             rate_per_second=self.config.rate_per_second,
@@ -329,10 +319,6 @@ class QueryService:
         self._closed = True
         if self.supervisor is not None:
             self.supervisor.stop()
-        # wait=False: an in-flight dispatch thread may be blocked on a
-        # pool future that only resolves once the engine below is torn
-        # down — waiting here would deadlock close() against it
-        self._dispatch.shutdown(wait=False, cancel_futures=True)
         self.engine.close()
 
     def drain(
@@ -566,18 +552,15 @@ class QueryService:
                 plan, deadline_at
             )
         else:
-            items = sorted(plan.tasks.items())
-            if pending.breaker == CLOSED:
-                task_results, degraded = self._execute_pipelined(
-                    items, deadline_at
-                )
-            else:
+            task_results, degraded = self.engine.run_pooled(
+                sorted(plan.tasks.items()),
+                lambda path, specs: self._ask_pool(path, specs, deadline_at),
+                lambda path, specs: self._run_local(path, specs, deadline_at),
                 # a suspect pool gets probed one shard at a time: the
                 # first success closes the breaker for the rest of the
                 # request instead of every shard racing to fall back
-                task_results, degraded = self._execute_serial(
-                    items, deadline_at
-                )
+                window=DISPATCH_WINDOW if pending.breaker == CLOSED else 1,
+            )
         with obs_trace.trace_span("merge", tasks=len(task_results)):
             return self.engine.merge(plan, task_results), degraded
 
@@ -588,112 +571,48 @@ class QueryService:
         The deadline is checked once the lock is held; the run itself
         is not interrupted (fewer than ``POOL_MIN_EXECUTIONS``
         executions unless the breaker is keeping a big plan off the
-        pool).  Corruption quarantines the shard whose file raised.
+        pool).
         """
-        with self._local_lock:
+        with self._local_lock, self._quarantining():
             self._check_deadline("the request", deadline_at)
-            try:
-                return self._reopening_once(
-                    plan.tasks, lambda: self.engine.run_in_process(plan)
-                )
-            except CorruptArchiveError as error:
-                self._quarantine(error.path, error)
-                raise ShardQuarantined(error.path) from error
+            return self._reopening_once(
+                plan.tasks, lambda: self.engine.run_in_process(plan)
+            )
 
-    def _execute_serial(self, items, deadline_at: float):
-        task_results = []
-        degraded = False
-        for path, specs in items:
-            with obs_trace.trace_span(
-                "shard:" + path.rsplit("/", 1)[-1], path=path
-            ) as span:
-                answers, fell_back = self._execute_task(
-                    path, specs, deadline_at
-                )
-                span.set("mode", _mode(ROUTE_POOL, fell_back))
-            degraded |= fell_back
-            task_results.append((specs, answers))
-        return task_results, degraded
-
-    def _execute_pipelined(self, items, deadline_at: float):
-        """Run every shard sub-batch concurrently on the dispatch pool.
-
-        Each dispatch thread opens its *own* root span (contextvars do
-        not cross threads) stamped with ``t0_offset_seconds`` — how long
-        after the first submission it started — and the request thread
-        grafts the finished spans back onto the request tree in task
-        order.  Near-zero offsets across shards are the proof of
-        overlap ``repro obs trace`` shows.
-        """
-        root = obs_trace.current_span()
-        t0 = time.perf_counter()
-
-        def run_one(path, specs):
-            if root is None:
-                return *self._execute_task(path, specs, deadline_at), None
-            with obs_trace.start_trace(
-                "shard:" + path.rsplit("/", 1)[-1], path=path
-            ) as span:
-                span.set(
-                    "t0_offset_seconds",
-                    round(time.perf_counter() - t0, 6),
-                )
-                answers, fell_back = self._execute_task(
-                    path, specs, deadline_at
-                )
-                span.set("mode", _mode(ROUTE_POOL, fell_back))
-            return answers, fell_back, span
-
-        futures = [
-            self._dispatch.submit(run_one, path, specs)
-            for path, specs in items
-        ]
-        task_results = []
-        degraded = False
-        error: Exception | None = None
-        for (path, specs), future in zip(items, futures):
-            try:
-                answers, fell_back, span = future.result()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                # keep collecting so sibling spans still land on the
-                # tree and no future is abandoned mid-flight
-                if error is None:
-                    error = exc
-                continue
-            if root is not None and span is not None:
-                root.children.append(span)
-            degraded |= fell_back
-            task_results.append((specs, answers))
-        if error is not None:
-            raise error
-        return task_results, degraded
-
-    def _execute_task(
-        self, path: str, specs, deadline_at: float
-    ) -> tuple[list, bool]:
-        """Answer one pool-routed shard task: ``(answers, degraded)``.
-
-        By the pool, or in process (:meth:`~repro.query.engine.
-        ShardedQueryEngine.run_local`) when the breaker refuses, the
-        attempts are exhausted or the answer bytes do not decode.
-        Corruption on either rung quarantines the shard whose file
-        raised.
-        """
+    def _ask_pool(self, path: str, specs, deadline_at: float):
+        """One pool-routed shard task through breaker, supervisor and
+        decode, on a dispatch thread: its answers, or ``None`` when the
+        pool could not answer (breaker refusing, attempts exhausted,
+        answer bytes undecodable) and :meth:`_run_local` must."""
+        self._check_deadline(f"shard {path}", deadline_at)
+        if not self.breaker.allow():
+            return None
         try:
-            self._check_deadline(f"shard {path}", deadline_at)
-            if self.breaker.allow():
-                answers = self._run_pooled(path, specs, deadline_at)
-                if answers is not None:
-                    return answers, False
-                self._check_deadline(f"shard {path}", deadline_at)
-            with self._local_lock:
-                answers, _ = self._reopening_once(
-                    (path,), lambda: self.engine.run_local(path, specs)
+            with self._quarantining():
+                payload = self.supervisor.call(
+                    path, specs, deadline_at=deadline_at
                 )
-            return answers, True
-        except CorruptArchiveError as error:
-            self._quarantine(error.path, error)
-            raise ShardQuarantined(error.path) from error
+        except DeadlineExceeded:
+            self.breaker.record_failure()
+            raise
+        except WorkerPoolUnavailable:
+            self.breaker.record_failure()
+            return None
+        # the worker answered: the pool is healthy even if its answer
+        # bytes do not decode
+        self.breaker.record_success()
+        return self.engine.decode_answers(path, payload)
+
+    def _run_local(self, path: str, specs, deadline_at: float) -> list:
+        """A pool-routed shard task the pool did not answer, answered in
+        process (:meth:`~repro.query.engine.ShardedQueryEngine.
+        run_local`) on the request thread."""
+        self._check_deadline(f"shard {path}", deadline_at)
+        with self._local_lock, self._quarantining():
+            answers, _ = self._reopening_once(
+                (path,), lambda: self.engine.run_local(path, specs)
+            )
+        return answers
 
     def _check_deadline(self, what: str, deadline_at: float) -> None:
         if self._clock() >= deadline_at:
@@ -701,34 +620,15 @@ class QueryService:
                 f"deadline expired before {what} was executed"
             )
 
-    def _run_pooled(
-        self, path: str, specs, deadline_at: float
-    ) -> list | None:
-        """One supervised pool call, its outcome fed to the breaker;
-        None when the pool could not answer and the caller must."""
+    @contextmanager
+    def _quarantining(self):
+        """Corruption on either rung quarantines the shard whose file
+        raised, and the request is refused with :class:`ShardQuarantined`."""
         try:
-            payload = self.supervisor.call(
-                path, specs, deadline_at=deadline_at
-            )
-        except DeadlineExceeded:
-            self.breaker.record_failure()
-            raise
-        except WorkerPoolUnavailable:
-            self.breaker.record_failure()
-            return None
-        self.breaker.record_success()
-        try:
-            return self.engine.pool.decode(payload)
-        except TransportError as error:
-            # the worker answered (pool is healthy — the breaker
-            # already recorded the success) but its answer bytes did
-            # not decode; recompute in process instead of failing the
-            # request
-            self.engine.transport_fallbacks.inc()
-            _log.warning(
-                "shard.transport_fallback", path=path, error=str(error)
-            )
-            return None
+            yield
+        except CorruptArchiveError as error:
+            self._quarantine(error.path, error)
+            raise ShardQuarantined(error.path) from error
 
     def _reopening_once(self, paths, run) -> tuple[list, bool]:
         """``(run(), reopened)`` from the in-process engine; the caller

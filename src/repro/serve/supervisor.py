@@ -21,6 +21,11 @@ so they propagate to the caller (the service quarantines or rejects).
 
 Respawns are generation-gated: when several in-flight calls observe the
 same broken pool generation, only the first actually restarts it.
+
+:meth:`WorkerSupervisor.call` runs on a dispatch thread of
+:meth:`~repro.query.engine.ShardedQueryEngine.run_pooled`, under the
+task's ``shard:*`` span when a trace is open; it always submits with
+``traced=`` and grafts a traced worker's span under ``pool.call``.
 """
 
 from __future__ import annotations
@@ -309,12 +314,7 @@ class WorkerSupervisor:
         traced = obs_trace.is_tracing()
 
         def submit():
-            # the traced kwarg is only passed when tracing, so untraced
-            # duck-typed pools (test fakes) keep their 2-arg submit
-            if traced:
-                future = self.pool.submit(path, specs, traced=True)
-            else:
-                future = self.pool.submit(path, specs)
+            future = self.pool.submit(path, specs, traced=traced)
             submitted_at[future] = time.perf_counter()
             return future
 

@@ -537,10 +537,6 @@ class WireServer:
     def draining(self) -> bool:
         return self._draining
 
-    @property
-    def active_connections(self) -> int:
-        return len(self._connections)
-
     async def drain(self, timeout: float | None = None) -> bool:
         """Stop accepting, let in-flight requests finish or deadline
         out, close lingering connections.  True when everything

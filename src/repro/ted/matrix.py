@@ -43,21 +43,6 @@ def _fits(row_widths: tuple[int, ...], base: tuple[int, ...]) -> bool:
     return True
 
 
-def _row_cost(
-    row_widths: tuple[int, ...], bases: list[tuple[int, ...]], index_bits: int
-) -> int:
-    """Cheapest encoding cost of a row under the current base set."""
-    best = None
-    for base in bases:
-        if _fits(row_widths, base):
-            cost = sum(base)
-            if best is None or cost < best:
-                best = cost
-    if best is None:
-        raise ValueError("no base fits the row (the max base must always fit)")
-    return best + index_bits
-
-
 @dataclass
 class MatrixGroup:
     """All edge sequences of one length, as a code matrix."""

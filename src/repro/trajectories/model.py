@@ -175,9 +175,6 @@ class TrajectoryInstance:
             counts[index] += 1
         return counts
 
-    def edge_set(self) -> set[EdgeKey]:
-        return set(self.path)
-
     def relative_distances(self, network: RoadNetwork) -> list[float]:
         """The paper's ``D``: rd of every mapped location, in order."""
         return [loc.relative_distance(network) for loc in self.locations]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..network.graph import RoadNetwork
-from .model import EdgeKey, MappedLocation, TrajectoryInstance
+from .model import EdgeKey, TrajectoryInstance
 
 #: where a time falls among a trajectory's timestamps: ``(k, fraction)``
 #: with ``times[k] <= t < times[k + 1]``, or ``(k, None)`` at the last
@@ -73,13 +73,6 @@ class PathChainage:
         if not 0 <= edge_index < len(self.path):
             raise IndexError(f"edge index {edge_index} outside the path")
         return self._prefix[edge_index] + ndist
-
-    def chainage_of_location(
-        self, location: MappedLocation, edge_index: int
-    ) -> float:
-        if self.path[edge_index] != location.edge:
-            raise ValueError("location does not lie on the given path edge")
-        return self.chainage_of(edge_index, location.ndist)
 
     def _locate(self, chainage: float) -> tuple[int, float]:
         """``(edge index, ndist)`` of an absolute chainage, clamped to the

@@ -5,9 +5,7 @@ import pytest
 from repro.core.improved_ted import (
     InstanceTuple,
     decode_instance,
-    edge_prefix,
     encode_instance,
-    path_vertices,
     restore_time_flags,
 )
 from repro.network.generators import grid_network
@@ -118,16 +116,3 @@ class TestRoundTrip:
         assert decoded.path == instance.path
         assert decoded.locations[1].ndist == pytest.approx(60.0)
 
-
-class TestPartialHelpers:
-    def test_path_vertices(self, network, paper_like_instance):
-        encoded = encode_instance(network, paper_like_instance)
-        vertices = path_vertices(network, encoded)
-        assert vertices == [0, 1, 2, 6, 7]
-
-    def test_edge_prefix(self, network, paper_like_instance):
-        encoded = encode_instance(network, paper_like_instance)
-        assert edge_prefix(network, encoded, 2) == [(0, 1), (1, 2)]
-        # prefix of 4 entries includes the repeat marker: still 3 edges
-        assert edge_prefix(network, encoded, 4) == [(0, 1), (1, 2), (2, 6)]
-        assert edge_prefix(network, encoded, 5) == paper_like_instance.path

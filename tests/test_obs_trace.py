@@ -192,6 +192,10 @@ def test_traced_sharded_run_grafts_worker_spans(sharded_world):
         ]
         assert workers, "no worker spans came back across the pool"
         assert len(workers) == len(shard_spans)
+        for span in shard_spans:
+            assert span.attrs["mode"] == "sharded"
+            assert span.attrs["t0_offset_seconds"] >= 0.0
+            assert span.attrs["path"].endswith(span.name[len("shard:"):])
         for span in workers:
             # genuinely another process, with its own decode stages
             assert span.attrs["pid"] != os.getpid()

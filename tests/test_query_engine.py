@@ -412,6 +412,100 @@ class TestShardedEngineLifecycle:
                 pass
 
 
+class TestRunPooled:
+    """The one dispatcher: the bare engine's pool route and the serving
+    tier's both run their shard tasks through ``run_pooled``."""
+
+    def test_bare_engine_overlaps_shard_roundtrips(self, world):
+        import time
+
+        from repro.serve import ChaosProxy, delay_fault
+
+        network, trajectories, archive, shard_paths = world
+        queries = pool_sized_queries(
+            network, trajectories, shard_paths, seed=5
+        )
+        expected = BatchQueryEngine(
+            network, archive, StIUIndex(network, archive)
+        ).run(queries)
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=2
+        ) as engine:
+            engine.pool = proxy = ChaosProxy(engine.pool)
+            # every shard sub-batch sleeps 0.6s; three shards on two
+            # workers take ~1.2s overlapped vs 1.8s one after another
+            proxy.arm(*[delay_fault(0.6)] * SHARDS)
+            started = time.monotonic()
+            assert engine.run(queries) == expected
+            elapsed = time.monotonic() - started
+            assert proxy.injected["delay"] == SHARDS
+            assert elapsed < 0.6 * SHARDS
+
+    @staticmethod
+    def _items(count):
+        return [(f"shard-{n}.utcq", [n]) for n in range(count)]
+
+    def test_an_error_at_window_one_starts_no_later_task(self, world):
+        network, _, _, shard_paths = world
+        started = []
+
+        def answer(path, specs):
+            started.append(path)
+            raise OSError(f"{path} failed")
+
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=1
+        ) as engine:
+            with pytest.raises(OSError, match="shard-0"):
+                engine.run_pooled(
+                    self._items(4), answer, lambda p, s: [], window=1
+                )
+        assert started == ["shard-0.utcq"]
+
+    def test_started_tasks_are_collected_before_the_error(self, world):
+        import threading
+        import time
+
+        network, _, _, shard_paths = world
+        items = self._items(4)
+        started, finished, fallbacks = [], [], []
+
+        def answer(path, specs):
+            started.append(path)
+            if path == items[0][0]:
+                raise OSError("first task failed")
+            time.sleep(0.2)
+            finished.append(path)
+            return None  # the pool could not answer
+
+        with ShardedQueryEngine(
+            shard_paths, network=network, workers=1
+        ) as engine:
+            with pytest.raises(OSError, match="first task"):
+                engine.run_pooled(
+                    items,
+                    answer,
+                    lambda path, specs: fallbacks.append(path),
+                )
+            assert sorted(finished) == sorted(started[1:])
+            assert len(started) == len(items)
+            # collected only: a request that fails falls back nowhere
+            assert fallbacks == []
+
+            caller = threading.get_ident()
+            results, degraded = engine.run_pooled(
+                items,
+                lambda path, specs: None if specs[0] % 2 else specs,
+                lambda path, specs: (threading.get_ident(), specs),
+            )
+        assert [specs for specs, _ in results] == [[0], [1], [2], [3]]
+        # a fallback answers on the collecting thread, in task order
+        assert [answers for _, answers in results] == [
+            [0], (caller, [1]), [2], (caller, [3])
+        ]
+        assert degraded
+
+
 class TestQuerySpecs:
     def test_round_trip_from_dicts(self):
         where = query_from_dict(

@@ -42,30 +42,16 @@ def mid_time(trajectory):
 
 class TestStIUStructure:
     def test_temporal_tuples_cover_span(self, setup):
+        # a trajectory's first t.start is its start_time and its last
+        # lies in end_time's interval, so the spatial layer's span is
+        # fixed by the two times the archive's directory holds
         _, trajectories, _, index, _, _ = setup
+        partition = index.time_partition_seconds
         for trajectory in trajectories:
-            start = index.temporal_start_for(
-                trajectory.trajectory_id, trajectory.start_time
+            assert index.spatial.span(trajectory.trajectory_id) == (
+                trajectory.start_time // partition,
+                trajectory.end_time // partition,
             )
-            assert start == trajectory.start_time
-
-    def test_temporal_lookup_mid_trajectory(self, setup):
-        _, trajectories, _, index, _, _ = setup
-        trajectory = max(trajectories, key=lambda t: len(t.times))
-        t = mid_time(trajectory)
-        start = index.temporal_start_for(trajectory.trajectory_id, t)
-        assert start is not None
-        assert start <= t
-
-    def test_temporal_lookup_before_start(self, setup):
-        _, trajectories, _, index, _, _ = setup
-        trajectory = trajectories[0]
-        assert (
-            index.temporal_start_for(
-                trajectory.trajectory_id, trajectory.start_time - 10**6
-            )
-            is None
-        )
 
     def test_spatial_tuples_exist_for_visited_regions(self, setup):
         network, trajectories, _, index, _, _ = setup

@@ -576,7 +576,7 @@ class FakePool:
         self.restarts = 0
         self.futures: list = []
 
-    def submit(self, path, specs):
+    def submit(self, path, specs, *, traced=False):
         self.submits += 1
         future = Future()
         self.futures.append(future)
